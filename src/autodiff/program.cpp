@@ -27,7 +27,8 @@ isSource(Op op)
     return op == Op::Leaf || op == Op::Constant || op == Op::Input;
 }
 
-/** Stable snake_case profiler name per op kind. */
+} // namespace
+
 const char*
 kernelName(Op op)
 {
@@ -86,12 +87,6 @@ kernelName(Op op)
     return "unknown";
 }
 
-/**
- * Ops whose forward kernel has an explicit AVX2 variant. Their profiler
- * slots get the simd::kernelSuffix() ("@avx2" when dispatched) so
- * `smoothe_report profile` shows scalar-vs-AVX2 rows side by side when
- * benches compile one Program per SIMD level.
- */
 bool
 hasSimdVariant(Op op)
 {
@@ -116,6 +111,8 @@ hasSimdVariant(Op op)
         return false;
     }
 }
+
+namespace {
 
 /** Static per-execution cost estimate for one op (both phases). */
 struct OpCost

@@ -38,6 +38,18 @@
 
 namespace smoothe::ad {
 
+/** Stable snake_case profiler name per op kind ("segment_softmax"). */
+const char* kernelName(Op op);
+
+/**
+ * Ops whose forward kernel has an explicit AVX2 variant. Their profiler
+ * slots get the simd::kernelSuffix() ("@avx2" when dispatched) so
+ * `smoothe_report profile` shows scalar-vs-AVX2 rows side by side when
+ * benches compile one Program per SIMD level; tests/test_simd.cpp holds
+ * a scalar-vs-AVX2 parity case for every one of them.
+ */
+bool hasSimdVariant(Op op);
+
 /** Compile-time footprint of a Program's buffer plan. */
 struct ProgramStats
 {

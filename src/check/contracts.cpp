@@ -55,7 +55,7 @@ dispatch(const char* tier, const char* expression, const char* file,
     }
 
     // The failure mode guards only its own enum value; no other data is
-    // published behind it.  smoothe-lint: allow(relaxed-atomic-handshake)
+    // published behind it.
     const FailureMode mode = modeStorage().load(std::memory_order_relaxed);
     // Log mode only downgrades the recoverable tier; a failed ASSERT or
     // DCHECK means internal state is corrupt and continuing is unsafe.
@@ -83,14 +83,14 @@ setViolationObserver(ViolationObserver observer)
 FailureMode
 failureMode()
 {
-    // Self-contained flag.  smoothe-lint: allow(relaxed-atomic-handshake)
+    // Self-contained flag.
     return modeStorage().load(std::memory_order_relaxed);
 }
 
 void
 setFailureMode(FailureMode mode)
 {
-    // Self-contained flag.  smoothe-lint: allow(relaxed-atomic-handshake)
+    // Self-contained flag.
     modeStorage().store(mode, std::memory_order_relaxed);
 }
 

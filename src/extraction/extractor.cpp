@@ -13,10 +13,8 @@ Extractor::extract(const eg::EGraph& graph, const ExtractOptions& options)
     // Uniform observability for every extractor — including ones with
     // no internal spans of their own (ILP presets, random baselines):
     // one span covering the whole run plus a per-extractor run counter.
-    // The name string must outlive the Span, which stores a raw
-    // pointer.
     const std::string extractorName = name();
-    obs::Span span(extractorName.c_str(), "extraction");
+    obs::Span span(extractorName, "extraction");
     obs::counter("extraction." + extractorName + ".runs").add(1);
     ExtractionResult result = extractImpl(graph, options);
     SMOOTHE_DCHECK_OK(checkResultInvariants(graph, result));
@@ -30,7 +28,7 @@ Extractor::extractIncremental(const eg::EGraph& graph,
                               const ExtractOptions& options)
 {
     const std::string extractorName = name();
-    obs::Span span(extractorName.c_str(), "extraction");
+    obs::Span span(extractorName, "extraction");
     obs::counter("extraction." + extractorName + ".incremental_runs")
         .add(1);
     SMOOTHE_DCHECK_OK(delta.checkConsistent(graph));

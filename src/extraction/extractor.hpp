@@ -81,8 +81,8 @@ struct IncrementalBlob
  * one evolving e-graph under one extractor: the base class records which
  * extractor owns it and the node/class counts of the last graph it saw,
  * and extractIncremental() rejects a state reused across different
- * e-graph lineages (see the `stale-delta-state` lint rule). Call reset()
- * before pointing an existing state at a fresh graph.
+ * e-graph lineages with a ContractViolation. Call reset() before
+ * pointing an existing state at a fresh graph.
  */
 class IncrementalState
 {

@@ -59,7 +59,7 @@ Profiler::instance()
 {
     // Intentionally leaked: the CLI exit hooks serialize the profiler
     // after normal static teardown may have begun.
-    static Profiler* singleton = new Profiler; // smoothe-lint: allow(raw-new)
+    static Profiler* singleton = new Profiler;
     return *singleton;
 }
 
@@ -108,7 +108,7 @@ Profiler::kernel(const std::string& name)
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = kernels_[name];
     if (!slot)
-        slot.reset(new Kernel(name)); // smoothe-lint: allow(raw-new)
+        slot.reset(new Kernel(name));
     return *slot;
 }
 

@@ -29,7 +29,7 @@ installedReport()
 {
     // Intentionally leaked: the CLI layer flushes the report from an
     // atexit/terminate hook, which can run after normal static teardown.
-    static InstalledReport* state = new InstalledReport; // smoothe-lint: allow(raw-new)
+    static InstalledReport* state = new InstalledReport;
     return *state;
 }
 
@@ -237,7 +237,7 @@ Report::measurement(const std::string& name)
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = measurements_[name];
     if (!slot)
-        slot.reset(new Measurement(this)); // smoothe-lint: allow(raw-new)
+        slot.reset(new Measurement(this));
     return *slot;
 }
 
@@ -249,7 +249,7 @@ Report::phase(const std::string& name, std::vector<double> bounds)
     if (!slot) {
         if (bounds.empty())
             bounds = defaultPhaseBounds();
-        slot.reset(new PhaseTimer(std::move(bounds))); // smoothe-lint: allow(raw-new)
+        slot.reset(new PhaseTimer(std::move(bounds)));
     }
     return *slot;
 }
@@ -260,7 +260,7 @@ Report::series(const std::string& name, std::vector<std::string> columns)
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = series_[name];
     if (!slot)
-        slot.reset(new Series(this, std::move(columns))); // smoothe-lint: allow(raw-new)
+        slot.reset(new Series(this, std::move(columns)));
     return *slot;
 }
 
@@ -327,7 +327,7 @@ Report::install(const std::string& tool, std::string output_path)
 {
     InstalledReport& state = installedReport();
     std::lock_guard<std::mutex> lock(state.mutex);
-    state.report.reset(new Report(tool)); // smoothe-lint: allow(raw-new)
+    state.report.reset(new Report(tool));
     state.outputPath = std::move(output_path);
     Report& report = *state.report;
     report.setRun("gitSha", kBuildGitSha);

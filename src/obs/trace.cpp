@@ -3,6 +3,7 @@
 #include <chrono>
 #include <mutex>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,7 +33,7 @@ threadNames()
     // Intentionally leaked: the first span can be recorded after the CLI
     // layer registers its atexit flush, so a normal static would be
     // destroyed before toJson() runs at exit.
-    static ThreadNames* names = new ThreadNames; // smoothe-lint: allow(raw-new)
+    static ThreadNames* names = new ThreadNames;
     return *names;
 }
 
@@ -59,6 +60,16 @@ currentTid()
 
 } // namespace
 
+const char*
+internName(const std::string& name)
+{
+    static std::mutex mutex;
+    // Leaked like threadNames(): names are read by the exit-time flush.
+    static auto* names = new std::unordered_set<std::string>;
+    std::lock_guard<std::mutex> lock(mutex);
+    return names->insert(name).first->c_str();
+}
+
 struct TraceSession::Impl
 {
     mutable std::mutex mutex;
@@ -66,7 +77,7 @@ struct TraceSession::Impl
 
     struct Event
     {
-        const char* name; ///< string literals at call sites
+        const char* name; ///< literals or internName() copies
         const char* category;
         char phase;  ///< 'X' complete, 'C' counter, 'i' instant
         double tsUs; ///< relative microseconds

@@ -34,6 +34,13 @@ traceEnabled()
     return detail::traceEnabled.load(std::memory_order_relaxed);
 }
 
+/**
+ * Returns a copy of `name` that lives until the process exits; equal
+ * names share one copy. Trace events keep raw name pointers until they
+ * are written, so a span named from a temporary string needs one.
+ */
+const char* internName(const std::string& name);
+
 /** The process-wide trace-event collector. */
 class TraceSession
 {
@@ -90,6 +97,16 @@ class Span
     {
         if (active_)
             startUs_ = TraceSession::instance().nowMicros();
+    }
+
+    /** Names the span from a runtime string, interned only if active. */
+    explicit Span(const std::string& name, const char* category = "smoothe")
+        : name_(nullptr), category_(category), active_(obs::traceEnabled())
+    {
+        if (active_) {
+            name_ = internName(name);
+            startUs_ = TraceSession::instance().nowMicros();
+        }
     }
 
     ~Span() { end(); }

@@ -801,7 +801,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             iterationsMetric.add(1);
 
             obs::Span iterSpan("iteration");
-            // smoothe-lint: allow(tape-in-loop) — intentional eager path
+            // Intentional eager path: a fresh tape per iteration.
             std::optional<Tape> tape;
             {
                 auto scope = diagnostics.profile.loss();

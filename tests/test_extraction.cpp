@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "datasets/generators.hpp"
 #include "extraction/bottom_up.hpp"
@@ -15,10 +17,13 @@
 #include "extraction/random_sample.hpp"
 #include "extraction/solution.hpp"
 #include "extraction/validate.hpp"
+#include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace eg = smoothe::eg;
 namespace ex = smoothe::extract;
 namespace ds = smoothe::datasets;
+namespace so = smoothe::obs;
 
 namespace {
 
@@ -426,4 +431,45 @@ TEST(SolveStatus, Names)
     EXPECT_STREQ(ex::toString(ex::SolveStatus::Feasible), "feasible");
     EXPECT_STREQ(ex::toString(ex::SolveStatus::Infeasible), "infeasible");
     EXPECT_STREQ(ex::toString(ex::SolveStatus::Failed), "failed");
+}
+
+TEST(ExtractorTrace, SpanNamesOutliveTheExtractors)
+{
+    // The per-run span is named after the extractor, and the trace is
+    // only serialized at flush, after each extractor and the name string
+    // it returned are gone.
+    const eg::EGraph g = paperGraph();
+    so::TraceSession& session = so::TraceSession::instance();
+    session.start();
+    {
+        ex::BottomUpExtractor heuristic;
+        EXPECT_TRUE(heuristic.extract(g, {}).ok());
+    }
+    {
+        ex::GreedyDagExtractor greedy;
+        EXPECT_TRUE(greedy.extract(g, {}).ok());
+    }
+    {
+        ex::FasterBottomUpExtractor plus;
+        ex::IncrementalState state;
+        EXPECT_TRUE(plus.extractIncremental(
+                            g, eg::GraphDelta::identity(g), state, {})
+                        .ok());
+    }
+    session.stop();
+
+    const auto doc =
+        smoothe::util::Json::parse(session.toJson().dump());
+    session.clear();
+    ASSERT_TRUE(doc.has_value());
+    std::vector<std::string> runSpans;
+    for (const auto& event : doc->find("traceEvents")->asArray()) {
+        const auto* cat = event.find("cat");
+        const std::string name = event.find("name")->asString();
+        if (cat && cat->asString() == "extraction" &&
+            name.find('.') == std::string::npos)
+            runSpans.push_back(name);
+    }
+    EXPECT_EQ(runSpans, (std::vector<std::string>{"heuristic", "greedy-dag",
+                                                  "heuristic+"}));
 }

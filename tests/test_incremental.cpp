@@ -266,14 +266,12 @@ TEST(IncrementalExtract, StaleStateIsRejected)
     // Same state pointed at a different e-graph lineage: the delta's
     // prev counts no longer describe what the state last saw. The
     // misuse is deliberate — it is what this test proves gets caught.
-    // smoothe-lint: allow(stale-delta-state)
     EXPECT_THROW(heuristic.extractIncremental(
                      big, eg::GraphDelta::identity(big), state, options),
                  check::ContractViolation);
 
     // A different extractor instance must not adopt the state either.
     extract::BottomUpExtractor other;
-    // smoothe-lint: allow(stale-delta-state)
     EXPECT_THROW(other.extractIncremental(
                      small, eg::GraphDelta::identity(small), state,
                      options),

@@ -219,7 +219,7 @@ runEager(Pipeline& pl)
     Trajectory out;
     ad::Adam optimizer(pl.params(), ad::AdamConfig{});
     for (std::size_t iter = 0; iter < kIterations; ++iter) {
-        // smoothe-lint: allow(tape-in-loop) — the reference rebuild
+        // The reference rebuild: a fresh tape per iteration.
         Tape tape;
         const Handles h = pl.build(tape, rampedLambda(iter));
         optimizer.zeroGrad();

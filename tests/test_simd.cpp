@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,12 +22,14 @@
 #include <vector>
 
 #include "autodiff/matexp.hpp"
+#include "autodiff/program.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
+namespace ad = smoothe::ad;
 namespace st = smoothe::tensor;
 namespace simd = smoothe::tensor::simd;
 namespace util = smoothe::util;
@@ -142,86 +145,86 @@ TEST(SimdDispatch, LevelNamesAreStable)
     EXPECT_STREQ(simd::levelName(simd::Level::Avx2), "avx2");
 }
 
-TEST(SimdParity, ElementwiseKernelsAreBitIdentical)
+namespace {
+
+constexpr st::Backend kVec = st::Backend::Vectorized;
+
+/**
+ * Scalar-vs-AVX2 parity checks, one per kernel family. Each runs the
+ * forward kernel of `op` at both SIMD levels over randomized shapes and
+ * compares the outputs.
+ */
+using ParityCheck = void (*)(ad::Op op, util::Rng& rng);
+
+/**
+ * The forward kernel of elementwise `op`: `b` is the second variable
+ * operand, `k` the constant one, and FusedMulAddConst adds `k` to
+ * `a * c`.
+ */
+void
+elementwiseInto(ad::Op op, const st::Tensor& a, const st::Tensor& b,
+                const st::Tensor& c, const st::Tensor& k, float alpha,
+                float beta, st::Tensor& out)
 {
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0xe1e3);
+    switch (op) {
+      case ad::Op::Add:
+        return st::addInto(a, b, out, kVec);
+      case ad::Op::Sub:
+        return st::subInto(a, b, out, kVec);
+      case ad::Op::Mul:
+        return st::mulInto(a, b, out, kVec);
+      case ad::Op::Scale:
+        return st::scaleInto(a, alpha, out, kVec);
+      case ad::Op::AddScalar:
+        return st::addScalarInto(a, alpha, out, kVec);
+      case ad::Op::FusedAffine:
+        return st::affineInto(a, alpha, beta, out, kVec);
+      case ad::Op::Relu:
+        return st::reluInto(a, out, kVec);
+      case ad::Op::MulConst:
+        return st::mulConstInto(a, k, out, kVec);
+      case ad::Op::AddConst:
+        return st::addConstInto(a, k, out, kVec);
+      case ad::Op::FusedMulAddConst:
+        return st::mulAddConstInto(a, c, k, out, kVec);
+      default:
+        ADD_FAILURE() << "not an elementwise op";
+    }
+}
+
+void
+checkElementwise(ad::Op op, util::Rng& rng)
+{
     for (const std::size_t rows : kRowCounts) {
         for (const std::size_t cols : kColCounts) {
             const st::Tensor a = randomTensor(rows, cols, rng);
             const st::Tensor b = randomTensor(rows, cols, rng);
             const st::Tensor c = randomTensor(rows, cols, rng);
             const st::Tensor cRow = randomTensor(1, cols, rng);
-            const float alpha =
-                static_cast<float>(rng.uniform(-3.0, 3.0));
+            const float alpha = static_cast<float>(rng.uniform(-3.0, 3.0));
             const float beta = static_cast<float>(rng.uniform(-3.0, 3.0));
-            const auto check = [&](const char* what, auto&& body) {
-                auto [lhs, rhs] = runBothLevels(rows, cols, body);
+            // Ops that read the constant operand also run it
+            // row-broadcast.
+            const bool readsConst = op == ad::Op::MulConst ||
+                                    op == ad::Op::AddConst ||
+                                    op == ad::Op::FusedMulAddConst;
+            for (const st::Tensor* k : {&c, &cRow}) {
+                if (k == &cRow && !readsConst)
+                    continue;
+                auto [lhs, rhs] =
+                    runBothLevels(rows, cols, [&](st::Tensor& out) {
+                        elementwiseInto(op, a, b, c, *k, alpha, beta, out);
+                    });
                 EXPECT_TRUE(bitEqual(lhs, rhs))
-                    << what << " " << rows << "x" << cols;
-            };
-            check("add", [&](st::Tensor& out) {
-                st::addInto(a, b, out, st::Backend::Vectorized);
-            });
-            check("sub", [&](st::Tensor& out) {
-                st::subInto(a, b, out, st::Backend::Vectorized);
-            });
-            check("mul", [&](st::Tensor& out) {
-                st::mulInto(a, b, out, st::Backend::Vectorized);
-            });
-            check("scale", [&](st::Tensor& out) {
-                st::scaleInto(a, alpha, out, st::Backend::Vectorized);
-            });
-            check("add_scalar", [&](st::Tensor& out) {
-                st::addScalarInto(a, alpha, out, st::Backend::Vectorized);
-            });
-            check("affine", [&](st::Tensor& out) {
-                st::affineInto(a, alpha, beta, out,
-                               st::Backend::Vectorized);
-            });
-            check("relu", [&](st::Tensor& out) {
-                st::reluInto(a, out, st::Backend::Vectorized);
-            });
-            check("mul_const", [&](st::Tensor& out) {
-                st::mulConstInto(a, c, out, st::Backend::Vectorized);
-            });
-            check("mul_const_broadcast", [&](st::Tensor& out) {
-                st::mulConstInto(a, cRow, out, st::Backend::Vectorized);
-            });
-            check("add_const", [&](st::Tensor& out) {
-                st::addConstInto(a, c, out, st::Backend::Vectorized);
-            });
-            check("mul_add_const", [&](st::Tensor& out) {
-                st::mulAddConstInto(a, c, cRow, out,
-                                    st::Backend::Vectorized);
-            });
+                    << rows << "x" << cols << (k == &cRow ? " bcast" : "");
+            }
         }
     }
 }
 
-TEST(SimdParity, ReluHandlesNegativeZeroIdentically)
+void
+checkElemChain(ad::Op, util::Rng& rng)
 {
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    st::Tensor a(1, 11);
-    a.data()[0] = -0.0f;
-    a.data()[1] = 0.0f;
-    a.data()[2] = -1.5f;
-    a.data()[3] = 1.5f;
-    for (std::size_t i = 4; i < a.size(); ++i)
-        a.data()[i] = (i % 2 ? 1.0f : -1.0f) * static_cast<float>(i);
-    auto [lhs, rhs] = runBothLevels(1, 11, [&](st::Tensor& out) {
-        st::reluInto(a, out, st::Backend::Vectorized);
-    });
-    EXPECT_TRUE(bitEqual(lhs, rhs));
-}
-
-TEST(SimdParity, ElemChainMatchesUnfusedSequenceBitwise)
-{
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0xc4a1);
     for (const std::size_t rows : kRowCounts) {
         for (const std::size_t cols : {9UL, 100UL, 1000UL}) {
             const st::Tensor a = randomTensor(rows, cols, rng);
@@ -256,8 +259,7 @@ TEST(SimdParity, ElemChainMatchesUnfusedSequenceBitwise)
             // Scalar level vs AVX2 level of the fused kernel.
             auto [lhs, rhs] = runBothLevels(rows, cols, [&](st::Tensor&
                                                                 out) {
-                st::elemChainInto(a, stages, out,
-                                  st::Backend::Vectorized);
+                st::elemChainInto(a, stages, out, kVec);
             });
             EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
 
@@ -268,20 +270,16 @@ TEST(SimdParity, ElemChainMatchesUnfusedSequenceBitwise)
             for (const st::ElemStage& stage : stages) {
                 switch (stage.kind) {
                   case st::ElemStageKind::Scale:
-                    st::scaleInto(cur, stage.alpha, next,
-                                  st::Backend::Vectorized);
+                    st::scaleInto(cur, stage.alpha, next, kVec);
                     break;
                   case st::ElemStageKind::AddScalar:
-                    st::addScalarInto(cur, stage.alpha, next,
-                                      st::Backend::Vectorized);
+                    st::addScalarInto(cur, stage.alpha, next, kVec);
                     break;
                   case st::ElemStageKind::MulConst:
-                    st::mulConstInto(cur, stage.c, next,
-                                     st::Backend::Vectorized);
+                    st::mulConstInto(cur, stage.c, next, kVec);
                     break;
                   case st::ElemStageKind::AddConst:
-                    st::addConstInto(cur, stage.c, next,
-                                     st::Backend::Vectorized);
+                    st::addConstInto(cur, stage.c, next, kVec);
                     break;
                 }
                 std::swap(cur, next);
@@ -291,11 +289,9 @@ TEST(SimdParity, ElemChainMatchesUnfusedSequenceBitwise)
     }
 }
 
-TEST(SimdParity, GatherColsIsBitIdentical)
+void
+checkGatherCols(ad::Op, util::Rng& rng)
 {
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0x6a7e);
     for (const std::size_t rows : kRowCounts) {
         const std::size_t srcCols = 257;
         const st::Tensor a = randomTensor(rows, srcCols, rng);
@@ -306,12 +302,195 @@ TEST(SimdParity, GatherColsIsBitIdentical)
                     rng.uniformIndex(srcCols));
             auto [lhs, rhs] =
                 runBothLevels(rows, outCols, [&](st::Tensor& out) {
-                    st::gatherColsInto(a, index, out,
-                                       st::Backend::Vectorized);
+                    st::gatherColsInto(a, index, out, kVec);
                 });
             EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << outCols;
         }
     }
+}
+
+void
+checkProductComplement(ad::Op, util::Rng& rng)
+{
+    for (const std::size_t rows : kRowCounts) {
+        for (const std::size_t cols : {16UL, 300UL}) {
+            const std::size_t numSegments = cols / 3 + 2;
+            const st::SegmentIndex segs =
+                randomSegments(cols, numSegments, rng);
+            const st::Tensor a = randomTensor(rows, cols, rng);
+            auto [lhs, rhs] =
+                runBothLevels(rows, numSegments, [&](st::Tensor& out) {
+                    st::segmentProductComplementInto(a, segs, out, kVec);
+                });
+            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
+        }
+    }
+}
+
+void
+checkSoftmax(ad::Op, util::Rng& rng)
+{
+    // The AVX2 softmax uses a polynomial expf, so this is the one
+    // kernel compared with a tolerance instead of memcmp. The bound is
+    // generous relative to the few-ULP expf error because the
+    // normalization divides two already-perturbed quantities.
+    constexpr std::uint32_t kMaxUlp = 64;
+    for (const std::size_t rows : kRowCounts) {
+        for (const std::size_t cols : {24UL, 500UL}) {
+            const std::size_t numSegments = cols / 4 + 1;
+            const st::SegmentIndex segs =
+                randomSegments(cols, numSegments, rng);
+            const st::Tensor a = randomTensor(rows, cols, rng);
+            auto [lhs, rhs] =
+                runBothLevels(rows, cols, [&](st::Tensor& out) {
+                    st::segmentSoftmaxInto(a, segs, out, kVec);
+                });
+            std::uint32_t worst = 0;
+            for (std::size_t i = 0; i < lhs.size(); ++i)
+                worst = std::max(
+                    worst, ulpDiff(lhs.data()[i], rhs.data()[i]));
+            EXPECT_LE(worst, kMaxUlp) << rows << "x" << cols;
+        }
+    }
+}
+
+void
+checkMatrixExp(ad::Op, util::Rng& rng)
+{
+    for (const std::size_t d : {1UL, 3UL, 5UL, 12UL}) {
+        std::vector<float> a(d * d);
+        for (float& v : a)
+            v = rng.bernoulli(0.3)
+                    ? 0.0f
+                    : static_cast<float>(rng.uniform(-0.5, 0.5));
+        std::vector<float> scalarOut(d * d);
+        std::vector<float> avxOut(d * d);
+        LevelGuard guard;
+        simd::setLevel(simd::Level::Scalar);
+        ad::expm(a.data(), d, scalarOut.data());
+        simd::setLevel(simd::Level::Avx2);
+        ad::expm(a.data(), d, avxOut.data());
+        EXPECT_EQ(std::memcmp(scalarOut.data(), avxOut.data(),
+                              d * d * sizeof(float)),
+                  0)
+            << "d=" << d;
+    }
+}
+
+/** The parity check covering `op`'s forward kernel, or nullptr. */
+ParityCheck
+parityCheckFor(ad::Op op)
+{
+    switch (op) {
+      case ad::Op::Add:
+      case ad::Op::Sub:
+      case ad::Op::Mul:
+      case ad::Op::Scale:
+      case ad::Op::AddScalar:
+      case ad::Op::FusedAffine:
+      case ad::Op::Relu:
+      case ad::Op::MulConst:
+      case ad::Op::AddConst:
+      case ad::Op::FusedMulAddConst:
+        return checkElementwise;
+      case ad::Op::FusedElemChain:
+        return checkElemChain;
+      case ad::Op::GatherCols:
+        return checkGatherCols;
+      case ad::Op::SegmentProductComplement:
+        return checkProductComplement;
+      case ad::Op::SegmentSoftmax:
+        return checkSoftmax;
+      case ad::Op::TrExpm:
+        return checkMatrixExp;
+      default:
+        return nullptr;
+    }
+}
+
+/**
+ * Every ad::Op enumerator. kernelName() names each one (its switch has
+ * no default, so -Wswitch flags a missing enumerator) and returns
+ * "unknown" past the last.
+ */
+std::vector<ad::Op>
+allOps()
+{
+    std::vector<ad::Op> ops;
+    for (std::uint8_t i = 0;
+         std::strcmp(ad::kernelName(static_cast<ad::Op>(i)), "unknown");
+         ++i)
+        ops.push_back(static_cast<ad::Op>(i));
+    return ops;
+}
+
+/** Runs `check` once for every op that parityCheckFor() maps to it. */
+void
+runParityChecks(ParityCheck check, std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::size_t ran = 0;
+    for (const ad::Op op : allOps()) {
+        if (parityCheckFor(op) != check)
+            continue;
+        SCOPED_TRACE(ad::kernelName(op));
+        check(op, rng);
+        ++ran;
+    }
+    EXPECT_GT(ran, 0u) << "no op maps to this parity check";
+}
+
+} // namespace
+
+TEST(SimdParity, EveryDispatchedOpHasAParityCase)
+{
+    const std::vector<ad::Op> ops = allOps();
+    ASSERT_GT(ops.size(), static_cast<std::size_t>(ad::Op::FusedElemChain));
+    for (const ad::Op op : ops) {
+        if (!ad::hasSimdVariant(op))
+            continue;
+        EXPECT_NE(parityCheckFor(op), nullptr)
+            << "forward." << ad::kernelName(op)
+            << " dispatches to AVX2 but has no parity case";
+    }
+}
+
+TEST(SimdParity, ElementwiseKernelsAreBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    runParityChecks(checkElementwise, 0xe1e3);
+}
+
+TEST(SimdParity, ReluHandlesNegativeZeroIdentically)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    st::Tensor a(1, 11);
+    a.data()[0] = -0.0f;
+    a.data()[1] = 0.0f;
+    a.data()[2] = -1.5f;
+    a.data()[3] = 1.5f;
+    for (std::size_t i = 4; i < a.size(); ++i)
+        a.data()[i] = (i % 2 ? 1.0f : -1.0f) * static_cast<float>(i);
+    auto [lhs, rhs] = runBothLevels(1, 11, [&](st::Tensor& out) {
+        st::reluInto(a, out, kVec);
+    });
+    EXPECT_TRUE(bitEqual(lhs, rhs));
+}
+
+TEST(SimdParity, ElemChainMatchesUnfusedSequenceBitwise)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    runParityChecks(checkElemChain, 0xc4a1);
+}
+
+TEST(SimdParity, GatherColsIsBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    runParityChecks(checkGatherCols, 0x6a7e);
 }
 
 TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
@@ -342,7 +521,7 @@ TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
         const st::Tensor x = randomTensor(batch, numCols, rng);
         auto [lhs, rhs] =
             runBothLevels(batch, numRows, [&](st::Tensor& out) {
-                st::spmv(m, x, out, st::Backend::Vectorized);
+                st::spmv(m, x, out, kVec);
             });
         EXPECT_TRUE(bitEqual(lhs, rhs)) << "batch " << batch;
 
@@ -351,7 +530,7 @@ TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
         const st::Tensor y = randomTensor(batch, numRows, rng);
         auto [lhsT, rhsT] =
             runBothLevels(batch, numCols, [&](st::Tensor& out) {
-                st::spmvT(t, y, out, st::Backend::Vectorized);
+                st::spmvT(t, y, out, kVec);
             });
         EXPECT_TRUE(bitEqual(lhsT, rhsT)) << "batch " << batch;
     }
@@ -361,76 +540,21 @@ TEST(SimdParity, SegmentProductComplementIsBitIdentical)
 {
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0x9c0d);
-    for (const std::size_t rows : kRowCounts) {
-        for (const std::size_t cols : {16UL, 300UL}) {
-            const std::size_t numSegments = cols / 3 + 2;
-            const st::SegmentIndex segs =
-                randomSegments(cols, numSegments, rng);
-            const st::Tensor a = randomTensor(rows, cols, rng);
-            auto [lhs, rhs] =
-                runBothLevels(rows, numSegments, [&](st::Tensor& out) {
-                    st::segmentProductComplementInto(
-                        a, segs, out, st::Backend::Vectorized);
-                });
-            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
-        }
-    }
+    runParityChecks(checkProductComplement, 0x9c0d);
 }
 
 TEST(SimdParity, SegmentSoftmaxMatchesWithinUlpTolerance)
 {
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0x50f7);
-    // The AVX2 softmax uses a polynomial expf, so this is the one
-    // kernel compared with a tolerance instead of memcmp. The bound is
-    // generous relative to the few-ULP expf error because the
-    // normalization divides two already-perturbed quantities.
-    constexpr std::uint32_t kMaxUlp = 64;
-    for (const std::size_t rows : kRowCounts) {
-        for (const std::size_t cols : {24UL, 500UL}) {
-            const std::size_t numSegments = cols / 4 + 1;
-            const st::SegmentIndex segs =
-                randomSegments(cols, numSegments, rng);
-            const st::Tensor a = randomTensor(rows, cols, rng);
-            auto [lhs, rhs] =
-                runBothLevels(rows, cols, [&](st::Tensor& out) {
-                    st::segmentSoftmaxInto(a, segs, out,
-                                           st::Backend::Vectorized);
-                });
-            std::uint32_t worst = 0;
-            for (std::size_t i = 0; i < lhs.size(); ++i)
-                worst = std::max(
-                    worst, ulpDiff(lhs.data()[i], rhs.data()[i]));
-            EXPECT_LE(worst, kMaxUlp) << rows << "x" << cols;
-        }
-    }
+    runParityChecks(checkSoftmax, 0x50f7);
 }
 
 TEST(SimdParity, MatrixExpIsBitIdentical)
 {
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0xeff1);
-    for (const std::size_t d : {1UL, 3UL, 5UL, 12UL}) {
-        std::vector<float> a(d * d);
-        for (float& v : a)
-            v = rng.bernoulli(0.3)
-                    ? 0.0f
-                    : static_cast<float>(rng.uniform(-0.5, 0.5));
-        std::vector<float> scalarOut(d * d);
-        std::vector<float> avxOut(d * d);
-        LevelGuard guard;
-        simd::setLevel(simd::Level::Scalar);
-        smoothe::ad::expm(a.data(), d, scalarOut.data());
-        simd::setLevel(simd::Level::Avx2);
-        smoothe::ad::expm(a.data(), d, avxOut.data());
-        EXPECT_EQ(std::memcmp(scalarOut.data(), avxOut.data(),
-                              d * d * sizeof(float)),
-                  0)
-            << "d=" << d;
-    }
+    runParityChecks(checkMatrixExp, 0xeff1);
 }
 
 TEST(SparseLayout, CsrFromSegmentsAndCscTranspose)
