@@ -38,10 +38,6 @@ forwardOp(const ForwardArgs& args)
       case Op::AddScalar:
         tensor::addScalarInto(*args.a, node.alpha, *args.value, backend);
         break;
-      case Op::FusedAffine:
-        tensor::affineInto(*args.a, node.alpha, node.beta, *args.value,
-                           backend);
-        break;
       case Op::Relu:
         tensor::reluInto(*args.a, *args.value, backend);
         break;
@@ -52,10 +48,6 @@ forwardOp(const ForwardArgs& args)
       case Op::AddConst:
         tensor::addConstInto(*args.a, node.constTensor, *args.value,
                              backend);
-        break;
-      case Op::FusedMulAddConst:
-        tensor::mulAddConstInto(*args.a, node.constTensor,
-                                node.constTensor2, *args.value, backend);
         break;
       case Op::FusedElemChain:
         tensor::elemChainInto(*args.a, node.chain, *args.value, backend);
@@ -186,10 +178,7 @@ backwardOp(const BackwardArgs& args)
         }
         break;
       }
-      case Op::Scale:
-      case Op::FusedAffine: {
-        // FusedAffine backward equals Scale's: the + beta contributes
-        // identity, exactly like the unfused AddScalar step it replaced.
+      case Op::Scale: {
         if (!gaPtr)
             break;
         Tensor& ga = *gaPtr;
@@ -216,10 +205,7 @@ backwardOp(const BackwardArgs& args)
         }
         break;
       }
-      case Op::MulConst:
-      case Op::FusedMulAddConst: {
-        // FusedMulAddConst backward equals MulConst's: the + constTensor2
-        // contributes identity, like the unfused AddConst it replaced.
+      case Op::MulConst: {
         if (!gaPtr)
             break;
         Tensor& ga = *gaPtr;
@@ -241,45 +227,10 @@ backwardOp(const BackwardArgs& args)
             ga.data()[i] += g.data()[i];
         break;
       }
-      case Op::FusedElemChain: {
-        // Reverse-stage Jacobian product. Each unfused stage's backward
-        // is one rounded multiply (Scale/MulConst) or an exact copy
-        // (AddScalar/AddConst) into a freshly zeroed grad slot, so
-        // threading one value through the reversed stages reproduces
-        // the unfused accumulation bit for bit.
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const auto& stages = node.chain;
-        std::vector<const float*> stageRows(stages.size(), nullptr);
-        for (std::size_t r = 0; r < g.rows(); ++r) {
-            for (std::size_t s = 0; s < stages.size(); ++s) {
-                const Tensor& c = stages[s].c;
-                stageRows[s] =
-                    c.empty() ? nullptr : c.row(c.rows() == 1 ? 0 : r);
-            }
-            const float* gr = g.row(r);
-            float* gar = ga.row(r);
-            for (std::size_t i = 0; i < g.cols(); ++i) {
-                float v = gr[i];
-                for (std::size_t s = stages.size(); s > 0; --s) {
-                    switch (stages[s - 1].kind) {
-                      case tensor::ElemStageKind::Scale:
-                        v = stages[s - 1].alpha * v;
-                        break;
-                      case tensor::ElemStageKind::MulConst:
-                        v = v * stageRows[s - 1][i];
-                        break;
-                      case tensor::ElemStageKind::AddScalar:
-                      case tensor::ElemStageKind::AddConst:
-                        break; // identity Jacobian
-                    }
-                }
-                gar[i] += v;
-            }
-        }
+      case Op::FusedElemChain:
+        if (gaPtr)
+            tensor::elemChainGradInto(g, node.chain, *gaPtr, args.backend);
         break;
-      }
       case Op::DotRowsConst: {
         if (!gaPtr)
             break;

@@ -1,13 +1,15 @@
 /**
  * @file
- * Single-op executors shared by the eager Tape and the compiled Program.
+ * Single-op executors shared by the recording Tape and the compiled
+ * Program.
  *
  * forwardOp/backwardOp take an OpNode plus resolved tensor pointers and
- * run exactly one operation. The eager Tape resolves pointers into its
+ * run exactly one operation. The Tape resolves pointers into its
  * per-node tensors; the Program resolves them into its static buffer
- * plan. Because both modes funnel through these two functions (and the
- * tensor::*Into kernels they call), replay is bit-identical to the
- * eager rebuild at every thread count.
+ * plan. Because both funnel through these two functions (and the
+ * tensor::*Into kernels they call), replay is bit-identical to a Tape
+ * rebuild at every thread count — the reference the parity tests
+ * compare against.
  */
 
 #ifndef SMOOTHE_AUTODIFF_EXEC_HPP

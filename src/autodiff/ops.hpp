@@ -4,11 +4,12 @@
  *
  * OpNode is the execution-independent description of one recorded
  * operation: which op, which inputs, and the constant payload it
- * captured. The eager Tape wraps it with per-node value/grad tensors;
- * the compiled Program steals the OpNode list wholesale and binds
- * values/grads to a static buffer plan instead. Keeping the metadata in
- * one struct is what lets both execution modes share one kernel body
- * per op (src/autodiff/exec.hpp) and stay bit-identical.
+ * captured. The recording Tape wraps it with per-node value/grad
+ * tensors; the compiled Program steals the OpNode list wholesale and
+ * binds values/grads to a static buffer plan instead. Keeping the
+ * metadata in one struct is what lets both share one kernel body per op
+ * (src/autodiff/exec.hpp), so a replay matches a Tape rebuild bit for
+ * bit.
  */
 
 #ifndef SMOOTHE_AUTODIFF_OPS_HPP
@@ -51,9 +52,8 @@ using MatrixEntry = tensor::MatrixEntry;
 
 /**
  * Operation kinds. Leaf/Constant/Input are sources (no compute);
- * FusedAffine and FusedMulAddConst exist only in compiled Programs,
- * produced by the recorder-chain fusion pass — the eager Tape never
- * records them.
+ * FusedElemChain exists only in compiled Programs, produced by the
+ * recorder-chain fusion pass — the Tape never records it.
  */
 enum class Op : std::uint8_t {
     Leaf,
@@ -78,9 +78,7 @@ enum class Op : std::uint8_t {
     AddRowBroadcast,
     ScatterMatrix,
     TrExpm,
-    FusedAffine,      ///< out = (alpha * a) + beta
-    FusedMulAddConst, ///< out = (a * constTensor) + constTensor2
-    FusedElemChain,   ///< out = chain of constant-Jacobian stages
+    FusedElemChain, ///< out = chain of constant-Jacobian stages
 };
 
 /**
@@ -94,14 +92,12 @@ struct OpNode
     VarId in0 = -1;
     VarId in1 = -1;
     float alpha = 0.0f;
-    float beta = 0.0f; ///< FusedAffine addend
     Param* param = nullptr;
     const SegmentIndex* segs = nullptr;
     const std::vector<std::uint32_t>* index = nullptr;
     const std::vector<MatrixEntry>* entries = nullptr;
     std::vector<float> constVec;
     Tensor constTensor;
-    Tensor constTensor2; ///< FusedMulAddConst addend
     /** FusedElemChain stages, applied in order (empty otherwise). */
     std::vector<tensor::ElemStage> chain;
     std::size_t dim = 0;

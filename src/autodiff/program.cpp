@@ -77,10 +77,6 @@ kernelName(Op op)
         return "scatter_matrix";
       case Op::TrExpm:
         return "tr_expm";
-      case Op::FusedAffine:
-        return "fused_affine";
-      case Op::FusedMulAddConst:
-        return "fused_mul_add_const";
       case Op::FusedElemChain:
         return "fused_elem_chain";
     }
@@ -99,8 +95,6 @@ hasSimdVariant(Op op)
       case Op::Relu:
       case Op::MulConst:
       case Op::AddConst:
-      case Op::FusedAffine:
-      case Op::FusedMulAddConst:
       case Op::FusedElemChain:
       case Op::GatherCols:
       case Op::SegmentSoftmax:
@@ -219,12 +213,6 @@ estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
         c = {flops, bytes, flops, bytes};
         break;
       }
-      case Op::FusedAffine:
-        c = {2 * n, 2 * F * n, 2 * n, 3 * F * n};
-        break;
-      case Op::FusedMulAddConst:
-        c = {2 * n, 4 * F * n, 2 * n, 4 * F * n};
-        break;
       case Op::FusedElemChain: {
         // One flop per stage per element; const-tensor stages add one
         // operand read each (k covers both, as an upper bound).
@@ -422,9 +410,8 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     // only taken when no other consumer of that input lies strictly
     // between v1 and vk in id order — that keeps the descending-id
     // accumulation order, and therefore the float bits, identical to
-    // the unfused eager tape. Two-op runs lower to the specialized
-    // FusedAffine / FusedMulAddConst kernels; longer or mixed runs
-    // become a FusedElemChain stage program.
+    // the unfused Tape. Every run of two or more becomes one
+    // FusedElemChain stage program.
     auto isChainOp = [&](std::size_t ix) {
         if (skipped_[ix])
             return false;
@@ -477,50 +464,37 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         }
         if (!safe)
             continue;
-        OpNode& first = ops_[chain.front()];
-        OpNode& last = ops_[chain.back()];
-        if (chain.size() == 2 && first.op == Op::Scale &&
-            last.op == Op::AddScalar) {
-            last.op = Op::FusedAffine;
-            last.beta = last.alpha;
-            last.alpha = first.alpha;
-        } else if (chain.size() == 2 && first.op == Op::MulConst &&
-                   last.op == Op::AddConst) {
-            last.op = Op::FusedMulAddConst;
-            last.constTensor2 = std::move(last.constTensor);
-            last.constTensor = std::move(first.constTensor);
-        } else {
-            std::vector<tensor::ElemStage> stages;
-            stages.reserve(chain.size());
-            for (std::size_t v : chain) {
-                OpNode& link = ops_[v];
-                tensor::ElemStage stage;
-                switch (link.op) {
-                  case Op::Scale:
-                    stage.kind = tensor::ElemStageKind::Scale;
-                    stage.alpha = link.alpha;
-                    break;
-                  case Op::AddScalar:
-                    stage.kind = tensor::ElemStageKind::AddScalar;
-                    stage.alpha = link.alpha;
-                    break;
-                  case Op::MulConst:
-                    stage.kind = tensor::ElemStageKind::MulConst;
-                    stage.c = std::move(link.constTensor);
-                    break;
-                  case Op::AddConst:
-                    stage.kind = tensor::ElemStageKind::AddConst;
-                    stage.c = std::move(link.constTensor);
-                    break;
-                  default:
-                    SMOOTHE_CHECK(false, "non-chain op %d in fusion run",
-                                  static_cast<int>(link.op));
-                }
-                stages.push_back(std::move(stage));
+        std::vector<tensor::ElemStage> stages;
+        stages.reserve(chain.size());
+        for (std::size_t v : chain) {
+            OpNode& link = ops_[v];
+            tensor::ElemStage stage;
+            switch (link.op) {
+              case Op::Scale:
+                stage.kind = tensor::ElemStageKind::Scale;
+                stage.alpha = link.alpha;
+                break;
+              case Op::AddScalar:
+                stage.kind = tensor::ElemStageKind::AddScalar;
+                stage.alpha = link.alpha;
+                break;
+              case Op::MulConst:
+                stage.kind = tensor::ElemStageKind::MulConst;
+                stage.c = std::move(link.constTensor);
+                break;
+              case Op::AddConst:
+                stage.kind = tensor::ElemStageKind::AddConst;
+                stage.c = std::move(link.constTensor);
+                break;
+              default:
+                SMOOTHE_CHECK(false, "non-chain op %d in fusion run",
+                              static_cast<int>(link.op));
             }
-            last.op = Op::FusedElemChain;
-            last.chain = std::move(stages);
+            stages.push_back(std::move(stage));
         }
+        OpNode& last = ops_[chain.back()];
+        last.op = Op::FusedElemChain;
+        last.chain = std::move(stages);
         last.in0 = input;
         for (std::size_t k = 0; k + 1 < chain.size(); ++k)
             skipped_[chain[k]] = 1;
@@ -699,8 +673,8 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         // Kernel-slot names carry the SIMD variant active at compile
         // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
         // benches compile one Program per simd::Level to get the two
-        // variants as separate side-by-side rows. Backward bodies are
-        // generic loops, so backward slots stay unsuffixed.
+        // variants as separate side-by-side rows. Backward slots stay
+        // unsuffixed: all but the fused chain's are generic loops.
         forwardKernels_.reserve(forwardSchedule_.size());
         for (VarId id : forwardSchedule_) {
             const OpCost cost = costOf(id);
@@ -1068,8 +1042,6 @@ Program::patch(const StructureDelta& delta)
           case Op::MulConst:
           case Op::AddConst:
           case Op::SegmentSoftmax:
-          case Op::FusedAffine:
-          case Op::FusedMulAddConst:
           case Op::FusedElemChain:
             rowsOf[i] = rowsOf[i0];
             colsOf[i] = colsOf[i0];
@@ -1165,11 +1137,6 @@ Program::patch(const StructureDelta& delta)
           case Op::MulConst:
           case Op::AddConst:
             if (!planPayload(node.constTensor, i))
-                return false;
-            break;
-          case Op::FusedMulAddConst:
-            if (!planPayload(node.constTensor, i) ||
-                !planPayload(node.constTensor2, i))
                 return false;
             break;
           case Op::FusedElemChain:

@@ -17,7 +17,7 @@
  * dynamic values (the lambda warmup ramp) without re-recording.
  *
  * Determinism: replay runs the exact same exec::forwardOp/backwardOp
- * kernels as the eager Tape, in the same order, with the same fixed
+ * kernels as the recording Tape, in the same order, with the same fixed
  * parallel grains, so results are bit-identical to rebuilding the tape
  * every iteration — at every thread count (see DESIGN.md "Compiled
  * execution plan").
@@ -135,7 +135,7 @@ class Program
     /**
      * Replays the precomputed backward schedule, accumulating into every
      * reachable leaf's Param::grad. Call after forward(); the caller
-     * zeroes Param grads, exactly as with the eager tape.
+     * zeroes Param grads, exactly as with Tape::backward.
      */
     void backward();
 

@@ -482,8 +482,7 @@ Tape::checkInvariants(bool screen_values) const
                 return problem(i, "dotRows weight length mismatch");
             break;
           default:
-            // Same-shape unary ops (FusedAffine/FusedMulAddConst exist
-            // only in compiled Programs, but share this shape rule).
+            // Same-shape unary ops.
             if (a != nullptr && (node.value.rows() != a->rows() ||
                                  node.value.cols() != a->cols()) &&
                 node.op != Op::SumAll && node.op != Op::MeanRows)

@@ -8,7 +8,9 @@
  * across steps. The tape is also the recording front-end for the compiled
  * Program (src/autodiff/program.hpp): record the structurally stable
  * iteration graph once, hand the tape to Program, and replay it with a
- * static buffer plan instead of rebuilding every step.
+ * static buffer plan instead of rebuilding every step. SmoothE runs only
+ * the replay; Tape::backward stays as the reference that gradcheck, the
+ * Program parity tests and bench_micro_kernels compare it against.
  *
  * The op set is deliberately tailored to what SmoothE and the MLP cost
  * model need: elementwise arithmetic, segment softmax (per-e-class),
@@ -77,8 +79,8 @@ class Tape
     VarId constant(Tensor value);
 
     /**
-     * Named mutable input slot (no gradient flows into it). On the eager
-     * tape it behaves like a constant; a compiled Program exposes it via
+     * Named mutable input slot (no gradient flows into it). On the tape
+     * it behaves like a constant; a compiled Program exposes it via
      * Program::setInputScalar so per-iteration dynamic values (the
      * lambda warmup ramp) can change without re-recording.
      */

@@ -98,15 +98,6 @@ struct SmoothEConfig
      */
     bool repairSampling = true;
 
-    /**
-     * Record the iteration graph once and replay it through a compiled
-     * ad::Program with a static buffer plan instead of rebuilding the
-     * tape every Adam step. Bit-identical to the eager rebuild at every
-     * thread count (DESIGN.md "Compiled execution plan"); disable to run
-     * the define-by-run path, e.g. for debugging the recorder.
-     */
-    bool compiledReplay = true;
-
     /** Kernel backend (Figure 6 ablation). */
     tensor::Backend backend = tensor::Backend::Vectorized;
 

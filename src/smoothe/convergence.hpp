@@ -1,8 +1,8 @@
 /**
  * @file
  * Per-iteration convergence recording for SmoothE runs: the data behind
- * Figure 4-style anytime quality-vs-time curves, captured from any run
- * (eager or compiled-replay) for free.
+ * Figure 4-style anytime quality-vs-time curves, captured from every
+ * run for free.
  *
  * The recorder keeps one ConvergencePoint per sampled iteration in a
  * fixed-capacity ring buffer: a configurable stride thins dense runs,

@@ -256,35 +256,33 @@ struct ForwardHandles
     VarId lambda = -1;  ///< 1 x 1 "lambda" input slot, -1 when no penalty
 };
 
-/**
- * Builds one forward pass on the tape. The NOTEARS coefficient enters
- * through a named input slot so a compiled Program can ramp it per
- * iteration (lambdaWarmupIterations) without re-recording.
- */
-ForwardHandles
-buildForward(Tape& tape, Param& theta, const Prepared& prep,
-             const cost::CostModel& model, const SmoothEConfig& config,
-             float effective_lambda)
+/** Recorded class and node probabilities after the propagation. */
+struct Propagation
 {
-    const std::size_t batch = theta.value.rows();
-    const VarId thetaVar = tape.leaf(&theta);
-    VarId cp = -1;
-    {
-        obs::Span span("softmax");
-        cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
-    }
+    VarId q = -1; ///< class-chosen probabilities, B x numClasses
+    VarId p = -1; ///< unconditional node probabilities, B x numNodes
+};
 
+/**
+ * Records phi's probability propagation (Eqs. 5-7) from the conditional
+ * probabilities `cp`: q starts as the root one-hot and runs
+ * prep.propIterations parallel-schedule rounds under config.assumption
+ * (with optional damping), the root pinned to 1 after each round.
+ */
+Propagation
+recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
+                  const SmoothEConfig& config)
+{
+    const std::size_t batch = tape.value(cp).rows();
     // q0: root has probability 1, everything else 0.
     Tensor q0(batch, prep.numClasses);
     for (std::size_t b = 0; b < batch; ++b)
         q0.at(b, prep.root) = 1.0f;
     VarId q = tape.constant(std::move(q0));
 
-    obs::Span propagateSpan("propagate");
-    VarId p = -1;
     for (std::size_t t = 0; t < prep.propIterations; ++t) {
         const VarId qByNode = tape.gatherCols(q, &prep.node2class);
-        p = tape.mul(cp, qByNode); // Eq. (5)
+        const VarId p = tape.mul(cp, qByNode); // Eq. (5)
 
         VarId qNew = -1;
         switch (config.assumption) {
@@ -317,7 +315,50 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
         q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
                           prep.rootMask);
     }
-    p = tape.mul(cp, tape.gatherCols(q, &prep.node2class));
+    return {q, tape.mul(cp, tape.gatherCols(q, &prep.node2class))};
+}
+
+/**
+ * The NOTEARS coefficient fed to the "lambda" input slot at iteration
+ * `iter`: lambda, linearly ramped over lambdaWarmupIterations, times B
+ * under the batched approximation — it computes the penalty once for the
+ * averaged matrix, and scaling by B keeps the per-seed gradient
+ * magnitude comparable to the per-seed mode.
+ */
+float
+penaltyCoefficient(const SmoothEConfig& config, std::size_t iter,
+                   std::size_t batch)
+{
+    float lambda = config.lambda;
+    if (config.lambdaWarmupIterations > 0 &&
+        iter < config.lambdaWarmupIterations) {
+        lambda *= static_cast<float>(iter + 1) /
+                  static_cast<float>(config.lambdaWarmupIterations);
+    }
+    return lambda *
+           (config.batchedMatexp ? static_cast<float>(batch) : 1.0f);
+}
+
+/**
+ * Records one forward pass on the tape. The NOTEARS coefficient enters
+ * through a named input slot so the compiled Program can ramp it per
+ * iteration (lambdaWarmupIterations) without re-recording; the recording
+ * starts it at `penalty_coeff`.
+ */
+ForwardHandles
+buildForward(Tape& tape, Param& theta, const Prepared& prep,
+             const cost::CostModel& model, const SmoothEConfig& config,
+             float penalty_coeff)
+{
+    const VarId thetaVar = tape.leaf(&theta);
+    VarId cp = -1;
+    {
+        obs::Span span("softmax");
+        cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
+    }
+
+    obs::Span propagateSpan("propagate");
+    const VarId p = recordPropagation(tape, cp, prep, config).p;
     propagateSpan.end();
 
     const VarId costs = model.build(tape, p); // B x 1
@@ -340,17 +381,12 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
     penaltySpan.end();
     ForwardHandles handles;
     if (penalty >= 0) {
-        // With the batched approximation the penalty is computed once for
-        // the averaged matrix; scale by B to keep the per-seed gradient
-        // magnitude comparable to the per-seed mode. The scaled
-        // coefficient is a mutable 1 x 1 input: multiplying by it is
-        // bit-identical to the former scale(penalty, coeff) op (IEEE
-        // multiplication commutes), and a compiled Program can update it
+        // The coefficient is a mutable 1 x 1 input: multiplying by it is
+        // bit-identical to a scale(penalty, coeff) op (IEEE
+        // multiplication commutes), and the compiled Program updates it
         // each iteration.
-        const float scale =
-            config.batchedMatexp ? static_cast<float>(batch) : 1.0f;
         Tensor coeff(1, 1);
-        coeff.at(0, 0) = effective_lambda * scale;
+        coeff.at(0, 0) = penalty_coeff;
         handles.lambda = tape.input(std::move(coeff), "lambda");
         loss = tape.add(loss, tape.mul(penalty, handles.lambda));
     }
@@ -360,19 +396,6 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
     handles.costs = costs;
     handles.penalty = penalty;
     return handles;
-}
-
-/** The warmup-ramped NOTEARS coefficient for one iteration. */
-float
-effectiveLambda(const SmoothEConfig& config, std::size_t iter)
-{
-    float lambda = config.lambda;
-    if (config.lambdaWarmupIterations > 0 &&
-        iter < config.lambdaWarmupIterations) {
-        lambda *= static_cast<float>(iter + 1) /
-                  static_cast<float>(config.lambdaWarmupIterations);
-    }
-    return lambda;
 }
 
 /**
@@ -509,47 +532,12 @@ computeProbabilities(const EGraph& graph, const Tensor& theta,
     Param thetaParam{theta};
     const VarId thetaVar = tape.leaf(&thetaParam);
     const VarId cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
-
-    const std::size_t batch = theta.rows();
-    Tensor q0(batch, prep.numClasses);
-    for (std::size_t b = 0; b < batch; ++b)
-        q0.at(b, prep.root) = 1.0f;
-    VarId q = tape.constant(std::move(q0));
-    VarId p = -1;
-    for (std::size_t t = 0; t < prep.propIterations; ++t) {
-        const VarId qByNode = tape.gatherCols(q, &prep.node2class);
-        p = tape.mul(cp, qByNode);
-        VarId qNew = -1;
-        switch (assumption) {
-          case Assumption::Independent: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            qNew = tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            break;
-          }
-          case Assumption::Correlated:
-            qNew = tape.segmentMaxGather(p, &prep.parentIndex);
-            break;
-          case Assumption::Hybrid: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            const VarId corr =
-                tape.segmentMaxGather(p, &prep.parentIndex);
-            qNew = tape.scale(tape.add(ind, corr), 0.5f);
-            break;
-          }
-        }
-        q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
-                          prep.rootMask);
-    }
-    p = tape.mul(cp, tape.gatherCols(q, &prep.node2class));
+    const Propagation prop = recordPropagation(tape, cp, prep, config);
 
     Probabilities out;
     out.cp = tape.value(cp);
-    out.q = tape.value(q);
-    out.p = tape.value(p);
+    out.q = tape.value(prop.q);
+    out.p = tape.value(prop.p);
     return out;
 }
 
@@ -715,82 +703,59 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         double bestCost = kInf;
         std::size_t sinceImprovement = 0;
 
-        // The penalty coefficient fed to the "lambda" input slot; must be
-        // the same float expression buildForward bakes into the recording
-        // so replay stays bit-identical to an eager rebuild.
-        const float penaltyScale =
-            config.batchedMatexp ? static_cast<float>(batch) : 1.0f;
-
         // Compile-once/replay-many: record the iteration graph a single
-        // time, plan static buffers, and replay it every Adam step. The
-        // eager rebuild below stays available as a debugging fallback
-        // (config.compiledReplay = false) and for the parity tests.
+        // time, plan static buffers, and replay it every Adam step. Warm
+        // epochs first try to patch the carried Program's sparse
+        // structures and buffer plan in place; only growth that breaks
+        // the recorded op sequence (or the slot pooling) pays for a fresh
+        // record+compile.
         ForwardHandles& handles = ws.handles;
         std::optional<ad::Program>& program = ws.program;
-        // Only the compiled replay loop carries per-op kernel slots, so
-        // --eager --profile would silently produce an empty profile.
-        if (!config.compiledReplay && obs::profilerEnabled()) {
-            logger.warn("per-op profiler is on but the eager tape "
-                        "rebuild is selected; kernel attribution needs "
-                        "the compiled replay (drop --eager)");
+        bool patched = false;
+        if (warm && program.has_value() && opPreserved) {
+            auto scope = diagnostics.profile.loss();
+            ad::StructureDelta growth;
+            Tensor q0(batch, prep.numClasses);
+            for (std::size_t b = 0; b < batch; ++b)
+                q0.at(b, prep.root) = 1.0f;
+            growth.onehotRows = std::move(q0);
+            growth.maskOneHot = prep.rootMask;
+            growth.maskComplement = prep.notRootMask;
+            if (const auto* linear =
+                    dynamic_cast<const cost::LinearCost*>(&model))
+                growth.rowWeights = linear->weights();
+            growth.scatterDims.reserve(prep.sccs.size());
+            for (const auto& scc : prep.sccs)
+                growth.scatterDims.push_back(scc.dim);
+            patched = program->patch(growth);
         }
-        if (!config.compiledReplay) {
-            program.reset();
-        } else {
-            // Warm epochs first try to patch the carried Program's
-            // sparse structures and buffer plan in place; only growth
-            // that breaks the recorded op sequence (or the slot pooling)
-            // pays for a fresh record+compile.
-            bool patched = false;
-            if (warm && program.has_value() && opPreserved) {
-                auto scope = diagnostics.profile.loss();
-                ad::StructureDelta growth;
-                Tensor q0(batch, prep.numClasses);
-                for (std::size_t b = 0; b < batch; ++b)
-                    q0.at(b, prep.root) = 1.0f;
-                growth.onehotRows = std::move(q0);
-                growth.maskOneHot = prep.rootMask;
-                growth.maskComplement = prep.notRootMask;
-                if (const auto* linear =
-                        dynamic_cast<const cost::LinearCost*>(&model))
-                    growth.rowWeights = linear->weights();
-                growth.scatterDims.reserve(prep.sccs.size());
-                for (const auto& scc : prep.sccs)
-                    growth.scatterDims.push_back(scc.dim);
-                patched = program->patch(growth);
-            }
-            if (!patched) {
-                if (warm && program.has_value())
-                    obs::counter("program.rerecord").add(1);
-                auto scope = diagnostics.profile.loss();
-                obs::Span recordSpan("program.record");
-                Tape recorder(config.backend, &arena);
-                handles = buildForward(recorder, theta, prep, model,
-                                       config,
-                                       effectiveLambda(config, 0));
-                diagnostics.tapeNodes =
-                    std::max(diagnostics.tapeNodes, recorder.numNodes());
-                std::vector<VarId> outputs{handles.cp, handles.costs};
-                if (handles.penalty >= 0)
-                    outputs.push_back(handles.penalty);
-                program.emplace(std::move(recorder), handles.loss,
-                                std::move(outputs));
-            }
-            diagnostics.compiledReplay = true;
-            diagnostics.programBuffers = program->stats().valueSlots +
-                                         program->stats().gradSlots;
-            diagnostics.bufferReuseRatio = program->stats().reuseRatio();
-            obs::gauge("tape.program_buffers")
-                .set(static_cast<double>(diagnostics.programBuffers));
-            obs::gauge("arena.reuse_ratio")
-                .set(diagnostics.bufferReuseRatio);
-            logger.debug("compiled program: %zu ops (%zu fused), "
-                         "%zu slots, reuse %.2fx%s",
-                         program->numOps(), program->stats().fusedOps,
-                         diagnostics.programBuffers,
-                         diagnostics.bufferReuseRatio,
-                         patched ? " (patched in place)" : "");
+        if (!patched) {
+            if (warm && program.has_value())
+                obs::counter("program.rerecord").add(1);
+            auto scope = diagnostics.profile.loss();
+            obs::Span recordSpan("program.record");
+            Tape recorder(config.backend, &arena);
+            handles = buildForward(recorder, theta, prep, model, config,
+                                   penaltyCoefficient(config, 0, batch));
+            diagnostics.tapeNodes = recorder.numNodes();
+            std::vector<VarId> outputs{handles.cp, handles.costs};
+            if (handles.penalty >= 0)
+                outputs.push_back(handles.penalty);
+            program.emplace(std::move(recorder), handles.loss,
+                            std::move(outputs));
         }
+        diagnostics.programBuffers =
+            program->stats().valueSlots + program->stats().gradSlots;
+        diagnostics.bufferReuseRatio = program->stats().reuseRatio();
+        obs::gauge("tape.program_buffers")
+            .set(static_cast<double>(diagnostics.programBuffers));
+        obs::gauge("arena.reuse_ratio").set(diagnostics.bufferReuseRatio);
+        logger.debug("compiled program: %zu ops (%zu fused), %zu slots, "
+                     "reuse %.2fx%s",
+                     program->numOps(), program->stats().fusedOps,
+                     diagnostics.programBuffers,
+                     diagnostics.bufferReuseRatio,
+                     patched ? " (patched in place)" : "");
 
         for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
             if (deadline.expired()) {
@@ -801,51 +766,34 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             iterationsMetric.add(1);
 
             obs::Span iterSpan("iteration");
-            // Intentional eager path: a fresh tape per iteration.
-            std::optional<Tape> tape;
             {
                 auto scope = diagnostics.profile.loss();
-                const float lambda = effectiveLambda(config, iter);
-                if (program) {
-                    obs::Span forwardSpan("program.forward");
-                    if (handles.lambda >= 0)
-                        program->setInputScalar("lambda",
-                                                lambda * penaltyScale);
-                    program->forward();
-                } else {
-                    tape.emplace(config.backend, &arena);
-                    handles = buildForward(*tape, theta, prep, model,
-                                           config, lambda);
-                    diagnostics.tapeNodes = std::max(
-                        diagnostics.tapeNodes, tape->numNodes());
-                }
+                obs::Span forwardSpan("program.forward");
+                if (handles.lambda >= 0)
+                    program->setInputScalar(
+                        "lambda", penaltyCoefficient(config, iter, batch));
+                program->forward();
             }
-            // Reads a forward value from whichever execution mode ran.
-            auto val = [&](VarId id) -> const Tensor& {
-                return program ? program->value(id) : tape->value(id);
-            };
             {
                 auto scope = diagnostics.profile.gradient();
                 obs::Span adamSpan("adam");
                 optimizer.zeroGrad();
-                if (program)
-                    program->backward();
-                else
-                    tape->backward(handles.loss);
+                program->backward();
                 optimizer.step();
             }
             if (obs::traceEnabled()) {
                 obs::traceCounter("smoothe.loss",
-                                  val(handles.loss).at(0, 0));
+                                  program->value(handles.loss).at(0, 0));
                 if (handles.penalty >= 0) {
-                    obs::traceCounter("smoothe.penalty",
-                                      val(handles.penalty).at(0, 0));
+                    obs::traceCounter(
+                        "smoothe.penalty",
+                        program->value(handles.penalty).at(0, 0));
                 }
             }
 
             double relaxedLoss = 0.0;
             if (config.recordLossCurves) {
-                const Tensor& costs = val(handles.costs);
+                const Tensor& costs = program->value(handles.costs);
                 for (std::size_t b = 0; b < costs.rows(); ++b)
                     relaxedLoss += costs.at(b, 0);
                 relaxedLoss /= static_cast<double>(costs.rows());
@@ -859,7 +807,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             if ((iter % std::max<std::size_t>(1, config.sampleEvery)) ==
                 0) {
                 auto scope = diagnostics.profile.sampling();
-                const Tensor& cp = val(handles.cp);
+                const Tensor& cp = program->value(handles.cp);
                 const std::size_t rows = cp.rows();
                 std::vector<std::optional<Selection>> candidates(rows);
                 std::vector<double> sampleCosts(rows, kInf);
@@ -912,7 +860,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 point.relaxedLoss = relaxedLoss;
                 point.sampledLoss = iterBest;
                 if (handles.penalty >= 0)
-                    point.penalty = val(handles.penalty).at(0, 0);
+                    point.penalty = program->value(handles.penalty).at(0, 0);
                 diagnostics.lossCurve.push_back(point);
             }
 
@@ -922,8 +870,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             if (recorder.wants(iter)) {
                 ConvergencePoint point;
                 point.iteration = iter;
-                point.loss = val(handles.loss).at(0, 0);
-                const Tensor& costs = val(handles.costs);
+                point.loss = program->value(handles.loss).at(0, 0);
+                const Tensor& costs = program->value(handles.costs);
                 double softSum = 0.0;
                 for (std::size_t b = 0; b < costs.rows(); ++b)
                     softSum += costs.at(b, 0);

@@ -51,9 +51,8 @@ struct SmoothEDiagnostics
     std::size_t peakMemoryBytes = 0;
     std::size_t tapeNodes = 0;       ///< peak autodiff tape size across the run
     std::size_t threads = 1;         ///< worker pool size used by the run
-    bool compiledReplay = false;     ///< ran on a compiled Program
     std::size_t programBuffers = 0;  ///< reusable value+grad slots planned
-    double bufferReuseRatio = 0.0;   ///< eager bytes / planned bytes (>= 1)
+    double bufferReuseRatio = 0.0;   ///< rebuild bytes / planned bytes (>= 1)
     bool outOfMemory = false;
     std::vector<LossCurvePoint> lossCurve;
     obs::PhaseProfiler profile;      ///< Figure 8 phase breakdown

@@ -32,6 +32,21 @@ float opSub(float x, float y) { return x - y; }
 float opMul(float x, float y) { return x * y; }
 float opRelu(float x, float) { return x > 0.0f ? x : 0.0f; }
 
+/**
+ * Row elements per block when a fused chain runs stage by stage: small
+ * enough that a block's stage operands stay in L1.
+ */
+constexpr std::size_t kChainBlock = 1024;
+
+/** Row r, from column b0, of a MulConst/AddConst stage's operand (a
+ *  1 x C operand broadcasts over rows). */
+const float*
+stageRow(const ElemStage& stage, std::size_t r, std::size_t b0)
+{
+    const Tensor& c = stage.c;
+    return c.row(c.rows() == 1 ? 0 : r) + b0;
+}
+
 } // namespace
 
 std::size_t
@@ -159,28 +174,6 @@ addScalarInto(const Tensor& a, float alpha, Tensor& out, Backend backend)
 }
 
 void
-affineInto(const Tensor& a, float alpha, float beta, Tensor& out,
-           Backend backend)
-{
-    const float* x = a.data();
-    float* o = out.data();
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.size(), kElemGrain,
-                   [&](std::size_t begin, std::size_t end) {
-                       if (useAvx2) {
-                           avx2::affineSpan(x + begin, alpha, beta,
-                                            o + begin, end - begin);
-                           return;
-                       }
-                       for (std::size_t i = begin; i < end; ++i) {
-                           const float scaled = alpha * x[i];
-                           o[i] = scaled + beta;
-                       }
-                   });
-}
-
-void
 reluInto(const Tensor& a, Tensor& out, Backend backend)
 {
     if (backend == Backend::Scalar) {
@@ -245,31 +238,6 @@ addConstInto(const Tensor& a, const Tensor& c, Tensor& out, Backend backend)
 }
 
 void
-mulAddConstInto(const Tensor& a, const Tensor& m, const Tensor& c,
-                Tensor& out, Backend backend)
-{
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.rows(), rowGrain(a.cols()),
-                   [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                           const float* x = a.row(r);
-                           const float* mr = m.row(m.rows() == 1 ? 0 : r);
-                           const float* cr = c.row(c.rows() == 1 ? 0 : r);
-                           float* o = out.row(r);
-                           if (useAvx2) {
-                               avx2::mulAddSpan(x, mr, cr, o, a.cols());
-                               continue;
-                           }
-                           for (std::size_t i = 0; i < a.cols(); ++i) {
-                               const float scaled = x[i] * mr[i];
-                               o[i] = scaled + cr[i];
-                           }
-                       }
-                   });
-}
-
-void
 elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
               Tensor& out, Backend backend)
 {
@@ -279,42 +247,98 @@ elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
     parallelChunks(
         backend != Backend::Scalar, a.rows(), rowGrain(cols),
         [&](std::size_t begin, std::size_t end) {
-            std::vector<const float*> stageRows(stages.size(), nullptr);
             for (std::size_t r = begin; r < end; ++r) {
-                for (std::size_t s = 0; s < stages.size(); ++s) {
-                    const Tensor& c = stages[s].c;
-                    stageRows[s] = c.empty()
-                                       ? nullptr
-                                       : c.row(c.rows() == 1 ? 0 : r);
-                }
-                const float* x = a.row(r);
-                float* o = out.row(r);
-                if (useAvx2) {
-                    avx2::elemChainRow(x, stages.data(), stageRows.data(),
-                                       stages.size(), o, cols);
-                    continue;
-                }
-                // One rounded op per stage, exactly as the unfused
-                // kernels would produce.
-                for (std::size_t i = 0; i < cols; ++i) {
-                    float v = x[i];
-                    for (std::size_t s = 0; s < stages.size(); ++s) {
-                        switch (stages[s].kind) {
+                // Stage by stage over cache-sized blocks of the row: the
+                // first stage reads the input, later ones rewrite `out`
+                // in place. Each element still sees one rounded op per
+                // stage, in recorded order.
+                for (std::size_t b0 = 0; b0 < cols; b0 += kChainBlock) {
+                    const std::size_t n = std::min(kChainBlock, cols - b0);
+                    const float* x = a.row(r) + b0;
+                    float* o = out.row(r) + b0;
+                    for (const ElemStage& stage : stages) {
+                        switch (stage.kind) {
                           case ElemStageKind::Scale:
-                            v = stages[s].alpha * v;
+                            if (useAvx2)
+                                avx2::scaleSpan(x, stage.alpha, o, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    o[i] = stage.alpha * x[i];
                             break;
                           case ElemStageKind::AddScalar:
-                            v = v + stages[s].alpha;
+                            if (useAvx2)
+                                avx2::addScalarSpan(x, stage.alpha, o, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    o[i] = x[i] + stage.alpha;
                             break;
-                          case ElemStageKind::MulConst:
-                            v = v * stageRows[s][i];
+                          case ElemStageKind::MulConst: {
+                            const float* c = stageRow(stage, r, b0);
+                            if (useAvx2)
+                                avx2::mulSpan(x, c, o, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    o[i] = x[i] * c[i];
                             break;
-                          case ElemStageKind::AddConst:
-                            v = v + stageRows[s][i];
+                          }
+                          case ElemStageKind::AddConst: {
+                            const float* c = stageRow(stage, r, b0);
+                            if (useAvx2)
+                                avx2::addSpan(x, c, o, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    o[i] = x[i] + c[i];
                             break;
+                          }
                         }
+                        x = o;
                     }
-                    o[i] = v;
+                }
+            }
+        });
+}
+
+void
+elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
+                  Tensor& ga, Backend backend)
+{
+    const bool useAvx2 =
+        backend != Backend::Scalar && simd::avx2Active();
+    const std::size_t cols = g.cols();
+    parallelChunks(
+        backend != Backend::Scalar, g.rows(), rowGrain(cols),
+        [&](std::size_t begin, std::size_t end) {
+            float scratch[kChainBlock];
+            for (std::size_t r = begin; r < end; ++r) {
+                for (std::size_t b0 = 0; b0 < cols; b0 += kChainBlock) {
+                    const std::size_t n = std::min(kChainBlock, cols - b0);
+                    const float* v = g.row(r) + b0;
+                    for (std::size_t s = stages.size(); s > 0; --s) {
+                        const ElemStage& stage = stages[s - 1];
+                        if (stage.kind == ElemStageKind::Scale) {
+                            if (useAvx2)
+                                avx2::scaleSpan(v, stage.alpha, scratch, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    scratch[i] = stage.alpha * v[i];
+                        } else if (stage.kind == ElemStageKind::MulConst) {
+                            const float* m = stageRow(stage, r, b0);
+                            if (useAvx2)
+                                avx2::mulSpan(v, m, scratch, n);
+                            else
+                                for (std::size_t i = 0; i < n; ++i)
+                                    scratch[i] = v[i] * m[i];
+                        } else {
+                            continue; // Add stages: identity Jacobian
+                        }
+                        v = scratch;
+                    }
+                    float* gar = ga.row(r) + b0;
+                    if (useAvx2)
+                        avx2::addSpan(gar, v, gar, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            gar[i] += v[i];
                 }
             }
         });

@@ -6,9 +6,9 @@
  * shaped tensor instead of allocating one. This is what lets the
  * compiled autodiff Program (src/autodiff/program.hpp) replay a
  * recorded forward pass into a static buffer plan with zero
- * per-iteration allocation; the eager Tape calls the same kernels with
- * freshly allocated tensors, so both execution modes share one kernel
- * body and stay bit-identical.
+ * per-iteration allocation; the recording Tape calls the same kernels
+ * with freshly allocated tensors, so a replay reproduces the recording
+ * pass bit for bit.
  *
  * Determinism contract (see DESIGN.md "Parallel execution"): chunk
  * grains are fixed constants, each output element is written by exactly
@@ -125,16 +125,6 @@ void scaleInto(const Tensor& a, float alpha, Tensor& out, Backend backend);
 /** out = a + alpha. */
 void addScalarInto(const Tensor& a, float alpha, Tensor& out,
                    Backend backend);
-/**
- * Fused scale-then-add-scalar: out = (alpha * a) + beta, each element
- * computed with the same two separately rounded float operations as the
- * unfused scaleInto + addScalarInto pair, so fusion is bitwise
- * invisible. (The build uses no -march/-ffp-contract flags, so the
- * compiler cannot contract the pair into an FMA; the Program parity
- * tests pin this.)
- */
-void affineInto(const Tensor& a, float alpha, float beta, Tensor& out,
-                Backend backend);
 /** out = max(a, 0). */
 void reluInto(const Tensor& a, Tensor& out, Backend backend);
 /** out = a * c elementwise; c may broadcast 1 x C over rows. */
@@ -144,20 +134,25 @@ void mulConstInto(const Tensor& a, const Tensor& c, Tensor& out,
 void addConstInto(const Tensor& a, const Tensor& c, Tensor& out,
                   Backend backend);
 /**
- * Fused multiply-const-then-add-const: out = (a * m) + c, same rounding
- * sequence as mulConstInto followed by addConstInto (see affineInto).
- */
-void mulAddConstInto(const Tensor& a, const Tensor& m, const Tensor& c,
-                     Tensor& out, Backend backend);
-/**
  * Fused elementwise chain: applies the stages to each element in
  * recorded order, every stage computed with the same single rounded
  * float operation as its unfused counterpart, so fusion of any length
- * is bitwise invisible (see affineInto for why no FMA contraction can
- * occur).
+ * is bitwise invisible. (The build uses no -march/-ffp-contract flags,
+ * so the compiler cannot contract a multiply-add pair into an FMA; the
+ * Program parity tests pin this.)
  */
 void elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
                    Tensor& out, Backend backend);
+/**
+ * Backward of elemChainInto: ga += g times the chain's constant diagonal
+ * Jacobian. The Scale/MulConst stages apply in reverse order, each with
+ * the one rounded multiply of its unfused backward step; the Add stages
+ * have an identity Jacobian and are skipped. The product is added into
+ * ga once, so the result is bitwise equal to the unfused backward steps
+ * accumulating through freshly zeroed grad slots.
+ */
+void elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
+                       Tensor& ga, Backend backend);
 /** out[b, 0] = sum_i a[b, i] * u[i]. */
 void dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out,
                  Backend backend);

@@ -149,22 +149,6 @@ addScalarSpan(const float* a, float alpha, float* o, std::size_t n)
 }
 
 SMOOTHE_AVX2_FN void
-affineSpan(const float* a, float alpha, float beta, float* o, std::size_t n)
-{
-    const __m256 va = _mm256_set1_ps(alpha);
-    const __m256 vb = _mm256_set1_ps(beta);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 scaled = _mm256_mul_ps(va, _mm256_loadu_ps(a + i));
-        _mm256_storeu_ps(o + i, _mm256_add_ps(scaled, vb));
-    }
-    for (; i < n; ++i) {
-        const float scaled = alpha * a[i];
-        o[i] = scaled + beta;
-    }
-}
-
-SMOOTHE_AVX2_FN void
 reluSpan(const float* a, float* o, std::size_t n)
 {
     const __m256 zero = _mm256_setzero_ps();
@@ -176,73 +160,6 @@ reluSpan(const float* a, float* o, std::size_t n)
                          _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
     for (; i < n; ++i)
         o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-SMOOTHE_AVX2_FN void
-mulAddSpan(const float* a, const float* m, const float* c, float* o,
-           std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(m + i));
-        _mm256_storeu_ps(
-            o + i, _mm256_add_ps(scaled, _mm256_loadu_ps(c + i)));
-    }
-    for (; i < n; ++i) {
-        const float scaled = a[i] * m[i];
-        o[i] = scaled + c[i];
-    }
-}
-
-SMOOTHE_AVX2_FN void
-elemChainRow(const float* x, const ElemStage* stages,
-             const float* const* stage_rows, std::size_t num_stages,
-             float* o, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m256 v = _mm256_loadu_ps(x + i);
-        for (std::size_t s = 0; s < num_stages; ++s) {
-            switch (stages[s].kind) {
-              case ElemStageKind::Scale:
-                v = _mm256_mul_ps(_mm256_set1_ps(stages[s].alpha), v);
-                break;
-              case ElemStageKind::AddScalar:
-                v = _mm256_add_ps(v, _mm256_set1_ps(stages[s].alpha));
-                break;
-              case ElemStageKind::MulConst:
-                v = _mm256_mul_ps(v,
-                                  _mm256_loadu_ps(stage_rows[s] + i));
-                break;
-              case ElemStageKind::AddConst:
-                v = _mm256_add_ps(v,
-                                  _mm256_loadu_ps(stage_rows[s] + i));
-                break;
-            }
-        }
-        _mm256_storeu_ps(o + i, v);
-    }
-    for (; i < n; ++i) {
-        float v = x[i];
-        for (std::size_t s = 0; s < num_stages; ++s) {
-            switch (stages[s].kind) {
-              case ElemStageKind::Scale:
-                v = stages[s].alpha * v;
-                break;
-              case ElemStageKind::AddScalar:
-                v = v + stages[s].alpha;
-                break;
-              case ElemStageKind::MulConst:
-                v = v * stage_rows[s][i];
-                break;
-              case ElemStageKind::AddConst:
-                v = v + stage_rows[s][i];
-                break;
-            }
-        }
-        o[i] = v;
-    }
 }
 
 SMOOTHE_AVX2_FN void
@@ -423,23 +340,7 @@ addScalarSpan(const float*, float, float*, std::size_t)
     unreachable();
 }
 void
-affineSpan(const float*, float, float, float*, std::size_t)
-{
-    unreachable();
-}
-void
 reluSpan(const float*, float*, std::size_t)
-{
-    unreachable();
-}
-void
-mulAddSpan(const float*, const float*, const float*, float*, std::size_t)
-{
-    unreachable();
-}
-void
-elemChainRow(const float*, const ElemStage*, const float* const*,
-             std::size_t, float*, std::size_t)
 {
     unreachable();
 }

@@ -30,8 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "tensor/kernels.hpp"
-
 namespace smoothe::tensor::avx2 {
 
 /** o[i] = a[i] + b[i]. */
@@ -44,22 +42,8 @@ void mulSpan(const float* a, const float* b, float* o, std::size_t n);
 void scaleSpan(const float* a, float alpha, float* o, std::size_t n);
 /** o[i] = a[i] + alpha. */
 void addScalarSpan(const float* a, float alpha, float* o, std::size_t n);
-/** o[i] = (alpha * a[i]) + beta, two separately rounded ops. */
-void affineSpan(const float* a, float alpha, float beta, float* o,
-                std::size_t n);
 /** o[i] = max(a[i], 0). */
 void reluSpan(const float* a, float* o, std::size_t n);
-/** o[i] = (a[i] * m[i]) + c[i], two separately rounded ops. */
-void mulAddSpan(const float* a, const float* m, const float* c, float* o,
-                std::size_t n);
-/**
- * Applies `stages` to one row of n elements. stage_rows[s] is the
- * stage's const-row pointer (MulConst/AddConst, already broadcast-
- * resolved by the caller) or nullptr for scalar stages.
- */
-void elemChainRow(const float* x, const ElemStage* stages,
-                  const float* const* stage_rows, std::size_t num_stages,
-                  float* o, std::size_t n);
 /** o[i] = x[index[i]] for one row (8-wide index gathers). */
 void gatherColsRow(const float* x, const std::uint32_t* index, float* o,
                    std::size_t n);

@@ -1,11 +1,12 @@
 /**
  * @file
  * Compiled Program tests: a recorded tape replayed through ad::Program
- * must be bit-identical to rebuilding the tape eagerly every iteration —
- * forward values, Param gradients, and whole Adam trajectories — on
- * randomized small e-graphs, at pool sizes 1 and 4 (extending the PR 3
- * determinism contract). Also covers the buffer-plan invariants (fusion
- * fired, planned bytes below one eager iteration) and the named input
+ * must be bit-identical to rebuilding the tape every iteration (the
+ * reference) — forward values, Param gradients, and whole Adam
+ * trajectories — on randomized small e-graphs under each propagation
+ * rule, whose elementwise runs fuse into 2-, 3- and 4-stage chains, at
+ * pool sizes 1 and 4. Also covers the buffer-plan invariants (fusion
+ * fired, planned bytes below one rebuild iteration) and the named input
  * slot that drives the lambda warmup ramp without re-recording.
  */
 
@@ -13,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autodiff/adam.hpp"
@@ -88,14 +90,32 @@ struct Handles
 };
 
 /**
+ * The propagation rule a Pipeline records, each shaped like SmoothE's
+ * (src/smoothe/smoothe.cpp) so fusion sees the same elementwise runs.
+ */
+enum class Rule {
+    /** scale -> addScalar -> mulConst -> addConst: one 4-stage chain. */
+    Independent,
+    /** scale -> addScalar into an add, then scale -> mulConst ->
+     *  addConst: a 2-stage and a 3-stage chain. */
+    Hybrid,
+    /** segmentMaxGather -> mulConst -> addConst: one 2-stage chain. */
+    Correlated,
+};
+
+constexpr Rule kRules[] = {Rule::Independent, Rule::Hybrid,
+                           Rule::Correlated};
+
+/**
  * The SmoothE-shaped pipeline over a random e-graph: softmax per class,
- * probability propagation, a non-linear (matmul/relu) head, and a
- * NOTEARS trace penalty whose coefficient enters through the "lambda"
- * input slot. Structures and Params live here so recorded pointers stay
- * valid for the Program's lifetime.
+ * probability propagation under `rule`, a non-linear (matmul/relu)
+ * head, and a NOTEARS trace penalty whose coefficient enters through the
+ * "lambda" input slot. Structures and Params live here so recorded
+ * pointers stay valid for the Program's lifetime.
  */
 struct Pipeline
 {
+    Rule rule = Rule::Independent;
     st::SegmentIndex members;  ///< class -> its e-node columns
     st::SegmentIndex parents;  ///< class -> parent e-node columns
     std::vector<std::uint32_t> node2class;
@@ -109,7 +129,9 @@ struct Pipeline
     Param w;
     Param bias;
 
-    Pipeline(const eg::EGraph& g, util::Rng& rng)
+    Pipeline(const eg::EGraph& g, util::Rng& rng,
+             Rule propagation = Rule::Independent)
+        : rule(propagation)
     {
         const std::size_t n = g.numNodes();
         const std::size_t c = g.numClasses();
@@ -160,11 +182,28 @@ struct Pipeline
         VarId p = -1;
         for (std::size_t t = 0; t < propIters; ++t) {
             p = tape.mul(h.cp, tape.gatherCols(q, &node2class));
-            const VarId prod =
-                tape.segmentProductComplement(p, &parents);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            q = tape.addConst(tape.mulConst(ind, notRoot), rootMask);
+            VarId qNew = -1;
+            switch (rule) {
+              case Rule::Independent:
+                qNew = tape.addScalar(
+                    tape.scale(tape.segmentProductComplement(p, &parents),
+                               -1.0f),
+                    1.0f);
+                break;
+              case Rule::Hybrid: {
+                const VarId ind = tape.addScalar(
+                    tape.scale(tape.segmentProductComplement(p, &parents),
+                               -1.0f),
+                    1.0f);
+                const VarId corr = tape.segmentMaxGather(p, &parents);
+                qNew = tape.scale(tape.add(ind, corr), 0.5f);
+                break;
+              }
+              case Rule::Correlated:
+                qNew = tape.segmentMaxGather(p, &parents);
+                break;
+            }
+            q = tape.addConst(tape.mulConst(qNew, notRoot), rootMask);
         }
         p = tape.mul(h.cp, tape.gatherCols(q, &node2class));
         VarId head = tape.matmul(p, tape.leaf(&w));
@@ -186,6 +225,17 @@ struct Pipeline
     params()
     {
         return {&theta, &w, &bias};
+    }
+
+    /** Ops the fusion pass must fold away: a k-stage chain saves k - 1
+     *  per propagation round. */
+    std::size_t
+    expectedFusedOps() const
+    {
+        const std::size_t perRound = rule == Rule::Independent ? 3
+                                     : rule == Rule::Hybrid    ? 1 + 2
+                                                               : 1;
+        return perRound * propIters;
     }
 };
 
@@ -214,7 +264,7 @@ struct Trajectory
 };
 
 Trajectory
-runEager(Pipeline& pl)
+runRebuild(Pipeline& pl)
 {
     Trajectory out;
     ad::Adam optimizer(pl.params(), ad::AdamConfig{});
@@ -243,6 +293,7 @@ runCompiled(Pipeline& pl)
     ad::Program program(std::move(recorder), h.loss,
                         {h.cp, h.penalty});
     EXPECT_TRUE(program.hasInput("lambda"));
+    EXPECT_EQ(program.stats().fusedOps, pl.expectedFusedOps());
     for (std::size_t iter = 0; iter < kIterations; ++iter) {
         program.setInputScalar("lambda", rampedLambda(iter));
         program.forward();
@@ -275,18 +326,22 @@ expectBitwiseEqual(const Trajectory& a, const Trajectory& b)
 
 } // namespace
 
-TEST(ProgramParity, ReplayMatchesEagerBitwiseOnRandomEGraphs)
+TEST(ProgramParity, ReplayMatchesTapeRebuildBitwiseOnRandomEGraphs)
 {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         util::ThreadPool::setGlobalThreads(threads);
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        // Two seeds per rule.
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            const Rule rule = kRules[seed % 3];
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                         std::to_string(threads) + " threads");
             util::Rng rng(seed);
             const eg::EGraph g = randomEGraph(rng);
-            util::Rng eagerRng(seed * 101);
+            util::Rng rebuildRng(seed * 101);
             util::Rng compiledRng(seed * 101);
-            Pipeline eager(g, eagerRng);
-            Pipeline compiled(g, compiledRng);
-            const Trajectory a = runEager(eager);
+            Pipeline rebuilt(g, rebuildRng, rule);
+            Pipeline compiled(g, compiledRng, rule);
+            const Trajectory a = runRebuild(rebuilt);
             const Trajectory b = runCompiled(compiled);
             expectBitwiseEqual(a, b);
         }
@@ -298,16 +353,18 @@ TEST(ProgramParity, ThreadCountDoesNotChangeCompiledResults)
 {
     util::Rng graphRng(9);
     const eg::EGraph g = randomEGraph(graphRng);
-    auto runAt = [&](std::size_t threads) {
-        util::ThreadPool::setGlobalThreads(threads);
-        util::Rng rng(77);
-        Pipeline pl(g, rng);
-        return runCompiled(pl);
-    };
-    const Trajectory serial = runAt(1);
-    const Trajectory parallel = runAt(4);
-    util::ThreadPool::setGlobalThreads(1);
-    expectBitwiseEqual(serial, parallel);
+    for (const Rule rule : kRules) {
+        auto runAt = [&](std::size_t threads) {
+            util::ThreadPool::setGlobalThreads(threads);
+            util::Rng rng(77);
+            Pipeline pl(g, rng, rule);
+            return runCompiled(pl);
+        };
+        const Trajectory serial = runAt(1);
+        const Trajectory parallel = runAt(4);
+        util::ThreadPool::setGlobalThreads(1);
+        expectBitwiseEqual(serial, parallel);
+    }
 }
 
 TEST(Program, ReplayTwiceWithoutStepIsIdentical)
@@ -326,14 +383,12 @@ TEST(Program, ReplayTwiceWithoutStepIsIdentical)
     EXPECT_TRUE(bitwiseEqual(firstCp, program.value(h.cp)));
 }
 
-TEST(Program, PlanFusesAndBeatsEagerFootprint)
+TEST(Program, PlanFusesAndBeatsRebuildFootprint)
 {
     util::Rng rng(6);
     const eg::EGraph g = randomEGraph(rng);
     Pipeline pl(g, rng);
     Tape recorder;
-    const std::size_t arenaBefore = 0;
-    (void)arenaBefore;
     const Handles h = pl.build(recorder, kLambda);
     const std::size_t recorded = recorder.numNodes();
     ad::Program program(std::move(recorder), h.loss, {h.cp});
@@ -344,7 +399,7 @@ TEST(Program, PlanFusesAndBeatsEagerFootprint)
     EXPECT_GT(stats.ops, 0u);
     EXPECT_LT(stats.ops, recorded);
     // The static plan reuses slots, so it must be strictly smaller than
-    // what one eager iteration allocates.
+    // what one rebuild iteration allocates.
     EXPECT_GT(stats.naiveBytes, 0u);
     EXPECT_LT(stats.plannedBytes, stats.naiveBytes);
     EXPECT_GT(stats.reuseRatio(), 1.0);

@@ -158,13 +158,11 @@ using ParityCheck = void (*)(ad::Op op, util::Rng& rng);
 
 /**
  * The forward kernel of elementwise `op`: `b` is the second variable
- * operand, `k` the constant one, and FusedMulAddConst adds `k` to
- * `a * c`.
+ * operand, `k` the constant one.
  */
 void
 elementwiseInto(ad::Op op, const st::Tensor& a, const st::Tensor& b,
-                const st::Tensor& c, const st::Tensor& k, float alpha,
-                float beta, st::Tensor& out)
+                const st::Tensor& k, float alpha, st::Tensor& out)
 {
     switch (op) {
       case ad::Op::Add:
@@ -177,16 +175,12 @@ elementwiseInto(ad::Op op, const st::Tensor& a, const st::Tensor& b,
         return st::scaleInto(a, alpha, out, kVec);
       case ad::Op::AddScalar:
         return st::addScalarInto(a, alpha, out, kVec);
-      case ad::Op::FusedAffine:
-        return st::affineInto(a, alpha, beta, out, kVec);
       case ad::Op::Relu:
         return st::reluInto(a, out, kVec);
       case ad::Op::MulConst:
         return st::mulConstInto(a, k, out, kVec);
       case ad::Op::AddConst:
         return st::addConstInto(a, k, out, kVec);
-      case ad::Op::FusedMulAddConst:
-        return st::mulAddConstInto(a, c, k, out, kVec);
       default:
         ADD_FAILURE() << "not an elementwise op";
     }
@@ -202,18 +196,16 @@ checkElementwise(ad::Op op, util::Rng& rng)
             const st::Tensor c = randomTensor(rows, cols, rng);
             const st::Tensor cRow = randomTensor(1, cols, rng);
             const float alpha = static_cast<float>(rng.uniform(-3.0, 3.0));
-            const float beta = static_cast<float>(rng.uniform(-3.0, 3.0));
             // Ops that read the constant operand also run it
             // row-broadcast.
-            const bool readsConst = op == ad::Op::MulConst ||
-                                    op == ad::Op::AddConst ||
-                                    op == ad::Op::FusedMulAddConst;
+            const bool readsConst =
+                op == ad::Op::MulConst || op == ad::Op::AddConst;
             for (const st::Tensor* k : {&c, &cRow}) {
                 if (k == &cRow && !readsConst)
                     continue;
                 auto [lhs, rhs] =
                     runBothLevels(rows, cols, [&](st::Tensor& out) {
-                        elementwiseInto(op, a, b, c, *k, alpha, beta, out);
+                        elementwiseInto(op, a, b, *k, alpha, out);
                     });
                 EXPECT_TRUE(bitEqual(lhs, rhs))
                     << rows << "x" << cols << (k == &cRow ? " bcast" : "");
@@ -226,10 +218,13 @@ void
 checkElemChain(ad::Op, util::Rng& rng)
 {
     for (const std::size_t rows : kRowCounts) {
-        for (const std::size_t cols : {9UL, 100UL, 1000UL}) {
+        // 2500 columns span several of the kernel's row blocks.
+        for (const std::size_t cols : {9UL, 100UL, 1000UL, 2500UL}) {
             const st::Tensor a = randomTensor(rows, cols, rng);
+            // Fusion emits runs of two or more stages.
+            const std::size_t length = 2 + rng.uniformIndex(3);
             std::vector<st::ElemStage> stages;
-            for (int s = 0; s < 4; ++s) {
+            for (std::size_t s = 0; s < length; ++s) {
                 st::ElemStage stage;
                 switch (rng.uniformIndex(4)) {
                   case 0:
@@ -285,6 +280,38 @@ checkElemChain(ad::Op, util::Rng& rng)
                 std::swap(cur, next);
             }
             EXPECT_TRUE(bitEqual(rhs, cur)) << rows << "x" << cols;
+
+            // The backward kernel, at both levels and against the
+            // unfused backward steps, each of which accumulates into a
+            // freshly zeroed grad slot.
+            const st::Tensor g = randomTensor(rows, cols, rng);
+            const st::Tensor ga0 = randomTensor(rows, cols, rng);
+            auto [gradLhs, gradRhs] =
+                runBothLevels(rows, cols, [&](st::Tensor& ga) {
+                    ga = ga0;
+                    st::elemChainGradInto(g, stages, ga, kVec);
+                });
+            EXPECT_TRUE(bitEqual(gradLhs, gradRhs))
+                << "grad " << rows << "x" << cols;
+            st::Tensor unfused = ga0;
+            for (std::size_t r = 0; r < rows; ++r) {
+                for (std::size_t i = 0; i < cols; ++i) {
+                    float v = g.at(r, i);
+                    for (std::size_t s = stages.size(); s > 0; --s) {
+                        const st::ElemStage& stage = stages[s - 1];
+                        float dv = v; // add stages: identity Jacobian
+                        if (stage.kind == st::ElemStageKind::Scale)
+                            dv = stage.alpha * v;
+                        else if (stage.kind == st::ElemStageKind::MulConst)
+                            dv = v * stage.c.at(
+                                         stage.c.rows() == 1 ? 0 : r, i);
+                        v = 0.0f + dv;
+                    }
+                    unfused.at(r, i) += v;
+                }
+            }
+            EXPECT_TRUE(bitEqual(gradRhs, unfused))
+                << "grad " << rows << "x" << cols;
         }
     }
 }
@@ -387,11 +414,9 @@ parityCheckFor(ad::Op op)
       case ad::Op::Mul:
       case ad::Op::Scale:
       case ad::Op::AddScalar:
-      case ad::Op::FusedAffine:
       case ad::Op::Relu:
       case ad::Op::MulConst:
       case ad::Op::AddConst:
-      case ad::Op::FusedMulAddConst:
         return checkElementwise;
       case ad::Op::FusedElemChain:
         return checkElemChain;

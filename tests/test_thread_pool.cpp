@@ -172,9 +172,7 @@ TEST(ThreadPool, ChunkBoundariesIndependentOfPoolSize)
 /**
  * End-to-end determinism: a SmoothE extraction (softmax, propagation,
  * NOTEARS penalty, Adam, sampling) must produce the same cost and the
- * same chosen e-nodes for pool sizes 1 and 4 — in both execution modes
- * (compiled Program replay and eager per-iteration tape rebuild), and
- * the two modes must agree with each other.
+ * same chosen e-nodes for pool sizes 1 and 4.
  */
 TEST(ThreadPoolDeterminism, ExtractionIdenticalAcrossPoolSizes)
 {
@@ -196,12 +194,11 @@ TEST(ThreadPoolDeterminism, ExtractionIdenticalAcrossPoolSizes)
     graph.setRoot(root);
     ASSERT_FALSE(graph.finalize().has_value());
 
-    auto runAt = [&graph](std::size_t threads, bool compiled) {
+    auto runAt = [&graph](std::size_t threads) {
         core::SmoothEConfig config;
         config.numSeeds = 8;
         config.maxIterations = 40;
         config.numThreads = threads;
-        config.compiledReplay = compiled;
         core::SmoothEExtractor extractor(config);
         smoothe::extract::ExtractOptions options;
         options.seed = 7;
@@ -209,20 +206,11 @@ TEST(ThreadPoolDeterminism, ExtractionIdenticalAcrossPoolSizes)
         return extractor.extract(graph, options);
     };
 
-    const auto serial = runAt(1, true);
-    const auto parallel = runAt(4, true);
-    const auto serialEager = runAt(1, false);
-    const auto parallelEager = runAt(4, false);
+    const auto serial = runAt(1);
+    const auto parallel = runAt(4);
     util::ThreadPool::setGlobalThreads(1); // restore for other tests
     ASSERT_TRUE(serial.ok());
     ASSERT_TRUE(parallel.ok());
-    ASSERT_TRUE(serialEager.ok());
-    ASSERT_TRUE(parallelEager.ok());
     EXPECT_EQ(serial.cost, parallel.cost);
     EXPECT_EQ(serial.selection.choice, parallel.selection.choice);
-    EXPECT_EQ(serial.cost, serialEager.cost);
-    EXPECT_EQ(serial.selection.choice, serialEager.selection.choice);
-    EXPECT_EQ(serialEager.cost, parallelEager.cost);
-    EXPECT_EQ(serialEager.selection.choice,
-              parallelEager.selection.choice);
 }

@@ -5,7 +5,7 @@
  * Usage:
  *   smoothe_extract --input egraph.json [--extractor smoothe]
  *                   [--time-limit 10] [--seed 1] [--seeds 16]
- *                   [--assumption hybrid] [--lambda 8] [--eager]
+ *                   [--assumption hybrid] [--lambda 8]
  *                   [--incremental] [--epochs N]
  *                   [--output selection.json] [--threads N]
  *                   [--validate] [--log-level debug] [--log-json log.jsonl]
@@ -20,7 +20,7 @@
  * saturation loop drives (see bench_anytime_eqsat for evolving graphs)
  * and bumps the per-epoch `extraction.<name>.incremental_runs` counter
  * visible via --metrics-out. Requires an extractor with incremental
- * support and the compiled replay (rejected with --eager).
+ * support.
  *
  * A suite of e-graphs can be given as `--inputs a.json,b.json,...`; the
  * graphs are then extracted concurrently on the worker pool (one task per
@@ -132,7 +132,6 @@ main(int argc, char** argv)
     config.patience =
         static_cast<std::size_t>(args.getInt("patience", 60));
     config.damping = static_cast<float>(args.getDouble("damping", 0.0));
-    config.compiledReplay = !args.getBool("eager", false);
     const std::string assumption =
         args.getString("assumption", "hybrid");
     if (assumption == "independent")
@@ -167,15 +166,8 @@ main(int argc, char** argv)
                      "error: --output requires a single --input\n");
         return 2;
     }
-    // Strict --incremental validation: the warm-start path rides on the
-    // compiled replay (Program::patch), so the eager fallback cannot
-    // honor it; epochs only make sense with the protocol enabled.
-    if (incremental && args.getBool("eager", false)) {
-        std::fprintf(stderr,
-                     "error: --incremental requires the compiled replay; "
-                     "drop --eager\n");
-        return 2;
-    }
+    // Strict --incremental validation: epochs only make sense with the
+    // protocol enabled.
     if (args.has("epochs") && !incremental) {
         std::fprintf(stderr,
                      "error: --epochs requires --incremental\n");
