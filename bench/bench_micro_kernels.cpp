@@ -229,6 +229,23 @@ main(int argc, char** argv)
             sink(out.data());
         });
     }
+    {
+        // The shape SmoothE's penalty feeds it: a nonnegative SCC
+        // adjacency about 10% dense with ||A||_inf in the 2-7 range, so
+        // the sparse series and a few dense squarings both run.
+        constexpr std::size_t d = 64;
+        smoothe::util::Rng rng(5);
+        std::vector<float> a(d * d, 0.0f);
+        for (auto& v : a)
+            if (rng.bernoulli(0.1))
+                v = rng.uniformFloat();
+        std::vector<float> out(d * d);
+        timeKernel("expm.scc.d64", [&] {
+            for (int i = 0; i < 4; ++i)
+                ad::expm(a.data(), d, out.data());
+            sink(out.data());
+        });
+    }
 
     // --- Scalar vs AVX2 SIMD levels (same Vectorized backend) ---------
     //

@@ -89,6 +89,8 @@ forwardOp(const ForwardArgs& args)
       case Op::TrExpm: {
         static obs::Counter& calls = obs::counter("kernel.matexp.calls");
         static obs::Counter& bytes = obs::counter("kernel.matexp.bytes");
+        static obs::Counter& squarings =
+            obs::counter("kernel.matexp.squarings");
         const Tensor& av = *args.a;
         calls.add(1);
         bytes.add(av.size() * sizeof(float));
@@ -104,7 +106,8 @@ forwardOp(const ForwardArgs& args)
                     if (backend == Backend::Scalar)
                         expmNaive(av.row(r), dim, saved.row(r));
                     else
-                        expm(av.row(r), dim, saved.row(r));
+                        squarings.add(static_cast<std::uint64_t>(
+                            expm(av.row(r), dim, saved.row(r))));
                     double trace = 0.0;
                     for (std::size_t i = 0; i < dim; ++i)
                         trace += saved.at(r, i * dim + i);

@@ -9,11 +9,6 @@
 
 namespace smoothe::ad {
 
-namespace {
-
-/** c = a * b for row-major d x d doubles. The AVX2 variant keeps the
- *  ikj order and the zero-skip branch, so both paths are bitwise
- *  identical (doubles; mul and add separately rounded in each). */
 void
 matmulSquare(const double* a, const double* b, double* c, std::size_t d)
 {
@@ -35,6 +30,29 @@ matmulSquare(const double* a, const double* b, double* c, std::size_t d)
     }
 }
 
+void
+matmulCsrDense(const std::uint32_t* rowOffsets, const std::uint32_t* cols,
+               const double* values, const double* b, double* c,
+               std::size_t d)
+{
+    if (tensor::simd::avx2Active()) {
+        tensor::avx2::matmulCsrDense(rowOffsets, cols, values, b, c, d);
+        return;
+    }
+    std::fill(c, c + d * d, 0.0);
+    for (std::size_t i = 0; i < d; ++i) {
+        double* cRow = c + i * d;
+        for (std::uint32_t e = rowOffsets[i]; e < rowOffsets[i + 1]; ++e) {
+            const double aik = values[e];
+            const double* bRow = b + cols[e] * d;
+            for (std::size_t j = 0; j < d; ++j)
+                cRow[j] += aik * bRow[j];
+        }
+    }
+}
+
+namespace {
+
 double
 infinityNorm(const double* a, std::size_t d)
 {
@@ -50,14 +68,14 @@ infinityNorm(const double* a, std::size_t d)
 
 } // namespace
 
-void
+int
 expmDouble(const double* a, std::size_t d, double* out)
 {
     if (d == 0)
-        return;
+        return 0;
     if (d == 1) {
         out[0] = std::exp(a[0]);
-        return;
+        return 0;
     }
 
     const std::size_t n2 = d * d;
@@ -72,6 +90,23 @@ expmDouble(const double* a, std::size_t d, double* out)
         const double factor = std::ldexp(1.0, -squarings);
         for (double& v : scaled)
             v *= factor;
+    }
+
+    // The scaled A in CSR form (row order, ascending columns, zeros
+    // dropped): the penalty matrices are mostly zero, so each Taylor
+    // product A^(k+1) = A * A^k touches only A's stored entries.
+    std::vector<std::uint32_t> rowOffsets(d + 1, 0);
+    std::vector<std::uint32_t> cols;
+    std::vector<double> values;
+    for (std::size_t i = 0; i < d; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+            const double v = scaled[i * d + j];
+            if (v == 0.0)
+                continue;
+            cols.push_back(static_cast<std::uint32_t>(j));
+            values.push_back(v);
+        }
+        rowOffsets[i + 1] = static_cast<std::uint32_t>(cols.size());
     }
 
     // Taylor series: I + A + A^2/2! + ... (18 terms is ample at norm 0.5;
@@ -89,7 +124,8 @@ expmDouble(const double* a, std::size_t d, double* out)
         for (std::size_t i = 0; i < n2; ++i)
             result[i] += power[i] * inv;
         if (term < kTerms) {
-            matmulSquare(power.data(), scaled.data(), temp.data(), d);
+            matmulCsrDense(rowOffsets.data(), cols.data(), values.data(),
+                           power.data(), temp.data(), d);
             power.swap(temp);
         }
     }
@@ -101,6 +137,7 @@ expmDouble(const double* a, std::size_t d, double* out)
     }
 
     std::memcpy(out, result.data(), n2 * sizeof(double));
+    return squarings;
 }
 
 namespace {
@@ -162,7 +199,7 @@ expmNaive(const float* a, std::size_t d, float* out)
         out[i] = static_cast<float>(result[i]);
 }
 
-void
+int
 expm(const float* a, std::size_t d, float* out)
 {
     const std::size_t n2 = d * d;
@@ -170,9 +207,10 @@ expm(const float* a, std::size_t d, float* out)
     std::vector<double> output(n2);
     for (std::size_t i = 0; i < n2; ++i)
         input[i] = a[i];
-    expmDouble(input.data(), d, output.data());
+    const int squarings = expmDouble(input.data(), d, output.data());
     for (std::size_t i = 0; i < n2; ++i)
         out[i] = static_cast<float>(output[i]);
+    return squarings;
 }
 
 double

@@ -126,11 +126,24 @@ struct OpCost
  * DRAM traffic, which is the convention roofline estimates want.
  */
 OpCost
-estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
-               std::uint64_t aRows, std::uint64_t aCols,
-               std::uint64_t bRows, std::uint64_t bCols)
+estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix,
+               const std::vector<std::size_t>& rowsOf,
+               const std::vector<std::size_t>& colsOf)
 {
     namespace cost = tensor::cost;
+    const OpNode& node = ops[ix];
+    auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
+        r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
+        c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
+    };
+    const std::uint64_t rows = rowsOf[ix];
+    const std::uint64_t cols = colsOf[ix];
+    std::uint64_t aRows = 0;
+    std::uint64_t aCols = 0;
+    std::uint64_t bRows = 0;
+    std::uint64_t bCols = 0;
+    shapeOf(node.in0, aRows, aCols);
+    shapeOf(node.in1, bRows, bCols);
     const std::uint64_t F = cost::kElemBytes;
     const std::uint64_t n = rows * cols;
     const std::uint64_t a = aRows * aCols;
@@ -206,9 +219,18 @@ estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
         break;
       }
       case Op::TrExpm: {
+        // Series products run over A's stored entries: at most the
+        // producing scatter's entry count, else a dense d x d input.
         const std::uint64_t d = node.dim;
+        std::uint64_t nnz = d * d;
+        if (node.in0 >= 0) {
+            const OpNode& in = ops[static_cast<std::size_t>(node.in0)];
+            if (in.op == Op::ScatterMatrix && in.entries)
+                nnz = std::min<std::uint64_t>(nnz, in.entries->size());
+        }
         const std::uint64_t flops =
-            rows * cost::kExpmMatmuls * cost::matmulFlops(d, d, d);
+            rows * (cost::kExpmSeriesProducts * cost::matmulFlops(nnz, 1, d) +
+                    cost::kExpmSquarings * cost::matmulFlops(d, d, d));
         const std::uint64_t bytes = rows * 4 * F * d * d;
         c = {flops, bytes, flops, bytes};
         break;
@@ -655,20 +677,9 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     // are static estimates from the snapshotted shapes.
     {
         obs::Profiler& prof = obs::Profiler::instance();
-        auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
-            r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
-            c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
-        };
         auto costOf = [&](VarId id) {
-            const auto ix = static_cast<std::size_t>(id);
-            std::uint64_t aRows = 0;
-            std::uint64_t aCols = 0;
-            std::uint64_t bRows = 0;
-            std::uint64_t bCols = 0;
-            shapeOf(ops_[ix].in0, aRows, aCols);
-            shapeOf(ops_[ix].in1, bRows, bCols);
-            return estimateOpCost(ops_[ix], rowsOf[ix], colsOf[ix],
-                                  aRows, aCols, bRows, bCols);
+            return estimateOpCost(ops_, static_cast<std::size_t>(id),
+                                  rowsOf, colsOf);
         };
         // Kernel-slot names carry the SIMD variant active at compile
         // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
@@ -1257,20 +1268,9 @@ Program::patch(const StructureDelta& delta)
     // Refresh the static profiler cost estimates for the new shapes
     // (kernel identities are unchanged — same ops, same backend).
     {
-        auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
-            r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
-            c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
-        };
         auto costOf = [&](VarId id) {
-            const auto ix = static_cast<std::size_t>(id);
-            std::uint64_t aRows = 0;
-            std::uint64_t aCols = 0;
-            std::uint64_t bRows = 0;
-            std::uint64_t bCols = 0;
-            shapeOf(ops_[ix].in0, aRows, aCols);
-            shapeOf(ops_[ix].in1, bRows, bCols);
-            return estimateOpCost(ops_[ix], rowsOf[ix], colsOf[ix],
-                                  aRows, aCols, bRows, bCols);
+            return estimateOpCost(ops_, static_cast<std::size_t>(id),
+                                  rowsOf, colsOf);
         };
         for (std::size_t k = 0; k < forwardSchedule_.size(); ++k) {
             const OpCost cost = costOf(forwardSchedule_[k]);

@@ -721,9 +721,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             growth.onehotRows = std::move(q0);
             growth.maskOneHot = prep.rootMask;
             growth.maskComplement = prep.notRootMask;
-            if (const auto* linear =
-                    dynamic_cast<const cost::LinearCost*>(&model))
-                growth.rowWeights = linear->weights();
+            if (const std::vector<float>* weights = model.rowWeights())
+                growth.rowWeights = *weights;
             growth.scatterDims.reserve(prep.sccs.size());
             for (const auto& scc : prep.sccs)
                 growth.scatterDims.push_back(scc.dim);

@@ -88,10 +88,18 @@ inline constexpr std::uint64_t kElemBytes = sizeof(float);
 inline constexpr std::uint64_t kExpFlops = 8;
 
 /**
- * Dense d x d matmuls one scaling-and-squaring expm evaluation performs
- * (Taylor-term products plus squarings; see autodiff/matexp.cpp).
+ * Taylor-series products one expm evaluation performs (degree 18; see
+ * autodiff/matexp.cpp). Each is sparse A times dense A^k: 2 nnz(A) d.
  */
-inline constexpr std::uint64_t kExpmMatmuls = 24;
+inline constexpr std::uint64_t kExpmSeriesProducts = 17;
+
+/**
+ * Dense d x d squarings charged per expm evaluation. The real count
+ * is ceil(log2(||A||_inf / 0.5)), known only at run time; SmoothE's
+ * penalty matrices (||A||_inf about 2-4) take 2-4, and the
+ * kernel.matexp.squarings counter reports the measured total.
+ */
+inline constexpr std::uint64_t kExpmSquarings = 3;
 
 /** FLOPs of an m x k by k x n matmul (one multiply + one add per MAC). */
 inline constexpr std::uint64_t

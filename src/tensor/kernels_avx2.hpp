@@ -78,10 +78,25 @@ void segmentProductComplement8(const float* x, std::size_t x_stride,
                                std::size_t num_segments,
                                const std::uint32_t* items);
 
-/** c = a * b for row-major d x d doubles, 4-lane inner loop; bitwise
- *  identical to autodiff/matexp.cpp's scalar matmulSquare. */
+/**
+ * c = a * b for row-major d x d doubles, register-blocked: one output
+ * row at a time in 16-column panels held in four accumulators, k
+ * ascending with zero a[i][k] skipped. Each c[i][j] sums the same
+ * separately rounded products in the same order as ad::matmulSquare's
+ * scalar ikj loop, so the two are bitwise identical.
+ */
 void matmulSquare(const double* a, const double* b, double* c,
                   std::size_t d);
+
+/**
+ * c = A * b where A is d x d in CSR form (row_offsets has d + 1
+ * entries; each row's columns ascend) and b, c are row-major dense.
+ * Same 16-column register panels as matmulSquare, k running over the
+ * row's stored entries; bitwise identical to ad::matmulCsrDense.
+ */
+void matmulCsrDense(const std::uint32_t* row_offsets,
+                    const std::uint32_t* col_indices, const double* values,
+                    const double* b, double* c, std::size_t d);
 
 } // namespace smoothe::tensor::avx2
 

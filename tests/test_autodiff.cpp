@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "autodiff/adam.hpp"
 #include "autodiff/gradcheck.hpp"
@@ -112,6 +114,68 @@ TEST(Matexp, NaiveMatchesOptimized)
             EXPECT_NEAR(fast[i], naive[i],
                         1e-4 * (1.0 + std::fabs(fast[i])))
                 << "d=" << d << " i=" << i;
+    }
+}
+
+TEST(Matexp, MatchesLongDoubleTaylorOnSparseNonnegative)
+{
+    // SmoothE's penalty shape: nonnegative, about 10% nonzero, norms up
+    // to 7 (so up to 4 squarings). Pins the accuracy of the scaled
+    // series and squarings against an unscaled 40-term Taylor sum in
+    // long double (no cancellation: every term is nonnegative).
+    constexpr std::size_t d = 64;
+    smoothe::util::Rng rng(0x5ca1e);
+    for (const double targetNorm : {0.4, 1.0, 3.0, 5.0, 7.0}) {
+        std::vector<double> a(d * d, 0.0);
+        for (auto& v : a)
+            if (rng.bernoulli(0.1))
+                v = rng.uniform(0.0, 1.0);
+        a[1] = 1.0;
+        double norm = 0.0;
+        for (std::size_t i = 0; i < d; ++i) {
+            double rowSum = 0.0;
+            for (std::size_t j = 0; j < d; ++j)
+                rowSum += a[i * d + j];
+            norm = std::max(norm, rowSum);
+        }
+        for (auto& v : a)
+            v *= targetNorm / norm;
+
+        std::vector<long double> ref(d * d, 0.0L);
+        std::vector<long double> term(d * d, 0.0L);
+        std::vector<long double> next(d * d);
+        for (std::size_t i = 0; i < d; ++i)
+            ref[i * d + i] = term[i * d + i] = 1.0L;
+        for (int k = 1; k <= 40; ++k) {
+            for (std::size_t i = 0; i < d; ++i) {
+                for (std::size_t j = 0; j < d; ++j) {
+                    long double acc = 0.0L;
+                    for (std::size_t m = 0; m < d; ++m)
+                        acc += term[i * d + m] * a[m * d + j];
+                    next[i * d + j] = acc / k;
+                }
+            }
+            term.swap(next);
+            for (std::size_t i = 0; i < d * d; ++i)
+                ref[i] += term[i];
+        }
+
+        std::vector<double> out(d * d);
+        ad::expmDouble(a.data(), d, out.data());
+        long double errNorm = 0.0L;
+        long double refNorm = 0.0L;
+        for (std::size_t i = 0; i < d; ++i) {
+            long double errRow = 0.0L;
+            long double refRow = 0.0L;
+            for (std::size_t j = 0; j < d; ++j) {
+                errRow += std::fabs(out[i * d + j] - ref[i * d + j]);
+                refRow += std::fabs(ref[i * d + j]);
+            }
+            errNorm = std::max(errNorm, errRow);
+            refNorm = std::max(refNorm, refRow);
+        }
+        EXPECT_LE(static_cast<double>(errNorm / refNorm), 1e-13)
+            << "||A||_inf = " << targetNorm;
     }
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -381,27 +382,69 @@ checkSoftmax(ad::Op, util::Rng& rng)
     }
 }
 
+/**
+ * A SmoothE-shaped penalty matrix: nonnegative, about 10% nonzero,
+ * rescaled so ||A||_inf lands in [2, 7] and the expm squarings run.
+ */
+std::vector<float>
+sccShapedMatrix(std::size_t d, util::Rng& rng)
+{
+    std::vector<double> a(d * d, 0.0);
+    for (double& v : a)
+        if (rng.bernoulli(0.1))
+            v = rng.uniform(0.0, 1.0);
+    a[d - 1] = 1.0; // at least one nonzero, whatever the draws
+    double norm = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+        double rowSum = 0.0;
+        for (std::size_t j = 0; j < d; ++j)
+            rowSum += a[i * d + j];
+        norm = std::max(norm, rowSum);
+    }
+    const double scale = rng.uniform(2.0, 7.0) / norm;
+    std::vector<float> out(d * d);
+    for (std::size_t i = 0; i < d * d; ++i)
+        out[i] = static_cast<float>(a[i] * scale);
+    return out;
+}
+
+/**
+ * Runs ad::expm at both SIMD levels; the outputs must match bitwise.
+ * Returns the squaring count.
+ */
+int
+expectExpmBitIdentical(const std::vector<float>& a, std::size_t d)
+{
+    std::vector<float> scalarOut(d * d);
+    std::vector<float> avxOut(d * d);
+    LevelGuard guard;
+    simd::setLevel(simd::Level::Scalar);
+    const int scalarSquarings = ad::expm(a.data(), d, scalarOut.data());
+    simd::setLevel(simd::Level::Avx2);
+    const int avxSquarings = ad::expm(a.data(), d, avxOut.data());
+    EXPECT_EQ(scalarSquarings, avxSquarings) << "d=" << d;
+    EXPECT_EQ(std::memcmp(scalarOut.data(), avxOut.data(),
+                          d * d * sizeof(float)),
+              0)
+        << "d=" << d;
+    return avxSquarings;
+}
+
 void
 checkMatrixExp(ad::Op, util::Rng& rng)
 {
-    for (const std::size_t d : {1UL, 3UL, 5UL, 12UL}) {
+    // 17, 33 and 71 reach the 16-column panels and both of their tails.
+    for (const std::size_t d : {1UL, 3UL, 5UL, 12UL, 17UL, 33UL, 71UL}) {
         std::vector<float> a(d * d);
         for (float& v : a)
             v = rng.bernoulli(0.3)
                     ? 0.0f
                     : static_cast<float>(rng.uniform(-0.5, 0.5));
-        std::vector<float> scalarOut(d * d);
-        std::vector<float> avxOut(d * d);
-        LevelGuard guard;
-        simd::setLevel(simd::Level::Scalar);
-        ad::expm(a.data(), d, scalarOut.data());
-        simd::setLevel(simd::Level::Avx2);
-        ad::expm(a.data(), d, avxOut.data());
-        EXPECT_EQ(std::memcmp(scalarOut.data(), avxOut.data(),
-                              d * d * sizeof(float)),
-                  0)
-            << "d=" << d;
+        expectExpmBitIdentical(a, d);
     }
+    for (const std::size_t d : {17UL, 33UL, 64UL, 71UL})
+        EXPECT_GT(expectExpmBitIdentical(sccShapedMatrix(d, rng), d), 0)
+            << "d=" << d;
 }
 
 /** The parity check covering `op`'s forward kernel, or nullptr. */
@@ -580,6 +623,68 @@ TEST(SimdParity, MatrixExpIsBitIdentical)
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
     runParityChecks(checkMatrixExp, 0xeff1);
+}
+
+TEST(SimdParity, MatexpDoubleKernelsAreBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    util::Rng rng(0xc5a);
+    // d % 16 and d % 4 tails of every size, plus sub-panel widths.
+    for (const std::size_t d :
+         {1UL, 3UL, 4UL, 5UL, 15UL, 16UL, 17UL, 31UL, 33UL, 48UL, 71UL}) {
+        SCOPED_TRACE("d=" + std::to_string(d));
+        const std::size_t n2 = d * d;
+        // A: about 10% nonzero, every third row all zero (an empty CSR
+        // row); B: dense signed.
+        std::vector<double> a(n2, 0.0);
+        for (std::size_t i = 0; i < d; ++i)
+            for (std::size_t j = 0; j < d; ++j)
+                if (i % 3 != 2 && rng.bernoulli(0.1))
+                    a[i * d + j] = rng.uniform(-1.0, 1.0);
+        std::vector<double> b(n2);
+        for (double& v : b)
+            v = rng.uniform(-2.0, 2.0);
+        std::vector<std::uint32_t> rowOffsets(d + 1, 0);
+        std::vector<std::uint32_t> cols;
+        std::vector<double> values;
+        for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t j = 0; j < d; ++j) {
+                if (a[i * d + j] != 0.0) {
+                    cols.push_back(static_cast<std::uint32_t>(j));
+                    values.push_back(a[i * d + j]);
+                }
+            }
+            rowOffsets[i + 1] = static_cast<std::uint32_t>(cols.size());
+        }
+
+        LevelGuard guard;
+        std::vector<double> dense[2];
+        std::vector<double> sparse[2];
+        std::vector<double> full[2];
+        const simd::Level levels[2] = {simd::Level::Scalar,
+                                       simd::Level::Avx2};
+        for (int l = 0; l < 2; ++l) {
+            simd::setLevel(levels[l]);
+            dense[l].assign(n2, -1.0);
+            sparse[l].assign(n2, -1.0);
+            full[l].assign(n2, -1.0);
+            ad::matmulSquare(a.data(), b.data(), dense[l].data(), d);
+            ad::matmulCsrDense(rowOffsets.data(), cols.data(),
+                               values.data(), b.data(), sparse[l].data(),
+                               d);
+            // A dense left operand (no zero skips) through the squaring.
+            ad::matmulSquare(b.data(), b.data(), full[l].data(), d);
+        }
+        const std::size_t bytes = n2 * sizeof(double);
+        EXPECT_EQ(std::memcmp(dense[0].data(), dense[1].data(), bytes), 0);
+        EXPECT_EQ(std::memcmp(sparse[0].data(), sparse[1].data(), bytes),
+                  0);
+        EXPECT_EQ(std::memcmp(full[0].data(), full[1].data(), bytes), 0);
+        // The CSR product adds exactly the zero-skip product's terms.
+        EXPECT_EQ(std::memcmp(sparse[0].data(), dense[0].data(), bytes),
+                  0);
+    }
 }
 
 TEST(SparseLayout, CsrFromSegmentsAndCscTranspose)
