@@ -2,9 +2,11 @@
  * @file
  * Regenerates Figure 6: performance-optimization ablation on tensat
  * e-graphs. Three configurations, matching the paper's bars:
- *   CPU baseline : scalar backend, no SCC decomposition, per-seed matexp
- *   +GPU         : vectorized backend (Section 4.1/4.2 stand-in)
- *   +MatExp      : vectorized + SCC decomposition + batched approximation
+ *   CPU baseline : the kernels at SIMD level scalar on one thread, no SCC
+ *                  decomposition, per-seed dense matexp
+ *   +GPU         : the kernels at the active SIMD level on every pool
+ *                  thread (Section 4.1/4.2 stand-in)
+ *   +MatExp      : +GPU with SCC decomposition + batched approximation
  *                  (Section 4.3)
  * Reports per-iteration optimization time and the speedup vs baseline;
  * a small arena budget on the no-SCC configurations reproduces the OOM
@@ -18,6 +20,8 @@
 
 #include "bench/common.hpp"
 #include "smoothe/smoothe.hpp"
+#include "tensor/simd.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace smoothe;
 
@@ -30,11 +34,11 @@ struct AblationResult
 };
 
 AblationResult
-run(const eg::EGraph& graph, tensor::Backend backend, bool scc,
-    bool batched, std::size_t budget_bytes, std::uint64_t seed)
+run(const eg::EGraph& graph, std::size_t threads, bool scc, bool batched,
+    std::size_t budget_bytes, std::uint64_t seed)
 {
     core::SmoothEConfig config;
-    config.backend = backend;
+    config.numThreads = threads;
     config.sccDecomposition = scc;
     config.batchedMatexp = batched;
     config.numSeeds = 8;
@@ -85,27 +89,33 @@ main(int argc, char** argv)
     // dense M x M NOTEARS matrix on the bigger graphs -> OOM rows, as in
     // the paper's figure.
     const std::size_t budget = 768ull << 20;
+    // Pinned before the 1-thread baseline resizes the pool, so +GPU and
+    // +MatExp run on the --threads count rather than the baseline's one.
+    const std::size_t threads = util::ThreadPool::global().size();
+    const tensor::simd::Level level = tensor::simd::activeLevel();
 
     util::TablePrinter table({"E-Graph", "N", "M", "CPU baseline", "+GPU",
                               "+MatExp"});
     for (const auto& named :
          datasets::tensatNamedInstances(options.scale, options.seed)) {
+        tensor::simd::setLevel(tensor::simd::Level::Scalar);
         const auto baseline =
-            run(named.graph, tensor::Backend::Scalar, false, false, budget,
-                options.seed);
-        const auto gpu = run(named.graph, tensor::Backend::Vectorized,
-                             false, false, budget, options.seed);
-        const auto matexp = run(named.graph, tensor::Backend::Vectorized,
-                                true, true, budget, options.seed);
+            run(named.graph, 1, false, false, budget, options.seed);
+        tensor::simd::setLevel(level);
+        const auto gpu =
+            run(named.graph, threads, false, false, budget, options.seed);
+        const auto matexp =
+            run(named.graph, threads, true, true, budget, options.seed);
         table.addRow({named.name, std::to_string(named.graph.numNodes()),
                       std::to_string(named.graph.numClasses()),
                       cell(baseline, baseline), cell(gpu, baseline),
                       cell(matexp, baseline)});
     }
     table.print(std::cout);
-    std::printf("\nCPU baseline = scalar kernels + dense whole-graph "
-                "NOTEARS; +GPU = vectorized kernels; +MatExp = SCC "
-                "decomposition + batched matrix-exponential "
-                "approximation\n");
+    std::printf("\nCPU baseline = generic (SIMD level scalar) kernels on 1 "
+                "thread + dense whole-graph NOTEARS; +GPU = %s kernels on "
+                "%zu threads; +MatExp = SCC decomposition + batched "
+                "matrix-exponential approximation\n",
+                tensor::simd::levelName(level), threads);
     return 0;
 }

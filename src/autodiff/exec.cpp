@@ -17,43 +17,40 @@ void
 forwardOp(const ForwardArgs& args)
 {
     const OpNode& node = args.node;
-    const Backend backend = args.backend;
     switch (node.op) {
       case Op::Leaf:
       case Op::Constant:
       case Op::Input:
         break; // sources: value is bound, not computed
       case Op::Add:
-        tensor::addInto(*args.a, *args.b, *args.value, backend);
+        tensor::addInto(*args.a, *args.b, *args.value);
         break;
       case Op::Sub:
-        tensor::subInto(*args.a, *args.b, *args.value, backend);
+        tensor::subInto(*args.a, *args.b, *args.value);
         break;
       case Op::Mul:
-        tensor::mulInto(*args.a, *args.b, *args.value, backend);
+        tensor::mulInto(*args.a, *args.b, *args.value);
         break;
       case Op::Scale:
-        tensor::scaleInto(*args.a, node.alpha, *args.value, backend);
+        tensor::scaleInto(*args.a, node.alpha, *args.value);
         break;
       case Op::AddScalar:
-        tensor::addScalarInto(*args.a, node.alpha, *args.value, backend);
+        tensor::addScalarInto(*args.a, node.alpha, *args.value);
         break;
       case Op::Relu:
-        tensor::reluInto(*args.a, *args.value, backend);
+        tensor::reluInto(*args.a, *args.value);
         break;
       case Op::MulConst:
-        tensor::mulConstInto(*args.a, node.constTensor, *args.value,
-                             backend);
+        tensor::mulConstInto(*args.a, node.constTensor, *args.value);
         break;
       case Op::AddConst:
-        tensor::addConstInto(*args.a, node.constTensor, *args.value,
-                             backend);
+        tensor::addConstInto(*args.a, node.constTensor, *args.value);
         break;
       case Op::FusedElemChain:
-        tensor::elemChainInto(*args.a, node.chain, *args.value, backend);
+        tensor::elemChainInto(*args.a, node.chain, *args.value);
         break;
       case Op::DotRowsConst:
-        tensor::dotRowsInto(*args.a, node.constVec, *args.value, backend);
+        tensor::dotRowsInto(*args.a, node.constVec, *args.value);
         break;
       case Op::SumAll:
         tensor::sumAllInto(*args.a, *args.value);
@@ -62,29 +59,28 @@ forwardOp(const ForwardArgs& args)
         tensor::meanRowsInto(*args.a, *args.value);
         break;
       case Op::SegmentSoftmax:
-        tensor::segmentSoftmaxInto(*args.a, *node.segs, *args.value,
-                                   backend);
+        tensor::segmentSoftmaxInto(*args.a, *node.segs, *args.value);
         break;
       case Op::SegmentProductComplement:
         tensor::segmentProductComplementInto(*args.a, *node.segs,
-                                             *args.value, backend);
+                                             *args.value);
         break;
       case Op::SegmentMaxGather:
         tensor::segmentMaxGatherInto(*args.a, *node.segs, *args.value,
-                                     *args.savedIdx, backend);
+                                     *args.savedIdx);
         break;
       case Op::GatherCols:
-        tensor::gatherColsInto(*args.a, *node.index, *args.value, backend);
+        tensor::gatherColsInto(*args.a, *node.index, *args.value);
         break;
       case Op::MatMul:
-        tensor::matmulInto(*args.a, *args.b, *args.value, backend);
+        tensor::matmulInto(*args.a, *args.b, *args.value);
         break;
       case Op::AddRowBroadcast:
         tensor::addRowBroadcastInto(*args.a, *args.b, *args.value);
         break;
       case Op::ScatterMatrix:
         tensor::scatterMatrixInto(*args.a, *node.entries, node.dim,
-                                  node.meanOverRows, *args.value, backend);
+                                  node.meanOverRows, *args.value);
         break;
       case Op::TrExpm: {
         static obs::Counter& calls = obs::counter("kernel.matexp.calls");
@@ -100,14 +96,10 @@ forwardOp(const ForwardArgs& args)
         // Each row's power series is independent; one matrix per task
         // (each exponential is O(dim^3), far above any sensible grain).
         parallelChunks(
-            backend != Backend::Scalar, av.rows(), 1,
-            [&](std::size_t rowBegin, std::size_t rowEnd) {
+            av.rows(), 1, [&](std::size_t rowBegin, std::size_t rowEnd) {
                 for (std::size_t r = rowBegin; r < rowEnd; ++r) {
-                    if (backend == Backend::Scalar)
-                        expmNaive(av.row(r), dim, saved.row(r));
-                    else
-                        squarings.add(static_cast<std::uint64_t>(
-                            expm(av.row(r), dim, saved.row(r))));
+                    squarings.add(static_cast<std::uint64_t>(
+                        expm(av.row(r), dim, saved.row(r))));
                     double trace = 0.0;
                     for (std::size_t i = 0; i < dim; ++i)
                         trace += saved.at(r, i * dim + i);
@@ -232,7 +224,7 @@ backwardOp(const BackwardArgs& args)
       }
       case Op::FusedElemChain:
         if (gaPtr)
-            tensor::elemChainGradInto(g, node.chain, *gaPtr, args.backend);
+            tensor::elemChainGradInto(g, node.chain, *gaPtr);
         break;
       case Op::DotRowsConst: {
         if (!gaPtr)
@@ -277,8 +269,7 @@ backwardOp(const BackwardArgs& args)
         const Tensor& y = *args.value;
         const SegmentIndex* segs = node.segs;
         parallelChunks(
-            args.backend != Backend::Scalar, ga.rows(),
-            rowGrain(ga.cols()),
+            ga.rows(), rowGrain(ga.cols()),
             [&](std::size_t rowBegin, std::size_t rowEnd) {
                 for (std::size_t r = rowBegin; r < rowEnd; ++r) {
                     const float* yr = y.row(r);
@@ -310,8 +301,7 @@ backwardOp(const BackwardArgs& args)
         const Tensor& x = *args.a;
         const SegmentIndex* segs = node.segs;
         parallelChunks(
-            args.backend != Backend::Scalar, ga.rows(),
-            rowGrain(ga.cols()),
+            ga.rows(), rowGrain(ga.cols()),
             [&](std::size_t rowBegin, std::size_t rowEnd) {
                 // Per-chunk scratch: rows in other chunks run concurrently.
                 std::vector<float> prefix;
@@ -467,7 +457,7 @@ backwardOp(const BackwardArgs& args)
         const Tensor& saved = *args.saved;
         const std::size_t d = node.dim;
         parallelChunks(
-            args.backend != Backend::Scalar, ga.rows(), 1,
+            ga.rows(), 1,
             [&](std::size_t rowBegin, std::size_t rowEnd) {
                 for (std::size_t r = rowBegin; r < rowEnd; ++r) {
                     const float gr = g.at(r, 0);

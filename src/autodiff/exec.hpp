@@ -31,7 +31,6 @@ struct ForwardArgs
     Tensor* value = nullptr;    ///< destination (correctly shaped)
     Tensor* saved = nullptr;    ///< op-specific stash (TrExpm: expm rows)
     std::vector<std::uint32_t>* savedIdx = nullptr; ///< segment argmax
-    Backend backend = Backend::Vectorized;
 };
 
 /**
@@ -52,7 +51,6 @@ struct BackwardArgs
     const std::vector<std::uint32_t>* savedIdx = nullptr;
     Tensor* ga = nullptr;       ///< grad(in0) accumulator; null = skip side
     Tensor* gb = nullptr;       ///< grad(in1) accumulator; null = skip side
-    Backend backend = Backend::Vectorized;
 };
 
 /**

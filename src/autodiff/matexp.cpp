@@ -140,65 +140,6 @@ expmDouble(const double* a, std::size_t d, double* out)
     return squarings;
 }
 
-namespace {
-
-/** Cache-hostile ijk product with per-element accumulation. */
-__attribute__((noinline)) void
-matmulNaive(const double* a, const double* b, double* c, std::size_t d)
-{
-    for (std::size_t i = 0; i < d; ++i) {
-        for (std::size_t j = 0; j < d; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < d; ++k)
-                acc += a[i * d + k] * b[k * d + j];
-            c[i * d + j] = acc;
-        }
-    }
-}
-
-} // namespace
-
-void
-expmNaive(const float* a, std::size_t d, float* out)
-{
-    if (d == 0)
-        return;
-    const std::size_t n2 = d * d;
-    std::vector<double> scaled(n2);
-    for (std::size_t i = 0; i < n2; ++i)
-        scaled[i] = a[i];
-
-    // Fixed scaling by 2^6 regardless of norm (no adaptivity), full
-    // 18-term series, naive products throughout.
-    constexpr int squarings = 6;
-    const double factor = std::ldexp(1.0, -squarings);
-    for (double& v : scaled)
-        v *= factor;
-
-    std::vector<double> result(n2, 0.0);
-    for (std::size_t i = 0; i < d; ++i)
-        result[i * d + i] = 1.0;
-    std::vector<double> power(scaled);
-    std::vector<double> temp(n2);
-    double factorial = 1.0;
-    constexpr int kTerms = 18;
-    for (int term = 1; term <= kTerms; ++term) {
-        factorial *= term;
-        for (std::size_t i = 0; i < n2; ++i)
-            result[i] += power[i] / factorial;
-        if (term < kTerms) {
-            matmulNaive(power.data(), scaled.data(), temp.data(), d);
-            power.swap(temp);
-        }
-    }
-    for (int s = 0; s < squarings; ++s) {
-        matmulNaive(result.data(), result.data(), temp.data(), d);
-        result.swap(temp);
-    }
-    for (std::size_t i = 0; i < n2; ++i)
-        out[i] = static_cast<float>(result[i]);
-}
-
 int
 expm(const float* a, std::size_t d, float* out)
 {

@@ -52,14 +52,6 @@ void matmulCsrDense(const std::uint32_t* rowOffsets,
                     const std::uint32_t* cols, const double* values,
                     const double* b, double* c, std::size_t d);
 
-/**
- * Deliberately unoptimized reference implementation: cache-hostile ijk
- * matrix products, no zero skipping, no norm-aware term cutoff. Used by
- * the Scalar backend to model an eager, unfused CPU execution (the
- * paper's Figure 6 "CPU baseline"); numerically equivalent to expm().
- */
-void expmNaive(const float* a, std::size_t d, float* out);
-
 /** Convenience: tr(exp(a)) for a row-major d x d matrix. */
 double traceExpm(const float* a, std::size_t d);
 

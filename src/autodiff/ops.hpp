@@ -25,7 +25,6 @@
 namespace smoothe::ad {
 
 using tensor::Arena;
-using tensor::Backend;
 using tensor::SegmentIndex;
 using tensor::Tensor;
 

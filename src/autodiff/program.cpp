@@ -320,7 +320,7 @@ isOnehotRows(const Tensor& t)
 } // namespace
 
 Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
-    : backend_(tape.backend_), arena_(tape.arena_), root_(root)
+    : arena_(tape.arena_), root_(root)
 {
     obs::Span span("program.compile");
     const std::size_t n = tape.nodes_.size();
@@ -691,7 +691,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             const OpCost cost = costOf(id);
             const Op op = ops_[static_cast<std::size_t>(id)].op;
             std::string name = std::string("forward.") + kernelName(op);
-            if (backend_ != Backend::Scalar && hasSimdVariant(op))
+            if (hasSimdVariant(op))
                 name += tensor::simd::kernelSuffix();
             forwardKernels_.push_back(
                 {&prof.kernel(name), cost.fwdFlops, cost.fwdBytes});
@@ -758,7 +758,6 @@ Program::makeForwardArgs(VarId id)
     args.value = valueMut(id);
     args.saved = &saved_[ix];
     args.savedIdx = &savedIdx_[ix];
-    args.backend = backend_;
     return args;
 }
 
@@ -783,7 +782,6 @@ Program::makeBackwardArgs(const BackStep& step)
             ? &gradSlots_[gradBind_[static_cast<std::size_t>(node.in1)]
                               .index]
             : nullptr;
-    args.backend = backend_;
     return args;
 }
 
@@ -1266,7 +1264,7 @@ Program::patch(const StructureDelta& delta)
     resizePool(gradSlots_, gradShape);
 
     // Refresh the static profiler cost estimates for the new shapes
-    // (kernel identities are unchanged — same ops, same backend).
+    // (kernel identities are unchanged — same ops).
     {
         auto costOf = [&](VarId id) {
             return estimateOpCost(ops_, static_cast<std::size_t>(id),

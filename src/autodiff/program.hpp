@@ -241,7 +241,6 @@ class Program
     void forwardProfiled();
     void backwardProfiled();
 
-    Backend backend_ = Backend::Vectorized;
     Arena* arena_ = nullptr;
     VarId root_ = -1;
     std::vector<OpNode> ops_;

@@ -62,7 +62,6 @@ Tape::compute(Node& node)
     args.value = &node.value;
     args.saved = &node.saved;
     args.savedIdx = &node.savedIdx;
-    args.backend = backend_;
     exec::forwardOp(args);
 }
 
@@ -535,7 +534,6 @@ Tape::backwardNode(Node& node)
     args.savedIdx = &node.savedIdx;
     args.ga = node.in0 >= 0 ? &ensureGrad(node.in0) : nullptr;
     args.gb = node.in1 >= 0 ? &ensureGrad(node.in1) : nullptr;
-    args.backend = backend_;
     exec::backwardOp(args);
 }
 

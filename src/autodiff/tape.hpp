@@ -36,20 +36,13 @@ namespace smoothe::ad {
 class Tape
 {
   public:
-    /**
-     * @param backend kernel flavor (Figure 6 ablation)
-     * @param arena optional memory accounting for all node tensors
-     */
-    explicit Tape(Backend backend = Backend::Vectorized,
-                  Arena* arena = nullptr)
-        : backend_(backend), arena_(arena)
-    {}
+    /** @param arena optional memory accounting for all node tensors */
+    explicit Tape(Arena* arena = nullptr) : arena_(arena) {}
 
     /** Drops all nodes (Params are untouched). */
     void clear();
 
     std::size_t numNodes() const { return nodes_.size(); }
-    Backend backend() const { return backend_; }
 
     /**
      * Deep structural validator (see DESIGN.md "Correctness tooling"):
@@ -191,7 +184,6 @@ class Tape
     /** The compiled replayer steals the recorded node list wholesale. */
     friend class Program;
 
-    Backend backend_;
     Arena* arena_;
     std::vector<Node> nodes_;
 };

@@ -499,21 +499,28 @@ checkReports(const util::Json& baseline, const util::Json& candidate,
         const util::Json* checked = baseEntry.find("checked");
         if (checked && checked->isBool() && !checked->asBool())
             continue;
-        const util::Json* candEntry = candMeasurements->find(name);
-        if (!candEntry || !candEntry->isObject())
-            continue; // absent in candidate: not comparable
         const util::Json* baseMean = findNumber(baseEntry, "mean");
-        const util::Json* candMean = findNumber(*candEntry, "mean");
-        if (!baseMean || !candMean)
+        if (!baseMean)
             continue;
+        const util::Json* candEntry = candMeasurements->find(name);
+        const util::Json* candMean =
+            candEntry ? findNumber(*candEntry, "mean") : nullptr;
 
         CheckFinding finding;
         finding.measurement = name;
         finding.baseline = baseMean->asNumber();
-        finding.candidate = candMean->asNumber();
         finding.tolerancePct = default_tolerance_pct;
         if (const util::Json* tol = findNumber(baseEntry, "tolerancePct"))
             finding.tolerancePct = tol->asNumber();
+        if (!candMean) {
+            // A gated number the candidate no longer emits (a bench that
+            // stopped reporting it or renamed it) fails the gate.
+            finding.missing = true;
+            finding.regression = true;
+            findings.push_back(std::move(finding));
+            continue;
+        }
+        finding.candidate = candMean->asNumber();
 
         const double denom = std::max(std::fabs(finding.baseline), 1e-12);
         finding.changePct =

@@ -239,13 +239,15 @@ struct CheckFinding
     double candidate = 0.0;    ///< candidate mean
     double changePct = 0.0;    ///< +x% = candidate larger
     double tolerancePct = 0.0; ///< tolerance that applied
-    bool regression = false;   ///< worsened beyond tolerance
+    bool regression = false;   ///< worsened beyond tolerance, or missing
+    bool missing = false;      ///< absent from the candidate
 };
 
 /**
- * Compares every checked measurement present in both reports: a finding
- * is a regression when the candidate mean worsens (per the baseline's
- * better-direction) by more than the tolerance. The baseline's
+ * Compares every checked baseline measurement with the candidate: a
+ * finding is a regression when the candidate mean worsens (per the
+ * baseline's better-direction) by more than the tolerance, or when the
+ * candidate does not carry the measurement at all. The baseline's
  * per-measurement tolerancePct overrides `default_tolerance_pct` when
  * nonzero. Both documents must already be schema-valid.
  */

@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "tensor/tensor.hpp"
-
 namespace smoothe::core {
 
 /**
@@ -52,9 +50,6 @@ struct SmoothEConfig
      * auto-derive from the class-graph depth (clamped to [4, 48]).
      */
     std::size_t propagationIterations = 0;
-
-    /** Sample discrete solutions every k-th iteration (paper: every). */
-    std::size_t sampleEvery = 1;
 
     /**
      * Damping factor for the probability propagation (extension beyond
@@ -98,9 +93,6 @@ struct SmoothEConfig
      */
     bool repairSampling = true;
 
-    /** Kernel backend (Figure 6 ablation). */
-    tensor::Backend backend = tensor::Backend::Vectorized;
-
     /**
      * Worker threads for the batched kernels and the per-seed sampling
      * stage. 0 leaves the process-wide pool as configured (auto =
@@ -127,11 +119,9 @@ struct SmoothEConfig
      * norm, wall time) points in SmoothEDiagnostics::convergence and —
      * when a process report is installed — in the report's
      * "smoothe.convergence" series. `convergenceStride` keeps every k-th
-     * iteration; `convergenceCapacity` bounds the ring (oldest points
-     * are overwritten once full; 0 disables recording).
+     * iteration; the ring holds the latest 4096 recorded points.
      */
     std::size_t convergenceStride = 1;
-    std::size_t convergenceCapacity = 4096;
 };
 
 } // namespace smoothe::core

@@ -576,8 +576,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
     util::Timer timer;
     util::Deadline deadline(options.timeLimitSeconds);
     util::Rng rng(options.seed);
-    ConvergenceRecorder recorder(config.convergenceStride,
-                                 config.convergenceCapacity);
+    ConvergenceRecorder recorder(config.convergenceStride);
 
     Arena& arena = ws.arena;
 
@@ -733,7 +732,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 obs::counter("program.rerecord").add(1);
             auto scope = diagnostics.profile.loss();
             obs::Span recordSpan("program.record");
-            Tape recorder(config.backend, &arena);
+            Tape recorder(&arena);
             handles = buildForward(recorder, theta, prep, model, config,
                                    penaltyCoefficient(config, 0, batch));
             diagnostics.tapeNodes = recorder.numNodes();
@@ -803,8 +802,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             // serial and in seed order, keeping results identical to the
             // sequential schedule for any thread count.
             double iterBest = kInf;
-            if ((iter % std::max<std::size_t>(1, config.sampleEvery)) ==
-                0) {
+            {
                 auto scope = diagnostics.profile.sampling();
                 const Tensor& cp = program->value(handles.cp);
                 const std::size_t rows = cp.rows();

@@ -14,25 +14,6 @@ namespace smoothe::tensor {
 namespace {
 
 /**
- * Deliberately slow per-element application used by the Scalar backend:
- * the function-pointer call per element defeats vectorization and
- * fusion, mimicking an unoptimized eager interpreter (the paper's CPU
- * baseline in Figure 6).
- */
-__attribute__((noinline)) void
-scalarApply(float (*f)(float, float), const float* a, const float* b,
-            float* out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = f(a[i], b ? b[i] : 0.0f);
-}
-
-float opAdd(float x, float y) { return x + y; }
-float opSub(float x, float y) { return x - y; }
-float opMul(float x, float y) { return x * y; }
-float opRelu(float x, float) { return x > 0.0f ? x : 0.0f; }
-
-/**
  * Row elements per block when a fused chain runs stage by stage: small
  * enough that a block's stage operands stay in L1.
  */
@@ -57,27 +38,20 @@ rowGrain(std::size_t cols)
 }
 
 void
-parallelChunks(bool parallel, std::size_t n, std::size_t grain,
+parallelChunks(std::size_t n, std::size_t grain,
                const std::function<void(std::size_t, std::size_t)>& body)
 {
-    if (parallel)
-        util::ThreadPool::global().parallelForChunks(0, n, grain, body);
-    else
-        body(0, n);
+    util::ThreadPool::global().parallelForChunks(0, n, grain, body);
 }
 
 void
-addInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
+addInto(const Tensor& a, const Tensor& b, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        scalarApply(opAdd, a.data(), b.data(), out.data(), a.size());
-        return;
-    }
     const float* __restrict x = a.data();
     const float* __restrict y = b.data();
     float* __restrict o = out.data();
     const bool useAvx2 = simd::avx2Active();
-    parallelChunks(true, a.size(), kElemGrain,
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::addSpan(x + begin, y + begin, o + begin,
@@ -90,17 +64,13 @@ addInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
 }
 
 void
-subInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
+subInto(const Tensor& a, const Tensor& b, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        scalarApply(opSub, a.data(), b.data(), out.data(), a.size());
-        return;
-    }
     const float* __restrict x = a.data();
     const float* __restrict y = b.data();
     float* __restrict o = out.data();
     const bool useAvx2 = simd::avx2Active();
-    parallelChunks(true, a.size(), kElemGrain,
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::subSpan(x + begin, y + begin, o + begin,
@@ -113,17 +83,13 @@ subInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
 }
 
 void
-mulInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
+mulInto(const Tensor& a, const Tensor& b, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        scalarApply(opMul, a.data(), b.data(), out.data(), a.size());
-        return;
-    }
     const float* __restrict x = a.data();
     const float* __restrict y = b.data();
     float* __restrict o = out.data();
     const bool useAvx2 = simd::avx2Active();
-    parallelChunks(true, a.size(), kElemGrain,
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::mulSpan(x + begin, y + begin, o + begin,
@@ -136,13 +102,12 @@ mulInto(const Tensor& a, const Tensor& b, Tensor& out, Backend backend)
 }
 
 void
-scaleInto(const Tensor& a, float alpha, Tensor& out, Backend backend)
+scaleInto(const Tensor& a, float alpha, Tensor& out)
 {
     const float* x = a.data();
     float* o = out.data();
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.size(), kElemGrain,
+    const bool useAvx2 = simd::avx2Active();
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::scaleSpan(x + begin, alpha, o + begin,
@@ -155,13 +120,12 @@ scaleInto(const Tensor& a, float alpha, Tensor& out, Backend backend)
 }
 
 void
-addScalarInto(const Tensor& a, float alpha, Tensor& out, Backend backend)
+addScalarInto(const Tensor& a, float alpha, Tensor& out)
 {
     const float* x = a.data();
     float* o = out.data();
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.size(), kElemGrain,
+    const bool useAvx2 = simd::avx2Active();
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::addScalarSpan(x + begin, alpha, o + begin,
@@ -174,16 +138,12 @@ addScalarInto(const Tensor& a, float alpha, Tensor& out, Backend backend)
 }
 
 void
-reluInto(const Tensor& a, Tensor& out, Backend backend)
+reluInto(const Tensor& a, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        scalarApply(opRelu, a.data(), nullptr, out.data(), a.size());
-        return;
-    }
     const float* __restrict x = a.data();
     float* __restrict o = out.data();
     const bool useAvx2 = simd::avx2Active();
-    parallelChunks(true, a.size(), kElemGrain,
+    parallelChunks(a.size(), kElemGrain,
                    [&](std::size_t begin, std::size_t end) {
                        if (useAvx2) {
                            avx2::reluSpan(x + begin, o + begin,
@@ -196,11 +156,10 @@ reluInto(const Tensor& a, Tensor& out, Backend backend)
 }
 
 void
-mulConstInto(const Tensor& a, const Tensor& c, Tensor& out, Backend backend)
+mulConstInto(const Tensor& a, const Tensor& c, Tensor& out)
 {
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.rows(), rowGrain(a.cols()),
+    const bool useAvx2 = simd::avx2Active();
+    parallelChunks(a.rows(), rowGrain(a.cols()),
                    [&](std::size_t begin, std::size_t end) {
                        for (std::size_t r = begin; r < end; ++r) {
                            const float* x = a.row(r);
@@ -217,11 +176,10 @@ mulConstInto(const Tensor& a, const Tensor& c, Tensor& out, Backend backend)
 }
 
 void
-addConstInto(const Tensor& a, const Tensor& c, Tensor& out, Backend backend)
+addConstInto(const Tensor& a, const Tensor& c, Tensor& out)
 {
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.rows(), rowGrain(a.cols()),
+    const bool useAvx2 = simd::avx2Active();
+    parallelChunks(a.rows(), rowGrain(a.cols()),
                    [&](std::size_t begin, std::size_t end) {
                        for (std::size_t r = begin; r < end; ++r) {
                            const float* x = a.row(r);
@@ -239,13 +197,12 @@ addConstInto(const Tensor& a, const Tensor& c, Tensor& out, Backend backend)
 
 void
 elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
-              Tensor& out, Backend backend)
+              Tensor& out)
 {
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
+    const bool useAvx2 = simd::avx2Active();
     const std::size_t cols = a.cols();
     parallelChunks(
-        backend != Backend::Scalar, a.rows(), rowGrain(cols),
+        a.rows(), rowGrain(cols),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t r = begin; r < end; ++r) {
                 // Stage by stage over cache-sized blocks of the row: the
@@ -300,13 +257,12 @@ elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
 
 void
 elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
-                  Tensor& ga, Backend backend)
+                  Tensor& ga)
 {
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
+    const bool useAvx2 = simd::avx2Active();
     const std::size_t cols = g.cols();
     parallelChunks(
-        backend != Backend::Scalar, g.rows(), rowGrain(cols),
+        g.rows(), rowGrain(cols),
         [&](std::size_t begin, std::size_t end) {
             float scratch[kChainBlock];
             for (std::size_t r = begin; r < end; ++r) {
@@ -345,20 +301,10 @@ elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
 }
 
 void
-dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out,
-            Backend backend)
+dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        for (std::size_t r = 0; r < a.rows(); ++r) {
-            double acc = 0.0;
-            for (std::size_t i = 0; i < a.cols(); ++i)
-                acc += static_cast<double>(a.at(r, i)) * u[i];
-            out.at(r, 0) = static_cast<float>(acc);
-        }
-        return;
-    }
     const float* uv = u.data();
-    parallelChunks(true, a.rows(), rowGrain(a.cols()),
+    parallelChunks(a.rows(), rowGrain(a.cols()),
                    [&](std::size_t begin, std::size_t end) {
                        for (std::size_t r = begin; r < end; ++r) {
                            const float* __restrict x = a.row(r);
@@ -390,8 +336,7 @@ meanRowsInto(const Tensor& a, Tensor& out)
 }
 
 void
-segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
-                   Backend backend)
+segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out)
 {
     static obs::Counter& calls = obs::counter("kernel.softmax.calls");
     static obs::Counter& bytes = obs::counter("kernel.softmax.bytes");
@@ -403,12 +348,11 @@ segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
     if (segs.items.size() != a.cols())
         out.fill(0.0f);
     const std::size_t numSegments = segs.numSegments();
-    const bool parallel = backend != Backend::Scalar;
 
     // Cross-seed AVX2: 8 seed rows become the lanes of one pass over
     // the segment structure (polynomial expf; few-ULP vs std::exp).
     const std::size_t groups =
-        (parallel && simd::avx2Active()) ? a.rows() / 8 : std::size_t{0};
+        simd::avx2Active() ? a.rows() / 8 : std::size_t{0};
     if (groups > 0) {
         util::ThreadPool::global().parallelFor(
             0, groups, 1, [&](std::size_t g) {
@@ -420,7 +364,7 @@ segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
 
     const std::size_t remBegin = groups * 8;
     parallelChunks(
-        parallel, a.rows() - remBegin, rowGrain(a.cols()),
+        a.rows() - remBegin, rowGrain(a.cols()),
         [&](std::size_t chunkBegin, std::size_t chunkEnd) {
             for (std::size_t r = remBegin + chunkBegin;
                  r < remBegin + chunkEnd; ++r) {
@@ -450,15 +394,14 @@ segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
 
 void
 segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
-                             Tensor& out, Backend backend)
+                             Tensor& out)
 {
     const std::size_t numSegments = segs.numSegments();
-    const bool parallel = backend != Backend::Scalar;
 
     // Cross-seed AVX2: per-lane product order matches the generic loop,
     // so the two variants are bit-identical.
     const std::size_t groups =
-        (parallel && simd::avx2Active()) ? a.rows() / 8 : std::size_t{0};
+        simd::avx2Active() ? a.rows() / 8 : std::size_t{0};
     if (groups > 0) {
         util::ThreadPool::global().parallelFor(
             0, groups, 1, [&](std::size_t g) {
@@ -470,7 +413,7 @@ segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
 
     const std::size_t remBegin = groups * 8;
     parallelChunks(
-        parallel, a.rows() - remBegin, rowGrain(numSegments),
+        a.rows() - remBegin, rowGrain(numSegments),
         [&](std::size_t chunkBegin, std::size_t chunkEnd) {
             for (std::size_t r = remBegin + chunkBegin;
                  r < remBegin + chunkEnd; ++r) {
@@ -489,13 +432,13 @@ segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
 
 void
 segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
-                     std::vector<std::uint32_t>& arg_out, Backend backend)
+                     std::vector<std::uint32_t>& arg_out)
 {
     const std::size_t numSegments = segs.numSegments();
     arg_out.assign(a.rows() * numSegments,
                    std::numeric_limits<std::uint32_t>::max());
     parallelChunks(
-        backend != Backend::Scalar, a.rows(), rowGrain(numSegments),
+        a.rows(), rowGrain(numSegments),
         [&](std::size_t rowBegin, std::size_t rowEnd) {
             for (std::size_t r = rowBegin; r < rowEnd; ++r) {
                 const float* x = a.row(r);
@@ -525,12 +468,10 @@ segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
 
 void
 gatherColsInto(const Tensor& a, const std::vector<std::uint32_t>& index,
-               Tensor& out, Backend backend)
+               Tensor& out)
 {
-    const bool useAvx2 =
-        backend != Backend::Scalar && simd::avx2Active();
-    parallelChunks(backend != Backend::Scalar, a.rows(),
-                   rowGrain(index.size()),
+    const bool useAvx2 = simd::avx2Active();
+    parallelChunks(a.rows(), rowGrain(index.size()),
                    [&](std::size_t begin, std::size_t end) {
                        for (std::size_t r = begin; r < end; ++r) {
                            const float* x = a.row(r);
@@ -547,25 +488,14 @@ gatherColsInto(const Tensor& a, const std::vector<std::uint32_t>& index,
 }
 
 void
-matmulInto(const Tensor& a, const Tensor& w, Tensor& out, Backend backend)
+matmulInto(const Tensor& a, const Tensor& w, Tensor& out)
 {
-    if (backend == Backend::Scalar) {
-        for (std::size_t b = 0; b < a.rows(); ++b) {
-            for (std::size_t h = 0; h < w.cols(); ++h) {
-                double acc = 0.0;
-                for (std::size_t k = 0; k < a.cols(); ++k)
-                    acc += static_cast<double>(a.at(b, k)) * w.at(k, h);
-                out.at(b, h) = static_cast<float>(acc);
-            }
-        }
-        return;
-    }
     // ikj order with restrict pointers for vectorizable inner loop,
     // parallel over output rows (each task owns disjoint rows). The
     // accumulation needs a zeroed destination.
     out.fill(0.0f);
     parallelChunks(
-        true, a.rows(), rowGrain(a.cols() * w.cols()),
+        a.rows(), rowGrain(a.cols() * w.cols()),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t b = begin; b < end; ++b) {
                 const float* __restrict aRow = a.row(b);
@@ -596,8 +526,7 @@ addRowBroadcastInto(const Tensor& a, const Tensor& bias, Tensor& out)
 
 void
 scatterMatrixInto(const Tensor& a, const std::vector<MatrixEntry>& entries,
-                  std::size_t dim, bool mean_over_rows, Tensor& out,
-                  Backend backend)
+                  std::size_t dim, bool mean_over_rows, Tensor& out)
 {
     (void)dim;
     out.fill(0.0f);
@@ -612,8 +541,7 @@ scatterMatrixInto(const Tensor& a, const std::vector<MatrixEntry>& entries,
             o[entry.position] += acc * inv;
         }
     } else {
-        parallelChunks(backend != Backend::Scalar, a.rows(),
-                       rowGrain(entries.size()),
+        parallelChunks(a.rows(), rowGrain(entries.size()),
                        [&](std::size_t begin, std::size_t end) {
                            for (std::size_t r = begin; r < end; ++r) {
                                const float* x = a.row(r);

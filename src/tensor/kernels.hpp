@@ -110,37 +110,27 @@ matmulFlops(std::uint64_t m, std::uint64_t k, std::uint64_t n)
 
 } // namespace cost
 
-/**
- * Runs body over chunks of [0, n): on the global pool when parallel,
- * inline as one chunk otherwise (the Scalar baseline, which models an
- * unoptimized single-stream interpreter).
- */
-void parallelChunks(bool parallel, std::size_t n, std::size_t grain,
+/** Runs body over grain-sized chunks of [0, n) on the global pool. */
+void parallelChunks(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>&
                         body);
 
 /** out = a + b (same shape). */
-void addInto(const Tensor& a, const Tensor& b, Tensor& out,
-             Backend backend);
+void addInto(const Tensor& a, const Tensor& b, Tensor& out);
 /** out = a - b (same shape). */
-void subInto(const Tensor& a, const Tensor& b, Tensor& out,
-             Backend backend);
+void subInto(const Tensor& a, const Tensor& b, Tensor& out);
 /** out = a * b elementwise (same shape). */
-void mulInto(const Tensor& a, const Tensor& b, Tensor& out,
-             Backend backend);
+void mulInto(const Tensor& a, const Tensor& b, Tensor& out);
 /** out = alpha * a. */
-void scaleInto(const Tensor& a, float alpha, Tensor& out, Backend backend);
+void scaleInto(const Tensor& a, float alpha, Tensor& out);
 /** out = a + alpha. */
-void addScalarInto(const Tensor& a, float alpha, Tensor& out,
-                   Backend backend);
+void addScalarInto(const Tensor& a, float alpha, Tensor& out);
 /** out = max(a, 0). */
-void reluInto(const Tensor& a, Tensor& out, Backend backend);
+void reluInto(const Tensor& a, Tensor& out);
 /** out = a * c elementwise; c may broadcast 1 x C over rows. */
-void mulConstInto(const Tensor& a, const Tensor& c, Tensor& out,
-                  Backend backend);
+void mulConstInto(const Tensor& a, const Tensor& c, Tensor& out);
 /** out = a + c elementwise; c may broadcast 1 x C over rows. */
-void addConstInto(const Tensor& a, const Tensor& c, Tensor& out,
-                  Backend backend);
+void addConstInto(const Tensor& a, const Tensor& c, Tensor& out);
 /**
  * Fused elementwise chain: applies the stages to each element in
  * recorded order, every stage computed with the same single rounded
@@ -150,7 +140,7 @@ void addConstInto(const Tensor& a, const Tensor& c, Tensor& out,
  * Program parity tests pin this.)
  */
 void elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
-                   Tensor& out, Backend backend);
+                   Tensor& out);
 /**
  * Backward of elemChainInto: ga += g times the chain's constant diagonal
  * Jacobian. The Scale/MulConst stages apply in reverse order, each with
@@ -160,35 +150,31 @@ void elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
  * accumulating through freshly zeroed grad slots.
  */
 void elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
-                       Tensor& ga, Backend backend);
+                       Tensor& ga);
 /** out[b, 0] = sum_i a[b, i] * u[i]. */
-void dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out,
-                 Backend backend);
+void dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out);
 /** out[0, 0] = sum of all elements (double accumulator, serial). */
 void sumAllInto(const Tensor& a, Tensor& out);
 /** out[0, :] = column-wise mean over rows (zeroes out first). */
 void meanRowsInto(const Tensor& a, Tensor& out);
 /** Softmax within each column segment, per batch row. */
 void segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs,
-                        Tensor& out, Backend backend);
+                        Tensor& out);
 /** out[b, s] = prod_{k in segment s} (1 - a[b, items[k]]). */
 void segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
-                                  Tensor& out, Backend backend);
+                                  Tensor& out);
 /**
  * out[b, s] = max over segment s; arg_out records the argmax column per
  * (row, segment), UINT32_MAX for empty segments.
  */
 void segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs,
                           Tensor& out,
-                          std::vector<std::uint32_t>& arg_out,
-                          Backend backend);
+                          std::vector<std::uint32_t>& arg_out);
 /** out[b, i] = a[b, index[i]]. */
 void gatherColsInto(const Tensor& a,
-                    const std::vector<std::uint32_t>& index, Tensor& out,
-                    Backend backend);
+                    const std::vector<std::uint32_t>& index, Tensor& out);
 /** Dense matmul a (B x K) times w (K x H) into out (zeroes out first). */
-void matmulInto(const Tensor& a, const Tensor& w, Tensor& out,
-                Backend backend);
+void matmulInto(const Tensor& a, const Tensor& w, Tensor& out);
 /** out[b, :] = a[b, :] + bias[0, :]. */
 void addRowBroadcastInto(const Tensor& a, const Tensor& bias, Tensor& out);
 /**
@@ -198,8 +184,7 @@ void addRowBroadcastInto(const Tensor& a, const Tensor& bias, Tensor& out);
  */
 void scatterMatrixInto(const Tensor& a,
                        const std::vector<MatrixEntry>& entries,
-                       std::size_t dim, bool mean_over_rows, Tensor& out,
-                       Backend backend);
+                       std::size_t dim, bool mean_over_rows, Tensor& out);
 
 } // namespace smoothe::tensor
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Explicit AVX2 kernel variants for the vectorized backend.
+ * Explicit AVX2 kernel variants of the tensor kernels.
  *
  * These are the raw-span bodies the dispatching kernels in
  * src/tensor/kernels.cpp and src/tensor/sparse.cpp call when
@@ -15,8 +15,8 @@
  * code — so scalar and AVX2 results are bit-identical. The one
  * documented exception is segmentSoftmax8, whose 8-lane polynomial
  * exponential differs from std::exp by a few ULP (the scalar<->AVX2
- * parity tests compare it with a tolerance; see DESIGN.md "Vectorized
- * backend").
+ * parity tests compare it with a tolerance; see DESIGN.md "SIMD
+ * kernels").
  *
  * The cross-seed kernels (spmvRows8, segmentSoftmax8,
  * segmentProductComplement8) realize the seed-batch batching: the B

@@ -1,8 +1,8 @@
 /**
  * @file
- * Runtime SIMD dispatch for the vectorized tensor backend.
+ * Runtime SIMD dispatch for the tensor kernels.
  *
- * The Vectorized backend's kernels come in two variants: generic
+ * The kernels come in two variants: generic
  * portable loops (the "scalar" SIMD level — still auto-vectorizable by
  * the compiler at the baseline ISA) and explicit AVX2 intrinsics
  * (src/tensor/kernels_avx2.cpp, compiled with per-function target
@@ -17,12 +17,10 @@
  *               warning log) when the CPU lacks AVX2
  *   - "auto":   use AVX2 iff the CPU supports it (the default)
  *
- * This level is orthogonal to tensor::Backend: Backend::Scalar is the
- * deliberately slow per-element interpreter (the paper's CPU baseline)
- * and never dispatches SIMD; the level only selects the implementation
- * of Backend::Vectorized kernels. Every AVX2 kernel except the
- * segment-softmax exponential is bitwise identical to its generic
- * counterpart (see DESIGN.md "Vectorized backend").
+ * The Figure 6 CPU baseline is these same kernels at the scalar level
+ * on one thread (bench/bench_fig6_ablation.cpp). Every AVX2 kernel
+ * except the segment-softmax exponential is bitwise identical to its
+ * generic counterpart (see DESIGN.md "SIMD kernels").
  */
 
 #ifndef SMOOTHE_TENSOR_SIMD_HPP

@@ -24,35 +24,17 @@ constexpr std::size_t kSpmvRowBlock = 512;
  * lower to: out[b, i] = sum over entries e of compressed axis i of
  * values[e] * x[b, indices[e]].
  *
- * Scalar backend: reference per-batch-row loops with a double
- * accumulator. Vectorized: float accumulation, parallel over (batch,
- * row-block) pairs; with AVX2 active and >= 8 batch rows, groups of 8
- * batch rows become the SIMD lanes of one cross-seed kernel (per-lane
- * accumulation order matches the generic loop, so the variants are
- * bit-identical).
+ * Float accumulation, parallel over (batch, row-block) pairs; with
+ * AVX2 active and >= 8 batch rows, groups of 8 batch rows become the
+ * SIMD lanes of one cross-seed kernel (per-lane accumulation order
+ * matches the generic loop, so the variants are bit-identical).
  */
 void
 compressedProduct(const std::uint32_t* offsets,
                   const std::uint32_t* indices, const float* values,
-                  std::size_t n_out, const Tensor& x, Tensor& out,
-                  Backend backend)
+                  std::size_t n_out, const Tensor& x, Tensor& out)
 {
     const std::size_t batch = x.rows();
-
-    if (backend == Backend::Scalar) {
-        for (std::size_t b = 0; b < batch; ++b) {
-            for (std::size_t i = 0; i < n_out; ++i) {
-                double acc = 0.0;
-                for (std::uint32_t e = offsets[i]; e < offsets[i + 1];
-                     ++e) {
-                    acc += static_cast<double>(values[e]) *
-                           x.at(b, indices[e]);
-                }
-                out.at(b, i) = static_cast<float>(acc);
-            }
-        }
-        return;
-    }
 
     const float* __restrict xv = x.data();
     float* __restrict ov = out.data();
@@ -144,7 +126,7 @@ cscFromCsr(const CsrMatrix& a)
 }
 
 void
-spmv(const CsrMatrix& a, const Tensor& x, Tensor& out, Backend backend)
+spmv(const CsrMatrix& a, const Tensor& x, Tensor& out)
 {
     SMOOTHE_ASSERT(x.cols() == a.numCols, "spmv: %zu cols vs %zu matrix cols",
                    x.cols(), a.numCols);
@@ -160,11 +142,11 @@ spmv(const CsrMatrix& a, const Tensor& x, Tensor& out, Backend backend)
               (x.size() + out.size()) * sizeof(float));
 
     compressedProduct(a.rowOffsets.data(), a.colIndices.data(),
-                      a.values.data(), a.numRows, x, out, backend);
+                      a.values.data(), a.numRows, x, out);
 }
 
 void
-spmvT(const CscMatrix& a, const Tensor& x, Tensor& out, Backend backend)
+spmvT(const CscMatrix& a, const Tensor& x, Tensor& out)
 {
     SMOOTHE_ASSERT(x.cols() == a.numRows,
                    "spmvT: %zu cols vs %zu matrix rows", x.cols(),
@@ -180,7 +162,7 @@ spmvT(const CscMatrix& a, const Tensor& x, Tensor& out, Backend backend)
               (x.size() + out.size()) * sizeof(float));
 
     compressedProduct(a.colOffsets.data(), a.rowIndices.data(),
-                      a.values.data(), a.numCols, x, out, backend);
+                      a.values.data(), a.numCols, x, out);
 }
 
 } // namespace smoothe::tensor

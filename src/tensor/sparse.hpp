@@ -10,11 +10,11 @@
  * the propagation step's sparse structure is constructed once and
  * replayed every iteration.
  *
- * The Vectorized backend's SpMV dispatches to a cross-seed AVX2 kernel
- * (8 seed rows per lane group, one strided gather per nonzero) when
- * the CPU supports it; per-lane accumulation order matches the generic
- * loop exactly, so scalar and AVX2 results are bit-identical. See
- * DESIGN.md "Vectorized backend".
+ * SpMV dispatches to a cross-seed AVX2 kernel (8 seed rows per lane
+ * group, one strided gather per nonzero) when the CPU supports it;
+ * per-lane accumulation order matches the generic loop exactly, so
+ * scalar and AVX2 results are bit-identical. See DESIGN.md "SIMD
+ * kernels".
  */
 
 #ifndef SMOOTHE_TENSOR_SPARSE_HPP
@@ -65,20 +65,17 @@ CsrMatrix csrFromSegments(const SegmentIndex& segs, std::size_t num_cols);
 CscMatrix cscFromCsr(const CsrMatrix& a);
 
 /**
- * Batched SpMV: out[b, i] = sum_j A[i, j] * x[b, j].
- * @param backend Scalar iterates per batch row with a double
- *        accumulator (the reference interpreter); Vectorized runs the
- *        float-accumulating fast path, cross-seed AVX2 when available.
+ * Batched SpMV: out[b, i] = sum_j A[i, j] * x[b, j], accumulated in
+ * float; cross-seed AVX2 when available.
  */
-void spmv(const CsrMatrix& a, const Tensor& x, Tensor& out, Backend backend);
+void spmv(const CsrMatrix& a, const Tensor& x, Tensor& out);
 
 /**
  * Batched transposed SpMV via CSC: out[b, j] = sum_i A[i, j] * x[b, i]
  * — the adjoint of spmv, used for gradients flowing back through a
- * propagation product. Same backend/bit-identity contract as spmv.
+ * propagation product. Same bit-identity contract as spmv.
  */
-void spmvT(const CscMatrix& a, const Tensor& x, Tensor& out,
-           Backend backend);
+void spmvT(const CscMatrix& a, const Tensor& x, Tensor& out);
 
 } // namespace smoothe::tensor
 

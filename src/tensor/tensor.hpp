@@ -22,12 +22,6 @@
 
 namespace smoothe::tensor {
 
-/** Execution backend selector (Figure 6 ablation). */
-enum class Backend {
-    Scalar,     ///< unoptimized per-element reference loops ("CPU baseline")
-    Vectorized, ///< contiguous batched kernels (the "GPU-style" fast path)
-};
-
 /** Thrown when an allocation would exceed the arena budget (emulated OOM). */
 class OomError : public std::runtime_error
 {

@@ -35,6 +35,34 @@ randomTensor(std::size_t rows, std::size_t cols, smoothe::util::Rng& rng,
     return t;
 }
 
+/**
+ * Reference exp(A) for a row-major d x d matrix: the unscaled 40-term
+ * Taylor sum in long double.
+ */
+std::vector<long double>
+taylorExpm(const std::vector<double>& a, std::size_t d)
+{
+    std::vector<long double> ref(d * d, 0.0L);
+    std::vector<long double> term(d * d, 0.0L);
+    std::vector<long double> next(d * d);
+    for (std::size_t i = 0; i < d; ++i)
+        ref[i * d + i] = term[i * d + i] = 1.0L;
+    for (int k = 1; k <= 40; ++k) {
+        for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t j = 0; j < d; ++j) {
+                long double acc = 0.0L;
+                for (std::size_t m = 0; m < d; ++m)
+                    acc += term[i * d + m] * a[m * d + j];
+                next[i * d + j] = acc / k;
+            }
+        }
+        term.swap(next);
+        for (std::size_t i = 0; i < d * d; ++i)
+            ref[i] += term[i];
+    }
+    return ref;
+}
+
 } // namespace
 
 TEST(Matexp, IdentityOnZero)
@@ -99,21 +127,22 @@ TEST(Matexp, LargeNormScaling)
     EXPECT_NEAR(out[1], std::exp(3.0) - std::exp(2.0), 2e-2);
 }
 
-TEST(Matexp, NaiveMatchesOptimized)
+TEST(Matexp, FloatApiMatchesLongDoubleTaylor)
 {
     smoothe::util::Rng rng(77);
     for (const std::size_t d : {1u, 2u, 5u, 16u}) {
         std::vector<float> a(d * d);
         for (auto& v : a)
             v = static_cast<float>(rng.uniform(-0.5, 1.5));
-        std::vector<float> fast(d * d);
-        std::vector<float> naive(d * d);
-        ad::expm(a.data(), d, fast.data());
-        ad::expmNaive(a.data(), d, naive.data());
-        for (std::size_t i = 0; i < d * d; ++i)
-            EXPECT_NEAR(fast[i], naive[i],
-                        1e-4 * (1.0 + std::fabs(fast[i])))
+        std::vector<float> out(d * d);
+        ad::expm(a.data(), d, out.data());
+        const std::vector<long double> ref =
+            taylorExpm(std::vector<double>(a.begin(), a.end()), d);
+        for (std::size_t i = 0; i < d * d; ++i) {
+            const double expected = static_cast<double>(ref[i]);
+            EXPECT_NEAR(out[i], expected, 1e-4 * (1.0 + std::fabs(expected)))
                 << "d=" << d << " i=" << i;
+        }
     }
 }
 
@@ -141,24 +170,7 @@ TEST(Matexp, MatchesLongDoubleTaylorOnSparseNonnegative)
         for (auto& v : a)
             v *= targetNorm / norm;
 
-        std::vector<long double> ref(d * d, 0.0L);
-        std::vector<long double> term(d * d, 0.0L);
-        std::vector<long double> next(d * d);
-        for (std::size_t i = 0; i < d; ++i)
-            ref[i * d + i] = term[i * d + i] = 1.0L;
-        for (int k = 1; k <= 40; ++k) {
-            for (std::size_t i = 0; i < d; ++i) {
-                for (std::size_t j = 0; j < d; ++j) {
-                    long double acc = 0.0L;
-                    for (std::size_t m = 0; m < d; ++m)
-                        acc += term[i * d + m] * a[m * d + j];
-                    next[i * d + j] = acc / k;
-                }
-            }
-            term.swap(next);
-            for (std::size_t i = 0; i < d * d; ++i)
-                ref[i] += term[i];
-        }
+        const std::vector<long double> ref = taylorExpm(a, d);
 
         std::vector<double> out(d * d);
         ad::expmDouble(a.data(), d, out.data());
@@ -198,43 +210,48 @@ TEST(Tape, ForwardElementwise)
     EXPECT_FLOAT_EQ(tape.value(tape.relu(va)).at(0, 2), 3.0f);
 }
 
-TEST(Tape, ScalarAndVectorizedAgree)
+TEST(Tape, ElementwiseMatchesDirectLoop)
 {
     smoothe::util::Rng rng(5);
     Tensor a = randomTensor(3, 17, rng);
     Tensor b = randomTensor(3, 17, rng);
-    Tape fast(st::Backend::Vectorized);
-    Tape slow(st::Backend::Scalar);
-    const VarId fa = fast.constant(a);
-    const VarId fb = fast.constant(b);
-    const VarId sa = slow.constant(a);
-    const VarId sb = slow.constant(b);
-    const VarId f = fast.mul(fast.add(fa, fb), fb);
-    const VarId s = slow.mul(slow.add(sa, sb), sb);
-    for (std::size_t i = 0; i < 3 * 17; ++i)
-        EXPECT_NEAR(fast.value(f).data()[i], slow.value(s).data()[i], 1e-5);
+    Tape tape;
+    const VarId va = tape.constant(a);
+    const VarId vb = tape.constant(b);
+    const VarId f = tape.mul(tape.add(va, vb), vb);
+    for (std::size_t i = 0; i < 3 * 17; ++i) {
+        const float x = a.data()[i];
+        const float y = b.data()[i];
+        EXPECT_FLOAT_EQ(tape.value(f).data()[i], (x + y) * y);
+    }
 }
 
-TEST(Tape, BackendsAgreeOnMatmulAndTrExpm)
+TEST(Tape, MatmulAndTrExpmMatchReferences)
 {
     smoothe::util::Rng rng(88);
     Tensor a = randomTensor(3, 5, rng);
     Tensor w = randomTensor(5, 4, rng);
     Tensor m = randomTensor(2, 9, rng, -0.3, 0.8);
 
-    Tape fast(st::Backend::Vectorized);
-    Tape slow(st::Backend::Scalar);
-    const VarId fm = fast.matmul(fast.constant(a), fast.constant(w));
-    const VarId sm = slow.matmul(slow.constant(a), slow.constant(w));
-    for (std::size_t i = 0; i < 12; ++i)
-        EXPECT_NEAR(fast.value(fm).data()[i], slow.value(sm).data()[i],
-                    1e-4);
+    Tape tape;
+    const VarId mm = tape.matmul(tape.constant(a), tape.constant(w));
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t h = 0; h < 4; ++h) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < 5; ++k)
+                acc += static_cast<double>(a.at(r, k)) * w.at(k, h);
+            EXPECT_NEAR(tape.value(mm).at(r, h), acc, 1e-5);
+        }
+    }
 
-    const VarId ft = fast.trExpm(fast.constant(m), 3);
-    const VarId stv = slow.trExpm(slow.constant(m), 3);
-    for (std::size_t r = 0; r < 2; ++r)
-        EXPECT_NEAR(fast.value(ft).at(r, 0), slow.value(stv).at(r, 0),
-                    1e-3);
+    const VarId tr = tape.trExpm(tape.constant(m), 3);
+    for (std::size_t r = 0; r < 2; ++r) {
+        const std::vector<long double> ref =
+            taylorExpm(std::vector<double>(m.row(r), m.row(r) + 9), 3);
+        const double trace =
+            static_cast<double>(ref[0] + ref[4] + ref[8]);
+        EXPECT_NEAR(tape.value(tr).at(r, 0), trace, 1e-5);
+    }
 }
 
 TEST(Tape, SegmentSoftmaxNormalizes)
@@ -488,7 +505,7 @@ TEST(GradCheck, CompositePipeline)
     });
 }
 
-TEST(Tape, ScalarBackendSegmentOpsAgree)
+TEST(Tape, SegmentOpsMatchClosedForm)
 {
     st::SegmentIndex segs;
     segs.offsets = {0, 3, 5, 6};
@@ -497,25 +514,31 @@ TEST(Tape, ScalarBackendSegmentOpsAgree)
     Tensor theta = randomTensor(3, 6, rng, -2.0, 2.0);
     Tensor p = randomTensor(3, 6, rng, 0.05, 0.9);
 
-    Tape fast(st::Backend::Vectorized);
-    Tape slow(st::Backend::Scalar);
-    const VarId fsm = fast.segmentSoftmax(fast.constant(theta), &segs);
-    const VarId ssm = slow.segmentSoftmax(slow.constant(theta), &segs);
-    const VarId fpc =
-        fast.segmentProductComplement(fast.constant(p), &segs);
-    const VarId spc =
-        slow.segmentProductComplement(slow.constant(p), &segs);
-    const VarId fmx = fast.segmentMaxGather(fast.constant(p), &segs);
-    const VarId smx = slow.segmentMaxGather(slow.constant(p), &segs);
-    for (std::size_t i = 0; i < 18; ++i) {
-        EXPECT_NEAR(fast.value(fsm).data()[i], slow.value(ssm).data()[i],
-                    1e-6);
-    }
-    for (std::size_t i = 0; i < 9; ++i) {
-        EXPECT_NEAR(fast.value(fpc).data()[i], slow.value(spc).data()[i],
-                    1e-6);
-        EXPECT_NEAR(fast.value(fmx).data()[i], slow.value(smx).data()[i],
-                    1e-6);
+    Tape tape;
+    const VarId sm = tape.segmentSoftmax(tape.constant(theta), &segs);
+    const VarId pc = tape.segmentProductComplement(tape.constant(p), &segs);
+    const VarId mx = tape.segmentMaxGather(tape.constant(p), &segs);
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t s = 0; s < 3; ++s) {
+            const std::uint32_t begin = segs.offsets[s];
+            const std::uint32_t end = segs.offsets[s + 1];
+            double denom = 0.0;
+            double prod = 1.0;
+            float best = p.at(r, begin);
+            for (std::uint32_t e = begin; e < end; ++e) {
+                denom += std::exp(static_cast<double>(theta.at(r, e)));
+                prod *= 1.0 - p.at(r, e);
+                best = std::max(best, p.at(r, e));
+            }
+            for (std::uint32_t e = begin; e < end; ++e) {
+                EXPECT_NEAR(tape.value(sm).at(r, e),
+                            std::exp(static_cast<double>(theta.at(r, e))) /
+                                denom,
+                            1e-6);
+            }
+            EXPECT_NEAR(tape.value(pc).at(r, s), prod, 1e-6);
+            EXPECT_EQ(tape.value(mx).at(r, s), best);
+        }
     }
 }
 
@@ -605,7 +628,7 @@ TEST(Tape, GradAccumulatesAcrossBackwardCalls)
 TEST(Tape, ArenaAccountsNodeTensors)
 {
     st::Arena arena;
-    Tape tape(st::Backend::Vectorized, &arena);
+    Tape tape(&arena);
     Tensor a(4, 100);
     const VarId va = tape.constant(std::move(a));
     tape.scale(va, 2.0f);

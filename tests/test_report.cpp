@@ -259,6 +259,28 @@ TEST(Report, CheckRespectsDirectionAndTolerance)
     }
 }
 
+TEST(Report, CheckFailsOnMissingCheckedMeasurement)
+{
+    const auto baseline = sampleReportJson();
+
+    // The candidate stopped emitting the checked "arena.bytes" and the
+    // unchecked "kernel.time": only the checked one is a regression.
+    so::Report partial("unit_test");
+    partial.setRun("tool", "unit_test");
+    partial.measurement("speedup").higherIsBetter().add(2.0);
+    const auto findings =
+        so::checkReports(baseline, partial.toJson(false), 5.0);
+    bool arenaRegressed = false;
+    for (const auto& finding : findings) {
+        EXPECT_NE(finding.measurement, "kernel.time");
+        if (finding.measurement == "arena.bytes")
+            arenaRegressed = finding.regression;
+        else
+            EXPECT_FALSE(finding.regression) << finding.measurement;
+    }
+    EXPECT_TRUE(arenaRegressed);
+}
+
 TEST(Report, CheckToolGatesRegression)
 {
     const std::string tool = binaryPath("smoothe_report");

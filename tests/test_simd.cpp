@@ -148,8 +148,6 @@ TEST(SimdDispatch, LevelNamesAreStable)
 
 namespace {
 
-constexpr st::Backend kVec = st::Backend::Vectorized;
-
 /**
  * Scalar-vs-AVX2 parity checks, one per kernel family. Each runs the
  * forward kernel of `op` at both SIMD levels over randomized shapes and
@@ -167,21 +165,21 @@ elementwiseInto(ad::Op op, const st::Tensor& a, const st::Tensor& b,
 {
     switch (op) {
       case ad::Op::Add:
-        return st::addInto(a, b, out, kVec);
+        return st::addInto(a, b, out);
       case ad::Op::Sub:
-        return st::subInto(a, b, out, kVec);
+        return st::subInto(a, b, out);
       case ad::Op::Mul:
-        return st::mulInto(a, b, out, kVec);
+        return st::mulInto(a, b, out);
       case ad::Op::Scale:
-        return st::scaleInto(a, alpha, out, kVec);
+        return st::scaleInto(a, alpha, out);
       case ad::Op::AddScalar:
-        return st::addScalarInto(a, alpha, out, kVec);
+        return st::addScalarInto(a, alpha, out);
       case ad::Op::Relu:
-        return st::reluInto(a, out, kVec);
+        return st::reluInto(a, out);
       case ad::Op::MulConst:
-        return st::mulConstInto(a, k, out, kVec);
+        return st::mulConstInto(a, k, out);
       case ad::Op::AddConst:
-        return st::addConstInto(a, k, out, kVec);
+        return st::addConstInto(a, k, out);
       default:
         ADD_FAILURE() << "not an elementwise op";
     }
@@ -255,7 +253,7 @@ checkElemChain(ad::Op, util::Rng& rng)
             // Scalar level vs AVX2 level of the fused kernel.
             auto [lhs, rhs] = runBothLevels(rows, cols, [&](st::Tensor&
                                                                 out) {
-                st::elemChainInto(a, stages, out, kVec);
+                st::elemChainInto(a, stages, out);
             });
             EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
 
@@ -266,16 +264,16 @@ checkElemChain(ad::Op, util::Rng& rng)
             for (const st::ElemStage& stage : stages) {
                 switch (stage.kind) {
                   case st::ElemStageKind::Scale:
-                    st::scaleInto(cur, stage.alpha, next, kVec);
+                    st::scaleInto(cur, stage.alpha, next);
                     break;
                   case st::ElemStageKind::AddScalar:
-                    st::addScalarInto(cur, stage.alpha, next, kVec);
+                    st::addScalarInto(cur, stage.alpha, next);
                     break;
                   case st::ElemStageKind::MulConst:
-                    st::mulConstInto(cur, stage.c, next, kVec);
+                    st::mulConstInto(cur, stage.c, next);
                     break;
                   case st::ElemStageKind::AddConst:
-                    st::addConstInto(cur, stage.c, next, kVec);
+                    st::addConstInto(cur, stage.c, next);
                     break;
                 }
                 std::swap(cur, next);
@@ -290,7 +288,7 @@ checkElemChain(ad::Op, util::Rng& rng)
             auto [gradLhs, gradRhs] =
                 runBothLevels(rows, cols, [&](st::Tensor& ga) {
                     ga = ga0;
-                    st::elemChainGradInto(g, stages, ga, kVec);
+                    st::elemChainGradInto(g, stages, ga);
                 });
             EXPECT_TRUE(bitEqual(gradLhs, gradRhs))
                 << "grad " << rows << "x" << cols;
@@ -330,7 +328,7 @@ checkGatherCols(ad::Op, util::Rng& rng)
                     rng.uniformIndex(srcCols));
             auto [lhs, rhs] =
                 runBothLevels(rows, outCols, [&](st::Tensor& out) {
-                    st::gatherColsInto(a, index, out, kVec);
+                    st::gatherColsInto(a, index, out);
                 });
             EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << outCols;
         }
@@ -348,7 +346,7 @@ checkProductComplement(ad::Op, util::Rng& rng)
             const st::Tensor a = randomTensor(rows, cols, rng);
             auto [lhs, rhs] =
                 runBothLevels(rows, numSegments, [&](st::Tensor& out) {
-                    st::segmentProductComplementInto(a, segs, out, kVec);
+                    st::segmentProductComplementInto(a, segs, out);
                 });
             EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
         }
@@ -371,7 +369,7 @@ checkSoftmax(ad::Op, util::Rng& rng)
             const st::Tensor a = randomTensor(rows, cols, rng);
             auto [lhs, rhs] =
                 runBothLevels(rows, cols, [&](st::Tensor& out) {
-                    st::segmentSoftmaxInto(a, segs, out, kVec);
+                    st::segmentSoftmaxInto(a, segs, out);
                 });
             std::uint32_t worst = 0;
             for (std::size_t i = 0; i < lhs.size(); ++i)
@@ -542,7 +540,7 @@ TEST(SimdParity, ReluHandlesNegativeZeroIdentically)
     for (std::size_t i = 4; i < a.size(); ++i)
         a.data()[i] = (i % 2 ? 1.0f : -1.0f) * static_cast<float>(i);
     auto [lhs, rhs] = runBothLevels(1, 11, [&](st::Tensor& out) {
-        st::reluInto(a, out, kVec);
+        st::reluInto(a, out);
     });
     EXPECT_TRUE(bitEqual(lhs, rhs));
 }
@@ -589,7 +587,7 @@ TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
         const st::Tensor x = randomTensor(batch, numCols, rng);
         auto [lhs, rhs] =
             runBothLevels(batch, numRows, [&](st::Tensor& out) {
-                st::spmv(m, x, out, kVec);
+                st::spmv(m, x, out);
             });
         EXPECT_TRUE(bitEqual(lhs, rhs)) << "batch " << batch;
 
@@ -598,7 +596,7 @@ TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
         const st::Tensor y = randomTensor(batch, numRows, rng);
         auto [lhsT, rhsT] =
             runBothLevels(batch, numCols, [&](st::Tensor& out) {
-                st::spmvT(t, y, out, kVec);
+                st::spmvT(t, y, out);
             });
         EXPECT_TRUE(bitEqual(lhsT, rhsT)) << "batch " << batch;
     }
@@ -705,7 +703,7 @@ TEST(SparseLayout, CsrFromSegmentsAndCscTranspose)
     for (std::size_t i = 0; i < x.size(); ++i)
         x.data()[i] = static_cast<float>(i + 1);
     st::Tensor out(2, 3);
-    st::spmv(m, x, out, st::Backend::Scalar);
+    st::spmv(m, x, out);
     EXPECT_FLOAT_EQ(out.at(0, 0), x.at(0, 1) + x.at(0, 3));
     EXPECT_FLOAT_EQ(out.at(0, 1), 0.0f);
     EXPECT_FLOAT_EQ(out.at(0, 2),
@@ -720,25 +718,35 @@ TEST(SparseLayout, CsrFromSegmentsAndCscTranspose)
     y.data()[1] = 5.0f;
     y.data()[2] = -1.0f;
     st::Tensor outT(1, 4);
-    st::spmvT(t, y, outT, st::Backend::Scalar);
+    st::spmvT(t, y, outT);
     EXPECT_FLOAT_EQ(outT.at(0, 0), -1.0f);        // column 0: row 2
     EXPECT_FLOAT_EQ(outT.at(0, 1), 2.0f);         // column 1: row 0
     EXPECT_FLOAT_EQ(outT.at(0, 2), -1.0f);        // column 2: row 2
     EXPECT_FLOAT_EQ(outT.at(0, 3), 2.0f + -1.0f); // column 3: rows 0,2
 }
 
-TEST(SparseLayout, ScalarAndVectorizedSpmvAgree)
+TEST(SparseLayout, SpmvMatchesDenseReference)
 {
-    // The Scalar backend accumulates in double, Vectorized in float;
-    // they agree to float tolerance, not bitwise.
+    // The kernels accumulate in float, the reference in double; they
+    // agree to float tolerance at both SIMD levels.
     util::Rng rng(0xb0b1);
     st::SegmentIndex segs = randomSegments(50, 20, rng);
     const st::CsrMatrix m = st::csrFromSegments(segs, 50);
     const st::Tensor x = randomTensor(4, 50, rng);
-    st::Tensor slow(4, 20);
-    st::Tensor fast(4, 20);
-    st::spmv(m, x, slow, st::Backend::Scalar);
-    st::spmv(m, x, fast, st::Backend::Vectorized);
-    for (std::size_t i = 0; i < slow.size(); ++i)
-        EXPECT_NEAR(slow.data()[i], fast.data()[i], 1e-4f);
+    st::Tensor expected(4, 20);
+    for (std::size_t b = 0; b < x.rows(); ++b) {
+        for (std::size_t s = 0; s < segs.numSegments(); ++s) {
+            double acc = 0.0;
+            for (std::uint32_t e = segs.offsets[s]; e < segs.offsets[s + 1];
+                 ++e)
+                acc += x.at(b, segs.items[e]);
+            expected.at(b, s) = static_cast<float>(acc);
+        }
+    }
+    const auto [scalarOut, avxOut] = runBothLevels(
+        4, 20, [&](st::Tensor& out) { st::spmv(m, x, out); });
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_NEAR(scalarOut.data()[i], expected.data()[i], 1e-4f);
+        EXPECT_NEAR(avxOut.data()[i], expected.data()[i], 1e-4f);
+    }
 }

@@ -15,12 +15,14 @@
 #include "ilp/ilp_extractor.hpp"
 #include "extraction/validate.hpp"
 #include "smoothe/smoothe.hpp"
+#include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace core = smoothe::core;
 namespace ds = smoothe::datasets;
 namespace eg = smoothe::eg;
 namespace ex = smoothe::extract;
+namespace simd = smoothe::tensor::simd;
 
 namespace {
 
@@ -330,23 +332,40 @@ TEST(SmoothE, ProfilerCoversRuntime)
     EXPECT_GT(profile.total(), 0.5 * result.seconds);
 }
 
-TEST(SmoothE, BackendsAgreeOnQualityClass)
+TEST(SmoothE, Fig6CpuBaselineMatchesAvx2Threaded)
 {
-    const eg::EGraph g = ds::paperExampleEGraph();
-    auto run = [&](smoothe::tensor::Backend backend) {
+    // bench_fig6_ablation's CPU baseline (SIMD level scalar, 1 thread,
+    // dense whole-graph NOTEARS) against the same algorithm on the AVX2
+    // kernels and 4 threads.
+    const auto graphs = ds::loadFamily("rover", 0.05, 11);
+    const eg::EGraph& g = graphs.front().graph;
+    const simd::Level saved = simd::activeLevel();
+    const std::size_t savedThreads =
+        smoothe::util::ThreadPool::global().size();
+    auto run = [&](simd::Level level, std::size_t threads) {
+        simd::setLevel(level);
         core::SmoothEConfig config = fastConfig();
-        config.backend = backend;
+        config.maxIterations = 30;
+        config.sccDecomposition = false;
+        config.batchedMatexp = false;
+        config.numThreads = threads;
         core::SmoothEExtractor extractor(config);
         ex::ExtractOptions options;
         options.seed = 10;
-        return extractor.extract(g, options);
+        options.timeLimitSeconds = 1e9;
+        const auto result = extractor.extract(g, options);
+        // The graph is cyclic, so the dense penalty actually runs.
+        EXPECT_GT(extractor.diagnostics().largestScc, 1u);
+        return result;
     };
-    const auto fast = run(smoothe::tensor::Backend::Vectorized);
-    const auto slow = run(smoothe::tensor::Backend::Scalar);
+    const auto baseline = run(simd::Level::Scalar, 1);
+    const auto fast = run(simd::Level::Avx2, 4);
+    simd::setLevel(saved);
+    smoothe::util::ThreadPool::setGlobalThreads(savedThreads);
+    EXPECT_EQ(simd::activeLevel(), saved);
+    ASSERT_TRUE(baseline.ok());
     ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    // Same algorithm, same seeds: identical extraction cost.
-    EXPECT_NEAR(fast.cost, slow.cost, 1.0);
+    EXPECT_NEAR(baseline.cost, fast.cost, 1.0);
 }
 
 TEST(SmoothE, PatienceStopsEarly)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the tensor substrate: arena accounting / OOM, tensors,
- * segment indices, and SpMV on both backends.
+ * segment indices, and SpMV.
  */
 
 #include <gtest/gtest.h>
@@ -138,7 +138,7 @@ smallMatrix()
 
 } // namespace
 
-TEST(Spmv, BothBackendsMatch)
+TEST(Spmv, ExactOnSmallMatrix)
 {
     const st::CsrMatrix m = smallMatrix();
     st::Tensor x(2, 3);
@@ -149,19 +149,13 @@ TEST(Spmv, BothBackendsMatch)
     x.at(1, 1) = 0.5f;
     x.at(1, 2) = 4.0f;
 
-    st::Tensor outScalar(2, 2);
-    st::Tensor outVector(2, 2);
-    st::spmv(m, x, outScalar, st::Backend::Scalar);
-    st::spmv(m, x, outVector, st::Backend::Vectorized);
+    st::Tensor out(2, 2);
+    st::spmv(m, x, out);
 
-    EXPECT_FLOAT_EQ(outScalar.at(0, 0), 7.0f);  // 1*1 + 2*3
-    EXPECT_FLOAT_EQ(outScalar.at(0, 1), 6.0f);  // 3*2
-    EXPECT_FLOAT_EQ(outScalar.at(1, 0), 7.0f);  // -1 + 8
-    EXPECT_FLOAT_EQ(outScalar.at(1, 1), 1.5f);
-    for (std::size_t r = 0; r < 2; ++r) {
-        for (std::size_t c = 0; c < 2; ++c)
-            EXPECT_FLOAT_EQ(outScalar.at(r, c), outVector.at(r, c));
-    }
+    EXPECT_FLOAT_EQ(out.at(0, 0), 7.0f);  // 1*1 + 2*3
+    EXPECT_FLOAT_EQ(out.at(0, 1), 6.0f);  // 3*2
+    EXPECT_FLOAT_EQ(out.at(1, 0), 7.0f);  // -1 + 8
+    EXPECT_FLOAT_EQ(out.at(1, 1), 1.5f);
 }
 
 TEST(Spmv, EmptyRowsYieldZero)
@@ -174,7 +168,7 @@ TEST(Spmv, EmptyRowsYieldZero)
     m.values = {5.0f};
     st::Tensor x(1, 2, 1.0f);
     st::Tensor out(1, 3);
-    st::spmv(m, x, out, st::Backend::Vectorized);
+    st::spmv(m, x, out);
     EXPECT_FLOAT_EQ(out.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(out.at(0, 1), 5.0f);
     EXPECT_FLOAT_EQ(out.at(0, 2), 0.0f);

@@ -4,7 +4,8 @@
  * tools via --report-out), prints per-file summaries and side-by-side
  * comparison tables, and — with --check — gates a candidate report
  * against a committed baseline, exiting nonzero when any checked
- * measurement regresses beyond tolerance. CI's perf-gate job runs:
+ * measurement regresses beyond tolerance or is missing from the
+ * candidate. CI's perf-gate job runs:
  *
  *   smoothe_report --check --baseline bench/baselines/micro_kernels.json \
  *       --tolerance 35 BENCH_micro_kernels.json
@@ -239,6 +240,13 @@ runCheck(const LoadedReport& baseline, const LoadedReport& candidate,
     std::size_t regressions = 0;
     for (const auto& finding : findings) {
         regressions += finding.regression ? 1 : 0;
+        if (finding.missing) {
+            table.addRow({finding.measurement,
+                          util::formatFixed(finding.baseline, 6), "-", "-",
+                          util::formatFixed(finding.tolerancePct, 1) + "%",
+                          "MISSING"});
+            continue;
+        }
         // See printComparison for why this avoids `"+" + string&&`.
         std::string change = finding.changePct >= 0 ? "+" : "";
         change += util::formatFixed(finding.changePct, 1);
@@ -252,12 +260,14 @@ runCheck(const LoadedReport& baseline, const LoadedReport& candidate,
     std::printf("check: %s (baseline) vs %s (candidate)\n",
                 baseline.path.c_str(), candidate.path.c_str());
     if (findings.empty()) {
-        std::printf("no checked measurements in common; nothing gated\n");
+        std::printf("no checked measurements in the baseline; nothing "
+                    "gated\n");
         return 0;
     }
     table.print(std::cout);
     if (regressions > 0) {
-        std::printf("%zu regression(s) beyond tolerance\n", regressions);
+        std::printf("%zu regression(s) beyond tolerance or missing\n",
+                    regressions);
         return 1;
     }
     std::printf("all %zu checked measurement(s) within tolerance\n",
