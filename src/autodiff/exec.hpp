@@ -49,6 +49,8 @@ struct BackwardArgs
     const Tensor* value = nullptr; ///< the node's own forward value
     const Tensor* saved = nullptr;
     const std::vector<std::uint32_t>* savedIdx = nullptr;
+    /** Kernel scratch (SegmentProductComplement); grown if too small. */
+    std::vector<float>* scratch = nullptr;
     Tensor* ga = nullptr;       ///< grad(in0) accumulator; null = skip side
     Tensor* gb = nullptr;       ///< grad(in1) accumulator; null = skip side
 };

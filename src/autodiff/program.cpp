@@ -99,11 +99,18 @@ hasSimdVariant(Op op)
       case Op::GatherCols:
       case Op::SegmentSoftmax:
       case Op::SegmentProductComplement:
+      case Op::SegmentMaxGather:
       case Op::TrExpm:
         return true;
       default:
         return false;
     }
+}
+
+bool
+hasSimdBackward(Op op)
+{
+    return op == Op::FusedElemChain || op == Op::SegmentProductComplement;
 }
 
 namespace {
@@ -255,6 +262,20 @@ nanosBetween(std::chrono::steady_clock::time_point from,
             .count());
 }
 
+/**
+ * Sizes the backward scratch of `node`, whose first input is rows x
+ * cols, so replays never allocate it. Ops that need none keep theirs
+ * empty.
+ */
+void
+sizeBackwardScratch(const OpNode& node, std::size_t rows, std::size_t cols,
+                    std::vector<float>& scratch)
+{
+    if (node.op == Op::SegmentProductComplement)
+        scratch.resize(tensor::segmentProductComplementGradScratch(
+            rows, cols, *node.segs));
+}
+
 // --- payload recognition for patch() ----------------------------------
 // The structural payloads a SmoothE-style recording captures by value
 // are identifiable from their contents alone. The >= 3-column guard
@@ -334,6 +355,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     gradBind_.assign(n, Binding{});
     saved_.resize(n);
     savedIdx_.resize(n);
+    scratch_.resize(n);
 
     // --- snapshot shapes, steal metadata and payloads -----------------
     // Recorder value tensors are released as soon as their shape is
@@ -664,6 +686,12 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             gradBind_[inIx] = {Storage::Slot, slot};
             step.zeroSlots.push_back(slot);
         }
+        if (node.in0 >= 0 &&
+            needsGrad_[static_cast<std::size_t>(node.in0)]) {
+            const auto in0 = static_cast<std::size_t>(node.in0);
+            sizeBackwardScratch(node, rowsOf[in0], colsOf[in0],
+                                scratch_[ix]);
+        }
         backwardSchedule_.push_back(std::move(step));
         // A node's grad is last read at its own step: the slot frees
         // here, after its inputs already claimed theirs.
@@ -772,6 +800,7 @@ Program::makeBackwardArgs(const BackStep& step)
     args.value = valuePtr(step.id);
     args.saved = &saved_[ix];
     args.savedIdx = &savedIdx_[ix];
+    args.scratch = &scratch_[ix];
     args.ga =
         node.in0 >= 0 && needsGrad_[static_cast<std::size_t>(node.in0)]
             ? &gradSlots_[gradBind_[static_cast<std::size_t>(node.in0)]
@@ -1235,6 +1264,16 @@ Program::patch(const StructureDelta& delta)
                         newDim[trIx] * rowsOf[trIx]);
             }
         }
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const OpNode& node = ops_[i];
+        if (skipped_[i] || !needsGrad_[i] || node.in0 < 0)
+            continue;
+        const auto in0 = static_cast<std::size_t>(node.in0);
+        if (needsGrad_[in0])
+            sizeBackwardScratch(node, rowsOf[in0], colsOf[in0],
+                                scratch_[i]);
     }
 
     // Resize the planned buffers whose shape moved. Bindings, schedules,

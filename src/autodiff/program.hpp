@@ -50,6 +50,13 @@ const char* kernelName(Op op);
  */
 bool hasSimdVariant(Op op);
 
+/**
+ * Ops whose backward kernel dispatches to AVX2 code. Their profiler
+ * slots keep the plain "backward.<op>" name; tests/test_simd.cpp holds
+ * a scalar-vs-AVX2 parity case for every one of them too.
+ */
+bool hasSimdBackward(Op op);
+
 /** Compile-time footprint of a Program's buffer plan. */
 struct ProgramStats
 {
@@ -253,6 +260,8 @@ class Program
     std::vector<Tensor> gradSlots_;
     std::vector<Tensor> saved_;
     std::vector<std::vector<std::uint32_t>> savedIdx_;
+    /** Backward kernel scratch, sized at compile (and patch) time. */
+    std::vector<std::vector<float>> scratch_;
     std::vector<VarId> forwardSchedule_;
     std::vector<BackStep> backwardSchedule_;
     std::vector<KernelSlot> forwardKernels_;  ///< parallel to schedule

@@ -532,6 +532,7 @@ Tape::backwardNode(Node& node)
     args.value = &node.value;
     args.saved = &node.saved;
     args.savedIdx = &node.savedIdx;
+    args.scratch = &scratch_;
     args.ga = node.in0 >= 0 ? &ensureGrad(node.in0) : nullptr;
     args.gb = node.in1 >= 0 ? &ensureGrad(node.in1) : nullptr;
     exec::backwardOp(args);

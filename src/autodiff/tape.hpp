@@ -186,6 +186,8 @@ class Tape
 
     Arena* arena_;
     std::vector<Node> nodes_;
+    /** Backward kernel scratch shared by all nodes (grown on demand). */
+    std::vector<float> scratch_;
 };
 
 } // namespace smoothe::ad

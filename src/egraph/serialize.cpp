@@ -1,6 +1,7 @@
 #include "egraph/serialize.hpp"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -111,6 +112,12 @@ fromJson(const std::string& text, std::string* error)
         }
         if (!std::isfinite(node.cost)) {
             setError(error, "node \"" + nodeKey + "\" cost is not finite");
+            return std::nullopt;
+        }
+        // SmoothE computes in float: a larger cost would become inf.
+        if (std::fabs(node.cost) > std::numeric_limits<float>::max()) {
+            setError(error, "node \"" + nodeKey +
+                                "\" cost exceeds the float range");
             return std::nullopt;
         }
         if (children) {

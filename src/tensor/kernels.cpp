@@ -430,6 +430,75 @@ segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
         });
 }
 
+std::size_t
+segmentProductComplementGradScratch(std::size_t rows, std::size_t cols,
+                                    const SegmentIndex& segs)
+{
+    return (rows / 8) * avx2::segmentProductComplementBackward8Scratch(
+                            cols, segs.numSegments(), segs.maxSegmentSize());
+}
+
+void
+segmentProductComplementGradInto(const Tensor& x, const SegmentIndex& segs,
+                                 const Tensor& g, Tensor& ga,
+                                 std::vector<float>& scratch)
+{
+    const std::size_t numSegments = segs.numSegments();
+    const std::size_t longest = segs.maxSegmentSize();
+
+    // Cross-seed AVX2: each group owns its 8 ga rows and its slice of
+    // scratch, and every lane repeats the scalar loop's rounded ops.
+    const std::size_t groups =
+        simd::avx2Active() ? x.rows() / 8 : std::size_t{0};
+    if (groups > 0) {
+        const std::size_t span =
+            avx2::segmentProductComplementBackward8Scratch(
+                x.cols(), numSegments, longest);
+        if (scratch.size() < groups * span)
+            scratch.resize(groups * span);
+        util::ThreadPool::global().parallelFor(
+            0, groups, 1, [&](std::size_t grp) {
+                avx2::segmentProductComplementBackward8(
+                    x.row(grp * 8), ga.row(grp * 8), x.cols(),
+                    g.row(grp * 8), segs.offsets.data(),
+                    numSegments, segs.items.data(), longest,
+                    scratch.data() + grp * span);
+            });
+    }
+
+    const std::size_t remBegin = groups * 8;
+    parallelChunks(
+        x.rows() - remBegin, rowGrain(x.cols()),
+        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
+            // Per-chunk scratch: rows in other chunks run concurrently.
+            std::vector<float> prefix(longest + 1);
+            std::vector<float> suffix(longest + 1);
+            for (std::size_t r = remBegin + chunkBegin;
+                 r < remBegin + chunkEnd; ++r) {
+                const float* xr = x.row(r);
+                const float* gr = g.row(r);
+                float* gar = ga.row(r);
+                for (std::size_t s = 0; s < numSegments; ++s) {
+                    const std::uint32_t* seg =
+                        segs.items.data() + segs.offsets[s];
+                    const std::size_t len = segs.segmentSize(s);
+                    if (len == 0)
+                        continue;
+                    prefix[0] = 1.0f;
+                    for (std::size_t e = 0; e < len; ++e)
+                        prefix[e + 1] = prefix[e] * (1.0f - xr[seg[e]]);
+                    suffix[len] = 1.0f;
+                    for (std::size_t e = len; e > 0; --e)
+                        suffix[e - 1] =
+                            suffix[e] * (1.0f - xr[seg[e - 1]]);
+                    // d/dx_e prod (1 - x_k) = -prod_{k!=e} (1 - x_k)
+                    for (std::size_t e = 0; e < len; ++e)
+                        gar[seg[e]] += gr[s] * (-prefix[e] * suffix[e + 1]);
+                }
+            }
+        });
+}
+
 void
 segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
                      std::vector<std::uint32_t>& arg_out)
@@ -437,10 +506,26 @@ segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
     const std::size_t numSegments = segs.numSegments();
     arg_out.assign(a.rows() * numSegments,
                    std::numeric_limits<std::uint32_t>::max());
+
+    // Cross-seed AVX2: compares and blends only, so bit-identical.
+    const std::size_t groups =
+        simd::avx2Active() ? a.rows() / 8 : std::size_t{0};
+    if (groups > 0) {
+        util::ThreadPool::global().parallelFor(
+            0, groups, 1, [&](std::size_t g) {
+                avx2::segmentMaxGather8(
+                    a.row(g * 8), a.cols(), out.row(g * 8), out.cols(),
+                    arg_out.data() + g * 8 * numSegments,
+                    segs.offsets.data(), numSegments, segs.items.data());
+            });
+    }
+
+    const std::size_t remBegin = groups * 8;
     parallelChunks(
-        a.rows(), rowGrain(numSegments),
-        [&](std::size_t rowBegin, std::size_t rowEnd) {
-            for (std::size_t r = rowBegin; r < rowEnd; ++r) {
+        a.rows() - remBegin, rowGrain(numSegments),
+        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
+            for (std::size_t r = remBegin + chunkBegin;
+                 r < remBegin + chunkEnd; ++r) {
                 const float* x = a.row(r);
                 float* o = out.row(r);
                 for (std::size_t s = 0; s < numSegments; ++s) {

@@ -164,6 +164,24 @@ void segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs,
 void segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
                                   Tensor& out);
 /**
+ * Backward of segmentProductComplementInto: for each segment s and its
+ * items e in order, ga[b, items[e]] += g[b, s] * -prod_{k != e}
+ * (1 - x[b, items[k]]), from prefix and suffix products. With AVX2,
+ * groups of 8 rows run as seed lanes on scratch (grown to
+ * segmentProductComplementGradScratch() floats if smaller); the
+ * remaining rows run the scalar loop. Bit-identical at both SIMD levels
+ * and at every thread count.
+ */
+void segmentProductComplementGradInto(const Tensor& x,
+                                      const SegmentIndex& segs,
+                                      const Tensor& g, Tensor& ga,
+                                      std::vector<float>& scratch);
+/** Floats of scratch segmentProductComplementGradInto uses on an x of
+ *  rows x cols. */
+std::size_t segmentProductComplementGradScratch(std::size_t rows,
+                                                std::size_t cols,
+                                                const SegmentIndex& segs);
+/**
  * out[b, s] = max over segment s; arg_out records the argmax column per
  * (row, segment), UINT32_MAX for empty segments.
  */

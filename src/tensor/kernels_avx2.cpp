@@ -89,6 +89,80 @@ laneOffsets(std::size_t stride)
         _mm256_set1_epi32(static_cast<int>(stride)));
 }
 
+/**
+ * Transposes the 8 x 8 float block whose row k starts at src + k *
+ * src_stride into dst (row k at dst + k * dst_stride). Written out
+ * register by register so it stays in registers at -O2.
+ */
+SMOOTHE_AVX2_FN inline void
+transpose8x8(const float* src, std::size_t src_stride, float* dst,
+             std::size_t dst_stride)
+{
+    const __m256 r0 = _mm256_loadu_ps(src);
+    const __m256 r1 = _mm256_loadu_ps(src + src_stride);
+    const __m256 r2 = _mm256_loadu_ps(src + 2 * src_stride);
+    const __m256 r3 = _mm256_loadu_ps(src + 3 * src_stride);
+    const __m256 r4 = _mm256_loadu_ps(src + 4 * src_stride);
+    const __m256 r5 = _mm256_loadu_ps(src + 5 * src_stride);
+    const __m256 r6 = _mm256_loadu_ps(src + 6 * src_stride);
+    const __m256 r7 = _mm256_loadu_ps(src + 7 * src_stride);
+    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    _mm256_storeu_ps(dst, _mm256_permute2f128_ps(u0, u4, 0x20));
+    _mm256_storeu_ps(dst + dst_stride, _mm256_permute2f128_ps(u1, u5, 0x20));
+    _mm256_storeu_ps(dst + 2 * dst_stride,
+                     _mm256_permute2f128_ps(u2, u6, 0x20));
+    _mm256_storeu_ps(dst + 3 * dst_stride,
+                     _mm256_permute2f128_ps(u3, u7, 0x20));
+    _mm256_storeu_ps(dst + 4 * dst_stride,
+                     _mm256_permute2f128_ps(u0, u4, 0x31));
+    _mm256_storeu_ps(dst + 5 * dst_stride,
+                     _mm256_permute2f128_ps(u1, u5, 0x31));
+    _mm256_storeu_ps(dst + 6 * dst_stride,
+                     _mm256_permute2f128_ps(u2, u6, 0x31));
+    _mm256_storeu_ps(dst + 7 * dst_stride,
+                     _mm256_permute2f128_ps(u3, u7, 0x31));
+}
+
+/** Lane-major copy of 8 rows of `cols` floats: out[c * 8 + l] =
+ *  rows[l * cols + c]. */
+SMOOTHE_AVX2_FN void
+toLanes(const float* rows, std::size_t cols, float* out)
+{
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8)
+        transpose8x8(rows + c, cols, out + c * 8, 8);
+    for (; c < cols; ++c)
+        for (std::size_t l = 0; l < 8; ++l)
+            out[c * 8 + l] = rows[l * cols + c];
+}
+
+/** Inverse of toLanes. */
+SMOOTHE_AVX2_FN void
+fromLanes(const float* lanes, std::size_t cols, float* rows)
+{
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8)
+        transpose8x8(lanes + c * 8, 8, rows + c, cols);
+    for (; c < cols; ++c)
+        for (std::size_t l = 0; l < 8; ++l)
+            rows[l * cols + c] = lanes[c * 8 + l];
+}
+
 } // namespace
 
 SMOOTHE_AVX2_FN void
@@ -274,6 +348,111 @@ segmentProductComplement8(const float* x, std::size_t x_stride, float* o,
 }
 
 SMOOTHE_AVX2_FN void
+segmentMaxGather8(const float* x, std::size_t x_stride, float* o,
+                  std::size_t o_stride, std::uint32_t* arg,
+                  const std::uint32_t* offsets, std::size_t num_segments,
+                  const std::uint32_t* items)
+{
+    const __m256i lanes = laneOffsets(x_stride);
+    alignas(32) float best8[8];
+    alignas(32) std::uint32_t arg8[8];
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const std::uint32_t begin = offsets[s];
+        const std::uint32_t end = offsets[s + 1];
+        if (begin == end) {
+            for (std::size_t l = 0; l < 8; ++l)
+                o[l * o_stride + s] = 0.0f;
+            continue;
+        }
+        __m256 best =
+            _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+        __m256i bestItem = _mm256_set1_epi32(static_cast<int>(items[begin]));
+        for (std::uint32_t e = begin; e < end; ++e) {
+            const __m256i item =
+                _mm256_set1_epi32(static_cast<int>(items[e]));
+            const __m256 v = _mm256_i32gather_ps(
+                x, _mm256_add_epi32(lanes, item), 4);
+            // Ordered greater-than: false for NaN, as the scalar v > best.
+            const __m256 greater = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
+            best = _mm256_blendv_ps(best, v, greater);
+            bestItem = _mm256_blendv_epi8(
+                bestItem, item, _mm256_castps_si256(greater));
+        }
+        _mm256_store_ps(best8, best);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(arg8), bestItem);
+        for (std::size_t l = 0; l < 8; ++l) {
+            o[l * o_stride + s] = best8[l];
+            arg[l * o_stride + s] = arg8[l];
+        }
+    }
+}
+
+SMOOTHE_AVX2_FN void
+segmentProductComplementBackward8(const float* x, float* ga, std::size_t cols,
+                                  const float* g,
+                                  const std::uint32_t* offsets,
+                                  std::size_t num_segments,
+                                  const std::uint32_t* items,
+                                  std::size_t longest, float* scratch)
+{
+    float* xLanes = scratch;
+    float* gaLanes = xLanes + cols * 8;
+    float* gLanes = gaLanes + cols * 8;
+    float* prefix = gLanes + num_segments * 8;
+    float* suffix = prefix + (longest + 1) * 8;
+    toLanes(x, cols, xLanes);
+    toLanes(ga, cols, gaLanes);
+    toLanes(g, num_segments, gLanes);
+
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 minusOne = _mm256_set1_ps(-1.0f);
+    const __m256 signBit = _mm256_set1_ps(-0.0f);
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const std::uint32_t* seg = items + offsets[s];
+        const std::size_t len = offsets[s + 1] - offsets[s];
+        if (len == 0)
+            continue;
+        const __m256 gs = _mm256_loadu_ps(gLanes + s * 8);
+        if (len == 1) {
+            // pre[0] and suf[1] are 1, so the scalar factor is exactly
+            // (-1.0f) * 1.0f; x does not enter.
+            float* acc = gaLanes + std::size_t{seg[0]} * 8;
+            _mm256_storeu_ps(acc, _mm256_add_ps(_mm256_loadu_ps(acc),
+                                                _mm256_mul_ps(gs, minusOne)));
+            continue;
+        }
+        // Prefix sweep; each factor (1 - x) is parked in suffix[e] and
+        // replaced in place by the suffix sweep below.
+        __m256 pre = one;
+        _mm256_storeu_ps(prefix, pre);
+        for (std::size_t e = 0; e < len; ++e) {
+            const __m256 factor = _mm256_sub_ps(
+                one, _mm256_loadu_ps(xLanes + std::size_t{seg[e]} * 8));
+            _mm256_storeu_ps(suffix + e * 8, factor);
+            pre = _mm256_mul_ps(pre, factor);
+            _mm256_storeu_ps(prefix + (e + 1) * 8, pre);
+        }
+        __m256 suf = one;
+        _mm256_storeu_ps(suffix + len * 8, suf);
+        for (std::size_t e = len; e > 0; --e) {
+            suf = _mm256_mul_ps(suf, _mm256_loadu_ps(suffix + (e - 1) * 8));
+            _mm256_storeu_ps(suffix + (e - 1) * 8, suf);
+        }
+        // Ascending e, one read-modify-write per item, as the scalar
+        // loop accumulates.
+        for (std::size_t e = 0; e < len; ++e) {
+            const __m256 others = _mm256_mul_ps(
+                _mm256_xor_ps(_mm256_loadu_ps(prefix + e * 8), signBit),
+                _mm256_loadu_ps(suffix + (e + 1) * 8));
+            float* acc = gaLanes + std::size_t{seg[e]} * 8;
+            _mm256_storeu_ps(acc, _mm256_add_ps(_mm256_loadu_ps(acc),
+                                                _mm256_mul_ps(gs, others)));
+        }
+    }
+    fromLanes(gaLanes, cols, ga);
+}
+
+SMOOTHE_AVX2_FN void
 matmulSquare(const double* a, const double* b, double* c, std::size_t d)
 {
     // One output row at a time: each 16-column panel lives in four
@@ -452,6 +631,21 @@ void
 segmentProductComplement8(const float*, std::size_t, float*, std::size_t,
                           const std::uint32_t*, std::size_t,
                           const std::uint32_t*)
+{
+    unreachable();
+}
+void
+segmentMaxGather8(const float*, std::size_t, float*, std::size_t,
+                  std::uint32_t*, const std::uint32_t*, std::size_t,
+                  const std::uint32_t*)
+{
+    unreachable();
+}
+void
+segmentProductComplementBackward8(const float*, float*, std::size_t,
+                                  const float*, const std::uint32_t*,
+                                  std::size_t, const std::uint32_t*,
+                                  std::size_t, float*)
 {
     unreachable();
 }

@@ -19,9 +19,13 @@
  * kernels").
  *
  * The cross-seed kernels (spmvRows8, segmentSoftmax8,
- * segmentProductComplement8) realize the seed-batch batching: the B
- * seed rows become the SIMD lane dimension, so one pass over the
- * sparse structure serves 8 seeds instead of replaying it per seed.
+ * segmentProductComplement8, its backward
+ * segmentProductComplementBackward8, and segmentMaxGather8) realize
+ * the seed-batch batching: the B seed rows become the SIMD lane
+ * dimension, so one pass over the sparse structure serves 8 seeds
+ * instead of replaying it per seed. Each 8-row group writes only its
+ * own rows, so the results do not depend on how groups are spread over
+ * threads.
  */
 
 #ifndef SMOOTHE_TENSOR_KERNELS_AVX2_HPP
@@ -77,6 +81,53 @@ void segmentProductComplement8(const float* x, std::size_t x_stride,
                                const std::uint32_t* offsets,
                                std::size_t num_segments,
                                const std::uint32_t* items);
+
+/**
+ * Cross-seed segment max over 8 consecutive batch rows: o[l * o_stride
+ * + s] = max over segment s of x[l][item], arg[l * o_stride + s] = the
+ * first item reaching it (items scanned in order, an item replacing
+ * the best only when strictly greater, so NaN never wins and ties keep
+ * the earlier item). Empty segments write o = 0 and leave arg alone.
+ * Only compares and blends: bitwise equal to the scalar loop in
+ * tensor::segmentMaxGatherInto.
+ */
+void segmentMaxGather8(const float* x, std::size_t x_stride, float* o,
+                       std::size_t o_stride, std::uint32_t* arg,
+                       const std::uint32_t* offsets,
+                       std::size_t num_segments,
+                       const std::uint32_t* items);
+
+/**
+ * Backward of segmentProductComplement8 over the same 8 rows of x and
+ * ga (both `cols` wide) and of g (num_segments wide): for each segment
+ * s and its e-th item (ascending), ga[l][item] += g[l][s] * (-pre[e] *
+ * suf[e + 1]), where pre/suf are lane l's prefix and suffix products
+ * of (1 - x[l][item]). x, ga and g are first copied lane-major (8
+ * floats per column) so every access is one vector load or store
+ * rather than a gather and 8 scalar stores; ga is copied back at the
+ * end. Single-item segments skip the products (their factor is exactly
+ * -1). `scratch` holds segmentProductComplementBackward8Scratch()
+ * floats, `longest` being the largest segment size; it is caller-owned
+ * so nothing is allocated per call. Products, the negation and the
+ * accumulation round exactly as the scalar loop in
+ * tensor::segmentProductComplementGradInto does, lane by lane.
+ */
+void segmentProductComplementBackward8(const float* x, float* ga,
+                                       std::size_t cols, const float* g,
+                                       const std::uint32_t* offsets,
+                                       std::size_t num_segments,
+                                       const std::uint32_t* items,
+                                       std::size_t longest, float* scratch);
+
+/** Scratch floats of segmentProductComplementBackward8: lane-major x,
+ *  ga and g, then the prefix and suffix products. */
+inline std::size_t
+segmentProductComplementBackward8Scratch(std::size_t cols,
+                                         std::size_t num_segments,
+                                         std::size_t longest)
+{
+    return (2 * cols + num_segments + 2 * (longest + 1)) * 8;
+}
 
 /**
  * c = a * b for row-major d x d doubles, register-blocked: one output

@@ -13,6 +13,7 @@
 #ifndef SMOOTHE_TENSOR_TENSOR_HPP
 #define SMOOTHE_TENSOR_TENSOR_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -172,6 +173,14 @@ struct SegmentIndex
     segmentSize(std::size_t s) const
     {
         return offsets[s + 1] - offsets[s];
+    }
+    std::size_t
+    maxSegmentSize() const
+    {
+        std::size_t longest = 0;
+        for (std::size_t s = 0; s < numSegments(); ++s)
+            longest = std::max(longest, segmentSize(s));
+        return longest;
     }
 
     /** Builds from per-item segment assignment (items sorted by segment). */

@@ -137,7 +137,12 @@ ThreadPool::parallelForChunks(
             queue_.push_back(task);
         }
     }
-    wake_.notify_all();
+    // Wake one worker per queued chunk, at most the whole pool. Workers
+    // re-check the queue before they sleep, so none is missed; a chunk
+    // no woken worker reaches is drained below by the caller.
+    const std::size_t wakes = std::min(numChunks - 1, threads_ - 1);
+    for (std::size_t w = 0; w < wakes; ++w)
+        wake_.notify_one();
 
     std::exception_ptr callerError;
     try {

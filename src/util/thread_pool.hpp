@@ -7,7 +7,10 @@
  * sampling stage fans out per-seed work, and the harness binaries run
  * independent e-graphs concurrently. Workers are spawned once and reused
  * across iterations; a parallelFor call costs two mutex round-trips plus
- * one condition-variable wake per chunk, never a thread spawn.
+ * one condition-variable wake per queued chunk (at most one per worker),
+ * never a thread spawn. Workers with no chunk to take stay asleep: the
+ * benchmark's time metric is CPU time summed over threads, so a worker
+ * woken only to find the queue empty is pure cost.
  *
  * Determinism contract: parallelFor partitions [begin, end) into the same
  * chunks for every pool size, and each index is processed by exactly one

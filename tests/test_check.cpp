@@ -462,6 +462,30 @@ TEST(SerializeHardening, RejectsNonNumericCost)
     EXPECT_NE(error.find("cost"), std::string::npos) << error;
 }
 
+TEST(SerializeHardening, RejectsCostBeyondFloatRange)
+{
+    auto withCost = [](const std::string& cost) {
+        return R"({
+            "nodes": {
+                "big": {"op": "x", "children": [], "eclass": "c0",
+                        "cost": )" +
+               cost + R"(}
+            },
+            "root_eclasses": ["c0"]
+        })";
+    };
+    std::string error;
+    EXPECT_EQ(eg::fromJson(withCost("1e39"), &error), std::nullopt);
+    EXPECT_NE(error.find("\"big\""), std::string::npos) << error;
+    EXPECT_NE(error.find("float range"), std::string::npos) << error;
+    EXPECT_EQ(eg::fromJson(withCost("-1e39"), &error), std::nullopt);
+
+    error.clear();
+    const auto loaded = eg::fromJson(withCost("1e30"), &error);
+    ASSERT_NE(loaded, std::nullopt) << error;
+    EXPECT_EQ(loaded->numNodes(), 1u);
+}
+
 TEST(SerializeHardening, RejectsUnknownRoot)
 {
     const std::string text = R"({

@@ -353,6 +353,102 @@ checkProductComplement(ad::Op, util::Rng& rng)
     }
 }
 
+/**
+ * Segments shaped like SmoothE's parentIndex: items drawn with
+ * replacement, so a column sits in several segments (and now and then
+ * twice in one); about a fifth of the segments are empty and another
+ * fifth hold a single item.
+ */
+st::SegmentIndex
+overlappingSegments(std::size_t cols, std::size_t num_segments,
+                    util::Rng& rng)
+{
+    st::SegmentIndex segs;
+    segs.offsets.push_back(0);
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const double shape = rng.uniform(0.0, 1.0);
+        const std::size_t len = shape < 0.2   ? 0
+                                : shape < 0.4 ? 1
+                                              : 2 + rng.uniformIndex(9);
+        for (std::size_t e = 0; e < len; ++e)
+            segs.items.push_back(
+                static_cast<std::uint32_t>(rng.uniformIndex(cols)));
+        // Column 0 joins every third segment.
+        if (s % 3 == 0)
+            segs.items.push_back(0);
+        segs.offsets.push_back(
+            static_cast<std::uint32_t>(segs.items.size()));
+    }
+    return segs;
+}
+
+void
+checkProductComplementBackward(ad::Op, util::Rng& rng)
+{
+    // 17 leaves a remainder row on the scalar loop after two groups.
+    for (const std::size_t rows : {1UL, 8UL, 9UL, 16UL, 17UL}) {
+        for (const std::size_t cols : {5UL, 64UL, 300UL}) {
+            const std::size_t numSegments = cols / 2 + 3;
+            const st::SegmentIndex segs =
+                overlappingSegments(cols, numSegments, rng);
+            // Probabilities, with exact 1s (zero factors) and 0s.
+            st::Tensor x(rows, cols);
+            for (std::size_t i = 0; i < x.size(); ++i) {
+                const double kind = rng.uniform(0.0, 1.0);
+                x.data()[i] = kind < 0.1   ? 1.0f
+                              : kind < 0.2 ? 0.0f
+                                           : static_cast<float>(
+                                                 rng.uniform(0.0, 1.0));
+            }
+            const st::Tensor g = randomTensor(rows, numSegments, rng);
+            const st::Tensor ga0 = randomTensor(rows, cols, rng);
+            const std::size_t planned =
+                st::segmentProductComplementGradScratch(rows, cols, segs);
+            auto [lhs, rhs] = runBothLevels(rows, cols, [&](st::Tensor&
+                                                                ga) {
+                ga = ga0;
+                std::vector<float> scratch(planned);
+                st::segmentProductComplementGradInto(x, segs, g, ga,
+                                                     scratch);
+                EXPECT_EQ(scratch.size(), planned)
+                    << "the planned scratch was too small";
+            });
+            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
+        }
+    }
+}
+
+void
+checkMaxGather(ad::Op, util::Rng& rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t rows : kRowCounts) {
+        for (const std::size_t cols : {5UL, 64UL, 300UL}) {
+            const std::size_t numSegments = cols / 2 + 3;
+            const st::SegmentIndex segs =
+                overlappingSegments(cols, numSegments, rng);
+            // Few distinct values so segments tie; -inf and NaN mixed in.
+            st::Tensor a(rows, cols);
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                const double kind = rng.uniform(0.0, 1.0);
+                a.data()[i] = kind < 0.1   ? -inf
+                              : kind < 0.2 ? nan
+                                           : static_cast<float>(
+                                                 rng.uniformIndex(4));
+            }
+            std::vector<std::uint32_t> args[2];
+            int level = 0;
+            auto [lhs, rhs] =
+                runBothLevels(rows, numSegments, [&](st::Tensor& out) {
+                    st::segmentMaxGatherInto(a, segs, out, args[level++]);
+                });
+            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
+            EXPECT_EQ(args[0], args[1]) << rows << "x" << cols;
+        }
+    }
+}
+
 void
 checkSoftmax(ad::Op, util::Rng& rng)
 {
@@ -465,10 +561,26 @@ parityCheckFor(ad::Op op)
         return checkGatherCols;
       case ad::Op::SegmentProductComplement:
         return checkProductComplement;
+      case ad::Op::SegmentMaxGather:
+        return checkMaxGather;
       case ad::Op::SegmentSoftmax:
         return checkSoftmax;
       case ad::Op::TrExpm:
         return checkMatrixExp;
+      default:
+        return nullptr;
+    }
+}
+
+/** The parity check covering `op`'s backward kernel, or nullptr. */
+ParityCheck
+backwardParityCheckFor(ad::Op op)
+{
+    switch (op) {
+      case ad::Op::FusedElemChain:
+        return checkElemChain; // also runs elemChainGradInto
+      case ad::Op::SegmentProductComplement:
+        return checkProductComplementBackward;
       default:
         return nullptr;
     }
@@ -490,14 +602,15 @@ allOps()
     return ops;
 }
 
-/** Runs `check` once for every op that parityCheckFor() maps to it. */
+/** Runs `check` once for every op that `checkFor` maps to it. */
 void
-runParityChecks(ParityCheck check, std::uint64_t seed)
+runParityChecks(ParityCheck check, std::uint64_t seed,
+                ParityCheck (*checkFor)(ad::Op) = parityCheckFor)
 {
     util::Rng rng(seed);
     std::size_t ran = 0;
     for (const ad::Op op : allOps()) {
-        if (parityCheckFor(op) != check)
+        if (checkFor(op) != check)
             continue;
         SCOPED_TRACE(ad::kernelName(op));
         check(op, rng);
@@ -519,6 +632,20 @@ TEST(SimdParity, EveryDispatchedOpHasAParityCase)
             << "forward." << ad::kernelName(op)
             << " dispatches to AVX2 but has no parity case";
     }
+}
+
+TEST(SimdParity, EveryDispatchedBackwardHasAParityCase)
+{
+    std::size_t dispatched = 0;
+    for (const ad::Op op : allOps()) {
+        if (!ad::hasSimdBackward(op))
+            continue;
+        ++dispatched;
+        EXPECT_NE(backwardParityCheckFor(op), nullptr)
+            << "backward." << ad::kernelName(op)
+            << " dispatches to AVX2 but has no parity case";
+    }
+    EXPECT_GT(dispatched, 0u);
 }
 
 TEST(SimdParity, ElementwiseKernelsAreBitIdentical)
@@ -607,6 +734,21 @@ TEST(SimdParity, SegmentProductComplementIsBitIdentical)
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
     runParityChecks(checkProductComplement, 0x9c0d);
+}
+
+TEST(SimdParity, SegmentProductComplementBackwardIsBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    runParityChecks(checkProductComplementBackward, 0xb4c6,
+                    backwardParityCheckFor);
+}
+
+TEST(SimdParity, SegmentMaxGatherIsBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    runParityChecks(checkMaxGather, 0x3a8d);
 }
 
 TEST(SimdParity, SegmentSoftmaxMatchesWithinUlpTolerance)

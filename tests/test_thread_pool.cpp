@@ -1,16 +1,20 @@
 /**
  * @file
  * ThreadPool unit tests: full index coverage, chunk partitioning,
- * exception propagation, nested-call serialization, resize, and the
- * determinism contract (identical results for any pool size).
+ * exception propagation, nested-call serialization, resize, the
+ * one-wake-per-queued-chunk dispatch (no batch may stall for want of a
+ * woken worker), and the determinism contract (identical results for
+ * any pool size).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "smoothe/smoothe.hpp"
@@ -130,6 +134,54 @@ TEST(ThreadPool, ResizeChangesWorkerCount)
     EXPECT_EQ(count.load(), 1000u);
     pool.resize(1);
     EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(ThreadPool, BackToBackTwoChunkBatchesComplete)
+{
+    // Each batch queues one chunk and wakes one worker; the other
+    // workers sleep through it.
+    util::ThreadPool pool(4);
+    constexpr std::size_t kBatches = 10000;
+    std::vector<std::atomic<int>> hits(2 * kBatches);
+    for (std::size_t b = 0; b < kBatches; ++b)
+        pool.parallelFor(2 * b, 2 * b + 2, 1,
+                         [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, ConcurrentExternalCallersBothFinish)
+{
+    util::ThreadPool pool(4);
+    constexpr std::size_t kBatches = 2000;
+    constexpr std::size_t kRange = 12;
+    std::vector<std::atomic<int>> hits[2] = {
+        std::vector<std::atomic<int>>(kRange),
+        std::vector<std::atomic<int>>(kRange)};
+    auto dispatch = [&](std::vector<std::atomic<int>>& mine) {
+        for (std::size_t b = 0; b < kBatches; ++b)
+            pool.parallelFor(0, kRange, 4,
+                             [&](std::size_t i) { mine[i].fetch_add(1); });
+    };
+    std::thread first(dispatch, std::ref(hits[0]));
+    std::thread second(dispatch, std::ref(hits[1]));
+    first.join();
+    second.join();
+    for (const auto& mine : hits)
+        for (std::size_t i = 0; i < kRange; ++i)
+            EXPECT_EQ(mine[i].load(), static_cast<int>(kBatches))
+                << "index " << i;
+}
+
+TEST(ThreadPool, MoreChunksThanWorkersAfterResizeComplete)
+{
+    util::ThreadPool pool(4);
+    pool.resize(2); // one worker left for 100 chunks
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(0, hits.size(), 10,
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ThreadPool, OnWorkerThreadOnlyInsideWorkers)

@@ -9,7 +9,8 @@
 #
 #   no-rand        rand()/srand()/time() in src/: randomness comes from
 #                  util::Rng streams so runs reproduce from their seed.
-#   std-thread     std::thread outside util/thread_pool: one fixed pool
+#   std-thread     std::thread outside util/thread_pool and its unit
+#                  test (which needs external callers): one fixed pool
 #                  keeps chunking, and so results, thread-count invariant.
 #   fma-in-kernel  FMA intrinsics, fma()/fmaf(), FP_CONTRACT or fast-math
 #                  in src/tensor/: scalar and AVX2 kernels stay bitwise
@@ -35,7 +36,7 @@ set(no-rand_fix "use a util::Rng stream (seeded) or util::Timer")
 
 set(std-thread_dirs src tools bench tests)
 set(std-thread_regex "std::thread([^A-Za-z0-9_]|$)")
-set(std-thread_skip "util/thread_pool")
+set(std-thread_skip "util/thread_pool|^tests/test_thread_pool\\.cpp$")
 set(std-thread_fix "run work on util::ThreadPool")
 
 set(fma-in-kernel_dirs src/tensor)
