@@ -83,13 +83,9 @@ forwardOp(const ForwardArgs& args)
                                   node.meanOverRows, *args.value);
         break;
       case Op::TrExpm: {
-        static obs::Counter& calls = obs::counter("kernel.matexp.calls");
-        static obs::Counter& bytes = obs::counter("kernel.matexp.bytes");
         static obs::Counter& squarings =
             obs::counter("kernel.matexp.squarings");
         const Tensor& av = *args.a;
-        calls.add(1);
-        bytes.add(av.size() * sizeof(float));
         Tensor& out = *args.value;
         Tensor& saved = *args.saved;
         const std::size_t dim = node.dim;

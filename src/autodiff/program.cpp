@@ -861,20 +861,17 @@ Program::backwardBare()
 }
 
 // The instrumented replays attribute boundary-to-boundary windows: one
-// clock read (and one perf-counter read when available) per op
-// boundary, so op k is charged t[k+1] - t[k] and kernel self times sum
-// to the recorded phase total by construction. The per-op read cost is
-// inside the window — acceptable for attribution, which is why the
-// disabled path skips all of this behind one relaxed atomic load.
+// clock read per op boundary, so op k is charged t[k+1] - t[k] and
+// kernel self times sum to the recorded phase total by construction.
+// The per-op read cost is inside the window — acceptable for
+// attribution, which is why the disabled path skips all of this behind
+// one relaxed atomic load.
 void
 Program::forwardProfiled()
 {
     obs::Profiler& prof = obs::Profiler::instance();
-    obs::PerfCounters* counters = prof.threadCounters();
     const auto start = std::chrono::steady_clock::now();
     auto prev = start;
-    obs::PerfSample prevSample =
-        counters ? counters->read() : obs::PerfSample{};
     for (std::size_t k = 0; k < forwardSchedule_.size(); ++k) {
         const exec::ForwardArgs args =
             makeForwardArgs(forwardSchedule_[k]);
@@ -883,11 +880,6 @@ Program::forwardProfiled()
         const KernelSlot& slot = forwardKernels_[k];
         slot.kernel->record(nanosBetween(prev, now), slot.flops,
                             slot.bytes);
-        if (counters) {
-            const obs::PerfSample sample = counters->read();
-            slot.kernel->recordCounters(sample - prevSample);
-            prevSample = sample;
-        }
         prev = now;
     }
     prof.recordPhaseTotal(obs::Profiler::Phase::Forward,
@@ -899,11 +891,8 @@ Program::backwardProfiled()
 {
     obs::counter("tape.backward.calls").add(1);
     obs::Profiler& prof = obs::Profiler::instance();
-    obs::PerfCounters* counters = prof.threadCounters();
     const auto start = std::chrono::steady_clock::now();
     auto prev = start;
-    obs::PerfSample prevSample =
-        counters ? counters->read() : obs::PerfSample{};
     gradSlots_[rootGradSlot_].fill(1.0f);
     for (std::size_t k = 0; k < backwardSchedule_.size(); ++k) {
         const BackStep& step = backwardSchedule_[k];
@@ -917,11 +906,6 @@ Program::backwardProfiled()
         const KernelSlot& slot = backwardKernels_[k];
         slot.kernel->record(nanosBetween(prev, now), slot.flops,
                             slot.bytes);
-        if (counters) {
-            const obs::PerfSample sample = counters->read();
-            slot.kernel->recordCounters(sample - prevSample);
-            prevSample = sample;
-        }
         prev = now;
     }
     prof.recordPhaseTotal(obs::Profiler::Phase::Backward,

@@ -92,9 +92,13 @@ fromJson(const std::string& text, std::string* error)
             return std::nullopt;
         }
         const std::string& classKey = eclass->asString();
+        // A repeated key would make child references ambiguous.
+        if (!nodeToClass.emplace(nodeKey, classKey).second) {
+            setError(error, "duplicate node id \"" + nodeKey + "\"");
+            return std::nullopt;
+        }
         if (!classIds.count(classKey))
             classIds[classKey] = graph.addClass();
-        nodeToClass[nodeKey] = classKey;
     }
 
     // Second pass: add nodes, resolving children node-ids to class ids.

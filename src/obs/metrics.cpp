@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,91 +8,11 @@
 
 namespace smoothe::obs {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1)
-{
-}
-
-void
-Histogram::observe(double value)
-{
-    const auto it =
-        std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    const std::size_t bucket =
-        static_cast<std::size_t>(it - bounds_.begin());
-    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    double expected = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(expected, expected + value,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t i) const
-{
-    return counts_[i].load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Histogram::count() const
-{
-    return count_.load(std::memory_order_relaxed);
-}
-
-double
-Histogram::sum() const
-{
-    return sum_.load(std::memory_order_relaxed);
-}
-
-double
-Histogram::percentile(double q) const
-{
-    const std::uint64_t total = count();
-    if (total == 0)
-        return 0.0;
-    q = std::min(std::max(q, 0.0), 1.0);
-    // Target rank in (0, total]; q = 0 maps to the first observation.
-    const double target =
-        std::max(q * static_cast<double>(total), 1e-12);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double inBucket = static_cast<double>(bucketCount(i));
-        if (inBucket == 0.0)
-            continue;
-        if (cumulative + inBucket < target) {
-            cumulative += inBucket;
-            continue;
-        }
-        if (i >= bounds_.size()) {
-            // Overflow bucket: no finite upper edge to interpolate
-            // toward; clamp to the highest finite bound.
-            return bounds_.empty() ? 0.0 : bounds_.back();
-        }
-        const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-        const double hi = bounds_[i];
-        const double fraction = (target - cumulative) / inBucket;
-        return lo + fraction * (hi - lo);
-    }
-    return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-void
-Histogram::reset()
-{
-    for (auto& bucket : counts_)
-        bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-}
-
 struct MetricsRegistry::Impl
 {
     mutable std::mutex mutex;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
 MetricsRegistry&
@@ -133,18 +51,6 @@ MetricsRegistry::gauge(const std::string& name)
     return *slot;
 }
 
-Histogram&
-MetricsRegistry::histogram(const std::string& name,
-                           std::vector<double> upper_bounds)
-{
-    Impl& state = impl();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    auto& slot = state.histograms[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>(std::move(upper_bounds));
-    return *slot;
-}
-
 util::Json
 MetricsRegistry::toJson() const
 {
@@ -155,20 +61,6 @@ MetricsRegistry::toJson() const
         doc.set(name, static_cast<double>(counter->get()));
     for (const auto& [name, gauge] : state.gauges)
         doc.set(name, gauge->get());
-    for (const auto& [name, histogram] : state.histograms) {
-        util::Json entry = util::Json::makeObject();
-        util::Json bounds = util::Json::makeArray();
-        for (double bound : histogram->bounds())
-            bounds.push(bound);
-        util::Json counts = util::Json::makeArray();
-        for (std::size_t i = 0; i < histogram->numBuckets(); ++i)
-            counts.push(static_cast<double>(histogram->bucketCount(i)));
-        entry.set("bounds", std::move(bounds));
-        entry.set("counts", std::move(counts));
-        entry.set("count", static_cast<double>(histogram->count()));
-        entry.set("sum", histogram->sum());
-        doc.set(name, std::move(entry));
-    }
     return doc;
 }
 
@@ -181,28 +73,6 @@ MetricsRegistry::reset()
         counter->reset();
     for (auto& [_, gauge] : state.gauges)
         gauge->reset();
-    for (auto& [_, histogram] : state.histograms)
-        histogram->reset();
-}
-
-std::vector<double>
-exponentialBounds(double first, double last, std::size_t count)
-{
-    std::vector<double> bounds;
-    if (count < 2 || first <= 0.0 || last <= first) {
-        bounds.push_back(first);
-        return bounds;
-    }
-    bounds.reserve(count);
-    const double ratio =
-        std::pow(last / first, 1.0 / static_cast<double>(count - 1));
-    double bound = first;
-    for (std::size_t i = 0; i + 1 < count; ++i) {
-        bounds.push_back(bound);
-        bound *= ratio;
-    }
-    bounds.push_back(last); // exact, immune to pow/multiply rounding
-    return bounds;
 }
 
 Counter&
@@ -215,13 +85,6 @@ Gauge&
 gauge(const std::string& name)
 {
     return MetricsRegistry::instance().gauge(name);
-}
-
-Histogram&
-histogram(const std::string& name, std::vector<double> upper_bounds)
-{
-    return MetricsRegistry::instance().histogram(name,
-                                                 std::move(upper_bounds));
 }
 
 bool

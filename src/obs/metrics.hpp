@@ -1,7 +1,7 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and fixed-bucket
- * histograms, dumpable as JSON.
+ * Process-wide metrics registry: named counters and gauges, dumpable as
+ * JSON.
  *
  * Metrics are registered lazily on first use and live for the process
  * lifetime, so call sites can cache a reference once (typically in a
@@ -16,7 +16,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace smoothe::util {
 class Json;
@@ -60,46 +59,6 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/**
- * Fixed-bucket histogram: bucket i counts observations <= bounds[i], with
- * an implicit +inf overflow bucket. Bucket bounds are fixed at
- * registration; observe() is lock-free and allocation-free.
- */
-class Histogram
-{
-  public:
-    /** @param upper_bounds ascending inclusive upper bounds */
-    explicit Histogram(std::vector<double> upper_bounds);
-
-    void observe(double value);
-
-    /** Number of buckets including the overflow bucket. */
-    std::size_t numBuckets() const { return bounds_.size() + 1; }
-    std::uint64_t bucketCount(std::size_t i) const;
-    const std::vector<double>& bounds() const { return bounds_; }
-    std::uint64_t count() const;
-    double sum() const;
-    void reset();
-
-    /**
-     * Interpolated quantile estimate from the bucket counts.
-     *
-     * @param q quantile in [0, 1] (0.5 = median)
-     * @return the estimated observation value: linear interpolation
-     *   between the enclosing bucket's boundaries, with the first bucket
-     *   interpolated from 0 (observations are assumed non-negative, as
-     *   for durations). Quantiles landing in the +inf overflow bucket
-     *   clamp to the highest finite bound; an empty histogram returns 0.
-     */
-    double percentile(double q) const;
-
-  private:
-    std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> counts_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-};
-
 /** The process-wide named-metric registry. */
 class MetricsRegistry
 {
@@ -110,14 +69,8 @@ class MetricsRegistry
      *  stays valid for the process lifetime. */
     Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
-    /** bounds are used only on first registration of the name. */
-    Histogram& histogram(const std::string& name,
-                         std::vector<double> upper_bounds);
 
-    /**
-     * Flat JSON object: counters and gauges as numbers, histograms as
-     * {"bounds": [...], "counts": [...], "count": n, "sum": s}.
-     */
+    /** Flat JSON object: every counter and gauge as a number. */
     util::Json toJson() const;
 
     /** Zeroes every metric, keeping registrations (tests, multi-run). */
@@ -129,20 +82,9 @@ class MetricsRegistry
     Impl& impl() const;
 };
 
-/**
- * Geometrically spaced histogram bucket boundaries: `count` ascending
- * bounds from `first` to `last` inclusive (both > 0, count >= 2). The
- * standard layout for duration histograms, where relative resolution
- * matters across orders of magnitude.
- */
-std::vector<double> exponentialBounds(double first, double last,
-                                      std::size_t count);
-
 /** Shorthand for MetricsRegistry::instance().counter(name) etc. */
 Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name,
-                     std::vector<double> upper_bounds);
 
 /** Writes the registry JSON (pretty) to a file; false on I/O error. */
 bool writeMetricsFile(const std::string& path);

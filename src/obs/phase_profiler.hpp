@@ -1,14 +1,12 @@
 /**
  * @file
- * Figure 8 phase accumulator, reimplemented on top of trace spans.
+ * Figure 8 phase accumulator.
  *
- * The wall-clock accumulation API (lossSeconds et al.) is unchanged from
- * the original util::PhaseProfiler, so the Figure 8 bench output is
- * byte-identical; additionally each scope now emits a "phase"-category
- * trace span when a TraceSession is recording, and observes its duration
- * into the process report's per-phase histogram timer (interpolated
- * p50/p90/p99 in the report's "phases" section) when a report is
- * installed.
+ * One timer per scope: its duration is added to the scope's slot
+ * (lossSeconds et al., which the Figure 8 bench prints) and, when a
+ * report is installed, to that report's per-phase count and sum (the
+ * "phases" section). While a TraceSession is recording, each scope also
+ * emits a "phase"-category trace span.
  */
 
 #ifndef SMOOTHE_OBS_PHASE_PROFILER_HPP
@@ -25,7 +23,7 @@ class PhaseProfiler
 {
   public:
     /** RAII scope: adds its lifetime to the slot, emits a span, and
-     *  feeds the report's phase histogram when one is installed. */
+     *  feeds the report's phase totals when one is installed. */
     class Scope
     {
       public:
@@ -37,7 +35,7 @@ class PhaseProfiler
             const double seconds = timer_.seconds();
             slot_ += seconds;
             if (Report* report = Report::current())
-                report->phase(name_).observe(seconds);
+                report->addPhase(name_, seconds);
         }
         Scope(const Scope&) = delete;
         Scope& operator=(const Scope&) = delete;

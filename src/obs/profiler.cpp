@@ -28,13 +28,6 @@ Profiler::Kernel::stats() const
         1e-9;
     out.flops = flops_.load(std::memory_order_relaxed);
     out.bytes = bytes_.load(std::memory_order_relaxed);
-    out.counterSamples = counterSamples_.load(std::memory_order_relaxed);
-    out.counters.cycles = cycles_.load(std::memory_order_relaxed);
-    out.counters.instructions =
-        instructions_.load(std::memory_order_relaxed);
-    out.counters.cacheMisses = cacheMisses_.load(std::memory_order_relaxed);
-    out.counters.branchMisses =
-        branchMisses_.load(std::memory_order_relaxed);
     return out;
 }
 
@@ -45,11 +38,6 @@ Profiler::Kernel::reset()
     selfNanos_.store(0, std::memory_order_relaxed);
     flops_.store(0, std::memory_order_relaxed);
     bytes_.store(0, std::memory_order_relaxed);
-    counterSamples_.store(0, std::memory_order_relaxed);
-    cycles_.store(0, std::memory_order_relaxed);
-    instructions_.store(0, std::memory_order_relaxed);
-    cacheMisses_.store(0, std::memory_order_relaxed);
-    branchMisses_.store(0, std::memory_order_relaxed);
 }
 
 // --- Profiler ------------------------------------------------------------
@@ -67,7 +55,6 @@ void
 Profiler::enable(std::size_t stride)
 {
     stride_.store(stride == 0 ? 1 : stride, std::memory_order_relaxed);
-    threadCounters(); // probe perf availability for reporting
     detail::profilerEnabled.store(true, std::memory_order_relaxed);
 }
 
@@ -110,40 +97,6 @@ Profiler::kernel(const std::string& name)
     if (!slot)
         slot.reset(new Kernel(name));
     return *slot;
-}
-
-PerfCounters*
-Profiler::threadCounters()
-{
-    thread_local std::unique_ptr<PerfCounters> group;
-    thread_local bool opened = false;
-    if (!opened) {
-        opened = true;
-        group = std::make_unique<PerfCounters>();
-        std::lock_guard<std::mutex> lock(mutex_);
-        // First probe wins; a later thread that does get counters
-        // upgrades the process-level verdict.
-        if (!perfProbed_ || group->available()) {
-            perfProbed_ = true;
-            perfAvailable_ = group->available();
-            perfStatus_ = group->status();
-        }
-    }
-    return group && group->available() ? group.get() : nullptr;
-}
-
-bool
-Profiler::perfAvailable() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return perfAvailable_;
-}
-
-std::string
-Profiler::perfStatus() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return perfProbed_ ? perfStatus_ : "unprobed";
 }
 
 std::vector<KernelStats>
@@ -216,14 +169,6 @@ Profiler::toJson() const
     util::Json profile = util::Json::makeObject();
     profile.set("stride", stride());
 
-    util::Json perf = util::Json::makeObject();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        perf.set("available", perfAvailable_);
-        perf.set("status", perfProbed_ ? perfStatus_ : "unprobed");
-    }
-    profile.set("perf", std::move(perf));
-
     util::Json totals = util::Json::makeObject();
     for (std::size_t i = 0; i < kNumPhases; ++i) {
         const auto phase = static_cast<Phase>(i);
@@ -243,15 +188,6 @@ Profiler::toJson() const
         entry.set("flops", static_cast<double>(stats.flops));
         entry.set("bytes", static_cast<double>(stats.bytes));
         entry.set("intensityFlopPerByte", stats.intensity());
-        entry.set("counterSamples",
-                  static_cast<double>(stats.counterSamples));
-        entry.set("cycles", static_cast<double>(stats.counters.cycles));
-        entry.set("instructions",
-                  static_cast<double>(stats.counters.instructions));
-        entry.set("cacheMisses",
-                  static_cast<double>(stats.counters.cacheMisses));
-        entry.set("branchMisses",
-                  static_cast<double>(stats.counters.branchMisses));
         kernels.set(stats.name, std::move(entry));
     }
     profile.set("kernels", std::move(kernels));

@@ -7,22 +7,20 @@
  * sampled replays, records each op's wall time plus its statically
  * estimated FLOPs and bytes moved — giving per-kernel call counts,
  * self times, and a roofline-style arithmetic-intensity estimate
- * (FLOP/byte). When a PerfCounters group is available the same slots
- * also accumulate hardware counters (cycles, instructions, cache
- * misses, branch misses) for the replaying thread.
+ * (FLOP/byte).
  *
  * Cost model: disabled (the default), the replay pays one relaxed
  * atomic load and a branch per forward()/backward() call — the
  * disabled-overhead budget is < 1%, gated in CI via
  * bench_micro_kernels' profiler.disabled_overhead_pct measurement.
- * Compiling with SMOOTHE_NO_PROFILER makes profilerEnabled() a
- * constant false and the instrumented path dead code. Enabled, every
- * stride-th replay is instrumented (~two clock reads per op, plus one
- * counter read when perf is available); enabled-mode self times
- * include that per-op read cost, so kernel self times sum to the
- * recorded phase totals by construction.
+ * Enabled, every stride-th replay is instrumented with one clock read
+ * per op boundary; enabled-mode self times include that read, so
+ * kernel self times sum to the recorded phase totals by construction.
  *
- * Exports: a "profile" section in the obs::Report schema (v2), a
+ * This is the one per-kernel attribution in the library: kernels do
+ * not keep call or byte counters of their own.
+ *
+ * Exports: a "profile" section in the obs::Report schema (v2+), a
  * collapsed-stack file for flamegraph tooling (--profile-out), and the
  * `smoothe_report profile` top-N kernel table.
  */
@@ -38,8 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/perf_counters.hpp"
-
 namespace smoothe::util {
 class Json;
 } // namespace smoothe::util
@@ -50,16 +46,11 @@ namespace detail {
 extern std::atomic<bool> profilerEnabled;
 } // namespace detail
 
-/** True while per-op profiling is on (one relaxed load); constant
- *  false when compiled out via SMOOTHE_NO_PROFILER. */
+/** True while per-op profiling is on (one relaxed load). */
 inline bool
 profilerEnabled()
 {
-#if defined(SMOOTHE_NO_PROFILER)
-    return false;
-#else
     return detail::profilerEnabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /** Immutable copy of one kernel's accumulated attribution. */
@@ -70,8 +61,6 @@ struct KernelStats
     double selfSeconds = 0.0;
     std::uint64_t flops = 0; ///< estimated, from op shapes
     std::uint64_t bytes = 0; ///< estimated bytes moved
-    std::uint64_t counterSamples = 0; ///< op executions with perf data
-    PerfSample counters;
 
     /** Arithmetic intensity in FLOP/byte (0 when no bytes recorded). */
     double
@@ -110,20 +99,6 @@ class Profiler
             bytes_.fetch_add(byte_count, std::memory_order_relaxed);
         }
 
-        /** Adds one op execution's hardware-counter deltas. */
-        void
-        recordCounters(const PerfSample& delta)
-        {
-            counterSamples_.fetch_add(1, std::memory_order_relaxed);
-            cycles_.fetch_add(delta.cycles, std::memory_order_relaxed);
-            instructions_.fetch_add(delta.instructions,
-                                    std::memory_order_relaxed);
-            cacheMisses_.fetch_add(delta.cacheMisses,
-                                   std::memory_order_relaxed);
-            branchMisses_.fetch_add(delta.branchMisses,
-                                    std::memory_order_relaxed);
-        }
-
         const std::string& name() const { return name_; }
         KernelStats stats() const;
 
@@ -137,20 +112,13 @@ class Profiler
         std::atomic<std::uint64_t> selfNanos_{0};
         std::atomic<std::uint64_t> flops_{0};
         std::atomic<std::uint64_t> bytes_{0};
-        std::atomic<std::uint64_t> counterSamples_{0};
-        std::atomic<std::uint64_t> cycles_{0};
-        std::atomic<std::uint64_t> instructions_{0};
-        std::atomic<std::uint64_t> cacheMisses_{0};
-        std::atomic<std::uint64_t> branchMisses_{0};
     };
 
     static Profiler& instance();
 
     /**
      * Turns profiling on: every stride-th forward()/backward() replay
-     * is instrumented (stride 1 = all, clamped to >= 1). Also probes
-     * perf-counter availability on the calling thread so perfStatus()
-     * reports a reason even before the first sampled replay.
+     * is instrumented (stride 1 = all, clamped to >= 1).
      */
     void enable(std::size_t stride = 1);
 
@@ -172,15 +140,6 @@ class Profiler
     /** Returns (creating on first use) the named kernel slot; the
      *  reference stays valid for the process lifetime. */
     Kernel& kernel(const std::string& name);
-
-    /**
-     * The calling thread's hardware-counter group, or nullptr when
-     * perf access is unavailable (opened lazily, once per thread).
-     */
-    PerfCounters* threadCounters();
-
-    bool perfAvailable() const;
-    std::string perfStatus() const;
 
     /** Snapshot of every kernel with at least one recorded call. */
     std::vector<KernelStats> snapshot() const;
@@ -211,9 +170,6 @@ class Profiler
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Kernel>> kernels_;
     std::atomic<std::size_t> stride_{1};
-    std::string perfStatus_ = "unprobed";
-    bool perfAvailable_ = false;
-    bool perfProbed_ = false;
     std::atomic<std::uint64_t> replays_[kNumPhases] = {};
     std::atomic<std::uint64_t> sampled_[kNumPhases] = {};
     std::atomic<std::uint64_t> phaseNanos_[kNumPhases] = {};

@@ -10,13 +10,6 @@ namespace smoothe::obs {
 
 namespace {
 
-/** Default phase-timer layout: exponential 1us .. 60s, 36 buckets. */
-std::vector<double>
-defaultPhaseBounds()
-{
-    return exponentialBounds(1e-6, 60.0, 36);
-}
-
 struct InstalledReport
 {
     std::mutex mutex;
@@ -163,29 +156,6 @@ Measurement::toJson() const
     return entry;
 }
 
-// --- PhaseTimer ----------------------------------------------------------
-
-util::Json
-PhaseTimer::toJson() const
-{
-    util::Json entry = util::Json::makeObject();
-    entry.set("unit", "s");
-    entry.set("count", histogram_.count());
-    entry.set("sum", histogram_.sum());
-    util::Json bounds = util::Json::makeArray();
-    for (double bound : histogram_.bounds())
-        bounds.push(bound);
-    util::Json counts = util::Json::makeArray();
-    for (std::size_t i = 0; i < histogram_.numBuckets(); ++i)
-        counts.push(histogram_.bucketCount(i));
-    entry.set("bounds", std::move(bounds));
-    entry.set("counts", std::move(counts));
-    entry.set("p50", histogram_.percentile(0.50));
-    entry.set("p90", histogram_.percentile(0.90));
-    entry.set("p99", histogram_.percentile(0.99));
-    return entry;
-}
-
 // --- Series --------------------------------------------------------------
 
 void
@@ -241,17 +211,13 @@ Report::measurement(const std::string& name)
     return *slot;
 }
 
-PhaseTimer&
-Report::phase(const std::string& name, std::vector<double> bounds)
+void
+Report::addPhase(const std::string& name, double seconds)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = phases_[name];
-    if (!slot) {
-        if (bounds.empty())
-            bounds = defaultPhaseBounds();
-        slot.reset(new PhaseTimer(std::move(bounds)));
-    }
-    return *slot;
+    PhaseTotal& total = phases_[name];
+    total.count += 1;
+    total.sum += seconds;
 }
 
 Series&
@@ -291,8 +257,13 @@ Report::toJson(bool include_metrics) const
     doc.set("measurements", std::move(measurements));
 
     util::Json phases = util::Json::makeObject();
-    for (const auto& [name, entry] : phases_)
-        phases.set(name, entry->toJson());
+    for (const auto& [name, total] : phases_) {
+        util::Json entry = util::Json::makeObject();
+        entry.set("unit", "s");
+        entry.set("count", total.count);
+        entry.set("sum", total.sum);
+        phases.set(name, std::move(entry));
+    }
     doc.set("phases", std::move(phases));
 
     util::Json series = util::Json::makeObject();
@@ -390,7 +361,11 @@ validateReportJson(const util::Json& doc, std::string* error)
     const util::Json* version = doc.find("schemaVersion");
     if (!version || !version->isNumber())
         return failValidation(error, "missing \"schemaVersion\"");
-    if (static_cast<int>(version->asNumber()) > kReportSchemaVersion)
+    const double v = version->asNumber();
+    if (v != std::floor(v) || v < 1.0)
+        return failValidation(error, "\"schemaVersion\" is not a "
+                                     "positive integer");
+    if (v > kReportSchemaVersion)
         return failValidation(error, "report schema is newer than this "
                                      "reader");
     const util::Json* run = doc.find("run");
@@ -423,18 +398,9 @@ validateReportJson(const util::Json& doc, std::string* error)
         if (!entry.isObject())
             return failValidation(error,
                                   "phase " + name + " is not an object");
-        const util::Json* bounds = entry.find("bounds");
-        const util::Json* counts = entry.find("counts");
-        if (!bounds || !bounds->isArray() || !counts || !counts->isArray())
-            return failValidation(error, "phase " + name +
-                                             " has no bounds/counts");
-        if (counts->asArray().size() != bounds->asArray().size() + 1)
-            return failValidation(error, "phase " + name +
-                                             " bucket count mismatch");
-        if (!findNumber(entry, "p50") || !findNumber(entry, "p90") ||
-            !findNumber(entry, "p99"))
-            return failValidation(error, "phase " + name +
-                                             " has no percentiles");
+        if (!findNumber(entry, "count") || !findNumber(entry, "sum"))
+            return failValidation(error,
+                                  "phase " + name + " has no count/sum");
     }
 
     const util::Json* series = doc.find("series");
@@ -458,7 +424,7 @@ validateReportJson(const util::Json& doc, std::string* error)
     }
 
     // "profile" is new in schema v2 and stays optional: v1 documents
-    // never carry it, v2 documents only when the profiler ran.
+    // never carry it, later ones only when the profiler ran.
     if (const util::Json* profile = doc.find("profile")) {
         if (!profile->isObject())
             return failValidation(error, "\"profile\" is not an object");

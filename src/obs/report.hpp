@@ -7,8 +7,8 @@
  *   - run metadata (tool name, git sha, build flags, thread count,
  *     dataset/family, arbitrary key/value pairs),
  *   - named scalar measurement series with mean/stddev/min/max,
- *   - per-phase histogram timers (exponential buckets, interpolated
- *     p50/p90/p99),
+ *   - per-phase totals (scope count and summed seconds, fed by
+ *     obs::PhaseProfiler scopes),
  *   - named tabular series (e.g. the SmoothE convergence recorder), and
  *   - a final snapshot of the process-wide metrics registry,
  * and serializes everything as one JSON document conforming to the
@@ -26,6 +26,7 @@
 #define SMOOTHE_OBS_REPORT_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,11 +44,16 @@ class Report;
  * Schema identifier and version stamped into every report document.
  * v1: run/measurements/phases/series/metrics sections.
  * v2: adds an optional "profile" section (per-kernel attribution from
- *     obs::Profiler). validateReportJson accepts v1 and v2 documents,
- *     so committed v1 baselines keep gating v2 candidates.
+ *     obs::Profiler).
+ * v3: a "phases" entry is {"unit":"s","count":n,"sum":s} (v1/v2 also
+ *     carried histogram buckets and percentiles); the profile section
+ *     has no hardware-counter fields.
+ * validateReportJson accepts every version from 1 to the current one
+ * (it needs only fields all of them carry), so committed older
+ * baselines keep gating newer candidates.
  */
 inline constexpr const char* kReportSchemaName = "smoothe.report";
-inline constexpr int kReportSchemaVersion = 2;
+inline constexpr int kReportSchemaVersion = 3;
 
 /**
  * One named scalar measurement: a series of repeated observations of the
@@ -95,28 +101,6 @@ class Measurement
 };
 
 /**
- * A per-phase duration histogram: observations in seconds land in
- * exponential buckets; the report emits bucket counts plus interpolated
- * p50/p90/p99. observe() is lock-free (atomic bucket increments).
- */
-class PhaseTimer
-{
-  public:
-    void observe(double seconds) { histogram_.observe(seconds); }
-
-    const Histogram& histogram() const { return histogram_; }
-
-  private:
-    friend class Report;
-    explicit PhaseTimer(std::vector<double> bounds)
-        : histogram_(std::move(bounds))
-    {}
-    util::Json toJson() const;
-
-    Histogram histogram_;
-};
-
-/**
  * A named table of numeric rows with fixed column labels — the shape of
  * anytime/convergence curves. Rows are kept in insertion order.
  */
@@ -159,11 +143,8 @@ class Report
      *  reference stays valid for the report's lifetime. */
     Measurement& measurement(const std::string& name);
 
-    /** Returns (creating on first use) the named phase timer. The bucket
-     *  boundaries of `bounds` apply on first creation only; pass {} for
-     *  the default exponential 1us..60s layout. */
-    PhaseTimer& phase(const std::string& name,
-                      std::vector<double> bounds = {});
+    /** Adds one scope of the named phase: count += 1, sum += seconds. */
+    void addPhase(const std::string& name, double seconds);
 
     /** Returns (creating on first use) the named series; columns apply on
      *  first creation only. */
@@ -171,9 +152,9 @@ class Report
                    std::vector<std::string> columns);
 
     /**
-     * Attaches the schema-v2 "profile" section (the obs::Profiler's
-     * toJson() output); the CLI flush hooks do this automatically when
-     * the profiler holds data. A null value removes the section.
+     * Attaches the "profile" section (the obs::Profiler's toJson()
+     * output); the CLI flush hooks do this automatically when the
+     * profiler holds data. A null value removes the section.
      */
     void setProfile(util::Json profile);
 
@@ -216,7 +197,12 @@ class Report
     std::string tool_;
     util::Json run_ = util::Json::makeObject();
     std::map<std::string, std::unique_ptr<Measurement>> measurements_;
-    std::map<std::string, std::unique_ptr<PhaseTimer>> phases_;
+    struct PhaseTotal
+    {
+        std::uint64_t count = 0;
+        double sum = 0.0;
+    };
+    std::map<std::string, PhaseTotal> phases_;
     std::map<std::string, std::unique_ptr<Series>> series_;
     util::Json profile_; ///< null until setProfile()
 };

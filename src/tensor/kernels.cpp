@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.hpp"
 #include "tensor/kernels_avx2.hpp"
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -338,10 +337,6 @@ meanRowsInto(const Tensor& a, Tensor& out)
 void
 segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out)
 {
-    static obs::Counter& calls = obs::counter("kernel.softmax.calls");
-    static obs::Counter& bytes = obs::counter("kernel.softmax.bytes");
-    calls.add(1);
-    bytes.add(a.size() * sizeof(float));
     // Columns outside every segment are never written; zero them only
     // when the segments are not a full partition so reused buffers match
     // the zeros a fresh tensor would carry.

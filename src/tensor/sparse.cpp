@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/contracts.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/kernels_avx2.hpp"
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -134,13 +133,6 @@ spmv(const CsrMatrix& a, const Tensor& x, Tensor& out)
                    "spmv: output %zux%zu for %zux%zu", out.rows(), out.cols(),
                    x.rows(), a.numRows);
 
-    static obs::Counter& calls = obs::counter("kernel.spmv.calls");
-    static obs::Counter& bytes = obs::counter("kernel.spmv.bytes");
-    calls.add(1);
-    // Bytes touched: nnz values + column indices, plus in/out vectors.
-    bytes.add(a.values.size() * (sizeof(float) + sizeof(std::uint32_t)) +
-              (x.size() + out.size()) * sizeof(float));
-
     compressedProduct(a.rowOffsets.data(), a.colIndices.data(),
                       a.values.data(), a.numRows, x, out);
 }
@@ -154,12 +146,6 @@ spmvT(const CscMatrix& a, const Tensor& x, Tensor& out)
     SMOOTHE_ASSERT(out.rows() == x.rows() && out.cols() == a.numCols,
                    "spmvT: output %zux%zu for %zux%zu", out.rows(),
                    out.cols(), x.rows(), a.numCols);
-
-    static obs::Counter& calls = obs::counter("kernel.spmvt.calls");
-    static obs::Counter& bytes = obs::counter("kernel.spmvt.bytes");
-    calls.add(1);
-    bytes.add(a.values.size() * (sizeof(float) + sizeof(std::uint32_t)) +
-              (x.size() + out.size()) * sizeof(float));
 
     compressedProduct(a.colOffsets.data(), a.rowIndices.data(),
                       a.values.data(), a.numCols, x, out);

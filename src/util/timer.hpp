@@ -73,9 +73,6 @@ class Deadline
     double budget_;
 };
 
-// PhaseProfiler (the Figure 8 phase accumulator) now lives in
-// obs/phase_profiler.hpp, rebuilt on trace spans.
-
 } // namespace smoothe::util
 
 #endif // SMOOTHE_UTIL_TIMER_HPP

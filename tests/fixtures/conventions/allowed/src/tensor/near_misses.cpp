@@ -7,9 +7,11 @@
 #include <thread>
 
 #include "check/contracts.hpp"
+#include "obs/log.hpp"
 #include "util/rng.hpp"
 
-// A plain comment may say std::thread, srand(7) or FP_CONTRACT too.
+// A plain comment may say std::thread, srand(7), FP_CONTRACT or
+// obs::counter("kernel.x.calls") too; a kernel may log.
 template <typename Clock>
 float
 scaledDraw(smoothe::util::Rng& rng, const Clock& clock, const Clock* lap)

@@ -1,19 +1,24 @@
 /**
  * @file
  * End-to-end smoke test of the telemetry surface: runs the real
- * smoothe_extract binary with --trace-out/--metrics-out on a tiny
- * generated e-graph and checks that the trace is valid Chrome trace-event
- * JSON covering the optimizer phases and that the metrics dump contains
- * the headline counters.
+ * egraph_gen and smoothe_extract binaries with --trace-out,
+ * --metrics-out, --report-out and --profile-out on a tiny generated
+ * e-graph and checks that every file they write parses: the trace as
+ * Chrome trace-event JSON covering the optimizer phases, the metrics as
+ * a flat object with the headline counters, each report against the
+ * report schema (with profiler kernel attribution when profiling), and
+ * the collapsed-stack profile line by line.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <set>
 #include <string>
 
+#include "obs/report.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -41,6 +46,53 @@ runCommand(const std::string& command)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/** Reads and parses a JSON file the tool wrote. */
+smoothe::util::Json
+readJson(const std::string& path)
+{
+    const auto text = smoothe::util::readFile(path);
+    EXPECT_TRUE(text.has_value()) << "missing " << path;
+    if (!text)
+        return {};
+    auto doc = smoothe::util::Json::parse(*text);
+    EXPECT_TRUE(doc.has_value()) << path << " is not JSON";
+    return doc ? *doc : smoothe::util::Json();
+}
+
+/** Checks a trace file's shape; returns the names of its complete spans. */
+std::set<std::string>
+checkTrace(const std::string& path)
+{
+    std::set<std::string> spanNames;
+    const smoothe::util::Json doc = readJson(path);
+    const smoothe::util::Json* events = doc.find("traceEvents");
+    EXPECT_TRUE(events != nullptr && events->isArray()) << path;
+    if (events == nullptr || !events->isArray())
+        return spanNames;
+    for (const smoothe::util::Json& event : events->asArray()) {
+        const smoothe::util::Json* ph = event.find("ph");
+        const smoothe::util::Json* name = event.find("name");
+        EXPECT_TRUE(ph != nullptr && name != nullptr) << path;
+        if (ph != nullptr && name != nullptr && ph->asString() == "X") {
+            const smoothe::util::Json* dur = event.find("dur");
+            EXPECT_TRUE(dur != nullptr && dur->asNumber() >= 0.0) << path;
+            spanNames.insert(name->asString());
+        }
+    }
+    return spanNames;
+}
+
+/** Checks that a report file passes schema validation; returns it. */
+smoothe::util::Json
+checkReport(const std::string& path)
+{
+    smoothe::util::Json doc = readJson(path);
+    std::string error;
+    EXPECT_TRUE(smoothe::obs::validateReportJson(doc, &error))
+        << path << ": " << error;
+    return doc;
+}
+
 } // namespace
 
 TEST(SmokeObservability, TraceAndMetricsFilesAreValid)
@@ -56,54 +108,115 @@ TEST(SmokeObservability, TraceAndMetricsFilesAreValid)
 
     const std::string trace = "/tmp/smoothe_obs_trace.json";
     const std::string metrics = "/tmp/smoothe_obs_metrics.json";
+    const std::string report = "/tmp/smoothe_obs_report.json";
     ASSERT_EQ(runCommand(extract +
                          " --input /tmp/maxsat_0.json --extractor smoothe "
                          "--max-iters 30 --seeds 4 --time-limit 20 "
-                         "--trace-out " + trace + " --metrics-out " +
-                         metrics),
+                         "--profile --trace-out " + trace +
+                         " --metrics-out " + metrics + " --report-out " +
+                         report),
               0);
 
-    // Trace: valid JSON, traceEvents array, optimizer phase spans present.
-    auto traceText = smoothe::util::readFile(trace);
-    ASSERT_TRUE(traceText.has_value());
-    auto traceDoc = smoothe::util::Json::parse(*traceText);
-    ASSERT_TRUE(traceDoc.has_value());
-    const smoothe::util::Json* events = traceDoc->find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-    ASSERT_GT(events->asArray().size(), 0u);
-
-    std::set<std::string> spanNames;
-    for (const smoothe::util::Json& event : events->asArray()) {
-        ASSERT_NE(event.find("ph"), nullptr);
-        ASSERT_NE(event.find("name"), nullptr);
-        if (event.find("ph")->asString() == "X") {
-            EXPECT_GE(event.find("dur")->asNumber(), 0.0);
-            spanNames.insert(event.find("name")->asString());
-        }
-    }
+    // Trace: optimizer phase spans present.
+    const std::set<std::string> spanNames = checkTrace(trace);
     for (const char* phase :
          {"softmax", "propagate", "penalty", "adam", "sampling",
           "iteration"}) {
         EXPECT_TRUE(spanNames.count(phase)) << "missing span: " << phase;
     }
 
-    // Metrics: valid JSON with nonzero headline numbers.
-    auto metricsText = smoothe::util::readFile(metrics);
-    ASSERT_TRUE(metricsText.has_value());
-    auto metricsDoc = smoothe::util::Json::parse(*metricsText);
-    ASSERT_TRUE(metricsDoc.has_value());
-    ASSERT_TRUE(metricsDoc->isObject());
+    // Metrics: a flat object with nonzero headline numbers.
+    const smoothe::util::Json metricsDoc = readJson(metrics);
+    ASSERT_TRUE(metricsDoc.isObject());
     for (const char* name :
-         {"smoothe.iterations", "tape.nodes", "sampler.valid_rate",
-          "kernel.softmax.calls"}) {
-        const smoothe::util::Json* value = metricsDoc->find(name);
+         {"smoothe.iterations", "tape.nodes", "sampler.valid_rate"}) {
+        const smoothe::util::Json* value = metricsDoc.find(name);
         ASSERT_NE(value, nullptr) << "missing metric: " << name;
         EXPECT_GT(value->asNumber(), 0.0) << name;
     }
 
+    // Report: valid, with per-phase totals and the softmax kernel
+    // attributed by the profiler.
+    const smoothe::util::Json reportDoc = checkReport(report);
+    const smoothe::util::Json* phases = reportDoc.find("phases");
+    ASSERT_NE(phases, nullptr);
+    const smoothe::util::Json* loss = phases->find("loss");
+    ASSERT_NE(loss, nullptr);
+    EXPECT_GT(loss->find("count")->asNumber(), 0.0);
+    const smoothe::util::Json* profile = reportDoc.find("profile");
+    ASSERT_NE(profile, nullptr);
+    bool softmaxCalled = false;
+    for (const auto& [name, entry] :
+         profile->find("kernels")->asObject()) {
+        if (name.rfind("forward.segment_softmax", 0) == 0 &&
+            entry.find("calls")->asNumber() > 0.0)
+            softmaxCalled = true;
+    }
+    EXPECT_TRUE(softmaxCalled);
+
     std::remove(trace.c_str());
     std::remove(metrics.c_str());
+    std::remove(report.c_str());
+}
+
+TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
+{
+    const std::string gen = binaryPath("egraph_gen");
+    const std::string extract = binaryPath("smoothe_extract");
+    if (gen.empty() || extract.empty())
+        GTEST_SKIP() << "tool binaries not found relative to cwd";
+
+    const std::string dir = "/tmp/smoothe_obs_tools";
+    ASSERT_EQ(runCommand("mkdir -p " + dir), 0);
+    const auto telemetry = [&](const std::string& tag) {
+        return " --trace-out " + dir + "/" + tag + "_trace.json" +
+               " --metrics-out " + dir + "/" + tag + "_metrics.json" +
+               " --report-out " + dir + "/" + tag + "_report.json";
+    };
+    const std::string input = dir + "/maxsat_0.json";
+    ASSERT_EQ(runCommand(gen + " --family maxsat --scale 0.05 --seed 7 "
+                               "--out " + dir + telemetry("gen")),
+              0);
+    ASSERT_EQ(runCommand(extract + " --input " + input +
+                         " --extractor smoothe --max-iters 20 --seeds 2"
+                         " --time-limit 20" + telemetry("smoothe")),
+              0);
+    ASSERT_EQ(runCommand(extract + " --input " + input +
+                         " --extractor heuristic+" + telemetry("heur")),
+              0);
+    for (const char* tag : {"gen", "smoothe", "heur"}) {
+        SCOPED_TRACE(tag);
+        const std::string prefix = dir + "/" + tag;
+        checkTrace(prefix + "_trace.json");
+        EXPECT_TRUE(readJson(prefix + "_metrics.json").isObject());
+        const smoothe::util::Json report = checkReport(prefix + "_report.json");
+        EXPECT_EQ(smoothe::obs::reportSchemaVersion(report),
+                  smoothe::obs::kReportSchemaVersion);
+    }
+
+    // --profile-out: collapsed stacks, "smoothe;<phase>;<kernel> <us>".
+    const std::string folded = dir + "/prof.folded";
+    ASSERT_EQ(runCommand(extract + " --input " + input +
+                         " --extractor smoothe --max-iters 20 --seeds 2"
+                         " --time-limit 20 --profile-out " + folded),
+              0);
+    const auto text = smoothe::util::readFile(folded);
+    ASSERT_TRUE(text.has_value());
+    const std::regex line("smoothe;(forward|backward);[^; ]+ [0-9]+");
+    std::size_t lines = 0;
+    std::size_t start = 0;
+    while (start < text->size()) {
+        std::size_t end = text->find('\n', start);
+        if (end == std::string::npos)
+            end = text->size();
+        const std::string row = text->substr(start, end - start);
+        EXPECT_TRUE(std::regex_match(row, line)) << row;
+        ++lines;
+        start = end + 1;
+    }
+    EXPECT_GT(lines, 0u);
+
+    ASSERT_EQ(runCommand("rm -rf " + dir), 0);
 }
 
 TEST(SmokeObservability, UnknownFlagsAreRejected)

@@ -9,6 +9,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "autodiff/tape.hpp"
 #include "check/contracts.hpp"
@@ -20,6 +23,8 @@
 #include "extraction/validate.hpp"
 #include "obs/check_telemetry.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace check = smoothe::check;
 namespace eg = smoothe::eg;
@@ -497,6 +502,132 @@ TEST(SerializeHardening, RejectsUnknownRoot)
     std::string error;
     EXPECT_EQ(eg::fromJson(text, &error), std::nullopt);
     EXPECT_NE(error.find("c999"), std::string::npos) << error;
+}
+
+/**
+ * One seeded structural mutation of a valid extraction-gym document:
+ * the kinds the ingest must survive. Returns the mutated text.
+ */
+enum class Mutation
+{
+    DanglingChild,
+    EmptyClass,
+    LeaflessCycle,
+    DuplicateNodeId,
+    HugeCost,
+    HugeNegativeCost,
+    ZeroCost,
+    StringCost,
+};
+
+std::string
+mutateDocument(const eg::EGraph& base, Mutation kind, std::uint64_t seed)
+{
+    using smoothe::util::Json;
+    smoothe::util::Rng rng(seed);
+    Json doc = *Json::parse(eg::toJson(base));
+    Json::Object& nodes = doc.asObject().front().second.asObject();
+    Json& victim = nodes[rng.uniformIndex(nodes.size())].second;
+    const auto randomKey = [&]() {
+        return nodes[rng.uniformIndex(nodes.size())].first;
+    };
+    switch (kind) {
+      case Mutation::DanglingChild: {
+        Json children = *victim.find("children");
+        children.push("no_such_node_" + std::to_string(seed));
+        victim.set("children", std::move(children));
+        break;
+      }
+      case Mutation::EmptyClass: {
+        const std::string cls = victim.find("eclass")->asString();
+        Json::Object kept;
+        for (auto& entry : nodes)
+            if (entry.second.find("eclass")->asString() != cls)
+                kept.push_back(std::move(entry));
+        nodes = std::move(kept);
+        break;
+      }
+      case Mutation::LeaflessCycle:
+        // Every leaf gains a child, so no node is a leaf and every
+        // path eventually cycles.
+        for (auto& entry : nodes) {
+            if (entry.second.find("children")->asArray().empty()) {
+                Json children = Json::makeArray();
+                children.push(randomKey());
+                entry.second.set("children", std::move(children));
+            }
+        }
+        break;
+      case Mutation::DuplicateNodeId: {
+        Json copy = victim;
+        copy.set("eclass", nodes[rng.uniformIndex(nodes.size())]
+                               .second.find("eclass")
+                               ->asString());
+        nodes.emplace_back(randomKey(), std::move(copy));
+        break;
+      }
+      case Mutation::HugeCost:
+        victim.set("cost", 1e39);
+        break;
+      case Mutation::HugeNegativeCost:
+        victim.set("cost", -1e39);
+        break;
+      case Mutation::ZeroCost:
+        victim.set("cost", 0.0);
+        break;
+      case Mutation::StringCost:
+        victim.set("cost", "12");
+        break;
+    }
+    return doc.dump();
+}
+
+TEST(SerializeHardening, StructuralFuzzNeverCrashes)
+{
+    ds::FamilyParams rover = ds::roverParams();
+    rover.numClasses = 40;
+    rover.cycleFraction = 0.1;
+    const std::vector<eg::EGraph> bases = {
+        ds::paperExampleEGraph(), ds::generateStructured(rover, 3)};
+    const Mutation kinds[] = {
+        Mutation::DanglingChild,   Mutation::EmptyClass,
+        Mutation::LeaflessCycle,   Mutation::DuplicateNodeId,
+        Mutation::HugeCost,        Mutation::HugeNegativeCost,
+        Mutation::ZeroCost,        Mutation::StringCost,
+    };
+    for (const eg::EGraph& base : bases) {
+        for (const Mutation kind : kinds) {
+            for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+                SCOPED_TRACE("mutation " +
+                             std::to_string(static_cast<int>(kind)) +
+                             " seed " + std::to_string(seed));
+                const std::string text = mutateDocument(base, kind, seed);
+                std::string error;
+                std::optional<eg::EGraph> loaded;
+                try {
+                    loaded = eg::fromJson(text, &error);
+                } catch (const std::exception& e) {
+                    error = e.what();
+                }
+                if (loaded) {
+                    EXPECT_EQ(loaded->checkInvariants(), std::nullopt);
+                } else {
+                    EXPECT_FALSE(error.empty());
+                }
+                // Kinds that are never a valid document.
+                if (kind == Mutation::DanglingChild ||
+                    kind == Mutation::DuplicateNodeId ||
+                    kind == Mutation::HugeCost ||
+                    kind == Mutation::HugeNegativeCost ||
+                    kind == Mutation::StringCost) {
+                    EXPECT_FALSE(loaded.has_value());
+                }
+                if (kind == Mutation::ZeroCost) {
+                    EXPECT_TRUE(loaded.has_value()) << error;
+                }
+            }
+        }
+    }
 }
 
 TEST(SerializeHardening, RoundTripsHealthyGraph)

@@ -202,93 +202,11 @@ TEST(Metrics, CounterGaugeArithmetic)
     EXPECT_EQ(&so::counter("test.counter"), &counter);
 }
 
-TEST(Metrics, HistogramBuckets)
-{
-    so::Histogram& hist = so::histogram("test.hist", {1.0, 10.0});
-    hist.reset();
-    hist.observe(0.5);  // <= 1
-    hist.observe(1.0);  // <= 1 (inclusive upper bound)
-    hist.observe(5.0);  // <= 10
-    hist.observe(100.0); // overflow
-    ASSERT_EQ(hist.numBuckets(), 3u);
-    EXPECT_EQ(hist.bucketCount(0), 2u);
-    EXPECT_EQ(hist.bucketCount(1), 1u);
-    EXPECT_EQ(hist.bucketCount(2), 1u);
-    EXPECT_EQ(hist.count(), 4u);
-    EXPECT_DOUBLE_EQ(hist.sum(), 106.5);
-}
-
-TEST(Metrics, PercentileInterpolatesWithinBuckets)
-{
-    so::Histogram& hist = so::histogram("test.pctl", {1.0, 10.0});
-    hist.reset();
-    for (int i = 0; i < 4; ++i)
-        hist.observe(0.5); // bucket 0: ranks 1-4
-    for (int i = 0; i < 4; ++i)
-        hist.observe(5.0); // bucket 1: ranks 5-8
-    for (int i = 0; i < 2; ++i)
-        hist.observe(100.0); // overflow: ranks 9-10
-
-    // Rank 5 lands 1/4 into bucket 1 → 1 + 0.25 * (10 - 1).
-    EXPECT_DOUBLE_EQ(hist.percentile(0.50), 3.25);
-    // Rank 2 is halfway through the first bucket, interpolated from 0.
-    EXPECT_DOUBLE_EQ(hist.percentile(0.20), 0.5);
-    // The overflow bucket has no finite edge: clamp to the last bound.
-    EXPECT_DOUBLE_EQ(hist.percentile(0.99), 10.0);
-    EXPECT_DOUBLE_EQ(hist.percentile(1.0), 10.0);
-    // q <= 0 maps to the first observation's bucket, not a negative rank.
-    EXPECT_GE(hist.percentile(0.0), 0.0);
-    EXPECT_LE(hist.percentile(0.0), 1.0);
-}
-
-TEST(Metrics, PercentileEdgeCases)
-{
-    so::Histogram& empty = so::histogram("test.pctl_empty", {1.0});
-    empty.reset();
-    EXPECT_DOUBLE_EQ(empty.percentile(0.5), 0.0);
-
-    // Everything in the first bucket interpolates from zero.
-    so::Histogram& low = so::histogram("test.pctl_low", {8.0});
-    low.reset();
-    for (int i = 0; i < 4; ++i)
-        low.observe(1.0);
-    EXPECT_DOUBLE_EQ(low.percentile(0.5), 4.0);
-
-    // Everything in the overflow bucket clamps to the last bound.
-    so::Histogram& high = so::histogram("test.pctl_high", {1.0, 2.0});
-    high.reset();
-    high.observe(50.0);
-    EXPECT_DOUBLE_EQ(high.percentile(0.5), 2.0);
-}
-
-TEST(Metrics, ExponentialBoundsSpanRange)
-{
-    const auto bounds = so::exponentialBounds(1e-6, 60.0, 36);
-    ASSERT_EQ(bounds.size(), 36u);
-    EXPECT_DOUBLE_EQ(bounds.front(), 1e-6);
-    EXPECT_DOUBLE_EQ(bounds.back(), 60.0); // exact despite rounding
-    for (std::size_t i = 1; i < bounds.size(); ++i)
-        EXPECT_GT(bounds[i], bounds[i - 1]);
-    // Geometric spacing: constant ratio between neighbours.
-    const double r0 = bounds[1] / bounds[0];
-    const double r1 = bounds[20] / bounds[19];
-    EXPECT_NEAR(r0, r1, 1e-9);
-
-    // Degenerate requests collapse to a single bound.
-    EXPECT_EQ(so::exponentialBounds(1.0, 2.0, 1).size(), 1u);
-    EXPECT_EQ(so::exponentialBounds(0.0, 2.0, 8).size(), 1u);
-    EXPECT_EQ(so::exponentialBounds(2.0, 2.0, 8).size(), 1u);
-}
-
 TEST(Metrics, JsonShape)
 {
     so::counter("test.json_counter").reset();
     so::counter("test.json_counter").add(3);
     so::gauge("test.json_gauge").set(1.5);
-    so::Histogram& hist = so::histogram("test.json_hist", {2.0});
-    hist.reset();
-    hist.observe(1.0);
-    hist.observe(9.0);
 
     const auto doc =
         su::Json::parse(so::MetricsRegistry::instance().toJson().dump());
@@ -296,14 +214,6 @@ TEST(Metrics, JsonShape)
     ASSERT_TRUE(doc->isObject());
     EXPECT_DOUBLE_EQ(doc->find("test.json_counter")->asNumber(), 3.0);
     EXPECT_DOUBLE_EQ(doc->find("test.json_gauge")->asNumber(), 1.5);
-
-    const su::Json* histJson = doc->find("test.json_hist");
-    ASSERT_NE(histJson, nullptr);
-    ASSERT_TRUE(histJson->isObject());
-    EXPECT_EQ(histJson->find("bounds")->asArray().size(), 1u);
-    EXPECT_EQ(histJson->find("counts")->asArray().size(), 2u);
-    EXPECT_DOUBLE_EQ(histJson->find("count")->asNumber(), 2.0);
-    EXPECT_DOUBLE_EQ(histJson->find("sum")->asNumber(), 10.0);
 }
 
 TEST(Trace, SpansProduceBalancedChromeJson)
@@ -405,6 +315,37 @@ TEST(PhaseProfiler, ScopesEmitSpansWhenTracing)
     session.clear();
 }
 
+TEST(PhaseProfiler, ScopesFeedReportTotals)
+{
+    so::Report& report = so::Report::install("phase_test", "");
+    so::PhaseProfiler profiler;
+    for (int i = 0; i < 3; ++i) {
+        auto scope = profiler.loss();
+        volatile int sink = 0;
+        for (int j = 0; j < 1000; ++j)
+            sink = sink + j;
+        (void)sink;
+    }
+    {
+        auto scope = profiler.sampling();
+    }
+    const su::Json doc = report.toJson(false);
+    so::Report::uninstall();
+
+    const su::Json* phases = doc.find("phases");
+    ASSERT_NE(phases, nullptr);
+    const su::Json* loss = phases->find("loss");
+    const su::Json* sampling = phases->find("sampling");
+    ASSERT_NE(loss, nullptr);
+    ASSERT_NE(sampling, nullptr);
+    EXPECT_EQ(loss->find("count")->asNumber(), 3.0);
+    EXPECT_EQ(sampling->find("count")->asNumber(), 1.0);
+    // The slot and the report add the same durations in the same order.
+    EXPECT_EQ(loss->find("sum")->asNumber(), profiler.lossSeconds);
+    EXPECT_EQ(sampling->find("sum")->asNumber(), profiler.samplingSeconds);
+    EXPECT_EQ(phases->find("gradient"), nullptr);
+}
+
 TEST(Disabled, FastPathAllocatesNothing)
 {
     // With tracing off and the component below threshold, spans, counter
@@ -415,7 +356,6 @@ TEST(Disabled, FastPathAllocatesNothing)
     static so::Logger log("obs_test_fastpath"); // registered up front
     so::Counter& counter = so::counter("test.fastpath.counter");
     so::Gauge& gauge = so::gauge("test.fastpath.gauge");
-    so::Histogram& hist = so::histogram("test.fastpath.hist", {1.0});
 
     const std::uint64_t before =
         gAllocations.load(std::memory_order_relaxed);
@@ -423,7 +363,6 @@ TEST(Disabled, FastPathAllocatesNothing)
         so::Span span("hot", "test");
         counter.add(1);
         gauge.set(static_cast<double>(i));
-        hist.observe(0.5);
         log.debug("suppressed %d", i);
         so::traceCounter("hot.counter", 1.0);
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Run-report subsystem tests: golden-file schema round-trip, JSON
- * validation, regression detection via checkReports, and end-to-end
+ * validation, regression detection via checkReports, the committed
+ * bench baselines gating a current-version candidate, and end-to-end
  * gating through the smoothe_report binary (--check exits nonzero when
  * a 20% slowdown is injected into the candidate).
  *
@@ -23,6 +24,9 @@ namespace util = smoothe::util;
 
 #ifndef SMOOTHE_GOLDEN_DIR
 #define SMOOTHE_GOLDEN_DIR "tests/golden"
+#endif
+#ifndef SMOOTHE_BASELINE_DIR
+#define SMOOTHE_BASELINE_DIR "bench/baselines"
 #endif
 
 namespace {
@@ -47,12 +51,11 @@ populateSample(so::Report& report)
         4096.0);
     report.measurement("speedup").unit("x").higherIsBetter().add(2.0);
 
-    so::PhaseTimer& loss =
-        report.phase("loss", {0.001, 0.01, 0.1});
-    loss.observe(0.0005); // first bucket
-    loss.observe(0.005);
-    loss.observe(0.05);
-    loss.observe(5.0); // overflow bucket
+    // Binary fractions, so the golden sum is exact.
+    report.addPhase("loss", 0.25);
+    report.addPhase("loss", 0.5);
+    report.addPhase("loss", 0.125);
+    report.addPhase("loss", 4.0);
 
     so::Series& curve =
         report.series("convergence", {"iteration", "loss"});
@@ -176,25 +179,75 @@ TEST(Report, ValidationRejectsForeignAndBrokenDocs)
 
     auto doc = util::Json::parse(sampleReportText());
     ASSERT_TRUE(doc.has_value());
-    doc->set("schemaVersion", 999);
+    // Only integers from 1 to the current version are real versions.
+    for (const double version : {999.0, -3.0, 2.9, 0.0}) {
+        doc->set("schemaVersion", version);
+        error.clear();
+        EXPECT_FALSE(so::validateReportJson(*doc, &error)) << version;
+        EXPECT_FALSE(error.empty()) << version;
+    }
+    for (const double version : {1.0, 2.0, 3.0}) {
+        doc->set("schemaVersion", version);
+        EXPECT_TRUE(so::validateReportJson(*doc, &error)) << version;
+    }
+
+    // A phase entry needs a numeric count and sum.
+    doc->set("schemaVersion", so::kReportSchemaVersion);
+    util::Json phases = util::Json::makeObject();
+    util::Json noSum = util::Json::makeObject();
+    noSum.set("count", 1);
+    phases.set("loss", std::move(noSum));
+    doc->set("phases", std::move(phases));
     EXPECT_FALSE(so::validateReportJson(*doc, &error));
-    EXPECT_FALSE(error.empty());
 }
 
-TEST(Report, PhasePercentilesLandInJson)
+TEST(Report, PhaseTotalsLandInJson)
 {
     const auto doc = sampleReportJson();
     const util::Json* phases = doc.find("phases");
     ASSERT_NE(phases, nullptr);
     const util::Json* loss = phases->find("loss");
     ASSERT_NE(loss, nullptr);
-    ASSERT_NE(loss->find("p50"), nullptr);
-    ASSERT_NE(loss->find("p90"), nullptr);
-    ASSERT_NE(loss->find("p99"), nullptr);
-    // 4 bounds-delimited buckets: 3 finite + overflow.
-    EXPECT_EQ(loss->find("counts")->asArray().size(),
-              loss->find("bounds")->asArray().size() + 1);
+    EXPECT_EQ(loss->find("unit")->asString(), "s");
     EXPECT_EQ(loss->find("count")->asNumber(), 4.0);
+    EXPECT_EQ(loss->find("sum")->asNumber(), 4.875);
+    EXPECT_EQ(loss->asObject().size(), 3u); // no buckets or percentiles
+}
+
+TEST(Report, CommittedBaselinesGateV3Candidates)
+{
+    for (const char* name : {"micro_kernels.json", "anytime_eqsat.json"}) {
+        SCOPED_TRACE(name);
+        const auto text = util::readFile(std::string(SMOOTHE_BASELINE_DIR) +
+                                         "/" + name);
+        ASSERT_TRUE(text.has_value());
+        const auto baseline = util::Json::parse(*text);
+        ASSERT_TRUE(baseline.has_value());
+        std::string error;
+        ASSERT_TRUE(so::validateReportJson(*baseline, &error)) << error;
+
+        // A current-version candidate that reproduces every baseline
+        // mean passes the gate and misses nothing.
+        so::Report candidate("baseline_test");
+        for (const auto& [measurement, entry] :
+             baseline->find("measurements")->asObject()) {
+            so::Measurement& m = candidate.measurement(measurement);
+            const util::Json* better = entry.find("better");
+            if (better != nullptr && better->asString() == "higher")
+                m.higherIsBetter();
+            m.add(entry.find("mean")->asNumber());
+        }
+        candidate.addPhase("loss", 0.5);
+        const util::Json doc = candidate.toJson(false);
+        ASSERT_EQ(so::reportSchemaVersion(doc), so::kReportSchemaVersion);
+        ASSERT_TRUE(so::validateReportJson(doc, &error)) << error;
+        const auto findings = so::checkReports(*baseline, doc, 0.0);
+        EXPECT_FALSE(findings.empty());
+        for (const auto& finding : findings) {
+            EXPECT_FALSE(finding.regression) << finding.measurement;
+            EXPECT_FALSE(finding.missing) << finding.measurement;
+        }
+    }
 }
 
 TEST(Report, CheckDetectsInjectedSlowdown)

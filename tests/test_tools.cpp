@@ -98,8 +98,8 @@ TEST(Tools, ExtractorsAgreeOnToolInput)
 
 // A mid-run abort (uncaught exception -> std::terminate) must still
 // leave every telemetry file valid: the terminate handler flushes the
-// report (including the schema-v2 profile section) and the collapsed-
-// stack --profile-out file before the process dies.
+// report (including the profile section) and the collapsed-stack
+// --profile-out file before the process dies.
 TEST(Tools, TerminateFlushKeepsTelemetryFilesValid)
 {
     const std::string extract = binaryPath("smoothe_extract");
@@ -123,7 +123,8 @@ TEST(Tools, TerminateFlushKeepsTelemetryFilesValid)
     ASSERT_TRUE(doc.has_value());
     std::string error;
     EXPECT_TRUE(smoothe::obs::validateReportJson(*doc, &error)) << error;
-    EXPECT_EQ(smoothe::obs::reportSchemaVersion(*doc), 2);
+    EXPECT_EQ(smoothe::obs::reportSchemaVersion(*doc),
+              smoothe::obs::kReportSchemaVersion);
     const smoothe::util::Json* profile = doc->find("profile");
     ASSERT_NE(profile, nullptr);
     EXPECT_GT(profile->find("kernels")->asObject().size(), 0u);

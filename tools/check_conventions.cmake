@@ -18,6 +18,10 @@
 #   no-assert      bare assert() in src/: it vanishes under NDEBUG, i.e.
 #                  from the Release builds that are benchmarked; use
 #                  SMOOTHE_CHECK / SMOOTHE_ASSERT (check/contracts.hpp).
+#   counter-in-kernel
+#                  obs/metrics.hpp or obs::counter( in src/tensor/:
+#                  per-kernel calls, bytes and time are attributed once,
+#                  by obs::Profiler from the compiled replay.
 cmake_minimum_required(VERSION 3.16)
 
 if(NOT DEFINED ROOT)
@@ -28,7 +32,7 @@ if(NOT IS_DIRECTORY "${ROOT}")
     message(FATAL_ERROR "check_conventions: ROOT '${ROOT}' is not a directory")
 endif()
 
-set(rules no-rand std-thread fma-in-kernel no-assert)
+set(rules no-rand std-thread fma-in-kernel no-assert counter-in-kernel)
 
 set(no-rand_dirs src)
 set(no-rand_regex "(^|[^A-Za-z0-9_.>:])(std::|::)?(s?rand|time)[ \t]*\\(")
@@ -47,6 +51,10 @@ set(fma-in-kernel_fix "round the multiply and the add separately")
 set(no-assert_dirs src)
 set(no-assert_regex "(^|[^A-Za-z0-9_])assert[ \t]*\\(")
 set(no-assert_fix "use SMOOTHE_CHECK or SMOOTHE_ASSERT")
+
+set(counter-in-kernel_dirs src/tensor)
+set(counter-in-kernel_regex "obs/metrics\\.hpp|obs::counter[ \t]*\\(")
+set(counter-in-kernel_fix "let obs::Profiler attribute the kernel")
 
 # Source text with comments removed as described above. Semicolons
 # become spaces so the text never splits as a CMake list.

@@ -10,8 +10,8 @@
  *   smoothe_report --check --baseline bench/baselines/micro_kernels.json \
  *       --tolerance 35 BENCH_micro_kernels.json
  *
- * The `profile` subcommand renders the schema-v2 "profile" section
- * (per-kernel attribution from obs::Profiler) as a top-N table with
+ * The `profile` subcommand renders the "profile" section (schema v2+:
+ * per-kernel attribution from obs::Profiler) as a top-N table with
  * roofline estimates:
  *
  *   smoothe_report profile BENCH_micro_kernels.json [--top N]
@@ -127,15 +127,11 @@ printSummary(const LoadedReport& report)
 
     const util::Json* phases = report.doc.find("phases");
     if (phases != nullptr && !phases->asObject().empty()) {
-        util::TablePrinter table(
-            {"phase", "count", "sum", "p50", "p90", "p99"});
+        util::TablePrinter table({"phase", "count", "sum"});
         for (const auto& [name, entry] : phases->asObject()) {
             table.addRow({name,
                           util::formatFixed(numberOr(entry, "count", 0.0), 0),
-                          util::formatSeconds(numberOr(entry, "sum", 0.0)) + "s",
-                          util::formatSeconds(numberOr(entry, "p50", 0.0)) + "s",
-                          util::formatSeconds(numberOr(entry, "p90", 0.0)) + "s",
-                          util::formatSeconds(numberOr(entry, "p99", 0.0)) + "s"});
+                          util::formatSeconds(numberOr(entry, "sum", 0.0)) + "s"});
         }
         table.print(std::cout);
     }
@@ -144,7 +140,7 @@ printSummary(const LoadedReport& report)
 
 /**
  * Prints a note when two reports carry different schema versions (e.g.
- * a committed v1 baseline gating a v2 candidate). Versions are already
+ * a committed v2 baseline gating a v3 candidate). Versions are already
  * individually validated by loadReport; the note only explains why
  * sections like "profile" may appear on one side only.
  */
@@ -276,10 +272,10 @@ runCheck(const LoadedReport& baseline, const LoadedReport& candidate,
 }
 
 /**
- * `smoothe_report profile REPORT.json`: renders the schema-v2 profile
- * section as a table of the top-N kernels by self time, with derived
- * GFLOP/s, arithmetic intensity (FLOP/byte), and IPC when hardware
- * counters were sampled. Returns the process exit code.
+ * `smoothe_report profile REPORT.json`: renders the profile section
+ * (schema v2 and later) as a table of the top-N kernels by self time,
+ * with derived GFLOP/s and arithmetic intensity (FLOP/byte). Returns
+ * the process exit code.
  */
 int
 runProfile(const LoadedReport& report, std::size_t top)
@@ -304,9 +300,6 @@ runProfile(const LoadedReport& report, std::size_t top)
         double self = 0.0;
         double flops = 0.0;
         double bytes = 0.0;
-        double samples = 0.0;
-        double cycles = 0.0;
-        double instructions = 0.0;
     };
     std::vector<Row> rows;
     double selfSum = 0.0;
@@ -317,9 +310,6 @@ runProfile(const LoadedReport& report, std::size_t top)
         row.self = numberOr(entry, "selfSeconds", 0.0);
         row.flops = numberOr(entry, "flops", 0.0);
         row.bytes = numberOr(entry, "bytes", 0.0);
-        row.samples = numberOr(entry, "counterSamples", 0.0);
-        row.cycles = numberOr(entry, "cycles", 0.0);
-        row.instructions = numberOr(entry, "instructions", 0.0);
         selfSum += row.self;
         rows.push_back(std::move(row));
     }
@@ -341,24 +331,17 @@ runProfile(const LoadedReport& report, std::size_t top)
         }
     }
 
-    std::string perf = "?";
-    if (const util::Json* perfInfo = profile->find("perf")) {
-        const util::Json* status = perfInfo->find("status");
-        if (status != nullptr && status->isString())
-            perf = status->asString();
-    }
-    std::printf("%s\n  tool=%s stride=%.0f perf: %s\n",
-                report.path.c_str(),
+    std::printf("%s\n  tool=%s stride=%.0f\n", report.path.c_str(),
                 runString(report.doc, "tool").c_str(),
-                numberOr(*profile, "stride", 1.0), perf.c_str());
+                numberOr(*profile, "stride", 1.0));
 
     // Share is against the instrumented phase total when present; the
     // boundary-sampled replays make kernel self times sum to it, so
     // shares add up to ~100% and the coverage line below is a sanity
     // check, not an estimate.
     const double denom = phaseTotal > 0.0 ? phaseTotal : selfSum;
-    util::TablePrinter table({"kernel", "calls", "self", "share",
-                              "GFLOP/s", "FLOP/B", "IPC"});
+    util::TablePrinter table(
+        {"kernel", "calls", "self", "share", "GFLOP/s", "FLOP/B"});
     const std::size_t shown = std::min(top, rows.size());
     for (std::size_t i = 0; i < shown; ++i) {
         const Row& row = rows[i];
@@ -373,10 +356,7 @@ runProfile(const LoadedReport& report, std::size_t top)
                  denom > 0.0 ? 100.0 * row.self / denom : 0.0, 1) +
                  "%",
              util::formatFixed(gflops, 2),
-             util::formatFixed(intensity, 2),
-             row.samples > 0.0 && row.cycles > 0.0
-                 ? util::formatFixed(row.instructions / row.cycles, 2)
-                 : "-"});
+             util::formatFixed(intensity, 2)});
     }
     table.print(std::cout);
     if (shown < rows.size())
@@ -445,7 +425,7 @@ main(int argc, char** argv)
             "files; --check exits 1 when the candidate regresses any\n"
             "checked measurement beyond tolerance (default 5%%);\n"
             "`profile` prints the top-N kernel attribution table from\n"
-            "a schema-v2 report's profile section.\n");
+            "a report's profile section (schema v2+).\n");
         return files.empty() && !args.getBool("help", false) ? 2 : 0;
     }
 
