@@ -3,10 +3,11 @@
  * Shared operation metadata for the autodiff layer.
  *
  * OpNode is the execution-independent description of one recorded
- * operation: which op, which inputs, and the constant payload it
- * captured. The recording Tape wraps it with per-node value/grad
- * tensors; the compiled Program steals the OpNode list wholesale and
- * binds values/grads to a static buffer plan instead. Keeping the
+ * operation: which op, which inputs, its output shape, and the constant
+ * payload it captured. The recording Tape wraps it with per-node
+ * value/grad tensors that it fills only when a value is read; the
+ * compiled Program steals the OpNode list wholesale and binds
+ * values/grads to a static buffer plan instead. Keeping the
  * metadata in one struct is what lets both share one kernel body per op
  * (src/autodiff/exec.hpp), so a replay matches a Tape rebuild bit for
  * bit.
@@ -82,14 +83,17 @@ enum class Op : std::uint8_t {
 
 /**
  * Execution-independent description of one operation: op kind, input
- * node ids, and captured constants. Shapes are not stored — they are
- * implied by the inputs and snapshotted by the Program compiler.
+ * node ids, output shape, and captured constants. The shape is fixed
+ * at record time, so the Program compiler plans buffers without any
+ * value having been computed.
  */
 struct OpNode
 {
     Op op = Op::Constant;
     VarId in0 = -1;
     VarId in1 = -1;
+    std::size_t rows = 0; ///< output shape
+    std::size_t cols = 0;
     float alpha = 0.0f;
     Param* param = nullptr;
     const SegmentIndex* segs = nullptr;

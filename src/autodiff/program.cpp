@@ -14,11 +14,12 @@ namespace smoothe::ad {
 
 namespace {
 
+/** Slot-pool key: buffers are shared only between equal shapes. */
 std::uint64_t
-shapeKey(std::size_t rows, std::size_t cols)
+shapeKey(const OpNode& node)
 {
-    return (static_cast<std::uint64_t>(rows) << 32) |
-           static_cast<std::uint64_t>(cols);
+    return (static_cast<std::uint64_t>(node.rows) << 32) |
+           static_cast<std::uint64_t>(node.cols);
 }
 
 bool
@@ -125,7 +126,7 @@ struct OpCost
 };
 
 /**
- * Roofline-style FLOP and bytes-moved estimates from the snapshotted
+ * Roofline-style FLOP and bytes-moved estimates from the recorded
  * shapes. Counts algorithmic work (one multiply + one add per MAC,
  * tensor::cost::kExpFlops per expf) and compulsory traffic (operands
  * read once, outputs written once, grad accumulators read-modify-
@@ -133,18 +134,16 @@ struct OpCost
  * DRAM traffic, which is the convention roofline estimates want.
  */
 OpCost
-estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix,
-               const std::vector<std::size_t>& rowsOf,
-               const std::vector<std::size_t>& colsOf)
+estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
 {
     namespace cost = tensor::cost;
     const OpNode& node = ops[ix];
     auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
-        r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
-        c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
+        r = v >= 0 ? ops[static_cast<std::size_t>(v)].rows : 0;
+        c = v >= 0 ? ops[static_cast<std::size_t>(v)].cols : 0;
     };
-    const std::uint64_t rows = rowsOf[ix];
-    const std::uint64_t cols = colsOf[ix];
+    const std::uint64_t rows = node.rows;
+    const std::uint64_t cols = node.cols;
     std::uint64_t aRows = 0;
     std::uint64_t aCols = 0;
     std::uint64_t bRows = 0;
@@ -262,82 +261,6 @@ nanosBetween(std::chrono::steady_clock::time_point from,
             .count());
 }
 
-/**
- * Sizes the backward scratch of `node`, whose first input is rows x
- * cols, so replays never allocate it. Ops that need none keep theirs
- * empty.
- */
-void
-sizeBackwardScratch(const OpNode& node, std::size_t rows, std::size_t cols,
-                    std::vector<float>& scratch)
-{
-    if (node.op == Op::SegmentProductComplement)
-        scratch.resize(tensor::segmentProductComplementGradScratch(
-            rows, cols, *node.segs));
-}
-
-// --- payload recognition for patch() ----------------------------------
-// The structural payloads a SmoothE-style recording captures by value
-// are identifiable from their contents alone. The >= 3-column guard
-// keeps the two mask patterns disjoint ([1, 0] would match both); a
-// payload too small to recognize is simply kept, and the shape-
-// compatibility checks decide whether that forces a re-record.
-
-/** 1 x C, exactly one 1.0 against a 0.0 background. */
-bool
-isMaskOneHot(const Tensor& t)
-{
-    if (t.rows() != 1 || t.cols() < 3)
-        return false;
-    std::size_t ones = 0;
-    for (std::size_t j = 0; j < t.cols(); ++j) {
-        const float v = t.row(0)[j];
-        if (v == 1.0f)
-            ++ones;
-        else if (v != 0.0f)
-            return false;
-    }
-    return ones == 1;
-}
-
-/** 1 x C, exactly one 0.0 against a 1.0 background. */
-bool
-isMaskComplement(const Tensor& t)
-{
-    if (t.rows() != 1 || t.cols() < 3)
-        return false;
-    std::size_t zeros = 0;
-    for (std::size_t j = 0; j < t.cols(); ++j) {
-        const float v = t.row(0)[j];
-        if (v == 0.0f)
-            ++zeros;
-        else if (v != 1.0f)
-            return false;
-    }
-    return zeros == 1;
-}
-
-/** R x C, every row exactly one 1.0 against a 0.0 background. */
-bool
-isOnehotRows(const Tensor& t)
-{
-    if (t.rows() == 0 || t.cols() < 3)
-        return false;
-    for (std::size_t r = 0; r < t.rows(); ++r) {
-        std::size_t ones = 0;
-        for (std::size_t j = 0; j < t.cols(); ++j) {
-            const float v = t.row(r)[j];
-            if (v == 1.0f)
-                ++ones;
-            else if (v != 0.0f)
-                return false;
-        }
-        if (ones != 1)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
@@ -357,20 +280,18 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     savedIdx_.resize(n);
     scratch_.resize(n);
 
-    // --- snapshot shapes, steal metadata and payloads -----------------
-    // Recorder value tensors are released as soon as their shape is
-    // snapshotted so compile-time transient memory never stacks a full
-    // eager iteration on top of the plan being built.
-    std::vector<std::size_t> rowsOf(n);
-    std::vector<std::size_t> colsOf(n);
+    // --- read recorded shapes, steal metadata and payloads -------------
+    // The recording holds shapes only, so the stashes the forward
+    // kernels fill are allocated here: TrExpm's expm rows, and capacity
+    // for SegmentMaxGather's argmax so replays never grow it.
     ops_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         Tape::Node& rec = tape.nodes_[i];
-        rowsOf[i] = rec.value.rows();
-        colsOf[i] = rec.value.cols();
+        if (rec.op == Op::TrExpm)
+            saved_[i] = Tensor(rec.rows, rec.dim * rec.dim, arena_);
+        else if (rec.op == Op::SegmentMaxGather)
+            savedIdx_[i].reserve(rec.rows * rec.cols);
         ops_.push_back(std::move(static_cast<OpNode&>(rec)));
-        saved_[i] = std::move(rec.saved);
-        savedIdx_[i] = std::move(rec.savedIdx);
     }
 
     // The eager baseline re-allocates every value, every grad reachable
@@ -390,7 +311,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         }
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t valueBytes =
-                rowsOf[i] * colsOf[i] * sizeof(float);
+                ops_[i].rows * ops_[i].cols * sizeof(float);
             stats_.naiveBytes += valueBytes;
             if (eagerGrad[i])
                 stats_.naiveBytes += valueBytes;
@@ -419,8 +340,6 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
           default:
             break;
         }
-        rec.value = Tensor();
-        rec.grad = Tensor();
     }
 
     std::vector<char> isOutput(n, 0);
@@ -604,15 +523,14 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
                 static_cast<VarId>(j);
     }
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> freeVals;
-    auto acquireValueSlot = [&](std::size_t rows,
-                                std::size_t cols) -> std::uint32_t {
-        auto& pool = freeVals[shapeKey(rows, cols)];
+    auto acquireValueSlot = [&](const OpNode& shape) -> std::uint32_t {
+        auto& pool = freeVals[shapeKey(shape)];
         if (!pool.empty()) {
             const std::uint32_t idx = pool.back();
             pool.pop_back();
             return idx;
         }
-        valueSlots_.emplace_back(rows, cols, arena_);
+        valueSlots_.emplace_back(shape.rows, shape.cols, arena_);
         return static_cast<std::uint32_t>(valueSlots_.size() - 1);
     };
     for (std::size_t i = 0; i < n; ++i) {
@@ -626,10 +544,9 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         if (persistent[i]) {
             valueBind_[i] = {Storage::Owned,
                              static_cast<std::uint32_t>(owned_.size())};
-            owned_.emplace_back(rowsOf[i], colsOf[i], arena_);
+            owned_.emplace_back(node.rows, node.cols, arena_);
         } else {
-            valueBind_[i] = {Storage::Slot,
-                             acquireValueSlot(rowsOf[i], colsOf[i])};
+            valueBind_[i] = {Storage::Slot, acquireValueSlot(node)};
         }
         forwardSchedule_.push_back(static_cast<VarId>(i));
         for (VarId in : {node.in0, node.in1}) {
@@ -638,34 +555,31 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             const auto ix = static_cast<std::size_t>(in);
             if (lastUse[ix] == static_cast<VarId>(i) &&
                 valueBind_[ix].kind == Storage::Slot) {
-                freeVals[shapeKey(rowsOf[ix], colsOf[ix])].push_back(
-                    valueBind_[ix].index);
+                freeVals[shapeKey(ops_[ix])].push_back(valueBind_[ix].index);
                 lastUse[ix] = -1; // no double-free when in0 == in1
             }
         }
         if (lastUse[i] == -1 && valueBind_[i].kind == Storage::Slot) {
             // Dead value (recorded but never consumed or requested):
             // the slot frees immediately after its own step.
-            freeVals[shapeKey(rowsOf[i], colsOf[i])].push_back(
-                valueBind_[i].index);
+            freeVals[shapeKey(node)].push_back(valueBind_[i].index);
         }
     }
 
     // --- backward schedule + grad-slot plan ---------------------------
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> freeGrads;
-    auto acquireGradSlot = [&](std::size_t rows,
-                               std::size_t cols) -> std::uint32_t {
-        auto& pool = freeGrads[shapeKey(rows, cols)];
+    auto acquireGradSlot = [&](const OpNode& shape) -> std::uint32_t {
+        auto& pool = freeGrads[shapeKey(shape)];
         if (!pool.empty()) {
             const std::uint32_t idx = pool.back();
             pool.pop_back();
             return idx;
         }
-        gradSlots_.emplace_back(rows, cols, arena_);
+        gradSlots_.emplace_back(shape.rows, shape.cols, arena_);
         return static_cast<std::uint32_t>(gradSlots_.size() - 1);
     };
     const auto rootIx = static_cast<std::size_t>(root_);
-    rootGradSlot_ = acquireGradSlot(rowsOf[rootIx], colsOf[rootIx]);
+    rootGradSlot_ = acquireGradSlot(ops_[rootIx]);
     gradBind_[rootIx] = {Storage::Slot, rootGradSlot_};
     for (VarId id = root_; id >= 0; --id) {
         const auto ix = static_cast<std::size_t>(id);
@@ -681,33 +595,31 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             if (!needsGrad_[inIx] ||
                 gradBind_[inIx].kind != Storage::None)
                 continue;
-            const std::uint32_t slot =
-                acquireGradSlot(rowsOf[inIx], colsOf[inIx]);
+            const std::uint32_t slot = acquireGradSlot(ops_[inIx]);
             gradBind_[inIx] = {Storage::Slot, slot};
             step.zeroSlots.push_back(slot);
         }
-        if (node.in0 >= 0 &&
+        // Sized now so replays never allocate it.
+        if (node.op == Op::SegmentProductComplement &&
             needsGrad_[static_cast<std::size_t>(node.in0)]) {
-            const auto in0 = static_cast<std::size_t>(node.in0);
-            sizeBackwardScratch(node, rowsOf[in0], colsOf[in0],
-                                scratch_[ix]);
+            const OpNode& in = ops_[static_cast<std::size_t>(node.in0)];
+            scratch_[ix].resize(tensor::segmentProductComplementGradScratch(
+                in.rows, in.cols, *node.segs));
         }
         backwardSchedule_.push_back(std::move(step));
         // A node's grad is last read at its own step: the slot frees
         // here, after its inputs already claimed theirs.
-        freeGrads[shapeKey(rowsOf[ix], colsOf[ix])].push_back(
-            gradBind_[ix].index);
+        freeGrads[shapeKey(node)].push_back(gradBind_[ix].index);
     }
 
     // --- profiler kernel slots ----------------------------------------
     // One obs::Profiler::Kernel per scheduled op, resolved now so
     // sampled replays update the accumulators lock-free. FLOPs/bytes
-    // are static estimates from the snapshotted shapes.
+    // are static estimates from the recorded shapes.
     {
         obs::Profiler& prof = obs::Profiler::instance();
         auto costOf = [&](VarId id) {
-            return estimateOpCost(ops_, static_cast<std::size_t>(id),
-                                  rowsOf, colsOf);
+            return estimateOpCost(ops_, static_cast<std::size_t>(id));
         };
         // Kernel-slot names carry the SIMD variant active at compile
         // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
@@ -975,374 +887,6 @@ Program::checkInvariants() const
             return problem(step.id, "backward step without a grad slot");
     }
     return std::nullopt;
-}
-
-bool
-Program::patch(const StructureDelta& delta)
-{
-    obs::Span span("program.patch");
-    const std::size_t n = ops_.size();
-
-    // ------------------------------------------------------------------
-    // Analysis phase: everything below up to the mutation marker is
-    // read-only. Any `return false` leaves the Program byte-identical,
-    // so the caller can still replay the old plan or re-record.
-    // ------------------------------------------------------------------
-
-    // Positional scatter dims. Every scheduled ScatterMatrix needs a new
-    // dim (entry contents changed under the shared pointer), and every
-    // TrExpm must sit directly on a scatter so its dim can be derived.
-    std::vector<std::size_t> newDim(n, 0);
-    {
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (skipped_[i] || ops_[i].op != Op::ScatterMatrix)
-                continue;
-            if (k >= delta.scatterDims.size())
-                return false;
-            newDim[i] = delta.scatterDims[k++];
-        }
-        if (k != delta.scatterDims.size())
-            return false;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (skipped_[i] || ops_[i].op != Op::TrExpm)
-                continue;
-            const VarId in = ops_[i].in0;
-            if (in < 0 ||
-                ops_[static_cast<std::size_t>(in)].op != Op::ScatterMatrix)
-                return false;
-            newDim[i] = newDim[static_cast<std::size_t>(in)];
-        }
-    }
-
-    // Plan constant replacements: one-hot-per-row Constants become the
-    // delta's seed when one is provided; otherwise they keep their shape
-    // and downstream compatibility checks arbitrate.
-    std::vector<char> replaceOnehot(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (ops_[i].op != Op::Constant)
-            continue;
-        if (delta.onehotRows.size() != 0 &&
-            isOnehotRows(owned_[valueBind_[i].index]))
-            replaceOnehot[i] = 1;
-    }
-
-    // Shape inference in id order (inputs always precede consumers on a
-    // tape). Skipped fusion links are inferred too — harmless, and it
-    // keeps the recurrence total.
-    std::vector<std::size_t> rowsOf(n, 0);
-    std::vector<std::size_t> colsOf(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const OpNode& node = ops_[i];
-        const auto i0 = static_cast<std::size_t>(node.in0);
-        const auto i1 = static_cast<std::size_t>(node.in1);
-        switch (node.op) {
-          case Op::Leaf:
-            rowsOf[i] = node.param->value.rows();
-            colsOf[i] = node.param->value.cols();
-            break;
-          case Op::Constant:
-          case Op::Input: {
-            const Tensor& t = replaceOnehot[i]
-                                  ? delta.onehotRows
-                                  : owned_[valueBind_[i].index];
-            rowsOf[i] = t.rows();
-            colsOf[i] = t.cols();
-            break;
-          }
-          case Op::Add:
-          case Op::Sub:
-          case Op::Mul:
-            if (rowsOf[i0] != rowsOf[i1] || colsOf[i0] != colsOf[i1])
-                return false;
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = colsOf[i0];
-            break;
-          case Op::Scale:
-          case Op::AddScalar:
-          case Op::Relu:
-          case Op::MulConst:
-          case Op::AddConst:
-          case Op::SegmentSoftmax:
-          case Op::FusedElemChain:
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = colsOf[i0];
-            break;
-          case Op::DotRowsConst:
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = 1;
-            break;
-          case Op::SumAll:
-            rowsOf[i] = 1;
-            colsOf[i] = 1;
-            break;
-          case Op::MeanRows:
-            rowsOf[i] = 1;
-            colsOf[i] = colsOf[i0];
-            break;
-          case Op::SegmentProductComplement:
-          case Op::SegmentMaxGather:
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = node.segs->numSegments();
-            break;
-          case Op::GatherCols:
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = node.index->size();
-            break;
-          case Op::MatMul:
-            if (colsOf[i0] != rowsOf[i1])
-                return false;
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = colsOf[i1];
-            break;
-          case Op::AddRowBroadcast:
-            if (colsOf[i0] != colsOf[i1] || rowsOf[i1] != 1)
-                return false;
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = colsOf[i0];
-            break;
-          case Op::ScatterMatrix:
-            rowsOf[i] = node.meanOverRows ? 1 : rowsOf[i0];
-            colsOf[i] = newDim[i] * newDim[i];
-            break;
-          case Op::TrExpm:
-            rowsOf[i] = rowsOf[i0];
-            colsOf[i] = 1;
-            break;
-        }
-    }
-
-    // Gather-index bounds: the one hazard shape checks alone cannot see
-    // is a gather source (a constant seed) narrower than what the
-    // rebuilt index addresses.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i] || ops_[i].op != Op::GatherCols)
-            continue;
-        std::uint32_t maxIdx = 0;
-        for (std::uint32_t v : *ops_[i].index)
-            maxIdx = v > maxIdx ? v : maxIdx;
-        if (!ops_[i].index->empty() &&
-            maxIdx >= colsOf[static_cast<std::size_t>(ops_[i].in0)])
-            return false;
-    }
-
-    // Broadcast payloads: recognized masks are planned for replacement;
-    // either way the effective payload must still broadcast over the
-    // node's new shape.
-    struct MaskPlan
-    {
-        Tensor* target = nullptr;
-        const Tensor* repl = nullptr;
-    };
-    std::vector<MaskPlan> maskPlans;
-    auto planPayload = [&](Tensor& payload, std::size_t i) -> bool {
-        const Tensor* repl = nullptr;
-        if (isMaskOneHot(payload) && delta.maskOneHot.size() != 0)
-            repl = &delta.maskOneHot;
-        else if (isMaskComplement(payload) &&
-                 delta.maskComplement.size() != 0)
-            repl = &delta.maskComplement;
-        const Tensor& eff = repl ? *repl : payload;
-        if (eff.cols() != colsOf[i] ||
-            (eff.rows() != 1 && eff.rows() != rowsOf[i]))
-            return false;
-        if (repl)
-            maskPlans.push_back({&payload, repl});
-        return true;
-    };
-    std::vector<char> replaceWeights(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i])
-            continue;
-        OpNode& node = ops_[i];
-        switch (node.op) {
-          case Op::MulConst:
-          case Op::AddConst:
-            if (!planPayload(node.constTensor, i))
-                return false;
-            break;
-          case Op::FusedElemChain:
-            for (tensor::ElemStage& stage : node.chain) {
-                if (stage.kind != tensor::ElemStageKind::MulConst &&
-                    stage.kind != tensor::ElemStageKind::AddConst)
-                    continue;
-                if (!planPayload(stage.c, i))
-                    return false;
-            }
-            break;
-          case Op::DotRowsConst: {
-            const auto want = colsOf[static_cast<std::size_t>(node.in0)];
-            if (node.constVec.size() == want)
-                break;
-            if (delta.rowWeights.size() != want)
-                return false;
-            replaceWeights[i] = 1;
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    // Slot agreement: a reused slot's users shared one shape at compile
-    // time and must still share one after growth. (They can stop
-    // agreeing when two previously equal dimensions — say node and
-    // class counts — grow apart; that invalidates the liveness pooling
-    // and forces a re-record.)
-    auto agreeOn = [&](const Binding& bind, std::size_t i,
-                       std::vector<std::uint64_t>& shapes) -> bool {
-        if (bind.kind != Storage::Slot)
-            return true;
-        const std::uint64_t key = shapeKey(rowsOf[i], colsOf[i]);
-        if (shapes[bind.index] == 0)
-            shapes[bind.index] = key;
-        return shapes[bind.index] == key;
-    };
-    std::vector<std::uint64_t> valueShape(valueSlots_.size(), 0);
-    std::vector<std::uint64_t> gradShape(gradSlots_.size(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i])
-            continue;
-        if (!agreeOn(valueBind_[i], i, valueShape))
-            return false;
-        if (needsGrad_[i] && !agreeOn(gradBind_[i], i, gradShape))
-            return false;
-    }
-
-    // ------------------------------------------------------------------
-    // Mutation phase: the growth is plan-preserving; apply it.
-    // ------------------------------------------------------------------
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (replaceOnehot[i])
-            owned_[valueBind_[i].index] = delta.onehotRows;
-        if (replaceWeights[i])
-            ops_[i].constVec = delta.rowWeights;
-    }
-    for (const MaskPlan& plan : maskPlans)
-        *plan.target = *plan.repl;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i])
-            continue;
-        OpNode& node = ops_[i];
-        if (node.op == Op::ScatterMatrix) {
-            node.dim = newDim[i];
-        } else if (node.op == Op::TrExpm) {
-            node.dim = newDim[i];
-            // The expm kernel writes its power-series stash into a
-            // preallocated rows x dim^2 scratch.
-            if (saved_[i].rows() != rowsOf[i] ||
-                saved_[i].cols() != newDim[i] * newDim[i])
-                saved_[i] =
-                    Tensor(rowsOf[i], newDim[i] * newDim[i], arena_);
-        } else if (node.op == Op::AddScalar && node.in0 >= 0) {
-            // The trace-penalty bias: tr(expm(0)) == dim per row, so the
-            // zero-baseline AddScalar downstream of SumAll(TrExpm(...))
-            // carries -dim * rows and must track the new dim.
-            const OpNode& sum = ops_[static_cast<std::size_t>(node.in0)];
-            if (sum.op == Op::SumAll && sum.in0 >= 0) {
-                const auto trIx = static_cast<std::size_t>(sum.in0);
-                if (ops_[trIx].op == Op::TrExpm)
-                    node.alpha = -static_cast<float>(
-                        newDim[trIx] * rowsOf[trIx]);
-            }
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const OpNode& node = ops_[i];
-        if (skipped_[i] || !needsGrad_[i] || node.in0 < 0)
-            continue;
-        const auto in0 = static_cast<std::size_t>(node.in0);
-        if (needsGrad_[in0])
-            sizeBackwardScratch(node, rowsOf[in0], colsOf[in0],
-                                scratch_[i]);
-    }
-
-    // Resize the planned buffers whose shape moved. Bindings, schedules,
-    // and slot indices all stay put.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i] || isSource(ops_[i].op))
-            continue;
-        const Binding& bind = valueBind_[i];
-        if (bind.kind == Storage::Owned &&
-            (owned_[bind.index].rows() != rowsOf[i] ||
-             owned_[bind.index].cols() != colsOf[i]))
-            owned_[bind.index] = Tensor(rowsOf[i], colsOf[i], arena_);
-    }
-    auto resizePool = [&](std::vector<Tensor>& pool,
-                          const std::vector<std::uint64_t>& shapes) {
-        for (std::size_t s = 0; s < pool.size(); ++s) {
-            if (shapes[s] == 0)
-                continue;
-            const auto rows = static_cast<std::size_t>(shapes[s] >> 32);
-            const auto cols =
-                static_cast<std::size_t>(shapes[s] & 0xffffffffULL);
-            if (pool[s].rows() != rows || pool[s].cols() != cols)
-                pool[s] = Tensor(rows, cols, arena_);
-        }
-    };
-    resizePool(valueSlots_, valueShape);
-    resizePool(gradSlots_, gradShape);
-
-    // Refresh the static profiler cost estimates for the new shapes
-    // (kernel identities are unchanged — same ops).
-    {
-        auto costOf = [&](VarId id) {
-            return estimateOpCost(ops_, static_cast<std::size_t>(id),
-                                  rowsOf, colsOf);
-        };
-        for (std::size_t k = 0; k < forwardSchedule_.size(); ++k) {
-            const OpCost cost = costOf(forwardSchedule_[k]);
-            forwardKernels_[k].flops = cost.fwdFlops;
-            forwardKernels_[k].bytes = cost.fwdBytes;
-        }
-        for (std::size_t k = 0; k < backwardSchedule_.size(); ++k) {
-            const OpCost cost = costOf(backwardSchedule_[k].id);
-            backwardKernels_[k].flops = cost.bwdFlops;
-            backwardKernels_[k].bytes = cost.bwdBytes;
-        }
-    }
-
-    // Recompute the footprint stats. naiveBytes is re-estimated over the
-    // post-fusion edges — a slightly tighter eager baseline than the
-    // compile-time figure, which is fine for a reuse-ratio telemetry
-    // stat.
-    {
-        auto bytesOf = [](const std::vector<Tensor>& pool) {
-            std::size_t total = 0;
-            for (const Tensor& t : pool)
-                total += t.size() * sizeof(float);
-            return total;
-        };
-        stats_.plannedBytes = bytesOf(owned_) + bytesOf(valueSlots_) +
-                              bytesOf(gradSlots_) + bytesOf(saved_);
-        stats_.naiveBytes = 0;
-        std::vector<char> eagerGrad(n, 0);
-        eagerGrad[static_cast<std::size_t>(root_)] = 1;
-        for (VarId id = root_; id >= 0; --id) {
-            if (!eagerGrad[static_cast<std::size_t>(id)])
-                continue;
-            const OpNode& node = ops_[static_cast<std::size_t>(id)];
-            for (VarId in : {node.in0, node.in1}) {
-                if (in >= 0)
-                    eagerGrad[static_cast<std::size_t>(in)] = 1;
-            }
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t valueBytes =
-                rowsOf[i] * colsOf[i] * sizeof(float);
-            stats_.naiveBytes += valueBytes;
-            if (eagerGrad[i])
-                stats_.naiveBytes += valueBytes;
-            stats_.naiveBytes += saved_[i].size() * sizeof(float);
-        }
-    }
-
-    obs::counter("program.patch").add(1);
-    SMOOTHE_DCHECK_OK(checkInvariants());
-    return true;
 }
 
 } // namespace smoothe::ad

@@ -2,8 +2,8 @@
  * @file
  * Compiled autodiff program: record once, compile, replay many.
  *
- * A Program consumes a Tape that recorded one iteration of a
- * structurally stable computation and compiles it into
+ * A Program consumes a Tape that recorded the shapes of one iteration of
+ * a structurally stable computation and compiles it into
  *   (a) a topologically ordered op list (fusing back-to-back
  *       elementwise chains into single passes),
  *   (b) a static buffer plan that assigns every transient intermediate
@@ -14,7 +14,10 @@
  * per-iteration graph construction or allocation. Leaf values alias
  * their Param (so optimizer steps are visible on the next replay), and
  * named Input nodes stay mutable via setInputScalar — per-iteration
- * dynamic values (the lambda warmup ramp) without re-recording.
+ * dynamic values (the lambda warmup ramp) without re-recording. When
+ * the structure itself changes (a grown e-graph), the caller records
+ * and compiles a fresh Program; recording is shape-only, so that costs
+ * no forward pass.
  *
  * Determinism: replay runs the exact same exec::forwardOp/backwardOp
  * kernels as the recording Tape, in the same order, with the same fixed
@@ -79,50 +82,14 @@ struct ProgramStats
     }
 };
 
-/**
- * Structure-growth descriptor for Program::patch.
- *
- * Describes how a recorded program's sparse structures grew between two
- * recordings of the *same* op sequence (same op kinds in the same order,
- * only wider). Pointer payloads (SegmentIndex, gather index vectors,
- * scatter entry lists) are not listed here: the recorded OpNodes hold
- * raw pointers into caller-owned containers, and the caller rebuilds
- * those containers in place (same object addresses, new contents)
- * before calling patch(), so the pointers stay valid by construction.
- * What patch() itself rewrites are the value payloads the plan copied
- * at record time, recognized by their structure:
- *
- *  - one-hot-per-row Constant nodes (a propagation seed) get
- *    `onehotRows`,
- *  - 1 x C broadcast payloads with a single 1 against zeros get
- *    `maskOneHot`; a single 0 against ones gets `maskComplement`
- *    (root masks in SmoothE programs),
- *  - DotRowsConst weight vectors whose length no longer matches their
- *    input get `rowWeights`,
- *  - ScatterMatrix ops take `scatterDims` positionally (id order);
- *    dependent TrExpm dims, their saved stashes, and the trace-penalty
- *    AddScalar bias (-dim * rows) are derived from them.
- *
- * Empty members mean "no replacement available": patch() keeps the old
- * payload when its shape still fits and reports failure otherwise.
- */
-struct StructureDelta
-{
-    Tensor onehotRows;
-    Tensor maskOneHot;
-    Tensor maskComplement;
-    std::vector<float> rowWeights;
-    std::vector<std::size_t> scatterDims;
-};
-
 /** The compiled replayer. */
 class Program
 {
   public:
     /**
-     * Compiles the recorded tape. The tape is consumed: its node
-     * metadata and constant payloads are stolen, its transient tensors
-     * released.
+     * Compiles the recorded tape from its recorded shapes; no tape value
+     * needs to have been evaluated. The tape is consumed: its node
+     * metadata and constant payloads are stolen, and it is cleared.
      *
      * @param tape recorder holding one fully recorded iteration
      * @param root the loss node backward() differentiates from
@@ -183,30 +150,6 @@ class Program
      */
     std::optional<std::string> checkInvariants() const;
 
-    /**
-     * Patches the compiled plan in place after structure growth, instead
-     * of re-recording and recompiling from scratch.
-     *
-     * Preconditions: every Leaf's Param was already resized to its new
-     * shape, and every caller-owned container the recorded ops point at
-     * (segment indexes, gather index vectors, scatter entry lists) was
-     * rebuilt in place at its old address. patch() then re-infers every
-     * node's shape from the sources, swaps recognized value payloads per
-     * `delta`, resizes owned buffers / value slots / grad slots / saved
-     * stashes, and refreshes the profiler cost estimates and footprint
-     * stats. Schedules, fusion decisions, and slot assignments are kept
-     * — that is what makes it cheap.
-     *
-     * @return true on success (counts `program.patch`). Returns false —
-     * with the Program untouched — when the growth is not plan-
-     * preserving: a reused slot's users disagree on their new shape, a
-     * payload can no longer be recognized or no replacement was
-     * provided, or operand shapes stop agreeing. The caller must then
-     * fall back to a full re-record (and should count
-     * `program.rerecord`).
-     */
-    bool patch(const StructureDelta& delta);
-
   private:
     /** Where a node's value (or grad) lives at replay time. */
     enum class Storage : std::uint8_t {
@@ -229,7 +172,7 @@ class Program
     /**
      * Per-scheduled-op profiler attribution, resolved at compile time so
      * sampled replays update kernel accumulators lock-free. FLOPs/bytes
-     * are static estimates from the snapshotted shapes.
+     * are static estimates from the recorded shapes.
      */
     struct KernelSlot
     {
@@ -260,7 +203,7 @@ class Program
     std::vector<Tensor> gradSlots_;
     std::vector<Tensor> saved_;
     std::vector<std::vector<std::uint32_t>> savedIdx_;
-    /** Backward kernel scratch, sized at compile (and patch) time. */
+    /** Backward kernel scratch, sized at compile time. */
     std::vector<std::vector<float>> scratch_;
     std::vector<VarId> forwardSchedule_;
     std::vector<BackStep> backwardSchedule_;

@@ -13,18 +13,32 @@ void
 Tape::clear()
 {
     nodes_.clear();
+    evaluated_ = 0;
 }
 
 const Tensor&
-Tape::value(VarId id) const
+Tape::value(VarId id)
 {
-    return nodes_[static_cast<std::size_t>(id)].value;
+    evaluate();
+    return node(id).value;
 }
 
 const Tensor&
 Tape::grad(VarId id) const
 {
-    return nodes_[static_cast<std::size_t>(id)].grad;
+    return node(id).grad;
+}
+
+Tape::Node
+Tape::shaped(Op op, VarId a, VarId b, std::size_t rows, std::size_t cols)
+{
+    Node node;
+    node.op = op;
+    node.in0 = a;
+    node.in1 = b;
+    node.rows = rows;
+    node.cols = cols;
+    return node;
 }
 
 VarId
@@ -35,7 +49,7 @@ Tape::push(Node node)
     static obs::Counter& nodeCount = obs::counter("tape.nodes");
     static obs::Counter& byteCount = obs::counter("tape.bytes");
     nodeCount.add(1);
-    byteCount.add(node.value.size() * sizeof(float));
+    byteCount.add(node.rows * node.cols * sizeof(float));
     nodes_.push_back(std::move(node));
     return static_cast<VarId>(nodes_.size() - 1);
 }
@@ -45,42 +59,48 @@ Tape::ensureGrad(VarId id)
 {
     Node& node = nodes_[static_cast<std::size_t>(id)];
     if (node.grad.empty())
-        node.grad = Tensor(node.value.rows(), node.value.cols(), arena_);
+        node.grad = Tensor(node.rows, node.cols, arena_);
     return node.grad;
 }
 
 void
-Tape::compute(Node& node)
+Tape::evaluate()
 {
-    exec::ForwardArgs args{node};
-    args.a = node.in0 >= 0
-                 ? &nodes_[static_cast<std::size_t>(node.in0)].value
-                 : nullptr;
-    args.b = node.in1 >= 0
-                 ? &nodes_[static_cast<std::size_t>(node.in1)].value
-                 : nullptr;
-    args.value = &node.value;
-    args.saved = &node.saved;
-    args.savedIdx = &node.savedIdx;
-    exec::forwardOp(args);
+    for (; evaluated_ < nodes_.size(); ++evaluated_) {
+        Node& cur = nodes_[evaluated_];
+        if (cur.op == Op::Leaf) {
+            cur.value = cur.param->value;
+            continue;
+        }
+        if (cur.op == Op::Constant || cur.op == Op::Input)
+            continue; // recorded with its value
+        cur.value = Tensor(cur.rows, cur.cols, arena_);
+        if (cur.op == Op::TrExpm)
+            cur.saved = Tensor(cur.rows, cur.dim * cur.dim, arena_);
+        exec::ForwardArgs args{cur};
+        args.a = cur.in0 >= 0 ? &node(cur.in0).value : nullptr;
+        args.b = cur.in1 >= 0 ? &node(cur.in1).value : nullptr;
+        args.value = &cur.value;
+        args.saved = &cur.saved;
+        args.savedIdx = &cur.savedIdx;
+        exec::forwardOp(args);
+    }
 }
 
 VarId
 Tape::leaf(Param* param)
 {
     SMOOTHE_CHECK(param != nullptr, "leaf() needs a Param");
-    Node node;
-    node.op = Op::Leaf;
+    Node node = shaped(Op::Leaf, -1, -1, param->value.rows(),
+                       param->value.cols());
     node.param = param;
-    node.value = param->value;
     return push(std::move(node));
 }
 
 VarId
 Tape::constant(Tensor value)
 {
-    Node node;
-    node.op = Op::Constant;
+    Node node = shaped(Op::Constant, -1, -1, value.rows(), value.cols());
     node.value = std::move(value);
     return push(std::move(node));
 }
@@ -89,8 +109,7 @@ VarId
 Tape::input(Tensor value, std::string name)
 {
     SMOOTHE_CHECK(!name.empty(), "input() needs a slot name");
-    Node node;
-    node.op = Op::Input;
+    Node node = shaped(Op::Input, -1, -1, value.rows(), value.cols());
     node.inputName = std::move(name);
     node.value = std::move(value);
     return push(std::move(node));
@@ -99,280 +118,169 @@ Tape::input(Tensor value, std::string name)
 VarId
 Tape::add(VarId a, VarId b)
 {
-    const Tensor& av = value(a);
-    const Tensor& bv = value(b);
-    SMOOTHE_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
-                   "add: %zux%zu vs %zux%zu", av.rows(), av.cols(),
-                   bv.rows(), bv.cols());
-    Node node;
-    node.op = Op::Add;
-    node.in0 = a;
-    node.in1 = b;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    SMOOTHE_ASSERT(rows(a) == rows(b) && cols(a) == cols(b),
+                   "add: %zux%zu vs %zux%zu", rows(a), cols(a), rows(b),
+                   cols(b));
+    return push(shaped(Op::Add, a, b, rows(a), cols(a)));
 }
 
 VarId
 Tape::sub(VarId a, VarId b)
 {
-    const Tensor& av = value(a);
-    const Tensor& bv = value(b);
-    SMOOTHE_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
-                   "sub: %zux%zu vs %zux%zu", av.rows(), av.cols(),
-                   bv.rows(), bv.cols());
-    Node node;
-    node.op = Op::Sub;
-    node.in0 = a;
-    node.in1 = b;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    SMOOTHE_ASSERT(rows(a) == rows(b) && cols(a) == cols(b),
+                   "sub: %zux%zu vs %zux%zu", rows(a), cols(a), rows(b),
+                   cols(b));
+    return push(shaped(Op::Sub, a, b, rows(a), cols(a)));
 }
 
 VarId
 Tape::mul(VarId a, VarId b)
 {
-    const Tensor& av = value(a);
-    const Tensor& bv = value(b);
-    SMOOTHE_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
-                   "mul: %zux%zu vs %zux%zu", av.rows(), av.cols(),
-                   bv.rows(), bv.cols());
-    Node node;
-    node.op = Op::Mul;
-    node.in0 = a;
-    node.in1 = b;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    SMOOTHE_ASSERT(rows(a) == rows(b) && cols(a) == cols(b),
+                   "mul: %zux%zu vs %zux%zu", rows(a), cols(a), rows(b),
+                   cols(b));
+    return push(shaped(Op::Mul, a, b, rows(a), cols(a)));
 }
 
 VarId
 Tape::scale(VarId a, float alpha)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::Scale;
-    node.in0 = a;
+    Node node = shaped(Op::Scale, a, -1, rows(a), cols(a));
     node.alpha = alpha;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::addScalar(VarId a, float alpha)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::AddScalar;
-    node.in0 = a;
+    Node node = shaped(Op::AddScalar, a, -1, rows(a), cols(a));
     node.alpha = alpha;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::relu(VarId a)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::Relu;
-    node.in0 = a;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    return push(shaped(Op::Relu, a, -1, rows(a), cols(a)));
 }
 
 VarId
 Tape::mulConst(VarId a, Tensor c)
 {
-    const Tensor& av = value(a);
-    SMOOTHE_ASSERT(c.cols() == av.cols() &&
-                       (c.rows() == av.rows() || c.rows() == 1),
+    SMOOTHE_ASSERT(c.cols() == cols(a) &&
+                       (c.rows() == rows(a) || c.rows() == 1),
                    "mulConst: %zux%zu against %zux%zu", c.rows(), c.cols(),
-                   av.rows(), av.cols());
-    Node node;
-    node.op = Op::MulConst;
-    node.in0 = a;
+                   rows(a), cols(a));
+    Node node = shaped(Op::MulConst, a, -1, rows(a), cols(a));
     node.constTensor = std::move(c);
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::addConst(VarId a, Tensor c)
 {
-    const Tensor& av = value(a);
-    SMOOTHE_ASSERT(c.cols() == av.cols() &&
-                       (c.rows() == av.rows() || c.rows() == 1),
+    SMOOTHE_ASSERT(c.cols() == cols(a) &&
+                       (c.rows() == rows(a) || c.rows() == 1),
                    "addConst: %zux%zu against %zux%zu", c.rows(), c.cols(),
-                   av.rows(), av.cols());
-    Node node;
-    node.op = Op::AddConst;
-    node.in0 = a;
+                   rows(a), cols(a));
+    Node node = shaped(Op::AddConst, a, -1, rows(a), cols(a));
     node.constTensor = std::move(c);
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::dotRowsConst(VarId a, std::vector<float> u)
 {
-    const Tensor& av = value(a);
-    SMOOTHE_ASSERT(u.size() == av.cols(),
+    SMOOTHE_ASSERT(u.size() == cols(a),
                    "dotRowsConst: %zu weights for %zu cols", u.size(),
-                   av.cols());
-    Node node;
-    node.op = Op::DotRowsConst;
-    node.in0 = a;
+                   cols(a));
+    Node node = shaped(Op::DotRowsConst, a, -1, rows(a), 1);
     node.constVec = std::move(u);
-    node.value = Tensor(av.rows(), 1, arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::sumAll(VarId a)
 {
-    Node node;
-    node.op = Op::SumAll;
-    node.in0 = a;
-    node.value = Tensor(1, 1, arena_);
-    compute(node);
-    return push(std::move(node));
+    return push(shaped(Op::SumAll, a, -1, 1, 1));
 }
 
 VarId
 Tape::meanRows(VarId a)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::MeanRows;
-    node.in0 = a;
-    node.value = Tensor(1, av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    return push(shaped(Op::MeanRows, a, -1, 1, cols(a)));
 }
 
 VarId
 Tape::segmentSoftmax(VarId a, const SegmentIndex* segs)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::SegmentSoftmax;
-    node.in0 = a;
+    Node node = shaped(Op::SegmentSoftmax, a, -1, rows(a), cols(a));
     node.segs = segs;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::segmentProductComplement(VarId a, const SegmentIndex* segs)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::SegmentProductComplement;
-    node.in0 = a;
+    Node node = shaped(Op::SegmentProductComplement, a, -1, rows(a),
+                       segs->numSegments());
     node.segs = segs;
-    node.value = Tensor(av.rows(), segs->numSegments(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::segmentMaxGather(VarId a, const SegmentIndex* segs)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::SegmentMaxGather;
-    node.in0 = a;
+    Node node = shaped(Op::SegmentMaxGather, a, -1, rows(a),
+                       segs->numSegments());
     node.segs = segs;
-    node.value = Tensor(av.rows(), segs->numSegments(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::gatherCols(VarId a, const std::vector<std::uint32_t>* index)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::GatherCols;
-    node.in0 = a;
+    Node node = shaped(Op::GatherCols, a, -1, rows(a), index->size());
     node.index = index;
-    node.value = Tensor(av.rows(), index->size(), arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::matmul(VarId a, VarId w)
 {
-    const Tensor& av = value(a);
-    const Tensor& wv = value(w);
-    SMOOTHE_ASSERT(av.cols() == wv.rows(), "matmul: %zu cols times %zu rows",
-                   av.cols(), wv.rows());
-    Node node;
-    node.op = Op::MatMul;
-    node.in0 = a;
-    node.in1 = w;
-    node.value = Tensor(av.rows(), wv.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    SMOOTHE_ASSERT(cols(a) == rows(w), "matmul: %zu cols times %zu rows",
+                   cols(a), rows(w));
+    return push(shaped(Op::MatMul, a, w, rows(a), cols(w)));
 }
 
 VarId
 Tape::addRowBroadcast(VarId a, VarId bias)
 {
-    const Tensor& av = value(a);
-    const Tensor& bv = value(bias);
-    SMOOTHE_ASSERT(bv.rows() == 1 && bv.cols() == av.cols(),
-                   "addRowBroadcast: bias %zux%zu for %zu cols", bv.rows(),
-                   bv.cols(), av.cols());
-    Node node;
-    node.op = Op::AddRowBroadcast;
-    node.in0 = a;
-    node.in1 = bias;
-    node.value = Tensor(av.rows(), av.cols(), arena_);
-    compute(node);
-    return push(std::move(node));
+    SMOOTHE_ASSERT(rows(bias) == 1 && cols(bias) == cols(a),
+                   "addRowBroadcast: bias %zux%zu for %zu cols", rows(bias),
+                   cols(bias), cols(a));
+    return push(shaped(Op::AddRowBroadcast, a, bias, rows(a), cols(a)));
 }
 
 VarId
 Tape::scatterMatrix(VarId a, const std::vector<MatrixEntry>* entries,
                     std::size_t dim, bool mean_over_rows)
 {
-    const Tensor& av = value(a);
-    Node node;
-    node.op = Op::ScatterMatrix;
-    node.in0 = a;
+    Node node = shaped(Op::ScatterMatrix, a, -1,
+                       mean_over_rows ? 1 : rows(a), dim * dim);
     node.entries = entries;
     node.dim = dim;
     node.meanOverRows = mean_over_rows;
-    const std::size_t outRows = mean_over_rows ? 1 : av.rows();
-    node.value = Tensor(outRows, dim * dim, arena_);
-    compute(node);
     return push(std::move(node));
 }
 
 VarId
 Tape::trExpm(VarId a, std::size_t dim)
 {
-    const Tensor& av = value(a);
-    SMOOTHE_ASSERT(av.cols() == dim * dim, "trExpm: %zu cols is not %zu^2",
-                   av.cols(), dim);
-    Node node;
-    node.op = Op::TrExpm;
-    node.in0 = a;
+    SMOOTHE_ASSERT(cols(a) == dim * dim, "trExpm: %zu cols is not %zu^2",
+                   cols(a), dim);
+    Node node = shaped(Op::TrExpm, a, -1, rows(a), 1);
     node.dim = dim;
-    node.value = Tensor(av.rows(), 1, arena_);
-    node.saved = Tensor(av.rows(), dim * dim, arena_);
-    compute(node);
     return push(std::move(node));
 }
 
@@ -385,8 +293,8 @@ Tape::checkInvariants(bool screen_values) const
         oss << "tape node " << id << ": " << what;
         return oss.str();
     };
-    auto shape = [](const Tensor& t) {
-        return std::to_string(t.rows()) + "x" + std::to_string(t.cols());
+    auto shape = [](const OpNode& n) {
+        return std::to_string(n.rows) + "x" + std::to_string(n.cols);
     };
 
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -410,14 +318,8 @@ Tape::checkInvariants(bool screen_values) const
         if (needsIn1 && node.in1 < 0)
             return problem(i, "binary operation is missing input 1");
 
-        const Tensor* a = node.in0 >= 0
-                              ? &nodes_[static_cast<std::size_t>(node.in0)]
-                                     .value
-                              : nullptr;
-        const Tensor* b = node.in1 >= 0
-                              ? &nodes_[static_cast<std::size_t>(node.in1)]
-                                     .value
-                              : nullptr;
+        const OpNode* a = node.in0 >= 0 ? &this->node(node.in0) : nullptr;
+        const OpNode* b = node.in1 >= 0 ? &this->node(node.in1) : nullptr;
 
         // Per-op operand presence and shape consistency.
         switch (node.op) {
@@ -434,7 +336,7 @@ Tape::checkInvariants(bool screen_values) const
           case Op::Add:
           case Op::Sub:
           case Op::Mul:
-            if (a->rows() != b->rows() || a->cols() != b->cols())
+            if (a->rows != b->rows || a->cols != b->cols)
                 return problem(i, "elementwise operands " + shape(*a) +
                                       " vs " + shape(*b));
             break;
@@ -443,49 +345,48 @@ Tape::checkInvariants(bool screen_values) const
           case Op::SegmentMaxGather:
             if (node.segs == nullptr)
                 return problem(i, "segment op without a SegmentIndex");
-            if (node.value.rows() != a->rows())
+            if (node.rows != a->rows)
                 return problem(i, "segment op changed the batch size");
             break;
           case Op::GatherCols:
             if (node.index == nullptr)
                 return problem(i, "gather without an index");
-            if (node.value.cols() != node.index->size())
+            if (node.cols != node.index->size())
                 return problem(i, "gather output has " +
-                                      std::to_string(node.value.cols()) +
+                                      std::to_string(node.cols) +
                                       " cols for " +
                                       std::to_string(node.index->size()) +
                                       " indices");
             break;
           case Op::MatMul:
-            if (a->cols() != b->rows())
+            if (a->cols != b->rows)
                 return problem(i, "matmul operands " + shape(*a) + " x " +
                                       shape(*b));
-            if (node.value.rows() != a->rows() ||
-                node.value.cols() != b->cols())
-                return problem(i, "matmul output " + shape(node.value));
+            if (node.rows != a->rows || node.cols != b->cols)
+                return problem(i, "matmul output " + shape(node));
             break;
           case Op::ScatterMatrix:
             if (node.entries == nullptr)
                 return problem(i, "scatter without entries");
-            if (node.value.cols() != node.dim * node.dim)
+            if (node.cols != node.dim * node.dim)
                 return problem(i, "scatter output is not dim^2 wide");
             break;
           case Op::TrExpm:
-            if (a->cols() != node.dim * node.dim)
+            if (a->cols != node.dim * node.dim)
                 return problem(i, "trExpm input is not dim^2 wide");
-            if (node.value.cols() != 1)
+            if (node.cols != 1)
                 return problem(i, "trExpm output is not a column");
             break;
           case Op::DotRowsConst:
-            if (node.constVec.size() != a->cols())
+            if (node.constVec.size() != a->cols)
                 return problem(i, "dotRows weight length mismatch");
             break;
           default:
             // Same-shape unary ops.
-            if (a != nullptr && (node.value.rows() != a->rows() ||
-                                 node.value.cols() != a->cols()) &&
+            if (a != nullptr &&
+                (node.rows != a->rows || node.cols != a->cols) &&
                 node.op != Op::SumAll && node.op != Op::MeanRows)
-                return problem(i, "unary op output " + shape(node.value) +
+                return problem(i, "unary op output " + shape(node) +
                                       " for input " + shape(*a));
             break;
         }
@@ -508,6 +409,7 @@ Tape::backward(VarId root)
     SMOOTHE_CHECK(root >= 0 && static_cast<std::size_t>(root) < nodes_.size(),
                   "backward: node %d not on this %zu-node tape", root,
                   nodes_.size());
+    evaluate();
     SMOOTHE_DCHECK_OK(checkInvariants(/*screen_values=*/true));
     obs::counter("tape.backward.calls").add(1);
     ensureGrad(root).fill(1.0f);

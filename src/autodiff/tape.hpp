@@ -5,12 +5,18 @@
  * The Tape records a forward computation as a sequence of operation nodes
  * and replays it in reverse to accumulate gradients into leaf Params
  * (define-by-run, like PyTorch); Params live outside the tape and persist
- * across steps. The tape is also the recording front-end for the compiled
- * Program (src/autodiff/program.hpp): record the structurally stable
- * iteration graph once, hand the tape to Program, and replay it with a
- * static buffer plan instead of rebuilding every step. SmoothE runs only
- * the replay; Tape::backward stays as the reference that gradcheck, the
- * Program parity tests and bench_micro_kernels compare it against.
+ * across steps. Recording stores shapes only: an op method validates its
+ * operand shapes and appends a node, with no allocation and no kernel
+ * call. value() and backward() first evaluate every node not yet
+ * evaluated, in id order, through exec::forwardOp.
+ *
+ * The tape is also the recording front-end for the compiled Program
+ * (src/autodiff/program.hpp): record the structurally stable iteration
+ * graph once, hand the tape to Program, and replay it with a static
+ * buffer plan instead of rebuilding every step. SmoothE runs only the
+ * replay, so its recordings never compute a value; Tape::backward stays
+ * as the reference that gradcheck, the Program parity tests and
+ * bench_micro_kernels compare it against.
  *
  * The op set is deliberately tailored to what SmoothE and the MLP cost
  * model need: elementwise arithmetic, segment softmax (per-e-class),
@@ -44,28 +50,37 @@ class Tape
 
     std::size_t numNodes() const { return nodes_.size(); }
 
+    /** Recorded output shape of a node (never evaluates). */
+    std::size_t rows(VarId id) const { return node(id).rows; }
+    std::size_t cols(VarId id) const { return node(id).cols; }
+
     /**
      * Deep structural validator (see DESIGN.md "Correctness tooling"):
      * every node's inputs must precede it (the tape is its own
      * topological order), per-op operand pointers must be present, and
      * recorded shapes must be consistent with what the op computes from
-     * its inputs. With screen_values, additionally scans every forward
-     * value for NaN/Inf — SMOOTHE_DEBUG_INVARIANTS builds run this at
-     * the head of backward().
+     * its inputs. With screen_values, additionally scans every evaluated
+     * forward value for NaN/Inf — SMOOTHE_DEBUG_INVARIANTS builds run
+     * this at the head of backward(), after evaluation.
      * @return std::nullopt when healthy, else the first problem found.
      */
     std::optional<std::string>
     checkInvariants(bool screen_values = false) const;
 
-    /** The forward value of a node. */
-    const Tensor& value(VarId id) const;
+    /**
+     * The forward value of a node. Evaluates every node recorded since
+     * the last evaluation first, so the reference is valid until the
+     * next op is recorded.
+     */
+    const Tensor& value(VarId id);
 
     /** The gradient of a node (valid after backward()). */
     const Tensor& grad(VarId id) const;
 
     // --- graph construction -------------------------------------------
 
-    /** Leaf referencing a persistent Param; backward adds into its grad. */
+    /** Leaf referencing a persistent Param; its value is copied when the
+     *  tape evaluates, and backward adds into its grad. */
     VarId leaf(Param* param);
 
     /** Constant (no gradient flows into it). */
@@ -158,12 +173,14 @@ class Tape
 
     /**
      * Reverse pass from a scalar (1 x 1) or vector node; the seed gradient
-     * is all-ones. Accumulates into every reachable leaf's Param::grad.
+     * is all-ones. Evaluates pending nodes first, then accumulates into
+     * every reachable leaf's Param::grad.
      */
     void backward(VarId root);
 
   private:
-    /** Recorded op metadata plus the eager per-node tensors. */
+    /** Recorded op metadata plus the per-node tensors, filled on
+     *  evaluation. */
     struct Node : OpNode
     {
         Tensor value;
@@ -172,10 +189,17 @@ class Tape
         std::vector<std::uint32_t> savedIdx; ///< e.g. segment argmax
     };
 
+    const Node& node(VarId id) const
+    {
+        return nodes_[static_cast<std::size_t>(id)];
+    }
+    /** A node with its op, inputs and output shape set. */
+    static Node shaped(Op op, VarId a, VarId b, std::size_t rows,
+                       std::size_t cols);
     VarId push(Node node);
     Tensor& ensureGrad(VarId id);
-    /** Runs the node's forward kernel into node.value via exec::forwardOp. */
-    void compute(Node& node);
+    /** Evaluates nodes [evaluated_, numNodes()) in id order. */
+    void evaluate();
     void backwardNode(Node& node);
 
     /** Test-only backdoor used to corrupt state and prove the validator
@@ -186,6 +210,8 @@ class Tape
 
     Arena* arena_;
     std::vector<Node> nodes_;
+    /** Nodes [0, evaluated_) hold their forward value. */
+    std::size_t evaluated_ = 0;
     /** Backward kernel scratch shared by all nodes (grown on demand). */
     std::vector<float> scratch_;
 };

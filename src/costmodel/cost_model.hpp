@@ -47,13 +47,6 @@ class CostModel
 
     /** Scores a discrete binary selection (s[i] = e-node i chosen). */
     virtual double discrete(const std::vector<bool>& s) const = 0;
-
-    /**
-     * The per-node weights u when the objective is exactly u^T p (what
-     * a warm Program::patch swaps into the recorded cost op), or
-     * nullptr when the model has no such row of weights.
-     */
-    virtual const std::vector<float>* rowWeights() const { return nullptr; }
 };
 
 /** f(p) = u^T p with u taken from the e-graph's per-node costs. */
@@ -68,10 +61,6 @@ class LinearCost : public CostModel
     std::string name() const override { return "linear"; }
     ad::VarId build(ad::Tape& tape, ad::VarId p) const override;
     double discrete(const std::vector<bool>& s) const override;
-    const std::vector<float>* rowWeights() const override
-    {
-        return &weights_;
-    }
 
   private:
     std::vector<float> weights_;

@@ -72,17 +72,6 @@ struct Prepared
     std::size_t propIterations = 0;
 
     static Prepared build(const EGraph& graph, const SmoothEConfig& config);
-
-    /**
-     * Rebuilds every index structure for a grown graph without moving
-     * the container objects a compiled Program's op pointers refer to
-     * (classMembers, parentIndex, node2class, each sccs[k].entries).
-     * @return true when the recorded op sequence is preserved — same
-     * SCC count and same propagation depth (the previous depth is kept
-     * when the new auto depth does not exceed it, so a slightly deeper
-     * graph never forces a re-record) — i.e. Program::patch can apply.
-     */
-    bool rebuildInPlace(const EGraph& graph, const SmoothEConfig& config);
 };
 
 Prepared
@@ -204,48 +193,6 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
     return prep;
 }
 
-bool
-Prepared::rebuildInPlace(const EGraph& graph, const SmoothEConfig& config)
-{
-    const std::size_t prevIters = propIterations;
-    Prepared fresh = build(graph, config);
-    numNodes = fresh.numNodes;
-    numClasses = fresh.numClasses;
-    root = fresh.root;
-    // Move the *contents*; the container objects — whose addresses the
-    // recorded ops hold — stay where they are.
-    classMembers.offsets = std::move(fresh.classMembers.offsets);
-    classMembers.items = std::move(fresh.classMembers.items);
-    parentIndex.offsets = std::move(fresh.parentIndex.offsets);
-    parentIndex.items = std::move(fresh.parentIndex.items);
-    node2class = std::move(fresh.node2class);
-    rootMask = std::move(fresh.rootMask);
-    notRootMask = std::move(fresh.notRootMask);
-
-    bool preserved = fresh.sccs.size() == sccs.size();
-    if (preserved) {
-        for (std::size_t k = 0; k < sccs.size(); ++k) {
-            sccs[k].dim = fresh.sccs[k].dim;
-            sccs[k].entries = std::move(fresh.sccs[k].entries);
-        }
-    } else {
-        // The penalty op count changes; the caller re-records anyway, so
-        // entry addresses are free to move.
-        sccs = std::move(fresh.sccs);
-    }
-
-    if (config.propagationIterations == 0 &&
-        fresh.propIterations <= prevIters) {
-        // Pin the carried depth: it already covers the (grow-only)
-        // graph, and keeping it keeps the recorded loop length.
-        propIterations = prevIters;
-    } else {
-        preserved = preserved && fresh.propIterations == prevIters;
-        propIterations = fresh.propIterations;
-    }
-    return preserved;
-}
-
 /** Node handles into one recorded forward pass. */
 struct ForwardHandles
 {
@@ -273,7 +220,7 @@ Propagation
 recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
                   const SmoothEConfig& config)
 {
-    const std::size_t batch = tape.value(cp).rows();
+    const std::size_t batch = tape.rows(cp);
     // q0: root has probability 1, everything else 0.
     Tensor q0(batch, prep.numClasses);
     for (std::size_t b = 0; b < batch; ++b)
@@ -375,7 +322,7 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
         const VarId h = tape.addScalar(
             tape.sumAll(tr),
             -static_cast<float>(scc.dim) *
-                static_cast<float>(tape.value(tr).rows()));
+                static_cast<float>(tape.rows(tr)));
         penalty = penalty < 0 ? h : tape.add(penalty, h);
     }
     penaltySpan.end();
@@ -401,10 +348,11 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
 /**
  * Everything one SmoothE run leaves behind for the next epoch: the arena
  * (declared first so every tensor below dies before it), the index
- * structures the compiled Program's op pointers refer into, theta with
- * its Adam state, and the Program itself. A one-shot extractWithCost
- * uses a stack-local instance; the incremental protocol keeps one alive
- * inside the caller's IncrementalState.
+ * structures the compiled Program's op pointers refer into (declared
+ * before the Program so they outlive it), theta with its Adam state,
+ * and the Program itself. A one-shot extractWithCost uses a stack-local
+ * instance; the incremental protocol keeps one alive inside the
+ * caller's IncrementalState.
  */
 struct WarmState : extract::IncrementalBlob
 {
@@ -553,10 +501,9 @@ namespace {
 
 /**
  * The optimization loop shared by one-shot and warm-started runs. A
- * null `delta` (or an empty ws.prep) starts cold; otherwise the carried
- * state in `ws` is remapped through the delta and the compiled Program
- * is patched in place when the growth preserves the recorded op
- * sequence, re-recorded otherwise.
+ * null `delta` (or an empty ws.prep) starts cold; otherwise theta and
+ * the Adam moments carried in `ws` are remapped through the delta and
+ * the iteration is recorded and compiled afresh for the grown graph.
  */
 ExtractionResult
 runSmoothE(const EGraph& graph, const cost::CostModel& model,
@@ -626,10 +573,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
     };
 
     try {
-        // A warm run rebuilds the shared index structures in place (the
-        // compiled Program's op pointers refer into them) and remembers
-        // whether the recorded op sequence survived; a cold run builds
-        // them fresh.
         const bool warm = ws.prep.has_value() && delta != nullptr;
 
         // Identity delta on an unchanged graph: the carried state already
@@ -650,18 +593,26 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             return result;
         }
 
-        bool opPreserved = false;
+        // The old Program goes first: its op pointers refer into the
+        // Prepared that is about to be replaced.
         std::vector<std::uint32_t> prevNode2class;
         {
             auto setupScope = diagnostics.profile.other();
+            ws.program.reset();
+            std::size_t prevIters = 0;
             if (warm) {
-                prevNode2class = ws.prep->node2class;
-                opPreserved = ws.prep->rebuildInPlace(graph, config);
+                prevNode2class = std::move(ws.prep->node2class);
+                prevIters = ws.prep->propIterations;
             } else {
-                ws.program.reset();
                 ws.optimizer.reset();
-                ws.prep.emplace(Prepared::build(graph, config));
             }
+            ws.prep.emplace(Prepared::build(graph, config));
+            // With auto depth the carried depth is a floor: it already
+            // covered the (grow-only) graph, so a shallower BFS depth
+            // does not shorten the propagation a warm epoch runs.
+            if (config.propagationIterations == 0)
+                ws.prep->propIterations =
+                    std::max(ws.prep->propIterations, prevIters);
         }
         const Prepared& prep = *ws.prep;
         diagnostics.propagationIterations = prep.propIterations;
@@ -702,33 +653,14 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         double bestCost = kInf;
         std::size_t sinceImprovement = 0;
 
-        // Compile-once/replay-many: record the iteration graph a single
-        // time, plan static buffers, and replay it every Adam step. Warm
-        // epochs first try to patch the carried Program's sparse
-        // structures and buffer plan in place; only growth that breaks
-        // the recorded op sequence (or the slot pooling) pays for a fresh
-        // record+compile.
+        // Compile-once/replay-many: record the iteration graph's shapes
+        // a single time, plan static buffers, and replay it every Adam
+        // step. Recording computes no value, so a warm epoch pays only
+        // for the record and compile of its grown graph.
         ForwardHandles& handles = ws.handles;
         std::optional<ad::Program>& program = ws.program;
-        bool patched = false;
-        if (warm && program.has_value() && opPreserved) {
-            auto scope = diagnostics.profile.loss();
-            ad::StructureDelta growth;
-            Tensor q0(batch, prep.numClasses);
-            for (std::size_t b = 0; b < batch; ++b)
-                q0.at(b, prep.root) = 1.0f;
-            growth.onehotRows = std::move(q0);
-            growth.maskOneHot = prep.rootMask;
-            growth.maskComplement = prep.notRootMask;
-            if (const std::vector<float>* weights = model.rowWeights())
-                growth.rowWeights = *weights;
-            growth.scatterDims.reserve(prep.sccs.size());
-            for (const auto& scc : prep.sccs)
-                growth.scatterDims.push_back(scc.dim);
-            patched = program->patch(growth);
-        }
-        if (!patched) {
-            if (warm && program.has_value())
+        {
+            if (warm)
                 obs::counter("program.rerecord").add(1);
             auto scope = diagnostics.profile.loss();
             obs::Span recordSpan("program.record");
@@ -749,11 +681,10 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             .set(static_cast<double>(diagnostics.programBuffers));
         obs::gauge("arena.reuse_ratio").set(diagnostics.bufferReuseRatio);
         logger.debug("compiled program: %zu ops (%zu fused), %zu slots, "
-                     "reuse %.2fx%s",
+                     "reuse %.2fx",
                      program->numOps(), program->stats().fusedOps,
                      diagnostics.programBuffers,
-                     diagnostics.bufferReuseRatio,
-                     patched ? " (patched in place)" : "");
+                     diagnostics.bufferReuseRatio);
 
         for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
             if (deadline.expired()) {

@@ -105,12 +105,12 @@ class SmoothEExtractor : public extract::Extractor
      * both given, the run warm-starts from the previous epoch carried in
      * `state`: theta and the Adam moments are remapped through the delta
      * (new nodes fall back to the softmax prior, merged classes are
-     * re-centered per source group), and the compiled Program is patched
-     * in place when the growth preserves the recorded op sequence —
-     * falling back to a full re-record otherwise (counters
-     * `program.patch` / `program.rerecord`). Callers going through the
-     * generic protocol should prefer Extractor::extractIncremental,
-     * which adds the cross-epoch consistency checks.
+     * re-centered per source group), and the iteration is recorded and
+     * compiled afresh for the grown graph (counter `program.rerecord`).
+     * An identity delta on an unchanged graph re-emits the cached
+     * result. Callers going through the generic protocol should prefer
+     * Extractor::extractIncremental, which adds the cross-epoch
+     * consistency checks.
      */
     extract::ExtractionResult
     extractWithCost(const eg::EGraph& graph, const cost::CostModel& model,

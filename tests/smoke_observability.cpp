@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end smoke test of the telemetry surface: runs the real
- * egraph_gen and smoothe_extract binaries with --trace-out,
- * --metrics-out, --report-out and --profile-out on a tiny generated
- * e-graph and checks that every file they write parses: the trace as
+ * egraph_gen and smoothe_extract binaries (and bench_anytime_eqsat, whose
+ * warm epochs record and compile a fresh Program each) with --trace-out,
+ * --metrics-out, --report-out and --profile-out on tiny inputs and
+ * checks that every file they write parses: the trace as
  * Chrome trace-event JSON covering the optimizer phases, the metrics as
  * a flat object with the headline counters, each report against the
  * report schema (with profiler kernel attribution when profiling), and
@@ -23,14 +24,15 @@
 
 namespace {
 
-/** Locates a built binary relative to the test executable's directory. */
+/**
+ * Locates a built binary relative to the test executable's directory.
+ * @param subdir the build-tree directory holding it ("tools", "bench")
+ */
 std::string
-binaryPath(const std::string& name)
+binaryPath(const std::string& name, const std::string& subdir = "tools")
 {
-    const char* candidates[] = {"../tools/", "./build/tools/",
-                                "build/tools/"};
-    for (const char* dir : candidates) {
-        const std::string path = std::string(dir) + name;
+    for (const char* root : {"../", "./build/", "build/"}) {
+        const std::string path = root + subdir + "/" + name;
         if (FILE* f = std::fopen(path.c_str(), "rb")) {
             std::fclose(f);
             return path;
@@ -163,7 +165,8 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
 {
     const std::string gen = binaryPath("egraph_gen");
     const std::string extract = binaryPath("smoothe_extract");
-    if (gen.empty() || extract.empty())
+    const std::string anytime = binaryPath("bench_anytime_eqsat", "bench");
+    if (gen.empty() || extract.empty() || anytime.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -184,7 +187,8 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     ASSERT_EQ(runCommand(extract + " --input " + input +
                          " --extractor heuristic+" + telemetry("heur")),
               0);
-    for (const char* tag : {"gen", "smoothe", "heur"}) {
+    ASSERT_EQ(runCommand(anytime + " --quick" + telemetry("anytime")), 0);
+    for (const char* tag : {"gen", "smoothe", "heur", "anytime"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");

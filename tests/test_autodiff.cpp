@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "autodiff/adam.hpp"
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/matexp.hpp"
 #include "autodiff/tape.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ad = smoothe::ad;
@@ -631,6 +633,51 @@ TEST(Tape, ArenaAccountsNodeTensors)
     Tape tape(&arena);
     Tensor a(4, 100);
     const VarId va = tape.constant(std::move(a));
-    tape.scale(va, 2.0f);
+    const VarId scaled = tape.scale(va, 2.0f);
+    tape.value(scaled);
     EXPECT_GE(arena.used(), 4 * 100 * sizeof(float));
+}
+
+TEST(Tape, RecordingRunsNoKernel)
+{
+    // Recording a trExpm chain allocates nothing beyond the constant it
+    // was handed and runs no matrix exponential; the first value() read
+    // computes the chain, bitwise equal to a tape that read every node
+    // as it was recorded.
+    constexpr std::size_t d = 5;
+    smoothe::util::Rng rng(41);
+    st::Arena arena;
+    Tensor lazyInput(2, d * d, &arena);
+    for (std::size_t i = 0; i < lazyInput.size(); ++i)
+        lazyInput.data()[i] = static_cast<float>(rng.uniform(0.5, 1.5));
+    Tensor eagerInput = lazyInput;
+    auto record = [](Tape& tape, Tensor input, bool read_each) {
+        const VarId scaled =
+            tape.scale(tape.constant(std::move(input)), 2.0f);
+        if (read_each)
+            tape.value(scaled);
+        const VarId tr = tape.trExpm(scaled, d);
+        if (read_each)
+            tape.value(tr);
+        return tape.sumAll(tr);
+    };
+    smoothe::obs::Counter& squarings =
+        smoothe::obs::counter("kernel.matexp.squarings");
+
+    const std::size_t constantBytes = arena.used();
+    const std::uint64_t squaringsBefore = squarings.get();
+    Tape lazy(&arena);
+    const VarId lazyOut = record(lazy, std::move(lazyInput), false);
+    EXPECT_EQ(arena.used(), constantBytes);
+    EXPECT_EQ(squarings.get(), squaringsBefore);
+
+    const Tensor& lazyValue = lazy.value(lazyOut);
+    EXPECT_GT(squarings.get(), squaringsBefore);
+    Tape eager(&arena);
+    const VarId eagerOut = record(eager, std::move(eagerInput), true);
+    const Tensor& eagerValue = eager.value(eagerOut);
+    ASSERT_EQ(lazyValue.size(), eagerValue.size());
+    EXPECT_EQ(std::memcmp(lazyValue.data(), eagerValue.data(),
+                          lazyValue.size() * sizeof(float)),
+              0);
 }

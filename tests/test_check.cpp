@@ -69,12 +69,14 @@ struct TapeTestPeer
     }
     static void poisonValue(Tape& tape, VarId id)
     {
+        tape.evaluate();
         tape.nodes_[static_cast<std::size_t>(id)].value.at(0, 0) =
             std::numeric_limits<float>::quiet_NaN();
     }
     static void corruptShape(Tape& tape, VarId id)
     {
-        tape.nodes_[static_cast<std::size_t>(id)].value = Tensor(1, 17);
+        tape.nodes_[static_cast<std::size_t>(id)].rows = 1;
+        tape.nodes_[static_cast<std::size_t>(id)].cols = 17;
     }
 };
 
