@@ -1,10 +1,10 @@
 /**
  * @file
  * Ablations of SmoothE's design choices beyond the paper's Figure 6
- * (called out in DESIGN.md): NOTEARS lambda, propagation-iteration count,
- * parent-correlation assumption, propagation damping, lambda warmup, and
- * sampling temperature — each swept on one cyclic tensat-style e-graph
- * and one rover-style e-graph with everything else fixed.
+ * (called out in DESIGN.md): NOTEARS lambda, propagation-iteration count
+ * and parent-correlation assumption — each swept on one cyclic
+ * tensat-style e-graph and one rover-style e-graph with everything else
+ * fixed.
  *
  * Run: ./build/bench/bench_extra_ablations [--scale 0.1]
  */
@@ -24,7 +24,6 @@ struct RunOutcome
     double cost = 0.0;
     double seconds = 0.0;
     bool ok = false;
-    bool acyclicFailures = false;
 };
 
 RunOutcome
@@ -125,40 +124,6 @@ main(int argc, char** argv)
                               cell(run(*g.graph, config, options))});
             }
             std::printf("assumption sweep:\n");
-            table.print(std::cout);
-        }
-        {
-            util::TablePrinter table({"damping", "result"});
-            for (const float damping : {0.0f, 0.2f, 0.5f}) {
-                core::SmoothEConfig config = base;
-                config.damping = damping;
-                table.addRow({util::formatFixed(damping, 1),
-                              cell(run(*g.graph, config, options))});
-            }
-            std::printf("propagation damping sweep (extension):\n");
-            table.print(std::cout);
-        }
-        {
-            util::TablePrinter table({"temperature", "result"});
-            for (const float temperature : {0.0f, 0.25f, 1.0f}) {
-                core::SmoothEConfig config = base;
-                config.sampleTemperature = temperature;
-                table.addRow({util::formatFixed(temperature, 2),
-                              cell(run(*g.graph, config, options))});
-            }
-            std::printf("sampling temperature sweep (extension, 0 = "
-                        "paper's arg-max):\n");
-            table.print(std::cout);
-        }
-        {
-            util::TablePrinter table({"lambda warmup", "result"});
-            for (const std::size_t warmup : {0u, 50u, 150u}) {
-                core::SmoothEConfig config = base;
-                config.lambdaWarmupIterations = warmup;
-                table.addRow({std::to_string(warmup),
-                              cell(run(*g.graph, config, options))});
-            }
-            std::printf("lambda warmup sweep (extension):\n");
             table.print(std::cout);
         }
     }

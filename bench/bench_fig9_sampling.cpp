@@ -37,7 +37,6 @@ main(int argc, char** argv)
         config.numSeeds = 16;
         config.maxIterations = iters;
         config.patience = 1000000;
-        config.recordLossCurves = true;
         core::SmoothEExtractor smoothe(config);
         extract::ExtractOptions runOptions;
         runOptions.seed = options.seed;
@@ -49,13 +48,13 @@ main(int argc, char** argv)
                     result.cost);
         std::printf("%6s %14s %14s %12s\n", "step", "f(p) relaxed",
                     "f_b(s) sampled", "NOTEARS h");
-        const auto& curve = smoothe.diagnostics().lossCurve;
+        const auto& curve = smoothe.diagnostics().convergence;
         const std::size_t stride = std::max<std::size_t>(1,
                                                          curve.size() / 20);
         for (std::size_t i = 0; i < curve.size(); i += stride) {
             const auto& point = curve[i];
             std::printf("%6zu %14.3f %14.3f %12.4f\n", point.iteration,
-                        point.relaxedLoss, point.sampledLoss,
+                        point.softCost, point.iterSampledCost,
                         point.penalty);
         }
     }

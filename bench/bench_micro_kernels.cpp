@@ -440,21 +440,24 @@ main(int argc, char** argv)
         // never takes the instrumented path, then prior enablement is
         // restored. Both wall times are unchecked; the gated quantity
         // is their relative difference, from min-of-repeats (the
-        // estimator least sensitive to scheduler noise).
+        // estimator least sensitive to scheduler noise) with the two
+        // replays timed in alternation, so host drift hits both alike.
         {
             const bool wasEnabled = obs::profilerEnabled();
             const std::size_t stride = obs::Profiler::instance().stride();
             obs::Profiler::instance().disable();
-            const auto bare = timeKernel("profiler.replay_bare", [&] {
-                fx.theta.zeroGrad();
-                for (int i = 0; i < 4; ++i) {
-                    program.forwardBare();
-                    program.backwardBare();
-                }
-                sink(fx.theta.grad.data());
-            });
-            const auto dispatch =
-                timeKernel("profiler.dispatch_disabled", [&] {
+            const auto [bare, dispatch] = bench::repeatMeasureInterleaved(
+                "profiler.replay_bare", "profiler.dispatch_disabled",
+                options.warmup, options.repeat,
+                [&] {
+                    fx.theta.zeroGrad();
+                    for (int i = 0; i < 4; ++i) {
+                        program.forwardBare();
+                        program.backwardBare();
+                    }
+                    sink(fx.theta.grad.data());
+                },
+                [&] {
                     fx.theta.zeroGrad();
                     for (int i = 0; i < 4; ++i) {
                         program.forward();
@@ -462,6 +465,13 @@ main(int argc, char** argv)
                     }
                     sink(fx.theta.grad.data());
                 });
+            for (const char* name :
+                 {"profiler.replay_bare", "profiler.dispatch_disabled"}) {
+                if (obs::Measurement* m = bench::findMeasurement(name))
+                    m->checked(false);
+            }
+            row("profiler.replay_bare", bare);
+            row("profiler.dispatch_disabled", dispatch);
             const double overheadPct =
                 bare.min > 0.0
                     ? std::max(0.0, 100.0 * (dispatch.min - bare.min) /

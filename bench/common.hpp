@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datasets/registry.hpp"
@@ -138,35 +139,38 @@ struct RepeatStats
     }
 };
 
-/**
- * Runs `fn` untimed `warmup` times, then timed `repeats` times, and
- * returns mean/stddev/min/max of the per-run wall time. When a process
- * report is installed and `name` is non-empty, each timed sample is
- * recorded into measurement `name` (unit "s", lower-is-better); the
- * mean/stddev land in the report automatically.
- */
-template <typename Fn>
-RepeatStats
-repeatMeasure(const std::string& name, std::size_t warmup,
-              std::size_t repeats, Fn&& fn)
+namespace detail {
+
+/** The report measurement `name` (unit "s"), or nullptr when no report
+ *  is installed or `name` is empty. */
+inline obs::Measurement*
+secondsMeasurement(const std::string& name)
 {
-    for (std::size_t i = 0; i < warmup; ++i)
-        fn();
-    obs::Measurement* measurement = nullptr;
-    if (obs::Report* report = obs::Report::current();
-        report != nullptr && !name.empty())
-        measurement = &report->measurement(name).unit("s");
+    obs::Report* report = obs::Report::current();
+    if (report == nullptr || name.empty())
+        return nullptr;
+    return &report->measurement(name).unit("s");
+}
+
+/** Times one call of `fn` into `samples` (and `measurement`, if any). */
+template <typename Fn>
+void
+timeOnce(Fn& fn, std::vector<double>& samples,
+         obs::Measurement* measurement)
+{
+    util::Timer timer;
+    fn();
+    const double seconds = timer.seconds();
+    samples.push_back(seconds);
+    if (measurement != nullptr)
+        measurement->add(seconds);
+}
+
+/** mean/stddev/min/max of per-run wall times. */
+inline RepeatStats
+summarize(const std::vector<double>& samples)
+{
     RepeatStats stats;
-    std::vector<double> samples;
-    samples.reserve(repeats);
-    for (std::size_t i = 0; i < repeats; ++i) {
-        util::Timer timer;
-        fn();
-        const double seconds = timer.seconds();
-        samples.push_back(seconds);
-        if (measurement != nullptr)
-            measurement->add(seconds);
-    }
     stats.repeats = samples.size();
     if (samples.empty())
         return stats;
@@ -184,6 +188,59 @@ repeatMeasure(const std::string& name, std::size_t warmup,
         sq += (s - stats.mean) * (s - stats.mean);
     stats.stddev = std::sqrt(sq / static_cast<double>(samples.size()));
     return stats;
+}
+
+} // namespace detail
+
+/**
+ * Runs `fn` untimed `warmup` times, then timed `repeats` times, and
+ * returns mean/stddev/min/max of the per-run wall time. When a process
+ * report is installed and `name` is non-empty, each timed sample is
+ * recorded into measurement `name` (unit "s", lower-is-better); the
+ * mean/stddev land in the report automatically.
+ */
+template <typename Fn>
+RepeatStats
+repeatMeasure(const std::string& name, std::size_t warmup,
+              std::size_t repeats, Fn&& fn)
+{
+    for (std::size_t i = 0; i < warmup; ++i)
+        fn();
+    obs::Measurement* measurement = detail::secondsMeasurement(name);
+    std::vector<double> samples;
+    samples.reserve(repeats);
+    for (std::size_t i = 0; i < repeats; ++i)
+        detail::timeOnce(fn, samples, measurement);
+    return detail::summarize(samples);
+}
+
+/**
+ * repeatMeasure for two functions timed in alternation (a, b, a, b,
+ * ...) after `warmup` untimed rounds of both, so a drift in host speed
+ * lands on both sides alike: the fair way to compare two nearly equal
+ * costs. Samples go to measurements `name_a` and `name_b`.
+ */
+template <typename FnA, typename FnB>
+std::pair<RepeatStats, RepeatStats>
+repeatMeasureInterleaved(const std::string& name_a,
+                         const std::string& name_b, std::size_t warmup,
+                         std::size_t repeats, FnA&& fn_a, FnB&& fn_b)
+{
+    for (std::size_t i = 0; i < warmup; ++i) {
+        fn_a();
+        fn_b();
+    }
+    obs::Measurement* measurementA = detail::secondsMeasurement(name_a);
+    obs::Measurement* measurementB = detail::secondsMeasurement(name_b);
+    std::vector<double> samplesA;
+    std::vector<double> samplesB;
+    samplesA.reserve(repeats);
+    samplesB.reserve(repeats);
+    for (std::size_t i = 0; i < repeats; ++i) {
+        detail::timeOnce(fn_a, samplesA, measurementA);
+        detail::timeOnce(fn_b, samplesB, measurementB);
+    }
+    return {detail::summarize(samplesA), detail::summarize(samplesB)};
 }
 
 /** Overload using the harness --warmup/--repeat options. */

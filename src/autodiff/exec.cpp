@@ -20,7 +20,6 @@ forwardOp(const ForwardArgs& args)
     switch (node.op) {
       case Op::Leaf:
       case Op::Constant:
-      case Op::Input:
         break; // sources: value is bound, not computed
       case Op::Add:
         tensor::addInto(*args.a, *args.b, *args.value);
@@ -126,7 +125,6 @@ backwardOp(const BackwardArgs& args)
         break;
       }
       case Op::Constant:
-      case Op::Input:
         break;
       case Op::Add: {
         if (gaPtr) {

@@ -34,8 +34,8 @@ struct ForwardArgs
 };
 
 /**
- * Executes one forward op into args.value. Sources (Leaf, Constant,
- * Input) are no-ops — their value is bound, not computed.
+ * Executes one forward op into args.value. Sources (Leaf, Constant)
+ * are no-ops — their value is bound, not computed.
  */
 void forwardOp(const ForwardArgs& args);
 
@@ -58,8 +58,8 @@ struct BackwardArgs
 /**
  * Accumulates one op's input gradients. A null ga/gb skips that side —
  * the Program passes null for inputs that provably need no gradient
- * (constants, inputs, subgraphs unreachable from a Param). Leaf adds g
- * into its Param::grad; Constant/Input are no-ops.
+ * (constants, subgraphs unreachable from a Param). Leaf adds g into its
+ * Param::grad; Constant is a no-op.
  */
 void backwardOp(const BackwardArgs& args);
 

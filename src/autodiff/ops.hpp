@@ -17,7 +17,6 @@
 #define SMOOTHE_AUTODIFF_OPS_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/kernels.hpp"
@@ -51,14 +50,13 @@ using VarId = std::int32_t;
 using MatrixEntry = tensor::MatrixEntry;
 
 /**
- * Operation kinds. Leaf/Constant/Input are sources (no compute);
+ * Operation kinds. Leaf/Constant are sources (no compute);
  * FusedElemChain exists only in compiled Programs, produced by the
  * recorder-chain fusion pass — the Tape never records it.
  */
 enum class Op : std::uint8_t {
     Leaf,
     Constant,
-    Input,
     Add,
     Sub,
     Mul,
@@ -105,7 +103,6 @@ struct OpNode
     std::vector<tensor::ElemStage> chain;
     std::size_t dim = 0;
     bool meanOverRows = false;
-    std::string inputName; ///< Op::Input slot name ("" otherwise)
 };
 
 } // namespace smoothe::ad

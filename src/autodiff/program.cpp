@@ -1,6 +1,7 @@
 #include "autodiff/program.hpp"
 
 #include <chrono>
+#include <unordered_map>
 #include <utility>
 
 #include "autodiff/exec.hpp"
@@ -25,7 +26,7 @@ shapeKey(const OpNode& node)
 bool
 isSource(Op op)
 {
-    return op == Op::Leaf || op == Op::Constant || op == Op::Input;
+    return op == Op::Leaf || op == Op::Constant;
 }
 
 } // namespace
@@ -38,8 +39,6 @@ kernelName(Op op)
         return "leaf";
       case Op::Constant:
         return "constant";
-      case Op::Input:
-        return "input";
       case Op::Add:
         return "add";
       case Op::Sub:
@@ -162,7 +161,6 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
         c = {0, 0, n, 3 * F * n};
         break;
       case Op::Constant:
-      case Op::Input:
         break;
       case Op::Add:
       case Op::Sub:
@@ -330,12 +328,9 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
                              static_cast<std::uint32_t>(i)};
             break;
           case Op::Constant:
-          case Op::Input:
             valueBind_[i] = {Storage::Owned,
                              static_cast<std::uint32_t>(owned_.size())};
             owned_.push_back(std::move(rec.value));
-            if (node.op == Op::Input)
-                inputs_[node.inputName] = static_cast<VarId>(i);
             break;
           default:
             break;
@@ -467,8 +462,8 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         uses = countUses();
 
     // --- gradient reachability ----------------------------------------
-    // The eager set of grad-carrying nodes, minus the constants/inputs
-    // whose backward is a no-op anyway.
+    // The eager set of grad-carrying nodes, minus the constants whose
+    // backward is a no-op anyway.
     needsGrad_[static_cast<std::size_t>(root_)] = 1;
     for (VarId id = root_; id >= 0; --id) {
         if (!needsGrad_[static_cast<std::size_t>(id)] ||
@@ -479,7 +474,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             if (in < 0)
                 continue;
             const Op inOp = ops_[static_cast<std::size_t>(in)].op;
-            if (inOp != Op::Constant && inOp != Op::Input)
+            if (inOp != Op::Constant)
                 needsGrad_[static_cast<std::size_t>(in)] = 1;
         }
     }
@@ -822,19 +817,6 @@ Program::backwardProfiled()
     }
     prof.recordPhaseTotal(obs::Profiler::Phase::Backward,
                           nanosBetween(start, prev));
-}
-
-void
-Program::setInputScalar(const std::string& name, float v)
-{
-    auto it = inputs_.find(name);
-    SMOOTHE_CHECK(it != inputs_.end(), "program has no input slot '%s'",
-                  name.c_str());
-    Tensor& slot =
-        owned_[valueBind_[static_cast<std::size_t>(it->second)].index];
-    SMOOTHE_CHECK(slot.size() == 1, "input slot '%s' is not 1x1",
-                  name.c_str());
-    slot.data()[0] = v;
 }
 
 const Tensor&

@@ -12,9 +12,7 @@
  *
  * forward()/backward() then replay into the planned buffers with zero
  * per-iteration graph construction or allocation. Leaf values alias
- * their Param (so optimizer steps are visible on the next replay), and
- * named Input nodes stay mutable via setInputScalar — per-iteration
- * dynamic values (the lambda warmup ramp) without re-recording. When
+ * their Param (so optimizer steps are visible on the next replay). When
  * the structure itself changes (a grown e-graph), the caller records
  * and compiles a fresh Program; recording is shape-only, so that costs
  * no forward pass.
@@ -32,7 +30,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "autodiff/exec.hpp"
@@ -123,15 +120,6 @@ class Program
     void forwardBare();
     void backwardBare();
 
-    /** Writes a 1 x 1 Input slot recorded via Tape::input. */
-    void setInputScalar(const std::string& name, float v);
-
-    /** Whether the recording captured an Input slot with this name. */
-    bool hasInput(const std::string& name) const
-    {
-        return inputs_.count(name) != 0;
-    }
-
     /**
      * Forward value of a node after forward(). Only the root, requested
      * outputs, and sources are readable — everything else lives in a
@@ -210,7 +198,6 @@ class Program
     std::vector<KernelSlot> forwardKernels_;  ///< parallel to schedule
     std::vector<KernelSlot> backwardKernels_; ///< parallel to schedule
     std::uint32_t rootGradSlot_ = 0;
-    std::unordered_map<std::string, VarId> inputs_;
     ProgramStats stats_;
 };
 

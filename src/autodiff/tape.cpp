@@ -72,7 +72,7 @@ Tape::evaluate()
             cur.value = cur.param->value;
             continue;
         }
-        if (cur.op == Op::Constant || cur.op == Op::Input)
+        if (cur.op == Op::Constant)
             continue; // recorded with its value
         cur.value = Tensor(cur.rows, cur.cols, arena_);
         if (cur.op == Op::TrExpm)
@@ -101,16 +101,6 @@ VarId
 Tape::constant(Tensor value)
 {
     Node node = shaped(Op::Constant, -1, -1, value.rows(), value.cols());
-    node.value = std::move(value);
-    return push(std::move(node));
-}
-
-VarId
-Tape::input(Tensor value, std::string name)
-{
-    SMOOTHE_CHECK(!name.empty(), "input() needs a slot name");
-    Node node = shaped(Op::Input, -1, -1, value.rows(), value.cols());
-    node.inputName = std::move(name);
     node.value = std::move(value);
     return push(std::move(node));
 }
@@ -307,9 +297,8 @@ Tape::checkInvariants(bool screen_values) const
                 return problem(i, "input " + std::to_string(in) +
                                       " does not precede it");
         }
-        const bool needsIn0 = node.op != Op::Leaf &&
-                              node.op != Op::Constant &&
-                              node.op != Op::Input;
+        const bool needsIn0 =
+            node.op != Op::Leaf && node.op != Op::Constant;
         if (needsIn0 && node.in0 < 0)
             return problem(i, "operation is missing its input");
         const bool needsIn1 = node.op == Op::Add || node.op == Op::Sub ||
@@ -328,10 +317,6 @@ Tape::checkInvariants(bool screen_values) const
                 return problem(i, "leaf without a Param");
             break;
           case Op::Constant:
-            break;
-          case Op::Input:
-            if (node.inputName.empty())
-                return problem(i, "input slot without a name");
             break;
           case Op::Add:
           case Op::Sub:

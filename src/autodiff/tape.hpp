@@ -86,14 +86,6 @@ class Tape
     /** Constant (no gradient flows into it). */
     VarId constant(Tensor value);
 
-    /**
-     * Named mutable input slot (no gradient flows into it). On the tape
-     * it behaves like a constant; a compiled Program exposes it via
-     * Program::setInputScalar so per-iteration dynamic values (the
-     * lambda warmup ramp) can change without re-recording.
-     */
-    VarId input(Tensor value, std::string name);
-
     /** out = a + b (same shape). */
     VarId add(VarId a, VarId b);
     /** out = a - b (same shape). */

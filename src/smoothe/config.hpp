@@ -1,6 +1,10 @@
 /**
  * @file
- * Configuration for the SmoothE differentiable extractor.
+ * Configuration for the SmoothE differentiable extractor. The defaults
+ * run the paper's optimizer: a fixed NOTEARS coefficient (Eq. 10a), the
+ * undamped parallel propagation schedule (Eqs. 5-7) and arg-max
+ * sampling (Section 3.5). Every run records its per-iteration
+ * trajectory in SmoothEDiagnostics::convergence (see convergence.hpp).
  */
 
 #ifndef SMOOTHE_SMOOTHE_CONFIG_HPP
@@ -51,31 +55,6 @@ struct SmoothEConfig
      */
     std::size_t propagationIterations = 0;
 
-    /**
-     * Damping factor for the probability propagation (extension beyond
-     * the paper, from the loopy-BP literature): the class probability is
-     * updated as q <- (1 - damping) * q_new + damping * q_old. 0 disables
-     * damping (the paper's parallel schedule); values around 0.3 smooth
-     * oscillations on strongly cyclic e-graphs.
-     */
-    float damping = 0.0f;
-
-    /**
-     * Sampling temperature (extension beyond the paper): 0 reproduces the
-     * paper's deterministic arg-max-cp sampler; values > 0 draw e-nodes
-     * with probability proportional to cp^(1/T) via Gumbel perturbation,
-     * trading per-iteration greediness for exploration.
-     */
-    float sampleTemperature = 0.0f;
-
-    /**
-     * Linearly anneal the NOTEARS coefficient from 0 to `lambda` over
-     * this many iterations (extension: lets early optimization focus on
-     * cost before the acyclicity pressure kicks in). 0 applies full
-     * lambda from the first iteration, as in the paper.
-     */
-    std::size_t lambdaWarmupIterations = 0;
-
     /** Use SCC decomposition for the NOTEARS term (Section 4.3). */
     bool sccDecomposition = true;
 
@@ -108,20 +87,6 @@ struct SmoothEConfig
      * OOM failure.
      */
     std::size_t memoryBudgetBytes = 0;
-
-    /** Record per-iteration relaxed loss f(p) and sampled loss f_b(s)
-     *  (Figure 9). */
-    bool recordLossCurves = false;
-
-    /**
-     * Convergence recording (anytime-curve telemetry): every run keeps a
-     * ring buffer of per-iteration (loss, soft cost, sampled cost, grad
-     * norm, wall time) points in SmoothEDiagnostics::convergence and —
-     * when a process report is installed — in the report's
-     * "smoothe.convergence" series. `convergenceStride` keeps every k-th
-     * iteration; the ring holds the latest 4096 recorded points.
-     */
-    std::size_t convergenceStride = 1;
 };
 
 } // namespace smoothe::core

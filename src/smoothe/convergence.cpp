@@ -1,6 +1,5 @@
 #include "smoothe/convergence.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/report.hpp"
@@ -17,30 +16,15 @@ sanitize(double value)
 
 } // namespace
 
-ConvergenceRecorder::ConvergenceRecorder(std::size_t stride,
-                                         std::size_t capacity)
-    : stride_(stride == 0 ? 1 : stride), capacity_(capacity)
-{
-    ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-bool
-ConvergenceRecorder::wants(std::size_t iteration) const
-{
-    return capacity_ > 0 && iteration % stride_ == 0;
-}
-
 void
 ConvergenceRecorder::record(const ConvergencePoint& point)
 {
-    if (capacity_ == 0)
-        return;
-    if (ring_.size() < capacity_) {
+    if (ring_.size() < kCapacity) {
         ring_.push_back(point);
         return;
     }
     ring_[next_] = point;
-    next_ = (next_ + 1) % capacity_;
+    next_ = (next_ + 1) % kCapacity;
     ++dropped_;
 }
 
@@ -67,14 +51,16 @@ ConvergenceRecorder::dumpTo(obs::Report& report, const std::string& name,
 {
     obs::Series& series = report.series(
         name, {"run", "iteration", "loss", "softCost", "sampledCost",
-               "gradNorm", "wallSeconds"});
+               "gradNorm", "wallSeconds", "iterSampledCost", "penalty"});
     for (const ConvergencePoint& point : ordered()) {
         series.addRow({static_cast<double>(run),
                        static_cast<double>(point.iteration),
                        sanitize(point.loss), sanitize(point.softCost),
                        sanitize(point.sampledCost),
                        sanitize(point.gradNorm),
-                       sanitize(point.wallSeconds)});
+                       sanitize(point.wallSeconds),
+                       sanitize(point.iterSampledCost),
+                       sanitize(point.penalty)});
     }
 }
 

@@ -1,7 +1,6 @@
 #include "smoothe/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace smoothe::core {
@@ -12,23 +11,8 @@ using eg::NodeId;
 using extract::Selection;
 
 Selection
-GreedySampler::sample(const float* cp_row, bool repair, float temperature,
-                      util::Rng& rng)
+GreedySampler::sample(const float* cp_row, bool repair)
 {
-    priority_.assign(graph_.numNodes(), 0.0);
-    for (std::size_t i = 0; i < graph_.numNodes(); ++i) {
-        if (temperature > 0.0f) {
-            const double gumbel =
-                -std::log(-std::log(rng.uniform() + 1e-12) + 1e-12);
-            priority_[i] =
-                std::log(static_cast<double>(cp_row[i]) + 1e-12) /
-                    temperature +
-                gumbel;
-        } else {
-            priority_[i] = cp_row[i];
-        }
-    }
-
     Selection sel = Selection::empty(graph_);
     std::vector<ClassId> stack{graph_.root()};
     while (!stack.empty()) {
@@ -40,19 +24,19 @@ GreedySampler::sample(const float* cp_row, bool repair, float temperature,
         const auto& members = graph_.nodesInClass(cls);
         NodeId chosen = kNoNode;
         if (!repair) {
-            double best = -std::numeric_limits<double>::infinity();
+            float best = -std::numeric_limits<float>::infinity();
             for (NodeId nid : members) {
-                if (priority_[nid] > best) {
-                    best = priority_[nid];
+                if (cp_row[nid] > best) {
+                    best = cp_row[nid];
                     chosen = nid;
                 }
             }
         } else {
-            // Try members in decreasing priority until one is acyclic.
+            // Try members in decreasing cp until one is acyclic.
             scratch_.assign(members.begin(), members.end());
             std::sort(scratch_.begin(), scratch_.end(),
                       [&](NodeId a, NodeId b) {
-                          return priority_[a] > priority_[b];
+                          return cp_row[a] > cp_row[b];
                       });
             for (NodeId nid : scratch_) {
                 sel.choice[cls] = nid;

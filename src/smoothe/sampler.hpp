@@ -2,16 +2,14 @@
  * @file
  * The discrete sampling stage of SmoothE (Section 3.5): converts one
  * seed's conditional probabilities cp into a valid extraction by walking
- * top-down from the root and picking the highest-priority e-node per
- * needed e-class.
+ * top-down from the root and picking the arg-max-cp e-node per needed
+ * e-class.
  *
- * Priorities are cp itself (temperature 0, the paper's arg-max) or
- * Gumbel-perturbed log cp (temperature > 0, proportional sampling —
- * an extension). With repair enabled, members whose selection would close
- * a cycle are skipped in decreasing priority order, making the sampler
- * total on cyclic e-graphs; with repair disabled the caller relies on the
- * NOTEARS penalty, exactly as the paper does, and invalid samples are
- * simply discarded by validation.
+ * With repair enabled, members whose selection would close a cycle are
+ * skipped in decreasing cp order, making the sampler total on cyclic
+ * e-graphs; with repair disabled the caller relies on the NOTEARS
+ * penalty, exactly as the paper does, and invalid samples are simply
+ * discarded by validation.
  */
 
 #ifndef SMOOTHE_SMOOTHE_SAMPLER_HPP
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "extraction/solution.hpp"
-#include "util/rng.hpp"
 
 namespace smoothe::core {
 
@@ -34,18 +31,14 @@ class GreedySampler
      * Samples a selection from one seed's cp row.
      * @param cp_row numNodes() conditional probabilities
      * @param repair skip cycle-closing members instead of failing
-     * @param temperature 0 = deterministic arg-max, > 0 = stochastic
-     * @param rng used only when temperature > 0
      * @return a selection; root entry is eg::kNoNode on dead ends
      */
-    extract::Selection sample(const float* cp_row, bool repair,
-                              float temperature, util::Rng& rng);
+    extract::Selection sample(const float* cp_row, bool repair);
 
   private:
     bool createsCycle(const extract::Selection& sel, eg::ClassId cls);
 
     const eg::EGraph& graph_;
-    std::vector<double> priority_;
     std::vector<eg::NodeId> scratch_;
     std::vector<bool> visited_;
     std::vector<eg::ClassId> dfs_;

@@ -200,7 +200,6 @@ struct ForwardHandles
     VarId cp = -1;      ///< conditional probabilities (sampling reads this)
     VarId costs = -1;   ///< per-seed differentiable cost, B x 1
     VarId penalty = -1; ///< NOTEARS h(A) total, -1 when acyclic
-    VarId lambda = -1;  ///< 1 x 1 "lambda" input slot, -1 when no penalty
 };
 
 /** Recorded class and node probabilities after the propagation. */
@@ -213,8 +212,8 @@ struct Propagation
 /**
  * Records phi's probability propagation (Eqs. 5-7) from the conditional
  * probabilities `cp`: q starts as the root one-hot and runs
- * prep.propIterations parallel-schedule rounds under config.assumption
- * (with optional damping), the root pinned to 1 after each round.
+ * prep.propIterations parallel-schedule rounds under config.assumption,
+ * the root pinned to 1 after each round.
  */
 Propagation
 recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
@@ -253,11 +252,6 @@ recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
             break;
           }
         }
-        // Optional damping (loopy-BP style) before pinning the root.
-        if (config.damping > 0.0f) {
-            qNew = tape.add(tape.scale(qNew, 1.0f - config.damping),
-                            tape.scale(q, config.damping));
-        }
         // Pin the root probability to 1.
         q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
                           prep.rootMask);
@@ -266,36 +260,14 @@ recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
 }
 
 /**
- * The NOTEARS coefficient fed to the "lambda" input slot at iteration
- * `iter`: lambda, linearly ramped over lambdaWarmupIterations, times B
- * under the batched approximation — it computes the penalty once for the
- * averaged matrix, and scaling by B keeps the per-seed gradient
- * magnitude comparable to the per-seed mode.
- */
-float
-penaltyCoefficient(const SmoothEConfig& config, std::size_t iter,
-                   std::size_t batch)
-{
-    float lambda = config.lambda;
-    if (config.lambdaWarmupIterations > 0 &&
-        iter < config.lambdaWarmupIterations) {
-        lambda *= static_cast<float>(iter + 1) /
-                  static_cast<float>(config.lambdaWarmupIterations);
-    }
-    return lambda *
-           (config.batchedMatexp ? static_cast<float>(batch) : 1.0f);
-}
-
-/**
- * Records one forward pass on the tape. The NOTEARS coefficient enters
- * through a named input slot so the compiled Program can ramp it per
- * iteration (lambdaWarmupIterations) without re-recording; the recording
- * starts it at `penalty_coeff`.
+ * Records one forward pass on the tape. The NOTEARS coefficient is
+ * lambda (Eq. 10a), times B under the batched approximation: that
+ * computes the penalty once for the averaged matrix, and scaling by B
+ * keeps the per-seed gradient magnitude comparable to the per-seed mode.
  */
 ForwardHandles
 buildForward(Tape& tape, Param& theta, const Prepared& prep,
-             const cost::CostModel& model, const SmoothEConfig& config,
-             float penalty_coeff)
+             const cost::CostModel& model, const SmoothEConfig& config)
 {
     const VarId thetaVar = tape.leaf(&theta);
     VarId cp = -1;
@@ -326,18 +298,15 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
         penalty = penalty < 0 ? h : tape.add(penalty, h);
     }
     penaltySpan.end();
-    ForwardHandles handles;
     if (penalty >= 0) {
-        // The coefficient is a mutable 1 x 1 input: multiplying by it is
-        // bit-identical to a scale(penalty, coeff) op (IEEE
-        // multiplication commutes), and the compiled Program updates it
-        // each iteration.
-        Tensor coeff(1, 1);
-        coeff.at(0, 0) = penalty_coeff;
-        handles.lambda = tape.input(std::move(coeff), "lambda");
-        loss = tape.add(loss, tape.mul(penalty, handles.lambda));
+        const float coeff =
+            config.lambda * (config.batchedMatexp
+                                 ? static_cast<float>(tape.rows(cp))
+                                 : 1.0f);
+        loss = tape.add(loss, tape.scale(penalty, coeff));
     }
 
+    ForwardHandles handles;
     handles.loss = loss;
     handles.cp = cp;
     handles.costs = costs;
@@ -523,7 +492,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
     util::Timer timer;
     util::Deadline deadline(options.timeLimitSeconds);
     util::Rng rng(options.seed);
-    ConvergenceRecorder recorder(config.convergenceStride);
+    ConvergenceRecorder recorder;
 
     Arena& arena = ws.arena;
 
@@ -639,16 +608,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         }
         ad::Adam& optimizer = *ws.optimizer;
 
-        // One independent RNG stream per seed so the sampling stage can
-        // fan out across workers while staying bit-identical for every
-        // thread count (each stream advances only with its own seed's
-        // draws, never with its neighbors').
-        std::vector<util::Rng> seedRngs;
-        seedRngs.reserve(batch);
-        for (std::size_t b = 0; b < batch; ++b)
-            seedRngs.emplace_back(options.seed ^
-                                  (0x9e3779b97f4a7c15ULL * (b + 1)));
-
         Selection bestSelection = Selection::empty(graph);
         double bestCost = kInf;
         std::size_t sinceImprovement = 0;
@@ -665,8 +624,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             auto scope = diagnostics.profile.loss();
             obs::Span recordSpan("program.record");
             Tape recorder(&arena);
-            handles = buildForward(recorder, theta, prep, model, config,
-                                   penaltyCoefficient(config, 0, batch));
+            handles = buildForward(recorder, theta, prep, model, config);
             diagnostics.tapeNodes = recorder.numNodes();
             std::vector<VarId> outputs{handles.cp, handles.costs};
             if (handles.penalty >= 0)
@@ -698,9 +656,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             {
                 auto scope = diagnostics.profile.loss();
                 obs::Span forwardSpan("program.forward");
-                if (handles.lambda >= 0)
-                    program->setInputScalar(
-                        "lambda", penaltyCoefficient(config, iter, batch));
                 program->forward();
             }
             {
@@ -718,14 +673,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                         "smoothe.penalty",
                         program->value(handles.penalty).at(0, 0));
                 }
-            }
-
-            double relaxedLoss = 0.0;
-            if (config.recordLossCurves) {
-                const Tensor& costs = program->value(handles.costs);
-                for (std::size_t b = 0; b < costs.rows(); ++b)
-                    relaxedLoss += costs.at(b, 0);
-                relaxedLoss /= static_cast<double>(costs.rows());
             }
 
             // Sampling stage: seeds are independent, so chunks of the
@@ -747,8 +694,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                         for (std::size_t b = chunkBegin; b < chunkEnd;
                              ++b) {
                             Selection candidate = sampler.sample(
-                                cp.row(b), config.repairSampling,
-                                config.sampleTemperature, seedRngs[b]);
+                                cp.row(b), config.repairSampling);
                             samplesTotal.add(1);
                             if (!candidate.chosen(graph.root()))
                                 continue;
@@ -782,20 +728,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 ++sinceImprovement;
             }
 
-            if (config.recordLossCurves) {
-                LossCurvePoint point;
-                point.iteration = iter;
-                point.relaxedLoss = relaxedLoss;
-                point.sampledLoss = iterBest;
-                if (handles.penalty >= 0)
-                    point.penalty = program->value(handles.penalty).at(0, 0);
-                diagnostics.lossCurve.push_back(point);
-            }
-
-            // Convergence telemetry: strided, so the gradient-norm
-            // reduction (the only extra arithmetic) is skipped entirely
-            // on unrecorded iterations.
-            if (recorder.wants(iter)) {
+            // Convergence telemetry, one point per iteration.
+            {
                 ConvergencePoint point;
                 point.iteration = iter;
                 point.loss = program->value(handles.loss).at(0, 0);
@@ -806,6 +740,9 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 point.softCost =
                     softSum / static_cast<double>(costs.rows());
                 point.sampledCost = bestCost; // kInf until a valid sample
+                point.iterSampledCost = iterBest;
+                if (handles.penalty >= 0)
+                    point.penalty = program->value(handles.penalty).at(0, 0);
                 double gradSq = 0.0;
                 for (std::size_t i = 0; i < theta.grad.size(); ++i) {
                     const double g = theta.grad.data()[i];

@@ -32,15 +32,6 @@
 
 namespace smoothe::core {
 
-/** Per-iteration record for Figure 9 (relaxed vs sampled loss). */
-struct LossCurvePoint
-{
-    std::size_t iteration = 0;
-    double relaxedLoss = 0.0;  ///< mean f(p) across seeds
-    double sampledLoss = 0.0;  ///< best valid f_b(s) across seeds this iter
-    double penalty = 0.0;      ///< NOTEARS h(A) total
-};
-
 /** Extended result with SmoothE-specific diagnostics. */
 struct SmoothEDiagnostics
 {
@@ -54,10 +45,10 @@ struct SmoothEDiagnostics
     std::size_t programBuffers = 0;  ///< reusable value+grad slots planned
     double bufferReuseRatio = 0.0;   ///< rebuild bytes / planned bytes (>= 1)
     bool outOfMemory = false;
-    std::vector<LossCurvePoint> lossCurve;
     obs::PhaseProfiler profile;      ///< Figure 8 phase breakdown
-    /** Anytime trajectory (see SmoothEConfig::convergenceStride); also
-     *  dumped into the process report when one is installed. */
+    /** Per-iteration trajectory (anytime curves, Figure 9's relaxed vs
+     *  sampled loss); also dumped into the process report when one is
+     *  installed. */
     std::vector<ConvergencePoint> convergence;
     std::size_t convergenceDropped = 0; ///< ring-evicted points
 };

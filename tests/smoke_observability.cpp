@@ -2,12 +2,14 @@
  * @file
  * End-to-end smoke test of the telemetry surface: runs the real
  * egraph_gen and smoothe_extract binaries (and bench_anytime_eqsat, whose
- * warm epochs record and compile a fresh Program each) with --trace-out,
- * --metrics-out, --report-out and --profile-out on tiny inputs and
- * checks that every file they write parses: the trace as
- * Chrome trace-event JSON covering the optimizer phases, the metrics as
- * a flat object with the headline counters, each report against the
- * report schema (with profiler kernel attribution when profiling), and
+ * warm epochs record and compile a fresh Program each, and
+ * bench_fig9_sampling, which prints Figure 9 from the per-iteration
+ * convergence trajectory) with --trace-out, --metrics-out, --report-out
+ * and --profile-out on tiny inputs and checks that every file they write
+ * parses: the trace as Chrome trace-event JSON covering the optimizer
+ * phases, the metrics as a flat object with the headline counters, each
+ * report against the report schema (with profiler kernel attribution
+ * when profiling, and one smoothe.convergence row per iteration), and
  * the collapsed-stack profile line by line.
  */
 
@@ -15,9 +17,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <regex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "obs/report.hpp"
 #include "util/json.hpp"
@@ -166,7 +170,8 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string gen = binaryPath("egraph_gen");
     const std::string extract = binaryPath("smoothe_extract");
     const std::string anytime = binaryPath("bench_anytime_eqsat", "bench");
-    if (gen.empty() || extract.empty() || anytime.empty())
+    const std::string fig9 = binaryPath("bench_fig9_sampling", "bench");
+    if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -188,7 +193,11 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
                          " --extractor heuristic+" + telemetry("heur")),
               0);
     ASSERT_EQ(runCommand(anytime + " --quick" + telemetry("anytime")), 0);
-    for (const char* tag : {"gen", "smoothe", "heur", "anytime"}) {
+    constexpr std::size_t kFig9Iters = 5;
+    ASSERT_EQ(runCommand(fig9 + " --quick --iters " +
+                         std::to_string(kFig9Iters) + telemetry("fig9")),
+              0);
+    for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -196,6 +205,39 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         const smoothe::util::Json report = checkReport(prefix + "_report.json");
         EXPECT_EQ(smoothe::obs::reportSchemaVersion(report),
                   smoothe::obs::kReportSchemaVersion);
+    }
+
+    // Figure 9's trajectory: every run records one convergence row per
+    // iteration (its patience never runs out), with the per-iteration
+    // sampled cost and the NOTEARS penalty as columns.
+    const smoothe::util::Json fig9Report =
+        readJson(dir + "/fig9_report.json");
+    const smoothe::util::Json* series = fig9Report.find("series");
+    ASSERT_NE(series, nullptr);
+    const smoothe::util::Json* convergence =
+        series->find("smoothe.convergence");
+    ASSERT_NE(convergence, nullptr);
+    std::vector<std::string> columns;
+    for (const smoothe::util::Json& column :
+         convergence->find("columns")->asArray())
+        columns.push_back(column.asString());
+    const std::vector<std::string> expected = {
+        "run",         "iteration", "loss",        "softCost",
+        "sampledCost", "gradNorm",  "wallSeconds", "iterSampledCost",
+        "penalty"};
+    EXPECT_EQ(columns, expected);
+    std::map<double, std::vector<double>> iterationsByRun;
+    for (const smoothe::util::Json& row :
+         convergence->find("rows")->asArray()) {
+        iterationsByRun[row.asArray()[0].asNumber()].push_back(
+            row.asArray()[1].asNumber());
+    }
+    EXPECT_EQ(iterationsByRun.size(), 4u); // Figure 9's four graphs
+    for (const auto& [run, iterations] : iterationsByRun) {
+        ASSERT_EQ(iterations.size(), kFig9Iters) << "run " << run;
+        for (std::size_t i = 0; i < kFig9Iters; ++i)
+            EXPECT_EQ(iterations[i], static_cast<double>(i))
+                << "run " << run;
     }
 
     // --profile-out: collapsed stacks, "smoothe;<phase>;<kernel> <us>".

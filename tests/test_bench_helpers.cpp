@@ -97,3 +97,22 @@ TEST(BenchHelpers, RepeatMeasureRecordsIntoReport)
     const auto bare = bench::repeatMeasure("helper.kernel", 0, 2, [] {});
     EXPECT_EQ(bare.repeats, 2u);
 }
+
+TEST(BenchHelpers, InterleavedMeasureAlternatesSides)
+{
+    smoothe::obs::Report& report =
+        smoothe::obs::Report::install("bench_helpers_test",
+                                      "/tmp/smoothe_bench_helpers.json");
+    std::string order;
+    const auto [a, b] = bench::repeatMeasureInterleaved(
+        "helper.a", "helper.b", /*warmup=*/1, /*repeats=*/3,
+        [&order] { order += 'a'; }, [&order] { order += 'b'; });
+    EXPECT_EQ(order, "abababab"); // one warmup round, then 3 timed
+    EXPECT_EQ(a.repeats, 3u);
+    EXPECT_EQ(b.repeats, 3u);
+    EXPECT_LE(a.min, a.mean);
+    EXPECT_LE(b.min, b.mean);
+    EXPECT_EQ(report.measurement("helper.a").count(), 3u);
+    EXPECT_EQ(report.measurement("helper.b").count(), 3u);
+    smoothe::obs::Report::uninstall();
+}

@@ -6,13 +6,11 @@
  * trajectories — on randomized small e-graphs under each propagation
  * rule, whose elementwise runs fuse into 2-, 3- and 4-stage chains, at
  * pool sizes 1 and 4. Also covers the buffer-plan invariants (fusion
- * fired, planned bytes below one rebuild iteration) and the named input
- * slot that drives the lambda warmup ramp without re-recording.
+ * fired, planned bytes below one rebuild iteration).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -86,7 +84,6 @@ struct Handles
     VarId loss = -1;
     VarId cp = -1;
     VarId penalty = -1;
-    VarId lambda = -1;
 };
 
 /**
@@ -106,12 +103,15 @@ enum class Rule {
 constexpr Rule kRules[] = {Rule::Independent, Rule::Hybrid,
                            Rule::Correlated};
 
+/** The NOTEARS coefficient every Pipeline records. */
+constexpr float kLambda = 2.0f;
+
 /**
  * The SmoothE-shaped pipeline over a random e-graph: softmax per class,
  * probability propagation under `rule`, a non-linear (matmul/relu)
- * head, and a NOTEARS trace penalty whose coefficient enters through the
- * "lambda" input slot. Structures and Params live here so recorded
- * pointers stay valid for the Program's lifetime.
+ * head, and a NOTEARS trace penalty scaled by the constant kLambda.
+ * Structures and Params live here so recorded pointers stay valid for
+ * the Program's lifetime.
  */
 struct Pipeline
 {
@@ -173,7 +173,7 @@ struct Pipeline
     }
 
     Handles
-    build(Tape& tape, float eff_lambda)
+    build(Tape& tape)
     {
         Handles h;
         const VarId thetaVar = tape.leaf(&theta);
@@ -213,10 +213,7 @@ struct Pipeline
         const VarId tr = tape.trExpm(a, dim);
         h.penalty = tape.addScalar(tape.sumAll(tr),
                                    -static_cast<float>(dim));
-        Tensor coeff(1, 1);
-        coeff.at(0, 0) = eff_lambda;
-        h.lambda = tape.input(std::move(coeff), "lambda");
-        loss = tape.add(loss, tape.mul(h.penalty, h.lambda));
+        loss = tape.add(loss, tape.scale(h.penalty, kLambda));
         h.loss = loss;
         return h;
     }
@@ -240,19 +237,6 @@ struct Pipeline
 };
 
 constexpr std::size_t kIterations = 8;
-constexpr std::size_t kWarmup = 5;
-constexpr float kLambda = 2.0f;
-
-float
-rampedLambda(std::size_t iter)
-{
-    float lambda = kLambda;
-    if (iter < kWarmup) {
-        lambda *= static_cast<float>(iter + 1) /
-                  static_cast<float>(kWarmup);
-    }
-    return lambda;
-}
 
 /** One optimization trajectory: per-iteration loss, grads, and theta. */
 struct Trajectory
@@ -271,7 +255,7 @@ runRebuild(Pipeline& pl)
     for (std::size_t iter = 0; iter < kIterations; ++iter) {
         // The reference rebuild: a fresh tape per iteration.
         Tape tape;
-        const Handles h = pl.build(tape, rampedLambda(iter));
+        const Handles h = pl.build(tape);
         optimizer.zeroGrad();
         tape.backward(h.loss);
         out.losses.push_back(tape.value(h.loss));
@@ -289,13 +273,11 @@ runCompiled(Pipeline& pl)
     Trajectory out;
     ad::Adam optimizer(pl.params(), ad::AdamConfig{});
     Tape recorder;
-    const Handles h = pl.build(recorder, rampedLambda(0));
+    const Handles h = pl.build(recorder);
     ad::Program program(std::move(recorder), h.loss,
                         {h.cp, h.penalty});
-    EXPECT_TRUE(program.hasInput("lambda"));
     EXPECT_EQ(program.stats().fusedOps, pl.expectedFusedOps());
     for (std::size_t iter = 0; iter < kIterations; ++iter) {
-        program.setInputScalar("lambda", rampedLambda(iter));
         program.forward();
         optimizer.zeroGrad();
         program.backward();
@@ -373,7 +355,7 @@ TEST(Program, ReplayTwiceWithoutStepIsIdentical)
     const eg::EGraph g = randomEGraph(rng);
     Pipeline pl(g, rng);
     Tape recorder;
-    const Handles h = pl.build(recorder, kLambda);
+    const Handles h = pl.build(recorder);
     ad::Program program(std::move(recorder), h.loss, {h.cp});
     program.forward();
     const Tensor first = program.value(h.loss);
@@ -389,7 +371,7 @@ TEST(Program, PlanFusesAndBeatsRebuildFootprint)
     const eg::EGraph g = randomEGraph(rng);
     Pipeline pl(g, rng);
     Tape recorder;
-    const Handles h = pl.build(recorder, kLambda);
+    const Handles h = pl.build(recorder);
     const std::size_t recorded = recorder.numNodes();
     ad::Program program(std::move(recorder), h.loss, {h.cp});
     const ad::ProgramStats& stats = program.stats();
@@ -409,24 +391,3 @@ TEST(Program, PlanFusesAndBeatsRebuildFootprint)
         << *program.checkInvariants();
 }
 
-TEST(Program, InputSlotDrivesTheRecordedCoefficient)
-{
-    util::Rng rng(8);
-    const eg::EGraph g = randomEGraph(rng);
-    Pipeline pl(g, rng);
-    Tape recorder;
-    const Handles h = pl.build(recorder, 1.0f);
-    ad::Program program(std::move(recorder), h.loss, {h.penalty});
-    EXPECT_TRUE(program.hasInput("lambda"));
-    EXPECT_FALSE(program.hasInput("mu"));
-    program.forward();
-    const float base = program.value(h.loss).at(0, 0);
-    const float penalty = program.value(h.penalty).at(0, 0);
-    program.setInputScalar("lambda", 3.0f);
-    program.forward();
-    const float scaled = program.value(h.loss).at(0, 0);
-    // loss(lambda) = head + lambda * penalty, so the delta is exactly
-    // two extra penalties (3x vs 1x).
-    EXPECT_NEAR(scaled - base, 2.0f * penalty,
-                1e-5f * (1.0f + std::fabs(penalty)));
-}

@@ -1,15 +1,17 @@
 /**
  * @file
  * Direct tests for the discrete sampling stage (Section 3.5): arg-max
- * behaviour, cycle repair, temperature stochasticity, dead ends.
+ * behaviour, cycle repair, determinism, dead ends.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "datasets/registry.hpp"
 #include "smoothe/sampler.hpp"
+#include "util/rng.hpp"
 
 namespace core = smoothe::core;
 namespace ds = smoothe::datasets;
@@ -38,11 +40,10 @@ TEST(Sampler, ArgMaxFollowsCp)
 {
     const eg::EGraph g = ds::paperExampleEGraph();
     core::GreedySampler sampler(g);
-    smoothe::util::Rng rng(1);
 
     // Prefer the optimal Figure 2c nodes: inner add (node 8).
     const auto cp = preferenceRow(g, {8});
-    const auto sel = sampler.sample(cp.data(), true, 0.0f, rng);
+    const auto sel = sampler.sample(cp.data(), true);
     ASSERT_TRUE(sel.chosen(g.root()));
     EXPECT_TRUE(ex::validate(g, sel).ok());
     EXPECT_EQ(sel.choice[6], 8u); // sec2 class picks the rewritten add
@@ -66,19 +67,18 @@ TEST(Sampler, RepairAvoidsCycle)
     ASSERT_FALSE(g.finalize().has_value());
 
     core::GreedySampler sampler(g);
-    smoothe::util::Rng rng(2);
     std::vector<float> cp(g.numNodes(), 0.1f);
     cp[0] = 1.0f;   // root node
     cp[fab] = 0.9f; // prefer the cyclic pair
     cp[gba] = 0.9f;
     cp[leafB] = 0.1f;
 
-    const auto repaired = sampler.sample(cp.data(), true, 0.0f, rng);
+    const auto repaired = sampler.sample(cp.data(), true);
     ASSERT_TRUE(repaired.chosen(g.root()));
     EXPECT_TRUE(ex::validate(g, repaired).ok());
 
     // Without repair the arg-max sample is cyclic and caught by validate.
-    const auto raw = sampler.sample(cp.data(), false, 0.0f, rng);
+    const auto raw = sampler.sample(cp.data(), false);
     ASSERT_TRUE(raw.chosen(g.root()));
     EXPECT_EQ(ex::validate(g, raw).violation, ex::Violation::Cyclic);
 }
@@ -91,38 +91,19 @@ TEST(Sampler, InfeasibleGraphReportsDeadEnd)
     g.setRoot(root);
     ASSERT_FALSE(g.finalize().has_value());
     core::GreedySampler sampler(g);
-    smoothe::util::Rng rng(3);
     std::vector<float> cp(g.numNodes(), 1.0f);
-    const auto sel = sampler.sample(cp.data(), true, 0.0f, rng);
+    const auto sel = sampler.sample(cp.data(), true);
     EXPECT_FALSE(sel.chosen(g.root()));
 }
 
-TEST(Sampler, TemperatureZeroIsDeterministic)
+TEST(Sampler, ArgMaxIsDeterministic)
 {
     const eg::EGraph g = ds::paperExampleEGraph();
     core::GreedySampler sampler(g);
-    smoothe::util::Rng rng(4);
     const auto cp = preferenceRow(g, {7}); // prefer square(sec)
-    const auto a = sampler.sample(cp.data(), true, 0.0f, rng);
-    const auto b = sampler.sample(cp.data(), true, 0.0f, rng);
+    const auto a = sampler.sample(cp.data(), true);
+    const auto b = sampler.sample(cp.data(), true);
     EXPECT_EQ(a.choice, b.choice);
-}
-
-TEST(Sampler, TemperatureExploresAlternatives)
-{
-    const eg::EGraph g = ds::paperExampleEGraph();
-    core::GreedySampler sampler(g);
-    smoothe::util::Rng rng(5);
-    // Uniform cp: high temperature should hit multiple distinct solutions.
-    std::vector<float> cp(g.numNodes(), 0.5f);
-    std::set<std::vector<eg::NodeId>> distinct;
-    for (int i = 0; i < 50; ++i) {
-        const auto sel = sampler.sample(cp.data(), true, 1.0f, rng);
-        ASSERT_TRUE(sel.chosen(g.root()));
-        EXPECT_TRUE(ex::validate(g, sel).ok());
-        distinct.insert(sel.choice);
-    }
-    EXPECT_GE(distinct.size(), 2u);
 }
 
 TEST(Sampler, RepairedSamplesValidAcrossFamilies)
@@ -142,7 +123,7 @@ TEST(Sampler, RepairedSamplesValidAcrossFamilies)
         for (int trial = 0; trial < trials; ++trial) {
             for (auto& v : cp)
                 v = static_cast<float>(rng.uniform(0.0, 1.0));
-            const auto sel = sampler.sample(cp.data(), true, 0.0f, rng);
+            const auto sel = sampler.sample(cp.data(), true);
             if (!sel.chosen(g.root()))
                 continue; // dead end: discarded, never "invalid"
             EXPECT_TRUE(ex::validate(g, sel).ok()) << family;

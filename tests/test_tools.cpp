@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <sys/wait.h>
+
 #include "obs/report.hpp"
 #include "util/json.hpp"
 
@@ -164,4 +166,9 @@ TEST(Tools, ExtractRejectsBadInput)
     EXPECT_NE(runCommand(extract + " --input /tmp/maxsat_0.json "
                                    "--extractor bogus"),
               0);
+    // An unknown assumption is a usage error, not a silent hybrid run.
+    const int status = runCommand(extract + " --input /tmp/maxsat_0.json "
+                                            "--assumption bogus");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
 }

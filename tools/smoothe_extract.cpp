@@ -37,6 +37,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -110,6 +111,23 @@ main(int argc, char** argv)
         return 2;
     }
 
+    const std::string assumptionName =
+        args.getString("assumption", "hybrid");
+    std::optional<core::Assumption> assumption;
+    for (const core::Assumption known :
+         {core::Assumption::Independent, core::Assumption::Correlated,
+          core::Assumption::Hybrid}) {
+        if (assumptionName == core::toString(known))
+            assumption = known;
+    }
+    if (!assumption) {
+        std::fprintf(stderr,
+                     "error: unknown --assumption '%s' (expected "
+                     "independent, correlated or hybrid)\n",
+                     assumptionName.c_str());
+        return 2;
+    }
+
     std::vector<eg::EGraph> graphs;
     graphs.reserve(inputs.size());
     for (const std::string& path : inputs) {
@@ -131,15 +149,7 @@ main(int argc, char** argv)
         static_cast<std::size_t>(args.getInt("max-iters", 400));
     config.patience =
         static_cast<std::size_t>(args.getInt("patience", 60));
-    config.damping = static_cast<float>(args.getDouble("damping", 0.0));
-    const std::string assumption =
-        args.getString("assumption", "hybrid");
-    if (assumption == "independent")
-        config.assumption = core::Assumption::Independent;
-    else if (assumption == "correlated")
-        config.assumption = core::Assumption::Correlated;
-    else
-        config.assumption = core::Assumption::Hybrid;
+    config.assumption = *assumption;
 
     const std::string name = args.getString("extractor", "smoothe");
 
