@@ -442,7 +442,10 @@ main(int argc, char** argv)
         // is their relative difference, from min-of-repeats (the
         // estimator least sensitive to scheduler noise) with the two
         // replays timed in alternation, so host drift hits both alike.
+        // Each sample spans 32 forward/backward replays so that a
+        // sample's spread stays well under the 1% being measured.
         {
+            constexpr int kReplaysPerSample = 32;
             const bool wasEnabled = obs::profilerEnabled();
             const std::size_t stride = obs::Profiler::instance().stride();
             obs::Profiler::instance().disable();
@@ -451,7 +454,7 @@ main(int argc, char** argv)
                 options.warmup, options.repeat,
                 [&] {
                     fx.theta.zeroGrad();
-                    for (int i = 0; i < 4; ++i) {
+                    for (int i = 0; i < kReplaysPerSample; ++i) {
                         program.forwardBare();
                         program.backwardBare();
                     }
@@ -459,7 +462,7 @@ main(int argc, char** argv)
                 },
                 [&] {
                     fx.theta.zeroGrad();
-                    for (int i = 0; i < 4; ++i) {
+                    for (int i = 0; i < kReplaysPerSample; ++i) {
                         program.forward();
                         program.backward();
                     }

@@ -44,9 +44,9 @@ struct BenchOptions
     std::string tool;          ///< argv[0] basename
 
     /**
-     * Parses the shared harness flags, installs telemetry (--log-level,
-     * --log-json, --trace-out, --metrics-out, --report-out), and exits
-     * with status 2 on any flag nobody understands. Benches with extra
+     * Parses the shared harness flags, installs telemetry (--trace-out,
+     * --metrics-out, --report-out), and exits with status 2 on any flag
+     * nobody understands. Benches with extra
      * private flags list them in extra_known so they are not rejected
      * here.
      *

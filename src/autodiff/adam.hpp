@@ -42,12 +42,9 @@ class Adam
     /**
      * Optimizer-state access for warm starts: a caller resuming
      * optimization on a grown parameter remaps the first/second moments
-     * element-wise and restores the bias-correction step count so the
-     * carried moments keep their calibration.
+     * element-wise; the bias-correction step count stays with this
+     * optimizer, so the carried moments keep their calibration.
      */
-    long stepCount() const { return step_; }
-    void setStepCount(long step) { step_ = step; }
-    std::size_t numParams() const { return params_.size(); }
     Tensor& moment1(std::size_t param) { return m_[param]; }
     Tensor& moment2(std::size_t param) { return v_[param]; }
     const Tensor& moment1(std::size_t param) const { return m_[param]; }

@@ -54,9 +54,6 @@ forwardOp(const ForwardArgs& args)
       case Op::SumAll:
         tensor::sumAllInto(*args.a, *args.value);
         break;
-      case Op::MeanRows:
-        tensor::meanRowsInto(*args.a, *args.value);
-        break;
       case Op::SegmentSoftmax:
         tensor::segmentSoftmaxInto(*args.a, *node.segs, *args.value);
         break;
@@ -240,20 +237,6 @@ backwardOp(const BackwardArgs& args)
         const float gr = g.at(0, 0);
         for (std::size_t i = 0; i < ga.size(); ++i)
             ga.data()[i] += gr;
-        break;
-      }
-      case Op::MeanRows: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const float inv =
-            ga.rows() ? 1.0f / static_cast<float>(ga.rows()) : 0.0f;
-        for (std::size_t r = 0; r < ga.rows(); ++r) {
-            float* gar = ga.row(r);
-            const float* gr = g.row(0);
-            for (std::size_t i = 0; i < ga.cols(); ++i)
-                gar[i] += gr[i] * inv;
-        }
         break;
       }
       case Op::SegmentSoftmax: {

@@ -67,7 +67,6 @@ enum class Op : std::uint8_t {
     AddConst,
     DotRowsConst,
     SumAll,
-    MeanRows,
     SegmentSoftmax,
     SegmentProductComplement,
     SegmentMaxGather,

@@ -59,8 +59,6 @@ kernelName(Op op)
         return "dot_rows_const";
       case Op::SumAll:
         return "sum_all";
-      case Op::MeanRows:
-        return "mean_rows";
       case Op::SegmentSoftmax:
         return "segment_softmax";
       case Op::SegmentProductComplement:
@@ -190,9 +188,6 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
         break;
       case Op::SumAll:
         c = {a, F * a, a, F * a};
-        break;
-      case Op::MeanRows:
-        c = {a + cols, F * (a + cols), a, F * a};
         break;
       case Op::SegmentSoftmax:
         c = {(4 + cost::kExpFlops) * a, 6 * F * a, 6 * a, 6 * F * a};

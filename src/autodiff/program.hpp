@@ -128,7 +128,6 @@ class Program
     const Tensor& value(VarId id) const;
 
     VarId root() const { return root_; }
-    std::size_t numOps() const { return forwardSchedule_.size(); }
     const ProgramStats& stats() const { return stats_; }
 
     /**

@@ -196,12 +196,6 @@ Tape::sumAll(VarId a)
 }
 
 VarId
-Tape::meanRows(VarId a)
-{
-    return push(shaped(Op::MeanRows, a, -1, 1, cols(a)));
-}
-
-VarId
 Tape::segmentSoftmax(VarId a, const SegmentIndex* segs)
 {
     Node node = shaped(Op::SegmentSoftmax, a, -1, rows(a), cols(a));
@@ -370,7 +364,7 @@ Tape::checkInvariants(bool screen_values) const
             // Same-shape unary ops.
             if (a != nullptr &&
                 (node.rows != a->rows || node.cols != a->cols) &&
-                node.op != Op::SumAll && node.op != Op::MeanRows)
+                node.op != Op::SumAll)
                 return problem(i, "unary op output " + shape(node) +
                                       " for input " + shape(*a));
             break;

@@ -111,9 +111,6 @@ class Tape
     /** out = sum of all elements; result is 1 x 1. */
     VarId sumAll(VarId a);
 
-    /** out = column-wise mean over rows; B x C -> 1 x C. */
-    VarId meanRows(VarId a);
-
     /**
      * Softmax within each column segment, per batch row.
      * segs partitions the columns of a (e-class -> member e-nodes).

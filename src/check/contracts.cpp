@@ -37,22 +37,20 @@ observerStorage()
     return observer;
 }
 
-/** Reports + counts via the observer, then aborts/throws/returns per
- *  mode and tier. */
+/** Prints the failure, tells the observer, then aborts/throws/returns
+ *  per mode and tier. */
 void
 dispatch(const char* tier, const char* expression, const char* file,
          int line, const std::string& message)
 {
-    const ViolationInfo info{tier, expression, file, line, message.c_str()};
+    std::fprintf(stderr, "smoothe: %s failed at %s:%d: %s%s%s\n", tier,
+                 file, line, expression, message.empty() ? "" : " — ",
+                 message.c_str());
     const ViolationObserver observer =
         observerStorage().load(std::memory_order_acquire);
-    if (observer != nullptr) {
-        observer(info);
-    } else {
-        std::fprintf(stderr, "smoothe: %s failed at %s:%d: %s%s%s\n", tier,
-                     file, line, expression, message.empty() ? "" : " — ",
-                     message.c_str());
-    }
+    if (observer != nullptr)
+        observer(ViolationInfo{tier, expression, file, line,
+                               message.c_str()});
 
     // The failure mode guards only its own enum value; no other data is
     // published behind it.

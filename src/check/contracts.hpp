@@ -14,13 +14,13 @@
  *    paths and triggers the deep structural validators.
  *
  * The printf-style message is optional and formatted only on failure. A
- * failure is reported to the installed ViolationObserver — plain stderr
- * by default; obs::installCheckTelemetry() (run by every CLI tool via
- * installCliTelemetry) upgrades it to the "check" logger plus the
- * `check.failures` counters — and then either aborts (default), throws
- * check::ContractViolation, or merely logs, depending on the
- * process-wide FailureMode (settable programmatically or via the
- * SMOOTHE_CHECK_MODE=abort|throw|log environment variable).
+ * failure is printed to stderr as one `smoothe: <TIER> failed at` line
+ * and handed to the installed ViolationObserver, if any
+ * (obs::installCheckTelemetry(), run by every CLI tool via
+ * installCliTelemetry, counts it in `check.failures`), and then either
+ * aborts (default), throws check::ContractViolation, or merely logs,
+ * depending on the process-wide FailureMode (settable programmatically or
+ * via the SMOOTHE_CHECK_MODE=abort|throw|log environment variable).
  *
  * This module deliberately depends on nothing but the standard library
  * so the lowest layers (util, tensor) can use the macros without a
@@ -44,11 +44,11 @@
 
 namespace smoothe::check {
 
-/** What a failed contract does after logging and counting. */
+/** What a failed contract does after it is printed and counted. */
 enum class FailureMode {
-    Abort, ///< flush logs, std::abort() (default; best for tools/CI)
+    Abort, ///< flush stdio, std::abort() (default; best for tools/CI)
     Throw, ///< throw ContractViolation (tests, embedders)
-    Log,   ///< log and continue (CHECK only; ASSERT still aborts)
+    Log,   ///< print and continue (CHECK only; ASSERT still aborts)
 };
 
 /** Thrown by failed contracts in FailureMode::Throw. */
@@ -81,14 +81,14 @@ struct ViolationInfo
     const char* message;    ///< formatted user message, "" when none
 };
 
-/** Observer invoked on every contract failure before abort/throw. */
+/** Observer invoked on every contract failure, after the stderr line
+ *  and before abort/throw. */
 using ViolationObserver = void (*)(const ViolationInfo&);
 
 /**
- * Installs the process-wide violation observer; nullptr restores the
- * default stderr reporter. Returns the previous observer so callers can
- * chain or restore it. obs::installCheckTelemetry() is the standard
- * observer (logging + metrics).
+ * Installs the process-wide violation observer; nullptr removes it.
+ * Returns the previous observer so callers can chain or restore it.
+ * obs::installCheckTelemetry() is the standard observer (metrics).
  */
 ViolationObserver setViolationObserver(ViolationObserver observer);
 

@@ -114,9 +114,6 @@ class EGraph
     /** The e-node with the given id. */
     const ENode& node(NodeId id) const { return nodes_[id]; }
 
-    /** Mutable access to per-node cost (used when re-costing datasets). */
-    void setNodeCost(NodeId id, double cost) { nodes_[id].cost = cost; }
-
     /** ec(i): the e-class containing e-node id. */
     ClassId classOf(NodeId id) const { return nodeClass_[id]; }
 

@@ -66,11 +66,6 @@ struct Delta
             n += entry.kind == DeltaEntry::Kind::AddNode ? 1 : 0;
         return n;
     }
-
-    std::size_t numMerges() const
-    {
-        return entries.size() - numAdds();
-    }
 };
 
 } // namespace smoothe::eqsat

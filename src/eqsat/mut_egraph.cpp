@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "check/contracts.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -498,7 +497,6 @@ MutEGraph::instantiate(const Pattern& pattern, const Subst& subst)
 RunStats
 MutEGraph::run(const std::vector<Rewrite>& rules, const RunLimits& limits)
 {
-    static obs::Logger logger("eqsat");
     obs::Span runSpan("eqsat.run", "eqsat");
     RunStats stats;
     for (std::size_t iter = 0; iter < limits.maxIterations; ++iter) {
@@ -533,23 +531,15 @@ MutEGraph::run(const std::vector<Rewrite>& rules, const RunLimits& limits)
         SMOOTHE_DCHECK_OK(checkInvariants());
         if (numNodes() != nodesBefore)
             changed = true;
-        if (stats.hitNodeLimit) {
-            logger.debug("iteration %zu: node limit hit (%zu nodes)",
-                         iter, numNodes());
+        if (stats.hitNodeLimit)
             break;
-        }
         if (!changed) {
             stats.saturated = true;
-            logger.debug("saturated after %zu iterations",
-                         stats.iterations);
             break;
         }
     }
     stats.finalNodes = numNodes();
     stats.finalClasses = numClasses();
-    logger.info("run: %zu iterations, %zu matches, %zu nodes, %zu classes",
-                stats.iterations, stats.totalMatches, stats.finalNodes,
-                stats.finalClasses);
     return stats;
 }
 

@@ -211,8 +211,6 @@ class MutEGraph
      */
     void enableDeltaLog(bool on);
 
-    bool deltaLogEnabled() const { return deltaLog_; }
-
     /** The mutations logged since the log was last opened/drained. */
     const Delta& pendingDelta() const { return pendingDelta_; }
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "extraction/random_sample.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -99,7 +98,6 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
     };
 
     static obs::Counter& generations = obs::counter("genetic.generations");
-    static obs::Logger logger("genetic");
     for (std::size_t gen = 0;
          gen < config_.generations && !deadline.expired(); ++gen) {
         obs::Span genSpan("generation", "genetic");
@@ -148,8 +146,6 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
         const double current = best().fitness;
         if (current < incumbent) {
             incumbent = current;
-            logger.debug("generation %zu: new incumbent %.6g", gen,
-                         incumbent);
             obs::traceCounter("genetic.best_cost", incumbent);
             if (options.recordTrace)
                 result.trace.push_back({timer.seconds(), incumbent});

@@ -1,12 +1,12 @@
 #include "extraction/greedy_dag.hpp"
 
+#include <cstdio>
 #include <deque>
 #include <limits>
 #include <map>
 
 #include "egraph/delta.hpp"
 #include "extraction/bottom_up.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -133,10 +133,9 @@ finishFromCostSets(const EGraph& graph, const std::vector<CostSet>& best,
     if (!check.ok()) {
         // Inconsistent union (possible when conflicting child sets were
         // resolved keep-first): fall back to the tree-cost fixed point.
-        static obs::Logger logger("extraction");
-        logger.warn("greedy-dag union invalid (%s); falling back to "
-                    "heuristic+",
-                    check.message.c_str());
+        std::fprintf(stderr, "smoothe: greedy-dag union invalid (%s); "
+                             "falling back to heuristic+\n",
+                     check.message.c_str());
         obs::counter("greedy_dag.fallbacks").add(1);
         FasterBottomUpExtractor fallback;
         ExtractionResult safe = fallback.extract(graph, options);

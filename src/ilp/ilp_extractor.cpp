@@ -7,7 +7,6 @@
 
 #include "check/contracts.hpp"
 #include "extraction/bottom_up.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -677,7 +676,6 @@ IlpExtractor::extractImpl(const EGraph& graph,
     // O(rows^2 * cols) per solve, so the gate looks at the actual LP
     // dimensions, not just the graph size. Everything else: the
     // combinatorial class-choice search.
-    static obs::Logger logger("ilp");
     obs::Span extractSpan("ilp.extract", "ilp");
     if (preset_ != IlpPreset::Weak) {
         const double capScale = preset_ == IlpPreset::Strong ? 1.0 : 0.5;
@@ -686,19 +684,16 @@ IlpExtractor::extractImpl(const EGraph& graph,
                 static_cast<std::size_t>(1100 * capScale) &&
             lp.numConstraints() <=
                 static_cast<std::size_t>(1300 * capScale)) {
-            logger.debug("LP B&B: %zu vars, %zu constraints",
-                         lp.numVariables(), lp.numConstraints());
             LpBnB solver(graph, options, lp);
             ExtractionResult result = solver.run();
-            if (result.ok() || result.status == SolveStatus::Infeasible)
+            if (result.ok() || result.status == SolveStatus::Infeasible) {
+                obs::counter("ilp.engine.lp_bnb").add(1);
                 return result;
-            logger.debug("LP B&B failed; falling back to "
-                         "combinatorial search");
+            }
             // fall through to the combinatorial search on failure
+            obs::counter("ilp.engine.lp_bnb_fallback").add(1);
         } else {
-            logger.debug("LP too large (%zu vars, %zu constraints); "
-                         "using combinatorial search",
-                         lp.numVariables(), lp.numConstraints());
+            obs::counter("ilp.engine.lp_too_large").add(1);
         }
     }
 

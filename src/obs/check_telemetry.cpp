@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "check/contracts.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace smoothe::obs {
@@ -24,12 +23,8 @@ tierCounterName(const char* tier)
 void
 observeViolation(const check::ViolationInfo& info)
 {
-    static Logger logger("check");
     counter("check.failures").add();
     counter(tierCounterName(info.tier)).add();
-    logger.error("%s failed at %s:%d: %s%s%s", info.tier, info.file,
-                 info.line, info.expression,
-                 info.message[0] == '\0' ? "" : " — ", info.message);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
  * Bridges the contract layer (src/check, dependency-free by design) into
- * the observability stack: a ViolationObserver that logs every failed
- * contract through the "check" component and bumps the `check.failures`
- * counters (total plus per tier). Installed automatically by
- * installCliTelemetry(), so every tool and bench binary gets contract
- * telemetry; tests install it explicitly when they assert on counters.
+ * the metrics registry: a ViolationObserver that bumps the
+ * `check.failures` counters (total plus per tier) for every failed
+ * contract; check::dispatch itself prints the failure line. Installed
+ * automatically by installCliTelemetry(), so every tool and bench binary
+ * gets contract telemetry; tests install it explicitly when they assert
+ * on counters.
  */
 
 #ifndef SMOOTHE_OBS_CHECK_TELEMETRY_HPP
@@ -14,7 +15,7 @@
 namespace smoothe::obs {
 
 /**
- * Routes contract violations into logging + metrics. Idempotent.
+ * Routes contract violations into metrics. Idempotent.
  * Returns whether an observer was already installed before this call.
  */
 bool installCheckTelemetry();

@@ -1,11 +1,11 @@
 #include "obs/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 
 #include "obs/check_telemetry.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
@@ -91,31 +91,20 @@ toolNameFromArgv0(const char* argv0, const char* fallback)
 void
 installCliTelemetry(const util::Args& args, const char* tool)
 {
-    Logger log("obs");
     installCheckTelemetry();
-
-    const std::string level = args.getString("log-level", "");
-    if (!level.empty() && !configureLogging(level))
-        log.warn("ignoring invalid --log-level \"%s\"", level.c_str());
-
-    const std::string logJson = args.getString("log-json", "");
-    if (!logJson.empty() && !addJsonlLogSink(logJson))
-        log.warn("cannot open --log-json file %s", logJson.c_str());
 
     const std::string traceOut = args.getString("trace-out", "");
     const std::string metricsOut = args.getString("metrics-out", "");
 
     const std::int64_t threads = args.getInt("threads", 0);
     if (threads < 0) {
-        log.warn("ignoring invalid --threads %lld",
-                 static_cast<long long>(threads));
+        std::fprintf(stderr, "smoothe: ignoring invalid --threads %lld\n",
+                     static_cast<long long>(threads));
     } else if (!util::ThreadPool::onWorkerThread()) {
         // 0 = auto (hardware concurrency); the pool clamps internally.
         const std::size_t size = util::ThreadPool::setGlobalThreads(
             static_cast<std::size_t>(threads));
         gauge("threads").set(static_cast<double>(size));
-        if (threads > 0)
-            log.info("thread pool: %zu workers", size);
     }
 
     // Force the registry singletons into existence now, so their static
@@ -165,23 +154,18 @@ flushCliTelemetry()
         profileOut = state.profileOut;
     }
     bool ok = true;
-    Logger log("obs");
     if (!traceOut.empty()) {
         TraceSession::instance().stop();
-        if (TraceSession::instance().writeTo(traceOut)) {
-            log.info("wrote trace to %s", traceOut.c_str());
-        } else {
-            log.error("cannot write trace file %s", traceOut.c_str());
+        if (!TraceSession::instance().writeTo(traceOut)) {
+            std::fprintf(stderr, "smoothe: cannot write trace file %s\n",
+                         traceOut.c_str());
             ok = false;
         }
     }
-    if (!metricsOut.empty()) {
-        if (writeMetricsFile(metricsOut)) {
-            log.info("wrote metrics to %s", metricsOut.c_str());
-        } else {
-            log.error("cannot write metrics file %s", metricsOut.c_str());
-            ok = false;
-        }
+    if (!metricsOut.empty() && !writeMetricsFile(metricsOut)) {
+        std::fprintf(stderr, "smoothe: cannot write metrics file %s\n",
+                     metricsOut.c_str());
+        ok = false;
     }
     // Profiler output is attached/written whenever data exists — the
     // profiler may have been enabled programmatically (benches) rather
@@ -189,19 +173,15 @@ flushCliTelemetry()
     if (Profiler::instance().hasData()) {
         if (Report* report = Report::current())
             report->setProfile(Profiler::instance().toJson());
-        if (!profileOut.empty()) {
-            if (util::writeFile(profileOut,
-                                Profiler::instance().toFolded())) {
-                log.info("wrote profile to %s", profileOut.c_str());
-            } else {
-                log.error("cannot write profile file %s",
-                          profileOut.c_str());
-                ok = false;
-            }
+        if (!profileOut.empty() &&
+            !util::writeFile(profileOut, Profiler::instance().toFolded())) {
+            std::fprintf(stderr, "smoothe: cannot write profile file %s\n",
+                         profileOut.c_str());
+            ok = false;
         }
     }
     if (!Report::flushCurrent()) {
-        log.error("cannot write report file");
+        std::fprintf(stderr, "smoothe: cannot write report file\n");
         ok = false;
     }
     return ok;
@@ -211,11 +191,9 @@ std::size_t
 reportUnknownFlags(const util::Args& args, const char* program)
 {
     const std::vector<std::string> unknown = args.unrecognized();
-    if (!unknown.empty()) {
-        Logger log("cli");
-        for (const std::string& name : unknown)
-            log.error("%s: unrecognized flag --%s", program, name.c_str());
-    }
+    for (const std::string& name : unknown)
+        std::fprintf(stderr, "smoothe: %s: unrecognized flag --%s\n",
+                     program, name.c_str());
     return unknown.size();
 }
 

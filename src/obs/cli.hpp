@@ -1,12 +1,11 @@
 /**
  * @file
  * Shared command-line surface for telemetry and execution: every tool and
- * bench binary gains `--log-level LVL`, `--log-json FILE`,
- * `--trace-out FILE`, `--metrics-out FILE`, `--report-out FILE`,
- * `--threads N`, and the kernel-profiler trio `--profile`,
- * `--profile-out FILE` (collapsed stacks for flamegraph tooling), and
- * `--profile-stride N` by routing its parsed util::Args through
- * installCliTelemetry(). Trace, metrics, report, and profile files are
+ * bench binary gains `--trace-out FILE`, `--metrics-out FILE`,
+ * `--report-out FILE`, `--threads N`, and the kernel-profiler trio
+ * `--profile`, `--profile-out FILE` (collapsed stacks for flamegraph
+ * tooling), and `--profile-stride N` by routing its parsed util::Args
+ * through installCliTelemetry(). Trace, metrics, report, and profile files are
  * flushed automatically at process exit — and from a std::terminate
  * handler, so the files are valid even when a tool aborts mid-run — so
  * harness binaries need no explicit teardown.
@@ -25,10 +24,10 @@ class Args;
 namespace smoothe::obs {
 
 /**
- * Reads the telemetry flags from parsed args and applies them:
- * configures log levels (--log-level beats SMOOTHE_LOG), attaches a JSONL
- * log sink, starts a trace session when --trace-out is given, installs
- * the process-wide obs::Report when --report-out is given (named after
+ * Reads the telemetry flags from parsed args and applies them: installs
+ * the contract-failure counters (obs/check_telemetry.hpp), starts a trace
+ * session when --trace-out is given, installs the process-wide
+ * obs::Report when --report-out is given (named after
  * `tool`, which is usually the argv[0] basename), resizes the
  * process-wide thread pool from --threads (0 or absent = auto, i.e.
  * hardware concurrency) recording the result in the "threads" gauge, and
@@ -59,7 +58,7 @@ void installTelemetryExitHooks();
 std::string toolNameFromArgv0(const char* argv0, const char* fallback);
 
 /**
- * Logs an error for every flag the program never queried (call after all
+ * Prints an error to stderr for every flag the program never queried (call after all
  * known flags — including the telemetry ones — have been read) and
  * returns how many there were. Callers treat a nonzero return as a usage
  * error and exit with a nonzero status.

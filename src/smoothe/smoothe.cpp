@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <optional>
 
@@ -480,7 +481,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
            SmoothEDiagnostics& diagnostics, WarmState& ws,
            const eg::GraphDelta* delta)
 {
-    static obs::Logger logger("smoothe");
     obs::Counter& iterationsMetric = obs::counter("smoothe.iterations");
     obs::Counter& samplesTotal = obs::counter("sampler.samples");
     obs::Counter& samplesValid = obs::counter("sampler.valid_samples");
@@ -507,11 +507,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         .set(static_cast<double>(diagnostics.threads));
 
     obs::Span extractSpan("smoothe.extract");
-    logger.info("extract: %zu nodes, %zu classes, batch %zu, assumption %s, "
-                "%zu threads",
-                graph.numNodes(), graph.numClasses(),
-                std::max<std::size_t>(1, config.numSeeds),
-                toString(config.assumption), diagnostics.threads);
 
     // Shared by the success and OOM paths: record peak arena usage and
     // the sampler hit rate for whatever portion of the run completed,
@@ -553,9 +548,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             ws.prep->numNodes == graph.numNodes() &&
             ws.prep->numClasses == graph.numClasses()) {
             obs::counter("smoothe.identity_skips").add(1);
-            logger.debug("identity delta: re-emitting cached extraction "
-                         "(cost %.6g)",
-                         ws.lastResult->cost);
             finalizeDiagnostics();
             result = *ws.lastResult;
             result.seconds = timer.seconds();
@@ -638,15 +630,12 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         obs::gauge("tape.program_buffers")
             .set(static_cast<double>(diagnostics.programBuffers));
         obs::gauge("arena.reuse_ratio").set(diagnostics.bufferReuseRatio);
-        logger.debug("compiled program: %zu ops (%zu fused), %zu slots, "
-                     "reuse %.2fx",
-                     program->numOps(), program->stats().fusedOps,
-                     diagnostics.programBuffers,
-                     diagnostics.bufferReuseRatio);
 
+        // Why the loop below ends: exactly one stop counter per run.
+        const char* stopReason = "smoothe.stop.max_iterations";
         for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
             if (deadline.expired()) {
-                logger.debug("iteration %zu: deadline expired", iter);
+                stopReason = "smoothe.stop.deadline";
                 break;
             }
             ++diagnostics.iterations;
@@ -715,8 +704,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                         bestCost = cost;
                         bestSelection = std::move(*candidates[b]);
                         sinceImprovement = 0;
-                        logger.debug("iteration %zu: new incumbent %.6g",
-                                     iter, bestCost);
                         obs::traceInstant("smoothe.incumbent");
                         obs::traceCounter("smoothe.best_cost", bestCost);
                         if (options.recordTrace) {
@@ -754,26 +741,24 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             }
 
             if (sinceImprovement > config.patience) {
-                logger.debug("iteration %zu: patience exhausted", iter);
+                stopReason = "smoothe.stop.patience";
                 break;
             }
         }
+        obs::counter(stopReason).add(1);
 
         finalizeDiagnostics();
         result.seconds = timer.seconds();
         if (bestCost == kInf) {
-            logger.warn("no valid sample after %zu iterations",
-                        diagnostics.iterations);
+            std::fprintf(stderr,
+                         "smoothe: no valid sample after %zu iterations\n",
+                         diagnostics.iterations);
             ws.lastResult.reset();
             result.status = SolveStatus::Failed;
             result.cost = kInf;
             result.note = "no valid sample";
             return result;
         }
-        logger.info("done: cost %.6g after %zu iterations (%.3fs, "
-                    "peak %zu bytes)",
-                    bestCost, diagnostics.iterations, result.seconds,
-                    diagnostics.peakMemoryBytes);
         result.status = SolveStatus::Feasible;
         result.selection = std::move(bestSelection);
         result.cost = bestCost;
@@ -784,7 +769,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
         finalizeDiagnostics();
         obs::counter("extraction.oom").add(1);
         obs::traceInstant("smoothe.oom");
-        logger.error("out of memory after %zu iterations: %s",
+        std::fprintf(stderr,
+                     "smoothe: out of memory after %zu iterations: %s\n",
                      diagnostics.iterations, oom.what());
         // The carried state may be mid-remap: drop it so the next epoch
         // runs cold instead of warm-starting from inconsistent buffers.

@@ -322,19 +322,6 @@ sumAllInto(const Tensor& a, Tensor& out)
 }
 
 void
-meanRowsInto(const Tensor& a, Tensor& out)
-{
-    out.fill(0.0f);
-    const float inv = a.rows() ? 1.0f / static_cast<float>(a.rows()) : 0.0f;
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const float* x = a.row(r);
-        float* o = out.row(0);
-        for (std::size_t i = 0; i < a.cols(); ++i)
-            o[i] += x[i] * inv;
-    }
-}
-
-void
 segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out)
 {
     // Columns outside every segment are never written; zero them only

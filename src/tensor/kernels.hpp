@@ -17,8 +17,8 @@
  *
  * Buffer-reuse contract: kernels either write every output element
  * unconditionally or zero the destination themselves (matmulInto,
- * scatterMatrixInto, meanRowsInto, and segmentSoftmaxInto when the
- * segments do not cover every column), so replaying into a dirty buffer
+ * scatterMatrixInto, and segmentSoftmaxInto when the segments do not
+ * cover every column), so replaying into a dirty buffer
  * yields the same bits as running into a fresh zeroed one.
  */
 
@@ -155,8 +155,6 @@ void elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
 void dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out);
 /** out[0, 0] = sum of all elements (double accumulator, serial). */
 void sumAllInto(const Tensor& a, Tensor& out);
-/** out[0, :] = column-wise mean over rows (zeroes out first). */
-void meanRowsInto(const Tensor& a, Tensor& out);
 /** Softmax within each column segment, per batch row. */
 void segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs,
                         Tensor& out);

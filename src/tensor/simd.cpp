@@ -1,21 +1,13 @@
 #include "tensor/simd.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "obs/log.hpp"
 
 namespace smoothe::tensor::simd {
 
 namespace {
-
-obs::Logger&
-logger()
-{
-    static obs::Logger log("simd");
-    return log;
-}
 
 /** One-time cpuid probe. __builtin_cpu_supports covers gcc and clang;
  *  non-x86 targets simply never report AVX2. */
@@ -46,13 +38,14 @@ resolveInitialLevel()
         if (detected == Level::Avx2)
             return Level::Avx2;
         g_requestedUnsupported.store(true, std::memory_order_relaxed);
-        logger().warn("SMOOTHE_SIMD=avx2 requested but the CPU lacks "
-                      "AVX2; falling back to scalar kernels");
+        std::fprintf(stderr, "smoothe: SMOOTHE_SIMD=avx2 requested but the "
+                             "CPU lacks AVX2; falling back to scalar "
+                             "kernels\n");
         return Level::Scalar;
     }
-    logger().warn("unknown SMOOTHE_SIMD value '%s' (expected scalar, "
-                  "avx2, or auto); using auto",
-                  env);
+    std::fprintf(stderr, "smoothe: unknown SMOOTHE_SIMD value '%s' "
+                         "(expected scalar, avx2, or auto); using auto\n",
+                 env);
     return detected;
 }
 

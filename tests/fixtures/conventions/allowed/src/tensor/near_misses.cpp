@@ -7,11 +7,10 @@
 #include <thread>
 
 #include "check/contracts.hpp"
-#include "obs/log.hpp"
 #include "util/rng.hpp"
 
 // A plain comment may say std::thread, srand(7), FP_CONTRACT or
-// obs::counter("kernel.x.calls") too; a kernel may log.
+// obs::counter("kernel.x.calls") too.
 template <typename Clock>
 float
 scaledDraw(smoothe::util::Rng& rng, const Clock& clock, const Clock* lap)

@@ -1,9 +1,9 @@
-#include "obs/obs.hpp"
+#include <cstddef>
 
 void
-scaleInto(const float* x, float alpha, float* out, int n)
+scaleInto(const float* x, float alpha, float* out, std::size_t n)
 {
     smoothe::obs::counter("kernel.scale.calls").add(1);
-    for (int i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i)
         out[i] = alpha * x[i];
 }

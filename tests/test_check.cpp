@@ -175,10 +175,17 @@ TEST(Contracts, TelemetryObserverCountsFailures)
     const auto before = smoothe::obs::counter("check.failures").get();
     const auto beforeTier =
         smoothe::obs::counter("check.failures.check").get();
+    testing::internal::CaptureStderr();
     SMOOTHE_CHECK(false, "counted");
+    const std::string printed = testing::internal::GetCapturedStderr();
     EXPECT_EQ(smoothe::obs::counter("check.failures").get(), before + 1);
     EXPECT_EQ(smoothe::obs::counter("check.failures.check").get(),
               beforeTier + 1);
+    // dispatch prints the line itself; the observer only counts.
+    const std::string marker = "CHECK failed at";
+    const std::size_t first = printed.find(marker);
+    ASSERT_NE(first, std::string::npos) << printed;
+    EXPECT_EQ(printed.find(marker, first + 1), std::string::npos) << printed;
 }
 
 #if SMOOTHE_INVARIANTS_ENABLED

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "datasets/generators.hpp"
 #include "datasets/nphard.hpp"
@@ -15,6 +17,7 @@
 #include "ilp/ilp_extractor.hpp"
 #include "extraction/validate.hpp"
 #include "ilp/lp.hpp"
+#include "obs/metrics.hpp"
 
 namespace eg = smoothe::eg;
 namespace ex = smoothe::extract;
@@ -384,6 +387,39 @@ TEST(Ilp, PresetOrderingOnQuality)
     if (strongResult.ok() && weakResult.ok()) {
         EXPECT_LE(strongResult.cost, weakResult.cost + 1e-9);
     }
+}
+
+TEST(Ilp, EngineCounterMatchesPath)
+{
+    const char* names[] = {"ilp.engine.lp_bnb", "ilp.engine.lp_bnb_fallback",
+                           "ilp.engine.lp_too_large"};
+    const auto deltasOf = [&](const eg::EGraph& g, il::IlpPreset preset) {
+        std::vector<std::uint64_t> before;
+        for (const char* name : names)
+            before.push_back(smoothe::obs::counter(name).get());
+        ex::ExtractOptions options;
+        options.timeLimitSeconds = 0.5;
+        il::IlpExtractor(preset).extract(g, options);
+        std::vector<std::uint64_t> deltas;
+        for (std::size_t i = 0; i < before.size(); ++i)
+            deltas.push_back(smoothe::obs::counter(names[i]).get() -
+                             before[i]);
+        return deltas;
+    };
+
+    // The paper example's LP is far under the cap: LP B&B solves it.
+    EXPECT_EQ(deltasOf(ds::paperExampleEGraph(), il::IlpPreset::Strong),
+              (std::vector<std::uint64_t>{1, 0, 0}));
+
+    // Over the Medium cap (550 variables / 650 constraints): the
+    // combinatorial search runs without trying the LP.
+    ds::FamilyParams params = ds::roverParams();
+    params.numClasses = 150;
+    const eg::EGraph big = ds::generateStructured(params, 99);
+    const il::LinearProgram lp = il::buildExtractionLp(big);
+    ASSERT_TRUE(lp.numVariables() > 550 || lp.numConstraints() > 650);
+    EXPECT_EQ(deltasOf(big, il::IlpPreset::Medium),
+              (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
 TEST(Ilp, RootRelaxationIsLowerBound)

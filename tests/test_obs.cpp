@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the telemetry subsystem (smoothe::obs): log levels and
- * sinks, the metrics registry, Chrome trace spans, the span-backed
- * PhaseProfiler, and the allocation-free disabled fast path.
+ * Unit tests for the telemetry subsystem (smoothe::obs): the metrics
+ * registry, Chrome trace spans, the span-backed PhaseProfiler, and the
+ * allocation-free disabled fast path.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/json.hpp"
@@ -73,26 +72,6 @@ operator delete[](void* p, std::size_t) noexcept
 
 namespace {
 
-/** Captures records in memory so tests can assert on them. */
-class CaptureSink : public so::Sink
-{
-  public:
-    struct Entry
-    {
-        so::Level level;
-        std::string component;
-        std::string message;
-    };
-
-    void
-    write(const so::LogRecord& record) override
-    {
-        entries.push_back({record.level, record.component, record.message});
-    }
-
-    std::vector<Entry> entries;
-};
-
 std::string
 readFile(const std::string& path)
 {
@@ -103,86 +82,6 @@ readFile(const std::string& path)
 }
 
 } // namespace
-
-TEST(Log, LevelNamesRoundTrip)
-{
-    EXPECT_STREQ(so::levelName(so::Level::Debug), "debug");
-    EXPECT_STREQ(so::levelName(so::Level::Off), "off");
-    EXPECT_EQ(so::parseLevel("DEBUG"), so::Level::Debug);
-    EXPECT_EQ(so::parseLevel("warn"), so::Level::Warn);
-    EXPECT_EQ(so::parseLevel("Error"), so::Level::Error);
-    EXPECT_FALSE(so::parseLevel("loud").has_value());
-}
-
-TEST(Log, SpecFiltersByComponent)
-{
-    ASSERT_TRUE(so::configureLogging("obs_test_a=debug,*=error"));
-    so::Logger a("obs_test_a");
-    so::Logger b("obs_test_b");
-    EXPECT_TRUE(a.enabled(so::Level::Debug));
-    EXPECT_FALSE(a.enabled(so::Level::Trace));
-    EXPECT_FALSE(b.enabled(so::Level::Warn));
-    EXPECT_TRUE(b.enabled(so::Level::Error));
-
-    // A later component entry overrides the default for that component.
-    ASSERT_TRUE(so::configureLogging("obs_test_b=trace"));
-    EXPECT_TRUE(b.enabled(so::Level::Trace));
-
-    // Unknown levels are rejected without changing anything.
-    EXPECT_FALSE(so::configureLogging("obs_test_b=loud"));
-    EXPECT_TRUE(b.enabled(so::Level::Trace));
-
-    so::setGlobalLogLevel(so::Level::Warn); // restore the default
-}
-
-TEST(Log, RecordsReachSinksAndRespectLevel)
-{
-    auto sink = std::make_unique<CaptureSink>();
-    CaptureSink* capture = sink.get();
-    so::addLogSink(std::move(sink));
-
-    so::setGlobalLogLevel(so::Level::Warn);
-    so::Logger log("obs_test_sink");
-    log.debug("hidden %d", 1);
-    log.warn("answer %d", 42);
-    log.error("%s failed", "stage");
-
-    ASSERT_EQ(capture->entries.size(), 2u);
-    EXPECT_EQ(capture->entries[0].level, so::Level::Warn);
-    EXPECT_EQ(capture->entries[0].component, "obs_test_sink");
-    EXPECT_EQ(capture->entries[0].message, "answer 42");
-    EXPECT_EQ(capture->entries[1].message, "stage failed");
-
-    so::resetLogSinks();
-}
-
-TEST(Log, JsonlSinkWritesParseableLines)
-{
-    const std::string path = ::testing::TempDir() + "obs_log.jsonl";
-    ASSERT_TRUE(so::addJsonlLogSink(path));
-    so::Logger log("obs_test_jsonl");
-    log.error("value %d", 7);
-    so::resetLogSinks(); // closes the file
-
-    std::istringstream lines(readFile(path));
-    std::string line;
-    bool found = false;
-    while (std::getline(lines, line)) {
-        if (line.empty())
-            continue;
-        const auto doc = su::Json::parse(line);
-        ASSERT_TRUE(doc.has_value()) << line;
-        const su::Json* component = doc->find("component");
-        if (component && component->asString() == "obs_test_jsonl") {
-            found = true;
-            EXPECT_EQ(doc->find("msg")->asString(), "value 7");
-            EXPECT_EQ(doc->find("level")->asString(), "error");
-            EXPECT_GE(doc->find("ts")->asNumber(), 0.0);
-        }
-    }
-    EXPECT_TRUE(found);
-    std::remove(path.c_str());
-}
 
 TEST(Metrics, CounterGaugeArithmetic)
 {
@@ -348,12 +247,9 @@ TEST(PhaseProfiler, ScopesFeedReportTotals)
 
 TEST(Disabled, FastPathAllocatesNothing)
 {
-    // With tracing off and the component below threshold, spans, counter
-    // updates, and suppressed log calls must not touch the heap.
+    // With tracing off, spans and counter updates must not touch the heap.
     ASSERT_FALSE(so::traceEnabled());
-    so::setGlobalLogLevel(so::Level::Warn);
 
-    static so::Logger log("obs_test_fastpath"); // registered up front
     so::Counter& counter = so::counter("test.fastpath.counter");
     so::Gauge& gauge = so::gauge("test.fastpath.gauge");
 
@@ -363,7 +259,6 @@ TEST(Disabled, FastPathAllocatesNothing)
         so::Span span("hot", "test");
         counter.add(1);
         gauge.set(static_cast<double>(i));
-        log.debug("suppressed %d", i);
         so::traceCounter("hot.counter", 1.0);
     }
     const std::uint64_t after =

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "datasets/generators.hpp"
 #include "datasets/registry.hpp"
 #include "extraction/solution.hpp"
 #include "ilp/ilp_extractor.hpp"
 #include "extraction/validate.hpp"
+#include "obs/metrics.hpp"
 #include "smoothe/smoothe.hpp"
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -43,6 +46,23 @@ expectCertified(const eg::EGraph& g, const ex::ExtractionResult& result)
 {
     const auto verdict = ex::validateResult(g, result);
     EXPECT_TRUE(verdict.ok()) << verdict.message;
+}
+
+/** How much each stop-reason counter moved while `run` ran. */
+template <typename Fn>
+std::vector<std::uint64_t>
+stopCounterDeltas(Fn&& run)
+{
+    const char* names[] = {"smoothe.stop.patience", "smoothe.stop.deadline",
+                           "smoothe.stop.max_iterations"};
+    std::vector<std::uint64_t> before;
+    for (const char* name : names)
+        before.push_back(smoothe::obs::counter(name).get());
+    run();
+    std::vector<std::uint64_t> deltas;
+    for (std::size_t i = 0; i < before.size(); ++i)
+        deltas.push_back(smoothe::obs::counter(names[i]).get() - before[i]);
+    return deltas;
 }
 
 } // namespace
@@ -350,9 +370,24 @@ TEST(SmoothE, PatienceStopsEarly)
     config.maxIterations = 5000;
     config.patience = 5;
     core::SmoothEExtractor extractor(config);
-    const auto result = extractor.extract(g, {});
+    ex::ExtractionResult result;
+    const auto deltas =
+        stopCounterDeltas([&] { result = extractor.extract(g, {}); });
     ASSERT_TRUE(result.ok());
     EXPECT_LT(extractor.diagnostics().iterations, 5000u);
+    EXPECT_EQ(deltas, (std::vector<std::uint64_t>{1, 0, 0}));
+}
+
+TEST(SmoothE, IterationCapCountsItsStop)
+{
+    const eg::EGraph g = ds::paperExampleEGraph();
+    core::SmoothEConfig config = fastConfig();
+    config.maxIterations = 3;
+    config.patience = 100;
+    core::SmoothEExtractor extractor(config);
+    const auto deltas = stopCounterDeltas([&] { extractor.extract(g, {}); });
+    EXPECT_EQ(extractor.diagnostics().iterations, 3u);
+    EXPECT_EQ(deltas, (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
 TEST(SmoothE, TimeLimitRespected)

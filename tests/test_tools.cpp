@@ -166,9 +166,13 @@ TEST(Tools, ExtractRejectsBadInput)
     EXPECT_NE(runCommand(extract + " --input /tmp/maxsat_0.json "
                                    "--extractor bogus"),
               0);
-    // An unknown assumption is a usage error, not a silent hybrid run.
-    const int status = runCommand(extract + " --input /tmp/maxsat_0.json "
-                                            "--assumption bogus");
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
+    // An unknown assumption is a usage error, not a silent hybrid run;
+    // so is a flag no binary reads any more.
+    for (const char* flags : {"--assumption bogus", "--log-level debug",
+                              "--log-json /tmp/x.jsonl"}) {
+        const int status = runCommand(
+            extract + " --input /tmp/maxsat_0.json " + flags);
+        ASSERT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    }
 }

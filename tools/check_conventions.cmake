@@ -19,9 +19,10 @@
 #                  from the Release builds that are benchmarked; use
 #                  SMOOTHE_CHECK / SMOOTHE_ASSERT (check/contracts.hpp).
 #   counter-in-kernel
-#                  obs/metrics.hpp or obs::counter( in src/tensor/:
-#                  per-kernel calls, bytes and time are attributed once,
-#                  by obs::Profiler from the compiled replay.
+#                  any #include "obs/..." or obs:: in src/tensor/: the
+#                  kernels depend on no telemetry; per-kernel calls,
+#                  bytes and time are attributed once, by obs::Profiler
+#                  from the compiled replay.
 cmake_minimum_required(VERSION 3.16)
 
 if(NOT DEFINED ROOT)
@@ -53,8 +54,8 @@ set(no-assert_regex "(^|[^A-Za-z0-9_])assert[ \t]*\\(")
 set(no-assert_fix "use SMOOTHE_CHECK or SMOOTHE_ASSERT")
 
 set(counter-in-kernel_dirs src/tensor)
-set(counter-in-kernel_regex "obs/metrics\\.hpp|obs::counter[ \t]*\\(")
-set(counter-in-kernel_fix "let obs::Profiler attribute the kernel")
+set(counter-in-kernel_regex "#[ \t]*include[ \t]*\"obs/|(^|[^A-Za-z0-9_])obs::")
+set(counter-in-kernel_fix "keep obs out of kernels, obs::Profiler attributes them")
 
 # Source text with comments removed as described above. Semicolons
 # become spaces so the text never splits as a CMake list.

@@ -7,8 +7,7 @@
  *                   [--time-limit 10] [--seed 1] [--seeds 16]
  *                   [--assumption hybrid] [--lambda 8]
  *                   [--incremental] [--epochs N]
- *                   [--output selection.json] [--threads N]
- *                   [--validate] [--log-level debug] [--log-json log.jsonl]
+ *                   [--output selection.json] [--threads N] [--validate]
  *                   [--trace-out trace.json] [--metrics-out metrics.json]
  *                   [--profile] [--profile-out prof.folded]
  *                   [--profile-stride N]
