@@ -2,7 +2,6 @@
 
 #include "extraction/bottom_up.hpp"
 #include "extraction/genetic.hpp"
-#include "extraction/greedy_dag.hpp"
 #include "ilp/ilp_extractor.hpp"
 #include "smoothe/smoothe.hpp"
 
@@ -12,9 +11,8 @@ const std::vector<std::string>&
 extractorNames()
 {
     static const std::vector<std::string> names = {
-        "heuristic",  "heuristic+", "greedy-dag", "genetic",
-        "ilp-strong", "ilp-medium", "ilp-weak",
-        "smoothe"};
+        "heuristic",  "heuristic+", "genetic", "ilp-strong",
+        "ilp-medium", "ilp-weak",   "smoothe"};
     return names;
 }
 
@@ -28,8 +26,6 @@ makeExtractor(const std::string& name,
         return std::make_unique<extract::FasterBottomUpExtractor>();
     if (name == "genetic")
         return std::make_unique<extract::GeneticExtractor>();
-    if (name == "greedy-dag")
-        return std::make_unique<extract::GreedyDagExtractor>();
     if (name == "ilp-strong")
         return std::make_unique<ilp::IlpExtractor>(ilp::IlpPreset::Strong);
     if (name == "ilp-medium")

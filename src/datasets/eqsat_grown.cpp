@@ -202,7 +202,11 @@ growFirEGraph(std::size_t taps, std::size_t max_nodes, util::Rng& rng)
 eg::EGraph
 growCaviarEGraph(std::size_t depth, std::size_t max_nodes, util::Rng& rng)
 {
-    const TermPtr term = randomTerm(TermFlavor::Caviar, depth, 4, rng);
+    // A leaf root would leave a one-node graph with nothing to extract;
+    // redraw from the same stream until the root is an operator.
+    TermPtr term = randomTerm(TermFlavor::Caviar, depth, 4, rng);
+    while (term->children.empty())
+        term = randomTerm(TermFlavor::Caviar, depth, 4, rng);
     eqsat::MutEGraph mut;
     const eqsat::Id root = mut.addTerm(*term);
 

@@ -57,7 +57,8 @@ eg::EGraph growFirEGraph(std::size_t taps, std::size_t max_nodes,
  * of eqsat::caviarRulePhases() run in order (normalize, expand, min/max
  * lemmas), each with its own slice of the node budget — the schedule
  * Caviar uses to keep Halide-style rule sets from blowing up the graph
- * before the interesting lemmas fire.
+ * before the interesting lemmas fire. A leaf root term is redrawn from
+ * the same stream, so the graph always has an operator at its root.
  */
 eg::EGraph growCaviarEGraph(std::size_t depth, std::size_t max_nodes,
                             util::Rng& rng);

@@ -25,20 +25,6 @@ arithmeticRules()
 }
 
 const std::vector<Rewrite>&
-trigRules()
-{
-    static const std::vector<Rewrite> rules = {
-        rewrite("sec-to-cos", "(sec ?x)", "(recip (cos ?x))"),
-        rewrite("cos-to-sec", "(recip (cos ?x))", "(sec ?x)"),
-        rewrite("sec2-to-tan2", "(square (sec ?x))",
-                "(+ one (square (tan ?x)))"),
-        rewrite("tan-as-ratio", "(tan ?x)", "(* (sin ?x) (recip (cos ?x)))"),
-        rewrite("add-comm", "(+ ?a ?b)", "(+ ?b ?a)"),
-    };
-    return rules;
-}
-
-const std::vector<Rewrite>&
 datapathRules()
 {
     static const std::vector<Rewrite> rules = {
@@ -109,18 +95,6 @@ caviarRulePhases()
         },
     };
     return phases;
-}
-
-const std::vector<Rewrite>&
-caviarRules()
-{
-    static const std::vector<Rewrite> rules = [] {
-        std::vector<Rewrite> all;
-        for (const auto& phase : caviarRulePhases())
-            all.insert(all.end(), phase.begin(), phase.end());
-        return all;
-    }();
-    return rules;
 }
 
 } // namespace smoothe::eqsat

@@ -2,10 +2,9 @@
  * @file
  * Reusable rewrite-rule libraries for the equality-saturation engine,
  * mirroring the rule sets of the systems the paper's datasets come from:
- * generic arithmetic (rover-style datapath identities), trigonometric
- * rules (the paper's running example), and vectorization-flavored rules
- * (diospyros-style shuffles). Used by examples, tests, and the
- * eqsat-grown dataset generators.
+ * generic arithmetic identities, rover-style datapath rules, and
+ * Caviar's phased TRS rules. Used by the eqsat-grown dataset
+ * generators, the benches, and tests.
  */
 
 #ifndef SMOOTHE_EQSAT_RULES_HPP
@@ -24,9 +23,6 @@ namespace smoothe::eqsat {
  */
 const std::vector<Rewrite>& arithmeticRules();
 
-/** The paper's two trig rewrites plus supporting identities. */
-const std::vector<Rewrite>& trigRules();
-
 /**
  * Datapath-style rules used to grow rover-like e-graphs: multiply-add
  * fusion/unfusion, shift-add decompositions of constant multiplies.
@@ -41,9 +37,6 @@ const std::vector<Rewrite>& datapathRules();
  * is a self-contained rule set; growCaviarEGraph cycles through them.
  */
 const std::vector<std::vector<Rewrite>>& caviarRulePhases();
-
-/** All caviar rules flattened into one set (unphased baseline). */
-const std::vector<Rewrite>& caviarRules();
 
 } // namespace smoothe::eqsat
 

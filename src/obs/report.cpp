@@ -104,24 +104,6 @@ Measurement::stddev() const
     return std::sqrt(sq / static_cast<double>(values_.size()));
 }
 
-double
-Measurement::minValue() const
-{
-    std::lock_guard<std::mutex> lock(owner_->mutex_);
-    return values_.empty()
-               ? 0.0
-               : *std::min_element(values_.begin(), values_.end());
-}
-
-double
-Measurement::maxValue() const
-{
-    std::lock_guard<std::mutex> lock(owner_->mutex_);
-    return values_.empty()
-               ? 0.0
-               : *std::max_element(values_.begin(), values_.end());
-}
-
 util::Json
 Measurement::toJson() const
 {

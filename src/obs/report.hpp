@@ -84,8 +84,6 @@ class Measurement
     std::size_t count() const;
     double mean() const;
     double stddev() const; ///< population stddev; 0 for < 2 samples
-    double minValue() const;
-    double maxValue() const;
 
   private:
     friend class Report;

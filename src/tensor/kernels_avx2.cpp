@@ -251,33 +251,6 @@ gatherColsRow(const float* x, const std::uint32_t* index, float* o,
 }
 
 SMOOTHE_AVX2_FN void
-spmvRows8(const std::uint32_t* row_offsets,
-          const std::uint32_t* col_indices, const float* values,
-          std::size_t row_begin, std::size_t row_end, const float* x,
-          std::size_t x_stride, float* o, std::size_t o_stride)
-{
-    const __m256i lanes = laneOffsets(x_stride);
-    alignas(32) float tmp[8];
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-        __m256 acc = _mm256_setzero_ps();
-        const std::uint32_t begin = row_offsets[i];
-        const std::uint32_t end = row_offsets[i + 1];
-        for (std::uint32_t e = begin; e < end; ++e) {
-            const __m256i idx = _mm256_add_epi32(
-                lanes,
-                _mm256_set1_epi32(static_cast<int>(col_indices[e])));
-            const __m256 vx = _mm256_i32gather_ps(x, idx, 4);
-            acc = _mm256_add_ps(acc,
-                                _mm256_mul_ps(_mm256_set1_ps(values[e]),
-                                              vx));
-        }
-        _mm256_store_ps(tmp, acc);
-        for (std::size_t l = 0; l < 8; ++l)
-            o[l * o_stride + i] = tmp[l];
-    }
-}
-
-SMOOTHE_AVX2_FN void
 segmentSoftmax8(const float* x, float* o, std::size_t stride,
                 const std::uint32_t* offsets, std::size_t num_segments,
                 const std::uint32_t* items)
@@ -611,13 +584,6 @@ reluSpan(const float*, float*, std::size_t)
 }
 void
 gatherColsRow(const float*, const std::uint32_t*, float*, std::size_t)
-{
-    unreachable();
-}
-void
-spmvRows8(const std::uint32_t*, const std::uint32_t*, const float*,
-          std::size_t, std::size_t, const float*, std::size_t, float*,
-          std::size_t)
 {
     unreachable();
 }

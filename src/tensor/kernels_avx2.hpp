@@ -3,11 +3,10 @@
  * Explicit AVX2 kernel variants of the tensor kernels.
  *
  * These are the raw-span bodies the dispatching kernels in
- * src/tensor/kernels.cpp and src/tensor/sparse.cpp call when
- * simd::avx2Active(); each definition in kernels_avx2.cpp carries a
- * per-function `target("avx2")` attribute so the default build needs
- * no -mavx2 flag, and the cpuid-gated dispatch guarantees they never
- * execute on hardware without AVX2.
+ * src/tensor/kernels.cpp call when simd::avx2Active(); each definition
+ * in kernels_avx2.cpp carries a per-function `target("avx2")` attribute
+ * so the default build needs no -mavx2 flag, and the cpuid-gated
+ * dispatch guarantees they never execute on hardware without AVX2.
  *
  * Bitwise contract: every function here performs exactly the rounded
  * float operations of its generic counterpart, in the same per-element
@@ -18,10 +17,9 @@
  * parity tests compare it with a tolerance; see DESIGN.md "SIMD
  * kernels").
  *
- * The cross-seed kernels (spmvRows8, segmentSoftmax8,
- * segmentProductComplement8, its backward
- * segmentProductComplementBackward8, and segmentMaxGather8) realize
- * the seed-batch batching: the B seed rows become the SIMD lane
+ * The cross-seed kernels (segmentSoftmax8, segmentProductComplement8,
+ * its backward segmentProductComplementBackward8, and segmentMaxGather8)
+ * realize the seed-batch batching: the B seed rows become the SIMD lane
  * dimension, so one pass over the sparse structure serves 8 seeds
  * instead of replaying it per seed. Each 8-row group writes only its
  * own rows, so the results do not depend on how groups are spread over
@@ -51,17 +49,6 @@ void reluSpan(const float* a, float* o, std::size_t n);
 /** o[i] = x[index[i]] for one row (8-wide index gathers). */
 void gatherColsRow(const float* x, const std::uint32_t* index, float* o,
                    std::size_t n);
-
-/**
- * Cross-seed CSR SpMV over 8 consecutive batch rows: for matrix rows
- * [row_begin, row_end), o[l * o_stride + i] accumulates
- * values[e] * x[l * x_stride + colIndices[e]] across the row's
- * entries, all 8 lanes fed by one strided gather per entry.
- */
-void spmvRows8(const std::uint32_t* row_offsets,
-               const std::uint32_t* col_indices, const float* values,
-               std::size_t row_begin, std::size_t row_end, const float* x,
-               std::size_t x_stride, float* o, std::size_t o_stride);
 
 /**
  * Cross-seed segment softmax over 8 consecutive batch rows. Uses a

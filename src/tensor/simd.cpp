@@ -21,8 +21,6 @@ probeDetectedLevel()
     return Level::Scalar;
 }
 
-std::atomic<bool> g_requestedUnsupported{false};
-
 /** Resolves SMOOTHE_SIMD against the detected level (first call only;
  *  later reads hit the cached atomic in activeLevel()). */
 Level
@@ -37,7 +35,6 @@ resolveInitialLevel()
     if (std::strcmp(env, "avx2") == 0) {
         if (detected == Level::Avx2)
             return Level::Avx2;
-        g_requestedUnsupported.store(true, std::memory_order_relaxed);
         std::fprintf(stderr, "smoothe: SMOOTHE_SIMD=avx2 requested but the "
                              "CPU lacks AVX2; falling back to scalar "
                              "kernels\n");
@@ -77,15 +74,6 @@ setLevel(Level level)
     if (level > detectedLevel())
         level = detectedLevel();
     levelCache().store(level, std::memory_order_relaxed);
-}
-
-bool
-requestedUnsupported()
-{
-    // Force env resolution so the flag is meaningful even before the
-    // first kernel dispatch.
-    (void)activeLevel();
-    return g_requestedUnsupported.load(std::memory_order_relaxed);
 }
 
 const char*

@@ -52,10 +52,6 @@ Level activeLevel();
  */
 void setLevel(Level level);
 
-/** True when SMOOTHE_SIMD requested a level the CPU cannot run (the
- *  request was clamped; CI surfaces this as a visible notice). */
-bool requestedUnsupported();
-
 /** Stable lowercase name ("scalar", "avx2") for logs and reports. */
 const char* levelName(Level level);
 

@@ -189,9 +189,6 @@ struct SegmentIndex
         std::size_t num_segments);
 };
 
-// Sparse matrix layouts (CsrMatrix, CscMatrix) and the batched
-// propagation SpMV live in tensor/sparse.hpp.
-
 } // namespace smoothe::tensor
 
 #endif // SMOOTHE_TENSOR_TENSOR_HPP

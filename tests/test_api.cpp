@@ -19,7 +19,7 @@ namespace ex = smoothe::extract;
 TEST(Factory, ListsAllExtractors)
 {
     const auto& names = api::extractorNames();
-    EXPECT_EQ(names.size(), 8u);
+    EXPECT_EQ(names.size(), 7u);
     EXPECT_EQ(names.front(), "heuristic");
     EXPECT_EQ(names.back(), "smoothe");
 }

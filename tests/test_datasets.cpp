@@ -217,6 +217,26 @@ TEST(EqsatGrown, GrowsValidExtractableEGraph)
     EXPECT_TRUE(ex::validate(g, result.selection).ok());
 }
 
+TEST(EqsatGrown, CaviarRootsAreOperators)
+{
+    // A leaf root term would give a one-class graph with nothing to
+    // choose. Saturation may still put a leaf in the root class
+    // (x * zero = zero), so the root class must hold an operator; it
+    // need not be free of leaves.
+    for (const auto& named : ds::loadFamily("caviar", 0.1, 2025)) {
+        const eg::EGraph& g = named.graph;
+        EXPECT_GE(g.numClasses(), 2u) << named.name;
+        bool rootHasOperator = false;
+        for (const eg::NodeId nid : g.nodesInClass(g.root()))
+            rootHasOperator |= !g.node(nid).children.empty();
+        EXPECT_TRUE(rootHasOperator) << named.name;
+        ex::FasterBottomUpExtractor extractor;
+        const auto result = extractor.extract(g, {});
+        ASSERT_TRUE(result.ok()) << named.name;
+        EXPECT_TRUE(ex::validate(g, result.selection).ok()) << named.name;
+    }
+}
+
 TEST(EqsatGrown, FirSaturationCreatesAlternatives)
 {
     smoothe::util::Rng rng(33);

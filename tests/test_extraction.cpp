@@ -13,7 +13,6 @@
 #include "datasets/generators.hpp"
 #include "extraction/bottom_up.hpp"
 #include "extraction/genetic.hpp"
-#include "extraction/greedy_dag.hpp"
 #include "extraction/random_sample.hpp"
 #include "extraction/solution.hpp"
 #include "extraction/validate.hpp"
@@ -296,88 +295,6 @@ TEST(Genetic, RecordsTrace)
         EXPECT_LE(result.trace[i].cost, result.trace[i - 1].cost);
 }
 
-TEST(GreedyDag, PaperGraphShowsPerClassGreedinessLimit)
-{
-    // greedy-dag shares within each class's committed set, but commits
-    // sec2's local best (square: 15) before the root merge can expose the
-    // tan reuse — so it also lands on 27 here, like the gym's greedy-dag.
-    // Only global methods (ILP, SmoothE) reach 19 on this graph.
-    const eg::EGraph g = ds::paperExampleEGraph();
-    ex::GreedyDagExtractor extractor;
-    const auto result = extractor.extract(g, {});
-    ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(result.cost, 27.0);
-    expectCertified(g, result);
-}
-
-TEST(GreedyDag, SharesWithinPropagatedSets)
-{
-    // Where the reuse is visible inside one candidate's own children,
-    // greedy-dag wins over tree costs: node r = +(A, B) where A and B
-    // both use an expensive shared leaf; a rival class R2 = cheap-looking
-    // pair without sharing.
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto a = g.addClass();
-    const auto b = g.addClass();
-    const auto shared = g.addClass();
-    // Tree cost of "+": 1 + (2+10) + (3+10) = 26; DAG cost 16.
-    // Tree cost of "alt": 20; DAG cost 20.
-    g.addNode(root, "+", {a, b}, 1.0);
-    g.addNode(root, "alt", {}, 20.0);
-    g.addNode(a, "f", {shared}, 2.0);
-    g.addNode(b, "g", {shared}, 3.0);
-    g.addNode(shared, "x", {}, 10.0);
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-
-    ex::BottomUpExtractor tree;
-    const auto treeResult = tree.extract(g, {});
-    ASSERT_TRUE(treeResult.ok());
-    EXPECT_DOUBLE_EQ(treeResult.cost, 20.0); // tree costs pick "alt"
-
-    ex::GreedyDagExtractor dag;
-    const auto dagResult = dag.extract(g, {});
-    ASSERT_TRUE(dagResult.ok());
-    EXPECT_DOUBLE_EQ(dagResult.cost, 16.0); // cost sets see the sharing
-}
-
-TEST(GreedyDag, ValidAcrossFamilies)
-{
-    for (const char* family : {"flexc", "rover", "tensat"}) {
-        ds::FamilyParams params = ds::familyParams(family);
-        params.numClasses = 120;
-        const eg::EGraph g = ds::generateStructured(params, 2718);
-        ex::GreedyDagExtractor greedyDag;
-        ex::FasterBottomUpExtractor heuristicPlus;
-        const auto dagResult = greedyDag.extract(g, {});
-        const auto plusResult = heuristicPlus.extract(g, {});
-        ASSERT_TRUE(dagResult.ok()) << family;
-        expectCertified(g, dagResult);
-        expectCertified(g, plusResult);
-        // Different greedy criteria: no strict dominance either way, but
-        // both must stay in the same ballpark on these graphs.
-        EXPECT_LE(dagResult.cost, plusResult.cost * 1.6 + 1e-9) << family;
-    }
-}
-
-TEST(GreedyDag, HandlesCycles)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto a = g.addClass();
-    g.addNode(root, "r", {a}, 1.0);
-    g.addNode(a, "rec", {a}, 0.0);
-    g.addNode(a, "base", {}, 5.0);
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-    ex::GreedyDagExtractor extractor;
-    const auto result = extractor.extract(g, {});
-    ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(result.cost, 6.0);
-    expectCertified(g, result);
-}
-
 class HeuristicOrderingTest : public ::testing::TestWithParam<std::string>
 {};
 
@@ -446,8 +363,8 @@ TEST(ExtractorTrace, SpanNamesOutliveTheExtractors)
         EXPECT_TRUE(heuristic.extract(g, {}).ok());
     }
     {
-        ex::GreedyDagExtractor greedy;
-        EXPECT_TRUE(greedy.extract(g, {}).ok());
+        ex::GeneticExtractor genetic;
+        EXPECT_TRUE(genetic.extract(g, {}).ok());
     }
     {
         ex::FasterBottomUpExtractor plus;
@@ -470,6 +387,6 @@ TEST(ExtractorTrace, SpanNamesOutliveTheExtractors)
             name.find('.') == std::string::npos)
             runSpans.push_back(name);
     }
-    EXPECT_EQ(runSpans, (std::vector<std::string>{"heuristic", "greedy-dag",
+    EXPECT_EQ(runSpans, (std::vector<std::string>{"heuristic", "genetic",
                                                   "heuristic+"}));
 }

@@ -26,7 +26,6 @@
 #include "autodiff/program.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
-#include "tensor/sparse.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -686,49 +685,6 @@ TEST(SimdParity, GatherColsIsBitIdentical)
     runParityChecks(checkGatherCols, 0x6a7e);
 }
 
-TEST(SimdParity, SpmvIsBitIdenticalWithEmptyRows)
-{
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    util::Rng rng(0x59a7);
-    for (const std::size_t batch : kRowCounts) {
-        const std::size_t numRows = 97;
-        const std::size_t numCols = 211;
-        st::CsrMatrix m;
-        m.numRows = numRows;
-        m.numCols = numCols;
-        m.rowOffsets.push_back(0);
-        for (std::size_t i = 0; i < numRows; ++i) {
-            // ~1 row in 4 is empty; others carry 1..12 entries.
-            const std::size_t nnz =
-                rng.bernoulli(0.25) ? 0 : 1 + rng.uniformIndex(12);
-            for (std::size_t e = 0; e < nnz; ++e) {
-                m.colIndices.push_back(static_cast<std::uint32_t>(
-                    rng.uniformIndex(numCols)));
-                m.values.push_back(
-                    static_cast<float>(rng.uniform(-1.0, 1.0)));
-            }
-            m.rowOffsets.push_back(
-                static_cast<std::uint32_t>(m.colIndices.size()));
-        }
-        const st::Tensor x = randomTensor(batch, numCols, rng);
-        auto [lhs, rhs] =
-            runBothLevels(batch, numRows, [&](st::Tensor& out) {
-                st::spmv(m, x, out);
-            });
-        EXPECT_TRUE(bitEqual(lhs, rhs)) << "batch " << batch;
-
-        // Transposed product through the CSC twin, same contract.
-        const st::CscMatrix t = st::cscFromCsr(m);
-        const st::Tensor y = randomTensor(batch, numRows, rng);
-        auto [lhsT, rhsT] =
-            runBothLevels(batch, numCols, [&](st::Tensor& out) {
-                st::spmvT(t, y, out);
-            });
-        EXPECT_TRUE(bitEqual(lhsT, rhsT)) << "batch " << batch;
-    }
-}
-
 TEST(SimdParity, SegmentProductComplementIsBitIdentical)
 {
     if (!avx2Available())
@@ -824,71 +780,5 @@ TEST(SimdParity, MatexpDoubleKernelsAreBitIdentical)
         // The CSR product adds exactly the zero-skip product's terms.
         EXPECT_EQ(std::memcmp(sparse[0].data(), dense[0].data(), bytes),
                   0);
-    }
-}
-
-TEST(SparseLayout, CsrFromSegmentsAndCscTranspose)
-{
-    st::SegmentIndex segs;
-    segs.offsets = {0, 2, 2, 5};
-    segs.items = {1, 3, 0, 2, 3};
-    const st::CsrMatrix m = st::csrFromSegments(segs, 4);
-    EXPECT_EQ(m.numRows, 3u);
-    EXPECT_EQ(m.numCols, 4u);
-    EXPECT_EQ(m.nnz(), 5u);
-    for (float v : m.values)
-        EXPECT_EQ(v, 1.0f);
-
-    // Dense reference product: row 0 sums items {1, 3}, row 1 is
-    // empty, row 2 sums items {0, 2, 3}.
-    st::Tensor x(2, 4);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x.data()[i] = static_cast<float>(i + 1);
-    st::Tensor out(2, 3);
-    st::spmv(m, x, out);
-    EXPECT_FLOAT_EQ(out.at(0, 0), x.at(0, 1) + x.at(0, 3));
-    EXPECT_FLOAT_EQ(out.at(0, 1), 0.0f);
-    EXPECT_FLOAT_EQ(out.at(0, 2),
-                    x.at(0, 0) + x.at(0, 2) + x.at(0, 3));
-    EXPECT_FLOAT_EQ(out.at(1, 0), x.at(1, 1) + x.at(1, 3));
-
-    const st::CscMatrix t = st::cscFromCsr(m);
-    EXPECT_EQ(t.nnz(), m.nnz());
-    // spmvT(y) must equal the dense transpose product.
-    st::Tensor y(1, 3);
-    y.data()[0] = 2.0f;
-    y.data()[1] = 5.0f;
-    y.data()[2] = -1.0f;
-    st::Tensor outT(1, 4);
-    st::spmvT(t, y, outT);
-    EXPECT_FLOAT_EQ(outT.at(0, 0), -1.0f);        // column 0: row 2
-    EXPECT_FLOAT_EQ(outT.at(0, 1), 2.0f);         // column 1: row 0
-    EXPECT_FLOAT_EQ(outT.at(0, 2), -1.0f);        // column 2: row 2
-    EXPECT_FLOAT_EQ(outT.at(0, 3), 2.0f + -1.0f); // column 3: rows 0,2
-}
-
-TEST(SparseLayout, SpmvMatchesDenseReference)
-{
-    // The kernels accumulate in float, the reference in double; they
-    // agree to float tolerance at both SIMD levels.
-    util::Rng rng(0xb0b1);
-    st::SegmentIndex segs = randomSegments(50, 20, rng);
-    const st::CsrMatrix m = st::csrFromSegments(segs, 50);
-    const st::Tensor x = randomTensor(4, 50, rng);
-    st::Tensor expected(4, 20);
-    for (std::size_t b = 0; b < x.rows(); ++b) {
-        for (std::size_t s = 0; s < segs.numSegments(); ++s) {
-            double acc = 0.0;
-            for (std::uint32_t e = segs.offsets[s]; e < segs.offsets[s + 1];
-                 ++e)
-                acc += x.at(b, segs.items[e]);
-            expected.at(b, s) = static_cast<float>(acc);
-        }
-    }
-    const auto [scalarOut, avxOut] = runBothLevels(
-        4, 20, [&](st::Tensor& out) { st::spmv(m, x, out); });
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_NEAR(scalarOut.data()[i], expected.data()[i], 1e-4f);
-        EXPECT_NEAR(avxOut.data()[i], expected.data()[i], 1e-4f);
     }
 }

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the tensor substrate: arena accounting / OOM, tensors,
- * segment indices, and SpMV.
+ * and segment indices.
  */
 
 #include <gtest/gtest.h>
 
-#include "tensor/sparse.hpp"
 #include "tensor/tensor.hpp"
 
 namespace st = smoothe::tensor;
@@ -118,58 +117,4 @@ TEST(Tensor, SelfAssignmentSafe)
     a = a;
     EXPECT_DOUBLE_EQ(a.sum(), 18.0);
     EXPECT_EQ(arena.used(), 3 * 3 * sizeof(float));
-}
-
-namespace {
-
-st::CsrMatrix
-smallMatrix()
-{
-    // [[1, 0, 2],
-    //  [0, 3, 0]]
-    st::CsrMatrix m;
-    m.numRows = 2;
-    m.numCols = 3;
-    m.rowOffsets = {0, 2, 3};
-    m.colIndices = {0, 2, 1};
-    m.values = {1.0f, 2.0f, 3.0f};
-    return m;
-}
-
-} // namespace
-
-TEST(Spmv, ExactOnSmallMatrix)
-{
-    const st::CsrMatrix m = smallMatrix();
-    st::Tensor x(2, 3);
-    x.at(0, 0) = 1.0f;
-    x.at(0, 1) = 2.0f;
-    x.at(0, 2) = 3.0f;
-    x.at(1, 0) = -1.0f;
-    x.at(1, 1) = 0.5f;
-    x.at(1, 2) = 4.0f;
-
-    st::Tensor out(2, 2);
-    st::spmv(m, x, out);
-
-    EXPECT_FLOAT_EQ(out.at(0, 0), 7.0f);  // 1*1 + 2*3
-    EXPECT_FLOAT_EQ(out.at(0, 1), 6.0f);  // 3*2
-    EXPECT_FLOAT_EQ(out.at(1, 0), 7.0f);  // -1 + 8
-    EXPECT_FLOAT_EQ(out.at(1, 1), 1.5f);
-}
-
-TEST(Spmv, EmptyRowsYieldZero)
-{
-    st::CsrMatrix m;
-    m.numRows = 3;
-    m.numCols = 2;
-    m.rowOffsets = {0, 0, 1, 1};
-    m.colIndices = {1};
-    m.values = {5.0f};
-    st::Tensor x(1, 2, 1.0f);
-    st::Tensor out(1, 3);
-    st::spmv(m, x, out);
-    EXPECT_FLOAT_EQ(out.at(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(out.at(0, 1), 5.0f);
-    EXPECT_FLOAT_EQ(out.at(0, 2), 0.0f);
 }

@@ -79,7 +79,7 @@ TEST(Tools, ExtractorsAgreeOnToolInput)
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     // smoothe and ilp-strong on the same small instance.
-    for (const char* name : {"smoothe", "ilp-strong", "greedy-dag"}) {
+    for (const char* name : {"smoothe", "ilp-strong", "heuristic+"}) {
         const int code = runCommand(
             extract + std::string(" --input /tmp/maxsat_0.json --extractor ") +
             name + " --time-limit 10 --output /tmp/smoothe_tools_" + name +
@@ -167,9 +167,10 @@ TEST(Tools, ExtractRejectsBadInput)
                                    "--extractor bogus"),
               0);
     // An unknown assumption is a usage error, not a silent hybrid run;
-    // so is a flag no binary reads any more.
+    // so is a flag no binary reads any more, or a deleted extractor.
     for (const char* flags : {"--assumption bogus", "--log-level debug",
-                              "--log-json /tmp/x.jsonl"}) {
+                              "--log-json /tmp/x.jsonl",
+                              "--extractor greedy-dag"}) {
         const int status = runCommand(
             extract + " --input /tmp/maxsat_0.json " + flags);
         ASSERT_TRUE(WIFEXITED(status)) << flags;
