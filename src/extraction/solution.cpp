@@ -1,5 +1,6 @@
 #include "extraction/solution.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -232,6 +233,57 @@ neededClasses(const EGraph& graph, const Selection& sel)
         }
     }
     return order;
+}
+
+CyclicSccs
+CyclicSccs::of(const EGraph& graph)
+{
+    const std::size_t m = graph.numClasses();
+    std::vector<bool> selfLoop(m, false);
+    for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
+        for (ClassId child : graph.node(nid).children) {
+            if (child == graph.classOf(nid))
+                selfLoop[child] = true;
+        }
+    }
+    CyclicSccs sccs;
+    sccs.id.assign(m, kNone);
+    for (auto& scc : graph.classSccs()) {
+        if (scc.size() == 1 && !selfLoop[scc.front()])
+            continue;
+        for (ClassId cls : scc)
+            sccs.id[cls] = static_cast<std::uint32_t>(sccs.classes.size());
+        sccs.classes.push_back(std::move(scc));
+    }
+    return sccs;
+}
+
+bool
+CycleCheck::closesCycle(const std::vector<NodeId>& choice, ClassId cls)
+{
+    const std::uint32_t scc = sccs_.id[cls];
+    if (scc == CyclicSccs::kNone)
+        return false;
+    if (++epoch_ == 0) {
+        // The stamp wrapped: clear it, once every 2^32 checks.
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+    }
+    dfs_.assign(1, cls);
+    while (!dfs_.empty()) {
+        const ClassId cur = dfs_.back();
+        dfs_.pop_back();
+        for (ClassId child : graph_.node(choice[cur]).children) {
+            if (child == cls)
+                return true;
+            if (sccs_.id[child] != scc || choice[child] == kNoNode ||
+                stamp_[child] == epoch_)
+                continue;
+            stamp_[child] = epoch_;
+            dfs_.push_back(child);
+        }
+    }
+    return false;
 }
 
 } // namespace smoothe::extract

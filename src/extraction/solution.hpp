@@ -14,6 +14,8 @@
 #ifndef SMOOTHE_EXTRACTION_SOLUTION_HPP
 #define SMOOTHE_EXTRACTION_SOLUTION_HPP
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,6 +106,57 @@ double treeCost(const eg::EGraph& graph, const Selection& sel);
  */
 std::optional<std::vector<eg::ClassId>>
 neededClasses(const eg::EGraph& graph, const Selection& sel);
+
+/**
+ * The cyclic strongly connected components of the class dependency graph:
+ * those with more than one class, and single classes with a self-loop.
+ * Every cycle of a selection lies inside one of them.
+ */
+struct CyclicSccs
+{
+    static constexpr std::uint32_t kNone =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /** class -> index into classes, or kNone outside every cyclic SCC */
+    std::vector<std::uint32_t> id;
+    /** each cyclic SCC's classes, in EGraph::classSccs() order */
+    std::vector<std::vector<eg::ClassId>> classes;
+
+    static CyclicSccs of(const eg::EGraph& graph);
+};
+
+/**
+ * The incremental cycle check of a top-down extractor: after it sets
+ * choice[cls], does the chosen subgraph now hold a cycle through cls?
+ *
+ * Such a cycle stays inside cls's cyclic SCC, so a class outside every
+ * cyclic SCC is answered false at once, and the DFS follows only chosen
+ * children in cls's SCC. The visited set is an epoch stamp, so a check
+ * costs the chosen part of one SCC, never O(numClasses).
+ */
+class CycleCheck
+{
+  public:
+    /** Keeps references to both arguments; they must outlive the check. */
+    CycleCheck(const eg::EGraph& graph, const CyclicSccs& sccs)
+        : graph_(graph), sccs_(sccs), stamp_(graph.numClasses(), 0)
+    {}
+    CycleCheck(const eg::EGraph&, CyclicSccs&&) = delete;
+
+    /**
+     * @param choice chosen e-node per class, eg::kNoNode where undecided
+     * @param cls a class whose choice is set
+     * @return true when choice[cls] closes a cycle among chosen classes
+     */
+    bool closesCycle(const std::vector<eg::NodeId>& choice, eg::ClassId cls);
+
+  private:
+    const eg::EGraph& graph_;
+    const CyclicSccs& sccs_;
+    std::vector<std::uint32_t> stamp_;
+    std::uint32_t epoch_ = 0;
+    std::vector<eg::ClassId> dfs_;
+};
 
 } // namespace smoothe::extract
 

@@ -126,7 +126,9 @@ class BnBSearch
     BnBSearch(const EGraph& graph, IlpPreset preset,
               const ExtractOptions& options)
         : graph_(graph), preset_(preset), options_(options),
-          deadline_(options.timeLimitSeconds)
+          deadline_(options.timeLimitSeconds),
+          cyclicSccs_(extract::CyclicSccs::of(graph)),
+          cycleCheck_(graph, cyclicSccs_)
     {
         const std::size_t n = graph.numNodes();
         const std::size_t m = graph.numClasses();
@@ -304,34 +306,6 @@ class BnBSearch
         return best == kInf ? 0.0 : best;
     }
 
-    /** True when deciding cls -> nid closes a cycle among decided classes. */
-    bool
-    createsCycle(ClassId cls) const
-    {
-        // DFS from cls through decided choices; revisiting cls = cycle.
-        std::vector<ClassId> stack;
-        std::vector<bool> visited(graph_.numClasses(), false);
-        for (ClassId child : graph_.node(decision_[cls]).children) {
-            if (decision_[child] != kNoNode && !visited[child]) {
-                visited[child] = true;
-                stack.push_back(child);
-            }
-        }
-        while (!stack.empty()) {
-            const ClassId cur = stack.back();
-            stack.pop_back();
-            if (cur == cls)
-                return true;
-            for (ClassId child : graph_.node(decision_[cur]).children) {
-                if (decision_[child] != kNoNode && !visited[child]) {
-                    visited[child] = true;
-                    stack.push_back(child);
-                }
-            }
-        }
-        return false;
-    }
-
     void
     search()
     {
@@ -413,7 +387,7 @@ class BnBSearch
 
             // Apply.
             decision_[cls] = nid;
-            if (createsCycle(cls)) {
+            if (cycleCheck_.closesCycle(decision_, cls)) {
                 decision_[cls] = kNoNode;
                 continue;
             }
@@ -456,6 +430,8 @@ class BnBSearch
     ExtractOptions options_;
     util::Timer timer_;
     util::Deadline deadline_;
+    extract::CyclicSccs cyclicSccs_;
+    extract::CycleCheck cycleCheck_;
 
     std::vector<bool> nodeFeasible_;
     std::vector<bool> classFeasible_;

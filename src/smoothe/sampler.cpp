@@ -40,7 +40,7 @@ GreedySampler::sample(const float* cp_row, bool repair)
                       });
             for (NodeId nid : scratch_) {
                 sel.choice[cls] = nid;
-                if (!createsCycle(sel, cls)) {
+                if (!cycleCheck_.closesCycle(sel.choice, cls)) {
                     chosen = nid;
                     break;
                 }
@@ -59,32 +59,6 @@ GreedySampler::sample(const float* cp_row, bool repair)
         }
     }
     return sel;
-}
-
-bool
-GreedySampler::createsCycle(const Selection& sel, ClassId cls)
-{
-    visited_.assign(graph_.numClasses(), false);
-    dfs_.clear();
-    for (ClassId child : graph_.node(sel.choice[cls]).children) {
-        if (sel.choice[child] != kNoNode && !visited_[child]) {
-            visited_[child] = true;
-            dfs_.push_back(child);
-        }
-    }
-    while (!dfs_.empty()) {
-        const ClassId cur = dfs_.back();
-        dfs_.pop_back();
-        if (cur == cls)
-            return true;
-        for (ClassId child : graph_.node(sel.choice[cur]).children) {
-            if (sel.choice[child] != kNoNode && !visited_[child]) {
-                visited_[child] = true;
-                dfs_.push_back(child);
-            }
-        }
-    }
-    return false;
 }
 
 } // namespace smoothe::core

@@ -10,6 +10,14 @@
  * e-graphs; with repair disabled the caller relies on the NOTEARS
  * penalty, exactly as the paper does, and invalid samples are simply
  * discarded by validation.
+ *
+ * Repair is SCC-local (extract::CycleCheck): a class outside every
+ * cyclic SCC of the class dependency graph is never checked and takes
+ * its first member in cp order, and one check in a cyclic SCC walks
+ * only the chosen classes of that SCC, with an O(1) reset. A sample
+ * therefore costs one sort of each needed class's members plus, per
+ * member tried in a cyclic SCC, the chosen part of that SCC; no check
+ * costs O(numClasses).
  */
 
 #ifndef SMOOTHE_SMOOTHE_SAMPLER_HPP
@@ -25,7 +33,11 @@ namespace smoothe::core {
 class GreedySampler
 {
   public:
-    explicit GreedySampler(const eg::EGraph& graph) : graph_(graph) {}
+    /** @param sccs CyclicSccs::of(graph); must outlive the sampler */
+    GreedySampler(const eg::EGraph& graph, const extract::CyclicSccs& sccs)
+        : graph_(graph), cycleCheck_(graph, sccs)
+    {}
+    GreedySampler(const eg::EGraph&, extract::CyclicSccs&&) = delete;
 
     /**
      * Samples a selection from one seed's cp row.
@@ -36,12 +48,9 @@ class GreedySampler
     extract::Selection sample(const float* cp_row, bool repair);
 
   private:
-    bool createsCycle(const extract::Selection& sel, eg::ClassId cls);
-
     const eg::EGraph& graph_;
+    extract::CycleCheck cycleCheck_;
     std::vector<eg::NodeId> scratch_;
-    std::vector<bool> visited_;
-    std::vector<eg::ClassId> dfs_;
 };
 
 } // namespace smoothe::core

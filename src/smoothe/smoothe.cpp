@@ -69,6 +69,9 @@ struct Prepared
         std::vector<MatrixEntry> entries;
     };
     std::vector<Scc> sccs;
+    /** The real cyclic SCCs, also under the dense ablation: the sampler's
+     *  repair check needs them either way. */
+    extract::CyclicSccs cyclic;
 
     std::size_t propIterations = 0;
 
@@ -140,21 +143,13 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
         prep.sccs.push_back(std::move(scc));
     };
 
+    prep.cyclic = extract::CyclicSccs::of(graph);
     if (config.sccDecomposition) {
-        // Only non-trivial SCCs (size > 1, or self-loop classes) can hold
+        // Only cyclic SCCs (size > 1, or self-loop classes) can hold
         // cycles; everything else needs no penalty (Section 4.3).
-        std::vector<bool> selfLoop(m, false);
-        for (NodeId nid = 0; nid < n; ++nid) {
-            for (ClassId child : graph.node(nid).children) {
-                if (child == graph.classOf(nid))
-                    selfLoop[child] = true;
-            }
-        }
-        for (const auto& scc : graph.classSccs()) {
-            if (scc.size() > 1 || selfLoop[scc.front()])
-                addScc(scc);
-        }
-    } else if (!graph.dependencyGraphIsAcyclic()) {
+        for (const auto& scc : prep.cyclic.classes)
+            addScc(scc);
+    } else if (!prep.cyclic.classes.empty()) {
         // Ablation: one dense M x M transition matrix for the whole graph.
         std::vector<ClassId> all(m);
         for (ClassId cls = 0; cls < m; ++cls)
@@ -679,7 +674,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                     0, rows, 1,
                     [&](std::size_t chunkBegin, std::size_t chunkEnd) {
                         obs::Span chunkSpan("sample.chunk", "sampler");
-                        GreedySampler sampler(graph);
+                        GreedySampler sampler(graph, prep.cyclic);
                         for (std::size_t b = chunkBegin; b < chunkEnd;
                              ++b) {
                             Selection candidate = sampler.sample(

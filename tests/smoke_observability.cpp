@@ -4,13 +4,15 @@
  * egraph_gen and smoothe_extract binaries (and bench_anytime_eqsat, whose
  * warm epochs record and compile a fresh Program each, and
  * bench_fig9_sampling, which prints Figure 9 from the per-iteration
- * convergence trajectory) with --trace-out, --metrics-out, --report-out
- * and --profile-out on tiny inputs and checks that every file they write
- * parses: the trace as Chrome trace-event JSON covering the optimizer
- * phases, the metrics as a flat object with the headline counters, each
- * report against the report schema (with profiler kernel attribution
- * when profiling, and one smoothe.convergence row per iteration), and
- * the collapsed-stack profile line by line.
+ * convergence trajectory, and bench_fig8_profiling, which prints
+ * Figure 8 from the per-phase totals) with --trace-out, --metrics-out,
+ * --report-out and --profile-out on tiny inputs and checks that every
+ * file they write parses: the trace as Chrome trace-event JSON covering
+ * the optimizer phases, the metrics as a flat object with the headline
+ * counters, each report against the report schema (with profiler kernel
+ * attribution when profiling, one smoothe.convergence row per iteration,
+ * and a sampling phase in Figure 8's), and the collapsed-stack profile
+ * line by line.
  */
 
 #include <gtest/gtest.h>
@@ -171,7 +173,9 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string extract = binaryPath("smoothe_extract");
     const std::string anytime = binaryPath("bench_anytime_eqsat", "bench");
     const std::string fig9 = binaryPath("bench_fig9_sampling", "bench");
-    if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty())
+    const std::string fig8 = binaryPath("bench_fig8_profiling", "bench");
+    if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
+        fig8.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -197,7 +201,9 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     ASSERT_EQ(runCommand(fig9 + " --quick --iters " +
                          std::to_string(kFig9Iters) + telemetry("fig9")),
               0);
-    for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9"}) {
+    ASSERT_EQ(runCommand(fig8 + " --scale 0.05" + telemetry("fig8")), 0);
+    for (const char* tag :
+         {"gen", "smoothe", "heur", "anytime", "fig9", "fig8"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -206,6 +212,15 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         EXPECT_EQ(smoothe::obs::reportSchemaVersion(report),
                   smoothe::obs::kReportSchemaVersion);
     }
+
+    // Figure 8's shares come from the per-phase totals, sampling included.
+    const smoothe::util::Json fig8Report =
+        readJson(dir + "/fig8_report.json");
+    const smoothe::util::Json* fig8Phases = fig8Report.find("phases");
+    ASSERT_NE(fig8Phases, nullptr);
+    const smoothe::util::Json* sampling = fig8Phases->find("sampling");
+    ASSERT_NE(sampling, nullptr);
+    EXPECT_GT(sampling->find("count")->asNumber(), 0.0);
 
     // Figure 9's trajectory: every run records one convergence row per
     // iteration (its patience never runs out), with the per-iteration

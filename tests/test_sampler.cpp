@@ -1,11 +1,13 @@
 /**
  * @file
  * Direct tests for the discrete sampling stage (Section 3.5): arg-max
- * behaviour, cycle repair, determinism, dead ends.
+ * behaviour, cycle repair, determinism, dead ends, and the SCC-local
+ * repair check against a whole-graph reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -34,12 +36,75 @@ preferenceRow(const eg::EGraph& graph, const std::set<eg::NodeId>& prefer)
     return cp;
 }
 
+/**
+ * The repaired sampler with the whole-graph cycle check: after choosing a
+ * member, DFS over every chosen class from its children, with a fresh
+ * visited set per check.
+ */
+ex::Selection
+referenceRepairedSample(const eg::EGraph& graph, const float* cp)
+{
+    auto createsCycle = [&](const ex::Selection& sel, eg::ClassId cls) {
+        std::vector<bool> visited(graph.numClasses(), false);
+        std::vector<eg::ClassId> dfs;
+        auto pushChildren = [&](eg::ClassId from) {
+            for (eg::ClassId child : graph.node(sel.choice[from]).children) {
+                if (sel.chosen(child) && !visited[child]) {
+                    visited[child] = true;
+                    dfs.push_back(child);
+                }
+            }
+        };
+        pushChildren(cls);
+        while (!dfs.empty()) {
+            const eg::ClassId cur = dfs.back();
+            dfs.pop_back();
+            if (cur == cls)
+                return true;
+            pushChildren(cur);
+        }
+        return false;
+    };
+
+    ex::Selection sel = ex::Selection::empty(graph);
+    std::vector<eg::ClassId> stack{graph.root()};
+    while (!stack.empty()) {
+        const eg::ClassId cls = stack.back();
+        stack.pop_back();
+        if (sel.chosen(cls))
+            continue;
+        std::vector<eg::NodeId> order(graph.nodesInClass(cls).begin(),
+                                      graph.nodesInClass(cls).end());
+        std::sort(order.begin(), order.end(),
+                  [&](eg::NodeId a, eg::NodeId b) { return cp[a] > cp[b]; });
+        eg::NodeId chosen = eg::kNoNode;
+        for (eg::NodeId nid : order) {
+            sel.choice[cls] = nid;
+            if (!createsCycle(sel, cls)) {
+                chosen = nid;
+                break;
+            }
+            sel.choice[cls] = eg::kNoNode;
+        }
+        if (chosen == eg::kNoNode) {
+            sel.choice[graph.root()] = eg::kNoNode;
+            return sel;
+        }
+        for (eg::ClassId child : graph.node(chosen).children) {
+            if (!sel.chosen(child))
+                stack.push_back(child);
+        }
+    }
+    return sel;
+}
+
 } // namespace
 
 TEST(Sampler, ArgMaxFollowsCp)
 {
     const eg::EGraph g = ds::paperExampleEGraph();
-    core::GreedySampler sampler(g);
+    const auto sccs = ex::CyclicSccs::of(g);
+    core::GreedySampler sampler(g, sccs);
 
     // Prefer the optimal Figure 2c nodes: inner add (node 8).
     const auto cp = preferenceRow(g, {8});
@@ -66,7 +131,8 @@ TEST(Sampler, RepairAvoidsCycle)
     g.setRoot(root);
     ASSERT_FALSE(g.finalize().has_value());
 
-    core::GreedySampler sampler(g);
+    const auto sccs = ex::CyclicSccs::of(g);
+    core::GreedySampler sampler(g, sccs);
     std::vector<float> cp(g.numNodes(), 0.1f);
     cp[0] = 1.0f;   // root node
     cp[fab] = 0.9f; // prefer the cyclic pair
@@ -90,7 +156,8 @@ TEST(Sampler, InfeasibleGraphReportsDeadEnd)
     g.addNode(root, "self", {root}, 1.0);
     g.setRoot(root);
     ASSERT_FALSE(g.finalize().has_value());
-    core::GreedySampler sampler(g);
+    const auto sccs = ex::CyclicSccs::of(g);
+    core::GreedySampler sampler(g, sccs);
     std::vector<float> cp(g.numNodes(), 1.0f);
     const auto sel = sampler.sample(cp.data(), true);
     EXPECT_FALSE(sel.chosen(g.root()));
@@ -99,7 +166,8 @@ TEST(Sampler, InfeasibleGraphReportsDeadEnd)
 TEST(Sampler, ArgMaxIsDeterministic)
 {
     const eg::EGraph g = ds::paperExampleEGraph();
-    core::GreedySampler sampler(g);
+    const auto sccs = ex::CyclicSccs::of(g);
+    core::GreedySampler sampler(g, sccs);
     const auto cp = preferenceRow(g, {7}); // prefer square(sec)
     const auto a = sampler.sample(cp.data(), true);
     const auto b = sampler.sample(cp.data(), true);
@@ -116,7 +184,8 @@ TEST(Sampler, RepairedSamplesValidAcrossFamilies)
     for (const char* family : {"tensat", "rover", "set"}) {
         const auto graphs = ds::loadFamily(family, 0.05, 55);
         const eg::EGraph& g = graphs.front().graph;
-        core::GreedySampler sampler(g);
+        const auto sccs = ex::CyclicSccs::of(g);
+        core::GreedySampler sampler(g, sccs);
         std::vector<float> cp(g.numNodes());
         int valid = 0;
         const int trials = 20;
@@ -130,5 +199,109 @@ TEST(Sampler, RepairedSamplesValidAcrossFamilies)
             ++valid;
         }
         EXPECT_GE(valid, trials / 2) << family;
+    }
+}
+
+TEST(Sampler, SccLocalRepairMatchesWholeGraphReference)
+{
+    smoothe::util::Rng rng(22);
+    const int rows = 50;
+    for (const char* family : {"tensat", "rover", "flexc", "diospyros"}) {
+        int repairedRows = 0;
+        for (const auto& named : ds::loadFamily(family, 0.05, 55)) {
+            const eg::EGraph& g = named.graph;
+            const auto sccs = ex::CyclicSccs::of(g);
+            core::GreedySampler sampler(g, sccs);
+            std::vector<float> cp(g.numNodes());
+            for (int row = 0; row < rows; ++row) {
+                for (auto& v : cp)
+                    v = static_cast<float>(rng.uniform(0.0, 1.0));
+                const auto repaired = sampler.sample(cp.data(), true);
+                EXPECT_EQ(repaired.choice,
+                          referenceRepairedSample(g, cp.data()).choice)
+                    << named.name << " row " << row;
+                if (repaired.choice != sampler.sample(cp.data(), false).choice)
+                    ++repairedRows;
+            }
+        }
+        // The rows must exercise repair, not just the arg-max path.
+        EXPECT_GT(repairedRows, 0) << family;
+    }
+}
+
+TEST(Sampler, RepairFallsBackInEveryCyclicScc)
+{
+    // Two disjoint 2-class SCCs {a1, a2} and {b1, b2}, plus a class s with
+    // a self-loop. Every preferred node leads back into its own SCC, so
+    // the class of each SCC that is sampled second, and s itself, must
+    // fall back to its leaf.
+    eg::EGraph g;
+    const auto root = g.addClass();
+    const auto a1 = g.addClass();
+    const auto a2 = g.addClass();
+    const auto b1 = g.addClass();
+    const auto b2 = g.addClass();
+    const auto s = g.addClass();
+    const auto r = g.addNode(root, "r", {a1, b1, s}, 0.0);
+    const auto fa1 = g.addNode(a1, "fa1", {a2}, 0.0);
+    g.addNode(a1, "leafA1", {}, 1.0);
+    const auto fa2 = g.addNode(a2, "fa2", {a1}, 0.0);
+    const auto leafA2 = g.addNode(a2, "leafA2", {}, 1.0);
+    const auto fb1 = g.addNode(b1, "fb1", {b2}, 0.0);
+    g.addNode(b1, "leafB1", {}, 1.0);
+    const auto fb2 = g.addNode(b2, "fb2", {b1}, 0.0);
+    const auto leafB2 = g.addNode(b2, "leafB2", {}, 1.0);
+    const auto loop = g.addNode(s, "loop", {s}, 0.0);
+    const auto leafS = g.addNode(s, "leafS", {}, 1.0);
+    g.setRoot(root);
+    ASSERT_FALSE(g.finalize().has_value());
+
+    const auto sccs = ex::CyclicSccs::of(g);
+    ASSERT_EQ(sccs.classes.size(), 3u);
+    EXPECT_EQ(sccs.id[root], ex::CyclicSccs::kNone);
+    EXPECT_EQ(sccs.id[a1], sccs.id[a2]);
+    EXPECT_EQ(sccs.id[b1], sccs.id[b2]);
+    EXPECT_NE(sccs.id[a1], sccs.id[b1]);
+    EXPECT_NE(sccs.id[s], ex::CyclicSccs::kNone);
+    EXPECT_NE(sccs.id[s], sccs.id[a1]);
+    EXPECT_NE(sccs.id[s], sccs.id[b1]);
+
+    std::vector<float> cp(g.numNodes(), 0.1f);
+    for (eg::NodeId preferred : {r, fa1, fa2, fb1, fb2, loop})
+        cp[preferred] = 0.9f;
+
+    core::GreedySampler sampler(g, sccs);
+    const auto sel = sampler.sample(cp.data(), true);
+    ASSERT_TRUE(sel.chosen(g.root()));
+    EXPECT_TRUE(ex::validate(g, sel).ok());
+    EXPECT_EQ(sel.choice, referenceRepairedSample(g, cp.data()).choice);
+    // The root pushes a1, b1, s; the stack visits s, then b1 -> b2, then
+    // a1 -> a2.
+    EXPECT_EQ(sel.choice[s], leafS);
+    EXPECT_EQ(sel.choice[b1], fb1);
+    EXPECT_EQ(sel.choice[b2], leafB2);
+    EXPECT_EQ(sel.choice[a1], fa1);
+    EXPECT_EQ(sel.choice[a2], leafA2);
+}
+
+TEST(Sampler, RepairIsArgMaxOnAcyclicFamilies)
+{
+    // With no cyclic SCC nothing is ever checked, so the repaired sample
+    // is the paper's plain arg-max sample.
+    smoothe::util::Rng rng(23);
+    for (const char* family : {"impress", "set", "maxsat"}) {
+        const auto graphs = ds::loadFamily(family, 0.05, 55);
+        const eg::EGraph& g = graphs.front().graph;
+        const auto sccs = ex::CyclicSccs::of(g);
+        EXPECT_TRUE(sccs.classes.empty()) << family;
+        core::GreedySampler sampler(g, sccs);
+        std::vector<float> cp(g.numNodes());
+        for (int row = 0; row < 50; ++row) {
+            for (auto& v : cp)
+                v = static_cast<float>(rng.uniform(0.0, 1.0));
+            EXPECT_EQ(sampler.sample(cp.data(), true).choice,
+                      sampler.sample(cp.data(), false).choice)
+                << family << " row " << row;
+        }
     }
 }
