@@ -24,26 +24,11 @@ forwardOp(const ForwardArgs& args)
       case Op::Add:
         tensor::addInto(*args.a, *args.b, *args.value);
         break;
-      case Op::Sub:
-        tensor::subInto(*args.a, *args.b, *args.value);
-        break;
       case Op::Mul:
         tensor::mulInto(*args.a, *args.b, *args.value);
         break;
-      case Op::Scale:
-        tensor::scaleInto(*args.a, node.alpha, *args.value);
-        break;
-      case Op::AddScalar:
-        tensor::addScalarInto(*args.a, node.alpha, *args.value);
-        break;
       case Op::Relu:
         tensor::reluInto(*args.a, *args.value);
-        break;
-      case Op::MulConst:
-        tensor::mulConstInto(*args.a, node.constTensor, *args.value);
-        break;
-      case Op::AddConst:
-        tensor::addConstInto(*args.a, node.constTensor, *args.value);
         break;
       case Op::FusedElemChain:
         tensor::elemChainInto(*args.a, node.chain, *args.value);
@@ -136,19 +121,6 @@ backwardOp(const BackwardArgs& args)
         }
         break;
       }
-      case Op::Sub: {
-        if (gaPtr) {
-            Tensor& ga = *gaPtr;
-            for (std::size_t i = 0; i < g.size(); ++i)
-                ga.data()[i] += g.data()[i];
-        }
-        if (gbPtr) {
-            Tensor& gb = *gbPtr;
-            for (std::size_t i = 0; i < g.size(); ++i)
-                gb.data()[i] -= g.data()[i];
-        }
-        break;
-      }
       case Op::Mul: {
         if (gaPtr) {
             Tensor& ga = *gaPtr;
@@ -164,22 +136,6 @@ backwardOp(const BackwardArgs& args)
         }
         break;
       }
-      case Op::Scale: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        for (std::size_t i = 0; i < g.size(); ++i)
-            ga.data()[i] += node.alpha * g.data()[i];
-        break;
-      }
-      case Op::AddScalar: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        for (std::size_t i = 0; i < g.size(); ++i)
-            ga.data()[i] += g.data()[i];
-        break;
-      }
       case Op::Relu: {
         if (!gaPtr)
             break;
@@ -189,28 +145,6 @@ backwardOp(const BackwardArgs& args)
             if (ov.data()[i] > 0.0f)
                 ga.data()[i] += g.data()[i];
         }
-        break;
-      }
-      case Op::MulConst: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const Tensor& c = node.constTensor;
-        for (std::size_t r = 0; r < g.rows(); ++r) {
-            const float* m = c.row(c.rows() == 1 ? 0 : r);
-            const float* gr = g.row(r);
-            float* gar = ga.row(r);
-            for (std::size_t i = 0; i < g.cols(); ++i)
-                gar[i] += gr[i] * m[i];
-        }
-        break;
-      }
-      case Op::AddConst: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        for (std::size_t i = 0; i < g.size(); ++i)
-            ga.data()[i] += g.data()[i];
         break;
       }
       case Op::FusedElemChain:

@@ -10,7 +10,9 @@
  * values/grads to a static buffer plan instead. Keeping the
  * metadata in one struct is what lets both share one kernel body per op
  * (src/autodiff/exec.hpp), so a replay matches a Tape rebuild bit for
- * bit.
+ * bit. Every constant-operand elementwise step is one FusedElemChain
+ * node holding its stages, so a one-stage chain recorded by the Tape and
+ * a merged chain in a Program run the same kernel.
  */
 
 #ifndef SMOOTHE_AUTODIFF_OPS_HPP
@@ -50,21 +52,17 @@ using VarId = std::int32_t;
 using MatrixEntry = tensor::MatrixEntry;
 
 /**
- * Operation kinds. Leaf/Constant are sources (no compute);
- * FusedElemChain exists only in compiled Programs, produced by the
- * recorder-chain fusion pass — the Tape never records it.
+ * Operation kinds. Leaf/Constant are sources (no compute).
+ * FusedElemChain is the one constant-operand elementwise op: the Tape
+ * records scale/addScalar/mulConst/addConst as one-stage chains, and
+ * the Program's fusion pass merges single-consumer runs of them.
  */
 enum class Op : std::uint8_t {
     Leaf,
     Constant,
     Add,
-    Sub,
     Mul,
-    Scale,
-    AddScalar,
     Relu,
-    MulConst,
-    AddConst,
     DotRowsConst,
     SumAll,
     SegmentSoftmax,
@@ -91,13 +89,11 @@ struct OpNode
     VarId in1 = -1;
     std::size_t rows = 0; ///< output shape
     std::size_t cols = 0;
-    float alpha = 0.0f;
     Param* param = nullptr;
     const SegmentIndex* segs = nullptr;
     const std::vector<std::uint32_t>* index = nullptr;
     const std::vector<MatrixEntry>* entries = nullptr;
     std::vector<float> constVec;
-    Tensor constTensor;
     /** FusedElemChain stages, applied in order (empty otherwise). */
     std::vector<tensor::ElemStage> chain;
     std::size_t dim = 0;

@@ -41,20 +41,10 @@ kernelName(Op op)
         return "constant";
       case Op::Add:
         return "add";
-      case Op::Sub:
-        return "sub";
       case Op::Mul:
         return "mul";
-      case Op::Scale:
-        return "scale";
-      case Op::AddScalar:
-        return "add_scalar";
       case Op::Relu:
         return "relu";
-      case Op::MulConst:
-        return "mul_const";
-      case Op::AddConst:
-        return "add_const";
       case Op::DotRowsConst:
         return "dot_rows_const";
       case Op::SumAll:
@@ -86,13 +76,8 @@ hasSimdVariant(Op op)
 {
     switch (op) {
       case Op::Add:
-      case Op::Sub:
       case Op::Mul:
-      case Op::Scale:
-      case Op::AddScalar:
       case Op::Relu:
-      case Op::MulConst:
-      case Op::AddConst:
       case Op::FusedElemChain:
       case Op::GatherCols:
       case Op::SegmentSoftmax:
@@ -161,26 +146,13 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
       case Op::Constant:
         break;
       case Op::Add:
-      case Op::Sub:
         c = {n, F * (a + b + n), 2 * n, 6 * F * n};
         break;
       case Op::Mul:
         c = {n, 3 * F * n, 4 * n, 10 * F * n};
         break;
-      case Op::Scale:
-        c = {n, 2 * F * n, 2 * n, 3 * F * n};
-        break;
-      case Op::AddScalar:
-        c = {n, 2 * F * n, n, 3 * F * n};
-        break;
       case Op::Relu:
         c = {n, 2 * F * n, 2 * n, 4 * F * n};
-        break;
-      case Op::MulConst:
-        c = {n, 3 * F * n, 2 * n, 4 * F * n};
-        break;
-      case Op::AddConst:
-        c = {n, 3 * F * n, n, 3 * F * n};
         break;
       case Op::DotRowsConst:
         c = {2 * a, F * (a + aCols + n), 2 * a,
@@ -354,23 +326,18 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     };
     std::vector<std::uint32_t> uses = countUses();
 
-    // --- fusion: collapse single-consumer elementwise chains ----------
-    // A run v1 -> v2 -> ... -> vk of constant-Jacobian unary ops
-    // (Scale, AddScalar, MulConst, AddConst) fuses into one node on vk
-    // when every intermediate has exactly one consumer and is not a
-    // requested output. Fusing moves the contribution to the chain
-    // input's grad from v1's backward step to vk's, so the fuse is
+    // --- fusion: merge single-consumer runs of elementwise chains ----
+    // A run v1 -> v2 -> ... -> vk of FusedElemChain nodes merges into
+    // one node on vk, its stages the concatenation of theirs, when every
+    // intermediate has exactly one consumer, feeds it through in0, and
+    // is not a requested output. Merging moves the contribution to the
+    // run input's grad from v1's backward step to vk's, so the merge is
     // only taken when no other consumer of that input lies strictly
     // between v1 and vk in id order — that keeps the descending-id
     // accumulation order, and therefore the float bits, identical to
-    // the unfused Tape. Every run of two or more becomes one
-    // FusedElemChain stage program.
-    auto isChainOp = [&](std::size_t ix) {
-        if (skipped_[ix])
-            return false;
-        const Op op = ops_[ix].op;
-        return op == Op::Scale || op == Op::AddScalar ||
-               op == Op::MulConst || op == Op::AddConst;
+    // the unmerged Tape.
+    auto isChain = [&](std::size_t ix) {
+        return !skipped_[ix] && ops_[ix].op == Op::FusedElemChain;
     };
     std::vector<VarId> onlyUser(n, -1);
     std::vector<char> viaIn0(n, 0);
@@ -388,28 +355,27 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             viaIn0[static_cast<std::size_t>(ops_[j].in1)] = 0;
         }
     }
-    std::vector<char> inChain(n, 0);
+    std::vector<char> inRun(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        if (!isChainOp(i) || inChain[i])
+        if (!isChain(i) || inRun[i])
             continue;
         // Grow the maximal run from i (ids ascend along a tape edge, so
         // scanning i in ascending order always lands on a run's head).
-        std::vector<std::size_t> chain{i};
+        std::vector<std::size_t> run{i};
         std::size_t cur = i;
         while (uses[cur] == 1 && !isOutput[cur] && viaIn0[cur] &&
                onlyUser[cur] >= 0 &&
-               isChainOp(static_cast<std::size_t>(onlyUser[cur]))) {
+               isChain(static_cast<std::size_t>(onlyUser[cur]))) {
             cur = static_cast<std::size_t>(onlyUser[cur]);
-            chain.push_back(cur);
+            run.push_back(cur);
         }
-        for (std::size_t v : chain)
-            inChain[v] = 1;
-        if (chain.size() < 2)
+        for (std::size_t v : run)
+            inRun[v] = 1;
+        if (run.size() < 2)
             continue;
-        const VarId input = ops_[chain.front()].in0;
+        const VarId input = ops_[run.front()].in0;
         bool safe = true;
-        for (std::size_t j = chain.front() + 1;
-             j < chain.back() && safe; ++j) {
+        for (std::size_t j = run.front() + 1; j < run.back() && safe; ++j) {
             if (skipped_[j])
                 continue;
             if (ops_[j].in0 == input || ops_[j].in1 == input)
@@ -418,40 +384,16 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         if (!safe)
             continue;
         std::vector<tensor::ElemStage> stages;
-        stages.reserve(chain.size());
-        for (std::size_t v : chain) {
-            OpNode& link = ops_[v];
-            tensor::ElemStage stage;
-            switch (link.op) {
-              case Op::Scale:
-                stage.kind = tensor::ElemStageKind::Scale;
-                stage.alpha = link.alpha;
-                break;
-              case Op::AddScalar:
-                stage.kind = tensor::ElemStageKind::AddScalar;
-                stage.alpha = link.alpha;
-                break;
-              case Op::MulConst:
-                stage.kind = tensor::ElemStageKind::MulConst;
-                stage.c = std::move(link.constTensor);
-                break;
-              case Op::AddConst:
-                stage.kind = tensor::ElemStageKind::AddConst;
-                stage.c = std::move(link.constTensor);
-                break;
-              default:
-                SMOOTHE_CHECK(false, "non-chain op %d in fusion run",
-                              static_cast<int>(link.op));
-            }
-            stages.push_back(std::move(stage));
+        for (std::size_t v : run) {
+            for (tensor::ElemStage& stage : ops_[v].chain)
+                stages.push_back(std::move(stage));
         }
-        OpNode& last = ops_[chain.back()];
-        last.op = Op::FusedElemChain;
+        OpNode& last = ops_[run.back()];
         last.chain = std::move(stages);
         last.in0 = input;
-        for (std::size_t k = 0; k + 1 < chain.size(); ++k)
-            skipped_[chain[k]] = 1;
-        stats_.fusedOps += chain.size() - 1;
+        for (std::size_t k = 0; k + 1 < run.size(); ++k)
+            skipped_[run[k]] = 1;
+        stats_.fusedOps += run.size() - 1;
     }
     if (stats_.fusedOps > 0)
         uses = countUses();

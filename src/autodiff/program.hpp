@@ -4,8 +4,8 @@
  *
  * A Program consumes a Tape that recorded the shapes of one iteration of
  * a structurally stable computation and compiles it into
- *   (a) a topologically ordered op list (fusing back-to-back
- *       elementwise chains into single passes),
+ *   (a) a topologically ordered op list (merging back-to-back
+ *       one-stage elementwise chains into single passes),
  *   (b) a static buffer plan that assigns every transient intermediate
  *       a reusable slot via liveness analysis (last-use frees), and
  *   (c) a precomputed backward schedule with per-step grad-slot zeroing.
@@ -61,7 +61,7 @@ bool hasSimdBackward(Op op);
 struct ProgramStats
 {
     std::size_t ops = 0;          ///< scheduled forward ops
-    std::size_t fusedOps = 0;     ///< elementwise pairs fused away
+    std::size_t fusedOps = 0;     ///< chain nodes merged away
     std::size_t valueSlots = 0;   ///< reusable forward slots
     std::size_t gradSlots = 0;    ///< reusable backward slots
     std::size_t ownedBuffers = 0; ///< persistent buffers (outputs, saved

@@ -9,6 +9,31 @@
 
 namespace smoothe::ad {
 
+namespace {
+
+/** Why `stage` cannot act on a rows x cols operand, if it cannot. */
+std::optional<std::string>
+stageProblem(const tensor::ElemStage& stage, std::size_t rows,
+             std::size_t cols)
+{
+    const bool holdsConst = stage.kind == tensor::ElemStageKind::MulConst ||
+                            stage.kind == tensor::ElemStageKind::AddConst;
+    if (!holdsConst) {
+        if (!stage.c.empty())
+            return std::string("scalar chain stage holds a tensor");
+        return std::nullopt;
+    }
+    if (stage.c.cols() == cols &&
+        (stage.c.rows() == rows || stage.c.rows() == 1))
+        return std::nullopt;
+    std::ostringstream oss;
+    oss << "chain stage constant " << stage.c.rows() << "x"
+        << stage.c.cols() << " against " << rows << "x" << cols;
+    return oss.str();
+}
+
+} // namespace
+
 void
 Tape::clear()
 {
@@ -115,15 +140,6 @@ Tape::add(VarId a, VarId b)
 }
 
 VarId
-Tape::sub(VarId a, VarId b)
-{
-    SMOOTHE_ASSERT(rows(a) == rows(b) && cols(a) == cols(b),
-                   "sub: %zux%zu vs %zux%zu", rows(a), cols(a), rows(b),
-                   cols(b));
-    return push(shaped(Op::Sub, a, b, rows(a), cols(a)));
-}
-
-VarId
 Tape::mul(VarId a, VarId b)
 {
     SMOOTHE_ASSERT(rows(a) == rows(b) && cols(a) == cols(b),
@@ -133,49 +149,45 @@ Tape::mul(VarId a, VarId b)
 }
 
 VarId
-Tape::scale(VarId a, float alpha)
-{
-    Node node = shaped(Op::Scale, a, -1, rows(a), cols(a));
-    node.alpha = alpha;
-    return push(std::move(node));
-}
-
-VarId
-Tape::addScalar(VarId a, float alpha)
-{
-    Node node = shaped(Op::AddScalar, a, -1, rows(a), cols(a));
-    node.alpha = alpha;
-    return push(std::move(node));
-}
-
-VarId
 Tape::relu(VarId a)
 {
     return push(shaped(Op::Relu, a, -1, rows(a), cols(a)));
 }
 
 VarId
+Tape::chainStage(VarId a, tensor::ElemStage stage)
+{
+    SMOOTHE_CHECK_OK(stageProblem(stage, rows(a), cols(a)));
+    Node node = shaped(Op::FusedElemChain, a, -1, rows(a), cols(a));
+    node.chain.push_back(std::move(stage));
+    return push(std::move(node));
+}
+
+VarId
+Tape::scale(VarId a, float alpha)
+{
+    return chainStage(a, {tensor::ElemStageKind::Scale, alpha, Tensor()});
+}
+
+VarId
+Tape::addScalar(VarId a, float alpha)
+{
+    return chainStage(a,
+                      {tensor::ElemStageKind::AddScalar, alpha, Tensor()});
+}
+
+VarId
 Tape::mulConst(VarId a, Tensor c)
 {
-    SMOOTHE_ASSERT(c.cols() == cols(a) &&
-                       (c.rows() == rows(a) || c.rows() == 1),
-                   "mulConst: %zux%zu against %zux%zu", c.rows(), c.cols(),
-                   rows(a), cols(a));
-    Node node = shaped(Op::MulConst, a, -1, rows(a), cols(a));
-    node.constTensor = std::move(c);
-    return push(std::move(node));
+    return chainStage(a,
+                      {tensor::ElemStageKind::MulConst, 0.0f, std::move(c)});
 }
 
 VarId
 Tape::addConst(VarId a, Tensor c)
 {
-    SMOOTHE_ASSERT(c.cols() == cols(a) &&
-                       (c.rows() == rows(a) || c.rows() == 1),
-                   "addConst: %zux%zu against %zux%zu", c.rows(), c.cols(),
-                   rows(a), cols(a));
-    Node node = shaped(Op::AddConst, a, -1, rows(a), cols(a));
-    node.constTensor = std::move(c);
-    return push(std::move(node));
+    return chainStage(a,
+                      {tensor::ElemStageKind::AddConst, 0.0f, std::move(c)});
 }
 
 VarId
@@ -295,8 +307,8 @@ Tape::checkInvariants(bool screen_values) const
             node.op != Op::Leaf && node.op != Op::Constant;
         if (needsIn0 && node.in0 < 0)
             return problem(i, "operation is missing its input");
-        const bool needsIn1 = node.op == Op::Add || node.op == Op::Sub ||
-                              node.op == Op::Mul || node.op == Op::MatMul ||
+        const bool needsIn1 = node.op == Op::Add || node.op == Op::Mul ||
+                              node.op == Op::MatMul ||
                               node.op == Op::AddRowBroadcast;
         if (needsIn1 && node.in1 < 0)
             return problem(i, "binary operation is missing input 1");
@@ -313,7 +325,6 @@ Tape::checkInvariants(bool screen_values) const
           case Op::Constant:
             break;
           case Op::Add:
-          case Op::Sub:
           case Op::Mul:
             if (a->rows != b->rows || a->cols != b->cols)
                 return problem(i, "elementwise operands " + shape(*a) +
@@ -360,6 +371,14 @@ Tape::checkInvariants(bool screen_values) const
             if (node.constVec.size() != a->cols)
                 return problem(i, "dotRows weight length mismatch");
             break;
+          case Op::FusedElemChain:
+            if (node.chain.empty())
+                return problem(i, "empty elementwise chain");
+            for (const tensor::ElemStage& stage : node.chain) {
+                if (auto bad = stageProblem(stage, node.rows, node.cols))
+                    return problem(i, *bad);
+            }
+            [[fallthrough]];
           default:
             // Same-shape unary ops.
             if (a != nullptr &&

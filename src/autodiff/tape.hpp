@@ -19,7 +19,10 @@
  * bench_micro_kernels compare it against.
  *
  * The op set is deliberately tailored to what SmoothE and the MLP cost
- * model need: elementwise arithmetic, segment softmax (per-e-class),
+ * model need: elementwise add/mul/relu, one elementwise chain op for
+ * every constant-operand step (each scale/addScalar/mulConst/addConst
+ * call records a one-stage chain; evaluation here runs each on its own,
+ * while the Program merges adjacent ones), segment softmax (per-e-class),
  * segment product/max over parent lists (the phi propagation of
  * Section 3.3), gathers, dense matmul, and tr(exp(A)) with its exact
  * analytic gradient exp(A)^T (Section 3.4).
@@ -88,16 +91,18 @@ class Tape
 
     /** out = a + b (same shape). */
     VarId add(VarId a, VarId b);
-    /** out = a - b (same shape). */
-    VarId sub(VarId a, VarId b);
     /** out = a * b elementwise (same shape). */
     VarId mul(VarId a, VarId b);
+    /** out = max(a, 0). */
+    VarId relu(VarId a);
+
+    // The four constant-operand steps below each record a one-stage
+    // FusedElemChain; the Program merges adjacent ones.
+
     /** out = alpha * a. */
     VarId scale(VarId a, float alpha);
     /** out = a + alpha. */
     VarId addScalar(VarId a, float alpha);
-    /** out = max(a, 0). */
-    VarId relu(VarId a);
     /** out = a * c elementwise with a constant tensor (broadcast 1 x C
      *  over rows allowed). */
     VarId mulConst(VarId a, Tensor c);
@@ -186,6 +191,8 @@ class Tape
     static Node shaped(Op op, VarId a, VarId b, std::size_t rows,
                        std::size_t cols);
     VarId push(Node node);
+    /** Records out = a through the one chain stage `stage`. */
+    VarId chainStage(VarId a, tensor::ElemStage stage);
     Tensor& ensureGrad(VarId id);
     /** Evaluates nodes [evaluated_, numNodes()) in id order. */
     void evaluate();

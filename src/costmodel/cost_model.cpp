@@ -120,12 +120,14 @@ MlpCost::trainSynthetic(const eg::EGraph& graph, std::size_t num_samples,
     const auto selections =
         extract::sampleRandomSelections(graph, num_samples, rng);
     Tensor inputs(num_samples, inputDim_);
-    Tensor targets(num_samples, 1);
+    // Held negated: the loss records pred + (-t), exactly pred - t.
+    Tensor negTargets(num_samples, 1);
     for (std::size_t row = 0; row < selections.size(); ++row) {
         const auto indicator = selections[row].toNodeIndicator(graph);
         for (std::size_t i = 0; i < inputDim_; ++i)
             inputs.at(row, i) = indicator[i] ? 1.0f : 0.0f;
-        targets.at(row, 0) = static_cast<float>(rng.uniform(-10.0, -1.0));
+        negTargets.at(row, 0) =
+            -static_cast<float>(rng.uniform(-10.0, -1.0));
     }
 
     ad::Adam optimizer({&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_},
@@ -137,7 +139,7 @@ MlpCost::trainSynthetic(const eg::EGraph& graph, std::size_t num_samples,
     Tape tape;
     const VarId x = tape.constant(std::move(inputs));
     const VarId pred = build(tape, x);
-    const VarId diff = tape.sub(pred, tape.constant(std::move(targets)));
+    const VarId diff = tape.addConst(pred, std::move(negTargets));
     const VarId sq = tape.mul(diff, diff);
     const VarId loss = tape.scale(
         tape.sumAll(sq), 1.0f / static_cast<float>(num_samples));

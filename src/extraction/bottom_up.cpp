@@ -215,20 +215,7 @@ buildResult(const EGraph& graph, const FixedPoint& fp, double seconds)
         result.cost = kInf;
         return result;
     }
-    Selection sel = Selection::empty(graph);
-    std::vector<ClassId> worklist{graph.root()};
-    sel.choice[graph.root()] = fp.classChoice[graph.root()];
-    while (!worklist.empty()) {
-        const ClassId cls = worklist.back();
-        worklist.pop_back();
-        for (ClassId child : graph.node(sel.choice[cls]).children) {
-            if (sel.choice[child] == kNoNode) {
-                sel.choice[child] = fp.classChoice[child];
-                worklist.push_back(child);
-            }
-        }
-    }
-    result.selection = std::move(sel);
+    result.selection = rootedSelection(graph, fp.classChoice);
     const auto check = validate(graph, result.selection);
     if (!check.ok()) {
         result.status = SolveStatus::Failed;

@@ -209,6 +209,29 @@ treeCost(const EGraph& graph, const Selection& sel)
     return memo[graph.root()];
 }
 
+Selection
+rootedSelection(const EGraph& graph, const std::vector<NodeId>& class_choice)
+{
+    Selection sel = Selection::empty(graph);
+    if (class_choice[graph.root()] == kNoNode)
+        return sel;
+    sel.choice[graph.root()] = class_choice[graph.root()];
+    std::vector<ClassId> worklist{graph.root()};
+    while (!worklist.empty()) {
+        const ClassId cls = worklist.back();
+        worklist.pop_back();
+        for (ClassId child : graph.node(sel.choice[cls]).children) {
+            if (sel.choice[child] != kNoNode)
+                continue;
+            if (class_choice[child] == kNoNode)
+                return Selection::empty(graph);
+            sel.choice[child] = class_choice[child];
+            worklist.push_back(child);
+        }
+    }
+    return sel;
+}
+
 std::optional<std::vector<ClassId>>
 neededClasses(const EGraph& graph, const Selection& sel)
 {

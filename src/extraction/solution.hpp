@@ -101,6 +101,15 @@ double dagCost(const eg::EGraph& graph, const Selection& sel);
 double treeCost(const eg::EGraph& graph, const Selection& sel);
 
 /**
+ * The extraction rooted at the graph's root under per-class choices:
+ * class_choice[c] for every class reached from the root through chosen
+ * children, eg::kNoNode for the rest. When the root or a reached class
+ * has no choice, the result is empty (the root unchosen).
+ */
+Selection rootedSelection(const eg::EGraph& graph,
+                          const std::vector<eg::NodeId>& class_choice);
+
+/**
  * The classes actually needed by the selection (root + transitive chosen
  * children). Returns std::nullopt when the selection is incomplete.
  */

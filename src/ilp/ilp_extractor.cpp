@@ -601,32 +601,13 @@ class LpBnB
     {
         // Chosen nodes are the s variables at 1; walk from the root and
         // keep only needed classes (ties broken by first chosen member).
-        Selection sel = Selection::empty(graph_);
         std::vector<NodeId> chosenPerClass(graph_.numClasses(), kNoNode);
         for (NodeId nid = 0; nid < graph_.numNodes(); ++nid) {
             if (values[nid] > 0.5 &&
                 chosenPerClass[graph_.classOf(nid)] == kNoNode)
                 chosenPerClass[graph_.classOf(nid)] = nid;
         }
-        if (chosenPerClass[graph_.root()] == kNoNode)
-            return sel;
-        std::vector<ClassId> worklist{graph_.root()};
-        sel.choice[graph_.root()] = chosenPerClass[graph_.root()];
-        while (!worklist.empty()) {
-            const ClassId cls = worklist.back();
-            worklist.pop_back();
-            for (ClassId child : graph_.node(sel.choice[cls]).children) {
-                if (sel.choice[child] != kNoNode)
-                    continue;
-                if (chosenPerClass[child] == kNoNode) {
-                    sel.choice[graph_.root()] = kNoNode;
-                    return sel; // incomplete rounding
-                }
-                sel.choice[child] = chosenPerClass[child];
-                worklist.push_back(child);
-            }
-        }
-        return sel;
+        return extract::rootedSelection(graph_, chosenPerClass);
     }
 
     const EGraph& graph_;
@@ -676,22 +657,9 @@ IlpExtractor::extractImpl(const EGraph& graph,
     BnBSearch search(graph, preset_, options);
     ExtractionResult result = search.run();
     if (result.ok()) {
-        // The search stores raw decisions; sanitize to needed classes only.
-        Selection cleaned = Selection::empty(graph);
-        std::vector<ClassId> worklist{graph.root()};
-        cleaned.choice[graph.root()] = result.selection.choice[graph.root()];
-        while (!worklist.empty()) {
-            const ClassId cls = worklist.back();
-            worklist.pop_back();
-            for (ClassId child :
-                 graph.node(cleaned.choice[cls]).children) {
-                if (cleaned.choice[child] == kNoNode) {
-                    cleaned.choice[child] = result.selection.choice[child];
-                    worklist.push_back(child);
-                }
-            }
-        }
-        result.selection = std::move(cleaned);
+        // The search stores raw decisions; keep the needed classes only.
+        result.selection =
+            extract::rootedSelection(graph, result.selection.choice);
         result.cost = extract::dagCost(graph, result.selection);
     }
     return result;

@@ -63,25 +63,6 @@ addInto(const Tensor& a, const Tensor& b, Tensor& out)
 }
 
 void
-subInto(const Tensor& a, const Tensor& b, Tensor& out)
-{
-    const float* __restrict x = a.data();
-    const float* __restrict y = b.data();
-    float* __restrict o = out.data();
-    const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.size(), kElemGrain,
-                   [&](std::size_t begin, std::size_t end) {
-                       if (useAvx2) {
-                           avx2::subSpan(x + begin, y + begin, o + begin,
-                                         end - begin);
-                           return;
-                       }
-                       for (std::size_t i = begin; i < end; ++i)
-                           o[i] = x[i] - y[i];
-                   });
-}
-
-void
 mulInto(const Tensor& a, const Tensor& b, Tensor& out)
 {
     const float* __restrict x = a.data();
@@ -101,42 +82,6 @@ mulInto(const Tensor& a, const Tensor& b, Tensor& out)
 }
 
 void
-scaleInto(const Tensor& a, float alpha, Tensor& out)
-{
-    const float* x = a.data();
-    float* o = out.data();
-    const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.size(), kElemGrain,
-                   [&](std::size_t begin, std::size_t end) {
-                       if (useAvx2) {
-                           avx2::scaleSpan(x + begin, alpha, o + begin,
-                                           end - begin);
-                           return;
-                       }
-                       for (std::size_t i = begin; i < end; ++i)
-                           o[i] = alpha * x[i];
-                   });
-}
-
-void
-addScalarInto(const Tensor& a, float alpha, Tensor& out)
-{
-    const float* x = a.data();
-    float* o = out.data();
-    const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.size(), kElemGrain,
-                   [&](std::size_t begin, std::size_t end) {
-                       if (useAvx2) {
-                           avx2::addScalarSpan(x + begin, alpha, o + begin,
-                                               end - begin);
-                           return;
-                       }
-                       for (std::size_t i = begin; i < end; ++i)
-                           o[i] = x[i] + alpha;
-                   });
-}
-
-void
 reluInto(const Tensor& a, Tensor& out)
 {
     const float* __restrict x = a.data();
@@ -151,46 +96,6 @@ reluInto(const Tensor& a, Tensor& out)
                        }
                        for (std::size_t i = begin; i < end; ++i)
                            o[i] = x[i] > 0.0f ? x[i] : 0.0f;
-                   });
-}
-
-void
-mulConstInto(const Tensor& a, const Tensor& c, Tensor& out)
-{
-    const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.rows(), rowGrain(a.cols()),
-                   [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                           const float* x = a.row(r);
-                           const float* m = c.row(c.rows() == 1 ? 0 : r);
-                           float* o = out.row(r);
-                           if (useAvx2) {
-                               avx2::mulSpan(x, m, o, a.cols());
-                               continue;
-                           }
-                           for (std::size_t i = 0; i < a.cols(); ++i)
-                               o[i] = x[i] * m[i];
-                       }
-                   });
-}
-
-void
-addConstInto(const Tensor& a, const Tensor& c, Tensor& out)
-{
-    const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.rows(), rowGrain(a.cols()),
-                   [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                           const float* x = a.row(r);
-                           const float* m = c.row(c.rows() == 1 ? 0 : r);
-                           float* o = out.row(r);
-                           if (useAvx2) {
-                               avx2::addSpan(x, m, o, a.cols());
-                               continue;
-                           }
-                           for (std::size_t i = 0; i < a.cols(); ++i)
-                               o[i] = x[i] + m[i];
-                       }
                    });
 }
 

@@ -10,6 +10,11 @@
  * with freshly allocated tensors, so a replay reproduces the recording
  * pass bit for bit.
  *
+ * Elementwise kernels: addInto/mulInto for two variable operands,
+ * reluInto, and elemChainInto/elemChainGradInto, the one kernel pair
+ * for every constant-operand step (scale, add scalar, multiply or add a
+ * constant tensor), whether the chain has one stage or many.
+ *
  * Determinism contract (see DESIGN.md "Parallel execution"): chunk
  * grains are fixed constants, each output element is written by exactly
  * one task, and in-chunk loop order matches the serial code, so results
@@ -42,10 +47,12 @@ struct MatrixEntry
 };
 
 /**
- * Stage kinds a fused elementwise chain may contain. All four have
- * constant Jacobians (the backward pass never reads intermediate
- * values), which is what lets the Program fusion pass collapse
- * arbitrary single-consumer runs of them into one kernel launch.
+ * Stage kinds of an elementwise chain, the one constant-operand
+ * elementwise op: the Tape records each scale/addScalar/mulConst/
+ * addConst as a one-stage chain. All four have constant Jacobians (the
+ * backward pass never reads intermediate values), which is what lets
+ * the Program fusion pass merge arbitrary single-consumer runs of
+ * chains into one kernel launch.
  */
 enum class ElemStageKind : std::uint8_t {
     Scale,     ///< v = alpha * v
@@ -54,7 +61,7 @@ enum class ElemStageKind : std::uint8_t {
     AddConst,  ///< v = v + c[i]   (c may broadcast 1 x C over rows)
 };
 
-/** One stage of a fused elementwise chain. */
+/** One stage of an elementwise chain. */
 struct ElemStage
 {
     ElemStageKind kind = ElemStageKind::Scale;
@@ -117,36 +124,26 @@ void parallelChunks(std::size_t n, std::size_t grain,
 
 /** out = a + b (same shape). */
 void addInto(const Tensor& a, const Tensor& b, Tensor& out);
-/** out = a - b (same shape). */
-void subInto(const Tensor& a, const Tensor& b, Tensor& out);
 /** out = a * b elementwise (same shape). */
 void mulInto(const Tensor& a, const Tensor& b, Tensor& out);
-/** out = alpha * a. */
-void scaleInto(const Tensor& a, float alpha, Tensor& out);
-/** out = a + alpha. */
-void addScalarInto(const Tensor& a, float alpha, Tensor& out);
 /** out = max(a, 0). */
 void reluInto(const Tensor& a, Tensor& out);
-/** out = a * c elementwise; c may broadcast 1 x C over rows. */
-void mulConstInto(const Tensor& a, const Tensor& c, Tensor& out);
-/** out = a + c elementwise; c may broadcast 1 x C over rows. */
-void addConstInto(const Tensor& a, const Tensor& c, Tensor& out);
 /**
- * Fused elementwise chain: applies the stages to each element in
- * recorded order, every stage computed with the same single rounded
- * float operation as its unfused counterpart, so fusion of any length
- * is bitwise invisible. (The build uses no -march/-ffp-contract flags,
- * so the compiler cannot contract a multiply-add pair into an FMA; the
- * Program parity tests pin this.)
+ * Elementwise chain: applies the stages to each element in recorded
+ * order, each stage one rounded float operation whatever the chain's
+ * length, so running a merged chain gives the same bits as running its
+ * one-stage pieces in turn. (The build uses no -march/-ffp-contract
+ * flags, so the compiler cannot contract a multiply-add pair into an
+ * FMA; the Program parity tests pin this.)
  */
 void elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
                    Tensor& out);
 /**
  * Backward of elemChainInto: ga += g times the chain's constant diagonal
- * Jacobian. The Scale/MulConst stages apply in reverse order, each with
- * the one rounded multiply of its unfused backward step; the Add stages
- * have an identity Jacobian and are skipped. The product is added into
- * ga once, so the result is bitwise equal to the unfused backward steps
+ * Jacobian. The Scale/MulConst stages apply in reverse order, one
+ * rounded multiply each; the Add stages have an identity Jacobian and
+ * are skipped. The product is added into ga once, so a merged chain's
+ * result is bitwise equal to its one-stage pieces' backward steps
  * accumulating through freshly zeroed grad slots.
  */
 void elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,

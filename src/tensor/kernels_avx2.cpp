@@ -177,17 +177,6 @@ addSpan(const float* a, const float* b, float* o, std::size_t n)
 }
 
 SMOOTHE_AVX2_FN void
-subSpan(const float* a, const float* b, float* o, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(o + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                              _mm256_loadu_ps(b + i)));
-    for (; i < n; ++i)
-        o[i] = a[i] - b[i];
-}
-
-SMOOTHE_AVX2_FN void
 mulSpan(const float* a, const float* b, float* o, std::size_t n)
 {
     std::size_t i = 0;
@@ -554,11 +543,6 @@ unreachable()
 
 void
 addSpan(const float*, const float*, float*, std::size_t)
-{
-    unreachable();
-}
-void
-subSpan(const float*, const float*, float*, std::size_t)
 {
     unreachable();
 }

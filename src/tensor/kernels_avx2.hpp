@@ -36,8 +36,6 @@ namespace smoothe::tensor::avx2 {
 
 /** o[i] = a[i] + b[i]. */
 void addSpan(const float* a, const float* b, float* o, std::size_t n);
-/** o[i] = a[i] - b[i]. */
-void subSpan(const float* a, const float* b, float* o, std::size_t n);
 /** o[i] = a[i] * b[i]. */
 void mulSpan(const float* a, const float* b, float* o, std::size_t n);
 /** o[i] = alpha * a[i]. */

@@ -204,7 +204,8 @@ TEST(Tape, ForwardElementwise)
     const VarId va = tape.constant(a);
     const VarId vb = tape.constant(b);
     EXPECT_FLOAT_EQ(tape.value(tape.add(va, vb)).at(0, 1), 0.0f);
-    EXPECT_FLOAT_EQ(tape.value(tape.sub(va, vb)).at(0, 0), -1.0f);
+    EXPECT_FLOAT_EQ(tape.value(tape.addConst(va, b)).at(0, 0), 3.0f);
+    EXPECT_FLOAT_EQ(tape.value(tape.mulConst(va, b)).at(0, 1), -4.0f);
     EXPECT_FLOAT_EQ(tape.value(tape.mul(va, vb)).at(0, 2), 6.0f);
     EXPECT_FLOAT_EQ(tape.value(tape.scale(va, -2.0f)).at(0, 0), -2.0f);
     EXPECT_FLOAT_EQ(tape.value(tape.addScalar(va, 5.0f)).at(0, 1), 3.0f);
@@ -317,7 +318,7 @@ TEST(GradCheck, Elementwise)
         const VarId va = tape.leaf(&a);
         const VarId vb = tape.leaf(&b);
         const VarId expr = tape.mul(tape.add(va, tape.scale(vb, 0.5f)),
-                                    tape.sub(va, vb));
+                                    tape.add(va, tape.scale(vb, -1.0f)));
         return tape.sumAll(expr);
     });
 }
@@ -588,12 +589,15 @@ TEST(Adam, ConvergesOnQuadratic)
     target.at(0, 1) = -2.0f;
     target.at(0, 2) = 0.5f;
     target.at(0, 3) = 3.0f;
+    Tensor negTarget(1, 4);
+    for (std::size_t i = 0; i < 4; ++i)
+        negTarget.data()[i] = -target.data()[i];
 
     ad::Adam opt({&x}, ad::AdamConfig{0.1f, 0.9f, 0.999f, 1e-8f});
     for (int i = 0; i < 400; ++i) {
         opt.zeroGrad();
         Tape tape;
-        const VarId diff = tape.sub(tape.leaf(&x), tape.constant(target));
+        const VarId diff = tape.addConst(tape.leaf(&x), negTarget);
         const VarId loss = tape.sumAll(tape.mul(diff, diff));
         tape.backward(loss);
         opt.step();

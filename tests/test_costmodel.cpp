@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "autodiff/gradcheck.hpp"
+#include "autodiff/program.hpp"
 #include "costmodel/cost_model.hpp"
 #include "datasets/generators.hpp"
 #include "extraction/random_sample.hpp"
@@ -110,6 +112,55 @@ TEST(MlpCost, ForwardBatchMatchesDiscrete)
     ASSERT_EQ(outputs.size(), 3u);
     for (std::size_t r = 0; r < 3; ++r)
         EXPECT_NEAR(outputs[r], mlp.discrete(rows[r]), 1e-5);
+}
+
+TEST(MlpCost, CompiledLossMatchesTapeBitwise)
+{
+    // The MLP's training loss is the one recording that runs MatMul,
+    // Relu and AddRowBroadcast through compiled replay: its MSE tail,
+    // recorded as trainSynthetic records it, must give the Tape's loss
+    // and input gradient bit for bit, on every replay.
+    smoothe::util::Rng rng(53);
+    constexpr std::size_t kRows = 7;
+    constexpr std::size_t kCols = 12;
+    cm::MlpCost mlp(kCols, rng);
+    ad::Tensor input(kRows, kCols);
+    for (std::size_t i = 0; i < input.size(); ++i)
+        input.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+    ad::Tensor negTargets(kRows, 1);
+    for (std::size_t r = 0; r < kRows; ++r)
+        negTargets.at(r, 0) = -static_cast<float>(rng.uniform(-10.0, -1.0));
+    auto recordLoss = [&](ad::Tape& tape, ad::Param& x) {
+        const ad::VarId diff =
+            tape.addConst(mlp.build(tape, tape.leaf(&x)), negTargets);
+        return tape.scale(tape.sumAll(tape.mul(diff, diff)),
+                          1.0f / static_cast<float>(kRows));
+    };
+
+    ad::Param tapeInput{input};
+    ad::Tape tape;
+    const ad::VarId tapeLoss = recordLoss(tape, tapeInput);
+    tape.backward(tapeLoss);
+
+    ad::Param programInput{input};
+    ad::Tape recording;
+    const ad::VarId programLoss = recordLoss(recording, programInput);
+    ad::Program program(std::move(recording), programLoss);
+    for (int replay = 0; replay < 2; ++replay) {
+        programInput.zeroGrad();
+        program.forward();
+        program.backward();
+        EXPECT_EQ(std::memcmp(tape.value(tapeLoss).data(),
+                              program.value(programLoss).data(),
+                              sizeof(float)),
+                  0)
+            << "replay " << replay;
+        EXPECT_EQ(std::memcmp(tapeInput.grad.data(),
+                              programInput.grad.data(),
+                              input.size() * sizeof(float)),
+                  0)
+            << "replay " << replay;
+    }
 }
 
 TEST(MlpCost, DifferentSeedsDifferentModels)

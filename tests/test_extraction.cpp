@@ -168,6 +168,42 @@ TEST(Costs, NeededClasses)
         EXPECT_TRUE(sel.chosen(cls));
 }
 
+TEST(Costs, RootedSelectionUnchoosesRootOnMissingChoice)
+{
+    eg::EGraph g;
+    const auto root = g.addClass();
+    const auto a = g.addClass();
+    const auto shared = g.addClass();
+    const auto unused = g.addClass();
+    g.addNode(root, "+", {a, shared}, 1.0);
+    g.addNode(a, "f", {shared}, 2.0);
+    g.addNode(shared, "x", {}, 10.0);
+    g.addNode(unused, "y", {}, 1.0);
+    g.setRoot(root);
+    ASSERT_FALSE(g.finalize().has_value());
+    std::vector<eg::NodeId> choice(4);
+    for (eg::ClassId cls = 0; cls < 4; ++cls)
+        choice[cls] = g.nodesInClass(cls).front();
+
+    // Complete choices: the walk keeps the needed classes only.
+    const ex::Selection full = ex::rootedSelection(g, choice);
+    EXPECT_TRUE(ex::validate(g, full).ok());
+    EXPECT_TRUE(full.chosen(shared));
+    EXPECT_FALSE(full.chosen(unused));
+
+    // A needed class without a choice leaves the root unchosen.
+    choice[shared] = eg::kNoNode;
+    const ex::Selection missing = ex::rootedSelection(g, choice);
+    EXPECT_FALSE(missing.chosen(root));
+    EXPECT_EQ(ex::validate(g, missing).violation,
+              ex::Violation::RootUnchosen);
+
+    // So does a root without one, even when the rest is complete.
+    choice[shared] = g.nodesInClass(shared).front();
+    choice[root] = eg::kNoNode;
+    EXPECT_FALSE(ex::rootedSelection(g, choice).chosen(root));
+}
+
 TEST(BottomUp, FindsHeuristicSolutionOnPaperGraph)
 {
     const eg::EGraph g = paperGraph();
