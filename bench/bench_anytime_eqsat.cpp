@@ -131,11 +131,11 @@ median(std::vector<double> values)
 int
 main(int argc, char** argv)
 {
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"epochs"});
-    const util::Args args(argc, argv);
-    const std::size_t epochs = static_cast<std::size_t>(
-        std::max<std::int64_t>(2, args.getInt("epochs", 6)));
+    std::size_t epochs = 6;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            epochs = std::max<std::size_t>(2, args.getCount("epochs", 6));
+        });
     // Final node budget per workload; epochs ramp up to it so every
     // epoch actually grows the graph.
     const std::size_t finalBudget = std::max<std::size_t>(

@@ -20,11 +20,12 @@ using namespace smoothe;
 int
 main(int argc, char** argv)
 {
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"max-seeds"});
-    const util::Args args(argc, argv);
-    const std::size_t maxSeeds = static_cast<std::size_t>(
-        args.getInt("max-seeds", options.quick ? 64 : 256));
+    std::size_t maxSeeds = 0;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            maxSeeds = args.getCount(
+                "max-seeds", args.getBool("quick", false) ? 64 : 256);
+        });
 
     // box_3 at 3x the sweep scale: the seed-batching effect needs a graph
     // with enough local optima that single seeds get stuck (Figure 7 uses

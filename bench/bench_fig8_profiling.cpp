@@ -26,10 +26,11 @@ using namespace smoothe;
 int
 main(int argc, char** argv)
 {
-    const util::Args args(argc, argv);
-    const bool opProfile = args.getBool("op-profile", false);
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"op-profile"});
+    bool opProfile = false;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            opProfile = args.getBool("op-profile", false);
+        });
     if (opProfile)
         obs::Profiler::instance().enable();
     std::printf("=== Figure 8: run-time profiling of SmoothE ===\n");

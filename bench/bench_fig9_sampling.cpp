@@ -18,11 +18,11 @@ using namespace smoothe;
 int
 main(int argc, char** argv)
 {
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"iters"});
-    const util::Args args(argc, argv);
-    const std::size_t iters =
-        static_cast<std::size_t>(args.getInt("iters", 60));
+    std::size_t iters = 60;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            iters = args.getCount("iters", 60);
+        });
 
     std::printf("=== Figure 9: optimization loss vs sampling loss ===\n");
 

@@ -120,10 +120,11 @@ struct MethodStats
 int
 main(int argc, char** argv)
 {
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"sweep-assumption"});
-    const util::Args args(argc, argv);
-    const bool sweepAssumption = args.getBool("sweep-assumption", false);
+    bool sweepAssumption = false;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            sweepAssumption = args.getBool("sweep-assumption", false);
+        });
 
     std::printf("=== Table 2: linear cost model, 5 realistic datasets ===\n");
     std::printf("scale %.2f, ILP time limit %.1fs, SmoothE %zu runs\n\n",

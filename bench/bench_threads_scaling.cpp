@@ -27,12 +27,12 @@ using namespace smoothe;
 int
 main(int argc, char** argv)
 {
-    const bench::BenchOptions options =
-        bench::BenchOptions::parse(argc, argv, {"max-threads"});
-    const util::Args args(argc, argv);
-    const std::size_t maxThreads = static_cast<std::size_t>(args.getInt(
-        "max-threads",
-        static_cast<std::int64_t>(util::ThreadPool::hardwareThreads())));
+    std::size_t maxThreads = 0;
+    const bench::BenchOptions options = bench::BenchOptions::parse(
+        argc, argv, [&](const util::Args& args) {
+            maxThreads = args.getCount(
+                "max-threads", util::ThreadPool::hardwareThreads());
+        });
 
     auto rover =
         datasets::roverNamedInstances(options.scale * 3.0, options.seed);

@@ -15,7 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,9 +46,9 @@ struct BenchOptions
     /**
      * Parses the shared harness flags, installs telemetry (--trace-out,
      * --metrics-out, --report-out), and exits with status 2 on any flag
-     * nobody understands. Benches with extra
-     * private flags list them in extra_known so they are not rejected
-     * here.
+     * nobody understands or any numeric flag whose value does not parse.
+     * Benches with private flags read them in read_extra, so those flags
+     * get the same checks.
      *
      * Every bench gets a process-wide obs::Report: --report-out FILE
      * names the output explicitly, otherwise it defaults to
@@ -58,9 +58,11 @@ struct BenchOptions
      */
     static BenchOptions
     parse(int argc, char** argv,
-          std::initializer_list<const char*> extra_known = {})
+          const std::function<void(const util::Args&)>& read_extra = {})
     {
         const util::Args args(argc, argv);
+        if (read_extra)
+            read_extra(args);
         BenchOptions options;
         options.tool = obs::toolNameFromArgv0(
             argc > 0 ? argv[0] : nullptr, "bench");
@@ -68,10 +70,8 @@ struct BenchOptions
         options.seed = static_cast<std::uint64_t>(
             args.getInt("seed", static_cast<std::int64_t>(options.seed)));
         options.timeLimit = args.getDouble("time-limit", options.timeLimit);
-        options.runs = static_cast<std::size_t>(
-            args.getInt("runs", static_cast<std::int64_t>(options.runs)));
-        options.maxGraphs = static_cast<std::size_t>(args.getInt(
-            "max-graphs", static_cast<std::int64_t>(options.maxGraphs)));
+        options.runs = args.getCount("runs", options.runs);
+        options.maxGraphs = args.getCount("max-graphs", options.maxGraphs);
         options.repeat = static_cast<std::size_t>(std::max<std::int64_t>(
             1,
             args.getInt("repeat",
@@ -103,8 +103,6 @@ struct BenchOptions
         report.setRun("repeat", options.repeat);
         report.setRun("warmup", options.warmup);
         report.setRun("quick", options.quick);
-        for (const char* name : extra_known)
-            args.acknowledge(name);
         if (obs::reportUnknownFlags(args, argv[0] ? argv[0] : "bench") > 0)
             std::exit(2);
         return options;

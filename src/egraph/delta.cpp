@@ -1,6 +1,5 @@
 #include "egraph/delta.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace smoothe::eg {
@@ -8,8 +7,6 @@ namespace smoothe::eg {
 bool
 GraphDelta::isIdentity() const
 {
-    if (!dirtyClasses.empty())
-        return false;
     if (nodeForward.size() != prevNumNodes ||
         classForward.size() != prevNumClasses)
         return false;
@@ -116,29 +113,6 @@ GraphDelta::checkConsistent(const EGraph& next) const
         }
     }
 
-    if (!std::is_sorted(dirtyClasses.begin(), dirtyClasses.end()))
-        return problem("dirtyClasses is not sorted");
-    std::vector<char> dirty(next.numClasses(), 0);
-    for (std::size_t i = 0; i < dirtyClasses.size(); ++i) {
-        const ClassId c = dirtyClasses[i];
-        if (c >= next.numClasses())
-            return problem("dirty class ", c, " is out of range");
-        if (dirty[c])
-            return problem("dirty class ", c, " is listed twice");
-        dirty[c] = 1;
-    }
-    for (ClassId c = 0; c < next.numClasses(); ++c) {
-        if (prevClasses[c].size() != 1 && !dirty[c])
-            return problem("class ", c, " was created or merged (",
-                           prevClasses[c].size(),
-                           " preimages) but is not marked dirty");
-    }
-    for (NodeId n = 0; n < next.numNodes(); ++n) {
-        if (prevNode[n] == kNoNode && !dirty[next.classOf(n)])
-            return problem("new node ", n, " joined class ",
-                           next.classOf(n),
-                           " which is not marked dirty");
-    }
     return std::nullopt;
 }
 

@@ -5,9 +5,8 @@
  * An equality-saturation loop only ever grows the e-graph: nodes are
  * added and classes are merged, never removed. A GraphDelta captures the
  * resulting mapping between the previous export and the next one so that
- * consumers (the incremental extractors, SmoothE's warm start, the
- * compiled-Program patcher) can carry state forward instead of
- * recomputing from scratch. Produced by
+ * SmoothE's warm start can carry its parameters forward instead of
+ * starting from scratch. Produced by
  * eqsat::MutEGraph::exportIncremental, which owns the ground-truth
  * identity of every node and class across epochs.
  */
@@ -49,14 +48,12 @@ struct GraphDelta
     std::vector<std::vector<ClassId>> prevClasses;
 
     /**
-     * Next classes whose membership changed: created, merged, or with a
-     * node set that differs from the single prev preimage. Sorted
-     * ascending. Parents of these classes are exactly where incremental
-     * cost relaxation must restart.
+     * True when nothing changed: both forward maps are the identity and
+     * the next graph has as many nodes and classes as the prev one. A
+     * merge or a congruent collapse makes a forward map non-injective,
+     * and a new node or class grows the next graph, so either is never
+     * an identity.
      */
-    std::vector<ClassId> dirtyClasses;
-
-    /** True when nothing changed (every map is the identity). */
     bool isIdentity() const;
 
     /** The no-op delta for re-extracting an unchanged graph. */
@@ -66,9 +63,9 @@ struct GraphDelta
     void deriveReverseMaps(std::size_t next_nodes, std::size_t next_classes);
 
     /**
-     * Deep validator against the next graph: map sizes and ranges, the
-     * forward/reverse maps agree, and every created/merged/new-member
-     * class is listed dirty. @return std::nullopt when consistent.
+     * Deep validator against the next graph: map sizes and ranges, and
+     * the forward/reverse maps agree. @return std::nullopt when
+     * consistent.
      */
     std::optional<std::string> checkConsistent(const EGraph& next) const;
 };

@@ -308,25 +308,6 @@ EGraph::classSccs() const
     return sccs;
 }
 
-bool
-EGraph::dependencyGraphIsAcyclic() const
-{
-    requireFinalized();
-    // A class-level self edge (node whose child is its own class) is a
-    // 1-cycle; otherwise any SCC with more than one member is a cycle.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        for (ClassId child : nodes_[i].children) {
-            if (child == nodeClass_[i])
-                return false;
-        }
-    }
-    for (const auto& scc : classSccs()) {
-        if (scc.size() > 1)
-            return false;
-    }
-    return true;
-}
-
 std::vector<ClassId>
 EGraph::reachableClasses() const
 {
@@ -349,117 +330,6 @@ EGraph::reachableClasses() const
         }
     }
     return order;
-}
-
-EGraph
-EGraph::pruned() const
-{
-    requireFinalized();
-
-    // Pass 1: find satisfiable nodes/classes bottom-up. A node is live when
-    // every child class has at least one live node; a class is live when it
-    // has a live node. Fixed-point iteration (cycles cannot become live
-    // through themselves alone, matching extractor feasibility).
-    const std::size_t n = numNodes();
-    const std::size_t m = numClasses();
-    std::vector<bool> nodeLive(n, false);
-    std::vector<bool> classLive(m, false);
-    std::vector<std::size_t> pendingChildren(n, 0);
-
-    std::vector<NodeId> queue;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<ClassId> distinct = nodes_[i].children;
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        pendingChildren[i] = distinct.size();
-        if (distinct.empty())
-            queue.push_back(static_cast<NodeId>(i));
-    }
-    while (!queue.empty()) {
-        const NodeId nid = queue.back();
-        queue.pop_back();
-        if (nodeLive[nid])
-            continue;
-        nodeLive[nid] = true;
-        const ClassId cls = nodeClass_[nid];
-        if (classLive[cls])
-            continue;
-        classLive[cls] = true;
-        // Class became live: decrement pending count of parents that wait
-        // on it.
-        for (NodeId parent : classParents_[cls]) {
-            if (nodeLive[parent])
-                continue;
-            if (--pendingChildren[parent] == 0)
-                queue.push_back(parent);
-        }
-    }
-
-    // Pass 2: keep classes reachable from the root through live nodes.
-    std::vector<bool> keepClass(m, false);
-    if (root_ < m && classLive[root_]) {
-        std::vector<ClassId> stack{root_};
-        keepClass[root_] = true;
-        while (!stack.empty()) {
-            const ClassId cls = stack.back();
-            stack.pop_back();
-            for (NodeId nid : classNodes_[cls]) {
-                if (!nodeLive[nid])
-                    continue;
-                for (ClassId child : nodes_[nid].children) {
-                    if (!keepClass[child] && classLive[child]) {
-                        keepClass[child] = true;
-                        stack.push_back(child);
-                    }
-                }
-            }
-        }
-    }
-
-    EGraph out;
-    std::vector<ClassId> remap(m, kNoClass);
-    for (std::size_t j = 0; j < m; ++j) {
-        if (keepClass[j])
-            remap[j] = out.addClass();
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-        if (!keepClass[j])
-            continue;
-        for (NodeId nid : classNodes_[j]) {
-            if (!nodeLive[nid])
-                continue;
-            // Drop nodes referencing pruned child classes.
-            bool ok = true;
-            std::vector<ClassId> children;
-            children.reserve(nodes_[nid].children.size());
-            for (ClassId child : nodes_[nid].children) {
-                if (remap[child] == kNoClass) {
-                    ok = false;
-                    break;
-                }
-                children.push_back(remap[child]);
-            }
-            if (ok)
-                out.addNode(remap[j], nodes_[nid].op, std::move(children),
-                            nodes_[nid].cost);
-        }
-    }
-    if (root_ < m && remap[root_] != kNoClass)
-        out.setRoot(remap[root_]);
-    else if (out.numClasses() > 0)
-        out.setRoot(0);
-    else {
-        // Degenerate: no feasible extraction; return a single-class stub so
-        // finalize() still succeeds and extractors can report infeasible.
-        const ClassId cls = out.addClass();
-        out.addNode(cls, "<infeasible>", {}, 0.0);
-        out.setRoot(cls);
-    }
-    const auto err = out.finalize();
-    SMOOTHE_ASSERT(!err.has_value(), "pruned e-graph failed finalize: %s",
-                   err ? err->c_str() : "");
-    return out;
 }
 
 } // namespace smoothe::eg

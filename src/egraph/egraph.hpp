@@ -139,26 +139,10 @@ class EGraph
     std::vector<std::vector<ClassId>> classSccs() const;
 
     /**
-     * True when the class dependency graph restricted to classes reachable
-     * from the root is acyclic (ignoring self-contained alternative
-     * choices; this is a structural property of the whole e-graph, not of
-     * a particular extraction).
-     */
-    bool dependencyGraphIsAcyclic() const;
-
-    /**
      * Classes reachable from the root through any e-node choice.
      * Needs finalize.
      */
     std::vector<ClassId> reachableClasses() const;
-
-    /**
-     * Removes classes (and their nodes) not reachable from the root and
-     * nodes whose children can never be satisfied (dead nodes). Returns a
-     * new finalized e-graph. Mirrors the pruning every practical extractor
-     * performs before optimization.
-     */
-    EGraph pruned() const;
 
   private:
     void requireFinalized() const;

@@ -549,39 +549,8 @@ MutEGraph::exportGraph(
     const std::function<double(const std::string&, std::size_t)>& cost_of)
     const
 {
-    eg::EGraph out;
-    // Map canonical mutable ids -> dense export class ids.
-    std::vector<Id> canonical;
-    std::unordered_map<Id, eg::ClassId> classMap;
-    for (Id id = 0; id < parent_.size(); ++id) {
-        if (find(id) == id) {
-            classMap[id] = out.addClass();
-            canonical.push_back(id);
-        }
-    }
-    // Emit each class's member nodes, deduplicated after canonicalization.
-    for (Id cls : canonical) {
-        std::unordered_map<Node, bool, NodeHash> emitted;
-        for (const Node& node : classes_[cls].nodes) {
-            const Node canon = canonicalize(node);
-            if (emitted.count(canon))
-                continue;
-            emitted[canon] = true;
-            std::vector<eg::ClassId> children;
-            children.reserve(canon.children.size());
-            for (Id child : canon.children)
-                children.push_back(classMap.at(find(child)));
-            const std::string& opName = symbols_[canon.op];
-            out.addNode(classMap.at(cls), opName, std::move(children),
-                        cost_of(opName, canon.children.size()));
-        }
-    }
-    out.setRoot(classMap.at(find(root)));
-    const auto err = out.finalize();
-    SMOOTHE_ASSERT(!err.has_value(), "exported e-graph must be well-formed: %s",
-                   err ? err->c_str() : "");
-    SMOOTHE_DCHECK_OK(out.checkInvariants());
-    return out;
+    ExportState fresh;
+    return exportIncremental(root, cost_of, fresh).graph;
 }
 
 void
@@ -785,13 +754,14 @@ MutEGraph::exportIncremental(
     ExportState& state) const
 {
     SMOOTHE_CHECK(worklist_.empty(),
-                  "exportIncremental requires a rebuilt graph");
+                  "export requires a rebuilt graph");
     ExportResult result;
     eg::EGraph& out = result.graph;
 
-    // Identical emission order to exportGraph() — the exported graph is
-    // bit-for-bit the same — additionally recording export ids so the
-    // delta can relate this epoch to the last one held in `state`.
+    // Map canonical mutable ids to dense export class ids, then emit each
+    // class's member nodes, deduplicated after canonicalization. The
+    // export ids are recorded so the delta can relate this epoch to the
+    // last one held in `state`.
     std::vector<Id> canonical;
     std::unordered_map<Id, eg::ClassId> classMap;
     for (Id id = 0; id < parent_.size(); ++id) {
@@ -801,7 +771,6 @@ MutEGraph::exportIncremental(
         }
     }
     std::unordered_map<Node, eg::NodeId, NodeHash> nodeByForm;
-    std::vector<std::size_t> classNodeCount(canonical.size(), 0);
     for (Id cls : canonical) {
         for (const Node& node : classes_[cls].nodes) {
             const Node canon = canonicalize(node);
@@ -816,7 +785,6 @@ MutEGraph::exportIncremental(
                 out.addNode(classMap.at(cls), opName, std::move(children),
                             cost_of(opName, canon.children.size()));
             nodeByForm[canon] = nodeId;
-            ++classNodeCount[classMap.at(cls)];
         }
     }
     out.setRoot(classMap.at(find(root)));
@@ -850,28 +818,6 @@ MutEGraph::exportIncremental(
     }
     delta.deriveReverseMaps(out.numNodes(), out.numClasses());
 
-    // A class is dirty when it was created or merged this epoch, gained
-    // a genuinely new node, or its member count changed (congruent
-    // collapse). Those are exactly the classes whose cost-table rows an
-    // incremental extractor must recompute.
-    std::vector<char> dirty(out.numClasses(), 0);
-    for (eg::ClassId c = 0; c < out.numClasses(); ++c) {
-        if (delta.prevClasses[c].size() != 1) {
-            dirty[c] = 1;
-            continue;
-        }
-        const eg::ClassId p = delta.prevClasses[c][0];
-        if (state.classNodeCount[p] != classNodeCount[c])
-            dirty[c] = 1;
-    }
-    for (eg::NodeId n = 0; n < out.numNodes(); ++n) {
-        if (delta.prevNode[n] == eg::kNoNode)
-            dirty[out.classOf(n)] = 1;
-    }
-    for (eg::ClassId c = 0; c < out.numClasses(); ++c) {
-        if (dirty[c])
-            delta.dirtyClasses.push_back(c);
-    }
     SMOOTHE_DCHECK_OK(delta.checkConsistent(out));
 
     state.valid = true;
@@ -879,7 +825,6 @@ MutEGraph::exportIncremental(
     state.prevNumClasses = out.numClasses();
     state.classOfMut = std::move(classMap);
     state.nodeByForm = std::move(nodeByForm);
-    state.classNodeCount = std::move(classNodeCount);
     return result;
 }
 

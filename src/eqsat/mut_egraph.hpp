@@ -72,8 +72,6 @@ struct ExportState
     std::unordered_map<Id, eg::ClassId> classOfMut;
     /** prev canonical node form -> prev export node id. */
     std::unordered_map<Node, eg::NodeId, NodeHash> nodeByForm;
-    /** prev export class -> emitted node count. */
-    std::vector<std::size_t> classNodeCount;
 };
 
 /** One incremental export: the new graph plus the delta from the last. */
@@ -182,7 +180,8 @@ class MutEGraph
     RunStats run(const std::vector<Rewrite>& rules, const RunLimits& limits);
 
     /**
-     * Exports into the immutable extraction e-graph.
+     * Exports into the immutable extraction e-graph: exportIncremental()'s
+     * graph, from a fresh ExportState. Requires a rebuilt graph.
      * @param root e-class that becomes the extraction root
      * @param cost_of maps an operator name (and arity) to a per-node cost
      */
@@ -192,11 +191,11 @@ class MutEGraph
             cost_of) const;
 
     /**
-     * Exports like exportGraph() (bit-identical graph) and additionally
-     * emits the GraphDelta mapping the previous export recorded in
-     * `state` onto this one. On the first call (state.valid == false)
-     * the delta is the trivial "everything is new" delta. The state is
-     * updated in place for the next epoch.
+     * Exports into the immutable extraction e-graph and emits the
+     * GraphDelta mapping the previous export recorded in `state` onto
+     * this one. On the first call (state.valid == false) the delta is
+     * the trivial "everything is new" delta. The state is updated in
+     * place for the next epoch. Requires a rebuilt graph.
      */
     ExportResult exportIncremental(
         Id root,

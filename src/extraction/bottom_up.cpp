@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 
-#include "egraph/delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -27,23 +26,30 @@ struct FixedPoint
     std::vector<NodeId> classChoice;
 };
 
-/** The carried cost table for incremental re-extraction. */
-struct CarriedFixedPoint : IncrementalBlob
-{
-    FixedPoint fp;
-};
-
 /**
- * Relaxes the egg-style worklist to a fixed point from the given seeds.
- * When tie_break_children is true, equal-cost updates prefer the node
- * with fewer children (the gym's heuristic+ tweak).
+ * Relaxes the egg-style worklist to a fixed point: infinite costs
+ * everywhere, leaves seed the queue. When tie_break_children is true,
+ * equal-cost updates prefer the node with fewer children (the gym's
+ * heuristic+ tweak).
  */
-void
-relax(const EGraph& graph, FixedPoint& fp, std::deque<NodeId>& queue,
-      std::vector<bool>& inQueue, bool tie_break_children)
+FixedPoint
+runWorklist(const EGraph& graph, bool tie_break_children)
 {
     obs::Span span("bottom_up.worklist", "extraction");
     static obs::Counter& updates = obs::counter("bottom_up.relaxations");
+    const std::size_t m = graph.numClasses();
+    FixedPoint fp;
+    fp.classCost.assign(m, kInf);
+    fp.classChoice.assign(m, kNoNode);
+
+    std::deque<NodeId> queue;
+    std::vector<bool> inQueue(graph.numNodes(), false);
+    for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
+        if (graph.node(nid).children.empty()) {
+            queue.push_back(nid);
+            inQueue[nid] = true;
+        }
+    }
 
     auto aggregated = [&](NodeId nid) -> double {
         double total = graph.node(nid).cost;
@@ -82,75 +88,6 @@ relax(const EGraph& graph, FixedPoint& fp, std::deque<NodeId>& queue,
             }
         }
     }
-}
-
-/** Cold start: infinite costs everywhere, leaves seed the queue. */
-FixedPoint
-runWorklist(const EGraph& graph, bool tie_break_children)
-{
-    const std::size_t m = graph.numClasses();
-    FixedPoint fp;
-    fp.classCost.assign(m, kInf);
-    fp.classChoice.assign(m, kNoNode);
-
-    std::deque<NodeId> queue;
-    std::vector<bool> inQueue(graph.numNodes(), false);
-    for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
-        if (graph.node(nid).children.empty()) {
-            queue.push_back(nid);
-            inQueue[nid] = true;
-        }
-    }
-    relax(graph, fp, queue, inQueue, tie_break_children);
-    return fp;
-}
-
-/**
- * Warm start: remap the previous epoch's converged table into the new id
- * space and re-relax only from the delta's dirty classes.
- *
- * Saturation is grow-only, so a carried cost is the cost of a tree that
- * still exists — an achievable upper bound — and per-class costs are
- * monotone non-increasing across epochs. Any class whose true cost
- * dropped lies upward of a dirty class through parent edges, which is
- * exactly the frontier the seed queue covers, so the relaxation reaches
- * the same least fixed point a cold run would.
- */
-FixedPoint
-resumeWorklist(const EGraph& graph, const eg::GraphDelta& delta,
-               const FixedPoint& prev, bool tie_break_children)
-{
-    static obs::Counter& resumed = obs::counter("bottom_up.resumed_classes");
-    const std::size_t m = graph.numClasses();
-    FixedPoint fp;
-    fp.classCost.assign(m, kInf);
-    fp.classChoice.assign(m, kNoNode);
-    for (ClassId p = 0; p < delta.prevNumClasses; ++p) {
-        if (prev.classCost[p] == kInf)
-            continue;
-        const ClassId c = delta.classForward[p];
-        if (prev.classCost[p] < fp.classCost[c]) {
-            fp.classCost[c] = prev.classCost[p];
-            fp.classChoice[c] = delta.nodeForward[prev.classChoice[p]];
-        }
-    }
-    resumed.add(m - delta.dirtyClasses.size());
-
-    std::deque<NodeId> queue;
-    std::vector<bool> inQueue(graph.numNodes(), false);
-    const auto enqueue = [&](NodeId nid) {
-        if (!inQueue[nid]) {
-            queue.push_back(nid);
-            inQueue[nid] = true;
-        }
-    };
-    for (ClassId c : delta.dirtyClasses) {
-        for (NodeId nid : graph.nodesInClass(c))
-            enqueue(nid);
-        for (NodeId parent : graph.parents(c))
-            enqueue(parent);
-    }
-    relax(graph, fp, queue, inQueue, tie_break_children);
     return fp;
 }
 
@@ -241,63 +178,20 @@ BottomUpExtractor::extractImpl(const EGraph& graph,
 }
 
 ExtractionResult
-BottomUpExtractor::extractIncrementalImpl(const EGraph& graph,
-                                          const eg::GraphDelta& delta,
-                                          IncrementalState& state,
-                                          const ExtractOptions& options)
-{
-    (void)options;
-    util::Timer timer;
-    const auto* prev = blobOf<CarriedFixedPoint>(state);
-    FixedPoint fp =
-        prev ? resumeWorklist(graph, delta, prev->fp,
-                              /*tie_break_children=*/false)
-             : runWorklist(graph, /*tie_break_children=*/false);
-    ExtractionResult result = buildResult(graph, fp, timer.seconds());
-    storeBlob<CarriedFixedPoint>(state).fp = std::move(fp);
-    return result;
-}
-
-ExtractionResult
 FasterBottomUpExtractor::extractImpl(const EGraph& graph,
                                  const ExtractOptions& options)
 {
     (void)options;
     util::Timer timer;
-    FixedPoint fp = runWorklist(graph, /*tie_break_children=*/true);
+    const FixedPoint pure = runWorklist(graph, /*tie_break_children=*/true);
+    FixedPoint fp = pure;
     refineDagAware(graph, fp);
     ExtractionResult refined = buildResult(graph, fp, timer.seconds());
     if (refined.ok())
         return refined;
     // The DAG-aware refinement can, on cyclic e-graphs, select into a
     // cycle; fall back to the plain fixed point which is always acyclic.
-    const FixedPoint safe = runWorklist(graph, /*tie_break_children=*/true);
-    return buildResult(graph, safe, timer.seconds());
-}
-
-ExtractionResult
-FasterBottomUpExtractor::extractIncrementalImpl(const EGraph& graph,
-                                                const eg::GraphDelta& delta,
-                                                IncrementalState& state,
-                                                const ExtractOptions& options)
-{
-    (void)options;
-    util::Timer timer;
-    const auto* prev = blobOf<CarriedFixedPoint>(state);
-    // The carried table is the pure (pre-refinement) fixed point: the
-    // DAG-aware post-pass depends on the root path, so its choices are
-    // not safe upper bounds to seed the next epoch with.
-    FixedPoint pure =
-        prev ? resumeWorklist(graph, delta, prev->fp,
-                              /*tie_break_children=*/true)
-             : runWorklist(graph, /*tie_break_children=*/true);
-    FixedPoint fp = pure;
-    refineDagAware(graph, fp);
-    ExtractionResult refined = buildResult(graph, fp, timer.seconds());
-    if (!refined.ok())
-        refined = buildResult(graph, pure, timer.seconds());
-    storeBlob<CarriedFixedPoint>(state).fp = std::move(pure);
-    return refined;
+    return buildResult(graph, pure, timer.seconds());
 }
 
 } // namespace smoothe::extract

@@ -9,10 +9,9 @@
  * minimizes *tree* cost and therefore over-counts shared subexpressions.
  *
  * FasterBottomUpExtractor is the improved variant from the extraction gym
- * ("Heuristic+"): identical fixed point, but pending-children counting
- * avoids redundant requeues, and ties are broken toward e-nodes with fewer
- * children, then smaller DAG footprint via a post-pass that rebuilds the
- * selection top-down sharing already-selected classes.
+ * ("Heuristic+"): the same worklist, but ties are broken toward e-nodes
+ * with fewer children, then smaller DAG footprint via a post-pass that
+ * rebuilds the selection top-down sharing already-selected classes.
  */
 
 #ifndef SMOOTHE_EXTRACTION_BOTTOM_UP_HPP
@@ -28,22 +27,9 @@ class BottomUpExtractor : public Extractor
   public:
     std::string name() const override { return "heuristic"; }
 
-    bool supportsIncremental() const override { return true; }
-
   protected:
     ExtractionResult extractImpl(const eg::EGraph& graph,
                                  const ExtractOptions& options) override;
-
-    /**
-     * Carries the converged per-class cost table across epochs; only
-     * classes the delta marks dirty (and their transitive parents) are
-     * re-relaxed, reaching the same fixed point as from scratch.
-     */
-    ExtractionResult
-    extractIncrementalImpl(const eg::EGraph& graph,
-                           const eg::GraphDelta& delta,
-                           IncrementalState& state,
-                           const ExtractOptions& options) override;
 };
 
 /** The extraction-gym "faster-bottom-up" improved heuristic. */
@@ -52,22 +38,9 @@ class FasterBottomUpExtractor : public Extractor
   public:
     std::string name() const override { return "heuristic+"; }
 
-    bool supportsIncremental() const override { return true; }
-
   protected:
     ExtractionResult extractImpl(const eg::EGraph& graph,
                                  const ExtractOptions& options) override;
-
-    /**
-     * Carries the pre-refinement fixed point (the DAG-aware post-pass
-     * is root-dependent and cheap, so it reruns every epoch on top of
-     * the incrementally repaired cost table).
-     */
-    ExtractionResult
-    extractIncrementalImpl(const eg::EGraph& graph,
-                           const eg::GraphDelta& delta,
-                           IncrementalState& state,
-                           const ExtractOptions& options) override;
 };
 
 } // namespace smoothe::extract

@@ -90,7 +90,7 @@ class IncrementalState
     IncrementalState() = default;
 
     /** True when no previous extraction has been recorded. */
-    bool empty() const { return blob_ == nullptr; }
+    bool empty() const { return owner_ == nullptr; }
 
     /** Forgets the previous extraction; the next call starts cold. */
     void reset()
@@ -141,13 +141,6 @@ class Extractor
                              const ExtractOptions& options);
 
     /**
-     * True when extractIncremental() actually reuses previous work;
-     * extractors that leave the default fall back to a from-scratch
-     * extractImpl() on every epoch (still valid, just not faster).
-     */
-    virtual bool supportsIncremental() const { return false; }
-
-    /**
      * Re-extracts after the e-graph grew. `delta` must relate the graph
      * `state` last saw to `graph` (eqsat::MutEGraph::exportIncremental
      * produces exactly that pairing); on a fresh or reset() state the
@@ -167,8 +160,9 @@ class Extractor
 
     /**
      * The extractor-specific incremental search behind
-     * extractIncremental(). The default ignores the delta and state and
-     * re-runs extractImpl() from scratch. Overrides read their carried
+     * extractIncremental(). The default, which every extractor but
+     * SmoothE keeps, ignores the delta and state and re-runs
+     * extractImpl() from scratch. Overrides read their carried
      * state with blobOf<T>() — null on the first epoch or after a
      * reset() — and persist the new state with storeBlob<T>().
      */

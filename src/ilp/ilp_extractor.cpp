@@ -50,7 +50,7 @@ buildExtractionLp(const EGraph& graph)
     for (NodeId nid = 0; nid < n; ++nid)
         lp.addVariable(graph.node(nid).cost, 1.0);
 
-    const bool cyclic = !graph.dependencyGraphIsAcyclic();
+    const bool cyclic = !extract::CyclicSccs::of(graph).classes.empty();
     // t variables (only useful on cyclic graphs, but harmless otherwise;
     // we add them only when needed to keep the simplex small).
     const std::size_t tBase = n;
@@ -134,7 +134,7 @@ class BnBSearch
         const std::size_t m = graph.numClasses();
 
         // Feasibility: a node is usable iff all child classes have some
-        // usable node (bottom-up liveness, identical to EGraph::pruned).
+        // usable node (bottom-up liveness).
         nodeFeasible_.assign(n, false);
         classFeasible_.assign(m, false);
         std::vector<std::size_t> pending(n, 0);
@@ -663,18 +663,6 @@ IlpExtractor::extractImpl(const EGraph& graph,
         result.cost = extract::dagCost(graph, result.selection);
     }
     return result;
-}
-
-double
-IlpExtractor::rootRelaxation(const EGraph& graph, std::size_t size_cap) const
-{
-    const LinearProgram lp = buildExtractionLp(graph);
-    if (lp.numVariables() > size_cap || lp.numConstraints() > size_cap)
-        return std::numeric_limits<double>::quiet_NaN();
-    const LpResult result = solveSimplex(lp);
-    if (result.status != LpStatus::Optimal)
-        return std::numeric_limits<double>::quiet_NaN();
-    return result.objective;
 }
 
 } // namespace smoothe::ilp

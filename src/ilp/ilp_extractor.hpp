@@ -9,8 +9,8 @@
  *   (1c) s_i <= sum of s_k over each child class (completeness),
  *   (1e/f) topological-order variables forbidding cycles.
  *
- * buildExtractionLp() materializes that model for the dense simplex (used
- * for root relaxation bounds and in tests). The production search in
+ * buildExtractionLp() materializes that model for the dense simplex, which
+ * the Strong and Medium presets branch on for small models. Otherwise
  * IlpExtractor branches on *class choices* — each branch decides which
  * e-node a needed class uses — with an admissible lower bound
  * (cost so far + sum of per-class minimum costs over open classes),
@@ -54,14 +54,6 @@ class IlpExtractor : public extract::Extractor
     {}
 
     std::string name() const override { return presetName(preset_); }
-
-    /**
-     * Root LP relaxation value (a global lower bound), or NaN when the
-     * model is too large for the dense simplex. Strong preset only uses
-     * this for gap reporting; it does not affect the search.
-     */
-    double rootRelaxation(const eg::EGraph& graph,
-                          std::size_t size_cap = 2000) const;
 
   protected:
     extract::ExtractionResult

@@ -194,7 +194,13 @@ reportUnknownFlags(const util::Args& args, const char* program)
     for (const std::string& name : unknown)
         std::fprintf(stderr, "smoothe: %s: unrecognized flag --%s\n",
                      program, name.c_str());
-    return unknown.size();
+    const std::vector<std::string> malformed = args.malformed();
+    for (const std::string& name : malformed)
+        std::fprintf(stderr,
+                     "smoothe: %s: malformed value '%s' for --%s\n",
+                     program, args.getString(name, "").c_str(),
+                     name.c_str());
+    return unknown.size() + malformed.size();
 }
 
 } // namespace smoothe::obs

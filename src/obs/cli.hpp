@@ -58,10 +58,11 @@ void installTelemetryExitHooks();
 std::string toolNameFromArgv0(const char* argv0, const char* fallback);
 
 /**
- * Prints an error to stderr for every flag the program never queried (call after all
- * known flags — including the telemetry ones — have been read) and
- * returns how many there were. Callers treat a nonzero return as a usage
- * error and exit with a nonzero status.
+ * Prints an error to stderr for every flag the program never queried and
+ * every numeric flag whose value did not parse (call after all known
+ * flags — including the telemetry ones — have been read) and returns how
+ * many there were. Callers treat a nonzero return as a usage error and
+ * exit with status 2.
  */
 std::size_t reportUnknownFlags(const util::Args& args, const char* program);
 

@@ -89,8 +89,6 @@ class SmoothEExtractor : public extract::Extractor
 
     std::string name() const override { return "SmoothE"; }
 
-    bool supportsIncremental() const override { return true; }
-
     /**
      * Arbitrary differentiable objective. When `delta` and `state` are
      * both given, the run warm-starts from the previous epoch carried in

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace smoothe::util {
@@ -52,24 +53,59 @@ Args::getString(const std::string& name, const std::string& fallback) const
     return it == values_.end() ? fallback : it->second;
 }
 
-double
-Args::getDouble(const std::string& name, double fallback) const
+const std::string*
+Args::valueOf(const std::string& name) const
 {
     queried_.insert(name);
     const auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
+        return nullptr;
+    return &it->second;
+}
+
+double
+Args::getDouble(const std::string& name, double fallback) const
+{
+    const std::string* text = valueOf(name);
+    if (!text)
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text->c_str(), &end);
+    if (*end != '\0' || end == text->c_str() || errno == ERANGE) {
+        malformed_.insert(name);
+        return fallback;
+    }
+    return value;
 }
 
 std::int64_t
 Args::getInt(const std::string& name, std::int64_t fallback) const
 {
-    queried_.insert(name);
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty())
+    const std::string* text = valueOf(name);
+    if (!text)
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text->c_str(), &end, 10);
+    if (*end != '\0' || end == text->c_str() || errno == ERANGE) {
+        malformed_.insert(name);
+        return fallback;
+    }
+    return value;
+}
+
+std::size_t
+Args::getCount(const std::string& name, std::size_t fallback) const
+{
+    if (!valueOf(name))
+        return fallback;
+    const std::int64_t value = getInt(name, -1);
+    if (value < 0) {
+        malformed_.insert(name);
+        return fallback;
+    }
+    return static_cast<std::size_t>(value);
 }
 
 bool
@@ -88,6 +124,17 @@ void
 Args::acknowledge(const std::string& name) const
 {
     queried_.insert(name);
+}
+
+std::vector<std::string>
+Args::malformed() const
+{
+    std::vector<std::string> bad;
+    for (const std::string& name : order_) {
+        if (malformed_.count(name))
+            bad.push_back(name);
+    }
+    return bad;
 }
 
 std::vector<std::string>

@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -65,6 +64,29 @@ readJson(const std::string& path)
     auto doc = smoothe::util::Json::parse(*text);
     EXPECT_TRUE(doc.has_value()) << path << " is not JSON";
     return doc ? *doc : smoothe::util::Json();
+}
+
+/**
+ * True for a collapsed-stack row "smoothe;<forward|backward>;<kernel>
+ * <micros>": the kernel holds no ';' or ' ', and micros is all digits.
+ * Hand-written because GCC 12 under ASan warns inside <regex> with
+ * -Wmaybe-uninitialized, which breaks -Werror sanitizer builds.
+ */
+bool
+isFoldedRow(const std::string& row)
+{
+    for (const std::string prefix : {"smoothe;forward;", "smoothe;backward;"}) {
+        if (row.rfind(prefix, 0) != 0)
+            continue;
+        const std::size_t space = row.find(' ', prefix.size());
+        if (space == std::string::npos || space == prefix.size() ||
+            row.find(';', prefix.size()) < space)
+            return false;
+        const std::string micros = row.substr(space + 1);
+        return !micros.empty() &&
+               micros.find_first_not_of("0123456789") == std::string::npos;
+    }
+    return false;
 }
 
 /** Checks a trace file's shape; returns the names of its complete spans. */
@@ -263,7 +285,6 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
               0);
     const auto text = smoothe::util::readFile(folded);
     ASSERT_TRUE(text.has_value());
-    const std::regex line("smoothe;(forward|backward);[^; ]+ [0-9]+");
     std::size_t lines = 0;
     std::size_t start = 0;
     while (start < text->size()) {
@@ -271,7 +292,7 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         if (end == std::string::npos)
             end = text->size();
         const std::string row = text->substr(start, end - start);
-        EXPECT_TRUE(std::regex_match(row, line)) << row;
+        EXPECT_TRUE(isFoldedRow(row)) << row;
         ++lines;
         start = end + 1;
     }

@@ -142,7 +142,7 @@ TEST(SetCover, ReductionStructure)
     // Root + 30 elements + at most 8 set classes.
     EXPECT_LE(g.numClasses(), 39u);
     EXPECT_GE(g.numClasses(), 32u);
-    EXPECT_TRUE(g.dependencyGraphIsAcyclic());
+    EXPECT_TRUE(ex::CyclicSccs::of(g).classes.empty());
 
     // Any greedy extraction is a cover: every element class resolves.
     ex::BottomUpExtractor extractor;
@@ -179,7 +179,7 @@ TEST(MaxSat, ReductionBasics)
     const eg::EGraph g = ds::maxSatToEGraph(instance);
     // Root + 20 literal classes + 25 clause classes.
     EXPECT_EQ(g.numClasses(), 46u);
-    EXPECT_TRUE(g.dependencyGraphIsAcyclic());
+    EXPECT_TRUE(ex::CyclicSccs::of(g).classes.empty());
 }
 
 TEST(MaxSat, SatisfiableInstanceCostsVariableCount)

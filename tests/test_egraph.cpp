@@ -10,10 +10,18 @@
 
 #include "egraph/egraph.hpp"
 #include "egraph/serialize.hpp"
+#include "extraction/solution.hpp"
 
 namespace eg = smoothe::eg;
 
 namespace {
+
+/** The one cycle concept: no cyclic SCC (size > 1 or a self-loop). */
+bool
+acyclic(const eg::EGraph& g)
+{
+    return smoothe::extract::CyclicSccs::of(g).classes.empty();
+}
 
 /** Small diamond: root -> {a, b} -> shared leaf. */
 eg::EGraph
@@ -116,7 +124,7 @@ TEST(EGraph, SccAcyclic)
     EXPECT_EQ(sccs.size(), 4u);
     for (const auto& scc : sccs)
         EXPECT_EQ(scc.size(), 1u);
-    EXPECT_TRUE(g.dependencyGraphIsAcyclic());
+    EXPECT_TRUE(acyclic(g));
 }
 
 TEST(EGraph, SccDetectsCycle)
@@ -138,7 +146,7 @@ TEST(EGraph, SccDetectsCycle)
     for (const auto& scc : sccs)
         big = std::max(big, scc.size());
     EXPECT_EQ(big, 2u);
-    EXPECT_FALSE(g.dependencyGraphIsAcyclic());
+    EXPECT_FALSE(acyclic(g));
 }
 
 TEST(EGraph, SelfLoopIsCyclic)
@@ -149,7 +157,7 @@ TEST(EGraph, SelfLoopIsCyclic)
     g.addNode(root, "x", {}, 1.0);
     g.setRoot(root);
     ASSERT_FALSE(g.finalize().has_value());
-    EXPECT_FALSE(g.dependencyGraphIsAcyclic());
+    EXPECT_FALSE(acyclic(g));
 }
 
 TEST(EGraph, SccReverseTopologicalOrder)
@@ -185,89 +193,6 @@ TEST(EGraph, ReachableClasses)
     EXPECT_EQ(std::count(reachable.begin(), reachable.end(), orphan), 0);
 }
 
-TEST(EGraph, PrunedDropsOrphans)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto a = g.addClass();
-    const auto orphan = g.addClass();
-    g.addNode(root, "r", {a}, 1.0);
-    g.addNode(a, "x", {}, 1.0);
-    g.addNode(orphan, "y", {}, 1.0);
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-    const eg::EGraph pruned = g.pruned();
-    EXPECT_EQ(pruned.numClasses(), 2u);
-    EXPECT_EQ(pruned.numNodes(), 2u);
-}
-
-TEST(EGraph, PrunedDropsInfeasibleNodes)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto dead = g.addClass();
-    g.addNode(root, "good", {}, 1.0);
-    g.addNode(root, "bad", {dead}, 0.1);
-    g.addNode(dead, "self", {dead}, 0.0); // never satisfiable
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-    const eg::EGraph pruned = g.pruned();
-    EXPECT_EQ(pruned.numClasses(), 1u);
-    EXPECT_EQ(pruned.numNodes(), 1u);
-    EXPECT_EQ(pruned.node(0).op, "good");
-}
-
-TEST(EGraph, PrunedKeepsCyclesWithEscape)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto a = g.addClass();
-    g.addNode(root, "r", {a}, 1.0);
-    g.addNode(a, "rec", {a}, 0.0); // cyclic alternative
-    g.addNode(a, "base", {}, 2.0); // escape hatch
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-    const eg::EGraph pruned = g.pruned();
-    // Both the cyclic and base nodes stay (class a is feasible via base).
-    EXPECT_EQ(pruned.numClasses(), 2u);
-    EXPECT_EQ(pruned.numNodes(), 3u);
-}
-
-TEST(EGraph, PrunedIsIdempotent)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    const auto a = g.addClass();
-    const auto orphan = g.addClass();
-    const auto dead = g.addClass();
-    g.addNode(root, "r", {a}, 1.0);
-    g.addNode(root, "bad", {dead}, 0.1);
-    g.addNode(a, "x", {}, 1.0);
-    g.addNode(orphan, "y", {}, 1.0);
-    g.addNode(dead, "self", {dead}, 0.0);
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-
-    const eg::EGraph once = g.pruned();
-    const eg::EGraph twice = once.pruned();
-    EXPECT_EQ(once.numNodes(), twice.numNodes());
-    EXPECT_EQ(once.numClasses(), twice.numClasses());
-    EXPECT_EQ(once.stats().numEdges, twice.stats().numEdges);
-}
-
-TEST(EGraph, PrunedInfeasibleRootYieldsStub)
-{
-    eg::EGraph g;
-    const auto root = g.addClass();
-    g.addNode(root, "self", {root}, 1.0);
-    g.setRoot(root);
-    ASSERT_FALSE(g.finalize().has_value());
-    const eg::EGraph pruned = g.pruned();
-    // Degenerate graphs collapse to the documented infeasible stub.
-    EXPECT_EQ(pruned.numClasses(), 1u);
-    EXPECT_EQ(pruned.node(0).op, "<infeasible>");
-}
-
 TEST(EGraph, SccPartitionsAllClasses)
 {
     // Property: SCC decomposition is a partition — every class appears in
@@ -297,7 +222,7 @@ TEST(EGraph, SccPartitionsAllClasses)
     }
     for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(seen[i], 1) << "class " << i;
-    EXPECT_FALSE(g.dependencyGraphIsAcyclic());
+    EXPECT_FALSE(acyclic(g));
 }
 
 TEST(Serialize, RoundTrip)

@@ -424,11 +424,10 @@ TEST(Ilp, EngineCounterMatchesPath)
 
 TEST(Ilp, RootRelaxationIsLowerBound)
 {
-    const eg::EGraph g = ds::paperExampleEGraph();
-    il::IlpExtractor extractor(il::IlpPreset::Strong);
-    const double bound = extractor.rootRelaxation(g);
-    ASSERT_FALSE(std::isnan(bound));
-    EXPECT_LE(bound, 19.0 + 1e-6);
+    const il::LpResult root =
+        il::solveSimplex(il::buildExtractionLp(ds::paperExampleEGraph()));
+    ASSERT_EQ(root.status, il::LpStatus::Optimal);
+    EXPECT_LE(root.objective, 19.0 + 1e-6);
 }
 
 TEST(Ilp, RecordsAnytimeTrace)

@@ -1,12 +1,12 @@
 /**
  * @file
  * The incremental-extraction protocol end to end: MutEGraph delta logs
- * replay onto pre-epoch snapshots, exportIncremental stays bit-identical
- * to exportGraph while emitting consistent GraphDeltas, the heuristic
- * incremental extractor matches its from-scratch fixed point, SmoothE's
- * warm-started path is thread-count deterministic and quality-equivalent
- * to scratch, the identity-delta fast path re-emits the cached result,
- * and stale IncrementalStates are rejected.
+ * replay onto pre-epoch snapshots, exportIncremental emits consistent
+ * GraphDeltas whose forward maps preserve every node, isIdentity() tells
+ * no-op epochs from merges and collapses, SmoothE's warm-started path is
+ * thread-count deterministic and quality-equivalent to scratch, the
+ * identity-delta fast path re-emits the cached result, and stale
+ * IncrementalStates are rejected.
  */
 
 #include <gtest/gtest.h>
@@ -77,6 +77,8 @@ TEST(IncrementalDelta, ReplayMatchesRebuildAcrossEpochs)
     eqsat::Id root = 0;
     eqsat::MutEGraph mut = seedGraph(7, &root);
     const auto& phases = eqsat::caviarRulePhases();
+    eqsat::ExportState exportState;
+    eg::EGraph prev;
     for (std::size_t epoch = 0; epoch < 4; ++epoch) {
         eqsat::MutEGraph snapshot = mut;
         runEpoch(mut, phases[epoch % phases.size()], 80 * (epoch + 1));
@@ -87,57 +89,91 @@ TEST(IncrementalDelta, ReplayMatchesRebuildAcrossEpochs)
         EXPECT_EQ(snapshot.structurallyEquals(mut), std::nullopt)
             << "epoch " << epoch;
         EXPECT_EQ(mut.structurallyEquals(snapshot), std::nullopt);
-    }
-}
 
-TEST(IncrementalDelta, ExportIncrementalMatchesExportGraph)
-{
-    eqsat::Id root = 0;
-    eqsat::MutEGraph mut = seedGraph(11, &root);
-    const auto& phases = eqsat::caviarRulePhases();
-    eqsat::ExportState state;
-    std::size_t prevNodes = 0;
-    std::size_t prevClasses = 0;
-    for (std::size_t epoch = 0; epoch < 3; ++epoch) {
-        runEpoch(mut, phases[epoch % phases.size()], 60 * (epoch + 1));
-        const auto exported =
-            mut.exportIncremental(mut.find(root), opCost, state);
-        const eg::EGraph full = mut.exportGraph(mut.find(root), opCost);
-        EXPECT_EQ(eg::toJson(exported.graph), eg::toJson(full))
-            << "epoch " << epoch;
-        EXPECT_EQ(exported.delta.checkConsistent(exported.graph),
-                  std::nullopt);
-        EXPECT_EQ(exported.delta.prevNumNodes, prevNodes);
-        EXPECT_EQ(exported.delta.prevNumClasses, prevClasses);
-        prevNodes = exported.graph.numNodes();
-        prevClasses = exported.graph.numClasses();
-    }
-}
-
-TEST(IncrementalExtract, HeuristicMatchesScratchEveryEpoch)
-{
-    eqsat::Id root = 0;
-    eqsat::MutEGraph mut = seedGraph(13, &root);
-    const auto& phases = eqsat::caviarRulePhases();
-    eqsat::ExportState exportState;
-    extract::IncrementalState state;
-    extract::BottomUpExtractor incremental;
-    extract::BottomUpExtractor scratch;
-    extract::ExtractOptions options;
-    for (std::size_t epoch = 0; epoch < 4; ++epoch) {
-        runEpoch(mut, phases[epoch % phases.size()], 70 * (epoch + 1));
-        const auto exported =
+        // The exported delta relates this epoch to the last export: its
+        // maps are consistent, and every prev node is forwarded to a node
+        // with the same op whose children are the forwarded prev children.
+        auto exported =
             mut.exportIncremental(mut.find(root), opCost, exportState);
-        const auto inc = incremental.extractIncremental(
-            exported.graph, exported.delta, state, options);
-        const auto ref = scratch.extract(exported.graph, options);
-        ASSERT_TRUE(inc.ok());
-        ASSERT_TRUE(ref.ok());
-        // The incremental relaxation restarts from dirty classes only
-        // but must land on the same fixed point as a full pass.
-        EXPECT_DOUBLE_EQ(inc.cost, ref.cost) << "epoch " << epoch;
+        const eg::EGraph& next = exported.graph;
+        const eg::GraphDelta& graphDelta = exported.delta;
+        EXPECT_EQ(graphDelta.checkConsistent(next), std::nullopt)
+            << "epoch " << epoch;
+        EXPECT_EQ(graphDelta.prevNumNodes, prev.numNodes());
+        EXPECT_EQ(graphDelta.prevNumClasses, prev.numClasses());
+        for (eg::NodeId p = 0; p < graphDelta.prevNumNodes; ++p) {
+            const eg::ENode& before = prev.node(p);
+            const eg::ENode& after = next.node(graphDelta.nodeForward[p]);
+            ASSERT_EQ(after.op, before.op) << "epoch " << epoch;
+            ASSERT_EQ(after.children.size(), before.children.size());
+            for (std::size_t k = 0; k < before.children.size(); ++k)
+                EXPECT_EQ(after.children[k],
+                          graphDelta.classForward[before.children[k]]);
+        }
+        prev = std::move(exported.graph);
     }
-    EXPECT_EQ(state.epoch(), 4u);
+}
+
+/** A mutable graph over (+ a b) exported once, as epoch 0. */
+struct TwoLeafEpochs
+{
+    eqsat::MutEGraph mut;
+    eqsat::Id root = 0;
+    eqsat::Id a = 0;
+    eqsat::Id b = 0;
+    eqsat::ExportState state;
+    eg::EGraph first;
+
+    TwoLeafEpochs()
+    {
+        a = mut.add("a", {});
+        b = mut.add("b", {});
+        root = mut.add("+", {a, b});
+        first = mut.exportIncremental(root, opCost, state).graph;
+    }
+
+    eqsat::ExportResult
+    next()
+    {
+        return mut.exportIncremental(mut.find(root), opCost, state);
+    }
+};
+
+TEST(IncrementalDelta, NoOpEpochIsIdentity)
+{
+    TwoLeafEpochs epochs;
+    const auto exported = epochs.next();
+    EXPECT_TRUE(exported.delta.isIdentity());
+    EXPECT_EQ(eg::toJson(exported.graph), eg::toJson(epochs.first));
+}
+
+TEST(IncrementalDelta, MergeOnlyEpochIsNotIdentity)
+{
+    // Merging the two leaves adds no node and collapses none: the only
+    // change is that two prev classes forward to one next class.
+    TwoLeafEpochs epochs;
+    epochs.mut.merge(epochs.a, epochs.b);
+    epochs.mut.rebuild();
+    const auto exported = epochs.next();
+    ASSERT_EQ(exported.delta.checkConsistent(exported.graph), std::nullopt);
+    EXPECT_EQ(exported.graph.numNodes(), epochs.first.numNodes());
+    EXPECT_EQ(exported.graph.numClasses() + 1, epochs.first.numClasses());
+    EXPECT_FALSE(exported.delta.isIdentity());
+}
+
+TEST(IncrementalDelta, CongruentCollapseOnlyIsNotIdentity)
+{
+    // A collapse always rides with a merge in a real epoch, so the delta
+    // is built by hand: every class maps to itself and one extra prev
+    // node collapsed into node 0.
+    TwoLeafEpochs epochs;
+    const eg::EGraph& next = epochs.first;
+    eg::GraphDelta delta = eg::GraphDelta::identity(next);
+    delta.prevNumNodes = next.numNodes() + 1;
+    delta.nodeForward.push_back(0);
+    delta.deriveReverseMaps(next.numNodes(), next.numClasses());
+    ASSERT_EQ(delta.checkConsistent(next), std::nullopt);
+    EXPECT_FALSE(delta.isIdentity());
 }
 
 /** Runs the full warm-started SmoothE epoch sequence at a given thread

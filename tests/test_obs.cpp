@@ -25,12 +25,18 @@ namespace su = smoothe::util;
 // Global allocation counter for the disabled-fast-path test. Counting in
 // the test binary's own operator new is the only way to prove "allocates
 // nothing" without a heap profiler.
+//
+// The replacements stay out of line, opaque to their callers like the
+// library's own operators. Inlined into a new-expression's cleanup path
+// (gtest's CreateTest), the sized delete would expose its free() to the
+// pointer the caller got from operator new, and GCC reports that pair as
+// -Wmismatched-new-delete.
 
 namespace {
 std::atomic<std::uint64_t> gAllocations{0};
 } // namespace
 
-void*
+[[gnu::noinline]] void*
 operator new(std::size_t size)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
@@ -40,31 +46,31 @@ operator new(std::size_t size)
     return p;
 }
 
-void*
+[[gnu::noinline]] void*
 operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p, std::size_t) noexcept
 {
     std::free(p);

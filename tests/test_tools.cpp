@@ -177,3 +177,39 @@ TEST(Tools, ExtractRejectsBadInput)
         EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
     }
 }
+
+TEST(Tools, ExtractRejectsMalformedNumbers)
+{
+    const std::string extract = binaryPath("smoothe_extract");
+    if (extract.empty())
+        GTEST_SKIP() << "tool binaries not found relative to cwd";
+    // A numeric value that does not parse (or a negative count) is a
+    // usage error naming the flag, not a run on the default; the deleted
+    // --incremental/--epochs flags are unknown flags.
+    const struct
+    {
+        const char* flags;
+        const char* named;
+    } cases[] = {{"--seeds abc", "--seeds"},
+                 {"--threads two", "--threads"},
+                 {"--max-iters -5", "--max-iters"},
+                 {"--time-limit 1s", "--time-limit"},
+                 {"--incremental", "--incremental"},
+                 {"--epochs 2", "--epochs"}};
+    for (const auto& c : cases) {
+        const std::string command = extract +
+                                    " --input /tmp/maxsat_0.json "
+                                    "--extractor heuristic " +
+                                    c.flags + " 2>&1";
+        FILE* pipe = popen(command.c_str(), "r");
+        ASSERT_NE(pipe, nullptr) << c.flags;
+        std::string output;
+        char buffer[256];
+        while (std::fgets(buffer, sizeof buffer, pipe))
+            output += buffer;
+        const int status = pclose(pipe);
+        ASSERT_TRUE(WIFEXITED(status)) << c.flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << c.flags << ": " << output;
+        EXPECT_NE(output.find(c.named), std::string::npos) << output;
+    }
+}

@@ -271,6 +271,25 @@ TEST(Args, TracksUnrecognizedFlags)
     EXPECT_EQ(unknown[0], "typo");
 }
 
+TEST(Args, TracksMalformedNumbers)
+{
+    const char* argv[] = {"prog",       "--seeds",   "abc",  "--lr=0.5x",
+                          "--max-iters", "-5",       "--ok", "7",
+                          "--rate",     "2.5",       "--big",
+                          "99999999999999999999"};
+    su::Args args(12, const_cast<char**>(argv));
+    EXPECT_EQ(args.getInt("seeds", 16), 16);
+    EXPECT_DOUBLE_EQ(args.getDouble("lr", 0.1), 0.1);
+    EXPECT_EQ(args.getCount("max-iters", 400), 400u);
+    EXPECT_EQ(args.getCount("ok", 1), 7u);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 2.5);
+    EXPECT_EQ(args.getInt("big", 3), 3);
+    EXPECT_EQ(args.getCount("absent", 4), 4u);
+    EXPECT_TRUE(args.unrecognized().empty());
+    EXPECT_EQ(args.malformed(),
+              (std::vector<std::string>{"seeds", "lr", "max-iters", "big"}));
+}
+
 TEST(Json, FuzzRandomBytesNeverCrash)
 {
     // Failure-injection: the parser must reject (not crash on) arbitrary

@@ -5,21 +5,17 @@
  * Usage:
  *   smoothe_extract --input egraph.json [--extractor smoothe]
  *                   [--time-limit 10] [--seed 1] [--seeds 16]
- *                   [--assumption hybrid] [--lambda 8]
- *                   [--incremental] [--epochs N]
+ *                   [--assumption hybrid] [--lambda 8] [--lr 0.1]
+ *                   [--max-iters 400] [--patience 60]
  *                   [--output selection.json] [--threads N] [--validate]
  *                   [--trace-out trace.json] [--metrics-out metrics.json]
+ *                   [--report-out report.json]
  *                   [--profile] [--profile-out prof.folded]
  *                   [--profile-stride N]
  *
- * --incremental re-extracts each graph through the incremental protocol
- * (extractIncremental + a caller-owned IncrementalState), --epochs N
- * times: epoch 0 runs cold, later epochs warm-start from the carried
- * state under an identity delta. This exercises exactly the code path a
- * saturation loop drives (see bench_anytime_eqsat for evolving graphs)
- * and bumps the per-epoch `extraction.<name>.incremental_runs` counter
- * visible via --metrics-out. Requires an extractor with incremental
- * support.
+ * A numeric flag whose value does not parse (`--seeds abc`, or a negative
+ * count such as `--max-iters -5`) is a usage error: exit status 2, like
+ * an unknown flag.
  *
  * A suite of e-graphs can be given as `--inputs a.json,b.json,...`; the
  * graphs are then extracted concurrently on the worker pool (one task per
@@ -141,13 +137,11 @@ main(int argc, char** argv)
     }
 
     core::SmoothEConfig config;
-    config.numSeeds = static_cast<std::size_t>(args.getInt("seeds", 16));
+    config.numSeeds = args.getCount("seeds", 16);
     config.lambda = static_cast<float>(args.getDouble("lambda", 8.0));
     config.learningRate = static_cast<float>(args.getDouble("lr", 0.1));
-    config.maxIterations =
-        static_cast<std::size_t>(args.getInt("max-iters", 400));
-    config.patience =
-        static_cast<std::size_t>(args.getInt("patience", 60));
+    config.maxIterations = args.getCount("max-iters", 400);
+    config.patience = args.getCount("patience", 60);
     config.assumption = *assumption;
 
     const std::string name = args.getString("extractor", "smoothe");
@@ -156,9 +150,6 @@ main(int argc, char** argv)
     options.timeLimitSeconds = args.getDouble("time-limit", 10.0);
     options.seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
-
-    const bool incremental = args.getBool("incremental", false);
-    const long epochsArg = args.getInt("epochs", incremental ? 2 : 0);
 
     const std::string output = args.getString("output", "");
     const bool validateResults = args.getBool("validate", false);
@@ -175,20 +166,6 @@ main(int argc, char** argv)
                      "error: --output requires a single --input\n");
         return 2;
     }
-    // Strict --incremental validation: epochs only make sense with the
-    // protocol enabled.
-    if (args.has("epochs") && !incremental) {
-        std::fprintf(stderr,
-                     "error: --epochs requires --incremental\n");
-        return 2;
-    }
-    if (incremental && epochsArg < 1) {
-        std::fprintf(stderr, "error: --epochs must be >= 1\n");
-        return 2;
-    }
-    const std::size_t epochs =
-        incremental ? static_cast<std::size_t>(epochsArg) : 1;
-
     // One extractor per graph (extractors keep per-run diagnostics), run
     // concurrently on the pool. Results are collected per slot and
     // printed in input order afterwards, so stdout is deterministic.
@@ -202,36 +179,13 @@ main(int argc, char** argv)
             return 2;
         }
     }
-    if (incremental && !extractors.front()->supportsIncremental()) {
-        std::fprintf(stderr,
-                     "error: extractor \"%s\" has no incremental "
-                     "support\n",
-                     name.c_str());
-        return 2;
-    }
 
     std::vector<extract::ExtractionResult> results(graphs.size());
     util::ThreadPool::global().parallelFor(
         0, graphs.size(), 1, [&](std::size_t g) {
             extract::ExtractOptions graphOptions = options;
             graphOptions.seed = graphSeed(options.seed, g);
-            if (!incremental) {
-                results[g] =
-                    extractors[g]->extract(graphs[g], graphOptions);
-                return;
-            }
-            // Epoch 0 runs cold into the state; later epochs replay
-            // the incremental protocol under an identity delta (the
-            // JSON graph is static), warm-starting from the carried
-            // parameters. Each epoch bumps
-            // extraction.<name>.incremental_runs.
-            extract::IncrementalState state;
-            const eg::GraphDelta delta =
-                eg::GraphDelta::identity(graphs[g]);
-            for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-                results[g] = extractors[g]->extractIncremental(
-                    graphs[g], delta, state, graphOptions);
-            }
+            results[g] = extractors[g]->extract(graphs[g], graphOptions);
         });
 
     if (selftestTerminate)

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/cli.hpp"
 #include "obs/report.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
@@ -406,13 +407,8 @@ main(int argc, char** argv)
     const double tolerance = args.getDouble("tolerance", 5.0);
     args.acknowledge("help");
 
-    const auto unknown = args.unrecognized();
-    if (!unknown.empty()) {
-        for (const auto& flag : unknown)
-            std::fprintf(stderr, "smoothe_report: unknown flag --%s\n",
-                         flag.c_str());
+    if (obs::reportUnknownFlags(args, "smoothe_report") > 0)
         return 2;
-    }
     if (args.getBool("help", false) ||
         (files.empty() && baselinePath.empty())) {
         std::printf(
