@@ -74,7 +74,6 @@ main(int argc, char** argv)
 
         extract::ExtractOptions traced;
         traced.timeLimitSeconds = options.timeLimit;
-        traced.recordTrace = true;
         traced.seed = options.seed;
 
         core::SmoothEConfig config;

@@ -34,11 +34,10 @@ struct AblationResult
 };
 
 AblationResult
-run(const eg::EGraph& graph, std::size_t threads, bool scc, bool batched,
+run(const eg::EGraph& graph, bool scc, bool batched,
     std::size_t budget_bytes, std::uint64_t seed)
 {
     core::SmoothEConfig config;
-    config.numThreads = threads;
     config.sccDecomposition = scc;
     config.batchedMatexp = batched;
     config.numSeeds = 8;
@@ -89,8 +88,8 @@ main(int argc, char** argv)
     // dense M x M NOTEARS matrix on the bigger graphs -> OOM rows, as in
     // the paper's figure.
     const std::size_t budget = 768ull << 20;
-    // Pinned before the 1-thread baseline resizes the pool, so +GPU and
-    // +MatExp run on the --threads count rather than the baseline's one.
+    // The --threads count: +GPU and +MatExp run on it, the baseline on
+    // one thread.
     const std::size_t threads = util::ThreadPool::global().size();
     const tensor::simd::Level level = tensor::simd::activeLevel();
 
@@ -99,13 +98,14 @@ main(int argc, char** argv)
     for (const auto& named :
          datasets::tensatNamedInstances(options.scale, options.seed)) {
         tensor::simd::setLevel(tensor::simd::Level::Scalar);
+        util::ThreadPool::setGlobalThreads(1);
         const auto baseline =
-            run(named.graph, 1, false, false, budget, options.seed);
+            run(named.graph, false, false, budget, options.seed);
+        util::ThreadPool::setGlobalThreads(threads);
         tensor::simd::setLevel(level);
-        const auto gpu =
-            run(named.graph, threads, false, false, budget, options.seed);
+        const auto gpu = run(named.graph, false, false, budget, options.seed);
         const auto matexp =
-            run(named.graph, threads, true, true, budget, options.seed);
+            run(named.graph, true, true, budget, options.seed);
         table.addRow({named.name, std::to_string(named.graph.numNodes()),
                       std::to_string(named.graph.numClasses()),
                       cell(baseline, baseline), cell(gpu, baseline),

@@ -14,6 +14,7 @@
 #include "datasets/nphard.hpp"
 #include "extraction/bottom_up.hpp"
 #include "ilp/ilp_extractor.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
 #include "util/args.hpp"
 
@@ -22,10 +23,10 @@ main(int argc, char** argv)
 {
     using namespace smoothe;
     const util::Args args(argc, argv);
-    const std::size_t elements =
-        static_cast<std::size_t>(args.getInt("elements", 60));
-    const std::size_t sets =
-        static_cast<std::size_t>(args.getInt("sets", 14));
+    const std::size_t elements = args.getCount("elements", 60);
+    const std::size_t sets = args.getCount("sets", 14);
+    if (obs::reportUnknownFlags(args, "adversarial") > 0)
+        return 2;
 
     util::Rng rng(7);
     const auto instance =

@@ -11,6 +11,7 @@
 
 #include "datasets/generators.hpp"
 #include "extraction/bottom_up.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
 #include "util/args.hpp"
 
@@ -20,6 +21,8 @@ main(int argc, char** argv)
     using namespace smoothe;
     const util::Args args(argc, argv);
     const double scale = args.getDouble("scale", 0.15);
+    if (obs::reportUnknownFlags(args, "datapath") > 0)
+        return 2;
 
     auto instances = datasets::roverNamedInstances(scale, 7);
     std::printf("%-8s %10s %12s %12s %10s\n", "kernel", "e-nodes",

@@ -15,6 +15,7 @@
 #include "datasets/generators.hpp"
 #include "extraction/genetic.hpp"
 #include "ilp/ilp_extractor.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
 #include "util/args.hpp"
 
@@ -24,6 +25,8 @@ main(int argc, char** argv)
     using namespace smoothe;
     const util::Args args(argc, argv);
     const double scale = args.getDouble("scale", 0.1);
+    if (obs::reportUnknownFlags(args, "nonlinear_cost") > 0)
+        return 2;
 
     datasets::FamilyParams params = datasets::roverParams();
     params.numClasses = static_cast<std::size_t>(params.numClasses * scale);

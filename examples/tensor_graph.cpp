@@ -14,6 +14,7 @@
 #include "datasets/generators.hpp"
 #include "extraction/bottom_up.hpp"
 #include "ilp/ilp_extractor.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
 #include "util/args.hpp"
 
@@ -24,6 +25,8 @@ main(int argc, char** argv)
     const util::Args args(argc, argv);
     const double scale = args.getDouble("scale", 0.15);
     const double timeLimit = args.getDouble("time-limit", 5.0);
+    if (obs::reportUnknownFlags(args, "tensor_graph") > 0)
+        return 2;
 
     // A BERT-like tensor-graph e-graph (structure-matched synthetic; see
     // DESIGN.md substitutions).
@@ -37,7 +40,6 @@ main(int argc, char** argv)
     extract::ExtractOptions options;
     options.seed = 3;
     options.timeLimitSeconds = timeLimit;
-    options.recordTrace = true;
 
     extract::FasterBottomUpExtractor heuristic;
     const auto greedy = heuristic.extract(bert.graph, options);

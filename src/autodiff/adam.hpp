@@ -35,8 +35,6 @@ class Adam
     /** Applies one update from the accumulated gradients. */
     void step();
 
-    /** Changes the learning rate (e.g. for schedules). */
-    void setLearningRate(float lr) { config_.lr = lr; }
     float learningRate() const { return config_.lr; }
 
     /**

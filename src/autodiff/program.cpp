@@ -694,7 +694,8 @@ Program::forwardBare()
 void
 Program::backwardBare()
 {
-    obs::counter("tape.backward.calls").add(1);
+    static obs::Counter& calls = obs::counter("tape.backward.calls");
+    calls.add(1);
     gradSlots_[rootGradSlot_].fill(1.0f);
     for (const BackStep& step : backwardSchedule_) {
         for (std::uint32_t slot : step.zeroSlots)
@@ -733,7 +734,8 @@ Program::forwardProfiled()
 void
 Program::backwardProfiled()
 {
-    obs::counter("tape.backward.calls").add(1);
+    static obs::Counter& calls = obs::counter("tape.backward.calls");
+    calls.add(1);
     obs::Profiler& prof = obs::Profiler::instance();
     const auto start = std::chrono::steady_clock::now();
     auto prev = start;

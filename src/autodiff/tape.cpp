@@ -409,7 +409,8 @@ Tape::backward(VarId root)
                   nodes_.size());
     evaluate();
     SMOOTHE_DCHECK_OK(checkInvariants(/*screen_values=*/true));
-    obs::counter("tape.backward.calls").add(1);
+    static obs::Counter& calls = obs::counter("tape.backward.calls");
+    calls.add(1);
     ensureGrad(root).fill(1.0f);
     for (VarId id = root; id >= 0; --id) {
         Node& node = nodes_[static_cast<std::size_t>(id)];

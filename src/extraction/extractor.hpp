@@ -12,11 +12,16 @@
 #include <string>
 #include <vector>
 
-#include "egraph/delta.hpp"
 #include "egraph/egraph.hpp"
 #include "extraction/solution.hpp"
 
+namespace smoothe::core {
+class SmoothEExtractor;
+} // namespace smoothe::core
+
 namespace smoothe::extract {
+
+class Extractor;
 
 /** Terminal status of an extraction run. */
 enum class SolveStatus {
@@ -64,24 +69,20 @@ struct ExtractOptions
     double timeLimitSeconds = 0.0;
     /** Base random seed for stochastic extractors. */
     std::uint64_t seed = 1;
-    /** Record the anytime trace (costs a little bookkeeping). */
-    bool recordTrace = false;
 };
 
-class Extractor;
-
-/** Base class for extractor-specific state carried across epochs. */
+/** Base class for the state SmoothE carries across epochs. */
 struct IncrementalBlob
 {
     virtual ~IncrementalBlob() = default;
 };
 
 /**
- * Opaque cross-epoch state for incremental extraction. One state tracks
- * one evolving e-graph under one extractor: the base class records which
- * extractor owns it and the node/class counts of the last graph it saw,
- * and extractIncremental() rejects a state reused across different
- * e-graph lineages with a ContractViolation. Call reset() before
+ * Opaque cross-epoch state for core::SmoothEExtractor::extractIncremental.
+ * One state tracks one evolving e-graph under one extractor: it records
+ * which extractor owns it and the node/class counts of the last graph it
+ * saw, and extractIncremental() rejects a state reused across extractors
+ * or e-graph lineages with a ContractViolation. Call reset() before
  * pointing an existing state at a fresh graph.
  */
 class IncrementalState
@@ -106,7 +107,7 @@ class IncrementalState
     std::size_t epoch() const { return epoch_; }
 
   private:
-    friend class Extractor;
+    friend class core::SmoothEExtractor;
 
     std::unique_ptr<IncrementalBlob> blob_;
     const Extractor* owner_ = nullptr;
@@ -117,9 +118,7 @@ class IncrementalState
 
 /**
  * Abstract extractor. Implementations keep no hidden state across
- * calls: everything carried between epochs lives in the caller-owned
- * IncrementalState, so plain extract() stays reproducible and
- * side-effect free.
+ * calls, so extract() stays reproducible and side-effect free.
  */
 class Extractor
 {
@@ -140,56 +139,10 @@ class Extractor
     ExtractionResult extract(const eg::EGraph& graph,
                              const ExtractOptions& options);
 
-    /**
-     * Re-extracts after the e-graph grew. `delta` must relate the graph
-     * `state` last saw to `graph` (eqsat::MutEGraph::exportIncremental
-     * produces exactly that pairing); on a fresh or reset() state the
-     * previous extraction is forgotten and this epoch runs cold. The
-     * call aborts (SMOOTHE_CHECK) when `state` was produced by a
-     * different extractor or against a different e-graph lineage.
-     */
-    ExtractionResult extractIncremental(const eg::EGraph& graph,
-                                        const eg::GraphDelta& delta,
-                                        IncrementalState& state,
-                                        const ExtractOptions& options);
-
   protected:
     /** The extractor-specific search behind extract(). */
     virtual ExtractionResult extractImpl(const eg::EGraph& graph,
                                          const ExtractOptions& options) = 0;
-
-    /**
-     * The extractor-specific incremental search behind
-     * extractIncremental(). The default, which every extractor but
-     * SmoothE keeps, ignores the delta and state and re-runs
-     * extractImpl() from scratch. Overrides read their carried
-     * state with blobOf<T>() — null on the first epoch or after a
-     * reset() — and persist the new state with storeBlob<T>().
-     */
-    virtual ExtractionResult
-    extractIncrementalImpl(const eg::EGraph& graph,
-                           const eg::GraphDelta& delta,
-                           IncrementalState& state,
-                           const ExtractOptions& options);
-
-    /** Typed view of the carried state; null when absent or foreign. */
-    template <typename T>
-    static T*
-    blobOf(IncrementalState& state)
-    {
-        return dynamic_cast<T*>(state.blob_.get());
-    }
-
-    /** Replaces the carried state with a fresh T, returning it. */
-    template <typename T, typename... Args>
-    static T&
-    storeBlob(IncrementalState& state, Args&&... args)
-    {
-        auto owned = std::make_unique<T>(std::forward<Args>(args)...);
-        T& ref = *owned;
-        state.blob_ = std::move(owned);
-        return ref;
-    }
 };
 
 } // namespace smoothe::extract

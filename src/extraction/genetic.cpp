@@ -17,6 +17,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+constexpr std::size_t kPopulation = 48;
+constexpr std::size_t kGenerations = 60;
+constexpr std::size_t kTournamentSize = 3;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.02; ///< per-gene reset probability
+constexpr std::size_t kElites = 2;     ///< genomes copied unchanged
+
 using Genome = std::vector<double>;
 
 Genome
@@ -47,7 +54,6 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
     util::Rng rng(options.seed);
 
     const std::size_t n = graph.numNodes();
-    const std::size_t pop = std::max<std::size_t>(4, config_.populationSize);
 
     struct Individual
     {
@@ -65,7 +71,7 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
         ind.fitness = cost(graph, ind.selection);
     };
 
-    std::vector<Individual> population(pop);
+    std::vector<Individual> population(kPopulation);
     for (auto& ind : population) {
         ind.genome = randomGenome(n, rng);
         evaluate(ind);
@@ -82,13 +88,13 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
 
     ExtractionResult result;
     double incumbent = best().fitness;
-    if (options.recordTrace && incumbent < kInf)
+    if (incumbent < kInf)
         result.trace.push_back({timer.seconds(), incumbent});
 
     auto tournament = [&]() -> const Individual& {
         const Individual* winner =
             &population[rng.uniformIndex(population.size())];
-        for (std::size_t k = 1; k < config_.tournamentSize; ++k) {
+        for (std::size_t k = 1; k < kTournamentSize; ++k) {
             const Individual& candidate =
                 population[rng.uniformIndex(population.size())];
             if (candidate.fitness < winner->fitness)
@@ -99,31 +105,28 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
 
     static obs::Counter& generations = obs::counter("genetic.generations");
     for (std::size_t gen = 0;
-         gen < config_.generations && !deadline.expired(); ++gen) {
+         gen < kGenerations && !deadline.expired(); ++gen) {
         obs::Span genSpan("generation", "genetic");
         generations.add(1);
         std::vector<Individual> next;
-        next.reserve(pop);
+        next.reserve(kPopulation);
 
         // Elitism: carry the best genomes unchanged.
         std::vector<std::size_t> order(population.size());
         for (std::size_t i = 0; i < order.size(); ++i)
             order[i] = i;
         std::partial_sort(
-            order.begin(),
-            order.begin() +
-                std::min(config_.eliteCount, order.size()),
-            order.end(), [&](std::size_t a, std::size_t b) {
+            order.begin(), order.begin() + kElites, order.end(),
+            [&](std::size_t a, std::size_t b) {
                 return population[a].fitness < population[b].fitness;
             });
-        for (std::size_t e = 0;
-             e < std::min(config_.eliteCount, order.size()); ++e)
+        for (std::size_t e = 0; e < kElites; ++e)
             next.push_back(population[order[e]]);
 
-        while (next.size() < pop) {
+        while (next.size() < kPopulation) {
             Individual child;
             const Individual& parentA = tournament();
-            if (rng.bernoulli(config_.crossoverRate)) {
+            if (rng.bernoulli(kCrossoverRate)) {
                 const Individual& parentB = tournament();
                 child.genome.resize(n);
                 for (std::size_t i = 0; i < n; ++i) {
@@ -135,7 +138,7 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
                 child.genome = parentA.genome;
             }
             for (std::size_t i = 0; i < n; ++i) {
-                if (rng.bernoulli(config_.mutationRate))
+                if (rng.bernoulli(kMutationRate))
                     child.genome[i] = rng.uniform(0.01, 1.0);
             }
             evaluate(child);
@@ -147,8 +150,7 @@ GeneticExtractor::extractWithCost(const EGraph& graph,
         if (current < incumbent) {
             incumbent = current;
             obs::traceCounter("genetic.best_cost", incumbent);
-            if (options.recordTrace)
-                result.trace.push_back({timer.seconds(), incumbent});
+            result.trace.push_back({timer.seconds(), incumbent});
         }
     }
 

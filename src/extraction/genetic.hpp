@@ -24,24 +24,10 @@ namespace smoothe::extract {
 using DiscreteCost =
     std::function<double(const eg::EGraph&, const Selection&)>;
 
-/** Tunables for the genetic extractor. */
-struct GeneticConfig
-{
-    std::size_t populationSize = 48;
-    std::size_t generations = 60;
-    std::size_t tournamentSize = 3;
-    double crossoverRate = 0.9;
-    double mutationRate = 0.02;  ///< per-gene reset probability
-    std::size_t eliteCount = 2;  ///< genomes copied unchanged each generation
-};
-
 /** Single-objective GA over random-key genomes. */
 class GeneticExtractor : public Extractor
 {
   public:
-    GeneticExtractor() = default;
-    explicit GeneticExtractor(GeneticConfig config) : config_(config) {}
-
     std::string name() const override { return "genetic"; }
 
     /** Arbitrary discrete objective (e.g. trained MLP cost). */
@@ -53,9 +39,6 @@ class GeneticExtractor : public Extractor
     /** Linear objective (graph per-node costs). */
     ExtractionResult extractImpl(const eg::EGraph& graph,
                                  const ExtractOptions& options) override;
-
-  private:
-    GeneticConfig config_;
 };
 
 } // namespace smoothe::extract

@@ -30,7 +30,7 @@ Selection::toNodeIndicator(const eg::EGraph& graph) const
 }
 
 ValidationResult
-validate(const EGraph& graph, const Selection& sel, bool allow_unreachable)
+validate(const EGraph& graph, const Selection& sel)
 {
     ValidationResult result;
     auto fail = [&](Violation v, const std::string& message) {
@@ -80,14 +80,12 @@ validate(const EGraph& graph, const Selection& sel, bool allow_unreachable)
         }
     }
 
-    if (!allow_unreachable) {
-        for (ClassId cls = 0; cls < graph.numClasses(); ++cls) {
-            if (sel.chosen(cls) && !needed[cls]) {
-                std::ostringstream oss;
-                oss << "class " << cls
-                    << " is chosen but not needed by the extraction";
-                return fail(Violation::UnreachableChoice, oss.str());
-            }
+    for (ClassId cls = 0; cls < graph.numClasses(); ++cls) {
+        if (sel.chosen(cls) && !needed[cls]) {
+            std::ostringstream oss;
+            oss << "class " << cls
+                << " is chosen but not needed by the extraction";
+            return fail(Violation::UnreachableChoice, oss.str());
         }
     }
 

@@ -76,11 +76,8 @@ struct ValidationResult
  * Checks constraints (a), (b), (c) plus internal consistency.
  * @param graph a finalized e-graph
  * @param sel the candidate extraction
- * @param allow_unreachable when true, chosen classes that are not needed
- *        are tolerated (useful for intermediate sampler states)
  */
-ValidationResult validate(const eg::EGraph& graph, const Selection& sel,
-                          bool allow_unreachable = false);
+ValidationResult validate(const eg::EGraph& graph, const Selection& sel);
 
 /**
  * DAG cost of a complete selection: the sum of chosen e-node costs over

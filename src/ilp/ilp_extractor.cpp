@@ -219,8 +219,7 @@ class BnBSearch
             if (warm.ok()) {
                 incumbent_ = warm.selection;
                 incumbentCost_ = warm.cost;
-                if (options_.recordTrace)
-                    trace_.push_back({timer_.seconds(), incumbentCost_});
+                trace_.push_back({timer_.seconds(), incumbentCost_});
             }
         }
 
@@ -479,8 +478,7 @@ class LpBnB
         if (warm.ok()) {
             incumbent_ = warm.selection;
             incumbentCost_ = warm.cost;
-            if (options_.recordTrace)
-                trace_.push_back({timer_.seconds(), incumbentCost_});
+            trace_.push_back({timer_.seconds(), incumbentCost_});
         }
 
         struct Node

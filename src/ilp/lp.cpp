@@ -26,6 +26,9 @@ LinearProgram::addConstraint(Constraint constraint)
 
 namespace {
 
+/** Pivot tolerance: smaller magnitudes count as zero. */
+constexpr double kTolerance = 1e-9;
+
 /**
  * Dense two-phase simplex on the tableau
  *   [ A | I_slack/artificial | b ]
@@ -143,7 +146,7 @@ class Tableau
                     continue;
                 bool pivoted = false;
                 for (std::size_t j = 0; j < artBase && !pivoted; ++j) {
-                    if (std::fabs(at(i, j)) > options_.tolerance) {
+                    if (std::fabs(at(i, j)) > kTolerance) {
                         pivot(i, j);
                         pivoted = true;
                     }
@@ -196,7 +199,7 @@ class Tableau
             if (i == pivotRow)
                 continue;
             const double factor = at(i, pivotCol);
-            if (std::fabs(factor) <= options_.tolerance * 1e-3)
+            if (std::fabs(factor) <= kTolerance * 1e-3)
                 continue;
             for (std::size_t j = 0; j < cols_; ++j)
                 at(i, j) -= factor * at(pivotRow, j);
@@ -247,7 +250,7 @@ class Tableau
             double bestRatio = 0.0;
             for (std::size_t i = 0; i < rowsCount_; ++i) {
                 const double coeff = at(i, entering);
-                if (coeff > options_.tolerance) {
+                if (coeff > kTolerance) {
                     const double ratio = at(i, cols_ - 1) / coeff;
                     if (leaving == rowsCount_ ||
                         ratio < bestRatio - 1e-12 ||

@@ -82,7 +82,6 @@ struct LpResult
 struct SimplexOptions
 {
     std::size_t maxIterations = 200000;
-    double tolerance = 1e-9;
     /** Wall-clock budget in seconds; <= 0 means unlimited. The solver
      *  returns IterationLimit when it runs out mid-solve. */
     double timeLimitSeconds = 0.0;

@@ -96,14 +96,11 @@ installCliTelemetry(const util::Args& args, const char* tool)
     const std::string traceOut = args.getString("trace-out", "");
     const std::string metricsOut = args.getString("metrics-out", "");
 
-    const std::int64_t threads = args.getInt("threads", 0);
-    if (threads < 0) {
-        std::fprintf(stderr, "smoothe: ignoring invalid --threads %lld\n",
-                     static_cast<long long>(threads));
-    } else if (!util::ThreadPool::onWorkerThread()) {
+    // A malformed or negative value is reported by reportUnknownFlags.
+    const std::size_t threads = args.getCount("threads", 0);
+    if (!util::ThreadPool::onWorkerThread()) {
         // 0 = auto (hardware concurrency); the pool clamps internally.
-        const std::size_t size = util::ThreadPool::setGlobalThreads(
-            static_cast<std::size_t>(threads));
+        const std::size_t size = util::ThreadPool::setGlobalThreads(threads);
         gauge("threads").set(static_cast<double>(size));
     }
 
@@ -119,12 +116,9 @@ installCliTelemetry(const util::Args& args, const char* tool)
     // (no point writing an empty flamegraph) and names the collapsed-
     // stack file written at exit/terminate.
     const std::string profileOut = args.getString("profile-out", "");
-    const std::int64_t profileStride = args.getInt("profile-stride", 1);
-    if (args.getBool("profile", false) || !profileOut.empty()) {
-        Profiler::instance().enable(
-            profileStride > 0 ? static_cast<std::size_t>(profileStride)
-                              : 1);
-    }
+    const std::size_t profileStride = args.getCount("profile-stride", 1);
+    if (args.getBool("profile", false) || !profileOut.empty())
+        Profiler::instance().enable(profileStride);
 
     {
         CliState& state = cliState();

@@ -73,15 +73,6 @@ struct SmoothEConfig
     bool repairSampling = true;
 
     /**
-     * Worker threads for the batched kernels and the per-seed sampling
-     * stage. 0 leaves the process-wide pool as configured (auto =
-     * hardware_concurrency, or whatever --threads selected); a positive
-     * value resizes the pool. Results are bit-identical for every thread
-     * count — see the determinism contract in DESIGN.md.
-     */
-    std::size_t numThreads = 0;
-
-    /**
      * Arena budget in bytes for all tensors of this run; 0 = unlimited.
      * Emulates GPU memory capacity (Table 5). Exhaustion surfaces as an
      * OOM failure.

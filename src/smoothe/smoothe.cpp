@@ -5,12 +5,14 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "autodiff/adam.hpp"
 #include "autodiff/program.hpp"
 #include "autodiff/tape.hpp"
 #include "check/contracts.hpp"
+#include "extraction/validate.hpp"
 #include "obs/obs.hpp"
 #include "smoothe/sampler.hpp"
 #include "util/rng.hpp"
@@ -316,8 +318,8 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
  * structures the compiled Program's op pointers refer into (declared
  * before the Program so they outlive it), theta with its Adam state,
  * and the Program itself. A one-shot extractWithCost uses a stack-local
- * instance; the incremental protocol keeps one alive inside the
- * caller's IncrementalState.
+ * instance; extractIncremental keeps one alive inside the caller's
+ * IncrementalState.
  */
 struct WarmState : extract::IncrementalBlob
 {
@@ -491,12 +493,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
 
     Arena& arena = ws.arena;
 
-    // numThreads > 0 pins the process-wide pool; 0 respects whatever the
-    // CLI / embedding application configured (auto = hardware threads).
-    // Never resize from inside a pool worker (per-graph tool parallelism):
-    // the resize would try to join the very thread running this extract.
-    if (config.numThreads > 0 && !util::ThreadPool::onWorkerThread())
-        util::ThreadPool::setGlobalThreads(config.numThreads);
     diagnostics.threads = util::ThreadPool::global().size();
     obs::gauge("smoothe.threads")
         .set(static_cast<double>(diagnostics.threads));
@@ -701,10 +697,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                         sinceImprovement = 0;
                         obs::traceInstant("smoothe.incumbent");
                         obs::traceCounter("smoothe.best_cost", bestCost);
-                        if (options.recordTrace) {
-                            result.trace.push_back(
-                                {timer.seconds(), bestCost});
-                        }
+                        result.trace.push_back(
+                            {timer.seconds(), bestCost});
                     }
                 }
                 ++sinceImprovement;
@@ -786,35 +780,51 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
 ExtractionResult
 SmoothEExtractor::extractWithCost(const EGraph& graph,
                                   const cost::CostModel& model,
-                                  const ExtractOptions& options,
-                                  const eg::GraphDelta* delta,
-                                  extract::IncrementalState* state)
+                                  const ExtractOptions& options)
 {
-    SMOOTHE_CHECK(state == nullptr || delta != nullptr,
-                  "smoothe: incremental state requires a delta");
-    if (state != nullptr && delta != nullptr) {
-        // First epoch through a fresh state runs cold but leaves its
-        // converged parameters behind for the next epoch to warm from.
-        WarmState* ws = blobOf<WarmState>(*state);
-        const bool fresh = (ws == nullptr);
-        if (fresh)
-            ws = &storeBlob<WarmState>(*state, config_.memoryBudgetBytes);
-        return runSmoothE(graph, model, options, config_, diagnostics_,
-                          *ws, fresh ? nullptr : delta);
-    }
     WarmState oneShot(config_.memoryBudgetBytes);
     return runSmoothE(graph, model, options, config_, diagnostics_,
                       oneShot, nullptr);
 }
 
 ExtractionResult
-SmoothEExtractor::extractIncrementalImpl(const EGraph& graph,
-                                         const eg::GraphDelta& delta,
-                                         extract::IncrementalState& state,
-                                         const ExtractOptions& options)
+SmoothEExtractor::extractIncremental(const EGraph& graph,
+                                     const eg::GraphDelta& delta,
+                                     extract::IncrementalState& state,
+                                     const ExtractOptions& options)
 {
+    obs::Span span(name(), "extraction");
+    obs::counter("extraction." + name() + ".incremental_runs").add(1);
+    SMOOTHE_DCHECK_OK(delta.checkConsistent(graph));
+    const bool warm = !state.empty();
+    if (warm) {
+        // Reusing a state across extractors or e-graph lineages would
+        // silently warm-start from unrelated ids; the delta's prev
+        // counts must describe exactly the graph this state last saw.
+        SMOOTHE_CHECK(state.owner_ == this,
+                      "incremental state belongs to another extractor");
+        SMOOTHE_CHECK(state.graphNodes_ == delta.prevNumNodes &&
+                          state.graphClasses_ == delta.prevNumClasses,
+                      "stale incremental state: it last saw %zu nodes / "
+                      "%zu classes but the delta maps from %zu / %zu — "
+                      "reset() the state before switching e-graphs",
+                      state.graphNodes_, state.graphClasses_,
+                      delta.prevNumNodes, delta.prevNumClasses);
+    } else {
+        // The first epoch runs cold but leaves its converged parameters
+        // behind for the next epoch to warm from.
+        state.blob_ = std::make_unique<WarmState>(config_.memoryBudgetBytes);
+    }
     const cost::LinearCost linear(graph);
-    return extractWithCost(graph, linear, options, &delta, &state);
+    ExtractionResult result = runSmoothE(
+        graph, linear, options, config_, diagnostics_,
+        static_cast<WarmState&>(*state.blob_), warm ? &delta : nullptr);
+    state.owner_ = this;
+    ++state.epoch_;
+    state.graphNodes_ = graph.numNodes();
+    state.graphClasses_ = graph.numClasses();
+    SMOOTHE_DCHECK_OK(extract::checkResultInvariants(graph, result));
+    return result;
 }
 
 } // namespace smoothe::core

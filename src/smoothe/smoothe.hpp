@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "costmodel/cost_model.hpp"
+#include "egraph/delta.hpp"
 #include "extraction/extractor.hpp"
 #include "obs/phase_profiler.hpp"
 #include "smoothe/config.hpp"
@@ -89,23 +90,29 @@ class SmoothEExtractor : public extract::Extractor
 
     std::string name() const override { return "SmoothE"; }
 
-    /**
-     * Arbitrary differentiable objective. When `delta` and `state` are
-     * both given, the run warm-starts from the previous epoch carried in
-     * `state`: theta and the Adam moments are remapped through the delta
-     * (new nodes fall back to the softmax prior, merged classes are
-     * re-centered per source group), and the iteration is recorded and
-     * compiled afresh for the grown graph (counter `program.rerecord`).
-     * An identity delta on an unchanged graph re-emits the cached
-     * result. Callers going through the generic protocol should prefer
-     * Extractor::extractIncremental, which adds the cross-epoch
-     * consistency checks.
-     */
+    /** Arbitrary differentiable objective (e.g. a trained MLP cost). */
     extract::ExtractionResult
     extractWithCost(const eg::EGraph& graph, const cost::CostModel& model,
-                    const extract::ExtractOptions& options,
-                    const eg::GraphDelta* delta = nullptr,
-                    extract::IncrementalState* state = nullptr);
+                    const extract::ExtractOptions& options);
+
+    /**
+     * Re-extracts after the e-graph grew, warm-starting from the
+     * previous epoch carried in `state`: theta and the Adam moments are
+     * remapped through `delta` (new nodes fall back to the softmax prior,
+     * merged classes are re-centered per source group), and the
+     * iteration is recorded and compiled afresh for the grown graph
+     * (counter `program.rerecord`). An identity delta on an unchanged
+     * graph re-emits the cached result. `delta` must relate the graph
+     * `state` last saw to `graph` (eqsat::MutEGraph::exportIncremental
+     * produces exactly that pairing); on a fresh or reset() state this
+     * epoch runs cold. The call aborts (SMOOTHE_CHECK) when `state` was
+     * produced by a different extractor or against a different e-graph
+     * lineage.
+     */
+    extract::ExtractionResult
+    extractIncremental(const eg::EGraph& graph, const eg::GraphDelta& delta,
+                       extract::IncrementalState& state,
+                       const extract::ExtractOptions& options);
 
     /** Diagnostics from the most recent extract() call. */
     const SmoothEDiagnostics& diagnostics() const { return diagnostics_; }
@@ -118,13 +125,6 @@ class SmoothEExtractor : public extract::Extractor
     extract::ExtractionResult
     extractImpl(const eg::EGraph& graph,
                 const extract::ExtractOptions& options) override;
-
-    /** The incremental protocol entry: linear objective + warm start. */
-    extract::ExtractionResult
-    extractIncrementalImpl(const eg::EGraph& graph,
-                           const eg::GraphDelta& delta,
-                           extract::IncrementalState& state,
-                           const extract::ExtractOptions& options) override;
 
   private:
     SmoothEConfig config_;

@@ -88,11 +88,6 @@ class Arena
     }
     std::size_t budget() const { return budget_; }
     void setBudget(std::size_t bytes) { budget_ = bytes; }
-    void resetPeak()
-    {
-        peak_.store(used_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    }
 
   private:
     std::size_t budget_;

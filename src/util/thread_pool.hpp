@@ -86,7 +86,7 @@ class ThreadPool
 
     /**
      * Resizes the global pool: 0 = hardwareThreads(). Returns the new
-     * size. Used by --threads and SmoothEConfig::numThreads.
+     * size. The only owner of the pool size; --threads calls it.
      */
     static std::size_t setGlobalThreads(std::size_t num_threads);
 

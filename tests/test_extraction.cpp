@@ -112,7 +112,6 @@ TEST(Validate, RejectsUnreachableChoice)
     sel.choice[unused] = 1;
     EXPECT_EQ(ex::validate(g, sel).violation,
               ex::Violation::UnreachableChoice);
-    EXPECT_TRUE(ex::validate(g, sel, /*allow_unreachable=*/true).ok());
 }
 
 TEST(Validate, RejectsCycle)
@@ -284,10 +283,7 @@ TEST(RandomSample, ProducesDiverseSolutions)
 TEST(Genetic, SolvesPaperGraphOptimally)
 {
     const eg::EGraph g = paperGraph();
-    ex::GeneticConfig config;
-    config.populationSize = 32;
-    config.generations = 40;
-    ex::GeneticExtractor extractor(config);
+    ex::GeneticExtractor extractor;
     ex::ExtractOptions options;
     options.seed = 3;
     const auto result = extractor.extract(g, options);
@@ -322,7 +318,6 @@ TEST(Genetic, RecordsTrace)
     const eg::EGraph g = paperGraph();
     ex::GeneticExtractor extractor;
     ex::ExtractOptions options;
-    options.recordTrace = true;
     options.seed = 5;
     const auto result = extractor.extract(g, options);
     ASSERT_TRUE(result.ok());
@@ -404,10 +399,7 @@ TEST(ExtractorTrace, SpanNamesOutliveTheExtractors)
     }
     {
         ex::FasterBottomUpExtractor plus;
-        ex::IncrementalState state;
-        EXPECT_TRUE(plus.extractIncremental(
-                            g, eg::GraphDelta::identity(g), state, {})
-                        .ok());
+        EXPECT_TRUE(plus.extract(g, {}).ok());
     }
     session.stop();
 

@@ -13,6 +13,7 @@
 
 #include "datasets/generators.hpp"
 #include "datasets/nphard.hpp"
+#include "extraction/bottom_up.hpp"
 #include "extraction/random_sample.hpp"
 #include "ilp/ilp_extractor.hpp"
 #include "extraction/validate.hpp"
@@ -437,11 +438,35 @@ TEST(Ilp, RecordsAnytimeTrace)
     const eg::EGraph g = ds::generateStructured(params, 31);
     il::IlpExtractor extractor(il::IlpPreset::Strong);
     ex::ExtractOptions options;
-    options.recordTrace = true;
     options.timeLimitSeconds = 2.0;
     const auto result = extractor.extract(g, options);
     ASSERT_TRUE(result.ok());
     ASSERT_FALSE(result.trace.empty());
     for (std::size_t i = 1; i < result.trace.size(); ++i)
         EXPECT_LE(result.trace[i].cost, result.trace[i - 1].cost + 1e-9);
+}
+
+TEST(Ilp, DefaultTraceStartsAtWarmIncumbent)
+{
+    // ILP-strong seeds its incumbent with heuristic+; a default run's
+    // anytime trace must open with that point on both engines: the
+    // LP-based search (small model) and the class-choice search (a model
+    // past the LP size cap).
+    ds::FamilyParams small = ds::flexcParams();
+    small.numClasses = 60;
+    ds::FamilyParams large = ds::roverParams();
+    large.numClasses = 600;
+    for (const eg::EGraph& g : {ds::generateStructured(small, 31),
+                                ds::generateStructured(large, 5)}) {
+        const auto warm = ex::FasterBottomUpExtractor().extract(g, {});
+        ASSERT_TRUE(warm.ok());
+        il::IlpExtractor extractor(il::IlpPreset::Strong);
+        ex::ExtractOptions options;
+        options.timeLimitSeconds = 2.0;
+        const auto result = extractor.extract(g, options);
+        ASSERT_TRUE(result.ok());
+        ASSERT_FALSE(result.trace.empty());
+        EXPECT_DOUBLE_EQ(result.trace.front().cost, warm.cost);
+        EXPECT_DOUBLE_EQ(result.trace.back().cost, result.cost);
+    }
 }

@@ -19,7 +19,6 @@
 #include "egraph/serialize.hpp"
 #include "eqsat/mut_egraph.hpp"
 #include "eqsat/rules.hpp"
-#include "extraction/bottom_up.hpp"
 #include "obs/metrics.hpp"
 #include "smoothe/smoothe.hpp"
 #include "util/rng.hpp"
@@ -188,7 +187,8 @@ smootheEpochCosts(std::size_t threads)
     config.numSeeds = 4;
     config.maxIterations = 60;
     config.patience = 10;
-    config.numThreads = threads;
+    const std::size_t savedThreads = util::ThreadPool::global().size();
+    util::ThreadPool::setGlobalThreads(threads);
     core::SmoothEExtractor extractor(config);
     eqsat::ExportState exportState;
     extract::IncrementalState state;
@@ -204,6 +204,7 @@ smootheEpochCosts(std::size_t threads)
         EXPECT_TRUE(result.ok());
         costs.push_back(result.cost);
     }
+    util::ThreadPool::setGlobalThreads(savedThreads);
     return costs;
 }
 
@@ -293,21 +294,24 @@ TEST(IncrementalExtract, StaleStateIsRejected)
         datasets::growEGraph(datasets::TermFlavor::Arithmetic, 4, 150, rng);
     ASSERT_NE(small.numNodes(), big.numNodes());
 
-    extract::BottomUpExtractor heuristic;
+    core::SmoothEConfig config;
+    config.numSeeds = 2;
+    config.maxIterations = 5;
+    core::SmoothEExtractor smoothe(config);
     extract::ExtractOptions options;
     extract::IncrementalState state;
-    heuristic.extractIncremental(small, eg::GraphDelta::identity(small),
-                                 state, options);
+    smoothe.extractIncremental(small, eg::GraphDelta::identity(small), state,
+                               options);
 
     // Same state pointed at a different e-graph lineage: the delta's
     // prev counts no longer describe what the state last saw. The
     // misuse is deliberate — it is what this test proves gets caught.
-    EXPECT_THROW(heuristic.extractIncremental(
+    EXPECT_THROW(smoothe.extractIncremental(
                      big, eg::GraphDelta::identity(big), state, options),
                  check::ContractViolation);
 
     // A different extractor instance must not adopt the state either.
-    extract::BottomUpExtractor other;
+    core::SmoothEExtractor other(config);
     EXPECT_THROW(other.extractIncremental(
                      small, eg::GraphDelta::identity(small), state,
                      options),

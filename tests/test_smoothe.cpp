@@ -301,7 +301,6 @@ TEST(SmoothE, AnytimeTraceMonotone)
     const eg::EGraph g = ds::generateStructured(params, 17);
     core::SmoothEExtractor extractor(fastConfig());
     ex::ExtractOptions options;
-    options.recordTrace = true;
     options.seed = 9;
     const auto result = extractor.extract(g, options);
     ASSERT_TRUE(result.ok());
@@ -343,7 +342,7 @@ TEST(SmoothE, Fig6CpuBaselineMatchesAvx2Threaded)
         config.maxIterations = 30;
         config.sccDecomposition = false;
         config.batchedMatexp = false;
-        config.numThreads = threads;
+        smoothe::util::ThreadPool::setGlobalThreads(threads);
         core::SmoothEExtractor extractor(config);
         ex::ExtractOptions options;
         options.seed = 10;
@@ -443,10 +442,12 @@ TEST(SmoothE, CompiledReplayIsThreadCountInvariant)
     // ProgramParity in test_program.)
     const auto graphs = ds::loadFamily("rover", 0.05, 11);
     const eg::EGraph& g = graphs.front().graph;
+    const std::size_t savedThreads =
+        smoothe::util::ThreadPool::global().size();
     auto run = [&](std::size_t threads) {
         core::SmoothEConfig config = fastConfig();
         config.maxIterations = 30;
-        config.numThreads = threads;
+        smoothe::util::ThreadPool::setGlobalThreads(threads);
         core::SmoothEExtractor extractor(config);
         ex::ExtractOptions options;
         options.seed = 5;
@@ -459,7 +460,7 @@ TEST(SmoothE, CompiledReplayIsThreadCountInvariant)
     };
     const auto serial = run(1);
     const auto parallel = run(4);
-    smoothe::util::ThreadPool::setGlobalThreads(1); // restore
+    smoothe::util::ThreadPool::setGlobalThreads(savedThreads);
     ASSERT_TRUE(serial.ok());
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(serial.cost, parallel.cost);

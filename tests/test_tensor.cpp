@@ -84,15 +84,15 @@ TEST(SegmentIndex, EmptySegments)
     EXPECT_EQ(index.segmentSize(3), 0u);
 }
 
-TEST(Arena, ResetPeakAndSetBudget)
+TEST(Arena, TracksPeakAndBudget)
 {
     st::Arena arena;
     {
         st::Tensor big(16, 16, &arena);
         EXPECT_EQ(arena.peak(), 16 * 16 * sizeof(float));
     }
-    arena.resetPeak();
-    EXPECT_EQ(arena.peak(), 0u);
+    EXPECT_EQ(arena.used(), 0u);
+    EXPECT_EQ(arena.peak(), 16 * 16 * sizeof(float));
     arena.setBudget(8);
     EXPECT_THROW(st::Tensor t(2, 2, &arena), st::OomError);
     arena.setBudget(0); // unlimited again

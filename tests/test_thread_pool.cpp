@@ -250,7 +250,7 @@ TEST(ThreadPoolDeterminism, ExtractionIdenticalAcrossPoolSizes)
         core::SmoothEConfig config;
         config.numSeeds = 8;
         config.maxIterations = 40;
-        config.numThreads = threads;
+        util::ThreadPool::setGlobalThreads(threads);
         core::SmoothEExtractor extractor(config);
         smoothe::extract::ExtractOptions options;
         options.seed = 7;
@@ -258,9 +258,10 @@ TEST(ThreadPoolDeterminism, ExtractionIdenticalAcrossPoolSizes)
         return extractor.extract(graph, options);
     };
 
+    const std::size_t savedThreads = util::ThreadPool::global().size();
     const auto serial = runAt(1);
     const auto parallel = runAt(4);
-    util::ThreadPool::setGlobalThreads(1); // restore for other tests
+    util::ThreadPool::setGlobalThreads(savedThreads);
     ASSERT_TRUE(serial.ok());
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(serial.cost, parallel.cost);

@@ -18,16 +18,18 @@
 
 namespace {
 
-/** Locates a built binary relative to the test executable's directory. */
+/**
+ * Locates a built binary of build-tree directory `subdir` (tools,
+ * examples) relative to the test executable's directory.
+ */
 std::string
-binaryPath(const std::string& name)
+binaryPath(const std::string& name, const std::string& subdir = "tools")
 {
     // Tests run from build/tests (ctest) or anywhere (manual); try the
     // build-tree layout first.
-    const char* candidates[] = {"../tools/", "./build/tools/",
-                                "build/tools/"};
+    const char* candidates[] = {"../", "./build/", "build/"};
     for (const char* dir : candidates) {
-        const std::string path = std::string(dir) + name;
+        const std::string path = std::string(dir) + subdir + "/" + name;
         if (FILE* f = std::fopen(path.c_str(), "rb")) {
             std::fclose(f);
             return path;
@@ -40,6 +42,23 @@ int
 runCommand(const std::string& command)
 {
     return std::system((command + " > /dev/null 2>&1").c_str());
+}
+
+/**
+ * Runs `command` with stderr folded into stdout, appends its output to
+ * `output` and returns its exit status (-1 when it did not exit).
+ */
+int
+runCaptured(const std::string& command, std::string& output)
+{
+    FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe))
+        output += buffer;
+    const int status = pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 } // namespace
@@ -192,24 +211,39 @@ TEST(Tools, ExtractRejectsMalformedNumbers)
         const char* named;
     } cases[] = {{"--seeds abc", "--seeds"},
                  {"--threads two", "--threads"},
+                 {"--threads -3", "--threads"},
+                 {"--profile-stride -4", "--profile-stride"},
                  {"--max-iters -5", "--max-iters"},
                  {"--time-limit 1s", "--time-limit"},
                  {"--incremental", "--incremental"},
                  {"--epochs 2", "--epochs"}};
     for (const auto& c : cases) {
-        const std::string command = extract +
-                                    " --input /tmp/maxsat_0.json "
-                                    "--extractor heuristic " +
-                                    c.flags + " 2>&1";
-        FILE* pipe = popen(command.c_str(), "r");
-        ASSERT_NE(pipe, nullptr) << c.flags;
         std::string output;
-        char buffer[256];
-        while (std::fgets(buffer, sizeof buffer, pipe))
-            output += buffer;
-        const int status = pclose(pipe);
-        ASSERT_TRUE(WIFEXITED(status)) << c.flags;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << c.flags << ": " << output;
+        EXPECT_EQ(runCaptured(extract +
+                                  " --input /tmp/maxsat_0.json "
+                                  "--extractor heuristic " +
+                                  c.flags,
+                              output),
+                  2)
+            << c.flags << ": " << output;
         EXPECT_NE(output.find(c.named), std::string::npos) << output;
     }
+}
+
+TEST(Tools, ExampleRejectsBadFlags)
+{
+    const std::string example = binaryPath("adversarial", "examples");
+    if (example.empty())
+        GTEST_SKIP() << "example binaries not found relative to cwd";
+    // The examples read their flags through the same check as the tools:
+    // a typo or a malformed size is a usage error, not a run on defaults.
+    std::string output;
+    EXPECT_EQ(runCaptured(example + " --elements abc --sets -3 --typo 1",
+                          output),
+              2)
+        << output;
+    EXPECT_NE(output.find("unrecognized flag --typo"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("for --elements"), std::string::npos) << output;
+    EXPECT_NE(output.find("for --sets"), std::string::npos) << output;
 }
