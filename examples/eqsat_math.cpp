@@ -5,7 +5,7 @@
  * equivalent program — the full Section 2 workflow on a trigonometric
  * simplification task.
  *
- * Run: ./build/examples/eqsat_math "(+ (square (sec a)) (tan a))"
+ * Run: ./build/examples/eqsat_math --term "(+ (square (sec a)) (tan a))"
  */
 
 #include <cstdio>
@@ -14,15 +14,20 @@
 #include "eqsat/mut_egraph.hpp"
 #include "eqsat/term.hpp"
 #include "extraction/bottom_up.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
+#include "util/args.hpp"
 
 int
 main(int argc, char** argv)
 {
     using namespace smoothe;
 
+    const util::Args args(argc, argv);
     const std::string input =
-        argc > 1 ? argv[1] : "(+ (square (sec a)) (tan a))";
+        args.getString("term", "(+ (square (sec a)) (tan a))");
+    if (obs::reportUnknownFlags(args, "eqsat_math") > 0)
+        return 2;
     auto term = eqsat::parseTerm(input);
     if (!term) {
         std::fprintf(stderr, "cannot parse term: %s\n", input.c_str());

@@ -19,12 +19,17 @@
 #include "datasets/generators.hpp"
 #include "extraction/bottom_up.hpp"
 #include "ilp/ilp_extractor.hpp"
+#include "obs/cli.hpp"
 #include "smoothe/smoothe.hpp"
+#include "util/args.hpp"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace smoothe;
+    const util::Args args(argc, argv);
+    if (obs::reportUnknownFlags(args, "quickstart") > 0)
+        return 2;
 
     // 1. Build (or load) an e-graph. Here: the paper's Figure 2 example.
     const eg::EGraph graph = datasets::paperExampleEGraph();

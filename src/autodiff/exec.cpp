@@ -1,8 +1,5 @@
 #include "autodiff/exec.hpp"
 
-#include <limits>
-#include <vector>
-
 #include "autodiff/matexp.hpp"
 #include "check/contracts.hpp"
 #include "obs/metrics.hpp"
@@ -42,16 +39,9 @@ forwardOp(const ForwardArgs& args)
       case Op::SegmentSoftmax:
         tensor::segmentSoftmaxInto(*args.a, *node.segs, *args.value);
         break;
-      case Op::SegmentProductComplement:
-        tensor::segmentProductComplementInto(*args.a, *node.segs,
-                                             *args.value);
-        break;
-      case Op::SegmentMaxGather:
-        tensor::segmentMaxGatherInto(*args.a, *node.segs, *args.value,
-                                     *args.savedIdx);
-        break;
-      case Op::GatherCols:
-        tensor::gatherColsInto(*args.a, *node.index, *args.value);
+      case Op::Propagate:
+        tensor::propagateInto(*args.a, node.propagate, *args.value,
+                              *args.saved, *args.scratch);
         break;
       case Op::MatMul:
         tensor::matmulInto(*args.a, *args.b, *args.value);
@@ -205,41 +195,11 @@ backwardOp(const BackwardArgs& args)
             });
         break;
       }
-      case Op::SegmentProductComplement:
+      case Op::Propagate:
         if (gaPtr)
-            tensor::segmentProductComplementGradInto(
-                *args.a, *node.segs, g, *gaPtr, *args.scratch);
+            tensor::propagateGradInto(*args.a, node.propagate, g,
+                                      *args.saved, *gaPtr, *args.scratch);
         break;
-      case Op::SegmentMaxGather: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const std::size_t numSegments = node.segs->numSegments();
-        const auto& savedIdx = *args.savedIdx;
-        for (std::size_t r = 0; r < ga.rows(); ++r) {
-            const float* gr = g.row(r);
-            float* gar = ga.row(r);
-            for (std::size_t s = 0; s < numSegments; ++s) {
-                const std::uint32_t arg = savedIdx[r * numSegments + s];
-                if (arg != std::numeric_limits<std::uint32_t>::max())
-                    gar[arg] += gr[s];
-            }
-        }
-        break;
-      }
-      case Op::GatherCols: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const auto& index = *node.index;
-        for (std::size_t r = 0; r < g.rows(); ++r) {
-            const float* gr = g.row(r);
-            float* gar = ga.row(r);
-            for (std::size_t i = 0; i < index.size(); ++i)
-                gar[index[i]] += gr[i];
-        }
-        break;
-      }
       case Op::MatMul: {
         if (gaPtr) {
             // grad_a = g * w^T

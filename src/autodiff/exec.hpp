@@ -15,9 +15,6 @@
 #ifndef SMOOTHE_AUTODIFF_EXEC_HPP
 #define SMOOTHE_AUTODIFF_EXEC_HPP
 
-#include <cstdint>
-#include <vector>
-
 #include "autodiff/ops.hpp"
 
 namespace smoothe::ad::exec {
@@ -29,8 +26,10 @@ struct ForwardArgs
     const Tensor* a = nullptr;  ///< value(in0), null for sources
     const Tensor* b = nullptr;  ///< value(in1), null for unary ops
     Tensor* value = nullptr;    ///< destination (correctly shaped)
-    Tensor* saved = nullptr;    ///< op-specific stash (TrExpm: expm rows)
-    std::vector<std::uint32_t>* savedIdx = nullptr; ///< segment argmax
+    /** Op-specific stash: TrExpm's expm rows, Propagate's q and argmax
+     *  of every round. */
+    Tensor* saved = nullptr;
+    Tensor* scratch = nullptr; ///< Propagate's kernel scratch
 };
 
 /**
@@ -48,9 +47,7 @@ struct BackwardArgs
     const Tensor* b = nullptr;  ///< value(in1) where the op needs it
     const Tensor* value = nullptr; ///< the node's own forward value
     const Tensor* saved = nullptr;
-    const std::vector<std::uint32_t>* savedIdx = nullptr;
-    /** Kernel scratch (SegmentProductComplement); grown if too small. */
-    std::vector<float>* scratch = nullptr;
+    Tensor* scratch = nullptr; ///< Propagate's kernel scratch
     Tensor* ga = nullptr;       ///< grad(in0) accumulator; null = skip side
     Tensor* gb = nullptr;       ///< grad(in1) accumulator; null = skip side
 };

@@ -56,6 +56,9 @@ using MatrixEntry = tensor::MatrixEntry;
  * FusedElemChain is the one constant-operand elementwise op: the Tape
  * records scale/addScalar/mulConst/addConst as one-stage chains, and
  * the Program's fusion pass merges single-consumer runs of them.
+ * Propagate is phi's probability propagation as one op: its kernels
+ * run every round in seed-lane layout and save only q and the argmax
+ * of each round.
  */
 enum class Op : std::uint8_t {
     Leaf,
@@ -66,9 +69,7 @@ enum class Op : std::uint8_t {
     DotRowsConst,
     SumAll,
     SegmentSoftmax,
-    SegmentProductComplement,
-    SegmentMaxGather,
-    GatherCols,
+    Propagate, ///< phi's whole propagation (Eqs. 5-7), every round
     MatMul,
     AddRowBroadcast,
     ScatterMatrix,
@@ -91,8 +92,9 @@ struct OpNode
     std::size_t cols = 0;
     Param* param = nullptr;
     const SegmentIndex* segs = nullptr;
-    const std::vector<std::uint32_t>* index = nullptr;
     const std::vector<MatrixEntry>* entries = nullptr;
+    /** Propagate's structure, round count and assumption. */
+    tensor::PropagateSpec propagate;
     std::vector<float> constVec;
     /** FusedElemChain stages, applied in order (empty otherwise). */
     std::vector<tensor::ElemStage> chain;

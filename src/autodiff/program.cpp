@@ -1,5 +1,6 @@
 #include "autodiff/program.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_map>
 #include <utility>
@@ -51,12 +52,8 @@ kernelName(Op op)
         return "sum_all";
       case Op::SegmentSoftmax:
         return "segment_softmax";
-      case Op::SegmentProductComplement:
-        return "segment_product_complement";
-      case Op::SegmentMaxGather:
-        return "segment_max_gather";
-      case Op::GatherCols:
-        return "gather_cols";
+      case Op::Propagate:
+        return "propagate";
       case Op::MatMul:
         return "matmul";
       case Op::AddRowBroadcast:
@@ -79,10 +76,8 @@ hasSimdVariant(Op op)
       case Op::Mul:
       case Op::Relu:
       case Op::FusedElemChain:
-      case Op::GatherCols:
       case Op::SegmentSoftmax:
-      case Op::SegmentProductComplement:
-      case Op::SegmentMaxGather:
+      case Op::Propagate:
       case Op::TrExpm:
         return true;
       default:
@@ -93,7 +88,7 @@ hasSimdVariant(Op op)
 bool
 hasSimdBackward(Op op)
 {
-    return op == Op::FusedElemChain || op == Op::SegmentProductComplement;
+    return op == Op::FusedElemChain || op == Op::Propagate;
 }
 
 namespace {
@@ -164,15 +159,22 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
       case Op::SegmentSoftmax:
         c = {(4 + cost::kExpFlops) * a, 6 * F * a, 6 * a, 6 * F * a};
         break;
-      case Op::SegmentProductComplement:
-        c = {2 * a, 2 * F * a, 4 * a, 4 * F * a};
+      case Op::Propagate: {
+        // Per round and seed: p = cp * q (one flop per node), then per
+        // parent entry a complement-multiply and a compare, and a few
+        // flops per class; backward recomputes p and takes about twice
+        // that. Traffic: p and its gradient per node, q per class.
+        const tensor::PropagateSpec& spec = node.propagate;
+        const std::uint64_t entries = spec.parents->items.size();
+        const std::uint64_t classes = spec.numClasses();
+        const std::uint64_t round =
+            rows * (cols + 3 * entries + 4 * classes);
+        const std::uint64_t roundBytes = rows * F * (2 * cols + 2 * classes);
+        const std::uint64_t t = spec.rounds;
+        c = {t * round + n, t * roundBytes + 2 * F * n,
+             2 * t * round + 2 * n, 2 * t * roundBytes + 4 * F * n};
         break;
-      case Op::SegmentMaxGather:
-        c = {a, 2 * F * a, n, 2 * F * a};
-        break;
-      case Op::GatherCols:
-        c = {0, 3 * F * n, n, 3 * F * n};
-        break;
+      }
       case Op::MatMul: {
         const std::uint64_t flops =
             cost::matmulFlops(aRows, aCols, bCols);
@@ -242,22 +244,30 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     valueBind_.assign(n, Binding{});
     gradBind_.assign(n, Binding{});
     saved_.resize(n);
-    savedIdx_.resize(n);
-    scratch_.resize(n);
 
     // --- read recorded shapes, steal metadata and payloads -------------
     // The recording holds shapes only, so the stashes the forward
-    // kernels fill are allocated here: TrExpm's expm rows, and capacity
-    // for SegmentMaxGather's argmax so replays never grow it.
+    // kernels fill are allocated here: TrExpm's expm rows, Propagate's
+    // q and argmax of every round, and one scratch buffer sized for the
+    // largest Propagate (ops run one at a time, so they share it).
     ops_.reserve(n);
+    std::size_t scratchFloats = 0;
     for (std::size_t i = 0; i < n; ++i) {
         Tape::Node& rec = tape.nodes_[i];
-        if (rec.op == Op::TrExpm)
+        if (rec.op == Op::TrExpm) {
             saved_[i] = Tensor(rec.rows, rec.dim * rec.dim, arena_);
-        else if (rec.op == Op::SegmentMaxGather)
-            savedIdx_[i].reserve(rec.rows * rec.cols);
+        } else if (rec.op == Op::Propagate) {
+            saved_[i] = Tensor(rec.rows,
+                               tensor::propagateSavedCols(rec.propagate),
+                               arena_);
+            scratchFloats = std::max(
+                scratchFloats,
+                rec.rows * tensor::propagateScratchCols(rec.propagate));
+        }
         ops_.push_back(std::move(static_cast<OpNode&>(rec)));
     }
+    if (scratchFloats > 0)
+        scratch_ = Tensor(1, scratchFloats, arena_);
 
     // The eager baseline re-allocates every value, every grad reachable
     // from the root (through constants too), and every saved stash each
@@ -282,6 +292,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
                 stats_.naiveBytes += valueBytes;
             stats_.naiveBytes += saved_[i].size() * sizeof(float);
         }
+        stats_.naiveBytes += scratch_.size() * sizeof(float);
     }
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -430,7 +441,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             persistent[static_cast<std::size_t>(node.in0)] = 1;
             persistent[static_cast<std::size_t>(node.in1)] = 1;
             break;
-          case Op::SegmentProductComplement:
+          case Op::Propagate:
             persistent[static_cast<std::size_t>(node.in0)] = 1;
             break;
           case Op::Relu:
@@ -531,13 +542,6 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
             gradBind_[inIx] = {Storage::Slot, slot};
             step.zeroSlots.push_back(slot);
         }
-        // Sized now so replays never allocate it.
-        if (node.op == Op::SegmentProductComplement &&
-            needsGrad_[static_cast<std::size_t>(node.in0)]) {
-            const OpNode& in = ops_[static_cast<std::size_t>(node.in0)];
-            scratch_[ix].resize(tensor::segmentProductComplementGradScratch(
-                in.rows, in.cols, *node.segs));
-        }
         backwardSchedule_.push_back(std::move(step));
         // A node's grad is last read at its own step: the slot frees
         // here, after its inputs already claimed theirs.
@@ -557,7 +561,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
         // benches compile one Program per simd::Level to get the two
         // variants as separate side-by-side rows. Backward slots stay
-        // unsuffixed: all but the fused chain's are generic loops.
+        // unsuffixed: only the fused chain's and Propagate's dispatch.
         forwardKernels_.reserve(forwardSchedule_.size());
         for (VarId id : forwardSchedule_) {
             const OpCost cost = costOf(id);
@@ -590,7 +594,8 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         return total;
     };
     stats_.plannedBytes = bytesOf(owned_) + bytesOf(valueSlots_) +
-                          bytesOf(gradSlots_) + bytesOf(saved_);
+                          bytesOf(gradSlots_) + bytesOf(saved_) +
+                          scratch_.size() * sizeof(float);
 
     tape.clear();
     SMOOTHE_DCHECK_OK(checkInvariants());
@@ -629,7 +634,7 @@ Program::makeForwardArgs(VarId id)
     args.b = node.in1 >= 0 ? valuePtr(node.in1) : nullptr;
     args.value = valueMut(id);
     args.saved = &saved_[ix];
-    args.savedIdx = &savedIdx_[ix];
+    args.scratch = &scratch_;
     return args;
 }
 
@@ -643,8 +648,7 @@ Program::makeBackwardArgs(const BackStep& step)
     args.b = node.in1 >= 0 ? valuePtr(node.in1) : nullptr;
     args.value = valuePtr(step.id);
     args.saved = &saved_[ix];
-    args.savedIdx = &savedIdx_[ix];
-    args.scratch = &scratch_[ix];
+    args.scratch = &scratch_;
     args.ga =
         node.in0 >= 0 && needsGrad_[static_cast<std::size_t>(node.in0)]
             ? &gradSlots_[gradBind_[static_cast<std::size_t>(node.in0)]

@@ -189,9 +189,9 @@ class Program
     std::vector<Tensor> valueSlots_;
     std::vector<Tensor> gradSlots_;
     std::vector<Tensor> saved_;
-    std::vector<std::vector<std::uint32_t>> savedIdx_;
-    /** Backward kernel scratch, sized at compile time. */
-    std::vector<std::vector<float>> scratch_;
+    /** Propagate's kernel scratch, sized at compile time for the
+     *  largest one and shared (ops run one at a time). */
+    Tensor scratch_;
     std::vector<VarId> forwardSchedule_;
     std::vector<BackStep> backwardSchedule_;
     std::vector<KernelSlot> forwardKernels_;  ///< parallel to schedule

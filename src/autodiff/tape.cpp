@@ -100,16 +100,30 @@ Tape::evaluate()
         if (cur.op == Op::Constant)
             continue; // recorded with its value
         cur.value = Tensor(cur.rows, cur.cols, arena_);
-        if (cur.op == Op::TrExpm)
-            cur.saved = Tensor(cur.rows, cur.dim * cur.dim, arena_);
         exec::ForwardArgs args{cur};
+        if (cur.op == Op::TrExpm) {
+            cur.saved = Tensor(cur.rows, cur.dim * cur.dim, arena_);
+        } else if (cur.op == Op::Propagate) {
+            cur.saved = Tensor(cur.rows,
+                               tensor::propagateSavedCols(cur.propagate),
+                               arena_);
+            args.scratch = &scratchFor(
+                cur.rows, tensor::propagateScratchCols(cur.propagate));
+        }
         args.a = cur.in0 >= 0 ? &node(cur.in0).value : nullptr;
         args.b = cur.in1 >= 0 ? &node(cur.in1).value : nullptr;
         args.value = &cur.value;
         args.saved = &cur.saved;
-        args.savedIdx = &cur.savedIdx;
         exec::forwardOp(args);
     }
+}
+
+Tensor&
+Tape::scratchFor(std::size_t rows, std::size_t cols)
+{
+    if (scratch_.size() < rows * cols)
+        scratch_ = Tensor(rows, cols, arena_);
+    return scratch_;
 }
 
 VarId
@@ -216,28 +230,15 @@ Tape::segmentSoftmax(VarId a, const SegmentIndex* segs)
 }
 
 VarId
-Tape::segmentProductComplement(VarId a, const SegmentIndex* segs)
+Tape::propagate(VarId cp, const tensor::PropagateSpec& spec)
 {
-    Node node = shaped(Op::SegmentProductComplement, a, -1, rows(a),
-                       segs->numSegments());
-    node.segs = segs;
-    return push(std::move(node));
-}
-
-VarId
-Tape::segmentMaxGather(VarId a, const SegmentIndex* segs)
-{
-    Node node = shaped(Op::SegmentMaxGather, a, -1, rows(a),
-                       segs->numSegments());
-    node.segs = segs;
-    return push(std::move(node));
-}
-
-VarId
-Tape::gatherCols(VarId a, const std::vector<std::uint32_t>* index)
-{
-    Node node = shaped(Op::GatherCols, a, -1, rows(a), index->size());
-    node.index = index;
+    SMOOTHE_ASSERT(spec.node2class != nullptr && spec.parents != nullptr,
+                   "propagate: spec without structure");
+    SMOOTHE_ASSERT(spec.numNodes() == cols(cp),
+                   "propagate: %zu nodes for %zu cols", spec.numNodes(),
+                   cols(cp));
+    Node node = shaped(Op::Propagate, cp, -1, rows(cp), cols(cp));
+    node.propagate = spec;
     return push(std::move(node));
 }
 
@@ -331,23 +332,25 @@ Tape::checkInvariants(bool screen_values) const
                                       " vs " + shape(*b));
             break;
           case Op::SegmentSoftmax:
-          case Op::SegmentProductComplement:
-          case Op::SegmentMaxGather:
             if (node.segs == nullptr)
                 return problem(i, "segment op without a SegmentIndex");
             if (node.rows != a->rows)
                 return problem(i, "segment op changed the batch size");
             break;
-          case Op::GatherCols:
-            if (node.index == nullptr)
-                return problem(i, "gather without an index");
-            if (node.cols != node.index->size())
-                return problem(i, "gather output has " +
-                                      std::to_string(node.cols) +
-                                      " cols for " +
-                                      std::to_string(node.index->size()) +
-                                      " indices");
+          case Op::Propagate: {
+            const tensor::PropagateSpec& spec = node.propagate;
+            if (spec.node2class == nullptr || spec.parents == nullptr)
+                return problem(i, "propagate without its structure");
+            if (node.rows != a->rows || node.cols != a->cols ||
+                node.cols != spec.numNodes())
+                return problem(i, "propagate output " + shape(node) +
+                                      " for input " + shape(*a) + " over " +
+                                      std::to_string(spec.numNodes()) +
+                                      " nodes");
+            if (spec.root >= spec.numClasses())
+                return problem(i, "propagate root is not a class");
             break;
+          }
           case Op::MatMul:
             if (a->cols != b->rows)
                 return problem(i, "matmul operands " + shape(*a) + " x " +
@@ -432,8 +435,9 @@ Tape::backwardNode(Node& node)
                  : nullptr;
     args.value = &node.value;
     args.saved = &node.saved;
-    args.savedIdx = &node.savedIdx;
-    args.scratch = &scratch_;
+    if (node.op == Op::Propagate)
+        args.scratch = &scratchFor(
+            node.rows, tensor::propagateScratchCols(node.propagate));
     args.ga = node.in0 >= 0 ? &ensureGrad(node.in0) : nullptr;
     args.gb = node.in1 >= 0 ? &ensureGrad(node.in1) : nullptr;
     exec::backwardOp(args);

@@ -23,9 +23,8 @@
  * every constant-operand step (each scale/addScalar/mulConst/addConst
  * call records a one-stage chain; evaluation here runs each on its own,
  * while the Program merges adjacent ones), segment softmax (per-e-class),
- * segment product/max over parent lists (the phi propagation of
- * Section 3.3), gathers, dense matmul, and tr(exp(A)) with its exact
- * analytic gradient exp(A)^T (Section 3.4).
+ * the whole phi propagation of Section 3.3 as one op, dense matmul, and
+ * tr(exp(A)) with its exact analytic gradient exp(A)^T (Section 3.4).
  */
 
 #ifndef SMOOTHE_AUTODIFF_TAPE_HPP
@@ -124,19 +123,12 @@ class Tape
     VarId segmentSoftmax(VarId a, const SegmentIndex* segs);
 
     /**
-     * out[b, s] = prod_{k in segment s} (1 - a[b, items[k]]).
-     * Empty segments yield 1. Input B x N, output B x S.
+     * Phi's probability propagation (Eqs. 5-7) from the conditional
+     * probabilities cp (B x N) to the unconditional node probabilities
+     * p (B x N): every round of spec as one op (tensor::propagateInto).
+     * Lifetime: spec's structures must outlive the tape.
      */
-    VarId segmentProductComplement(VarId a, const SegmentIndex* segs);
-
-    /**
-     * out[b, s] = max_{k in segment s} a[b, items[k]].
-     * Empty segments yield 0. Gradient flows to the argmax only.
-     */
-    VarId segmentMaxGather(VarId a, const SegmentIndex* segs);
-
-    /** out[b, i] = a[b, index[i]]; B x M -> B x N column gather. */
-    VarId gatherCols(VarId a, const std::vector<std::uint32_t>* index);
+    VarId propagate(VarId cp, const tensor::PropagateSpec& spec);
 
     /**
      * Dense matmul: a is B x K, w is K x H; out is B x H.
@@ -179,8 +171,7 @@ class Tape
     {
         Tensor value;
         Tensor grad;
-        Tensor saved;                    ///< op-specific (e.g. expm output)
-        std::vector<std::uint32_t> savedIdx; ///< e.g. segment argmax
+        Tensor saved; ///< op-specific (expm output, propagation state)
     };
 
     const Node& node(VarId id) const
@@ -208,8 +199,11 @@ class Tape
     std::vector<Node> nodes_;
     /** Nodes [0, evaluated_) hold their forward value. */
     std::size_t evaluated_ = 0;
-    /** Backward kernel scratch shared by all nodes (grown on demand). */
-    std::vector<float> scratch_;
+    /** Propagate's kernel scratch, shared by all nodes (grown on
+     *  demand). */
+    Tensor scratch_;
+    /** scratch_ holding at least rows x cols floats. */
+    Tensor& scratchFor(std::size_t rows, std::size_t cols);
 };
 
 } // namespace smoothe::ad

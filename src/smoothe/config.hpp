@@ -13,17 +13,15 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/kernels.hpp"
+
 namespace smoothe::core {
 
 /**
  * Parent-correlation assumption used by the phi probability computation
- * (Section 3.3): how P(e-class chosen) combines parent probabilities.
+ * (Section 3.3); the propagation kernel that applies it defines it.
  */
-enum class Assumption {
-    Independent, ///< 1 - prod(1 - p_parent)          (Eq. 6)
-    Correlated,  ///< max(p_parent)                   (Eq. 7)
-    Hybrid,      ///< average of the two              (default)
-};
+using Assumption = tensor::Assumption;
 
 /** Returns a short label ("independent", ...). */
 const char* toString(Assumption assumption);

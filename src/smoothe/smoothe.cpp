@@ -62,9 +62,6 @@ struct Prepared
     SegmentIndex parentIndex;            ///< class -> distinct parent nodes
     std::vector<std::uint32_t> node2class;
 
-    Tensor rootMask;    ///< 1 x M, 1 at root
-    Tensor notRootMask; ///< 1 x M, 0 at root
-
     struct Scc
     {
         std::size_t dim = 0;
@@ -78,6 +75,23 @@ struct Prepared
     std::size_t propIterations = 0;
 
     static Prepared build(const EGraph& graph, const SmoothEConfig& config);
+
+    /**
+     * Phi's probability propagation (Eqs. 5-7) over this graph: q starts
+     * as the root one-hot and runs propIterations parallel-schedule
+     * rounds under config.assumption, the root pinned to 1 after each.
+     */
+    tensor::PropagateSpec
+    propagation(const SmoothEConfig& config) const
+    {
+        tensor::PropagateSpec spec;
+        spec.node2class = &node2class;
+        spec.parents = &parentIndex;
+        spec.root = static_cast<std::uint32_t>(root);
+        spec.rounds = propIterations;
+        spec.assumption = config.assumption;
+        return spec;
+    }
 };
 
 Prepared
@@ -109,11 +123,6 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
         for (NodeId parent : graph.parents(cls))
             prep.parentIndex.items.push_back(parent);
     }
-
-    prep.rootMask = Tensor(1, m);
-    prep.notRootMask = Tensor(1, m, 1.0f);
-    prep.rootMask.at(0, prep.root) = 1.0f;
-    prep.notRootMask.at(0, prep.root) = 0.0f;
 
     // NOTEARS structure.
     auto addScc = [&](const std::vector<ClassId>& classes) {
@@ -200,63 +209,6 @@ struct ForwardHandles
     VarId penalty = -1; ///< NOTEARS h(A) total, -1 when acyclic
 };
 
-/** Recorded class and node probabilities after the propagation. */
-struct Propagation
-{
-    VarId q = -1; ///< class-chosen probabilities, B x numClasses
-    VarId p = -1; ///< unconditional node probabilities, B x numNodes
-};
-
-/**
- * Records phi's probability propagation (Eqs. 5-7) from the conditional
- * probabilities `cp`: q starts as the root one-hot and runs
- * prep.propIterations parallel-schedule rounds under config.assumption,
- * the root pinned to 1 after each round.
- */
-Propagation
-recordPropagation(Tape& tape, VarId cp, const Prepared& prep,
-                  const SmoothEConfig& config)
-{
-    const std::size_t batch = tape.rows(cp);
-    // q0: root has probability 1, everything else 0.
-    Tensor q0(batch, prep.numClasses);
-    for (std::size_t b = 0; b < batch; ++b)
-        q0.at(b, prep.root) = 1.0f;
-    VarId q = tape.constant(std::move(q0));
-
-    for (std::size_t t = 0; t < prep.propIterations; ++t) {
-        const VarId qByNode = tape.gatherCols(q, &prep.node2class);
-        const VarId p = tape.mul(cp, qByNode); // Eq. (5)
-
-        VarId qNew = -1;
-        switch (config.assumption) {
-          case Assumption::Independent: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            qNew = tape.addScalar(tape.scale(prod, -1.0f), 1.0f); // Eq. (6)
-            break;
-          }
-          case Assumption::Correlated:
-            qNew = tape.segmentMaxGather(p, &prep.parentIndex); // Eq. (7)
-            break;
-          case Assumption::Hybrid: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            const VarId corr =
-                tape.segmentMaxGather(p, &prep.parentIndex);
-            qNew = tape.scale(tape.add(ind, corr), 0.5f);
-            break;
-          }
-        }
-        // Pin the root probability to 1.
-        q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
-                          prep.rootMask);
-    }
-    return {q, tape.mul(cp, tape.gatherCols(q, &prep.node2class))};
-}
-
 /**
  * Records one forward pass on the tape. The NOTEARS coefficient is
  * lambda (Eq. 10a), times B under the batched approximation: that
@@ -275,7 +227,7 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
     }
 
     obs::Span propagateSpan("propagate");
-    const VarId p = recordPropagation(tape, cp, prep, config).p;
+    const VarId p = tape.propagate(cp, prep.propagation(config));
     propagateSpan.end();
 
     const VarId costs = model.build(tape, p); // B x 1
@@ -442,17 +394,18 @@ computeProbabilities(const EGraph& graph, const Tensor& theta,
     config.assumption = assumption;
     config.propagationIterations = propagation_iterations;
     const Prepared prep = Prepared::build(graph, config);
-
-    Tape tape;
-    Param thetaParam{theta};
-    const VarId thetaVar = tape.leaf(&thetaParam);
-    const VarId cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
-    const Propagation prop = recordPropagation(tape, cp, prep, config);
+    const tensor::PropagateSpec spec = prep.propagation(config);
+    const std::size_t batch = theta.rows();
 
     Probabilities out;
-    out.cp = tape.value(cp);
-    out.q = tape.value(prop.q);
-    out.p = tape.value(prop.p);
+    out.cp = Tensor(batch, prep.numNodes);
+    tensor::segmentSoftmaxInto(theta, prep.classMembers, out.cp);
+    out.p = Tensor(batch, prep.numNodes);
+    Tensor saved(batch, tensor::propagateSavedCols(spec));
+    Tensor scratch(batch, tensor::propagateScratchCols(spec));
+    tensor::propagateInto(out.cp, spec, out.p, saved, scratch);
+    out.q = Tensor(batch, prep.numClasses);
+    tensor::propagatedClassesInto(spec, saved, out.q);
     return out;
 }
 

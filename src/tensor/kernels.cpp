@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "check/contracts.hpp"
 #include "tensor/kernels_avx2.hpp"
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -279,184 +280,345 @@ segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs, Tensor& out)
         });
 }
 
+namespace {
+
+/** Seed-lane copy of `lanes` rows of `cols` floats: out[c * lanes + l]
+ *  = rows[l * cols + c]. */
 void
-segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
-                             Tensor& out)
+toLanes(const float* rows, std::size_t cols, std::size_t lanes, float* out)
 {
-    const std::size_t numSegments = segs.numSegments();
+    for (std::size_t c = 0; c < cols; ++c)
+        for (std::size_t l = 0; l < lanes; ++l)
+            out[c * lanes + l] = rows[l * cols + c];
+}
 
-    // Cross-seed AVX2: per-lane product order matches the generic loop,
-    // so the two variants are bit-identical.
-    const std::size_t groups =
-        simd::avx2Active() ? a.rows() / 8 : std::size_t{0};
-    if (groups > 0) {
-        util::ThreadPool::global().parallelFor(
-            0, groups, 1, [&](std::size_t g) {
-                avx2::segmentProductComplement8(
-                    a.row(g * 8), a.cols(), out.row(g * 8), out.cols(),
-                    segs.offsets.data(), numSegments, segs.items.data());
-            });
+/** Inverse of toLanes. */
+void
+fromLanes(const float* in, std::size_t cols, std::size_t lanes, float* rows)
+{
+    for (std::size_t c = 0; c < cols; ++c)
+        for (std::size_t l = 0; l < lanes; ++l)
+            rows[l * cols + c] = in[c * lanes + l];
+}
+
+/** The root one-hot q0, in seed-lane layout. */
+void
+rootOneHot(float* q, std::size_t classes, std::uint32_t root,
+           std::size_t lanes)
+{
+    std::fill(q, q + classes * lanes, 0.0f);
+    std::fill(q + root * lanes, q + (root + 1) * lanes, 1.0f);
+}
+
+/** out = cp * q[class] over all nodes (Eq. 5), lane by lane. */
+void
+nodesTimesClass(const avx2::PropagateLanes& group, std::size_t lanes,
+                const float* cp, const float* q, float* out)
+{
+    for (std::size_t i = 0; i < group.nodes; ++i) {
+        const float* qc = q + group.node2class[i] * lanes;
+        for (std::size_t l = 0; l < lanes; ++l)
+            out[i * lanes + l] = cp[i * lanes + l] * qc[l];
     }
+}
 
-    const std::size_t remBegin = groups * 8;
-    parallelChunks(
-        a.rows() - remBegin, rowGrain(numSegments),
-        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
-            for (std::size_t r = remBegin + chunkBegin;
-                 r < remBegin + chunkEnd; ++r) {
-                const float* x = a.row(r);
-                float* o = out.row(r);
-                for (std::size_t s = 0; s < numSegments; ++s) {
-                    float prod = 1.0f;
-                    for (std::uint32_t e = segs.offsets[s];
-                         e < segs.offsets[s + 1]; ++e)
-                        prod *= (1.0f - x[segs.items[e]]);
-                    o[s] = prod;
+/**
+ * Mul backward of p = cp * q[class]: gcp += gp * q[class] and, unless
+ * gq is null, gq (zeroed first) += gp * cp gathered in node order.
+ */
+void
+mulBackward(const avx2::PropagateLanes& group, std::size_t lanes,
+            const float* cp, const float* gp, const float* q, float* gcp,
+            float* gq)
+{
+    if (gq != nullptr)
+        std::fill(gq, gq + group.classes * lanes, 0.0f);
+    for (std::size_t i = 0; i < group.nodes; ++i) {
+        const std::size_t c = group.node2class[i] * lanes;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const float g = gp[i * lanes + l];
+            gcp[i * lanes + l] += g * q[c + l];
+            if (gq != nullptr)
+                gq[c + l] += g * cp[i * lanes + l];
+        }
+    }
+}
+
+/** dL/dq of class s, lane l, through the root-pinning chain (g *
+ *  notRoot), then the hybrid average's 0.5. */
+float
+chainGrad(const avx2::PropagateLanes& group, std::size_t lanes,
+          const float* gq, std::size_t s, std::size_t l)
+{
+    const float base = gq[s * lanes + l] * (s == group.root ? 0.0f : 1.0f);
+    return group.product && group.max ? 0.5f * base : base;
+}
+
+/** The generic forward of one group of `lanes` seeds (any width up to
+ *  8); avx2::propagateForward8 is its 8-lane twin. */
+void
+propagateForwardLanes(const avx2::PropagateLanes& group, std::size_t lanes,
+                      const float* cp, float* p)
+{
+    const std::size_t n = group.nodes;
+    const std::size_t m = group.classes;
+    const avx2::PropagateScratch scratch(group, lanes);
+    float* cpLanes = scratch.cp;
+    float* pLanes = scratch.p;
+    float* q0 = scratch.q0;
+    toLanes(cp, n, lanes, cpLanes);
+    rootOneHot(q0, m, group.root, lanes);
+    const float* qIn = q0;
+    for (std::size_t t = 0; t < group.rounds; ++t) {
+        float* qOut = group.saved + t * m * lanes;
+        float* argOut = group.saved + (group.rounds + t) * m * lanes;
+        nodesTimesClass(group, lanes, cpLanes, qIn, pLanes);
+        for (std::size_t s = 0; s < m; ++s) {
+            const std::uint32_t begin = group.offsets[s];
+            const std::uint32_t end = group.offsets[s + 1];
+            float prod[8];
+            float best[8];
+            float pos[8];
+            for (std::size_t l = 0; l < lanes; ++l) {
+                prod[l] = 1.0f;
+                best[l] = -std::numeric_limits<float>::infinity();
+                pos[l] = 0.0f;
+            }
+            for (std::uint32_t e = begin; e < end; ++e) {
+                const float* x = pLanes + group.items[e] * lanes;
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    if (group.product)
+                        prod[l] *= (1.0f - x[l]); // Eq. (6)
+                    if (group.max && x[l] > best[l]) { // Eq. (7)
+                        best[l] = x[l];
+                        pos[l] = static_cast<float>(e - begin);
+                    }
                 }
             }
+            const float notRoot = s == group.root ? 0.0f : 1.0f;
+            const float rootMask = s == group.root ? 1.0f : 0.0f;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                if (begin == end) {
+                    best[l] = 0.0f;
+                    pos[l] = -1.0f;
+                }
+                float q = best[l];
+                if (group.product) {
+                    float ind = -1.0f * prod[l];
+                    ind = ind + 1.0f;
+                    q = ind;
+                    if (group.max) {
+                        q = ind + best[l];
+                        q = 0.5f * q;
+                    }
+                }
+                q = q * notRoot;
+                q = q + rootMask;
+                qOut[s * lanes + l] = q;
+                if (group.max)
+                    argOut[s * lanes + l] = pos[l];
+            }
+        }
+        qIn = qOut;
+    }
+    nodesTimesClass(group, lanes, cpLanes, qIn, pLanes);
+    fromLanes(pLanes, n, lanes, p);
+}
+
+/** The generic backward of one group of `lanes` seeds;
+ *  avx2::propagateBackward8 is its 8-lane twin. */
+void
+propagateBackwardLanes(const avx2::PropagateLanes& group, std::size_t lanes,
+                       const float* cp, const float* g, float* gcp)
+{
+    const std::size_t n = group.nodes;
+    const std::size_t m = group.classes;
+    const std::size_t span = group.longest + 1;
+    const avx2::PropagateScratch scratch(group, lanes);
+    float* cpLanes = scratch.cp;
+    float* pLanes = scratch.p;
+    float* gpLanes = scratch.gp;
+    float* gcpLanes = scratch.gcp;
+    float* q0 = scratch.q0;
+    float* gq = scratch.gq;
+    float* prefix = scratch.prefix;
+    float* suffix = scratch.suffix;
+    toLanes(cp, n, lanes, cpLanes);
+    toLanes(gcp, n, lanes, gcpLanes);
+    toLanes(g, n, lanes, gpLanes);
+    rootOneHot(q0, m, group.root, lanes);
+
+    // The final p = cp * q[class], then the rounds in reverse.
+    const std::size_t stride = m * lanes;
+    mulBackward(group, lanes, cpLanes, gpLanes,
+                group.rounds ? group.saved + (group.rounds - 1) * stride
+                             : q0,
+                gcpLanes, group.rounds ? gq : nullptr);
+    for (std::size_t t = group.rounds; t-- > 0;) {
+        const float* qIn = t ? group.saved + (t - 1) * stride : q0;
+        const float* arg = group.saved + (group.rounds + t) * stride;
+        nodesTimesClass(group, lanes, cpLanes, qIn, pLanes);
+        std::fill(gpLanes, gpLanes + n * lanes, 0.0f);
+        // All max contributions to dL/dp first, then all
+        // product-complement ones, as the unrolled ops accumulated.
+        if (group.max) {
+            for (std::size_t s = 0; s < m; ++s) {
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    const float pos = arg[s * lanes + l];
+                    if (pos < 0.0f)
+                        continue; // no parents
+                    const std::uint32_t item =
+                        group.items[group.offsets[s] +
+                                    static_cast<std::uint32_t>(pos)];
+                    gpLanes[item * lanes + l] +=
+                        chainGrad(group, lanes, gq, s, l);
+                }
+            }
+        }
+        if (group.product) {
+            for (std::size_t s = 0; s < m; ++s) {
+                const std::uint32_t* seg = group.items + group.offsets[s];
+                const std::size_t len =
+                    group.offsets[s + 1] - group.offsets[s];
+                if (len == 0)
+                    continue;
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    const float gs = -1.0f * chainGrad(group, lanes, gq, s, l);
+                    float* pre = prefix + l * span;
+                    float* suf = suffix + l * span;
+                    pre[0] = 1.0f;
+                    for (std::size_t e = 0; e < len; ++e)
+                        pre[e + 1] =
+                            pre[e] * (1.0f - pLanes[seg[e] * lanes + l]);
+                    suf[len] = 1.0f;
+                    for (std::size_t e = len; e > 0; --e)
+                        suf[e - 1] =
+                            suf[e] * (1.0f - pLanes[seg[e - 1] * lanes + l]);
+                    // d/dp_e prod (1 - p_k) = -prod_{k != e} (1 - p_k)
+                    for (std::size_t e = 0; e < len; ++e)
+                        gpLanes[seg[e] * lanes + l] +=
+                            gs * (-pre[e] * suf[e + 1]);
+                }
+            }
+        }
+        mulBackward(group, lanes, cpLanes, gpLanes, qIn, gcpLanes,
+                    t > 0 ? gq : nullptr);
+    }
+    fromLanes(gcpLanes, n, lanes, gcp);
+}
+
+/** A propagation's structure as the group kernels read it; each group
+ *  then points saved and scratch at its own rows. */
+avx2::PropagateLanes
+laneGroups(const PropagateSpec& spec)
+{
+    avx2::PropagateLanes group;
+    group.node2class = spec.node2class->data();
+    group.nodes = spec.numNodes();
+    group.offsets = spec.parents->offsets.data();
+    group.items = spec.parents->items.data();
+    group.classes = spec.numClasses();
+    group.longest = spec.parents->maxSegmentSize();
+    group.root = spec.root;
+    group.rounds = spec.rounds;
+    group.product = spec.assumption != Assumption::Correlated;
+    group.max = spec.assumption != Assumption::Independent;
+    group.saved = nullptr;
+    group.scratch = nullptr;
+    return group;
+}
+
+/**
+ * Runs body(first, lanes) once per seed group of `rows`: groups of 8,
+ * then one of the rows mod 8 left over. One pool task per group.
+ */
+template <typename Body>
+void
+forEachSeedGroup(std::size_t rows, Body&& body)
+{
+    util::ThreadPool::global().parallelFor(
+        0, (rows + 7) / 8, 1, [&](std::size_t grp) {
+            const std::size_t first = grp * 8;
+            body(first, std::min<std::size_t>(8, rows - first));
         });
+}
+
+} // namespace
+
+std::size_t
+propagateSavedCols(const PropagateSpec& spec)
+{
+    const bool max = spec.assumption != Assumption::Independent;
+    return spec.rounds * spec.numClasses() * (max ? 2 : 1);
 }
 
 std::size_t
-segmentProductComplementGradScratch(std::size_t rows, std::size_t cols,
-                                    const SegmentIndex& segs)
+propagateScratchCols(const PropagateSpec& spec)
 {
-    return (rows / 8) * avx2::segmentProductComplementBackward8Scratch(
-                            cols, segs.numSegments(), segs.maxSegmentSize());
+    return avx2::propagateScratchPerLane(spec.numNodes(), spec.numClasses(),
+                                         spec.parents->maxSegmentSize());
 }
 
 void
-segmentProductComplementGradInto(const Tensor& x, const SegmentIndex& segs,
-                                 const Tensor& g, Tensor& ga,
-                                 std::vector<float>& scratch)
-{
-    const std::size_t numSegments = segs.numSegments();
-    const std::size_t longest = segs.maxSegmentSize();
-
-    // Cross-seed AVX2: each group owns its 8 ga rows and its slice of
-    // scratch, and every lane repeats the scalar loop's rounded ops.
-    const std::size_t groups =
-        simd::avx2Active() ? x.rows() / 8 : std::size_t{0};
-    if (groups > 0) {
-        const std::size_t span =
-            avx2::segmentProductComplementBackward8Scratch(
-                x.cols(), numSegments, longest);
-        if (scratch.size() < groups * span)
-            scratch.resize(groups * span);
-        util::ThreadPool::global().parallelFor(
-            0, groups, 1, [&](std::size_t grp) {
-                avx2::segmentProductComplementBackward8(
-                    x.row(grp * 8), ga.row(grp * 8), x.cols(),
-                    g.row(grp * 8), segs.offsets.data(),
-                    numSegments, segs.items.data(), longest,
-                    scratch.data() + grp * span);
-            });
-    }
-
-    const std::size_t remBegin = groups * 8;
-    parallelChunks(
-        x.rows() - remBegin, rowGrain(x.cols()),
-        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
-            // Per-chunk scratch: rows in other chunks run concurrently.
-            std::vector<float> prefix(longest + 1);
-            std::vector<float> suffix(longest + 1);
-            for (std::size_t r = remBegin + chunkBegin;
-                 r < remBegin + chunkEnd; ++r) {
-                const float* xr = x.row(r);
-                const float* gr = g.row(r);
-                float* gar = ga.row(r);
-                for (std::size_t s = 0; s < numSegments; ++s) {
-                    const std::uint32_t* seg =
-                        segs.items.data() + segs.offsets[s];
-                    const std::size_t len = segs.segmentSize(s);
-                    if (len == 0)
-                        continue;
-                    prefix[0] = 1.0f;
-                    for (std::size_t e = 0; e < len; ++e)
-                        prefix[e + 1] = prefix[e] * (1.0f - xr[seg[e]]);
-                    suffix[len] = 1.0f;
-                    for (std::size_t e = len; e > 0; --e)
-                        suffix[e - 1] =
-                            suffix[e] * (1.0f - xr[seg[e - 1]]);
-                    // d/dx_e prod (1 - x_k) = -prod_{k!=e} (1 - x_k)
-                    for (std::size_t e = 0; e < len; ++e)
-                        gar[seg[e]] += gr[s] * (-prefix[e] * suffix[e + 1]);
-                }
-            }
-        });
-}
-
-void
-segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
-                     std::vector<std::uint32_t>& arg_out)
-{
-    const std::size_t numSegments = segs.numSegments();
-    arg_out.assign(a.rows() * numSegments,
-                   std::numeric_limits<std::uint32_t>::max());
-
-    // Cross-seed AVX2: compares and blends only, so bit-identical.
-    const std::size_t groups =
-        simd::avx2Active() ? a.rows() / 8 : std::size_t{0};
-    if (groups > 0) {
-        util::ThreadPool::global().parallelFor(
-            0, groups, 1, [&](std::size_t g) {
-                avx2::segmentMaxGather8(
-                    a.row(g * 8), a.cols(), out.row(g * 8), out.cols(),
-                    arg_out.data() + g * 8 * numSegments,
-                    segs.offsets.data(), numSegments, segs.items.data());
-            });
-    }
-
-    const std::size_t remBegin = groups * 8;
-    parallelChunks(
-        a.rows() - remBegin, rowGrain(numSegments),
-        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
-            for (std::size_t r = remBegin + chunkBegin;
-                 r < remBegin + chunkEnd; ++r) {
-                const float* x = a.row(r);
-                float* o = out.row(r);
-                for (std::size_t s = 0; s < numSegments; ++s) {
-                    const std::uint32_t begin = segs.offsets[s];
-                    const std::uint32_t end = segs.offsets[s + 1];
-                    if (begin == end) {
-                        o[s] = 0.0f;
-                        continue;
-                    }
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::uint32_t arg = segs.items[begin];
-                    for (std::uint32_t e = begin; e < end; ++e) {
-                        const float v = x[segs.items[e]];
-                        if (v > best) {
-                            best = v;
-                            arg = segs.items[e];
-                        }
-                    }
-                    o[s] = best;
-                    arg_out[r * numSegments + s] = arg;
-                }
-            }
-        });
-}
-
-void
-gatherColsInto(const Tensor& a, const std::vector<std::uint32_t>& index,
-               Tensor& out)
+propagateInto(const Tensor& cp, const PropagateSpec& spec, Tensor& p,
+              Tensor& saved, Tensor& scratch)
 {
     const bool useAvx2 = simd::avx2Active();
-    parallelChunks(a.rows(), rowGrain(index.size()),
-                   [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                           const float* x = a.row(r);
-                           float* o = out.row(r);
-                           if (useAvx2) {
-                               avx2::gatherColsRow(x, index.data(), o,
-                                                   index.size());
-                               continue;
-                           }
-                           for (std::size_t i = 0; i < index.size(); ++i)
-                               o[i] = x[index[i]];
-                       }
-                   });
+    const std::size_t scratchCols = propagateScratchCols(spec);
+    SMOOTHE_DCHECK(scratch.size() >= cp.rows() * scratchCols,
+                   "propagate: scratch too small");
+    const avx2::PropagateLanes groups = laneGroups(spec);
+    forEachSeedGroup(cp.rows(), [&](std::size_t first, std::size_t lanes) {
+        avx2::PropagateLanes group = groups;
+        group.saved = saved.row(first);
+        group.scratch = scratch.data() + first * scratchCols;
+        if (useAvx2 && lanes == 8)
+            avx2::propagateForward8(group, cp.row(first), p.row(first));
+        else
+            propagateForwardLanes(group, lanes, cp.row(first),
+                                  p.row(first));
+    });
+}
+
+void
+propagateGradInto(const Tensor& cp, const PropagateSpec& spec,
+                  const Tensor& g, const Tensor& saved, Tensor& gcp,
+                  Tensor& scratch)
+{
+    const bool useAvx2 = simd::avx2Active();
+    const std::size_t scratchCols = propagateScratchCols(spec);
+    SMOOTHE_DCHECK(scratch.size() >= cp.rows() * scratchCols,
+                   "propagate: scratch too small");
+    const avx2::PropagateLanes groups = laneGroups(spec);
+    forEachSeedGroup(cp.rows(), [&](std::size_t first, std::size_t lanes) {
+        avx2::PropagateLanes group = groups;
+        // The backward kernels only read saved; the view type is shared
+        // with the forward pass, which writes it.
+        group.saved = const_cast<float*>(saved.row(first));
+        group.scratch = scratch.data() + first * scratchCols;
+        if (useAvx2 && lanes == 8)
+            avx2::propagateBackward8(group, cp.row(first), g.row(first),
+                                     gcp.row(first));
+        else
+            propagateBackwardLanes(group, lanes, cp.row(first),
+                                   g.row(first), gcp.row(first));
+    });
+}
+
+void
+propagatedClassesInto(const PropagateSpec& spec, const Tensor& saved,
+                      Tensor& q)
+{
+    const std::size_t m = spec.numClasses();
+    for (std::size_t first = 0; first < q.rows(); first += 8) {
+        const std::size_t lanes = std::min<std::size_t>(8, q.rows() - first);
+        std::vector<float> q0(m * lanes);
+        rootOneHot(q0.data(), m, spec.root, lanes);
+        const float* last =
+            spec.rounds ? saved.row(first) + (spec.rounds - 1) * m * lanes
+                        : q0.data();
+        fromLanes(last, m, lanes, q.row(first));
+    }
 }
 
 void

@@ -91,7 +91,7 @@ namespace cost {
 /** Bytes per tensor element (everything here is float32). */
 inline constexpr std::uint64_t kElemBytes = sizeof(float);
 
-/** FLOPs charged per expf evaluation (softmax, product-complement). */
+/** FLOPs charged per expf evaluation (segment softmax). */
 inline constexpr std::uint64_t kExpFlops = 8;
 
 /**
@@ -155,37 +155,79 @@ void sumAllInto(const Tensor& a, Tensor& out);
 /** Softmax within each column segment, per batch row. */
 void segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs,
                         Tensor& out);
-/** out[b, s] = prod_{k in segment s} (1 - a[b, items[k]]). */
-void segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
-                                  Tensor& out);
 /**
- * Backward of segmentProductComplementInto: for each segment s and its
- * items e in order, ga[b, items[e]] += g[b, s] * -prod_{k != e}
- * (1 - x[b, items[k]]), from prefix and suffix products. With AVX2,
- * groups of 8 rows run as seed lanes on scratch (grown to
- * segmentProductComplementGradScratch() floats if smaller); the
- * remaining rows run the scalar loop. Bit-identical at both SIMD levels
- * and at every thread count.
+ * Parent-correlation assumption of phi's probability propagation
+ * (Section 3.3): how the probability that an e-class is chosen combines
+ * its parents' probabilities.
  */
-void segmentProductComplementGradInto(const Tensor& x,
-                                      const SegmentIndex& segs,
-                                      const Tensor& g, Tensor& ga,
-                                      std::vector<float>& scratch);
-/** Floats of scratch segmentProductComplementGradInto uses on an x of
- *  rows x cols. */
-std::size_t segmentProductComplementGradScratch(std::size_t rows,
-                                                std::size_t cols,
-                                                const SegmentIndex& segs);
+enum class Assumption : std::uint8_t {
+    Independent, ///< 1 - prod(1 - p_parent)          (Eq. 6)
+    Correlated,  ///< max(p_parent)                   (Eq. 7)
+    Hybrid,      ///< average of the two              (default)
+};
+
 /**
- * out[b, s] = max over segment s; arg_out records the argmax column per
- * (row, segment), UINT32_MAX for empty segments.
+ * The structure phi's propagation runs over. The pointers are borrowed
+ * and must outlive every kernel call (and recorded op) that uses them.
  */
-void segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs,
-                          Tensor& out,
-                          std::vector<std::uint32_t>& arg_out);
-/** out[b, i] = a[b, index[i]]. */
-void gatherColsInto(const Tensor& a,
-                    const std::vector<std::uint32_t>& index, Tensor& out);
+struct PropagateSpec
+{
+    const std::vector<std::uint32_t>* node2class = nullptr; ///< node -> class
+    const SegmentIndex* parents = nullptr; ///< class -> parent nodes
+    std::uint32_t root = 0;                ///< pinned to probability 1
+    std::size_t rounds = 0;
+    Assumption assumption = Assumption::Hybrid;
+
+    std::size_t numNodes() const { return node2class->size(); }
+    std::size_t numClasses() const { return parents->numSegments(); }
+};
+
+/**
+ * Columns per batch row of propagateInto's saved state: q of every
+ * round, then, under Correlated and Hybrid, the argmax of every round.
+ */
+std::size_t propagateSavedCols(const PropagateSpec& spec);
+/** Columns per batch row of the scratch both propagate kernels use. */
+std::size_t propagateScratchCols(const PropagateSpec& spec);
+
+/**
+ * Phi's probability propagation (Eqs. 5-7) from the conditional
+ * probabilities cp (B x N) into p (B x N). q starts as the root one-hot;
+ * each of spec.rounds rounds computes p = cp * q[class], combines every
+ * class's parent probabilities under spec.assumption, and pins the root
+ * to 1 (q = combined * notRoot + rootMask). The output is
+ * p = cp * q[class] of the last q.
+ *
+ * Seeds run in groups of 8 in seed-lane layout: node-major with the 8
+ * seeds of a node adjacent, so every parent read is one contiguous
+ * load. Each group is one pool task, runs every round, and writes only
+ * its own rows of p, saved (B x propagateSavedCols) and scratch. The
+ * last B mod 8 seeds form a narrower group. Every float operation is
+ * the one the unrolled per-round ops (gather, mul, product-complement,
+ * max, elementwise chains) performed, in the same order, so results are
+ * bitwise equal to them at both SIMD levels and every thread count.
+ * scratch may be any shape holding at least B x propagateScratchCols
+ * floats.
+ */
+void propagateInto(const Tensor& cp, const PropagateSpec& spec, Tensor& p,
+                   Tensor& saved, Tensor& scratch);
+
+/**
+ * Backward of propagateInto: gcp += dL/dcp given g = dL/dp, from the q
+ * and argmax propagateInto saved (p is recomputed as cp * q[class]).
+ * Accumulates in the unrolled ops' order: the final p term first, then
+ * rounds T-1 ... 0; within a round all max contributions to dL/dp
+ * before all product-complement ones, each by ascending class and
+ * parent position.
+ */
+void propagateGradInto(const Tensor& cp, const PropagateSpec& spec,
+                       const Tensor& g, const Tensor& saved, Tensor& gcp,
+                       Tensor& scratch);
+
+/** q after the last round (B x numClasses), read from saved state. */
+void propagatedClassesInto(const PropagateSpec& spec, const Tensor& saved,
+                           Tensor& q);
+
 /** Dense matmul a (B x K) times w (K x H) into out (zeroes out first). */
 void matmulInto(const Tensor& a, const Tensor& w, Tensor& out);
 /** out[b, :] = a[b, :] + bias[0, :]. */

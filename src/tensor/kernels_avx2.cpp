@@ -163,6 +163,58 @@ fromLanes(const float* lanes, std::size_t cols, float* rows)
             rows[l * cols + c] = lanes[c * 8 + l];
 }
 
+/** out = cp * q[class] over all nodes (Eq. 5), 8 lanes at a time. */
+SMOOTHE_AVX2_FN inline void
+nodesTimesClass8(const PropagateLanes& group, const float* cpLanes,
+                 const float* q, float* out)
+{
+    for (std::size_t i = 0; i < group.nodes; ++i) {
+        const float* qc = q + std::size_t{group.node2class[i]} * 8;
+        _mm256_storeu_ps(out + i * 8,
+                         _mm256_mul_ps(_mm256_loadu_ps(cpLanes + i * 8),
+                                       _mm256_loadu_ps(qc)));
+    }
+}
+
+/**
+ * Mul backward of p = cp * q[class]: gcp += gp * q[class] and, unless
+ * gq is null, gq (zeroed first) += gp * cp gathered in node order.
+ */
+SMOOTHE_AVX2_FN inline void
+mulBackward8(const PropagateLanes& group, const float* cpLanes,
+             const float* gp, const float* q, float* gcp, float* gq)
+{
+    if (gq != nullptr)
+        std::fill(gq, gq + group.classes * 8, 0.0f);
+    for (std::size_t i = 0; i < group.nodes; ++i) {
+        const std::size_t c = std::size_t{group.node2class[i]} * 8;
+        const __m256 g = _mm256_loadu_ps(gp + i * 8);
+        float* acc = gcp + i * 8;
+        _mm256_storeu_ps(
+            acc, _mm256_add_ps(_mm256_loadu_ps(acc),
+                               _mm256_mul_ps(g, _mm256_loadu_ps(q + c))));
+        if (gq != nullptr)
+            _mm256_storeu_ps(
+                gq + c,
+                _mm256_add_ps(_mm256_loadu_ps(gq + c),
+                              _mm256_mul_ps(
+                                  g, _mm256_loadu_ps(cpLanes + i * 8))));
+    }
+}
+
+/** dL/dq of class s through the root-pinning chain, g * notRoot, then
+ *  the hybrid average's 0.5. */
+SMOOTHE_AVX2_FN inline __m256
+chainGrad8(const PropagateLanes& group, const float* gq, std::size_t s)
+{
+    const __m256 base =
+        _mm256_mul_ps(_mm256_loadu_ps(gq + s * 8),
+                      _mm256_set1_ps(s == group.root ? 0.0f : 1.0f));
+    return group.product && group.max
+               ? _mm256_mul_ps(_mm256_set1_ps(0.5f), base)
+               : base;
+}
+
 } // namespace
 
 SMOOTHE_AVX2_FN void
@@ -226,20 +278,6 @@ reluSpan(const float* a, float* o, std::size_t n)
 }
 
 SMOOTHE_AVX2_FN void
-gatherColsRow(const float* x, const std::uint32_t* index, float* o,
-              std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(index + i));
-        _mm256_storeu_ps(o + i, _mm256_i32gather_ps(x, idx, 4));
-    }
-    for (; i < n; ++i)
-        o[i] = x[index[i]];
-}
-
-SMOOTHE_AVX2_FN void
 segmentSoftmax8(const float* x, float* o, std::size_t stride,
                 const std::uint32_t* offsets, std::size_t num_segments,
                 const std::uint32_t* items)
@@ -285,133 +323,187 @@ segmentSoftmax8(const float* x, float* o, std::size_t stride,
 }
 
 SMOOTHE_AVX2_FN void
-segmentProductComplement8(const float* x, std::size_t x_stride, float* o,
-                          std::size_t o_stride,
-                          const std::uint32_t* offsets,
-                          std::size_t num_segments,
-                          const std::uint32_t* items)
+propagateForward8(const PropagateLanes& group, const float* cp, float* p)
 {
-    const __m256i lanes = laneOffsets(x_stride);
+    const std::size_t n = group.nodes;
+    const std::size_t m = group.classes;
+    const PropagateScratch scratch(group, 8);
+    float* cpLanes = scratch.cp;
+    float* pLanes = scratch.p;
+    float* q0 = scratch.q0;
+    toLanes(cp, n, cpLanes);
+    std::fill(q0, q0 + m * 8, 0.0f);
+    std::fill(q0 + std::size_t{group.root} * 8,
+              q0 + std::size_t{group.root} * 8 + 8, 1.0f);
+
+    const __m256 zero = _mm256_setzero_ps();
     const __m256 one = _mm256_set1_ps(1.0f);
-    alignas(32) float tmp[8];
-    for (std::size_t s = 0; s < num_segments; ++s) {
-        __m256 prod = one;
-        for (std::uint32_t e = offsets[s]; e < offsets[s + 1]; ++e) {
-            const __m256i idx = _mm256_add_epi32(
-                lanes, _mm256_set1_epi32(static_cast<int>(items[e])));
-            prod = _mm256_mul_ps(
-                prod,
-                _mm256_sub_ps(one, _mm256_i32gather_ps(x, idx, 4)));
+    const __m256 minusOne = _mm256_set1_ps(-1.0f);
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 negInf =
+        _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+    const float* qIn = q0;
+    for (std::size_t t = 0; t < group.rounds; ++t) {
+        float* qOut = group.saved + t * m * 8;
+        float* argOut = group.saved + (group.rounds + t) * m * 8;
+        nodesTimesClass8(group, cpLanes, qIn, pLanes);
+        for (std::size_t s = 0; s < m; ++s) {
+            const std::uint32_t begin = group.offsets[s];
+            const std::uint32_t end = group.offsets[s + 1];
+            __m256 prod = one;
+            __m256 best = negInf;
+            __m256 pos = zero;
+            for (std::uint32_t e = begin; e < end; ++e) {
+                const __m256 x = _mm256_loadu_ps(
+                    pLanes + std::size_t{group.items[e]} * 8);
+                if (group.product)
+                    prod = _mm256_mul_ps(prod, _mm256_sub_ps(one, x));
+                if (group.max) {
+                    // Ordered greater-than: false for NaN, as the
+                    // scalar x > best; ties keep the earlier parent.
+                    const __m256 greater = _mm256_cmp_ps(x, best, _CMP_GT_OQ);
+                    best = _mm256_blendv_ps(best, x, greater);
+                    pos = _mm256_blendv_ps(
+                        pos, _mm256_set1_ps(static_cast<float>(e - begin)),
+                        greater);
+                }
+            }
+            if (begin == end) {
+                best = zero;
+                pos = minusOne;
+            }
+            __m256 q = best;
+            if (group.product) {
+                const __m256 ind =
+                    _mm256_add_ps(_mm256_mul_ps(minusOne, prod), one);
+                q = group.max ? _mm256_mul_ps(half, _mm256_add_ps(ind, best))
+                              : ind;
+            }
+            const bool isRoot = s == group.root;
+            q = _mm256_add_ps(_mm256_mul_ps(q, isRoot ? zero : one),
+                              isRoot ? one : zero);
+            _mm256_storeu_ps(qOut + s * 8, q);
+            if (group.max)
+                _mm256_storeu_ps(argOut + s * 8, pos);
         }
-        _mm256_store_ps(tmp, prod);
-        for (std::size_t l = 0; l < 8; ++l)
-            o[l * o_stride + s] = tmp[l];
+        qIn = qOut;
     }
+    nodesTimesClass8(group, cpLanes, qIn, pLanes);
+    fromLanes(pLanes, n, p);
 }
 
 SMOOTHE_AVX2_FN void
-segmentMaxGather8(const float* x, std::size_t x_stride, float* o,
-                  std::size_t o_stride, std::uint32_t* arg,
-                  const std::uint32_t* offsets, std::size_t num_segments,
-                  const std::uint32_t* items)
+propagateBackward8(const PropagateLanes& group, const float* cp,
+                   const float* g, float* gcp)
 {
-    const __m256i lanes = laneOffsets(x_stride);
-    alignas(32) float best8[8];
-    alignas(32) std::uint32_t arg8[8];
-    for (std::size_t s = 0; s < num_segments; ++s) {
-        const std::uint32_t begin = offsets[s];
-        const std::uint32_t end = offsets[s + 1];
-        if (begin == end) {
-            for (std::size_t l = 0; l < 8; ++l)
-                o[l * o_stride + s] = 0.0f;
-            continue;
-        }
-        __m256 best =
-            _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-        __m256i bestItem = _mm256_set1_epi32(static_cast<int>(items[begin]));
-        for (std::uint32_t e = begin; e < end; ++e) {
-            const __m256i item =
-                _mm256_set1_epi32(static_cast<int>(items[e]));
-            const __m256 v = _mm256_i32gather_ps(
-                x, _mm256_add_epi32(lanes, item), 4);
-            // Ordered greater-than: false for NaN, as the scalar v > best.
-            const __m256 greater = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
-            best = _mm256_blendv_ps(best, v, greater);
-            bestItem = _mm256_blendv_epi8(
-                bestItem, item, _mm256_castps_si256(greater));
-        }
-        _mm256_store_ps(best8, best);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(arg8), bestItem);
-        for (std::size_t l = 0; l < 8; ++l) {
-            o[l * o_stride + s] = best8[l];
-            arg[l * o_stride + s] = arg8[l];
-        }
-    }
-}
-
-SMOOTHE_AVX2_FN void
-segmentProductComplementBackward8(const float* x, float* ga, std::size_t cols,
-                                  const float* g,
-                                  const std::uint32_t* offsets,
-                                  std::size_t num_segments,
-                                  const std::uint32_t* items,
-                                  std::size_t longest, float* scratch)
-{
-    float* xLanes = scratch;
-    float* gaLanes = xLanes + cols * 8;
-    float* gLanes = gaLanes + cols * 8;
-    float* prefix = gLanes + num_segments * 8;
-    float* suffix = prefix + (longest + 1) * 8;
-    toLanes(x, cols, xLanes);
-    toLanes(ga, cols, gaLanes);
-    toLanes(g, num_segments, gLanes);
+    const std::size_t n = group.nodes;
+    const std::size_t m = group.classes;
+    const PropagateScratch scratch(group, 8);
+    float* cpLanes = scratch.cp;
+    float* pLanes = scratch.p;
+    float* gpLanes = scratch.gp;
+    float* gcpLanes = scratch.gcp;
+    float* q0 = scratch.q0;
+    float* gq = scratch.gq;
+    float* prefix = scratch.prefix;
+    float* suffix = scratch.suffix;
+    toLanes(cp, n, cpLanes);
+    toLanes(gcp, n, gcpLanes);
+    toLanes(g, n, gpLanes);
+    std::fill(q0, q0 + m * 8, 0.0f);
+    std::fill(q0 + std::size_t{group.root} * 8,
+              q0 + std::size_t{group.root} * 8 + 8, 1.0f);
 
     const __m256 one = _mm256_set1_ps(1.0f);
     const __m256 minusOne = _mm256_set1_ps(-1.0f);
     const __m256 signBit = _mm256_set1_ps(-0.0f);
-    for (std::size_t s = 0; s < num_segments; ++s) {
-        const std::uint32_t* seg = items + offsets[s];
-        const std::size_t len = offsets[s + 1] - offsets[s];
-        if (len == 0)
-            continue;
-        const __m256 gs = _mm256_loadu_ps(gLanes + s * 8);
-        if (len == 1) {
-            // pre[0] and suf[1] are 1, so the scalar factor is exactly
-            // (-1.0f) * 1.0f; x does not enter.
-            float* acc = gaLanes + std::size_t{seg[0]} * 8;
-            _mm256_storeu_ps(acc, _mm256_add_ps(_mm256_loadu_ps(acc),
-                                                _mm256_mul_ps(gs, minusOne)));
-            continue;
+
+    // The final p = cp * q[class], then the rounds in reverse.
+    mulBackward8(group, cpLanes, gpLanes,
+                 group.rounds ? group.saved + (group.rounds - 1) * m * 8 : q0,
+                 gcpLanes, group.rounds ? gq : nullptr);
+    for (std::size_t t = group.rounds; t-- > 0;) {
+        const float* qIn = t ? group.saved + (t - 1) * m * 8 : q0;
+        const float* arg = group.saved + (group.rounds + t) * m * 8;
+        nodesTimesClass8(group, cpLanes, qIn, pLanes);
+        std::fill(gpLanes, gpLanes + n * 8, 0.0f);
+        // All max contributions to dL/dp first, then all
+        // product-complement ones, as the unrolled ops accumulated.
+        if (group.max) {
+            for (std::size_t s = 0; s < m; ++s) {
+                const std::uint32_t begin = group.offsets[s];
+                const std::uint32_t end = group.offsets[s + 1];
+                if (begin == end)
+                    continue;
+                const __m256 gs = chainGrad8(group, gq, s);
+                const __m256 pos = _mm256_loadu_ps(arg + s * 8);
+                // Each lane adds into its own argmax only; the other
+                // lanes add +0, which leaves an accumulator that started
+                // at +0 unchanged.
+                for (std::uint32_t e = begin; e < end; ++e) {
+                    const __m256 hit = _mm256_cmp_ps(
+                        pos, _mm256_set1_ps(static_cast<float>(e - begin)),
+                        _CMP_EQ_OQ);
+                    float* acc = gpLanes + std::size_t{group.items[e]} * 8;
+                    _mm256_storeu_ps(acc,
+                                     _mm256_add_ps(_mm256_loadu_ps(acc),
+                                                   _mm256_and_ps(hit, gs)));
+                }
+            }
         }
-        // Prefix sweep; each factor (1 - x) is parked in suffix[e] and
-        // replaced in place by the suffix sweep below.
-        __m256 pre = one;
-        _mm256_storeu_ps(prefix, pre);
-        for (std::size_t e = 0; e < len; ++e) {
-            const __m256 factor = _mm256_sub_ps(
-                one, _mm256_loadu_ps(xLanes + std::size_t{seg[e]} * 8));
-            _mm256_storeu_ps(suffix + e * 8, factor);
-            pre = _mm256_mul_ps(pre, factor);
-            _mm256_storeu_ps(prefix + (e + 1) * 8, pre);
+        if (group.product) {
+            for (std::size_t s = 0; s < m; ++s) {
+                const std::uint32_t* seg = group.items + group.offsets[s];
+                const std::size_t len = group.offsets[s + 1] - group.offsets[s];
+                if (len == 0)
+                    continue;
+                const __m256 gs =
+                    _mm256_mul_ps(minusOne, chainGrad8(group, gq, s));
+                if (len == 1) {
+                    // pre[0] and suf[1] are 1, so the factor is exactly
+                    // (-1.0f) * 1.0f; x does not enter.
+                    float* acc = gpLanes + std::size_t{seg[0]} * 8;
+                    _mm256_storeu_ps(
+                        acc, _mm256_add_ps(_mm256_loadu_ps(acc),
+                                           _mm256_mul_ps(gs, minusOne)));
+                    continue;
+                }
+                // Prefix sweep; each factor (1 - p) is parked in
+                // suffix[e] and replaced in place by the suffix sweep.
+                __m256 pre = one;
+                _mm256_storeu_ps(prefix, pre);
+                for (std::size_t e = 0; e < len; ++e) {
+                    const __m256 factor = _mm256_sub_ps(
+                        one,
+                        _mm256_loadu_ps(pLanes + std::size_t{seg[e]} * 8));
+                    _mm256_storeu_ps(suffix + e * 8, factor);
+                    pre = _mm256_mul_ps(pre, factor);
+                    _mm256_storeu_ps(prefix + (e + 1) * 8, pre);
+                }
+                __m256 suf = one;
+                _mm256_storeu_ps(suffix + len * 8, suf);
+                for (std::size_t e = len; e > 0; --e) {
+                    suf = _mm256_mul_ps(
+                        suf, _mm256_loadu_ps(suffix + (e - 1) * 8));
+                    _mm256_storeu_ps(suffix + (e - 1) * 8, suf);
+                }
+                // d/dp_e prod (1 - p_k) = -prod_{k != e} (1 - p_k).
+                for (std::size_t e = 0; e < len; ++e) {
+                    const __m256 others = _mm256_mul_ps(
+                        _mm256_xor_ps(_mm256_loadu_ps(prefix + e * 8),
+                                      signBit),
+                        _mm256_loadu_ps(suffix + (e + 1) * 8));
+                    float* acc = gpLanes + std::size_t{seg[e]} * 8;
+                    _mm256_storeu_ps(acc,
+                                     _mm256_add_ps(_mm256_loadu_ps(acc),
+                                                   _mm256_mul_ps(gs, others)));
+                }
+            }
         }
-        __m256 suf = one;
-        _mm256_storeu_ps(suffix + len * 8, suf);
-        for (std::size_t e = len; e > 0; --e) {
-            suf = _mm256_mul_ps(suf, _mm256_loadu_ps(suffix + (e - 1) * 8));
-            _mm256_storeu_ps(suffix + (e - 1) * 8, suf);
-        }
-        // Ascending e, one read-modify-write per item, as the scalar
-        // loop accumulates.
-        for (std::size_t e = 0; e < len; ++e) {
-            const __m256 others = _mm256_mul_ps(
-                _mm256_xor_ps(_mm256_loadu_ps(prefix + e * 8), signBit),
-                _mm256_loadu_ps(suffix + (e + 1) * 8));
-            float* acc = gaLanes + std::size_t{seg[e]} * 8;
-            _mm256_storeu_ps(acc, _mm256_add_ps(_mm256_loadu_ps(acc),
-                                                _mm256_mul_ps(gs, others)));
-        }
+        mulBackward8(group, cpLanes, gpLanes, qIn, gcpLanes,
+                     t > 0 ? gq : nullptr);
     }
-    fromLanes(gaLanes, cols, ga);
+    fromLanes(gcpLanes, n, gcp);
 }
 
 SMOOTHE_AVX2_FN void
@@ -567,35 +659,19 @@ reluSpan(const float*, float*, std::size_t)
     unreachable();
 }
 void
-gatherColsRow(const float*, const std::uint32_t*, float*, std::size_t)
-{
-    unreachable();
-}
-void
 segmentSoftmax8(const float*, float*, std::size_t, const std::uint32_t*,
                 std::size_t, const std::uint32_t*)
 {
     unreachable();
 }
 void
-segmentProductComplement8(const float*, std::size_t, float*, std::size_t,
-                          const std::uint32_t*, std::size_t,
-                          const std::uint32_t*)
+propagateForward8(const PropagateLanes&, const float*, float*)
 {
     unreachable();
 }
 void
-segmentMaxGather8(const float*, std::size_t, float*, std::size_t,
-                  std::uint32_t*, const std::uint32_t*, std::size_t,
-                  const std::uint32_t*)
-{
-    unreachable();
-}
-void
-segmentProductComplementBackward8(const float*, float*, std::size_t,
-                                  const float*, const std::uint32_t*,
-                                  std::size_t, const std::uint32_t*,
-                                  std::size_t, float*)
+propagateBackward8(const PropagateLanes&, const float*, const float*,
+                   float*)
 {
     unreachable();
 }

@@ -17,13 +17,12 @@
  * parity tests compare it with a tolerance; see DESIGN.md "SIMD
  * kernels").
  *
- * The cross-seed kernels (segmentSoftmax8, segmentProductComplement8,
- * its backward segmentProductComplementBackward8, and segmentMaxGather8)
- * realize the seed-batch batching: the B seed rows become the SIMD lane
- * dimension, so one pass over the sparse structure serves 8 seeds
- * instead of replaying it per seed. Each 8-row group writes only its
- * own rows, so the results do not depend on how groups are spread over
- * threads.
+ * The cross-seed kernels (segmentSoftmax8 and the propagation pair
+ * propagateForward8/propagateBackward8) realize the seed-batch
+ * batching: the B seed rows become the SIMD lane dimension, so one pass
+ * over the sparse structure serves 8 seeds instead of replaying it per
+ * seed. Each 8-row group writes only its own rows, so the results do
+ * not depend on how groups are spread over threads.
  */
 
 #ifndef SMOOTHE_TENSOR_KERNELS_AVX2_HPP
@@ -44,10 +43,6 @@ void scaleSpan(const float* a, float alpha, float* o, std::size_t n);
 void addScalarSpan(const float* a, float alpha, float* o, std::size_t n);
 /** o[i] = max(a[i], 0). */
 void reluSpan(const float* a, float* o, std::size_t n);
-/** o[i] = x[index[i]] for one row (8-wide index gathers). */
-void gatherColsRow(const float* x, const std::uint32_t* index, float* o,
-                   std::size_t n);
-
 /**
  * Cross-seed segment softmax over 8 consecutive batch rows. Uses a
  * polynomial expf (few-ULP difference vs std::exp); max, denominator,
@@ -58,61 +53,96 @@ void segmentSoftmax8(const float* x, float* o, std::size_t stride,
                      std::size_t num_segments,
                      const std::uint32_t* items);
 
-/** Cross-seed segment product-complement over 8 consecutive batch
- *  rows: o[l * o_stride + s] = prod_{e in segment s} (1 - x[l][item]).
- */
-void segmentProductComplement8(const float* x, std::size_t x_stride,
-                               float* o, std::size_t o_stride,
-                               const std::uint32_t* offsets,
-                               std::size_t num_segments,
-                               const std::uint32_t* items);
-
 /**
- * Cross-seed segment max over 8 consecutive batch rows: o[l * o_stride
- * + s] = max over segment s of x[l][item], arg[l * o_stride + s] = the
- * first item reaching it (items scanned in order, an item replacing
- * the best only when strictly greater, so NaN never wins and ties keep
- * the earlier item). Empty segments write o = 0 and leave arg alone.
- * Only compares and blends: bitwise equal to the scalar loop in
- * tensor::segmentMaxGatherInto.
+ * One seed group's share of phi's propagation (tensor::propagateInto):
+ * the structure, and the group's slices of the saved state and scratch,
+ * both in seed-lane layout (element k of lane l at k * lanes + l).
  */
-void segmentMaxGather8(const float* x, std::size_t x_stride, float* o,
-                       std::size_t o_stride, std::uint32_t* arg,
-                       const std::uint32_t* offsets,
-                       std::size_t num_segments,
-                       const std::uint32_t* items);
-
-/**
- * Backward of segmentProductComplement8 over the same 8 rows of x and
- * ga (both `cols` wide) and of g (num_segments wide): for each segment
- * s and its e-th item (ascending), ga[l][item] += g[l][s] * (-pre[e] *
- * suf[e + 1]), where pre/suf are lane l's prefix and suffix products
- * of (1 - x[l][item]). x, ga and g are first copied lane-major (8
- * floats per column) so every access is one vector load or store
- * rather than a gather and 8 scalar stores; ga is copied back at the
- * end. Single-item segments skip the products (their factor is exactly
- * -1). `scratch` holds segmentProductComplementBackward8Scratch()
- * floats, `longest` being the largest segment size; it is caller-owned
- * so nothing is allocated per call. Products, the negation and the
- * accumulation round exactly as the scalar loop in
- * tensor::segmentProductComplementGradInto does, lane by lane.
- */
-void segmentProductComplementBackward8(const float* x, float* ga,
-                                       std::size_t cols, const float* g,
-                                       const std::uint32_t* offsets,
-                                       std::size_t num_segments,
-                                       const std::uint32_t* items,
-                                       std::size_t longest, float* scratch);
-
-/** Scratch floats of segmentProductComplementBackward8: lane-major x,
- *  ga and g, then the prefix and suffix products. */
-inline std::size_t
-segmentProductComplementBackward8Scratch(std::size_t cols,
-                                         std::size_t num_segments,
-                                         std::size_t longest)
+struct PropagateLanes
 {
-    return (2 * cols + num_segments + 2 * (longest + 1)) * 8;
+    const std::uint32_t* node2class; ///< node -> class
+    std::size_t nodes;
+    const std::uint32_t* offsets; ///< class -> parents, CSR offsets
+    const std::uint32_t* items;   ///< parent nodes
+    std::size_t classes;
+    std::size_t longest; ///< largest parent count
+    std::uint32_t root;
+    std::size_t rounds;
+    bool product; ///< combines 1 - prod(1 - p) (Independent, Hybrid)
+    bool max;     ///< combines max(p) (Correlated, Hybrid)
+    /** q of round t at t * classes * lanes; under `max`, the argmax
+     *  position within each parent list (-1 when empty) of round t at
+     *  (rounds + t) * classes * lanes. */
+    float* saved;
+    /** propagateScratchPerLane() floats per lane, split into the
+     *  regions of PropagateScratch. */
+    float* scratch;
+};
+
+/**
+ * A propagation group's scratch regions, each in seed-lane layout: cp,
+ * p, dL/dp and dL/dcp (nodes each), the root one-hot q0 and dL/dq
+ * (classes each), then prefix and suffix products (longest + 1 each).
+ * Each region is followed by 2 floats per lane of padding, so two
+ * regions are never a multiple of 4 KiB apart for 8 lanes: a load
+ * from one region then never waits on a store to the same index of
+ * another (4K aliasing), whatever the node count.
+ */
+struct PropagateScratch
+{
+    float* cp;
+    float* p;
+    float* gp;
+    float* gcp;
+    float* q0;
+    float* gq;
+    float* prefix;
+    float* suffix;
+
+    PropagateScratch(const PropagateLanes& group, std::size_t lanes)
+    {
+        float* next = group.scratch;
+        const auto take = [&](std::size_t count) {
+            float* region = next;
+            next += (count + 2) * lanes;
+            return region;
+        };
+        cp = take(group.nodes);
+        p = take(group.nodes);
+        gp = take(group.nodes);
+        gcp = take(group.nodes);
+        q0 = take(group.classes);
+        gq = take(group.classes);
+        prefix = take(group.longest + 1);
+        suffix = take(group.longest + 1);
+    }
+};
+
+/** Scratch floats per seed lane of a propagation group: the eight
+ *  PropagateScratch regions with their padding. */
+inline std::size_t
+propagateScratchPerLane(std::size_t nodes, std::size_t classes,
+                        std::size_t longest)
+{
+    return 4 * nodes + 2 * classes + 2 * (longest + 1) + 8 * 2;
 }
+
+/**
+ * Forward of one 8-seed group: cp and p are its 8 rows (row stride
+ * `nodes`). Per lane, the same rounded operations in the same order as
+ * the generic lane loop in tensor::propagateInto, so bitwise equal.
+ */
+void propagateForward8(const PropagateLanes& group, const float* cp,
+                       float* p);
+
+/**
+ * Backward of one 8-seed group: gcp (8 rows) += dL/dcp given g = dL/dp
+ * (8 rows), from the group's saved q and argmax. Same rounded
+ * operations and accumulation order as tensor::propagateGradInto's
+ * generic lane loop.
+ */
+void propagateBackward8(const PropagateLanes& group, const float* cp,
+                        const float* g, float* gcp);
 
 /**
  * c = a * b for row-major d x d doubles, register-blocked: one output

@@ -12,7 +12,7 @@
  * counters, each report against the report schema (with profiler kernel
  * attribution when profiling, one smoothe.convergence row per iteration,
  * and a sampling phase in Figure 8's), and the collapsed-stack profile
- * line by line.
+ * line by line. SmoothE runs under all three propagation assumptions.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +187,53 @@ TEST(SmokeObservability, TraceAndMetricsFilesAreValid)
     std::remove(trace.c_str());
     std::remove(metrics.c_str());
     std::remove(report.c_str());
+}
+
+TEST(SmokeObservability, NonDefaultAssumptionsProfileThePropagation)
+{
+    const std::string gen = binaryPath("egraph_gen");
+    const std::string extract = binaryPath("smoothe_extract");
+    if (gen.empty() || extract.empty())
+        GTEST_SKIP() << "tool binaries not found relative to cwd";
+
+    const std::string dir = "/tmp/smoothe_obs_assumptions";
+    ASSERT_EQ(runCommand("mkdir -p " + dir), 0);
+    ASSERT_EQ(runCommand(gen + " --family maxsat --scale 0.05 --seed 7 "
+                               "--out " + dir),
+              0);
+    // The default hybrid runs in the tests above; these put the fused
+    // propagation's product-only and max-only paths under the same
+    // telemetry (and, in sanitizer builds, under ASan/UBSan).
+    for (const char* assumption : {"independent", "correlated"}) {
+        SCOPED_TRACE(assumption);
+        const std::string prefix = dir + "/" + assumption;
+        ASSERT_EQ(runCommand(extract + " --input " + dir +
+                             "/maxsat_0.json --extractor smoothe"
+                             " --max-iters 20 --seeds 4 --time-limit 20"
+                             " --assumption " + assumption +
+                             " --profile --trace-out " + prefix +
+                             "_trace.json --metrics-out " + prefix +
+                             "_metrics.json --report-out " + prefix +
+                             "_report.json"),
+                  0);
+        checkTrace(prefix + "_trace.json");
+        EXPECT_TRUE(readJson(prefix + "_metrics.json").isObject());
+        const smoothe::util::Json report = checkReport(prefix + "_report.json");
+        const smoothe::util::Json* profile = report.find("profile");
+        ASSERT_NE(profile, nullptr);
+        bool forward = false;
+        bool backward = false;
+        for (const auto& [name, entry] :
+             profile->find("kernels")->asObject()) {
+            const bool called = entry.find("calls")->asNumber() > 0.0;
+            if (name.rfind("forward.propagate", 0) == 0 && called)
+                forward = true;
+            if (name == "backward.propagate" && called)
+                backward = true;
+        }
+        EXPECT_TRUE(forward) << "no forward.propagate* profile row";
+        EXPECT_TRUE(backward) << "no backward.propagate profile row";
+    }
 }
 
 TEST(SmokeObservability, EveryToolWritesParseableTelemetry)

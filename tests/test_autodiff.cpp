@@ -1,7 +1,8 @@
 /**
  * @file
  * Autodiff tests: forward values, analytic vs numeric gradients for every
- * op, matrix exponential correctness, Adam convergence.
+ * op, matrix exponential correctness, Adam convergence, and the fused
+ * propagation op bitwise against the unrolled rounds it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -9,14 +10,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "autodiff/adam.hpp"
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/matexp.hpp"
 #include "autodiff/tape.hpp"
+#include "datasets/generators.hpp"
+#include "extraction/solution.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/kernels.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ad = smoothe::ad;
 namespace st = smoothe::tensor;
@@ -276,19 +284,16 @@ TEST(Tape, SegmentSoftmaxNormalizes)
     }
 }
 
-TEST(Tape, GatherAndDotForward)
+TEST(Tape, DotRowsForward)
 {
     Tape tape;
-    Tensor q(1, 3);
-    q.at(0, 0) = 0.1f;
-    q.at(0, 1) = 0.5f;
-    q.at(0, 2) = 0.9f;
-    const std::vector<std::uint32_t> index = {2, 0, 1, 2};
-    const VarId g = tape.gatherCols(tape.constant(q), &index);
-    EXPECT_FLOAT_EQ(tape.value(g).at(0, 0), 0.9f);
-    EXPECT_FLOAT_EQ(tape.value(g).at(0, 3), 0.9f);
-
-    const VarId dot = tape.dotRowsConst(g, {1.0f, 2.0f, 3.0f, 4.0f});
+    Tensor x(1, 4);
+    x.at(0, 0) = 0.9f;
+    x.at(0, 1) = 0.1f;
+    x.at(0, 2) = 0.5f;
+    x.at(0, 3) = 0.9f;
+    const VarId dot =
+        tape.dotRowsConst(tape.constant(x), {1.0f, 2.0f, 3.0f, 4.0f});
     EXPECT_NEAR(tape.value(dot).at(0, 0),
                 0.9 + 0.2 + 1.5 + 3.6, 1e-5);
 }
@@ -375,49 +380,64 @@ TEST(GradCheck, SegmentSoftmax)
     });
 }
 
-TEST(GradCheck, SegmentProductComplement)
-{
-    st::SegmentIndex segs;
-    segs.offsets = {0, 2, 2, 5};
-    segs.items = {1, 3, 0, 2, 4};
-    smoothe::util::Rng rng(26);
-    Param p{randomTensor(2, 5, rng, 0.1, 0.8)};
-    expectGradCheck({&p}, [&](Tape& tape) {
-        const VarId prod =
-            tape.segmentProductComplement(tape.leaf(&p), &segs);
-        return tape.sumAll(tape.dotRowsConst(prod, {2.0f, -1.0f, 1.5f}));
-    });
-}
+namespace {
 
-TEST(GradCheck, SegmentMaxGather)
+/**
+ * A four-class e-graph for the propagation checks: class 0 (the root)
+ * holds nodes 0 and 1, class 1 nodes 2 and 3, class 2 nodes 4 and 5,
+ * class 3 node 6. Class 1's parents are nodes 0 and 1, class 2's node
+ * 0, class 3's nodes 1, 3 and 4; the root has none.
+ */
+struct TinyPropagation
 {
-    st::SegmentIndex segs;
-    segs.offsets = {0, 2, 5};
-    segs.items = {0, 1, 2, 3, 4};
-    smoothe::util::Rng rng(27);
-    // Well-separated values keep the argmax stable under epsilon.
-    Param p{Tensor(1, 5)};
-    p.value.at(0, 0) = 0.9f;
-    p.value.at(0, 1) = 0.1f;
-    p.value.at(0, 2) = 0.2f;
-    p.value.at(0, 3) = 0.7f;
-    p.value.at(0, 4) = 0.3f;
-    expectGradCheck({&p}, [&](Tape& tape) {
-        const VarId mx = tape.segmentMaxGather(tape.leaf(&p), &segs);
-        return tape.sumAll(tape.dotRowsConst(mx, {2.0f, 3.0f}));
-    });
-}
+    std::vector<std::uint32_t> node2class = {0, 0, 1, 1, 2, 2, 3};
+    st::SegmentIndex members =
+        st::SegmentIndex::fromAssignment(node2class, 4);
+    st::SegmentIndex parents;
 
-TEST(GradCheck, GatherCols)
+    TinyPropagation()
+    {
+        parents.offsets = {0, 0, 2, 3, 6};
+        parents.items = {0, 1, 0, 1, 3, 4};
+    }
+
+    st::PropagateSpec
+    spec(st::Assumption assumption) const
+    {
+        st::PropagateSpec out;
+        out.node2class = &node2class;
+        out.parents = &parents;
+        out.root = 0;
+        out.rounds = 3;
+        out.assumption = assumption;
+        return out;
+    }
+};
+
+constexpr st::Assumption kAssumptions[] = {st::Assumption::Independent,
+                                           st::Assumption::Correlated,
+                                           st::Assumption::Hybrid};
+
+} // namespace
+
+TEST(GradCheck, Propagate)
 {
-    const std::vector<std::uint32_t> index = {1, 0, 2, 1};
-    smoothe::util::Rng rng(28);
-    Param q{randomTensor(2, 3, rng)};
-    expectGradCheck({&q}, [&](Tape& tape) {
-        const VarId g = tape.gatherCols(tape.leaf(&q), &index);
-        return tape.sumAll(
-            tape.dotRowsConst(g, {1.0f, 2.0f, 3.0f, 4.0f}));
-    });
+    const TinyPropagation tiny;
+    for (const st::Assumption assumption : kAssumptions) {
+        SCOPED_TRACE(static_cast<int>(assumption));
+        smoothe::util::Rng rng(26);
+        // Spread-out logits keep every max's argmax stable under the
+        // finite-difference step.
+        Param theta{randomTensor(2, 7, rng, -2.0, 2.0)};
+        const st::PropagateSpec spec = tiny.spec(assumption);
+        expectGradCheck({&theta}, [&](Tape& tape) {
+            const VarId cp =
+                tape.segmentSoftmax(tape.leaf(&theta), &tiny.members);
+            return tape.sumAll(tape.dotRowsConst(
+                tape.propagate(cp, spec),
+                {1.0f, 5.0f, 2.0f, -3.0f, 0.5f, 4.0f, 2.5f}));
+        });
+    }
 }
 
 TEST(GradCheck, MatMulAndBias)
@@ -470,78 +490,303 @@ TEST(GradCheck, TrExpmPerSeed)
     });
 }
 
-TEST(GradCheck, CompositePipeline)
-{
-    // A miniature SmoothE-like pipeline: softmax -> gather -> mul ->
-    // product-complement -> dot.
-    st::SegmentIndex members;
-    members.offsets = {0, 2, 4};
-    members.items = {0, 1, 2, 3};
-    st::SegmentIndex parents;
-    parents.offsets = {0, 0, 2};
-    parents.items = {0, 1};
-    const std::vector<std::uint32_t> node2class = {0, 0, 1, 1};
-
-    smoothe::util::Rng rng(33);
-    Param theta{randomTensor(2, 4, rng, -1.5, 1.5)};
-    expectGradCheck({&theta}, [&](Tape& tape) {
-        const VarId cp = tape.segmentSoftmax(tape.leaf(&theta), &members);
-        Tensor q0(2, 2);
-        q0.at(0, 0) = 1.0f;
-        q0.at(1, 0) = 1.0f;
-        VarId q = tape.constant(q0);
-        for (int t = 0; t < 3; ++t) {
-            const VarId p = tape.mul(cp, tape.gatherCols(q, &node2class));
-            const VarId prod = tape.segmentProductComplement(p, &parents);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            Tensor notRoot(1, 2, 1.0f);
-            notRoot.at(0, 0) = 0.0f;
-            Tensor root(1, 2);
-            root.at(0, 0) = 1.0f;
-            q = tape.addConst(tape.mulConst(ind, notRoot), root);
-        }
-        const VarId p = tape.mul(cp, tape.gatherCols(q, &node2class));
-        return tape.sumAll(
-            tape.dotRowsConst(p, {1.0f, 5.0f, 2.0f, 3.0f}));
-    });
-}
-
-TEST(Tape, SegmentOpsMatchClosedForm)
+TEST(Tape, SegmentSoftmaxMatchesClosedForm)
 {
     st::SegmentIndex segs;
     segs.offsets = {0, 3, 5, 6};
     segs.items = {0, 1, 2, 3, 4, 5};
     smoothe::util::Rng rng(91);
     Tensor theta = randomTensor(3, 6, rng, -2.0, 2.0);
-    Tensor p = randomTensor(3, 6, rng, 0.05, 0.9);
 
     Tape tape;
     const VarId sm = tape.segmentSoftmax(tape.constant(theta), &segs);
-    const VarId pc = tape.segmentProductComplement(tape.constant(p), &segs);
-    const VarId mx = tape.segmentMaxGather(tape.constant(p), &segs);
     for (std::size_t r = 0; r < 3; ++r) {
         for (std::size_t s = 0; s < 3; ++s) {
-            const std::uint32_t begin = segs.offsets[s];
-            const std::uint32_t end = segs.offsets[s + 1];
             double denom = 0.0;
-            double prod = 1.0;
-            float best = p.at(r, begin);
-            for (std::uint32_t e = begin; e < end; ++e) {
+            for (std::uint32_t e = segs.offsets[s]; e < segs.offsets[s + 1];
+                 ++e)
                 denom += std::exp(static_cast<double>(theta.at(r, e)));
-                prod *= 1.0 - p.at(r, e);
-                best = std::max(best, p.at(r, e));
-            }
-            for (std::uint32_t e = begin; e < end; ++e) {
+            for (std::uint32_t e = segs.offsets[s]; e < segs.offsets[s + 1];
+                 ++e) {
                 EXPECT_NEAR(tape.value(sm).at(r, e),
                             std::exp(static_cast<double>(theta.at(r, e))) /
                                 denom,
                             1e-6);
             }
-            EXPECT_NEAR(tape.value(pc).at(r, s), prod, 1e-6);
-            EXPECT_EQ(tape.value(mx).at(r, s), best);
         }
     }
+}
+
+// --- Propagate against the unrolled rounds it replaced -------------------
+
+namespace {
+
+/** A generated e-graph's propagation structure, as SmoothE prepares it. */
+struct GraphStructure
+{
+    std::vector<std::uint32_t> node2class;
+    st::SegmentIndex members;
+    st::SegmentIndex parents; ///< class -> distinct parent nodes
+    std::uint32_t root = 0;
+
+    explicit GraphStructure(const smoothe::eg::EGraph& g)
+        : root(static_cast<std::uint32_t>(g.root()))
+    {
+        for (smoothe::eg::NodeId id = 0; id < g.numNodes(); ++id)
+            node2class.push_back(g.classOf(id));
+        members =
+            st::SegmentIndex::fromAssignment(node2class, g.numClasses());
+        parents.offsets.push_back(0);
+        for (smoothe::eg::ClassId cls = 0; cls < g.numClasses(); ++cls) {
+            for (smoothe::eg::NodeId parent : g.parents(cls))
+                parents.items.push_back(parent);
+            parents.offsets.push_back(
+                static_cast<std::uint32_t>(parents.items.size()));
+        }
+    }
+};
+
+/** The last round's q, p, and gcp after the backward pass. */
+struct PropagateResult
+{
+    Tensor q;
+    Tensor p;
+    Tensor gcp;
+};
+
+/**
+ * The per-round ops Op::Propagate replaced, one seed row at a time: the
+ * gather, mul, product-complement and max kernels' scalar loops and the
+ * elementwise chain stages, each operation rounded on its own. The
+ * backward follows the compiled Program's schedule: descending op ids,
+ * every gradient accumulated into a freshly zeroed slot, and the
+ * chain Jacobians applied stage by stage in reverse.
+ */
+PropagateResult
+unrolledReference(const st::PropagateSpec& spec, const Tensor& cp,
+                  const Tensor& g, const Tensor& gcp0)
+{
+    const std::size_t n = spec.numNodes();
+    const std::size_t m = spec.numClasses();
+    const std::size_t rounds = spec.rounds;
+    const std::vector<std::uint32_t>& node2class = *spec.node2class;
+    const std::vector<std::uint32_t>& offsets = spec.parents->offsets;
+    const std::vector<std::uint32_t>& items = spec.parents->items;
+    const bool product = spec.assumption != st::Assumption::Correlated;
+    const bool max = spec.assumption != st::Assumption::Independent;
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+    PropagateResult out{Tensor(cp.rows(), m), Tensor(cp.rows(), n), gcp0};
+    for (std::size_t b = 0; b < cp.rows(); ++b) {
+        const float* c = cp.row(b);
+        // gathered[t] = q_t[class], probs[t] = cp * gathered[t].
+        std::vector<std::vector<float>> gathered(rounds + 1,
+                                                 std::vector<float>(n));
+        std::vector<std::vector<float>> probs(rounds, std::vector<float>(n));
+        std::vector<std::vector<std::uint32_t>> args(
+            rounds, std::vector<std::uint32_t>(m, kNone));
+        std::vector<float> q(m, 0.0f);
+        q[spec.root] = 1.0f;
+        for (std::size_t t = 0;; ++t) {
+            for (std::size_t i = 0; i < n; ++i)
+                gathered[t][i] = q[node2class[i]];
+            if (t == rounds)
+                break;
+            std::vector<float>& pr = probs[t];
+            for (std::size_t i = 0; i < n; ++i)
+                pr[i] = c[i] * gathered[t][i];
+            std::vector<float> next(m);
+            for (std::size_t s = 0; s < m; ++s) {
+                float prod = 1.0f;
+                for (std::uint32_t e = offsets[s]; e < offsets[s + 1]; ++e)
+                    prod *= (1.0f - pr[items[e]]);
+                float best = 0.0f;
+                if (offsets[s] != offsets[s + 1]) {
+                    best = -std::numeric_limits<float>::infinity();
+                    args[t][s] = items[offsets[s]];
+                    for (std::uint32_t e = offsets[s]; e < offsets[s + 1];
+                         ++e) {
+                        if (pr[items[e]] > best) {
+                            best = pr[items[e]];
+                            args[t][s] = items[e];
+                        }
+                    }
+                }
+                float v = best;
+                if (product) {
+                    float ind = -1.0f * prod;
+                    ind = ind + 1.0f;
+                    v = ind;
+                    if (max) {
+                        v = ind + best;
+                        v = 0.5f * v;
+                    }
+                }
+                v = v * (s == spec.root ? 0.0f : 1.0f);
+                v = v + (s == spec.root ? 1.0f : 0.0f);
+                next[s] = v;
+            }
+            q = next;
+        }
+        for (std::size_t s = 0; s < m; ++s)
+            out.q.at(b, s) = q[s];
+        for (std::size_t i = 0; i < n; ++i)
+            out.p.at(b, i) = c[i] * gathered[rounds][i];
+
+        float* gcp = out.gcp.row(b);
+        // mul(cp, gathered) backward: the cp side, then the gathered
+        // side into a fresh slot, which the gather sums per class.
+        const auto mulBackward = [&](const std::vector<float>& gp,
+                                     std::size_t t, bool intoQ,
+                                     std::vector<float>& gq) {
+            for (std::size_t i = 0; i < n; ++i)
+                gcp[i] += gp[i] * gathered[t][i];
+            if (!intoQ)
+                return;
+            std::vector<float> gGathered(n, 0.0f);
+            for (std::size_t i = 0; i < n; ++i)
+                gGathered[i] += gp[i] * c[i];
+            gq.assign(m, 0.0f);
+            for (std::size_t i = 0; i < n; ++i)
+                gq[node2class[i]] += gGathered[i];
+        };
+        std::vector<float> gq;
+        mulBackward(std::vector<float>(g.row(b), g.row(b) + n), rounds,
+                    rounds > 0, gq);
+        for (std::size_t t = rounds; t-- > 0;) {
+            std::vector<float> gMax(m, 0.0f);
+            std::vector<float> gProduct(m, 0.0f);
+            for (std::size_t s = 0; s < m; ++s) {
+                float v = gq[s] * (s == spec.root ? 0.0f : 1.0f);
+                if (!product) {
+                    gMax[s] += v;
+                } else if (!max) {
+                    gProduct[s] += -1.0f * v;
+                } else {
+                    v = 0.5f * v;
+                    float gSum = 0.0f; // the add's grad slot
+                    gSum += v;
+                    float gInd = 0.0f;
+                    gInd += gSum;
+                    gMax[s] += gSum;
+                    gProduct[s] += -1.0f * gInd;
+                }
+            }
+            const std::vector<float>& pr = probs[t];
+            std::vector<float> gp(n, 0.0f);
+            if (max) {
+                for (std::size_t s = 0; s < m; ++s)
+                    if (args[t][s] != kNone)
+                        gp[args[t][s]] += gMax[s];
+            }
+            if (product) {
+                for (std::size_t s = 0; s < m; ++s) {
+                    const std::uint32_t* seg = items.data() + offsets[s];
+                    const std::size_t len = offsets[s + 1] - offsets[s];
+                    if (len == 0)
+                        continue;
+                    std::vector<float> prefix(len + 1);
+                    std::vector<float> suffix(len + 1);
+                    prefix[0] = 1.0f;
+                    for (std::size_t e = 0; e < len; ++e)
+                        prefix[e + 1] = prefix[e] * (1.0f - pr[seg[e]]);
+                    suffix[len] = 1.0f;
+                    for (std::size_t e = len; e > 0; --e)
+                        suffix[e - 1] = suffix[e] * (1.0f - pr[seg[e - 1]]);
+                    for (std::size_t e = 0; e < len; ++e)
+                        gp[seg[e]] += gProduct[s] * (-prefix[e] * suffix[e + 1]);
+                }
+            }
+            mulBackward(gp, t, t > 0, gq);
+        }
+    }
+    return out;
+}
+
+PropagateResult
+runPropagateOp(const st::PropagateSpec& spec, const Tensor& cp,
+               const Tensor& g, const Tensor& gcp0)
+{
+    PropagateResult out{Tensor(cp.rows(), spec.numClasses()),
+                        Tensor(cp.rows(), spec.numNodes()), gcp0};
+    Tensor saved(cp.rows(), st::propagateSavedCols(spec));
+    Tensor scratch(cp.rows(), st::propagateScratchCols(spec));
+    st::propagateInto(cp, spec, out.p, saved, scratch);
+    st::propagatedClassesInto(spec, saved, out.q);
+    st::propagateGradInto(cp, spec, g, saved, out.gcp, scratch);
+    return out;
+}
+
+bool
+bitEqual(const Tensor& a, const Tensor& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(Propagate, MatchesUnrolledRoundsBitwise)
+{
+    namespace ds = smoothe::datasets;
+    ds::FamilyParams cyclic = ds::diospyrosParams();
+    cyclic.numClasses = 60;
+    cyclic.cycleFraction = 0.1;
+    ds::FamilyParams acyclic = ds::impressParams();
+    acyclic.numClasses = 60;
+    acyclic.cycleFraction = 0.0;
+    const smoothe::eg::EGraph cyclicGraph = ds::generateStructured(cyclic, 3);
+    const smoothe::eg::EGraph acyclicGraph =
+        ds::generateStructured(acyclic, 4);
+    ASSERT_FALSE(
+        smoothe::extract::CyclicSccs::of(cyclicGraph).classes.empty());
+    ASSERT_TRUE(
+        smoothe::extract::CyclicSccs::of(acyclicGraph).classes.empty());
+
+    const st::simd::Level savedLevel = st::simd::activeLevel();
+    for (const smoothe::eg::EGraph* graph : {&cyclicGraph, &acyclicGraph}) {
+        const GraphStructure structure(*graph);
+        const std::size_t n = graph->numNodes();
+        for (const std::size_t batch : {1UL, 7UL, 8UL, 16UL, 20UL}) {
+            smoothe::util::Rng rng(batch * 31 + n);
+            // cp as SmoothE feeds it: a softmax per class.
+            const Tensor theta = randomTensor(batch, n, rng, -3.0, 3.0);
+            Tensor cp(batch, n);
+            st::segmentSoftmaxInto(theta, structure.members, cp);
+            const Tensor g = randomTensor(batch, n, rng, -2.0, 2.0);
+            const Tensor gcp0 = randomTensor(batch, n, rng, -1.0, 1.0);
+            for (const st::Assumption assumption : kAssumptions) {
+                st::PropagateSpec spec;
+                spec.node2class = &structure.node2class;
+                spec.parents = &structure.parents;
+                spec.root = structure.root;
+                spec.rounds = 7;
+                spec.assumption = assumption;
+                const PropagateResult want =
+                    unrolledReference(spec, cp, g, gcp0);
+                for (const std::size_t threads : {1UL, 4UL}) {
+                    smoothe::util::ThreadPool::setGlobalThreads(threads);
+                    for (const st::simd::Level level :
+                         {st::simd::Level::Scalar, st::simd::Level::Avx2}) {
+                        st::simd::setLevel(level);
+                        SCOPED_TRACE(
+                            "nodes " + std::to_string(n) + ", B " +
+                            std::to_string(batch) + ", assumption " +
+                            std::to_string(static_cast<int>(assumption)) +
+                            ", threads " + std::to_string(threads) + ", " +
+                            st::simd::levelName(st::simd::activeLevel()));
+                        const PropagateResult got =
+                            runPropagateOp(spec, cp, g, gcp0);
+                        EXPECT_TRUE(bitEqual(got.q, want.q));
+                        EXPECT_TRUE(bitEqual(got.p, want.p));
+                        EXPECT_TRUE(bitEqual(got.gcp, want.gcp));
+                    }
+                }
+            }
+        }
+    }
+    st::simd::setLevel(savedLevel);
+    smoothe::util::ThreadPool::setGlobalThreads(1);
 }
 
 TEST(Tape, ClearDropsNodes)

@@ -4,8 +4,8 @@
  * must be bit-identical to rebuilding the tape every iteration (the
  * reference) — forward values, Param gradients, and whole Adam
  * trajectories — on randomized small e-graphs under each propagation
- * rule, whose elementwise runs fuse into 2-, 3- and 4-stage chains, at
- * pool sizes 1 and 4. Also covers the buffer-plan invariants (fusion
+ * assumption, with elementwise runs that fuse into 2-, 3- and 4-stage
+ * chains, at pool sizes 1 and 4. Also covers the buffer-plan invariants (fusion
  * fired, planned bytes below one rebuild iteration).
  */
 
@@ -87,8 +87,9 @@ struct Handles
 };
 
 /**
- * The propagation rule a Pipeline records, each shaped like SmoothE's
- * (src/smoothe/smoothe.cpp) so fusion sees the same elementwise runs.
+ * The propagation assumption a Pipeline records, and the elementwise
+ * head on p that comes with it (shaped like the per-round chains the
+ * propagation used to record, so fusion meets every run length).
  */
 enum class Rule {
     /** scale -> addScalar -> mulConst -> addConst: one 4-stage chain. */
@@ -96,7 +97,7 @@ enum class Rule {
     /** scale -> addScalar into an add, then scale -> mulConst ->
      *  addConst: a 2-stage and a 3-stage chain. */
     Hybrid,
-    /** segmentMaxGather -> mulConst -> addConst: one 2-stage chain. */
+    /** mulConst -> addConst: one 2-stage chain. */
     Correlated,
 };
 
@@ -108,8 +109,9 @@ constexpr float kLambda = 2.0f;
 
 /**
  * The SmoothE-shaped pipeline over a random e-graph: softmax per class,
- * probability propagation under `rule`, a non-linear (matmul/relu)
- * head, and a NOTEARS trace penalty scaled by the constant kLambda.
+ * probability propagation under `rule`, the rule's elementwise chain, a
+ * non-linear (matmul/relu) head, and a NOTEARS trace penalty scaled by
+ * the constant kLambda.
  * Structures and Params live here so recorded pointers stay valid for
  * the Program's lifetime.
  */
@@ -121,7 +123,8 @@ struct Pipeline
     std::vector<std::uint32_t> node2class;
     std::vector<ad::MatrixEntry> entries; ///< cp -> class adjacency
     std::size_t dim = 0;
-    Tensor q0, notRoot, rootMask;
+    std::uint32_t root = 0;
+    Tensor notRoot, rootMask; ///< 1 x numNodes chain operands
     std::vector<float> headWeights;
     std::size_t propIters = 3;
     std::size_t batch = 2;
@@ -156,13 +159,13 @@ struct Pipeline
             }
         }
         batch = static_cast<std::size_t>(rng.uniformInt(1, 3));
-        q0 = Tensor(batch, c);
-        for (std::size_t row = 0; row < batch; ++row)
-            q0.at(row, g.root()) = 1.0f;
-        notRoot = Tensor(1, c, 1.0f);
-        notRoot.at(0, g.root()) = 0.0f;
-        rootMask = Tensor(1, c);
-        rootMask.at(0, g.root()) = 1.0f;
+        root = static_cast<std::uint32_t>(g.root());
+        notRoot = Tensor(1, n, 1.0f);
+        rootMask = Tensor(1, n);
+        for (const eg::NodeId id : g.nodesInClass(g.root())) {
+            notRoot.at(0, id) = 0.0f;
+            rootMask.at(0, id) = 1.0f;
+        }
         const std::size_t hidden = 4;
         for (std::size_t h = 0; h < hidden; ++h)
             headWeights.push_back(
@@ -178,34 +181,32 @@ struct Pipeline
         Handles h;
         const VarId thetaVar = tape.leaf(&theta);
         h.cp = tape.segmentSoftmax(thetaVar, &members);
-        VarId q = tape.constant(q0);
+        st::PropagateSpec spec;
+        spec.node2class = &node2class;
+        spec.parents = &parents;
+        spec.root = root;
+        spec.rounds = propIters;
         VarId p = -1;
-        for (std::size_t t = 0; t < propIters; ++t) {
-            p = tape.mul(h.cp, tape.gatherCols(q, &node2class));
-            VarId qNew = -1;
-            switch (rule) {
-              case Rule::Independent:
-                qNew = tape.addScalar(
-                    tape.scale(tape.segmentProductComplement(p, &parents),
-                               -1.0f),
-                    1.0f);
-                break;
-              case Rule::Hybrid: {
-                const VarId ind = tape.addScalar(
-                    tape.scale(tape.segmentProductComplement(p, &parents),
-                               -1.0f),
-                    1.0f);
-                const VarId corr = tape.segmentMaxGather(p, &parents);
-                qNew = tape.scale(tape.add(ind, corr), 0.5f);
-                break;
-              }
-              case Rule::Correlated:
-                qNew = tape.segmentMaxGather(p, &parents);
-                break;
-            }
-            q = tape.addConst(tape.mulConst(qNew, notRoot), rootMask);
+        switch (rule) {
+          case Rule::Independent:
+            spec.assumption = st::Assumption::Independent;
+            p = tape.addScalar(tape.scale(tape.propagate(h.cp, spec), -1.0f),
+                               1.0f);
+            break;
+          case Rule::Hybrid: {
+            spec.assumption = st::Assumption::Hybrid;
+            const VarId prop = tape.propagate(h.cp, spec);
+            const VarId ind =
+                tape.addScalar(tape.scale(prop, -1.0f), 1.0f);
+            p = tape.scale(tape.add(ind, prop), 0.5f);
+            break;
+          }
+          case Rule::Correlated:
+            spec.assumption = st::Assumption::Correlated;
+            p = tape.propagate(h.cp, spec);
+            break;
         }
-        p = tape.mul(h.cp, tape.gatherCols(q, &node2class));
+        p = tape.addConst(tape.mulConst(p, notRoot), rootMask);
         VarId head = tape.matmul(p, tape.leaf(&w));
         head = tape.relu(tape.addRowBroadcast(head, tape.leaf(&bias)));
         VarId loss = tape.sumAll(tape.dotRowsConst(head, headWeights));
@@ -224,15 +225,14 @@ struct Pipeline
         return {&theta, &w, &bias};
     }
 
-    /** Ops the fusion pass must fold away: a k-stage chain saves k - 1
-     *  per propagation round. */
+    /** Ops the fusion pass must fold away: a k-stage chain saves
+     *  k - 1. */
     std::size_t
     expectedFusedOps() const
     {
-        const std::size_t perRound = rule == Rule::Independent ? 3
-                                     : rule == Rule::Hybrid    ? 1 + 2
-                                                               : 1;
-        return perRound * propIters;
+        return rule == Rule::Independent ? 3
+               : rule == Rule::Hybrid    ? 1 + 2
+                                         : 1;
     }
 };
 

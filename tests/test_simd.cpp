@@ -6,7 +6,7 @@
  * except the segment-softmax exponential is bit-identical to its
  * generic counterpart; these tests enforce that with memcmp over
  * randomized shapes, including non-multiple-of-8 tails, empty CSR
- * rows, and empty segments. Softmax is compared with a documented ULP
+ * rows, empty segments, and parents that tie. Softmax is compared with a documented ULP
  * tolerance instead. On hardware without AVX2 the parity tests skip
  * (there is no second variant to compare).
  */
@@ -295,44 +295,6 @@ checkElemChain(ad::Op, util::Rng& rng)
     }
 }
 
-void
-checkGatherCols(ad::Op, util::Rng& rng)
-{
-    for (const std::size_t rows : kRowCounts) {
-        const std::size_t srcCols = 257;
-        const st::Tensor a = randomTensor(rows, srcCols, rng);
-        for (const std::size_t outCols : {1UL, 15UL, 64UL, 301UL}) {
-            std::vector<std::uint32_t> index(outCols);
-            for (std::uint32_t& v : index)
-                v = static_cast<std::uint32_t>(
-                    rng.uniformIndex(srcCols));
-            auto [lhs, rhs] =
-                runBothLevels(rows, outCols, [&](st::Tensor& out) {
-                    st::gatherColsInto(a, index, out);
-                });
-            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << outCols;
-        }
-    }
-}
-
-void
-checkProductComplement(ad::Op, util::Rng& rng)
-{
-    for (const std::size_t rows : kRowCounts) {
-        for (const std::size_t cols : {16UL, 300UL}) {
-            const std::size_t numSegments = cols / 3 + 2;
-            const st::SegmentIndex segs =
-                randomSegments(cols, numSegments, rng);
-            const st::Tensor a = randomTensor(rows, cols, rng);
-            auto [lhs, rhs] =
-                runBothLevels(rows, numSegments, [&](st::Tensor& out) {
-                    st::segmentProductComplementInto(a, segs, out);
-                });
-            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
-        }
-    }
-}
-
 /**
  * Segments shaped like SmoothE's parentIndex: items drawn with
  * replacement, so a column sits in several segments (and now and then
@@ -363,68 +325,58 @@ overlappingSegments(std::size_t cols, std::size_t num_segments,
 }
 
 void
-checkProductComplementBackward(ad::Op, util::Rng& rng)
+checkPropagate(ad::Op, util::Rng& rng)
 {
-    // 17 leaves a remainder row on the scalar loop after two groups.
-    for (const std::size_t rows : {1UL, 8UL, 9UL, 16UL, 17UL}) {
-        for (const std::size_t cols : {5UL, 64UL, 300UL}) {
-            const std::size_t numSegments = cols / 2 + 3;
-            const st::SegmentIndex segs =
-                overlappingSegments(cols, numSegments, rng);
-            // Probabilities, with exact 1s (zero factors) and 0s.
-            st::Tensor x(rows, cols);
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                const double kind = rng.uniform(0.0, 1.0);
-                x.data()[i] = kind < 0.1   ? 1.0f
-                              : kind < 0.2 ? 0.0f
-                                           : static_cast<float>(
-                                                 rng.uniform(0.0, 1.0));
+    // 20 leaves a 4-seed group on the generic lane loop after two
+    // 8-seed groups.
+    for (const std::size_t rows : {8UL, 16UL, 20UL}) {
+        for (const std::size_t nodes : {5UL, 64UL, 300UL}) {
+            const std::size_t classes = nodes / 2 + 3;
+            std::vector<std::uint32_t> node2class(nodes);
+            for (std::uint32_t& c : node2class)
+                c = static_cast<std::uint32_t>(rng.uniformIndex(classes));
+            const st::SegmentIndex parents =
+                overlappingSegments(nodes, classes, rng);
+            // Probabilities from few distinct values, so parents tie
+            // and factors (1 - p) hit exact 0s and 1s.
+            st::Tensor cp(rows, nodes);
+            for (std::size_t i = 0; i < cp.size(); ++i)
+                cp.data()[i] =
+                    0.25f * static_cast<float>(rng.uniformIndex(5));
+            const st::Tensor g = randomTensor(rows, nodes, rng);
+            const st::Tensor gcp0 = randomTensor(rows, nodes, rng);
+            for (const st::Assumption assumption :
+                 {st::Assumption::Independent, st::Assumption::Correlated,
+                  st::Assumption::Hybrid}) {
+                st::PropagateSpec spec;
+                spec.node2class = &node2class;
+                spec.parents = &parents;
+                spec.root = static_cast<std::uint32_t>(
+                    rng.uniformIndex(classes));
+                spec.rounds = 1 + rng.uniformIndex(5);
+                spec.assumption = assumption;
+                std::vector<st::Tensor> saved;
+                std::vector<st::Tensor> grads;
+                auto [lhs, rhs] =
+                    runBothLevels(rows, nodes, [&](st::Tensor& p) {
+                        st::Tensor state(rows, st::propagateSavedCols(spec));
+                        st::Tensor scratch(rows,
+                                           st::propagateScratchCols(spec));
+                        st::propagateInto(cp, spec, p, state, scratch);
+                        st::Tensor gcp = gcp0;
+                        st::propagateGradInto(cp, spec, g, state, gcp,
+                                              scratch);
+                        saved.push_back(std::move(state));
+                        grads.push_back(std::move(gcp));
+                    });
+                SCOPED_TRACE(std::to_string(rows) + "x" +
+                             std::to_string(nodes) + ", assumption " +
+                             std::to_string(static_cast<int>(assumption)));
+                EXPECT_TRUE(bitEqual(lhs, rhs)) << "p";
+                EXPECT_TRUE(bitEqual(saved[0], saved[1]))
+                    << "q and argmax";
+                EXPECT_TRUE(bitEqual(grads[0], grads[1])) << "gcp";
             }
-            const st::Tensor g = randomTensor(rows, numSegments, rng);
-            const st::Tensor ga0 = randomTensor(rows, cols, rng);
-            const std::size_t planned =
-                st::segmentProductComplementGradScratch(rows, cols, segs);
-            auto [lhs, rhs] = runBothLevels(rows, cols, [&](st::Tensor&
-                                                                ga) {
-                ga = ga0;
-                std::vector<float> scratch(planned);
-                st::segmentProductComplementGradInto(x, segs, g, ga,
-                                                     scratch);
-                EXPECT_EQ(scratch.size(), planned)
-                    << "the planned scratch was too small";
-            });
-            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
-        }
-    }
-}
-
-void
-checkMaxGather(ad::Op, util::Rng& rng)
-{
-    const float inf = std::numeric_limits<float>::infinity();
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    for (const std::size_t rows : kRowCounts) {
-        for (const std::size_t cols : {5UL, 64UL, 300UL}) {
-            const std::size_t numSegments = cols / 2 + 3;
-            const st::SegmentIndex segs =
-                overlappingSegments(cols, numSegments, rng);
-            // Few distinct values so segments tie; -inf and NaN mixed in.
-            st::Tensor a(rows, cols);
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                const double kind = rng.uniform(0.0, 1.0);
-                a.data()[i] = kind < 0.1   ? -inf
-                              : kind < 0.2 ? nan
-                                           : static_cast<float>(
-                                                 rng.uniformIndex(4));
-            }
-            std::vector<std::uint32_t> args[2];
-            int level = 0;
-            auto [lhs, rhs] =
-                runBothLevels(rows, numSegments, [&](st::Tensor& out) {
-                    st::segmentMaxGatherInto(a, segs, out, args[level++]);
-                });
-            EXPECT_TRUE(bitEqual(lhs, rhs)) << rows << "x" << cols;
-            EXPECT_EQ(args[0], args[1]) << rows << "x" << cols;
         }
     }
 }
@@ -532,12 +484,8 @@ parityCheckFor(ad::Op op)
         return checkElementwise;
       case ad::Op::FusedElemChain:
         return checkElemChain;
-      case ad::Op::GatherCols:
-        return checkGatherCols;
-      case ad::Op::SegmentProductComplement:
-        return checkProductComplement;
-      case ad::Op::SegmentMaxGather:
-        return checkMaxGather;
+      case ad::Op::Propagate:
+        return checkPropagate;
       case ad::Op::SegmentSoftmax:
         return checkSoftmax;
       case ad::Op::TrExpm:
@@ -554,8 +502,8 @@ backwardParityCheckFor(ad::Op op)
     switch (op) {
       case ad::Op::FusedElemChain:
         return checkElemChain; // also runs elemChainGradInto
-      case ad::Op::SegmentProductComplement:
-        return checkProductComplementBackward;
+      case ad::Op::Propagate:
+        return checkPropagate; // also runs propagateGradInto
       default:
         return nullptr;
     }
@@ -654,33 +602,11 @@ TEST(SimdParity, ElemChainMatchesScalarLoopBitwise)
     runParityChecks(checkElemChain, 0xc4a1);
 }
 
-TEST(SimdParity, GatherColsIsBitIdentical)
+TEST(SimdParity, PropagateIsBitIdentical)
 {
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    runParityChecks(checkGatherCols, 0x6a7e);
-}
-
-TEST(SimdParity, SegmentProductComplementIsBitIdentical)
-{
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    runParityChecks(checkProductComplement, 0x9c0d);
-}
-
-TEST(SimdParity, SegmentProductComplementBackwardIsBitIdentical)
-{
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    runParityChecks(checkProductComplementBackward, 0xb4c6,
-                    backwardParityCheckFor);
-}
-
-TEST(SimdParity, SegmentMaxGatherIsBitIdentical)
-{
-    if (!avx2Available())
-        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
-    runParityChecks(checkMaxGather, 0x3a8d);
+    runParityChecks(checkPropagate, 0x9c0d);
 }
 
 TEST(SimdParity, SegmentSoftmaxMatchesWithinUlpTolerance)

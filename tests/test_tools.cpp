@@ -246,4 +246,21 @@ TEST(Tools, ExampleRejectsBadFlags)
         << output;
     EXPECT_NE(output.find("for --elements"), std::string::npos) << output;
     EXPECT_NE(output.find("for --sets"), std::string::npos) << output;
+
+    // The two examples that take no size flags check them all the same;
+    // eqsat_math reads its term from --term.
+    const std::string eqsatMath = binaryPath("eqsat_math", "examples");
+    const std::string quickstart = binaryPath("quickstart", "examples");
+    ASSERT_FALSE(eqsatMath.empty());
+    ASSERT_FALSE(quickstart.empty());
+    for (const std::string& binary : {eqsatMath, quickstart}) {
+        EXPECT_EQ(runCaptured(binary + " --typo 1", output), 2) << output;
+        EXPECT_NE(output.find("unrecognized flag --typo"),
+                  std::string::npos)
+            << output;
+    }
+    EXPECT_EQ(runCaptured(eqsatMath + " --term \"(+ a a)\"", output), 0)
+        << output;
+    EXPECT_NE(output.find("input term: (+ a a)"), std::string::npos)
+        << output;
 }
