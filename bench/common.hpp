@@ -127,6 +127,7 @@ struct RepeatStats
     double min = 0.0;
     double max = 0.0;
     std::size_t repeats = 0;
+    std::vector<double> samples; ///< per-repeat seconds, in run order
 
     /** "12.3ms ±0.4" style cell for the printed tables. */
     std::string
@@ -170,6 +171,7 @@ summarize(const std::vector<double>& samples)
 {
     RepeatStats stats;
     stats.repeats = samples.size();
+    stats.samples = samples;
     if (samples.empty())
         return stats;
     double sum = 0.0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bench/common.hpp"
 
 namespace bench = smoothe::bench;
@@ -112,6 +114,11 @@ TEST(BenchHelpers, InterleavedMeasureAlternatesSides)
     EXPECT_EQ(b.repeats, 3u);
     EXPECT_LE(a.min, a.mean);
     EXPECT_LE(b.min, b.mean);
+    // Per-repeat samples stay in run order, so sample i of each side
+    // forms a pair (bench_micro_kernels takes per-pair ratios).
+    ASSERT_EQ(a.samples.size(), 3u);
+    ASSERT_EQ(b.samples.size(), 3u);
+    EXPECT_EQ(*std::min_element(a.samples.begin(), a.samples.end()), a.min);
     EXPECT_EQ(report.measurement("helper.a").count(), 3u);
     EXPECT_EQ(report.measurement("helper.b").count(), 3u);
     smoothe::obs::Report::uninstall();
