@@ -187,7 +187,7 @@ main(int argc, char** argv)
     {
         // The shape SmoothE's penalty feeds it: a nonnegative SCC
         // adjacency about 10% dense with ||A||_inf in the 2-7 range, so
-        // the sparse series and a few dense squarings both run.
+        // the series runs at Taylor degree 24-46.
         constexpr std::size_t d = 64;
         smoothe::util::Rng rng(5);
         std::vector<float> a(d * d, 0.0f);

@@ -54,18 +54,18 @@ forwardOp(const ForwardArgs& args)
                                   node.meanOverRows, *args.value);
         break;
       case Op::TrExpm: {
-        static obs::Counter& squarings =
-            obs::counter("kernel.matexp.squarings");
+        static obs::Counter& terms = obs::counter("kernel.matexp.terms");
         const Tensor& av = *args.a;
         Tensor& out = *args.value;
         Tensor& saved = *args.saved;
         const std::size_t dim = node.dim;
         // Each row's power series is independent; one matrix per task
-        // (each exponential is O(dim^3), far above any sensible grain).
+        // (each exponential is m sparse-by-dense products, far above any
+        // sensible grain).
         parallelChunks(
             av.rows(), 1, [&](std::size_t rowBegin, std::size_t rowEnd) {
                 for (std::size_t r = rowBegin; r < rowEnd; ++r) {
-                    squarings.add(static_cast<std::uint64_t>(
+                    terms.add(static_cast<std::uint64_t>(
                         expm(av.row(r), dim, saved.row(r))));
                     double trace = 0.0;
                     for (std::size_t i = 0; i < dim; ++i)

@@ -1,14 +1,21 @@
 /**
  * @file
- * Dense matrix exponential by scaling and squaring (double-precision
- * internals).
+ * Matrix exponential by one unscaled Taylor sum over a sparse A
+ * (double-precision internals).
  *
- * expmDouble scales A by 2^-s so that ||A||_inf <= 0.5, sums the
- * degree-18 Taylor series there, and squares the result s times. The
- * series terms are formed as A^(k+1) = A * A^k with A held in CSR form,
- * so each product costs 2 * nnz(A) * d flops instead of 2 * d^3 (the
- * SmoothE penalty matrices are about 10% nonzero); only the s squarings
- * are dense d^3 products.
+ * expmDouble reads ||A||_inf, picks the degree m a priori as the
+ * smallest with ||A||^(m+1) / (m+1)! * e^||A|| <= 2^-53 (the remainder
+ * bound of the series), and sums I + A + A^2/2! + ... + A^m/m!. Each
+ * term is formed as A^k/k! = A * (A^(k-1)/(k-1)!) / k with A held in
+ * CSR form, so a product costs 2 * nnz(A) * d flops; there is no
+ * scaling and no dense d^3 product.
+ *
+ * Accuracy is pinned for nonnegative A, which is everything the
+ * NOTEARS penalty feeds it: A scatters per-class softmax probabilities,
+ * so every series term is nonnegative and the sum has no cancellation,
+ * and ||A||_inf is at most the largest number of distinct in-SCC
+ * children of one node. Signed inputs are summed the same way; their
+ * error grows with the cancellation in the series.
  *
  * Used by the NOTEARS acyclicity penalty h(A) = tr(exp(A)) - d
  * (Section 3.4). The autodiff tape exposes tr(exp(A)) as a primitive whose
@@ -27,26 +34,19 @@ namespace smoothe::ad {
 /**
  * Computes out = exp(a) for a dense row-major d x d matrix.
  * Internals run in double precision; inputs/outputs are float.
- * @return the number of squarings performed
+ * @return the Taylor degree m summed
  */
 int expm(const float* a, std::size_t d, float* out);
 
-/** Double-precision variant of expm(); returns the squaring count. */
+/** Double-precision variant of expm(); returns the Taylor degree. */
 int expmDouble(const double* a, std::size_t d, double* out);
 
 /**
- * c = a * b for row-major d x d doubles: ikj order, zero a[i][k]
- * skipped, mul and add separately rounded. Runs the register-blocked
- * AVX2 variant when simd::avx2Active(); both are bitwise identical.
- */
-void matmulSquare(const double* a, const double* b, double* c,
-                  std::size_t d);
-
-/**
  * c = A * b where A is d x d in CSR form (rowOffsets has d + 1 entries,
- * columns ascending within a row) and b, c are row-major dense. Adds
- * the same terms in the same order as matmulSquare on the dense A, so
- * the two agree bitwise; AVX2-dispatched like matmulSquare.
+ * columns ascending within a row) and b, c are row-major dense: ikj
+ * order over A's stored entries, mul and add separately rounded. Runs
+ * the register-blocked AVX2 variant when simd::avx2Active(); both are
+ * bitwise identical.
  */
 void matmulCsrDense(const std::uint32_t* rowOffsets,
                     const std::uint32_t* cols, const double* values,

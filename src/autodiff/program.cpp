@@ -202,8 +202,7 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
                 nnz = std::min<std::uint64_t>(nnz, in.entries->size());
         }
         const std::uint64_t flops =
-            rows * (cost::kExpmSeriesProducts * cost::matmulFlops(nnz, 1, d) +
-                    cost::kExpmSquarings * cost::matmulFlops(d, d, d));
+            rows * cost::kExpmSeriesProducts * cost::matmulFlops(nnz, 1, d);
         const std::uint64_t bytes = rows * 4 * F * d * d;
         c = {flops, bytes, flops, bytes};
         break;

@@ -95,18 +95,14 @@ inline constexpr std::uint64_t kElemBytes = sizeof(float);
 inline constexpr std::uint64_t kExpFlops = 8;
 
 /**
- * Taylor-series products one expm evaluation performs (degree 18; see
- * autodiff/matexp.cpp). Each is sparse A times dense A^k: 2 nnz(A) d.
+ * Sparse-by-dense products charged per expm evaluation, each 2 nnz(A) d
+ * flops (see autodiff/matexp.cpp). The real count is the Taylor degree
+ * m minus one, chosen at run time from ||A||_inf (m = 29 at norm 3, 54
+ * at norm 9). This is a typical count: per-graph mean degrees on the
+ * paper-scale cyclic graphs run 19-54, 31 on average. The
+ * kernel.matexp.terms counter reports the measured total.
  */
-inline constexpr std::uint64_t kExpmSeriesProducts = 17;
-
-/**
- * Dense d x d squarings charged per expm evaluation. The real count
- * is ceil(log2(||A||_inf / 0.5)), known only at run time; SmoothE's
- * penalty matrices (||A||_inf about 2-4) take 2-4, and the
- * kernel.matexp.squarings counter reports the measured total.
- */
-inline constexpr std::uint64_t kExpmSquarings = 3;
+inline constexpr std::uint64_t kExpmSeriesProducts = 30;
 
 /** FLOPs of an m x k by k x n matmul (one multiply + one add per MAC). */
 inline constexpr std::uint64_t

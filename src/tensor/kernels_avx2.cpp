@@ -507,71 +507,13 @@ propagateBackward8(const PropagateLanes& group, const float* cp,
 }
 
 SMOOTHE_AVX2_FN void
-matmulSquare(const double* a, const double* b, double* c, std::size_t d)
-{
-    // One output row at a time: each 16-column panel lives in four
-    // registers while k runs over the row (ascending, zero entries
-    // skipped), so c is written once per element instead of once per k.
-    for (std::size_t i = 0; i < d; ++i) {
-        const double* aRow = a + i * d;
-        double* cRow = c + i * d;
-        std::size_t j = 0;
-        for (; j + 16 <= d; j += 16) {
-            __m256d acc0 = _mm256_setzero_pd();
-            __m256d acc1 = _mm256_setzero_pd();
-            __m256d acc2 = _mm256_setzero_pd();
-            __m256d acc3 = _mm256_setzero_pd();
-            for (std::size_t k = 0; k < d; ++k) {
-                const double aik = aRow[k];
-                if (aik == 0.0)
-                    continue;
-                const __m256d va = _mm256_set1_pd(aik);
-                const double* bRow = b + k * d + j;
-                acc0 = _mm256_add_pd(
-                    acc0, _mm256_mul_pd(va, _mm256_loadu_pd(bRow)));
-                acc1 = _mm256_add_pd(
-                    acc1, _mm256_mul_pd(va, _mm256_loadu_pd(bRow + 4)));
-                acc2 = _mm256_add_pd(
-                    acc2, _mm256_mul_pd(va, _mm256_loadu_pd(bRow + 8)));
-                acc3 = _mm256_add_pd(
-                    acc3, _mm256_mul_pd(va, _mm256_loadu_pd(bRow + 12)));
-            }
-            _mm256_storeu_pd(cRow + j, acc0);
-            _mm256_storeu_pd(cRow + j + 4, acc1);
-            _mm256_storeu_pd(cRow + j + 8, acc2);
-            _mm256_storeu_pd(cRow + j + 12, acc3);
-        }
-        for (; j + 4 <= d; j += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (std::size_t k = 0; k < d; ++k) {
-                const double aik = aRow[k];
-                if (aik == 0.0)
-                    continue;
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(aik),
-                                       _mm256_loadu_pd(b + k * d + j)));
-            }
-            _mm256_storeu_pd(cRow + j, acc);
-        }
-        for (; j < d; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < d; ++k) {
-                const double aik = aRow[k];
-                if (aik != 0.0)
-                    acc += aik * b[k * d + j];
-            }
-            cRow[j] = acc;
-        }
-    }
-}
-
-SMOOTHE_AVX2_FN void
 matmulCsrDense(const std::uint32_t* row_offsets,
                const std::uint32_t* col_indices, const double* values,
                const double* b, double* c, std::size_t d)
 {
-    // Same panel blocking as matmulSquare, but k runs over the row's
-    // stored entries only (no per-panel scan of a dense row).
+    // One output row at a time: each 16-column panel lives in four
+    // registers while k runs over the row's stored entries, so c is
+    // written once per element instead of once per k.
     for (std::size_t i = 0; i < d; ++i) {
         const std::uint32_t begin = row_offsets[i];
         const std::uint32_t end = row_offsets[i + 1];
@@ -672,11 +614,6 @@ propagateForward8(const PropagateLanes&, const float*, float*)
 void
 propagateBackward8(const PropagateLanes&, const float*, const float*,
                    float*)
-{
-    unreachable();
-}
-void
-matmulSquare(const double*, const double*, double*, std::size_t)
 {
     unreachable();
 }

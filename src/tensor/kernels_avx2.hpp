@@ -145,20 +145,12 @@ void propagateBackward8(const PropagateLanes& group, const float* cp,
                         const float* g, float* gcp);
 
 /**
- * c = a * b for row-major d x d doubles, register-blocked: one output
- * row at a time in 16-column panels held in four accumulators, k
- * ascending with zero a[i][k] skipped. Each c[i][j] sums the same
- * separately rounded products in the same order as ad::matmulSquare's
- * scalar ikj loop, so the two are bitwise identical.
- */
-void matmulSquare(const double* a, const double* b, double* c,
-                  std::size_t d);
-
-/**
  * c = A * b where A is d x d in CSR form (row_offsets has d + 1
- * entries; each row's columns ascend) and b, c are row-major dense.
- * Same 16-column register panels as matmulSquare, k running over the
- * row's stored entries; bitwise identical to ad::matmulCsrDense.
+ * entries; each row's columns ascend) and b, c are row-major dense,
+ * register-blocked: one output row at a time in 16-column panels held
+ * in four accumulators, k running over the row's stored entries. Each
+ * c[i][j] sums the same separately rounded products in the same order
+ * as ad::matmulCsrDense's scalar loop, so the two are bitwise identical.
  */
 void matmulCsrDense(const std::uint32_t* row_offsets,
                     const std::uint32_t* col_indices, const double* values,

@@ -4,8 +4,10 @@
  * egraph_gen and smoothe_extract binaries (and bench_anytime_eqsat, whose
  * warm epochs record and compile a fresh Program each, and
  * bench_fig9_sampling, which prints Figure 9 from the per-iteration
- * convergence trajectory, and bench_fig8_profiling, which prints
- * Figure 8 from the per-phase totals) with --trace-out, --metrics-out,
+ * convergence trajectory, bench_fig8_profiling, which prints
+ * Figure 8 from the per-phase totals, and bench_fig6_ablation, which
+ * times the matrix exponential on whole-graph matrices at both SIMD
+ * levels) with --trace-out, --metrics-out,
  * --report-out and --profile-out on tiny inputs and checks that every
  * file they write parses: the trace as Chrome trace-event JSON covering
  * the optimizer phases, the metrics as a flat object with the headline
@@ -243,8 +245,9 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string anytime = binaryPath("bench_anytime_eqsat", "bench");
     const std::string fig9 = binaryPath("bench_fig9_sampling", "bench");
     const std::string fig8 = binaryPath("bench_fig8_profiling", "bench");
+    const std::string fig6 = binaryPath("bench_fig6_ablation", "bench");
     if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
-        fig8.empty())
+        fig8.empty() || fig6.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -271,8 +274,11 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
                          std::to_string(kFig9Iters) + telemetry("fig9")),
               0);
     ASSERT_EQ(runCommand(fig8 + " --scale 0.05" + telemetry("fig8")), 0);
+    // Figure 6 runs tr_expm on whole-graph matrices at SIMD levels
+    // scalar and avx2.
+    ASSERT_EQ(runCommand(fig6 + " --scale 0.05" + telemetry("fig6")), 0);
     for (const char* tag :
-         {"gen", "smoothe", "heur", "anytime", "fig9", "fig8"}) {
+         {"gen", "smoothe", "heur", "anytime", "fig9", "fig8", "fig6"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
