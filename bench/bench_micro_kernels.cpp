@@ -240,17 +240,7 @@ main(int argc, char** argv)
             }
             row(scalarName, scalar);
             row(avx2Name, avx2);
-            std::vector<double> ratios;
-            for (std::size_t i = 0; i < scalar.samples.size(); ++i) {
-                if (avx2.samples[i] > 0.0)
-                    ratios.push_back(scalar.samples[i] / avx2.samples[i]);
-            }
-            if (ratios.empty())
-                return 0.0;
-            std::sort(ratios.begin(), ratios.end());
-            const std::size_t mid = ratios.size() / 2;
-            return ratios.size() % 2 ? ratios[mid]
-                                     : 0.5 * (ratios[mid - 1] + ratios[mid]);
+            return bench::medianPairRatio(scalar.samples, avx2.samples);
         };
 
         smoothe::util::Rng rng(6);
@@ -285,8 +275,9 @@ main(int argc, char** argv)
         };
         const double propagateX = pairedSpeedup("propagate", propagateRun);
 
-        // A four-stage chain the fusion pass would emit for a run of
-        // scale / add-scalar / mul-const / add-const ops.
+        // A run of scale / add-scalar / mul-const / add-const ops, as a
+        // Program replays it: four one-stage calls, each writing the
+        // slot its input does not hold.
         std::vector<st::ElemStage> stages(4);
         stages[0].kind = st::ElemStageKind::Scale;
         stages[0].alpha = 1.0003f;
@@ -300,11 +291,16 @@ main(int argc, char** argv)
         stages[3].c = st::Tensor(8, sizes.items);
         for (std::size_t i = 0; i < stages[3].c.size(); ++i)
             stages[3].c.data()[i] = rng.uniformFloat();
-        st::Tensor chainOut(8, sizes.items);
+        st::Tensor chainSlots[2] = {st::Tensor(8, sizes.items),
+                                    st::Tensor(8, sizes.items)};
         const auto chainRun = [&] {
-            for (int i = 0; i < 8; ++i)
-                st::elemChainInto(theta, stages, chainOut);
-            sink(chainOut.data());
+            for (int i = 0; i < 8; ++i) {
+                st::elemChainInto(theta, stages[0], chainSlots[0]);
+                for (std::size_t s = 1; s < stages.size(); ++s)
+                    st::elemChainInto(chainSlots[(s - 1) % 2], stages[s],
+                                      chainSlots[s % 2]);
+            }
+            sink(chainSlots[1].data());
         };
         const double chainX = pairedSpeedup("elem_chain", chainRun);
         st::simd::setLevel(saved);
@@ -429,9 +425,9 @@ main(int argc, char** argv)
         // --profile flag may have enabled it) so the dispatching pair
         // never takes the instrumented path, then prior enablement is
         // restored. Both wall times are unchecked; the gated quantity
-        // is their relative difference, from min-of-repeats (the
-        // estimator least sensitive to scheduler noise) with the two
-        // replays timed in alternation, so host drift hits both alike.
+        // is their relative difference, the median of the per-pair
+        // dispatch/bare ratios with the two replays timed in
+        // alternation, so host drift lands on both halves of a pair.
         // Each sample spans 32 forward/backward replays so that a
         // sample's spread stays well under the 1% being measured.
         {
@@ -465,11 +461,10 @@ main(int argc, char** argv)
             }
             row("profiler.replay_bare", bare);
             row("profiler.dispatch_disabled", dispatch);
+            const double ratio =
+                bench::medianPairRatio(dispatch.samples, bare.samples);
             const double overheadPct =
-                bare.min > 0.0
-                    ? std::max(0.0, 100.0 * (dispatch.min - bare.min) /
-                                        bare.min)
-                    : 0.0;
+                ratio > 0.0 ? std::max(0.0, 100.0 * (ratio - 1.0)) : 0.0;
             // The committed baseline entry for this measurement encodes
             // the 1% budget itself (mean 1.0, near-zero tolerancePct),
             // so any candidate above 1.0 fails the CI perf gate; see

@@ -12,6 +12,7 @@
 #ifndef SMOOTHE_BENCH_COMMON_HPP
 #define SMOOTHE_BENCH_COMMON_HPP
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -241,6 +242,29 @@ repeatMeasureInterleaved(const std::string& name_a,
         detail::timeOnce(fn_b, samplesB, measurementB);
     }
     return {detail::summarize(samplesA), detail::summarize(samplesB)};
+}
+
+/**
+ * Median over pairs i of num[i] / den[i], the pairs being the samples
+ * repeatMeasureInterleaved took side by side; pairs with den[i] <= 0
+ * are skipped, and no pair left gives 0. A host slowdown during one
+ * pair then shifts one ratio instead of the estimate.
+ */
+inline double
+medianPairRatio(const std::vector<double>& num,
+                const std::vector<double>& den)
+{
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < std::min(num.size(), den.size()); ++i) {
+        if (den[i] > 0.0)
+            ratios.push_back(num[i] / den[i]);
+    }
+    if (ratios.empty())
+        return 0.0;
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    return ratios.size() % 2 ? ratios[mid]
+                             : 0.5 * (ratios[mid - 1] + ratios[mid]);
 }
 
 /** Overload using the harness --warmup/--repeat options. */

@@ -28,7 +28,7 @@ forwardOp(const ForwardArgs& args)
         tensor::reluInto(*args.a, *args.value);
         break;
       case Op::FusedElemChain:
-        tensor::elemChainInto(*args.a, node.chain, *args.value);
+        tensor::elemChainInto(*args.a, node.stage, *args.value);
         break;
       case Op::DotRowsConst:
         tensor::dotRowsInto(*args.a, node.constVec, *args.value);
@@ -139,7 +139,7 @@ backwardOp(const BackwardArgs& args)
       }
       case Op::FusedElemChain:
         if (gaPtr)
-            tensor::elemChainGradInto(g, node.chain, *gaPtr);
+            tensor::elemChainGradInto(g, node.stage, *gaPtr);
         break;
       case Op::DotRowsConst: {
         if (!gaPtr)

@@ -11,8 +11,7 @@
  * metadata in one struct is what lets both share one kernel body per op
  * (src/autodiff/exec.hpp), so a replay matches a Tape rebuild bit for
  * bit. Every constant-operand elementwise step is one FusedElemChain
- * node holding its stages, so a one-stage chain recorded by the Tape and
- * a merged chain in a Program run the same kernel.
+ * node holding its one stage.
  */
 
 #ifndef SMOOTHE_AUTODIFF_OPS_HPP
@@ -54,8 +53,8 @@ using MatrixEntry = tensor::MatrixEntry;
 /**
  * Operation kinds. Leaf/Constant are sources (no compute).
  * FusedElemChain is the one constant-operand elementwise op: the Tape
- * records scale/addScalar/mulConst/addConst as one-stage chains, and
- * the Program's fusion pass merges single-consumer runs of them.
+ * records each scale/addScalar/mulConst/addConst as one node holding
+ * one stage (the name is kept for the profiler's "fused_elem_chain").
  * Propagate is phi's probability propagation as one op: its kernels
  * run every round in seed-lane layout and save only q and the argmax
  * of each round.
@@ -74,7 +73,7 @@ enum class Op : std::uint8_t {
     AddRowBroadcast,
     ScatterMatrix,
     TrExpm,
-    FusedElemChain, ///< out = chain of constant-Jacobian stages
+    FusedElemChain, ///< out = stage(a), a constant-Jacobian step
 };
 
 /**
@@ -96,8 +95,8 @@ struct OpNode
     /** Propagate's structure, round count and assumption. */
     tensor::PropagateSpec propagate;
     std::vector<float> constVec;
-    /** FusedElemChain stages, applied in order (empty otherwise). */
-    std::vector<tensor::ElemStage> chain;
+    /** FusedElemChain's stage (unused otherwise). */
+    tensor::ElemStage stage;
     std::size_t dim = 0;
     bool meanOverRows = false;
 };

@@ -207,13 +207,11 @@ estimateOpCost(const std::vector<OpNode>& ops, std::size_t ix)
         c = {flops, bytes, flops, bytes};
         break;
       }
-      case Op::FusedElemChain: {
-        // One flop per stage per element; const-tensor stages add one
-        // operand read each (k covers both, as an upper bound).
-        const std::uint64_t k = node.chain.size();
-        c = {k * n, F * (2 + k) * n, k * n, F * (2 + k) * n};
+      case Op::FusedElemChain:
+        // One flop per element; a const-tensor stage adds one operand
+        // read (charged to every stage, as an upper bound).
+        c = {n, 3 * F * n, n, 3 * F * n};
         break;
-      }
     }
     return c;
 }
@@ -238,7 +236,6 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
                   "program: root %d not on this %zu-node tape", root, n);
     SMOOTHE_DCHECK_OK(tape.checkInvariants(/*screen_values=*/false));
 
-    skipped_.assign(n, 0);
     needsGrad_.assign(n, 0);
     valueBind_.assign(n, Binding{});
     gradBind_.assign(n, Binding{});
@@ -270,7 +267,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
 
     // The eager baseline re-allocates every value, every grad reachable
     // from the root (through constants too), and every saved stash each
-    // iteration; measure it before fusion rewires edges.
+    // iteration.
     {
         std::vector<char> eagerGrad(n, 0);
         eagerGrad[static_cast<std::size_t>(root_)] = 1;
@@ -314,107 +311,21 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         }
     }
 
-    std::vector<char> isOutput(n, 0);
-    isOutput[static_cast<std::size_t>(root_)] = 1;
+    // --- persistence, part 1: the root and requested outputs ---------
+    std::vector<char> persistent(n, 0);
+    persistent[static_cast<std::size_t>(root_)] = 1;
     for (VarId v : outputs) {
         SMOOTHE_CHECK(v >= 0 && static_cast<std::size_t>(v) < n,
                       "program: output %d not on the tape", v);
-        isOutput[static_cast<std::size_t>(v)] = 1;
+        persistent[static_cast<std::size_t>(v)] = 1;
     }
-
-    auto countUses = [&] {
-        std::vector<std::uint32_t> uses(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (skipped_[i])
-                continue;
-            if (ops_[i].in0 >= 0)
-                ++uses[static_cast<std::size_t>(ops_[i].in0)];
-            if (ops_[i].in1 >= 0)
-                ++uses[static_cast<std::size_t>(ops_[i].in1)];
-        }
-        return uses;
-    };
-    std::vector<std::uint32_t> uses = countUses();
-
-    // --- fusion: merge single-consumer runs of elementwise chains ----
-    // A run v1 -> v2 -> ... -> vk of FusedElemChain nodes merges into
-    // one node on vk, its stages the concatenation of theirs, when every
-    // intermediate has exactly one consumer, feeds it through in0, and
-    // is not a requested output. Merging moves the contribution to the
-    // run input's grad from v1's backward step to vk's, so the merge is
-    // only taken when no other consumer of that input lies strictly
-    // between v1 and vk in id order — that keeps the descending-id
-    // accumulation order, and therefore the float bits, identical to
-    // the unmerged Tape.
-    auto isChain = [&](std::size_t ix) {
-        return !skipped_[ix] && ops_[ix].op == Op::FusedElemChain;
-    };
-    std::vector<VarId> onlyUser(n, -1);
-    std::vector<char> viaIn0(n, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-        if (skipped_[j])
-            continue;
-        if (ops_[j].in0 >= 0) {
-            onlyUser[static_cast<std::size_t>(ops_[j].in0)] =
-                static_cast<VarId>(j);
-            viaIn0[static_cast<std::size_t>(ops_[j].in0)] = 1;
-        }
-        if (ops_[j].in1 >= 0) {
-            onlyUser[static_cast<std::size_t>(ops_[j].in1)] =
-                static_cast<VarId>(j);
-            viaIn0[static_cast<std::size_t>(ops_[j].in1)] = 0;
-        }
-    }
-    std::vector<char> inRun(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!isChain(i) || inRun[i])
-            continue;
-        // Grow the maximal run from i (ids ascend along a tape edge, so
-        // scanning i in ascending order always lands on a run's head).
-        std::vector<std::size_t> run{i};
-        std::size_t cur = i;
-        while (uses[cur] == 1 && !isOutput[cur] && viaIn0[cur] &&
-               onlyUser[cur] >= 0 &&
-               isChain(static_cast<std::size_t>(onlyUser[cur]))) {
-            cur = static_cast<std::size_t>(onlyUser[cur]);
-            run.push_back(cur);
-        }
-        for (std::size_t v : run)
-            inRun[v] = 1;
-        if (run.size() < 2)
-            continue;
-        const VarId input = ops_[run.front()].in0;
-        bool safe = true;
-        for (std::size_t j = run.front() + 1; j < run.back() && safe; ++j) {
-            if (skipped_[j])
-                continue;
-            if (ops_[j].in0 == input || ops_[j].in1 == input)
-                safe = false;
-        }
-        if (!safe)
-            continue;
-        std::vector<tensor::ElemStage> stages;
-        for (std::size_t v : run) {
-            for (tensor::ElemStage& stage : ops_[v].chain)
-                stages.push_back(std::move(stage));
-        }
-        OpNode& last = ops_[run.back()];
-        last.chain = std::move(stages);
-        last.in0 = input;
-        for (std::size_t k = 0; k + 1 < run.size(); ++k)
-            skipped_[run[k]] = 1;
-        stats_.fusedOps += run.size() - 1;
-    }
-    if (stats_.fusedOps > 0)
-        uses = countUses();
 
     // --- gradient reachability ----------------------------------------
     // The eager set of grad-carrying nodes, minus the constants whose
     // backward is a no-op anyway.
     needsGrad_[static_cast<std::size_t>(root_)] = 1;
     for (VarId id = root_; id >= 0; --id) {
-        if (!needsGrad_[static_cast<std::size_t>(id)] ||
-            skipped_[static_cast<std::size_t>(id)])
+        if (!needsGrad_[static_cast<std::size_t>(id)])
             continue;
         const OpNode& node = ops_[static_cast<std::size_t>(id)];
         for (VarId in : {node.in0, node.in1}) {
@@ -426,12 +337,9 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         }
     }
 
-    // --- persistence: values the backward pass reads ------------------
-    std::vector<char> persistent(n, 0);
+    // --- persistence, part 2: values the backward pass reads ---------
     for (std::size_t i = 0; i < n; ++i) {
-        if (isOutput[i])
-            persistent[i] = 1;
-        if (skipped_[i] || !needsGrad_[i])
+        if (!needsGrad_[i])
             continue;
         const OpNode& node = ops_[i];
         switch (node.op) {
@@ -455,8 +363,6 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     // --- forward schedule + static slot plan --------------------------
     std::vector<VarId> lastUse(n, -1);
     for (std::size_t j = 0; j < n; ++j) {
-        if (skipped_[j])
-            continue;
         if (ops_[j].in0 >= 0)
             lastUse[static_cast<std::size_t>(ops_[j].in0)] =
                 static_cast<VarId>(j);
@@ -476,8 +382,6 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         return static_cast<std::uint32_t>(valueSlots_.size() - 1);
     };
     for (std::size_t i = 0; i < n; ++i) {
-        if (skipped_[i])
-            continue;
         const OpNode& node = ops_[i];
         if (isSource(node.op))
             continue;
@@ -525,7 +429,7 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     gradBind_[rootIx] = {Storage::Slot, rootGradSlot_};
     for (VarId id = root_; id >= 0; --id) {
         const auto ix = static_cast<std::size_t>(id);
-        if (skipped_[ix] || !needsGrad_[ix])
+        if (!needsGrad_[ix])
             continue;
         const OpNode& node = ops_[ix];
         BackStep step;
@@ -560,7 +464,8 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
         // benches compile one Program per simd::Level to get the two
         // variants as separate side-by-side rows. Backward slots stay
-        // unsuffixed: only the fused chain's and Propagate's dispatch.
+        // unsuffixed: only the elementwise stage's and Propagate's
+        // dispatch.
         forwardKernels_.reserve(forwardSchedule_.size());
         for (VarId id : forwardSchedule_) {
             const OpCost cost = costOf(id);
@@ -788,8 +693,6 @@ Program::checkInvariants() const
         prev = id;
         const auto ix = static_cast<std::size_t>(id);
         const OpNode& node = ops_[ix];
-        if (skipped_[ix])
-            return problem(id, "skipped node is scheduled");
         if (valueBind_[ix].kind == Storage::None)
             return problem(id, "scheduled op has no output binding");
         for (VarId in : {node.in0, node.in1}) {

@@ -4,8 +4,7 @@
  *
  * A Program consumes a Tape that recorded the shapes of one iteration of
  * a structurally stable computation and compiles it into
- *   (a) a topologically ordered op list (merging back-to-back
- *       one-stage elementwise chains into single passes),
+ *   (a) a topologically ordered op list, one step per recorded op,
  *   (b) a static buffer plan that assigns every transient intermediate
  *       a reusable slot via liveness analysis (last-use frees), and
  *   (c) a precomputed backward schedule with per-step grad-slot zeroing.
@@ -61,7 +60,6 @@ bool hasSimdBackward(Op op);
 struct ProgramStats
 {
     std::size_t ops = 0;          ///< scheduled forward ops
-    std::size_t fusedOps = 0;     ///< chain nodes merged away
     std::size_t valueSlots = 0;   ///< reusable forward slots
     std::size_t gradSlots = 0;    ///< reusable backward slots
     std::size_t ownedBuffers = 0; ///< persistent buffers (outputs, saved
@@ -140,7 +138,7 @@ class Program
   private:
     /** Where a node's value (or grad) lives at replay time. */
     enum class Storage : std::uint8_t {
-        None,  ///< never materialized (skipped node / no grad)
+        None,  ///< not materialized (a grad no backward step needs)
         Param, ///< aliases ops_[index].param->value
         Owned, ///< persistent buffer owned_[index]
         Slot,  ///< reusable slot (valueSlots_/gradSlots_[index])
@@ -181,7 +179,6 @@ class Program
     Arena* arena_ = nullptr;
     VarId root_ = -1;
     std::vector<OpNode> ops_;
-    std::vector<char> skipped_;   ///< fused-away nodes, never scheduled
     std::vector<char> needsGrad_; ///< grad buffer exists for this node
     std::vector<Binding> valueBind_;
     std::vector<Binding> gradBind_;

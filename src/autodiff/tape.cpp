@@ -173,7 +173,7 @@ Tape::chainStage(VarId a, tensor::ElemStage stage)
 {
     SMOOTHE_CHECK_OK(stageProblem(stage, rows(a), cols(a)));
     Node node = shaped(Op::FusedElemChain, a, -1, rows(a), cols(a));
-    node.chain.push_back(std::move(stage));
+    node.stage = std::move(stage);
     return push(std::move(node));
 }
 
@@ -375,12 +375,8 @@ Tape::checkInvariants(bool screen_values) const
                 return problem(i, "dotRows weight length mismatch");
             break;
           case Op::FusedElemChain:
-            if (node.chain.empty())
-                return problem(i, "empty elementwise chain");
-            for (const tensor::ElemStage& stage : node.chain) {
-                if (auto bad = stageProblem(stage, node.rows, node.cols))
-                    return problem(i, *bad);
-            }
+            if (auto bad = stageProblem(node.stage, node.rows, node.cols))
+                return problem(i, *bad);
             [[fallthrough]];
           default:
             // Same-shape unary ops.

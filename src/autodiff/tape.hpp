@@ -19,10 +19,10 @@
  * bench_micro_kernels compare it against.
  *
  * The op set is deliberately tailored to what SmoothE and the MLP cost
- * model need: elementwise add/mul/relu, one elementwise chain op for
- * every constant-operand step (each scale/addScalar/mulConst/addConst
- * call records a one-stage chain; evaluation here runs each on its own,
- * while the Program merges adjacent ones), segment softmax (per-e-class),
+ * model need: elementwise add/mul/relu, one elementwise op for every
+ * constant-operand step (each scale/addScalar/mulConst/addConst call
+ * records one FusedElemChain node holding one stage), segment softmax
+ * (per-e-class),
  * the whole phi propagation of Section 3.3 as one op, dense matmul, and
  * tr(exp(A)) with its exact analytic gradient exp(A)^T (Section 3.4).
  */
@@ -95,8 +95,8 @@ class Tape
     /** out = max(a, 0). */
     VarId relu(VarId a);
 
-    // The four constant-operand steps below each record a one-stage
-    // FusedElemChain; the Program merges adjacent ones.
+    // The four constant-operand steps below each record one
+    // FusedElemChain node holding one stage.
 
     /** out = alpha * a. */
     VarId scale(VarId a, float alpha);
@@ -182,7 +182,7 @@ class Tape
     static Node shaped(Op op, VarId a, VarId b, std::size_t rows,
                        std::size_t cols);
     VarId push(Node node);
-    /** Records out = a through the one chain stage `stage`. */
+    /** Records out = stage(a) as one FusedElemChain node. */
     VarId chainStage(VarId a, tensor::ElemStage stage);
     Tensor& ensureGrad(VarId id);
     /** Evaluates nodes [evaluated_, numNodes()) in id order. */

@@ -24,19 +24,20 @@ struct FixedPoint
 {
     std::vector<double> classCost;
     std::vector<NodeId> classChoice;
+    std::size_t relaxations = 0; ///< class-cost improvements taken
 };
 
 /**
- * Relaxes the egg-style worklist to a fixed point: infinite costs
- * everywhere, leaves seed the queue. When tie_break_children is true,
- * equal-cost updates prefer the node with fewer children (the gym's
- * heuristic+ tweak).
+ * Relaxes the egg-style worklist to a fixed point under per-node costs
+ * node_costs: infinite costs everywhere, leaves seed the queue. When
+ * tie_break_children is true, equal-cost updates prefer the node with
+ * fewer children (the gym's heuristic+ tweak).
  */
 FixedPoint
-runWorklist(const EGraph& graph, bool tie_break_children)
+runWorklist(const EGraph& graph, const std::vector<double>& node_costs,
+            bool tie_break_children)
 {
     obs::Span span("bottom_up.worklist", "extraction");
-    static obs::Counter& updates = obs::counter("bottom_up.relaxations");
     const std::size_t m = graph.numClasses();
     FixedPoint fp;
     fp.classCost.assign(m, kInf);
@@ -52,7 +53,7 @@ runWorklist(const EGraph& graph, bool tie_break_children)
     }
 
     auto aggregated = [&](NodeId nid) -> double {
-        double total = graph.node(nid).cost;
+        double total = node_costs[nid];
         for (ClassId child : graph.node(nid).children) {
             if (fp.classCost[child] == kInf)
                 return kInf;
@@ -77,7 +78,7 @@ runWorklist(const EGraph& graph, bool tie_break_children)
                      graph.node(fp.classChoice[cls]).children.size();
         }
         if (better) {
-            updates.add(1);
+            ++fp.relaxations;
             fp.classCost[cls] = cost;
             fp.classChoice[cls] = nid;
             for (NodeId parent : graph.parents(cls)) {
@@ -88,6 +89,20 @@ runWorklist(const EGraph& graph, bool tie_break_children)
             }
         }
     }
+    return fp;
+}
+
+/** The heuristics' run: the graph's own node costs, with the
+ *  relaxations counted. */
+FixedPoint
+runHeuristicWorklist(const EGraph& graph, bool tie_break_children)
+{
+    static obs::Counter& updates = obs::counter("bottom_up.relaxations");
+    std::vector<double> costs(graph.numNodes());
+    for (NodeId nid = 0; nid < graph.numNodes(); ++nid)
+        costs[nid] = graph.node(nid).cost;
+    FixedPoint fp = runWorklist(graph, costs, tie_break_children);
+    updates.add(fp.relaxations);
     return fp;
 }
 
@@ -167,13 +182,22 @@ buildResult(const EGraph& graph, const FixedPoint& fp, double seconds)
 
 } // namespace
 
+Selection
+bottomUpWithCosts(const EGraph& graph, const std::vector<double>& node_costs)
+{
+    const FixedPoint fp =
+        runWorklist(graph, node_costs, /*tie_break_children=*/false);
+    return rootedSelection(graph, fp.classChoice);
+}
+
 ExtractionResult
 BottomUpExtractor::extractImpl(const EGraph& graph,
                                const ExtractOptions& options)
 {
     (void)options;
     util::Timer timer;
-    const FixedPoint fp = runWorklist(graph, /*tie_break_children=*/false);
+    const FixedPoint fp =
+        runHeuristicWorklist(graph, /*tie_break_children=*/false);
     return buildResult(graph, fp, timer.seconds());
 }
 
@@ -183,7 +207,8 @@ FasterBottomUpExtractor::extractImpl(const EGraph& graph,
 {
     (void)options;
     util::Timer timer;
-    const FixedPoint pure = runWorklist(graph, /*tie_break_children=*/true);
+    const FixedPoint pure =
+        runHeuristicWorklist(graph, /*tie_break_children=*/true);
     FixedPoint fp = pure;
     refineDagAware(graph, fp);
     ExtractionResult refined = buildResult(graph, fp, timer.seconds());

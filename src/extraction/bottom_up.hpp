@@ -21,6 +21,17 @@
 
 namespace smoothe::extract {
 
+/**
+ * The heuristics' worklist fixed point (without heuristic+'s tie-break
+ * and refinement) under the given per-node costs, as a rooted
+ * selection. With the graph's own node costs it is `heuristic`'s
+ * selection. choice entries stay eg::kNoNode for classes not needed
+ * (or when the root is infeasible, in which case the root entry is
+ * also eg::kNoNode). The genetic decoder and the random sampler run it.
+ */
+Selection bottomUpWithCosts(const eg::EGraph& graph,
+                            const std::vector<double>& node_costs);
+
 /** egg's default greedy/iterative heuristic. */
 class BottomUpExtractor : public Extractor
 {

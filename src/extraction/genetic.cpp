@@ -4,9 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "extraction/random_sample.hpp"
+#include "extraction/bottom_up.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace smoothe::extract {

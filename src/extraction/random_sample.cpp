@@ -1,79 +1,11 @@
 #include "extraction/random_sample.hpp"
 
-#include <deque>
-#include <limits>
-
+#include "extraction/bottom_up.hpp"
 #include "obs/trace.hpp"
 
 namespace smoothe::extract {
 
-using eg::ClassId;
 using eg::EGraph;
-using eg::kNoNode;
-using eg::NodeId;
-
-Selection
-bottomUpWithCosts(const EGraph& graph, const std::vector<double>& node_costs)
-{
-    obs::Span span("random_sample.bottom_up", "extraction");
-    const std::size_t m = graph.numClasses();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> classCost(m, kInf);
-    std::vector<NodeId> classChoice(m, kNoNode);
-
-    std::deque<NodeId> queue;
-    std::vector<bool> inQueue(graph.numNodes(), false);
-    for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
-        if (graph.node(nid).children.empty()) {
-            queue.push_back(nid);
-            inQueue[nid] = true;
-        }
-    }
-    while (!queue.empty()) {
-        const NodeId nid = queue.front();
-        queue.pop_front();
-        inQueue[nid] = false;
-        double total = node_costs[nid];
-        bool feasible = true;
-        for (ClassId child : graph.node(nid).children) {
-            if (classCost[child] == kInf) {
-                feasible = false;
-                break;
-            }
-            total += classCost[child];
-        }
-        if (!feasible)
-            continue;
-        const ClassId cls = graph.classOf(nid);
-        if (total < classCost[cls]) {
-            classCost[cls] = total;
-            classChoice[cls] = nid;
-            for (NodeId parent : graph.parents(cls)) {
-                if (!inQueue[parent]) {
-                    queue.push_back(parent);
-                    inQueue[parent] = true;
-                }
-            }
-        }
-    }
-
-    Selection sel = Selection::empty(graph);
-    if (classChoice[graph.root()] == kNoNode)
-        return sel;
-    std::vector<ClassId> worklist{graph.root()};
-    sel.choice[graph.root()] = classChoice[graph.root()];
-    while (!worklist.empty()) {
-        const ClassId cls = worklist.back();
-        worklist.pop_back();
-        for (ClassId child : graph.node(sel.choice[cls]).children) {
-            if (sel.choice[child] == kNoNode) {
-                sel.choice[child] = classChoice[child];
-                worklist.push_back(child);
-            }
-        }
-    }
-    return sel;
-}
 
 Selection
 sampleRandomSelection(const EGraph& graph, util::Rng& rng)

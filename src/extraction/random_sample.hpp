@@ -6,7 +6,8 @@
  * cyclic e-graphs. We use the standard trick: draw random per-e-node
  * weights and run the bottom-up fixed point with those weights — the
  * resulting selection is always complete and acyclic, and different weight
- * draws explore different regions of the solution space. This powers the
+ * draws explore different regions of the solution space (the fixed point
+ * is extract::bottomUpWithCosts, the heuristics' worklist). This powers the
  * genetic extractor's decoder (random-key encoding), the MLP cost model's
  * synthetic training data, and the property-based tests.
  */
@@ -20,15 +21,6 @@
 #include "util/rng.hpp"
 
 namespace smoothe::extract {
-
-/**
- * Runs the bottom-up fixed point with the given per-node weights and
- * returns the rooted selection. choice entries stay eg::kNoNode for
- * classes not needed (or when the root is infeasible, in which case the
- * root entry is also eg::kNoNode).
- */
-Selection bottomUpWithCosts(const eg::EGraph& graph,
-                            const std::vector<double>& node_costs);
 
 /** Draws a random valid extraction (see file comment for the method). */
 Selection sampleRandomSelection(const eg::EGraph& graph, util::Rng& rng);

@@ -13,19 +13,13 @@ namespace smoothe::tensor {
 
 namespace {
 
-/**
- * Row elements per block when a fused chain runs stage by stage: small
- * enough that a block's stage operands stay in L1.
- */
-constexpr std::size_t kChainBlock = 1024;
-
-/** Row r, from column b0, of a MulConst/AddConst stage's operand (a
- *  1 x C operand broadcasts over rows). */
+/** Row r of a MulConst/AddConst stage's operand (a 1 x C operand
+ *  broadcasts over rows). */
 const float*
-stageRow(const ElemStage& stage, std::size_t r, std::size_t b0)
+stageRow(const ElemStage& stage, std::size_t r)
 {
     const Tensor& c = stage.c;
-    return c.row(c.rows() == 1 ? 0 : r) + b0;
+    return c.row(c.rows() == 1 ? 0 : r);
 }
 
 } // namespace
@@ -101,105 +95,87 @@ reluInto(const Tensor& a, Tensor& out)
 }
 
 void
-elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
-              Tensor& out)
+elemChainInto(const Tensor& a, const ElemStage& stage, Tensor& out)
 {
     const bool useAvx2 = simd::avx2Active();
-    const std::size_t cols = a.cols();
+    const std::size_t n = a.cols();
     parallelChunks(
-        a.rows(), rowGrain(cols),
-        [&](std::size_t begin, std::size_t end) {
+        a.rows(), rowGrain(n), [&](std::size_t begin, std::size_t end) {
             for (std::size_t r = begin; r < end; ++r) {
-                // Stage by stage over cache-sized blocks of the row: the
-                // first stage reads the input, later ones rewrite `out`
-                // in place. Each element still sees one rounded op per
-                // stage, in recorded order.
-                for (std::size_t b0 = 0; b0 < cols; b0 += kChainBlock) {
-                    const std::size_t n = std::min(kChainBlock, cols - b0);
-                    const float* x = a.row(r) + b0;
-                    float* o = out.row(r) + b0;
-                    for (const ElemStage& stage : stages) {
-                        switch (stage.kind) {
-                          case ElemStageKind::Scale:
-                            if (useAvx2)
-                                avx2::scaleSpan(x, stage.alpha, o, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    o[i] = stage.alpha * x[i];
-                            break;
-                          case ElemStageKind::AddScalar:
-                            if (useAvx2)
-                                avx2::addScalarSpan(x, stage.alpha, o, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    o[i] = x[i] + stage.alpha;
-                            break;
-                          case ElemStageKind::MulConst: {
-                            const float* c = stageRow(stage, r, b0);
-                            if (useAvx2)
-                                avx2::mulSpan(x, c, o, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    o[i] = x[i] * c[i];
-                            break;
-                          }
-                          case ElemStageKind::AddConst: {
-                            const float* c = stageRow(stage, r, b0);
-                            if (useAvx2)
-                                avx2::addSpan(x, c, o, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    o[i] = x[i] + c[i];
-                            break;
-                          }
-                        }
-                        x = o;
-                    }
+                const float* x = a.row(r);
+                float* o = out.row(r);
+                switch (stage.kind) {
+                  case ElemStageKind::Scale:
+                    if (useAvx2)
+                        avx2::scaleSpan(x, stage.alpha, o, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            o[i] = stage.alpha * x[i];
+                    break;
+                  case ElemStageKind::AddScalar:
+                    if (useAvx2)
+                        avx2::addScalarSpan(x, stage.alpha, o, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            o[i] = x[i] + stage.alpha;
+                    break;
+                  case ElemStageKind::MulConst: {
+                    const float* c = stageRow(stage, r);
+                    if (useAvx2)
+                        avx2::mulSpan(x, c, o, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            o[i] = x[i] * c[i];
+                    break;
+                  }
+                  case ElemStageKind::AddConst: {
+                    const float* c = stageRow(stage, r);
+                    if (useAvx2)
+                        avx2::addSpan(x, c, o, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            o[i] = x[i] + c[i];
+                    break;
+                  }
                 }
             }
         });
 }
 
 void
-elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
-                  Tensor& ga)
+elemChainGradInto(const Tensor& g, const ElemStage& stage, Tensor& ga)
 {
     const bool useAvx2 = simd::avx2Active();
-    const std::size_t cols = g.cols();
+    const std::size_t n = g.cols();
     parallelChunks(
-        g.rows(), rowGrain(cols),
-        [&](std::size_t begin, std::size_t end) {
-            float scratch[kChainBlock];
+        g.rows(), rowGrain(n), [&](std::size_t begin, std::size_t end) {
             for (std::size_t r = begin; r < end; ++r) {
-                for (std::size_t b0 = 0; b0 < cols; b0 += kChainBlock) {
-                    const std::size_t n = std::min(kChainBlock, cols - b0);
-                    const float* v = g.row(r) + b0;
-                    for (std::size_t s = stages.size(); s > 0; --s) {
-                        const ElemStage& stage = stages[s - 1];
-                        if (stage.kind == ElemStageKind::Scale) {
-                            if (useAvx2)
-                                avx2::scaleSpan(v, stage.alpha, scratch, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    scratch[i] = stage.alpha * v[i];
-                        } else if (stage.kind == ElemStageKind::MulConst) {
-                            const float* m = stageRow(stage, r, b0);
-                            if (useAvx2)
-                                avx2::mulSpan(v, m, scratch, n);
-                            else
-                                for (std::size_t i = 0; i < n; ++i)
-                                    scratch[i] = v[i] * m[i];
-                        } else {
-                            continue; // Add stages: identity Jacobian
-                        }
-                        v = scratch;
-                    }
-                    float* gar = ga.row(r) + b0;
+                const float* v = g.row(r);
+                float* gar = ga.row(r);
+                switch (stage.kind) {
+                  case ElemStageKind::Scale:
+                    if (useAvx2)
+                        avx2::scaleAccumulateSpan(v, stage.alpha, gar, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            gar[i] += stage.alpha * v[i];
+                    break;
+                  case ElemStageKind::MulConst: {
+                    const float* m = stageRow(stage, r);
+                    if (useAvx2)
+                        avx2::mulAccumulateSpan(v, m, gar, n);
+                    else
+                        for (std::size_t i = 0; i < n; ++i)
+                            gar[i] += v[i] * m[i];
+                    break;
+                  }
+                  default: // Add stages: identity Jacobian
                     if (useAvx2)
                         avx2::addSpan(gar, v, gar, n);
                     else
                         for (std::size_t i = 0; i < n; ++i)
                             gar[i] += v[i];
+                    break;
                 }
             }
         });

@@ -13,7 +13,7 @@
  * Elementwise kernels: addInto/mulInto for two variable operands,
  * reluInto, and elemChainInto/elemChainGradInto, the one kernel pair
  * for every constant-operand step (scale, add scalar, multiply or add a
- * constant tensor), whether the chain has one stage or many.
+ * constant tensor), one stage per call.
  *
  * Determinism contract (see DESIGN.md "Parallel execution"): chunk
  * grains are fixed constants, each output element is written by exactly
@@ -47,12 +47,10 @@ struct MatrixEntry
 };
 
 /**
- * Stage kinds of an elementwise chain, the one constant-operand
- * elementwise op: the Tape records each scale/addScalar/mulConst/
- * addConst as a one-stage chain. All four have constant Jacobians (the
- * backward pass never reads intermediate values), which is what lets
- * the Program fusion pass merge arbitrary single-consumer runs of
- * chains into one kernel launch.
+ * Stage kinds of the one constant-operand elementwise op: the Tape
+ * records each scale/addScalar/mulConst/addConst as one stage. All four
+ * have constant Jacobians, so the backward pass never reads the op's
+ * input or output values.
  */
 enum class ElemStageKind : std::uint8_t {
     Scale,     ///< v = alpha * v
@@ -61,7 +59,7 @@ enum class ElemStageKind : std::uint8_t {
     AddConst,  ///< v = v + c[i]   (c may broadcast 1 x C over rows)
 };
 
-/** One stage of an elementwise chain. */
+/** One constant-operand elementwise step. */
 struct ElemStage
 {
     ElemStageKind kind = ElemStageKind::Scale;
@@ -125,25 +123,18 @@ void mulInto(const Tensor& a, const Tensor& b, Tensor& out);
 /** out = max(a, 0). */
 void reluInto(const Tensor& a, Tensor& out);
 /**
- * Elementwise chain: applies the stages to each element in recorded
- * order, each stage one rounded float operation whatever the chain's
- * length, so running a merged chain gives the same bits as running its
- * one-stage pieces in turn. (The build uses no -march/-ffp-contract
- * flags, so the compiler cannot contract a multiply-add pair into an
- * FMA; the Program parity tests pin this.)
+ * Elementwise chain stage: out = stage(a), one rounded float operation
+ * per element.
  */
-void elemChainInto(const Tensor& a, const std::vector<ElemStage>& stages,
-                   Tensor& out);
+void elemChainInto(const Tensor& a, const ElemStage& stage, Tensor& out);
 /**
- * Backward of elemChainInto: ga += g times the chain's constant diagonal
- * Jacobian. The Scale/MulConst stages apply in reverse order, one
- * rounded multiply each; the Add stages have an identity Jacobian and
- * are skipped. The product is added into ga once, so a merged chain's
- * result is bitwise equal to its one-stage pieces' backward steps
- * accumulating through freshly zeroed grad slots.
+ * Backward of elemChainInto: ga += g times the stage's constant diagonal
+ * Jacobian. Scale/MulConst round the multiply and the add apart (the
+ * build uses no -mfma/-ffp-contract flags, so the compiler cannot
+ * contract them into an FMA); the Add stages have an identity Jacobian
+ * and add g itself.
  */
-void elemChainGradInto(const Tensor& g, const std::vector<ElemStage>& stages,
-                       Tensor& ga);
+void elemChainGradInto(const Tensor& g, const ElemStage& stage, Tensor& ga);
 /** out[b, 0] = sum_i a[b, i] * u[i]. */
 void dotRowsInto(const Tensor& a, const std::vector<float>& u, Tensor& out);
 /** out[0, 0] = sum of all elements (double accumulator, serial). */

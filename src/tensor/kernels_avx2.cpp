@@ -264,6 +264,32 @@ addScalarSpan(const float* a, float alpha, float* o, std::size_t n)
 }
 
 SMOOTHE_AVX2_FN void
+scaleAccumulateSpan(const float* a, float alpha, float* o, std::size_t n)
+{
+    const __m256 va = _mm256_set1_ps(alpha);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(
+            o + i, _mm256_add_ps(_mm256_loadu_ps(o + i),
+                                 _mm256_mul_ps(va, _mm256_loadu_ps(a + i))));
+    for (; i < n; ++i)
+        o[i] += alpha * a[i];
+}
+
+SMOOTHE_AVX2_FN void
+mulAccumulateSpan(const float* a, const float* b, float* o, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(
+            o + i, _mm256_add_ps(_mm256_loadu_ps(o + i),
+                                 _mm256_mul_ps(_mm256_loadu_ps(a + i),
+                                               _mm256_loadu_ps(b + i))));
+    for (; i < n; ++i)
+        o[i] += a[i] * b[i];
+}
+
+SMOOTHE_AVX2_FN void
 reluSpan(const float* a, float* o, std::size_t n)
 {
     const __m256 zero = _mm256_setzero_ps();
@@ -592,6 +618,16 @@ scaleSpan(const float*, float, float*, std::size_t)
 }
 void
 addScalarSpan(const float*, float, float*, std::size_t)
+{
+    unreachable();
+}
+void
+scaleAccumulateSpan(const float*, float, float*, std::size_t)
+{
+    unreachable();
+}
+void
+mulAccumulateSpan(const float*, const float*, float*, std::size_t)
 {
     unreachable();
 }

@@ -41,6 +41,12 @@ void mulSpan(const float* a, const float* b, float* o, std::size_t n);
 void scaleSpan(const float* a, float alpha, float* o, std::size_t n);
 /** o[i] = a[i] + alpha. */
 void addScalarSpan(const float* a, float alpha, float* o, std::size_t n);
+/** o[i] += alpha * a[i], the multiply and the add rounded apart. */
+void scaleAccumulateSpan(const float* a, float alpha, float* o,
+                         std::size_t n);
+/** o[i] += a[i] * b[i], the multiply and the add rounded apart. */
+void mulAccumulateSpan(const float* a, const float* b, float* o,
+                       std::size_t n);
 /** o[i] = max(a[i], 0). */
 void reluSpan(const float* a, float* o, std::size_t n);
 /**

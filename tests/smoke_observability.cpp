@@ -5,9 +5,11 @@
  * warm epochs record and compile a fresh Program each, and
  * bench_fig9_sampling, which prints Figure 9 from the per-iteration
  * convergence trajectory, bench_fig8_profiling, which prints
- * Figure 8 from the per-phase totals, and bench_fig6_ablation, which
+ * Figure 8 from the per-phase totals, bench_fig6_ablation, which
  * times the matrix exponential on whole-graph matrices at both SIMD
- * levels) with --trace-out, --metrics-out,
+ * levels, and bench_fig5_mlp, whose MLP training and composite cost
+ * replay Mul/Relu/MatMul and the one-stage elementwise ops compiled)
+ * with --trace-out, --metrics-out,
  * --report-out and --profile-out on tiny inputs and checks that every
  * file they write parses: the trace as Chrome trace-event JSON covering
  * the optimizer phases, the metrics as a flat object with the headline
@@ -246,8 +248,9 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string fig9 = binaryPath("bench_fig9_sampling", "bench");
     const std::string fig8 = binaryPath("bench_fig8_profiling", "bench");
     const std::string fig6 = binaryPath("bench_fig6_ablation", "bench");
+    const std::string fig5 = binaryPath("bench_fig5_mlp", "bench");
     if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
-        fig8.empty() || fig6.empty())
+        fig8.empty() || fig6.empty() || fig5.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -277,8 +280,12 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     // Figure 6 runs tr_expm on whole-graph matrices at SIMD levels
     // scalar and avx2.
     ASSERT_EQ(runCommand(fig6 + " --scale 0.05" + telemetry("fig6")), 0);
-    for (const char* tag :
-         {"gen", "smoothe", "heur", "anytime", "fig9", "fig8", "fig6"}) {
+    // Figure 5 trains an MLP and extracts under the composite cost.
+    ASSERT_EQ(runCommand(fig5 + " --quick --time-limit 0.5" +
+                         telemetry("fig5")),
+              0);
+    for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9",
+                            "fig8", "fig6", "fig5"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -287,6 +294,14 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         EXPECT_EQ(smoothe::obs::reportSchemaVersion(report),
                   smoothe::obs::kReportSchemaVersion);
     }
+
+    // Figure 5's replays ran their backward passes.
+    const smoothe::util::Json fig5Metrics =
+        readJson(dir + "/fig5_metrics.json");
+    const smoothe::util::Json* fig5Backward =
+        fig5Metrics.find("tape.backward.calls");
+    ASSERT_NE(fig5Backward, nullptr);
+    EXPECT_GT(fig5Backward->asNumber(), 0.0);
 
     // Figure 8's shares come from the per-phase totals, sampling included.
     const smoothe::util::Json fig8Report =

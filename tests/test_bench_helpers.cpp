@@ -123,3 +123,23 @@ TEST(BenchHelpers, InterleavedMeasureAlternatesSides)
     EXPECT_EQ(report.measurement("helper.b").count(), 3u);
     smoothe::obs::Report::uninstall();
 }
+
+TEST(BenchHelpers, MedianPairRatio)
+{
+    // Odd count: the middle ratio, whatever the order of the pairs.
+    EXPECT_DOUBLE_EQ(
+        bench::medianPairRatio({3.0, 2.0, 10.0}, {1.0, 1.0, 1.0}), 3.0);
+    // Even count: the mean of the two middle ratios.
+    EXPECT_DOUBLE_EQ(bench::medianPairRatio({1.0, 4.0, 2.0, 8.0},
+                                            {1.0, 2.0, 1.0, 2.0}),
+                     2.0);
+    // A pair disturbed on one side shifts one ratio, not the median.
+    EXPECT_DOUBLE_EQ(bench::medianPairRatio({1.01, 1.01, 300.0},
+                                            {1.0, 1.0, 100.0}),
+                     1.01);
+    // Pairs with a non-positive denominator are skipped; none left
+    // gives 0.
+    EXPECT_DOUBLE_EQ(bench::medianPairRatio({5.0, 2.0}, {0.0, 1.0}), 2.0);
+    EXPECT_DOUBLE_EQ(bench::medianPairRatio({1.0}, {0.0}), 0.0);
+    EXPECT_DOUBLE_EQ(bench::medianPairRatio({}, {}), 0.0);
+}

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -278,6 +279,30 @@ TEST(RandomSample, ProducesDiverseSolutions)
     for (const auto& sel : samples)
         costs.insert(ex::dagCost(g, sel));
     EXPECT_GE(costs.size(), 2u);
+}
+
+TEST(BottomUp, WithOwnCostsGivesHeuristicSelection)
+{
+    // bottomUpWithCosts is the heuristic's worklist under given weights:
+    // with the graph's own node costs it must choose what `heuristic`
+    // chooses, on acyclic and cyclic families alike.
+    smoothe::util::Rng rng(11);
+    for (const char* family : {"flexc", "impress", "rover", "tensat"}) {
+        ds::FamilyParams params = ds::familyParams(family);
+        params.numClasses = std::min<std::size_t>(params.numClasses, 200);
+        for (int trial = 0; trial < 3; ++trial) {
+            const eg::EGraph g = ds::generateStructured(params, rng.next());
+            std::vector<double> costs(g.numNodes());
+            for (eg::NodeId nid = 0; nid < g.numNodes(); ++nid)
+                costs[nid] = g.node(nid).cost;
+            ex::BottomUpExtractor heuristic;
+            const auto result = heuristic.extract(g, {});
+            ASSERT_TRUE(result.ok()) << family << " trial " << trial;
+            EXPECT_EQ(ex::bottomUpWithCosts(g, costs).choice,
+                      result.selection.choice)
+                << family << " trial " << trial;
+        }
+    }
 }
 
 TEST(Genetic, SolvesPaperGraphOptimally)
