@@ -84,7 +84,9 @@ struct BenchOptions
         options.quick = args.getBool("quick", false);
         if (options.quick) {
             options.scale *= 0.4;
-            options.timeLimit = std::min(options.timeLimit, 2.0);
+            // --quick shortens the default limit, not an explicit one.
+            if (!args.has("time-limit"))
+                options.timeLimit = std::min(options.timeLimit, 2.0);
             options.runs = 1;
             options.maxGraphs = std::min<std::size_t>(options.maxGraphs, 2);
         }

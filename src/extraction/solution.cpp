@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "check/contracts.hpp"
+
 namespace smoothe::extract {
 
 using eg::ClassId;
@@ -32,6 +34,15 @@ Selection::toNodeIndicator(const eg::EGraph& graph) const
 ValidationResult
 validate(const EGraph& graph, const Selection& sel)
 {
+    return validate(graph, sel, CyclicSccs::of(graph));
+}
+
+ValidationResult
+validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
+{
+    SMOOTHE_CHECK(sccs.id.size() == graph.numClasses(),
+                  "validate: cyclic-SCC table has %zu classes, graph %zu",
+                  sccs.id.size(), graph.numClasses());
     ValidationResult result;
     auto fail = [&](Violation v, const std::string& message) {
         result.violation = v;
@@ -89,7 +100,8 @@ validate(const EGraph& graph, const Selection& sel)
         }
     }
 
-    // Constraint (c): DFS cycle detection on the chosen subgraph.
+    // Constraint (c): colored DFS inside each cyclic SCC. Every chosen
+    // class is needed here, so each child of a chosen node is chosen.
     enum class Color : unsigned char { White, Gray, Black };
     std::vector<Color> color(graph.numClasses(), Color::White);
     struct Frame
@@ -98,26 +110,35 @@ validate(const EGraph& graph, const Selection& sel)
         std::size_t childIdx;
     };
     std::vector<Frame> stack;
-    stack.push_back({graph.root(), 0});
-    color[graph.root()] = Color::Gray;
-    while (!stack.empty()) {
-        Frame& frame = stack.back();
-        const NodeId nid = sel.choice[frame.cls];
-        const auto& children = graph.node(nid).children;
-        if (frame.childIdx < children.size()) {
-            const ClassId child = children[frame.childIdx++];
-            if (color[child] == Color::Gray) {
-                std::ostringstream oss;
-                oss << "cycle through class " << child;
-                return fail(Violation::Cyclic, oss.str());
+    for (const auto& scc : sccs.classes) {
+        const std::uint32_t id = sccs.id[scc.front()];
+        for (ClassId start : scc) {
+            if (!sel.chosen(start) || color[start] != Color::White)
+                continue;
+            color[start] = Color::Gray;
+            stack.push_back({start, 0});
+            while (!stack.empty()) {
+                Frame& frame = stack.back();
+                const auto& children =
+                    graph.node(sel.choice[frame.cls]).children;
+                if (frame.childIdx < children.size()) {
+                    const ClassId child = children[frame.childIdx++];
+                    if (sccs.id[child] != id)
+                        continue;
+                    if (color[child] == Color::Gray) {
+                        std::ostringstream oss;
+                        oss << "cycle through class " << child;
+                        return fail(Violation::Cyclic, oss.str());
+                    }
+                    if (color[child] == Color::White) {
+                        color[child] = Color::Gray;
+                        stack.push_back({child, 0});
+                    }
+                } else {
+                    color[frame.cls] = Color::Black;
+                    stack.pop_back();
+                }
             }
-            if (color[child] == Color::White) {
-                color[child] = Color::Gray;
-                stack.push_back({child, 0});
-            }
-        } else {
-            color[frame.cls] = Color::Black;
-            stack.pop_back();
         }
     }
 

@@ -73,10 +73,45 @@ struct ValidationResult
 };
 
 /**
- * Checks constraints (a), (b), (c) plus internal consistency.
+ * The cyclic strongly connected components of the class dependency graph:
+ * those with more than one class, and single classes with a self-loop.
+ * Every cycle of a selection lies inside one of them.
+ */
+struct CyclicSccs
+{
+    static constexpr std::uint32_t kNone =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /** class -> index into classes, or kNone outside every cyclic SCC */
+    std::vector<std::uint32_t> id;
+    /** each cyclic SCC's classes, in EGraph::classSccs() order */
+    std::vector<std::vector<eg::ClassId>> classes;
+
+    static CyclicSccs of(const eg::EGraph& graph);
+};
+
+/**
+ * Checks constraints (a), (b), (c) plus internal consistency, in this
+ * order: every choice is a member of its class, the root is chosen,
+ * every class needed from the root is chosen, every chosen class is
+ * needed, and the chosen subgraph is acyclic.
+ *
+ * The acyclicity check is SCC-local and exact: a cycle of the chosen
+ * subgraph is a cycle of the class dependency graph, so all its classes
+ * lie in one cyclic SCC. The colored DFS therefore starts only from the
+ * chosen classes of cyclic SCCs and follows only chosen children in the
+ * same SCC; on a graph without cyclic SCCs it does nothing. Since every
+ * chosen class is needed by then, it finds a cycle exactly when a DFS
+ * from the root would.
+ *
  * @param graph a finalized e-graph
  * @param sel the candidate extraction
+ * @param sccs CyclicSccs::of(graph)
  */
+ValidationResult validate(const eg::EGraph& graph, const Selection& sel,
+                          const CyclicSccs& sccs);
+
+/** validate(graph, sel, CyclicSccs::of(graph)). */
 ValidationResult validate(const eg::EGraph& graph, const Selection& sel);
 
 /**
@@ -112,24 +147,6 @@ Selection rootedSelection(const eg::EGraph& graph,
  */
 std::optional<std::vector<eg::ClassId>>
 neededClasses(const eg::EGraph& graph, const Selection& sel);
-
-/**
- * The cyclic strongly connected components of the class dependency graph:
- * those with more than one class, and single classes with a self-loop.
- * Every cycle of a selection lies inside one of them.
- */
-struct CyclicSccs
-{
-    static constexpr std::uint32_t kNone =
-        std::numeric_limits<std::uint32_t>::max();
-
-    /** class -> index into classes, or kNone outside every cyclic SCC */
-    std::vector<std::uint32_t> id;
-    /** each cyclic SCC's classes, in EGraph::classSccs() order */
-    std::vector<std::vector<eg::ClassId>> classes;
-
-    static CyclicSccs of(const eg::EGraph& graph);
-};
 
 /**
  * The incremental cycle check of a top-down extractor: after it sets

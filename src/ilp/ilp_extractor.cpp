@@ -464,7 +464,8 @@ class LpBnB
     LpBnB(const EGraph& graph, const ExtractOptions& options,
           LinearProgram base)
         : graph_(graph), options_(options),
-          deadline_(options.timeLimitSeconds), base_(std::move(base))
+          deadline_(options.timeLimitSeconds), base_(std::move(base)),
+          cyclicSccs_(extract::CyclicSccs::of(graph))
     {}
 
     ExtractionResult
@@ -533,7 +534,7 @@ class LpBnB
                 // Integral: candidate solution.
                 Selection sel = roundedSelection(relaxed.values);
                 if (sel.chosen(graph_.root()) &&
-                    extract::validate(graph_, sel).ok()) {
+                    extract::validate(graph_, sel, cyclicSccs_).ok()) {
                     const double cost = extract::dagCost(graph_, sel);
                     if (cost < incumbentCost_) {
                         incumbentCost_ = cost;
@@ -613,6 +614,7 @@ class LpBnB
     util::Timer timer_;
     util::Deadline deadline_;
     LinearProgram base_;
+    extract::CyclicSccs cyclicSccs_;
 
     Selection incumbent_;
     double incumbentCost_ = kInf;

@@ -23,28 +23,34 @@ GreedySampler::sample(const float* cp_row, bool repair)
 
         const auto& members = graph_.nodesInClass(cls);
         NodeId chosen = kNoNode;
-        if (!repair) {
-            float best = -std::numeric_limits<float>::infinity();
-            for (NodeId nid : members) {
-                if (cp_row[nid] > best) {
-                    best = cp_row[nid];
-                    chosen = nid;
-                }
+        float best = -std::numeric_limits<float>::infinity();
+        for (NodeId nid : members) {
+            if (cp_row[nid] > best) {
+                best = cp_row[nid];
+                chosen = nid;
             }
-        } else {
-            // Try members in decreasing cp until one is acyclic.
-            scratch_.assign(members.begin(), members.end());
-            std::sort(scratch_.begin(), scratch_.end(),
-                      [&](NodeId a, NodeId b) {
-                          return cp_row[a] > cp_row[b];
-                      });
-            for (NodeId nid : scratch_) {
-                sel.choice[cls] = nid;
-                if (!cycleCheck_.closesCycle(sel.choice, cls)) {
-                    chosen = nid;
-                    break;
+        }
+        if (repair && chosen != kNoNode &&
+            sccs_.id[cls] != extract::CyclicSccs::kNone) {
+            // Only a class in a cyclic SCC can close a cycle. When its
+            // arg-max does, try members in decreasing cp, ties in member
+            // order, until one is acyclic.
+            sel.choice[cls] = chosen;
+            if (cycleCheck_.closesCycle(sel.choice, cls)) {
+                chosen = kNoNode;
+                scratch_.assign(members.begin(), members.end());
+                std::stable_sort(scratch_.begin(), scratch_.end(),
+                                 [&](NodeId a, NodeId b) {
+                                     return cp_row[a] > cp_row[b];
+                                 });
+                for (NodeId nid : scratch_) {
+                    sel.choice[cls] = nid;
+                    if (!cycleCheck_.closesCycle(sel.choice, cls)) {
+                        chosen = nid;
+                        break;
+                    }
+                    sel.choice[cls] = kNoNode;
                 }
-                sel.choice[cls] = kNoNode;
             }
         }
         if (chosen == kNoNode) {

@@ -11,13 +11,16 @@
  * penalty, exactly as the paper does, and invalid samples are simply
  * discarded by validation.
  *
- * Repair is SCC-local (extract::CycleCheck): a class outside every
- * cyclic SCC of the class dependency graph is never checked and takes
- * its first member in cp order, and one check in a cyclic SCC walks
- * only the chosen classes of that SCC, with an O(1) reset. A sample
- * therefore costs one sort of each needed class's members plus, per
- * member tried in a cyclic SCC, the chosen part of that SCC; no check
- * costs O(numClasses).
+ * Every needed class takes its arg-max member, found in one scan; ties
+ * between members of equal cp go to the first in class order, with and
+ * without repair. Repair is SCC-local (extract::CycleCheck): a class
+ * outside every cyclic SCC of the class dependency graph can close no
+ * cycle and is never checked, and one check in a cyclic SCC walks only
+ * the chosen classes of that SCC, with an O(1) reset. Only when the
+ * arg-max of a class in a cyclic SCC closes a cycle are its members
+ * sorted by cp, and tried in that order. A sample therefore costs one
+ * scan of each needed class's members plus one check per member tried
+ * in a cyclic SCC; no check costs O(numClasses).
  */
 
 #ifndef SMOOTHE_SMOOTHE_SAMPLER_HPP
@@ -35,7 +38,7 @@ class GreedySampler
   public:
     /** @param sccs CyclicSccs::of(graph); must outlive the sampler */
     GreedySampler(const eg::EGraph& graph, const extract::CyclicSccs& sccs)
-        : graph_(graph), cycleCheck_(graph, sccs)
+        : graph_(graph), sccs_(sccs), cycleCheck_(graph, sccs)
     {}
     GreedySampler(const eg::EGraph&, extract::CyclicSccs&&) = delete;
 
@@ -49,6 +52,7 @@ class GreedySampler
 
   private:
     const eg::EGraph& graph_;
+    const extract::CyclicSccs& sccs_;
     extract::CycleCheck cycleCheck_;
     std::vector<eg::NodeId> scratch_;
 };

@@ -631,7 +631,9 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                             samplesTotal.add(1);
                             if (!candidate.chosen(graph.root()))
                                 continue;
-                            if (!extract::validate(graph, candidate).ok())
+                            if (!extract::validate(graph, candidate,
+                                                   prep.cyclic)
+                                     .ok())
                                 continue;
                             samplesValid.add(1);
                             sampleCosts[b] = model.discrete(

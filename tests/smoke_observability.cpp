@@ -8,7 +8,9 @@
  * Figure 8 from the per-phase totals, bench_fig6_ablation, which
  * times the matrix exponential on whole-graph matrices at both SIMD
  * levels, and bench_fig5_mlp, whose MLP training and composite cost
- * replay Mul/Relu/MatMul and the one-stage elementwise ops compiled)
+ * replay Mul/Relu/MatMul and the one-stage elementwise ops compiled,
+ * and bench_fig7_seeds, which samples 1 to 64 seeds per iteration on a
+ * cyclic graph)
  * with --trace-out, --metrics-out,
  * --report-out and --profile-out on tiny inputs and checks that every
  * file they write parses: the trace as Chrome trace-event JSON covering
@@ -249,8 +251,9 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string fig8 = binaryPath("bench_fig8_profiling", "bench");
     const std::string fig6 = binaryPath("bench_fig6_ablation", "bench");
     const std::string fig5 = binaryPath("bench_fig5_mlp", "bench");
+    const std::string fig7 = binaryPath("bench_fig7_seeds", "bench");
     if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
-        fig8.empty() || fig6.empty() || fig5.empty())
+        fig8.empty() || fig6.empty() || fig5.empty() || fig7.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -284,8 +287,11 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     ASSERT_EQ(runCommand(fig5 + " --quick --time-limit 0.5" +
                          telemetry("fig5")),
               0);
+    // Figure 7 samples B = 1, 2, ..., 64 seeds per iteration on rover's
+    // cyclic box_3, so the sampler's repair runs at every batch size.
+    ASSERT_EQ(runCommand(fig7 + " --quick" + telemetry("fig7")), 0);
     for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9",
-                            "fig8", "fig6", "fig5"}) {
+                            "fig8", "fig6", "fig5", "fig7"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -302,6 +308,14 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         fig5Metrics.find("tape.backward.calls");
     ASSERT_NE(fig5Backward, nullptr);
     EXPECT_GT(fig5Backward->asNumber(), 0.0);
+
+    // Figure 7's sweep drew samples.
+    const smoothe::util::Json fig7Metrics =
+        readJson(dir + "/fig7_metrics.json");
+    const smoothe::util::Json* fig7Samples =
+        fig7Metrics.find("sampler.samples");
+    ASSERT_NE(fig7Samples, nullptr);
+    EXPECT_GT(fig7Samples->asNumber(), 0.0);
 
     // Figure 8's shares come from the per-phase totals, sampling included.
     const smoothe::util::Json fig8Report =

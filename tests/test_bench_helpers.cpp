@@ -53,6 +53,13 @@ TEST(BenchHelpers, OptionsParseAndQuickMode)
     EXPECT_LT(quick.scale, 0.1);
     EXPECT_LE(quick.timeLimit, 2.0);
     EXPECT_EQ(quick.runs, 1u);
+
+    // An explicit --time-limit survives --quick.
+    const char* quickLimitArgv[] = {"bench", "--quick", "--time-limit=30"};
+    const auto quickLimit =
+        bench::BenchOptions::parse(3, const_cast<char**>(quickLimitArgv));
+    EXPECT_DOUBLE_EQ(quickLimit.timeLimit, 30.0);
+    EXPECT_EQ(quickLimit.runs, 1u);
 }
 
 TEST(BenchHelpers, CapGraphs)

@@ -8,18 +8,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "datasets/generators.hpp"
+#include "datasets/registry.hpp"
 #include "extraction/bottom_up.hpp"
 #include "extraction/genetic.hpp"
 #include "extraction/random_sample.hpp"
 #include "extraction/solution.hpp"
 #include "extraction/validate.hpp"
 #include "obs/trace.hpp"
+#include "smoothe/sampler.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
+namespace core = smoothe::core;
 namespace eg = smoothe::eg;
 namespace ex = smoothe::extract;
 namespace ds = smoothe::datasets;
@@ -40,6 +45,64 @@ expectCertified(const eg::EGraph& g, const ex::ExtractionResult& result)
 {
     const auto verdict = ex::validateResult(g, result);
     EXPECT_TRUE(verdict.ok()) << verdict.message;
+}
+
+/**
+ * The verdict of validate() by the whole-graph method: the same
+ * membership, root, completeness and reachability checks, then a colored
+ * DFS over the chosen subgraph from the root.
+ */
+ex::Violation
+referenceViolation(const eg::EGraph& g, const ex::Selection& sel)
+{
+    for (eg::ClassId cls = 0; cls < g.numClasses(); ++cls) {
+        const eg::NodeId nid = sel.choice[cls];
+        if (nid != eg::kNoNode &&
+            (nid >= g.numNodes() || g.classOf(nid) != cls))
+            return ex::Violation::DanglingNode;
+    }
+    if (!sel.chosen(g.root()))
+        return ex::Violation::RootUnchosen;
+    std::vector<bool> needed(g.numClasses(), false);
+    std::vector<eg::ClassId> worklist{g.root()};
+    needed[g.root()] = true;
+    while (!worklist.empty()) {
+        const eg::ClassId cls = worklist.back();
+        worklist.pop_back();
+        if (!sel.chosen(cls))
+            return ex::Violation::MissingChild;
+        for (eg::ClassId child : g.node(sel.choice[cls]).children) {
+            if (!needed[child]) {
+                needed[child] = true;
+                worklist.push_back(child);
+            }
+        }
+    }
+    for (eg::ClassId cls = 0; cls < g.numClasses(); ++cls) {
+        if (sel.chosen(cls) && !needed[cls])
+            return ex::Violation::UnreachableChoice;
+    }
+    enum class Color { White, Gray, Black };
+    std::vector<Color> color(g.numClasses(), Color::White);
+    std::vector<std::pair<eg::ClassId, std::size_t>> stack{{g.root(), 0}};
+    color[g.root()] = Color::Gray;
+    while (!stack.empty()) {
+        auto& [cls, next] = stack.back();
+        const auto& children = g.node(sel.choice[cls]).children;
+        if (next == children.size()) {
+            color[cls] = Color::Black;
+            stack.pop_back();
+            continue;
+        }
+        const eg::ClassId child = children[next++];
+        if (color[child] == Color::Gray)
+            return ex::Violation::Cyclic;
+        if (color[child] == Color::White) {
+            color[child] = Color::Gray;
+            stack.emplace_back(child, 0);
+        }
+    }
+    return ex::Violation::None;
 }
 
 } // namespace
@@ -135,6 +198,85 @@ TEST(Validate, RejectsCycle)
     sel.choice[b] = gb;
     EXPECT_EQ(ex::validate(g, sel).violation, ex::Violation::Cyclic);
     EXPECT_TRUE(std::isinf(ex::treeCost(g, sel)));
+}
+
+TEST(Validate, SccLocalCheckMatchesWholeGraphReference)
+{
+    // One graph with a self-loop class s next to the generated families.
+    eg::EGraph loopGraph;
+    const auto root = loopGraph.addClass();
+    const auto s = loopGraph.addClass();
+    loopGraph.addNode(root, "r", {s}, 1.0);
+    loopGraph.addNode(s, "loop", {s}, 1.0);
+    loopGraph.addNode(s, "leaf", {}, 1.0);
+    loopGraph.setRoot(root);
+    ASSERT_FALSE(loopGraph.finalize().has_value());
+    std::vector<ds::NamedEGraph> graphs;
+    graphs.push_back({"handmade", "self_loop", std::move(loopGraph)});
+    for (const char* family :
+         {"tensat", "rover", "flexc", "diospyros", "set", "caviar"}) {
+        for (auto& named : ds::loadFamily(family, 0.05, 55))
+            graphs.push_back(std::move(named));
+    }
+
+    smoothe::util::Rng rng(29);
+    std::map<ex::Violation, int> verdicts;
+    for (const auto& named : graphs) {
+        const eg::EGraph& g = named.graph;
+        const auto sccs = ex::CyclicSccs::of(g);
+        core::GreedySampler sampler(g, sccs);
+        const auto expectSameVerdict = [&](const ex::Selection& sel,
+                                           const char* what) {
+            const ex::Violation expected = referenceViolation(g, sel);
+            EXPECT_EQ(ex::validate(g, sel, sccs).violation, expected)
+                << named.name << " " << what;
+            EXPECT_EQ(ex::validate(g, sel).violation, expected)
+                << named.name << " " << what;
+            ++verdicts[expected];
+        };
+        expectSameVerdict(ex::Selection::empty(g), "empty selection");
+        std::vector<float> cp(g.numNodes());
+        for (int row = 0; row < 20; ++row) {
+            for (auto& v : cp)
+                v = static_cast<float>(rng.uniform(0.0, 1.0));
+            const ex::Selection raw = sampler.sample(cp.data(), false);
+            const ex::Selection repaired = sampler.sample(cp.data(), true);
+            expectSameVerdict(raw, "raw sample");
+            expectSameVerdict(repaired, "repaired sample");
+            if (!repaired.chosen(g.root()))
+                continue;
+
+            // The corruptions of a valid selection.
+            const auto needed = ex::neededClasses(g, repaired);
+            ASSERT_TRUE(needed.has_value());
+            const eg::ClassId victim =
+                (*needed)[rng.uniformIndex(needed->size())];
+            ex::Selection dangling = repaired;
+            dangling.choice[victim] =
+                (repaired.choice[victim] + 1) % g.numNodes();
+            if (g.classOf(dangling.choice[victim]) != victim)
+                expectSameVerdict(dangling, "dangling member");
+            for (eg::ClassId cls = 0; cls < g.numClasses(); ++cls) {
+                if (!repaired.chosen(cls)) {
+                    ex::Selection unreachable = repaired;
+                    unreachable.choice[cls] = g.nodesInClass(cls).front();
+                    expectSameVerdict(unreachable, "unreachable choice");
+                    break;
+                }
+            }
+            if (victim != g.root()) {
+                ex::Selection missing = repaired;
+                missing.choice[victim] = eg::kNoNode;
+                expectSameVerdict(missing, "missing child");
+            }
+        }
+    }
+    // Every verdict kind the selections can produce was exercised.
+    for (ex::Violation kind :
+         {ex::Violation::None, ex::Violation::RootUnchosen,
+          ex::Violation::MissingChild, ex::Violation::UnreachableChoice,
+          ex::Violation::Cyclic, ex::Violation::DanglingNode})
+        EXPECT_GT(verdicts[kind], 0) << static_cast<int>(kind);
 }
 
 TEST(Costs, DagCostCountsSharedOnce)

@@ -1,14 +1,15 @@
 /**
  * @file
  * Direct tests for the discrete sampling stage (Section 3.5): arg-max
- * behaviour, cycle repair, determinism, dead ends, and the SCC-local
- * repair check against a whole-graph reference.
+ * behaviour, cycle repair, determinism, dead ends, the tie rule, and the
+ * SCC-local repair check against a whole-graph reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "datasets/registry.hpp"
@@ -37,8 +38,9 @@ preferenceRow(const eg::EGraph& graph, const std::set<eg::NodeId>& prefer)
 }
 
 /**
- * The repaired sampler with the whole-graph cycle check: after choosing a
- * member, DFS over every chosen class from its children, with a fresh
+ * The repaired sampler with the whole-graph cycle check: members are
+ * tried in decreasing cp, ties in member order, and after choosing one a
+ * DFS runs over every chosen class from its children, with a fresh
  * visited set per check.
  */
 ex::Selection
@@ -75,8 +77,10 @@ referenceRepairedSample(const eg::EGraph& graph, const float* cp)
             continue;
         std::vector<eg::NodeId> order(graph.nodesInClass(cls).begin(),
                                       graph.nodesInClass(cls).end());
-        std::sort(order.begin(), order.end(),
-                  [&](eg::NodeId a, eg::NodeId b) { return cp[a] > cp[b]; });
+        std::stable_sort(order.begin(), order.end(),
+                         [&](eg::NodeId a, eg::NodeId b) {
+                             return cp[a] > cp[b];
+                         });
         eg::NodeId chosen = eg::kNoNode;
         for (eg::NodeId nid : order) {
             sel.choice[cls] = nid;
@@ -304,4 +308,54 @@ TEST(Sampler, RepairIsArgMaxOnAcyclicFamilies)
                 << family << " row " << row;
         }
     }
+}
+
+TEST(Sampler, TiesInLargeClassesGoToTheFirstMember)
+{
+    // Two 24-member classes whose top cp values are tied: a outside every
+    // cyclic SCC, and s, a self-loop class, whose odd members loop back
+    // to s. Past 16 members an unstable sort may reorder the ties, so
+    // this pins the rule: the first tied member in class order wins, and
+    // in s, with repair, the first tied member that closes no cycle.
+    eg::EGraph g;
+    const auto root = g.addClass();
+    const auto a = g.addClass();
+    const auto s = g.addClass();
+    g.addNode(root, "r", {a, s}, 0.0);
+    const std::size_t members = 24;
+    std::vector<eg::NodeId> aNodes;
+    std::vector<eg::NodeId> sNodes;
+    for (std::size_t i = 0; i < members; ++i) {
+        const std::string tag = std::to_string(i);
+        aNodes.push_back(g.addNode(a, "a" + tag, {}, 1.0));
+        if (i % 2 == 1)
+            sNodes.push_back(g.addNode(s, "loop" + tag, {s}, 1.0));
+        else
+            sNodes.push_back(g.addNode(s, "leaf" + tag, {}, 1.0));
+    }
+    g.setRoot(root);
+    ASSERT_FALSE(g.finalize().has_value());
+    const auto sccs = ex::CyclicSccs::of(g);
+    ASSERT_EQ(sccs.id[a], ex::CyclicSccs::kNone);
+    ASSERT_NE(sccs.id[s], ex::CyclicSccs::kNone);
+
+    // a ties at members 3, 7, 8, 15 and 20; s at every member but 0.
+    std::vector<float> cp(g.numNodes(), 0.5f);
+    for (std::size_t i : {3, 7, 8, 15, 20})
+        cp[aNodes[i]] = 0.75f;
+    cp[sNodes[0]] = 0.25f;
+
+    core::GreedySampler sampler(g, sccs);
+    const auto repaired = sampler.sample(cp.data(), true);
+    ASSERT_TRUE(repaired.chosen(g.root()));
+    EXPECT_EQ(repaired.choice[a], aNodes[3]);
+    EXPECT_EQ(repaired.choice[s], sNodes[2]); // sNodes[1] loops
+    EXPECT_EQ(repaired.choice, referenceRepairedSample(g, cp.data()).choice);
+    EXPECT_TRUE(ex::validate(g, repaired).ok());
+
+    const auto raw = sampler.sample(cp.data(), false);
+    ASSERT_TRUE(raw.chosen(g.root()));
+    EXPECT_EQ(raw.choice[a], aNodes[3]);
+    EXPECT_EQ(raw.choice[s], sNodes[1]);
+    EXPECT_EQ(ex::validate(g, raw).violation, ex::Violation::Cyclic);
 }
