@@ -9,22 +9,28 @@
 namespace smoothe::ad {
 
 void
-matmulCsrDense(const std::uint32_t* rowOffsets, const std::uint32_t* cols,
-               const double* values, const double* b, double* c,
-               std::size_t d)
+taylorTermStep(const std::uint32_t* rowOffsets, const std::uint32_t* cols,
+               const double* values, const double* b, double s, double* c,
+               double* out, std::size_t d)
 {
     if (tensor::simd::avx2Active()) {
-        tensor::avx2::matmulCsrDense(rowOffsets, cols, values, b, c, d);
+        tensor::avx2::taylorTermStep(rowOffsets, cols, values, b, s, c, out,
+                                     d);
         return;
     }
-    std::fill(c, c + d * d, 0.0);
     for (std::size_t i = 0; i < d; ++i) {
         double* cRow = c + i * d;
+        double* outRow = out + i * d;
+        std::fill(cRow, cRow + d, 0.0);
         for (std::uint32_t e = rowOffsets[i]; e < rowOffsets[i + 1]; ++e) {
             const double aik = values[e];
             const double* bRow = b + cols[e] * d;
             for (std::size_t j = 0; j < d; ++j)
                 cRow[j] += aik * bRow[j];
+        }
+        for (std::size_t j = 0; j < d; ++j) {
+            cRow[j] *= s;
+            outRow[j] += cRow[j];
         }
     }
 }
@@ -83,7 +89,7 @@ expmDouble(const double* a, std::size_t d, double* out)
     }
 
     // out = I + A, then each term A^k / k! = A * (A^(k-1) / (k-1)!) / k
-    // is added to it.
+    // is formed and added to it in one pass.
     const std::size_t n2 = d * d;
     std::vector<double> term(a, a + n2);
     std::vector<double> next(n2);
@@ -91,13 +97,8 @@ expmDouble(const double* a, std::size_t d, double* out)
     for (std::size_t i = 0; i < d; ++i)
         out[i * d + i] += 1.0;
     for (int k = 2; k <= degree; ++k) {
-        matmulCsrDense(rowOffsets.data(), cols.data(), values.data(),
-                       term.data(), next.data(), d);
-        const double inv = 1.0 / k;
-        for (std::size_t i = 0; i < n2; ++i) {
-            next[i] *= inv;
-            out[i] += next[i];
-        }
+        taylorTermStep(rowOffsets.data(), cols.data(), values.data(),
+                       term.data(), 1.0 / k, next.data(), out, d);
         term.swap(next);
     }
     return degree;
@@ -115,21 +116,6 @@ expm(const float* a, std::size_t d, float* out)
     for (std::size_t i = 0; i < n2; ++i)
         out[i] = static_cast<float>(output[i]);
     return degree;
-}
-
-double
-traceExpm(const float* a, std::size_t d)
-{
-    const std::size_t n2 = d * d;
-    std::vector<double> input(n2);
-    std::vector<double> output(n2);
-    for (std::size_t i = 0; i < n2; ++i)
-        input[i] = a[i];
-    expmDouble(input.data(), d, output.data());
-    double trace = 0.0;
-    for (std::size_t i = 0; i < d; ++i)
-        trace += output[i * d + i];
-    return trace;
 }
 
 } // namespace smoothe::ad

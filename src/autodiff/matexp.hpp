@@ -7,8 +7,9 @@
  * smallest with ||A||^(m+1) / (m+1)! * e^||A|| <= 2^-53 (the remainder
  * bound of the series), and sums I + A + A^2/2! + ... + A^m/m!. Each
  * term is formed as A^k/k! = A * (A^(k-1)/(k-1)!) / k with A held in
- * CSR form, so a product costs 2 * nnz(A) * d flops; there is no
- * scaling and no dense d^3 product.
+ * CSR form, in one pass (taylorTermStep) that also scales the product
+ * by 1/k and adds it to the sum, so a term costs 2 * nnz(A) * d flops
+ * plus 2 * d^2; there is no scaling and no dense d^3 product.
  *
  * Accuracy is pinned for nonnegative A, which is everything the
  * NOTEARS penalty feeds it: A scatters per-class softmax probabilities,
@@ -42,18 +43,17 @@ int expm(const float* a, std::size_t d, float* out);
 int expmDouble(const double* a, std::size_t d, double* out);
 
 /**
- * c = A * b where A is d x d in CSR form (rowOffsets has d + 1 entries,
- * columns ascending within a row) and b, c are row-major dense: ikj
- * order over A's stored entries, mul and add separately rounded. Runs
- * the register-blocked AVX2 variant when simd::avx2Active(); both are
- * bitwise identical.
+ * One Taylor term step: c = (A * b) * s, then out += c, where A is
+ * d x d in CSR form (rowOffsets has d + 1 entries, columns ascending
+ * within a row) and b, c, out are row-major dense. Per element: the
+ * product sum in ikj order over A's stored entries from +0, mul and add
+ * rounded separately, then * s, then out + c. Runs the register-blocked
+ * AVX2 variant when simd::avx2Active(); both are bitwise identical.
  */
-void matmulCsrDense(const std::uint32_t* rowOffsets,
+void taylorTermStep(const std::uint32_t* rowOffsets,
                     const std::uint32_t* cols, const double* values,
-                    const double* b, double* c, std::size_t d);
-
-/** Convenience: tr(exp(a)) for a row-major d x d matrix. */
-double traceExpm(const float* a, std::size_t d);
+                    const double* b, double s, double* c, double* out,
+                    std::size_t d);
 
 } // namespace smoothe::ad
 

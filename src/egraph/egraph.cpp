@@ -232,17 +232,21 @@ EGraph::classSccs() const
     requireFinalized();
     const std::size_t m = numClasses();
 
-    // Build the class dependency adjacency (deduplicated per class).
-    std::vector<std::vector<ClassId>> adj(m);
+    // The class dependency adjacency in CSR form: class j's children,
+    // sorted and deduplicated, are items[offsets[j], offsets[j + 1]).
+    std::vector<std::uint32_t> offsets(m + 1, 0);
+    std::vector<ClassId> items;
+    items.reserve(nodes_.size());
     for (std::size_t j = 0; j < m; ++j) {
-        std::vector<ClassId> out;
+        const auto begin = static_cast<std::ptrdiff_t>(offsets[j]);
         for (NodeId nid : classNodes_[j]) {
             for (ClassId child : nodes_[nid].children)
-                out.push_back(child);
+                items.push_back(child);
         }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        adj[j] = std::move(out);
+        std::sort(items.begin() + begin, items.end());
+        items.erase(std::unique(items.begin() + begin, items.end()),
+                    items.end());
+        offsets[j + 1] = static_cast<std::uint32_t>(items.size());
     }
 
     // Iterative Tarjan SCC.
@@ -257,27 +261,27 @@ EGraph::classSccs() const
     struct Frame
     {
         ClassId v;
-        std::size_t childIdx;
+        std::uint32_t next; ///< position of the next child in items
     };
     std::vector<Frame> callStack;
 
     for (ClassId start = 0; start < m; ++start) {
         if (index[start] != unvisited)
             continue;
-        callStack.push_back({start, 0});
+        callStack.push_back({start, offsets[start]});
         while (!callStack.empty()) {
             Frame& frame = callStack.back();
             const ClassId v = frame.v;
-            if (frame.childIdx == 0) {
+            if (index[v] == unvisited) {
                 index[v] = lowlink[v] = counter++;
                 stack.push_back(v);
                 onStack[v] = true;
             }
             bool descended = false;
-            while (frame.childIdx < adj[v].size()) {
-                const ClassId w = adj[v][frame.childIdx++];
+            while (frame.next < offsets[v + 1]) {
+                const ClassId w = items[frame.next++];
                 if (index[w] == unvisited) {
-                    callStack.push_back({w, 0});
+                    callStack.push_back({w, offsets[w]});
                     descended = true;
                     break;
                 }

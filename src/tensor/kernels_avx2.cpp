@@ -215,6 +215,16 @@ chainGrad8(const PropagateLanes& group, const float* gq, std::size_t s)
                : base;
 }
 
+/** c = sum * s, then out += c, on 4 doubles (the Taylor term step's
+ *  epilogue: multiply, then add, rounded apart). */
+SMOOTHE_AVX2_FN inline void
+scaleStoreAccumulate4(__m256d sum, __m256d s, double* c, double* out)
+{
+    const __m256d term = _mm256_mul_pd(sum, s);
+    _mm256_storeu_pd(c, term);
+    _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), term));
+}
+
 } // namespace
 
 SMOOTHE_AVX2_FN void
@@ -533,17 +543,21 @@ propagateBackward8(const PropagateLanes& group, const float* cp,
 }
 
 SMOOTHE_AVX2_FN void
-matmulCsrDense(const std::uint32_t* row_offsets,
+taylorTermStep(const std::uint32_t* row_offsets,
                const std::uint32_t* col_indices, const double* values,
-               const double* b, double* c, std::size_t d)
+               const double* b, double s, double* c, double* out,
+               std::size_t d)
 {
     // One output row at a time: each 16-column panel lives in four
-    // registers while k runs over the row's stored entries, so c is
-    // written once per element instead of once per k.
+    // registers while k runs over the row's stored entries, then is
+    // scaled by s, stored to c and added into out before the next panel,
+    // so c and out are each touched once per element.
+    const __m256d vs = _mm256_set1_pd(s);
     for (std::size_t i = 0; i < d; ++i) {
         const std::uint32_t begin = row_offsets[i];
         const std::uint32_t end = row_offsets[i + 1];
         double* cRow = c + i * d;
+        double* outRow = out + i * d;
         std::size_t j = 0;
         for (; j + 16 <= d; j += 16) {
             __m256d acc0 = _mm256_setzero_pd();
@@ -562,10 +576,10 @@ matmulCsrDense(const std::uint32_t* row_offsets,
                 acc3 = _mm256_add_pd(
                     acc3, _mm256_mul_pd(va, _mm256_loadu_pd(bRow + 12)));
             }
-            _mm256_storeu_pd(cRow + j, acc0);
-            _mm256_storeu_pd(cRow + j + 4, acc1);
-            _mm256_storeu_pd(cRow + j + 8, acc2);
-            _mm256_storeu_pd(cRow + j + 12, acc3);
+            scaleStoreAccumulate4(acc0, vs, cRow + j, outRow + j);
+            scaleStoreAccumulate4(acc1, vs, cRow + j + 4, outRow + j + 4);
+            scaleStoreAccumulate4(acc2, vs, cRow + j + 8, outRow + j + 8);
+            scaleStoreAccumulate4(acc3, vs, cRow + j + 12, outRow + j + 12);
         }
         for (; j + 4 <= d; j += 4) {
             __m256d acc = _mm256_setzero_pd();
@@ -575,13 +589,15 @@ matmulCsrDense(const std::uint32_t* row_offsets,
                     _mm256_mul_pd(_mm256_set1_pd(values[e]),
                                   _mm256_loadu_pd(b + col_indices[e] * d +
                                                   j)));
-            _mm256_storeu_pd(cRow + j, acc);
+            scaleStoreAccumulate4(acc, vs, cRow + j, outRow + j);
         }
         for (; j < d; ++j) {
             double acc = 0.0;
             for (std::uint32_t e = begin; e < end; ++e)
                 acc += values[e] * b[col_indices[e] * d + j];
+            acc *= s;
             cRow[j] = acc;
+            outRow[j] += acc;
         }
     }
 }
@@ -654,8 +670,8 @@ propagateBackward8(const PropagateLanes&, const float*, const float*,
     unreachable();
 }
 void
-matmulCsrDense(const std::uint32_t*, const std::uint32_t*, const double*,
-               const double*, double*, std::size_t)
+taylorTermStep(const std::uint32_t*, const std::uint32_t*, const double*,
+               const double*, double, double*, double*, std::size_t)
 {
     unreachable();
 }

@@ -151,16 +151,20 @@ void propagateBackward8(const PropagateLanes& group, const float* cp,
                         const float* g, float* gcp);
 
 /**
- * c = A * b where A is d x d in CSR form (row_offsets has d + 1
- * entries; each row's columns ascend) and b, c are row-major dense,
- * register-blocked: one output row at a time in 16-column panels held
- * in four accumulators, k running over the row's stored entries. Each
- * c[i][j] sums the same separately rounded products in the same order
- * as ad::matmulCsrDense's scalar loop, so the two are bitwise identical.
+ * One Taylor term step of ad::expmDouble: c = (A * b) * s, then
+ * out += c, where A is d x d in CSR form (row_offsets has d + 1
+ * entries; each row's columns ascend) and b, c, out are row-major
+ * dense. Register-blocked: one output row at a time in 16-column panels
+ * held in four accumulators, k running over the row's stored entries;
+ * each panel is scaled, stored to c and added into out while still in
+ * registers. Each c[i][j] sums the same separately rounded products in
+ * the same order as ad::taylorTermStep's scalar loop, starting from +0,
+ * then takes the same * s and out + c, so the two are bitwise identical.
  */
-void matmulCsrDense(const std::uint32_t* row_offsets,
+void taylorTermStep(const std::uint32_t* row_offsets,
                     const std::uint32_t* col_indices, const double* values,
-                    const double* b, double* c, std::size_t d);
+                    const double* b, double s, double* c, double* out,
+                    std::size_t d);
 
 } // namespace smoothe::tensor::avx2
 

@@ -10,7 +10,9 @@
  * levels, and bench_fig5_mlp, whose MLP training and composite cost
  * replay Mul/Relu/MatMul and the one-stage elementwise ops compiled,
  * and bench_fig7_seeds, which samples 1 to 64 seeds per iteration on a
- * cyclic graph)
+ * cyclic graph, and bench_extra_ablations, whose NOTEARS lambda sweep
+ * runs the matrix exponential's Taylor term steps on a cyclic
+ * tensat-style graph)
  * with --trace-out, --metrics-out,
  * --report-out and --profile-out on tiny inputs and checks that every
  * file they write parses: the trace as Chrome trace-event JSON covering
@@ -252,8 +254,11 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string fig6 = binaryPath("bench_fig6_ablation", "bench");
     const std::string fig5 = binaryPath("bench_fig5_mlp", "bench");
     const std::string fig7 = binaryPath("bench_fig7_seeds", "bench");
+    const std::string ablations =
+        binaryPath("bench_extra_ablations", "bench");
     if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
-        fig8.empty() || fig6.empty() || fig5.empty() || fig7.empty())
+        fig8.empty() || fig6.empty() || fig5.empty() || fig7.empty() ||
+        ablations.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -290,8 +295,12 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     // Figure 7 samples B = 1, 2, ..., 64 seeds per iteration on rover's
     // cyclic box_3, so the sampler's repair runs at every batch size.
     ASSERT_EQ(runCommand(fig7 + " --quick" + telemetry("fig7")), 0);
+    // The ablations' lambda sweep trains with the NOTEARS penalty on a
+    // cyclic tensat-style graph, so tr_expm runs inside SmoothE.
+    ASSERT_EQ(runCommand(ablations + " --quick" + telemetry("ablations")),
+              0);
     for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9",
-                            "fig8", "fig6", "fig5", "fig7"}) {
+                            "fig8", "fig6", "fig5", "fig7", "ablations"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -316,6 +325,14 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         fig7Metrics.find("sampler.samples");
     ASSERT_NE(fig7Samples, nullptr);
     EXPECT_GT(fig7Samples->asNumber(), 0.0);
+
+    // The lambda sweep summed Taylor terms of the penalty's exponential.
+    const smoothe::util::Json ablationsMetrics =
+        readJson(dir + "/ablations_metrics.json");
+    const smoothe::util::Json* matexpTerms =
+        ablationsMetrics.find("kernel.matexp.terms");
+    ASSERT_NE(matexpTerms, nullptr);
+    EXPECT_GT(matexpTerms->asNumber(), 0.0);
 
     // Figure 8's shares come from the per-phase totals, sampling included.
     const smoothe::util::Json fig8Report =

@@ -90,7 +90,10 @@ TEST(Matexp, IdentityOnZero)
         for (std::size_t j = 0; j < d; ++j)
             EXPECT_NEAR(out[i * d + j], i == j ? 1.0f : 0.0f, 1e-6);
     }
-    EXPECT_NEAR(ad::traceExpm(a.data(), d), 4.0, 1e-9);
+    double trace = 0.0;
+    for (std::size_t i = 0; i < d; ++i)
+        trace += out[i * d + i];
+    EXPECT_NEAR(trace, 4.0, 1e-9);
 }
 
 TEST(Matexp, DiagonalMatrix)
@@ -125,7 +128,9 @@ TEST(Matexp, TwoByTwoCycleTrace)
     // A = [[0, w], [w, 0]] -> tr(exp(A)) = 2 cosh(w) > 2 when w > 0:
     // the NOTEARS signal for a 2-cycle.
     std::vector<float> a = {0.0f, 0.7f, 0.7f, 0.0f};
-    EXPECT_NEAR(ad::traceExpm(a.data(), 2), 2.0 * std::cosh(0.7), 1e-5);
+    std::vector<float> out(4);
+    ad::expm(a.data(), 2, out.data());
+    EXPECT_NEAR(double{out[0]} + out[3], 2.0 * std::cosh(0.7), 1e-5);
 }
 
 TEST(Matexp, LargeNormUnscaledSeries)

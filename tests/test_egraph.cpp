@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "datasets/registry.hpp"
 #include "egraph/egraph.hpp"
 #include "egraph/serialize.hpp"
 #include "extraction/solution.hpp"
@@ -39,6 +44,88 @@ diamond()
     g.setRoot(root);
     EXPECT_FALSE(g.finalize().has_value());
     return g;
+}
+
+/**
+ * EGraph::classSccs() as it was with one adjacency vector per class:
+ * children sorted and deduplicated per class, then the same iterative
+ * Tarjan. The reference for the flat-adjacency version's output order.
+ */
+std::vector<std::vector<eg::ClassId>>
+referenceClassSccs(const eg::EGraph& g)
+{
+    const std::size_t m = g.numClasses();
+    std::vector<std::vector<eg::ClassId>> adj(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        std::vector<eg::ClassId> out;
+        for (eg::NodeId nid : g.nodesInClass(static_cast<eg::ClassId>(j))) {
+            for (eg::ClassId child : g.node(nid).children)
+                out.push_back(child);
+        }
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+        adj[j] = std::move(out);
+    }
+
+    constexpr std::uint32_t unvisited =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> index(m, unvisited);
+    std::vector<std::uint32_t> lowlink(m, 0);
+    std::vector<bool> onStack(m, false);
+    std::vector<eg::ClassId> stack;
+    std::vector<std::vector<eg::ClassId>> sccs;
+    std::uint32_t counter = 0;
+    struct Frame
+    {
+        eg::ClassId v;
+        std::size_t childIdx;
+    };
+    std::vector<Frame> callStack;
+    for (eg::ClassId start = 0; start < m; ++start) {
+        if (index[start] != unvisited)
+            continue;
+        callStack.push_back({start, 0});
+        while (!callStack.empty()) {
+            Frame& frame = callStack.back();
+            const eg::ClassId v = frame.v;
+            if (frame.childIdx == 0) {
+                index[v] = lowlink[v] = counter++;
+                stack.push_back(v);
+                onStack[v] = true;
+            }
+            bool descended = false;
+            while (frame.childIdx < adj[v].size()) {
+                const eg::ClassId w = adj[v][frame.childIdx++];
+                if (index[w] == unvisited) {
+                    callStack.push_back({w, 0});
+                    descended = true;
+                    break;
+                }
+                if (onStack[w])
+                    lowlink[v] = std::min(lowlink[v], index[w]);
+            }
+            if (descended)
+                continue;
+            if (lowlink[v] == index[v]) {
+                std::vector<eg::ClassId> component;
+                while (true) {
+                    const eg::ClassId w = stack.back();
+                    stack.pop_back();
+                    onStack[w] = false;
+                    component.push_back(w);
+                    if (w == v)
+                        break;
+                }
+                sccs.push_back(std::move(component));
+            }
+            callStack.pop_back();
+            if (!callStack.empty()) {
+                Frame& parent = callStack.back();
+                lowlink[parent.v] = std::min(lowlink[parent.v], lowlink[v]);
+            }
+        }
+    }
+    return sccs;
 }
 
 } // namespace
@@ -223,6 +310,37 @@ TEST(EGraph, SccPartitionsAllClasses)
     for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(seen[i], 1) << "class " << i;
     EXPECT_FALSE(acyclic(g));
+}
+
+TEST(EGraph, ClassSccsMatchesPerClassReference)
+{
+    // The SCC order is what Prepared::sccs and the penalty sum follow,
+    // so it must match the per-class-vector version exactly, not only
+    // as a partition.
+    eg::EGraph loopGraph;
+    const auto root = loopGraph.addClass();
+    const auto s = loopGraph.addClass();
+    const auto t = loopGraph.addClass();
+    loopGraph.addNode(root, "r", {s, t}, 1.0);
+    loopGraph.addNode(s, "loop", {s}, 1.0);
+    loopGraph.addNode(s, "to_t", {t, t}, 1.0);
+    loopGraph.addNode(t, "back", {s}, 1.0);
+    loopGraph.addNode(t, "leaf", {}, 1.0);
+    loopGraph.setRoot(root);
+    ASSERT_FALSE(loopGraph.finalize().has_value());
+    EXPECT_EQ(loopGraph.classSccs(), referenceClassSccs(loopGraph));
+
+    int cyclicGraphs = 0;
+    for (const char* family :
+         {"tensat", "rover", "flexc", "diospyros", "caviar"}) {
+        for (const auto& named : smoothe::datasets::loadFamily(family, 0.05, 30)) {
+            const auto sccs = named.graph.classSccs();
+            EXPECT_EQ(sccs, referenceClassSccs(named.graph)) << named.name;
+            if (sccs.size() < named.graph.numClasses())
+                ++cyclicGraphs;
+        }
+    }
+    EXPECT_GT(cyclicGraphs, 0);
 }
 
 TEST(Serialize, RoundTrip)

@@ -588,18 +588,17 @@ TEST(SimdParity, MatrixExpIsBitIdentical)
     runParityChecks(checkMatrixExp, 0xeff1);
 }
 
-TEST(SimdParity, MatexpDoubleKernelsAreBitIdentical)
+TEST(SimdParity, TaylorTermStepMatchesUnfusedReferenceBitwise)
 {
     if (!avx2Available())
         GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
     util::Rng rng(0xc5a);
-    // d % 16 and d % 4 tails of every size, plus sub-panel widths.
-    for (const std::size_t d :
-         {1UL, 3UL, 4UL, 5UL, 15UL, 16UL, 17UL, 31UL, 33UL, 48UL, 71UL}) {
+    // Sub-panel widths, the d % 16 and d % 4 tails, and whole panels.
+    for (const std::size_t d : {1UL, 3UL, 5UL, 12UL, 17UL, 33UL, 64UL, 71UL}) {
         SCOPED_TRACE("d=" + std::to_string(d));
         const std::size_t n2 = d * d;
         // A: about 10% nonzero, every third row all zero (an empty CSR
-        // row); B: dense signed.
+        // row); b dense signed; the running sum out starts nonzero.
         std::vector<double> a(n2, 0.0);
         for (std::size_t i = 0; i < d; ++i)
             for (std::size_t j = 0; j < d; ++j)
@@ -608,6 +607,10 @@ TEST(SimdParity, MatexpDoubleKernelsAreBitIdentical)
         std::vector<double> b(n2);
         for (double& v : b)
             v = rng.uniform(-2.0, 2.0);
+        std::vector<double> outStart(n2);
+        for (double& v : outStart)
+            v = rng.uniform(0.5, 3.0);
+        const double s = 1.0 / static_cast<double>(3 + d % 7);
         std::vector<std::uint32_t> rowOffsets(d + 1, 0);
         std::vector<std::uint32_t> cols;
         std::vector<double> values;
@@ -621,28 +624,33 @@ TEST(SimdParity, MatexpDoubleKernelsAreBitIdentical)
             rowOffsets[i + 1] = static_cast<std::uint32_t>(cols.size());
         }
 
-        LevelGuard guard;
-        std::vector<double> sparse[2];
-        const simd::Level levels[2] = {simd::Level::Scalar,
-                                       simd::Level::Avx2};
-        for (int l = 0; l < 2; ++l) {
-            simd::setLevel(levels[l]);
-            sparse[l].assign(n2, -1.0);
-            ad::matmulCsrDense(rowOffsets.data(), cols.data(),
-                               values.data(), b.data(), sparse[l].data(),
-                               d);
-        }
-        const std::size_t bytes = n2 * sizeof(double);
-        EXPECT_EQ(std::memcmp(sparse[0].data(), sparse[1].data(), bytes),
-                  0);
-        // The CSR product adds exactly the terms of a dense ikj product
-        // that skips A's zeros, in the same order.
-        std::vector<double> dense(n2, 0.0);
+        // The unfused reference: a dense ikj product that skips A's
+        // zeros, then c *= s, then out += c.
+        std::vector<double> refC(n2, 0.0);
         for (std::size_t i = 0; i < d; ++i)
             for (std::size_t k = 0; k < d; ++k)
                 if (a[i * d + k] != 0.0)
                     for (std::size_t j = 0; j < d; ++j)
-                        dense[i * d + j] += a[i * d + k] * b[k * d + j];
-        EXPECT_EQ(std::memcmp(sparse[0].data(), dense.data(), bytes), 0);
+                        refC[i * d + j] += a[i * d + k] * b[k * d + j];
+        std::vector<double> refOut = outStart;
+        for (std::size_t i = 0; i < n2; ++i) {
+            refC[i] *= s;
+            refOut[i] += refC[i];
+        }
+
+        LevelGuard guard;
+        const std::size_t bytes = n2 * sizeof(double);
+        for (const simd::Level level :
+             {simd::Level::Scalar, simd::Level::Avx2}) {
+            SCOPED_TRACE(level == simd::Level::Avx2 ? "avx2" : "scalar");
+            simd::setLevel(level);
+            std::vector<double> c(n2, -1.0);
+            std::vector<double> out = outStart;
+            ad::taylorTermStep(rowOffsets.data(), cols.data(),
+                               values.data(), b.data(), s, c.data(),
+                               out.data(), d);
+            EXPECT_EQ(std::memcmp(c.data(), refC.data(), bytes), 0);
+            EXPECT_EQ(std::memcmp(out.data(), refOut.data(), bytes), 0);
+        }
     }
 }
