@@ -34,16 +34,13 @@ LinearCost::build(Tape& tape, VarId p) const
 }
 
 double
-LinearCost::discrete(const std::vector<bool>& s) const
+LinearCost::discrete(const extract::NodeIndicator& s) const
 {
-    SMOOTHE_CHECK(s.size() == weights_.size(),
-                  "indicator has %zu entries for %zu weights", s.size(),
+    SMOOTHE_CHECK(s.size == weights_.size(),
+                  "indicator has %zu entries for %zu weights", s.size,
                   weights_.size());
     double total = 0.0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i])
-            total += weights_[i];
-    }
+    s.forEachSet([&](std::size_t i) { total += weights_[i]; });
     return total;
 }
 
@@ -90,11 +87,13 @@ MlpCost::build(Tape& tape, VarId p) const
 }
 
 double
-MlpCost::discrete(const std::vector<bool>& s) const
+MlpCost::discrete(const extract::NodeIndicator& s) const
 {
     Tensor input(1, inputDim_);
-    for (std::size_t i = 0; i < s.size() && i < inputDim_; ++i)
-        input.at(0, i) = s[i] ? 1.0f : 0.0f;
+    s.forEachSet([&](std::size_t i) {
+        if (i < inputDim_)
+            input.at(0, i) = 1.0f;
+    });
     return forwardBatch(input).front();
 }
 
@@ -123,9 +122,11 @@ MlpCost::trainSynthetic(const eg::EGraph& graph, std::size_t num_samples,
     // Held negated: the loss records pred + (-t), exactly pred - t.
     Tensor negTargets(num_samples, 1);
     for (std::size_t row = 0; row < selections.size(); ++row) {
-        const auto indicator = selections[row].toNodeIndicator(graph);
-        for (std::size_t i = 0; i < inputDim_; ++i)
-            inputs.at(row, i) = indicator[i] ? 1.0f : 0.0f;
+        selections[row].toNodeIndicator(graph).forEachSet(
+            [&](std::size_t i) {
+                if (i < inputDim_)
+                    inputs.at(row, i) = 1.0f;
+            });
         negTargets.at(row, 0) =
             -static_cast<float>(rng.uniform(-10.0, -1.0));
     }
@@ -174,7 +175,7 @@ CompositeCost::build(Tape& tape, VarId p) const
 }
 
 double
-CompositeCost::discrete(const std::vector<bool>& s) const
+CompositeCost::discrete(const extract::NodeIndicator& s) const
 {
     return linear_->discrete(s) + scale_ * nonlinear_->discrete(s);
 }

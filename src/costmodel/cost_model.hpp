@@ -24,6 +24,7 @@
 
 #include "autodiff/tape.hpp"
 #include "egraph/egraph.hpp"
+#include "extraction/solution.hpp"
 #include "util/rng.hpp"
 
 namespace smoothe::cost {
@@ -46,7 +47,7 @@ class CostModel
     virtual ad::VarId build(ad::Tape& tape, ad::VarId p) const = 0;
 
     /** Scores a discrete binary selection (s[i] = e-node i chosen). */
-    virtual double discrete(const std::vector<bool>& s) const = 0;
+    virtual double discrete(const extract::NodeIndicator& s) const = 0;
 };
 
 /** f(p) = u^T p with u taken from the e-graph's per-node costs. */
@@ -60,7 +61,8 @@ class LinearCost : public CostModel
 
     std::string name() const override { return "linear"; }
     ad::VarId build(ad::Tape& tape, ad::VarId p) const override;
-    double discrete(const std::vector<bool>& s) const override;
+    /** u^T s over the set bits only, summed in ascending node order. */
+    double discrete(const extract::NodeIndicator& s) const override;
 
   private:
     std::vector<float> weights_;
@@ -82,7 +84,7 @@ class MlpCost : public CostModel
 
     std::string name() const override { return "mlp"; }
     ad::VarId build(ad::Tape& tape, ad::VarId p) const override;
-    double discrete(const std::vector<bool>& s) const override;
+    double discrete(const extract::NodeIndicator& s) const override;
 
     /**
      * Trains on synthetic data following the paper: random valid
@@ -115,7 +117,7 @@ class CompositeCost : public CostModel
 
     std::string name() const override { return "linear+mlp"; }
     ad::VarId build(ad::Tape& tape, ad::VarId p) const override;
-    double discrete(const std::vector<bool>& s) const override;
+    double discrete(const extract::NodeIndicator& s) const override;
 
   private:
     std::shared_ptr<CostModel> linear_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,33 +13,24 @@ ClassId
 EGraph::addClass()
 {
     SMOOTHE_ASSERT(!finalized_, "addClass() after finalize()");
-    classNodes_.emplace_back();
-    return static_cast<ClassId>(classNodes_.size() - 1);
+    return static_cast<ClassId>(numClasses_++);
 }
 
 NodeId
-EGraph::addNode(ClassId cls, ENode node)
+EGraph::addNode(ClassId cls, std::string op,
+                const std::vector<ClassId>& children, double cost)
 {
     SMOOTHE_ASSERT(!finalized_, "addNode() after finalize()");
-    SMOOTHE_CHECK(cls < classNodes_.size(),
+    SMOOTHE_CHECK(cls < numClasses_,
                   "addNode: e-class %u does not exist (have %zu)", cls,
-                  classNodes_.size());
-    const NodeId id = static_cast<NodeId>(nodes_.size());
-    nodes_.push_back(std::move(node));
+                  numClasses_);
+    const NodeId id = static_cast<NodeId>(nodeClass_.size());
+    ops_.push_back(std::move(op));
+    costs_.push_back(cost);
     nodeClass_.push_back(cls);
-    classNodes_[cls].push_back(id);
+    childItems_.insert(childItems_.end(), children.begin(), children.end());
+    childOffsets_.push_back(static_cast<std::uint32_t>(childItems_.size()));
     return id;
-}
-
-NodeId
-EGraph::addNode(ClassId cls, std::string op, std::vector<ClassId> children,
-                double cost)
-{
-    ENode node;
-    node.op = std::move(op);
-    node.children = std::move(children);
-    node.cost = cost;
-    return addNode(cls, std::move(node));
 }
 
 std::optional<std::string>
@@ -50,18 +40,35 @@ EGraph::finalize()
         return std::nullopt;
     if (root_ == kNoClass)
         return "e-graph has no root e-class";
-    if (root_ >= classNodes_.size())
+    if (root_ >= numClasses_)
         return "root e-class id out of range";
-    for (std::size_t j = 0; j < classNodes_.size(); ++j) {
-        if (classNodes_[j].empty()) {
+
+    // Class members by a counting sort on nodeClass_: ascending node ids
+    // within each class, the order the nodes were added in.
+    const std::size_t n = numNodes();
+    memberOffsets_.assign(numClasses_ + 1, 0);
+    for (ClassId cls : nodeClass_)
+        ++memberOffsets_[cls + 1];
+    for (std::size_t j = 0; j < numClasses_; ++j)
+        memberOffsets_[j + 1] += memberOffsets_[j];
+    memberItems_.resize(n);
+    {
+        std::vector<std::uint32_t> next(memberOffsets_.begin(),
+                                        memberOffsets_.end() - 1);
+        for (NodeId i = 0; i < n; ++i)
+            memberItems_[next[nodeClass_[i]]++] = i;
+    }
+
+    for (std::size_t j = 0; j < numClasses_; ++j) {
+        if (memberOffsets_[j] == memberOffsets_[j + 1]) {
             std::ostringstream oss;
             oss << "e-class " << j << " is empty";
             return oss.str();
         }
     }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        for (ClassId child : nodes_[i].children) {
-            if (child >= classNodes_.size()) {
+    for (NodeId i = 0; i < n; ++i) {
+        for (ClassId child : children(i)) {
+            if (child >= numClasses_) {
                 std::ostringstream oss;
                 oss << "e-node " << i << " references unknown e-class "
                     << child;
@@ -70,38 +77,27 @@ EGraph::finalize()
         }
     }
 
-    classParents_.assign(classNodes_.size(), {});
-    std::size_t edges = 0;
+    classParents_ = parentIndex();
     std::size_t leaves = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const auto& children = nodes_[i].children;
-        edges += children.size();
-        if (children.empty())
-            ++leaves;
-        // A node may reference the same child class twice (e.g. x * x);
-        // record the parent once per distinct child class.
-        std::vector<ClassId> distinct = children;
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        for (ClassId child : distinct)
-            classParents_[child].push_back(static_cast<NodeId>(i));
-    }
+    for (NodeId i = 0; i < n; ++i)
+        leaves += children(i).empty();
 
-    stats_.numNodes = nodes_.size();
-    stats_.numClasses = classNodes_.size();
+    const std::size_t edges = childItems_.size();
+    stats_.numNodes = n;
+    stats_.numClasses = numClasses_;
     stats_.numEdges = edges;
     stats_.numLeaves = leaves;
-    stats_.avgDegree =
-        nodes_.empty() ? 0.0 : static_cast<double>(edges) / nodes_.size();
+    stats_.avgDegree = n == 0 ? 0.0 : static_cast<double>(edges) / n;
     stats_.density =
-        nodes_.empty() || classNodes_.empty()
+        n == 0 || numClasses_ == 0
             ? 0.0
             : static_cast<double>(edges) /
-                  (static_cast<double>(nodes_.size()) * classNodes_.size());
+                  (static_cast<double>(n) * numClasses_);
     stats_.maxClassSize = 0;
-    for (const auto& members : classNodes_)
-        stats_.maxClassSize = std::max(stats_.maxClassSize, members.size());
+    for (std::size_t j = 0; j < numClasses_; ++j)
+        stats_.maxClassSize =
+            std::max<std::size_t>(stats_.maxClassSize,
+                                  memberOffsets_[j + 1] - memberOffsets_[j]);
 
     finalized_ = true;
     SMOOTHE_DCHECK_OK(checkInvariants());
@@ -118,30 +114,52 @@ EGraph::checkInvariants() const
     };
 
     // Primary storage sizes must agree.
-    if (nodeClass_.size() != nodes_.size())
-        return problem("nodeClass index has ", nodeClass_.size(),
-                       " entries for ", nodes_.size(), " nodes");
+    const std::size_t n = nodeClass_.size();
+    if (ops_.size() != n || costs_.size() != n)
+        return problem("node storage has ", ops_.size(), " ops and ",
+                       costs_.size(), " costs for ", n, " nodes");
+    if (childOffsets_.size() != n + 1 || childOffsets_.front() != 0 ||
+        childOffsets_.back() != childItems_.size() ||
+        !std::is_sorted(childOffsets_.begin(), childOffsets_.end()))
+        return problem("child offsets do not partition the ",
+                       childItems_.size(), " child entries of ", n,
+                       " nodes");
 
     // Per-node: class in range, children in range, finite cost.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (nodeClass_[i] >= classNodes_.size())
+    for (NodeId i = 0; i < n; ++i) {
+        if (nodeClass_[i] >= numClasses_)
             return problem("e-node ", i, " claims out-of-range e-class ",
                            nodeClass_[i]);
-        for (ClassId child : nodes_[i].children) {
-            if (child >= classNodes_.size())
+        for (ClassId child : children(i)) {
+            if (child >= numClasses_)
                 return problem("e-node ", i,
                                " references out-of-range e-class ", child);
         }
-        if (!std::isfinite(nodes_[i].cost))
+        if (!std::isfinite(costs_[i]))
             return problem("e-node ", i, " has non-finite cost");
     }
 
-    // Membership must be bijective: classNodes_ lists each node exactly
-    // once, in the class the node claims.
-    std::vector<std::size_t> listed(nodes_.size(), 0);
-    for (std::size_t j = 0; j < classNodes_.size(); ++j) {
-        for (NodeId nid : classNodes_[j]) {
-            if (nid >= nodes_.size())
+    if (!finalized_)
+        return std::nullopt; // derived indices not built yet
+
+    if (root_ >= numClasses_)
+        return problem("root e-class ", root_, " out of range");
+
+    // Membership must be bijective: the member index lists each node
+    // exactly once, in the class the node claims.
+    if (memberOffsets_.size() != numClasses_ + 1 ||
+        memberOffsets_.front() != 0 ||
+        memberOffsets_.back() != memberItems_.size() ||
+        !std::is_sorted(memberOffsets_.begin(), memberOffsets_.end()))
+        return problem("member offsets do not partition the ",
+                       memberItems_.size(), " member entries of ",
+                       numClasses_, " classes");
+    std::vector<std::size_t> listed(n, 0);
+    for (ClassId j = 0; j < numClasses_; ++j) {
+        if (nodesInClass(j).empty())
+            return problem("e-class ", j, " is empty");
+        for (NodeId nid : nodesInClass(j)) {
+            if (nid >= n)
                 return problem("e-class ", j,
                                " lists out-of-range e-node ", nid);
             if (nodeClass_[nid] != j)
@@ -156,53 +174,51 @@ EGraph::checkInvariants() const
                            " times across e-classes");
     }
 
-    if (!finalized_)
-        return std::nullopt; // derived indices not built yet
-
-    if (root_ >= classNodes_.size())
-        return problem("root e-class ", root_, " out of range");
-    for (std::size_t j = 0; j < classNodes_.size(); ++j) {
-        if (classNodes_[j].empty())
-            return problem("e-class ", j, " is empty");
-    }
-
     // Parent index must match a recomputation (one entry per distinct
     // child class, ascending node ids as built by finalize()).
-    if (classParents_.size() != classNodes_.size())
+    if (classParents_.size() != numClasses_)
         return problem("parent index has ", classParents_.size(),
-                       " entries for ", classNodes_.size(), " classes");
-    std::vector<std::vector<NodeId>> expectedParents(classNodes_.size());
-    std::size_t edges = 0;
-    std::size_t leaves = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const auto& children = nodes_[i].children;
-        edges += children.size();
-        if (children.empty())
-            ++leaves;
-        std::vector<ClassId> distinct = children;
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        for (ClassId child : distinct)
-            expectedParents[child].push_back(static_cast<NodeId>(i));
-    }
-    for (std::size_t j = 0; j < classNodes_.size(); ++j) {
+                       " entries for ", numClasses_, " classes");
+    const std::vector<std::vector<NodeId>> expectedParents = parentIndex();
+    for (std::size_t j = 0; j < numClasses_; ++j) {
         if (classParents_[j] != expectedParents[j])
             return problem("parent index of e-class ", j,
                            " disagrees with recomputation");
     }
 
     // Cached statistics must match a recount.
-    if (stats_.numNodes != nodes_.size() ||
-        stats_.numClasses != classNodes_.size() ||
+    std::size_t leaves = 0;
+    for (NodeId i = 0; i < n; ++i)
+        leaves += children(i).empty();
+    const std::size_t edges = childItems_.size();
+    if (stats_.numNodes != n || stats_.numClasses != numClasses_ ||
         stats_.numEdges != edges || stats_.numLeaves != leaves)
         return problem("cached stats disagree with recount (nodes ",
-                       stats_.numNodes, "/", nodes_.size(), ", classes ",
-                       stats_.numClasses, "/", classNodes_.size(),
-                       ", edges ", stats_.numEdges, "/", edges, ", leaves ",
+                       stats_.numNodes, "/", n, ", classes ",
+                       stats_.numClasses, "/", numClasses_, ", edges ",
+                       stats_.numEdges, "/", edges, ", leaves ",
                        stats_.numLeaves, "/", leaves, ")");
 
     return std::nullopt;
+}
+
+std::vector<std::vector<NodeId>>
+EGraph::parentIndex() const
+{
+    std::vector<std::vector<NodeId>> parents(numClasses_);
+    std::vector<ClassId> distinct;
+    for (NodeId i = 0; i < numNodes(); ++i) {
+        // A node may reference the same child class twice (e.g. x * x);
+        // record the parent once per distinct child class.
+        const auto kids = children(i);
+        distinct.assign(kids.begin(), kids.end());
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        for (ClassId child : distinct)
+            parents[child].push_back(i);
+    }
+    return parents;
 }
 
 const std::vector<NodeId>&
@@ -236,11 +252,11 @@ EGraph::classSccs() const
     // sorted and deduplicated, are items[offsets[j], offsets[j + 1]).
     std::vector<std::uint32_t> offsets(m + 1, 0);
     std::vector<ClassId> items;
-    items.reserve(nodes_.size());
+    items.reserve(childItems_.size());
     for (std::size_t j = 0; j < m; ++j) {
         const auto begin = static_cast<std::ptrdiff_t>(offsets[j]);
-        for (NodeId nid : classNodes_[j]) {
-            for (ClassId child : nodes_[nid].children)
+        for (NodeId nid : nodesInClass(static_cast<ClassId>(j))) {
+            for (ClassId child : children(nid))
                 items.push_back(child);
         }
         std::sort(items.begin() + begin, items.end());
@@ -324,8 +340,8 @@ EGraph::reachableClasses() const
         const ClassId cls = worklist.back();
         worklist.pop_back();
         order.push_back(cls);
-        for (NodeId nid : classNodes_[cls]) {
-            for (ClassId child : nodes_[nid].children) {
+        for (NodeId nid : nodesInClass(cls)) {
+            for (ClassId child : children(nid)) {
                 if (!seen[child]) {
                     seen[child] = true;
                     worklist.push_back(child);

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,15 +36,19 @@ constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 /** Sentinel for "no e-class". */
 constexpr ClassId kNoClass = std::numeric_limits<ClassId>::max();
 
-/** An operator (or value) node inside an e-class. */
+/**
+ * An operator (or value) node inside an e-class, as a read-only view
+ * into the graph's storage (EGraph::node()); it stays valid while the
+ * graph lives and no node is added.
+ */
 struct ENode
 {
     /** Operator symbol, e.g. "+", "mul", "conv2d". */
-    std::string op;
+    const std::string& op;
     /** Ordered child e-classes (operands). Empty for leaves. */
-    std::vector<ClassId> children;
+    std::span<const ClassId> children;
     /** Per-node cost consumed by the linear cost model. */
-    double cost = 1.0;
+    double cost;
 };
 
 /** Summary statistics matching the columns of Table 1 in the paper. */
@@ -62,9 +67,16 @@ struct EGraphStats
  * An immutable-after-finalize e-graph.
  *
  * Build protocol: addClass() / addNode() / setRoot(), then finalize().
- * finalize() validates all child references, builds the parent index, and
- * computes statistics. Queries that need the parent index assert that
- * finalize() has been called.
+ * finalize() validates all child references, builds the member and
+ * parent indices, and computes statistics. Queries that need an index
+ * built by finalize() say so.
+ *
+ * Storage is flat: each node's children are one slice of a single
+ * offsets/items array (appended by addNode()), and each class's members
+ * one slice of another (built by finalize()). children() and
+ * nodesInClass() return spans over those slices, so a walk over the
+ * graph touches two contiguous arrays instead of one heap vector per
+ * node or class.
  */
 class EGraph
 {
@@ -79,11 +91,8 @@ class EGraph
      * Child classes may be forward references (added later), as long as
      * they exist by the time finalize() runs.
      */
-    NodeId addNode(ClassId cls, ENode node);
-
-    /** Convenience: adds an e-node from parts. */
     NodeId addNode(ClassId cls, std::string op,
-                   std::vector<ClassId> children, double cost = 1.0);
+                   const std::vector<ClassId>& children, double cost = 1.0);
 
     /** Declares the root e-class (containing the top-level operator). */
     void setRoot(ClassId root) { root_ = root; }
@@ -107,21 +116,34 @@ class EGraph
     /** True once finalize() has succeeded. */
     bool finalized() const { return finalized_; }
 
-    std::size_t numNodes() const { return nodes_.size(); }
-    std::size_t numClasses() const { return classNodes_.size(); }
+    std::size_t numNodes() const { return nodeClass_.size(); }
+    std::size_t numClasses() const { return numClasses_; }
     ClassId root() const { return root_; }
 
     /** The e-node with the given id. */
-    const ENode& node(NodeId id) const { return nodes_[id]; }
+    ENode
+    node(NodeId id) const
+    {
+        return {ops_[id], children(id), costs_[id]};
+    }
+
+    /** ch_i: the ordered child e-classes of e-node id. */
+    std::span<const ClassId>
+    children(NodeId id) const
+    {
+        return {childItems_.data() + childOffsets_[id],
+                childItems_.data() + childOffsets_[id + 1]};
+    }
 
     /** ec(i): the e-class containing e-node id. */
     ClassId classOf(NodeId id) const { return nodeClass_[id]; }
 
-    /** The e-nodes inside e-class cls. */
-    const std::vector<NodeId>&
+    /** The e-nodes inside e-class cls, ascending (needs finalize). */
+    std::span<const NodeId>
     nodesInClass(ClassId cls) const
     {
-        return classNodes_[cls];
+        return {memberItems_.data() + memberOffsets_[cls],
+                memberItems_.data() + memberOffsets_[cls + 1]};
     }
 
     /** pa_j: e-nodes that have e-class cls as a child (needs finalize). */
@@ -146,14 +168,25 @@ class EGraph
 
   private:
     void requireFinalized() const;
+    /** pa_j of every class recomputed from the children: one entry per
+     *  distinct child class, ascending node ids. */
+    std::vector<std::vector<NodeId>> parentIndex() const;
 
     /** Test-only backdoor used to corrupt state and prove the validator
      *  catches it (tests/test_check.cpp). */
     friend struct EGraphTestPeer;
 
-    std::vector<ENode> nodes_;
-    std::vector<ClassId> nodeClass_;            // node id -> class id
-    std::vector<std::vector<NodeId>> classNodes_; // class id -> node ids
+    std::vector<std::string> ops_;     // node id -> operator symbol
+    std::vector<double> costs_;        // node id -> cost
+    std::vector<ClassId> nodeClass_;   // node id -> class id
+    // node i's children: childItems_[childOffsets_[i], childOffsets_[i + 1])
+    std::vector<std::uint32_t> childOffsets_{0};
+    std::vector<ClassId> childItems_;
+    std::size_t numClasses_ = 0;
+    // class j's members, built by finalize():
+    // memberItems_[memberOffsets_[j], memberOffsets_[j + 1])
+    std::vector<std::uint32_t> memberOffsets_;
+    std::vector<NodeId> memberItems_;
     std::vector<std::vector<NodeId>> classParents_; // class id -> parent nodes
     ClassId root_ = kNoClass;
     bool finalized_ = false;

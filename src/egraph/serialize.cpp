@@ -15,24 +15,29 @@ using util::Json;
 std::string
 toJson(const EGraph& graph, bool pretty)
 {
-    Json nodes = Json::makeObject();
     // Use one representative node id per class so children can reference
     // node ids as the gym format requires.
     std::vector<NodeId> representative(graph.numClasses(), kNoNode);
     for (ClassId cls = 0; cls < graph.numClasses(); ++cls)
         representative[cls] = graph.nodesInClass(cls).front();
 
+    // Node ids are unique keys, so entries are appended directly rather
+    // than through Json::set, whose duplicate-key scan made this
+    // quadratic in the node count.
+    Json::Object nodes;
+    nodes.reserve(graph.numNodes());
     for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
-        const ENode& node = graph.node(nid);
-        Json entry = Json::makeObject();
-        entry.set("op", node.op);
+        const ENode node = graph.node(nid);
         Json children = Json::makeArray();
         for (ClassId child : node.children)
             children.push(std::to_string(representative[child]));
-        entry.set("children", std::move(children));
-        entry.set("eclass", std::to_string(graph.classOf(nid)));
-        entry.set("cost", node.cost);
-        nodes.set(std::to_string(nid), std::move(entry));
+        Json::Object entry;
+        entry.reserve(4);
+        entry.emplace_back("op", node.op);
+        entry.emplace_back("children", std::move(children));
+        entry.emplace_back("eclass", std::to_string(graph.classOf(nid)));
+        entry.emplace_back("cost", node.cost);
+        nodes.emplace_back(std::to_string(nid), std::move(entry));
     }
 
     Json roots = Json::makeArray();
@@ -106,20 +111,20 @@ fromJson(const std::string& text, std::string* error)
         const Json* op = entry.find("op");
         const Json* children = entry.find("children");
         const Json* cost = entry.find("cost");
-        ENode node;
-        node.op = (op && op->isString()) ? op->asString() : "?";
-        node.cost = (cost && cost->isNumber()) ? cost->asNumber() : 1.0;
+        const double nodeCost =
+            (cost && cost->isNumber()) ? cost->asNumber() : 1.0;
+        std::vector<ClassId> nodeChildren;
         if (cost && !cost->isNumber()) {
             setError(error,
                      "node \"" + nodeKey + "\" cost must be a number");
             return std::nullopt;
         }
-        if (!std::isfinite(node.cost)) {
+        if (!std::isfinite(nodeCost)) {
             setError(error, "node \"" + nodeKey + "\" cost is not finite");
             return std::nullopt;
         }
         // SmoothE computes in float: a larger cost would become inf.
-        if (std::fabs(node.cost) > std::numeric_limits<float>::max()) {
+        if (std::fabs(nodeCost) > std::numeric_limits<float>::max()) {
             setError(error, "node \"" + nodeKey +
                                 "\" cost exceeds the float range");
             return std::nullopt;
@@ -140,10 +145,12 @@ fromJson(const std::string& text, std::string* error)
                                         "\" not found");
                     return std::nullopt;
                 }
-                node.children.push_back(classIds[it->second]);
+                nodeChildren.push_back(classIds[it->second]);
             }
         }
-        graph.addNode(classIds[nodeToClass[nodeKey]], std::move(node));
+        graph.addNode(classIds[nodeToClass[nodeKey]],
+                      (op && op->isString()) ? op->asString() : "?",
+                      nodeChildren, nodeCost);
     }
 
     // Root.

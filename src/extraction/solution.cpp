@@ -20,15 +20,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 } // namespace
 
-std::vector<bool>
+NodeIndicator
 Selection::toNodeIndicator(const eg::EGraph& graph) const
 {
-    std::vector<bool> s(graph.numNodes(), false);
-    for (ClassId cls = 0; cls < choice.size(); ++cls) {
-        if (choice[cls] != kNoNode)
-            s[choice[cls]] = true;
-    }
+    NodeIndicator s(graph.numNodes());
+    s.assign(*this);
     return s;
+}
+
+void
+NodeIndicator::assign(const Selection& sel)
+{
+    std::fill(words.begin(), words.end(), 0);
+    for (const NodeId nid : sel.choice) {
+        if (nid != kNoNode)
+            set(nid);
+    }
 }
 
 ValidationResult
@@ -36,6 +43,29 @@ validate(const EGraph& graph, const Selection& sel)
 {
     return validate(graph, sel, CyclicSccs::of(graph));
 }
+
+namespace {
+
+/** validate()'s working arrays, kept per thread and reused across
+ *  calls, so a call allocates nothing once they fit the graph. */
+struct ValidateScratch
+{
+    struct Frame
+    {
+        ClassId cls;
+        std::uint32_t childIdx;
+    };
+    enum Color : unsigned char { White, Gray, Black };
+
+    std::vector<std::uint8_t> needed;
+    std::vector<ClassId> worklist;
+    std::vector<std::uint8_t> color;
+    std::vector<Frame> stack;
+};
+
+thread_local ValidateScratch validateScratch;
+
+} // namespace
 
 ValidationResult
 validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
@@ -50,11 +80,13 @@ validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
         return result;
     };
 
-    if (sel.choice.size() != graph.numClasses())
+    const std::size_t m = graph.numClasses();
+    if (sel.choice.size() != m)
         return fail(Violation::DanglingNode, "selection size mismatch");
 
-    // Membership consistency.
-    for (ClassId cls = 0; cls < graph.numClasses(); ++cls) {
+    // Membership consistency, counting the chosen classes.
+    std::size_t chosen = 0;
+    for (ClassId cls = 0; cls < m; ++cls) {
         const NodeId nid = sel.choice[cls];
         if (nid == kNoNode)
             continue;
@@ -64,16 +96,21 @@ validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
                 << " is not a member of that class";
             return fail(Violation::DanglingNode, oss.str());
         }
+        ++chosen;
     }
 
     // Constraint (a).
     if (!sel.chosen(graph.root()))
         return fail(Violation::RootUnchosen, "root e-class has no choice");
 
-    // Constraint (b) + reachability, via BFS from the root.
-    std::vector<bool> needed(graph.numClasses(), false);
-    std::vector<ClassId> worklist{graph.root()};
-    needed[graph.root()] = true;
+    // Constraint (b) + reachability, via DFS from the root.
+    ValidateScratch& scratch = validateScratch;
+    std::vector<std::uint8_t>& needed = scratch.needed;
+    std::vector<ClassId>& worklist = scratch.worklist;
+    needed.assign(m, 0);
+    worklist.assign(1, graph.root());
+    needed[graph.root()] = 1;
+    std::size_t neededCount = 1;
     while (!worklist.empty()) {
         const ClassId cls = worklist.back();
         worklist.pop_back();
@@ -83,44 +120,48 @@ validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
             oss << "needed class " << cls << " has no chosen e-node";
             return fail(Violation::MissingChild, oss.str());
         }
-        for (ClassId child : graph.node(nid).children) {
+        for (ClassId child : graph.children(nid)) {
             if (!needed[child]) {
-                needed[child] = true;
+                needed[child] = 1;
+                ++neededCount;
                 worklist.push_back(child);
             }
         }
     }
 
-    for (ClassId cls = 0; cls < graph.numClasses(); ++cls) {
-        if (sel.chosen(cls) && !needed[cls]) {
-            std::ostringstream oss;
-            oss << "class " << cls
-                << " is chosen but not needed by the extraction";
-            return fail(Violation::UnreachableChoice, oss.str());
+    // Every needed class is chosen by now, so the counts differ exactly
+    // when some chosen class is not needed.
+    if (neededCount != chosen) {
+        for (ClassId cls = 0; cls < m; ++cls) {
+            if (sel.chosen(cls) && !needed[cls]) {
+                std::ostringstream oss;
+                oss << "class " << cls
+                    << " is chosen but not needed by the extraction";
+                return fail(Violation::UnreachableChoice, oss.str());
+            }
         }
     }
 
     // Constraint (c): colored DFS inside each cyclic SCC. Every chosen
     // class is needed here, so each child of a chosen node is chosen.
-    enum class Color : unsigned char { White, Gray, Black };
-    std::vector<Color> color(graph.numClasses(), Color::White);
-    struct Frame
-    {
-        ClassId cls;
-        std::size_t childIdx;
-    };
-    std::vector<Frame> stack;
+    if (sccs.classes.empty())
+        return result;
+    using Color = ValidateScratch::Color;
+    std::vector<std::uint8_t>& color = scratch.color;
+    std::vector<ValidateScratch::Frame>& stack = scratch.stack;
+    color.resize(m);
     for (const auto& scc : sccs.classes) {
         const std::uint32_t id = sccs.id[scc.front()];
+        for (ClassId cls : scc)
+            color[cls] = Color::White;
         for (ClassId start : scc) {
             if (!sel.chosen(start) || color[start] != Color::White)
                 continue;
             color[start] = Color::Gray;
-            stack.push_back({start, 0});
+            stack.assign(1, {start, 0});
             while (!stack.empty()) {
-                Frame& frame = stack.back();
-                const auto& children =
-                    graph.node(sel.choice[frame.cls]).children;
+                ValidateScratch::Frame& frame = stack.back();
+                const auto children = graph.children(sel.choice[frame.cls]);
                 if (frame.childIdx < children.size()) {
                     const ClassId child = children[frame.childIdx++];
                     if (sccs.id[child] != id)
@@ -148,26 +189,12 @@ validate(const EGraph& graph, const Selection& sel, const CyclicSccs& sccs)
 double
 dagCost(const EGraph& graph, const Selection& sel)
 {
-    if (!sel.chosen(graph.root()))
+    const auto needed = neededClasses(graph, sel);
+    if (!needed)
         return kInf;
-    std::vector<bool> counted(graph.numClasses(), false);
-    std::vector<ClassId> worklist{graph.root()};
-    counted[graph.root()] = true;
     double total = 0.0;
-    while (!worklist.empty()) {
-        const ClassId cls = worklist.back();
-        worklist.pop_back();
-        const NodeId nid = sel.choice[cls];
-        if (nid == kNoNode)
-            return kInf;
-        total += graph.node(nid).cost;
-        for (ClassId child : graph.node(nid).children) {
-            if (!counted[child]) {
-                counted[child] = true;
-                worklist.push_back(child);
-            }
-        }
-    }
+    for (ClassId cls : *needed)
+        total += graph.node(sel.choice[cls]).cost;
     return total;
 }
 
@@ -200,7 +227,7 @@ treeCost(const EGraph& graph, const Selection& sel)
         return kInf;
     while (!stack.empty()) {
         Frame& frame = stack.back();
-        const auto& children = graph.node(sel.choice[frame.cls]).children;
+        const auto children = graph.children(sel.choice[frame.cls]);
         if (frame.childIdx < children.size()) {
             const ClassId child = children[frame.childIdx++];
             switch (state[child]) {
@@ -239,7 +266,7 @@ rootedSelection(const EGraph& graph, const std::vector<NodeId>& class_choice)
     while (!worklist.empty()) {
         const ClassId cls = worklist.back();
         worklist.pop_back();
-        for (ClassId child : graph.node(sel.choice[cls]).children) {
+        for (ClassId child : graph.children(sel.choice[cls])) {
             if (sel.choice[child] != kNoNode)
                 continue;
             if (class_choice[child] == kNoNode)
@@ -267,7 +294,7 @@ neededClasses(const EGraph& graph, const Selection& sel)
         const NodeId nid = sel.choice[cls];
         if (nid == kNoNode)
             return std::nullopt;
-        for (ClassId child : graph.node(nid).children) {
+        for (ClassId child : graph.children(nid)) {
             if (!seen[child]) {
                 seen[child] = true;
                 worklist.push_back(child);
@@ -283,7 +310,7 @@ CyclicSccs::of(const EGraph& graph)
     const std::size_t m = graph.numClasses();
     std::vector<bool> selfLoop(m, false);
     for (NodeId nid = 0; nid < graph.numNodes(); ++nid) {
-        for (ClassId child : graph.node(nid).children) {
+        for (ClassId child : graph.children(nid)) {
             if (child == graph.classOf(nid))
                 selfLoop[child] = true;
         }
@@ -315,7 +342,7 @@ CycleCheck::closesCycle(const std::vector<NodeId>& choice, ClassId cls)
     while (!dfs_.empty()) {
         const ClassId cur = dfs_.back();
         dfs_.pop_back();
-        for (ClassId child : graph_.node(choice[cur]).children) {
+        for (ClassId child : graph_.children(choice[cur])) {
             if (child == cls)
                 return true;
             if (sccs_.id[child] != scc || choice[child] == kNoNode ||

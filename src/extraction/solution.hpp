@@ -9,11 +9,18 @@
  *   (b) for every chosen e-node, exactly one e-node chosen in each child
  *       e-class (completeness),
  *   (c) the chosen subgraph is acyclic.
+ *
+ * Every walk here reads the e-graph's flat children and member arrays
+ * (EGraph::children(), EGraph::nodesInClass()). validate() and
+ * CycleCheck are on SmoothE's per-sample path and allocate nothing once
+ * their working arrays have grown to the graph: validate() keeps them
+ * per thread, a CycleCheck in its members.
  */
 
 #ifndef SMOOTHE_EXTRACTION_SOLUTION_HPP
 #define SMOOTHE_EXTRACTION_SOLUTION_HPP
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -23,6 +30,8 @@
 #include "egraph/egraph.hpp"
 
 namespace smoothe::extract {
+
+struct NodeIndicator;
 
 /**
  * A (possibly partial) extraction: choice[c] is the chosen e-node of
@@ -48,7 +57,51 @@ struct Selection
     }
 
     /** Converts to the paper's binary e-node indicator vector s. */
-    std::vector<bool> toNodeIndicator(const eg::EGraph& graph) const;
+    NodeIndicator toNodeIndicator(const eg::EGraph& graph) const;
+};
+
+/**
+ * The paper's binary e-node indicator vector s over N e-nodes, packed 64
+ * to a word: s_i is bit i % 64 of words[i / 64]. forEachSet() visits
+ * only the set bits, in ascending node order, so a linear cost sums
+ * exactly the terms, in exactly the order, of a loop over all N entries.
+ */
+struct NodeIndicator
+{
+    std::vector<std::uint64_t> words;
+    std::size_t size = 0; ///< N
+
+    NodeIndicator() = default;
+    /** An all-zero indicator over num_nodes e-nodes. */
+    explicit NodeIndicator(std::size_t num_nodes)
+        : words((num_nodes + 63) / 64, 0), size(num_nodes)
+    {}
+
+    bool
+    operator[](std::size_t i) const
+    {
+        return (words[i / 64] >> (i % 64)) & 1U;
+    }
+
+    void
+    set(std::size_t i)
+    {
+        words[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+
+    /** Clears every bit, then sets those of sel's chosen e-nodes. */
+    void assign(const Selection& sel);
+
+    /** Calls f(i) for every set bit i, ascending. */
+    template <class F>
+    void
+    forEachSet(F&& f) const
+    {
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+                f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+    }
 };
 
 /** Why a selection failed validation. */
@@ -96,13 +149,19 @@ struct CyclicSccs
  * every class needed from the root is chosen, every chosen class is
  * needed, and the chosen subgraph is acyclic.
  *
+ * The membership pass also counts the chosen classes, and the DFS from
+ * the root marks the needed ones in a byte array; when the two counts
+ * agree every chosen class is needed, so the scan for a chosen class
+ * that is not needed runs only when they differ, to name the first one.
+ *
  * The acyclicity check is SCC-local and exact: a cycle of the chosen
  * subgraph is a cycle of the class dependency graph, so all its classes
  * lie in one cyclic SCC. The colored DFS therefore starts only from the
  * chosen classes of cyclic SCCs and follows only chosen children in the
  * same SCC; on a graph without cyclic SCCs it does nothing. Since every
  * chosen class is needed by then, it finds a cycle exactly when a DFS
- * from the root would.
+ * from the root would. Its colour array is touched only for the classes
+ * of cyclic SCCs.
  *
  * @param graph a finalized e-graph
  * @param sel the candidate extraction

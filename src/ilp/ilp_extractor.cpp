@@ -72,7 +72,8 @@ buildExtractionLp(const EGraph& graph)
     // (1c): s_i <= sum over child class members.
     for (NodeId nid = 0; nid < n; ++nid) {
         // Deduplicate repeated child classes (e.g. x * x).
-        std::vector<ClassId> children = graph.node(nid).children;
+        const auto kids = graph.children(nid);
+        std::vector<ClassId> children(kids.begin(), kids.end());
         std::sort(children.begin(), children.end());
         children.erase(std::unique(children.begin(), children.end()),
                        children.end());
@@ -93,7 +94,8 @@ buildExtractionLp(const EGraph& graph)
         const double bigA = 1.0 + 2.0 * eps;
         for (NodeId nid = 0; nid < n; ++nid) {
             const ClassId owner = graph.classOf(nid);
-            std::vector<ClassId> children = graph.node(nid).children;
+            const auto kids = graph.children(nid);
+            std::vector<ClassId> children(kids.begin(), kids.end());
             std::sort(children.begin(), children.end());
             children.erase(std::unique(children.begin(), children.end()),
                            children.end());
@@ -140,7 +142,8 @@ class BnBSearch
         std::vector<std::size_t> pending(n, 0);
         std::vector<NodeId> queue;
         for (NodeId nid = 0; nid < n; ++nid) {
-            std::vector<ClassId> distinct = graph.node(nid).children;
+            const auto kids = graph.children(nid);
+            std::vector<ClassId> distinct(kids.begin(), kids.end());
             std::sort(distinct.begin(), distinct.end());
             distinct.erase(
                 std::unique(distinct.begin(), distinct.end()),

@@ -10,18 +10,22 @@ using eg::kNoNode;
 using eg::NodeId;
 using extract::Selection;
 
-Selection
+const Selection&
 GreedySampler::sample(const float* cp_row, bool repair)
 {
-    Selection sel = Selection::empty(graph_);
-    std::vector<ClassId> stack{graph_.root()};
+    Selection& sel = sel_;
+    for (ClassId cls : chosen_)
+        sel.choice[cls] = kNoNode;
+    chosen_.clear();
+    std::vector<ClassId>& stack = stack_;
+    stack.assign(1, graph_.root());
     while (!stack.empty()) {
         const ClassId cls = stack.back();
         stack.pop_back();
         if (sel.choice[cls] != kNoNode)
             continue;
 
-        const auto& members = graph_.nodesInClass(cls);
+        const auto members = graph_.nodesInClass(cls);
         NodeId chosen = kNoNode;
         float best = -std::numeric_limits<float>::infinity();
         for (NodeId nid : members) {
@@ -59,12 +63,46 @@ GreedySampler::sample(const float* cp_row, bool repair)
             return sel;
         }
         sel.choice[cls] = chosen;
-        for (ClassId child : graph_.node(chosen).children) {
+        chosen_.push_back(cls);
+        for (ClassId child : graph_.children(chosen)) {
             if (sel.choice[child] == kNoNode)
                 stack.push_back(child);
         }
     }
     return sel;
+}
+
+SeedSampler::SeedSampler(const eg::EGraph& graph,
+                         const extract::CyclicSccs& sccs,
+                         const cost::CostModel& model)
+    : graph_(graph), sccs_(sccs), model_(model), sampler_(graph, sccs),
+      last_(Selection::empty(graph)), indicator_(graph.numNodes()),
+      samples_(obs::counter("sampler.samples")),
+      valid_(obs::counter("sampler.valid_samples")),
+      reused_(obs::counter("sampler.reused"))
+{}
+
+bool
+SeedSampler::draw(const float* cp_row, bool repair)
+{
+    const Selection& sample = sampler_.sample(cp_row, repair);
+    samples_.add(1);
+    if (!sample.chosen(graph_.root()))
+        return false;
+    if (sample.choice == last_.choice) {
+        reused_.add(1);
+    } else {
+        last_.choice = sample.choice;
+        lastValid_ = extract::validate(graph_, last_, sccs_).ok();
+        if (lastValid_) {
+            indicator_.assign(last_);
+            lastCost_ = model_.discrete(indicator_);
+        }
+    }
+    if (!lastValid_)
+        return false;
+    valid_.add(1);
+    return true;
 }
 
 } // namespace smoothe::core

@@ -21,6 +21,13 @@
  * sorted by cp, and tried in that order. A sample therefore costs one
  * scan of each needed class's members plus one check per member tried
  * in a cyclic SCC; no check costs O(numClasses).
+ *
+ * A sampler is built once per seed and run and allocates nothing per
+ * sample: its DFS stack, the cycle check's stamps and the output
+ * Selection are members, and a sample resets only the classes the
+ * previous one chose. SeedSampler adds the rest of the per-seed stage,
+ * certification and the discrete cost, and reuses both for a sample
+ * equal to the seed's previous one.
  */
 
 #ifndef SMOOTHE_SMOOTHE_SAMPLER_HPP
@@ -28,7 +35,9 @@
 
 #include <vector>
 
+#include "costmodel/cost_model.hpp"
 #include "extraction/solution.hpp"
+#include "obs/metrics.hpp"
 
 namespace smoothe::core {
 
@@ -38,7 +47,8 @@ class GreedySampler
   public:
     /** @param sccs CyclicSccs::of(graph); must outlive the sampler */
     GreedySampler(const eg::EGraph& graph, const extract::CyclicSccs& sccs)
-        : graph_(graph), sccs_(sccs), cycleCheck_(graph, sccs)
+        : graph_(graph), sccs_(sccs), cycleCheck_(graph, sccs),
+          sel_(extract::Selection::empty(graph))
     {}
     GreedySampler(const eg::EGraph&, extract::CyclicSccs&&) = delete;
 
@@ -46,15 +56,65 @@ class GreedySampler
      * Samples a selection from one seed's cp row.
      * @param cp_row numNodes() conditional probabilities
      * @param repair skip cycle-closing members instead of failing
-     * @return a selection; root entry is eg::kNoNode on dead ends
+     * @return the sampler's selection, overwritten by the next call;
+     *         root entry is eg::kNoNode on dead ends
      */
-    extract::Selection sample(const float* cp_row, bool repair);
+    const extract::Selection& sample(const float* cp_row, bool repair);
 
   private:
     const eg::EGraph& graph_;
     const extract::CyclicSccs& sccs_;
     extract::CycleCheck cycleCheck_;
+    extract::Selection sel_;
+    std::vector<eg::ClassId> chosen_; ///< classes sel_ sets, to reset
+    std::vector<eg::ClassId> stack_;
     std::vector<eg::NodeId> scratch_;
+};
+
+/**
+ * One seed's sampling stage for one run: sample, certify with
+ * extract::validate, score with the cost model. It keeps its last
+ * certified choice vector with that vector's verdict and cost; both are
+ * pure functions of the graph and the choice vector, so a sample equal
+ * to it reuses them instead of validating and scoring again. Counts
+ * every draw in `sampler.samples`, the valid ones in
+ * `sampler.valid_samples` and the reused ones in `sampler.reused`.
+ */
+class SeedSampler
+{
+  public:
+    /** Keeps references to all three; they must outlive the sampler. */
+    SeedSampler(const eg::EGraph& graph, const extract::CyclicSccs& sccs,
+                const cost::CostModel& model);
+    SeedSampler(const eg::EGraph&, extract::CyclicSccs&&,
+                const cost::CostModel&) = delete;
+
+    /**
+     * Draws one sample from a cp row (see GreedySampler::sample).
+     * @return true when the sample is a valid extraction; selection()
+     *         and cost() then describe it
+     */
+    bool draw(const float* cp_row, bool repair);
+
+    /** The last sample that reached certification. */
+    const extract::Selection& selection() const { return last_; }
+    /** Its discrete cost; meaningful after draw() returned true. */
+    double cost() const { return lastCost_; }
+
+  private:
+    const eg::EGraph& graph_;
+    const extract::CyclicSccs& sccs_;
+    const cost::CostModel& model_;
+    GreedySampler sampler_;
+    /** Starts empty, which equals no sample whose root is chosen, so
+     *  the first such draw is always certified. */
+    extract::Selection last_;
+    bool lastValid_ = false;
+    double lastCost_ = 0.0;
+    extract::NodeIndicator indicator_;
+    obs::Counter& samples_;
+    obs::Counter& valid_;
+    obs::Counter& reused_;
 };
 
 } // namespace smoothe::core

@@ -135,7 +135,8 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
             local[classes[i]] = static_cast<std::uint32_t>(i);
         for (ClassId cls : classes) {
             for (NodeId nid : graph.nodesInClass(cls)) {
-                std::vector<ClassId> children = graph.node(nid).children;
+                const auto kids = graph.children(nid);
+                std::vector<ClassId> children(kids.begin(), kids.end());
                 std::sort(children.begin(), children.end());
                 children.erase(
                     std::unique(children.begin(), children.end()),
@@ -184,7 +185,7 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
             const ClassId cls = order[head++];
             depth = std::max(depth, level[cls]);
             for (NodeId nid : graph.nodesInClass(cls)) {
-                for (ClassId child : graph.node(nid).children) {
+                for (ClassId child : graph.children(nid)) {
                     if (level[child] ==
                         std::numeric_limits<std::uint32_t>::max()) {
                         level[child] = level[cls] + 1;
@@ -575,6 +576,14 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             .set(static_cast<double>(diagnostics.programBuffers));
         obs::gauge("arena.reuse_ratio").set(diagnostics.bufferReuseRatio);
 
+        // Each seed keeps its sampler, and its last certified sample
+        // with that sample's verdict and cost, for the whole run.
+        std::vector<SeedSampler> seeds;
+        seeds.reserve(batch);
+        for (std::size_t b = 0; b < batch; ++b)
+            seeds.emplace_back(graph, prep.cyclic, model);
+        std::vector<std::uint8_t> drawnValid(batch, 0);
+
         // Why the loop below ends: exactly one stop counter per run.
         const char* stopReason = "smoothe.stop.max_iterations";
         for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
@@ -617,38 +626,24 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 auto scope = diagnostics.profile.sampling();
                 const Tensor& cp = program->value(handles.cp);
                 const std::size_t rows = cp.rows();
-                std::vector<std::optional<Selection>> candidates(rows);
-                std::vector<double> sampleCosts(rows, kInf);
                 util::ThreadPool::global().parallelForChunks(
                     0, rows, 1,
                     [&](std::size_t chunkBegin, std::size_t chunkEnd) {
                         obs::Span chunkSpan("sample.chunk", "sampler");
-                        GreedySampler sampler(graph, prep.cyclic);
                         for (std::size_t b = chunkBegin; b < chunkEnd;
                              ++b) {
-                            Selection candidate = sampler.sample(
+                            drawnValid[b] = seeds[b].draw(
                                 cp.row(b), config.repairSampling);
-                            samplesTotal.add(1);
-                            if (!candidate.chosen(graph.root()))
-                                continue;
-                            if (!extract::validate(graph, candidate,
-                                                   prep.cyclic)
-                                     .ok())
-                                continue;
-                            samplesValid.add(1);
-                            sampleCosts[b] = model.discrete(
-                                candidate.toNodeIndicator(graph));
-                            candidates[b] = std::move(candidate);
                         }
                     });
                 for (std::size_t b = 0; b < rows; ++b) {
-                    if (!candidates[b])
+                    if (!drawnValid[b])
                         continue;
-                    const double cost = sampleCosts[b];
+                    const double cost = seeds[b].cost();
                     iterBest = std::min(iterBest, cost);
                     if (cost < bestCost) {
                         bestCost = cost;
-                        bestSelection = std::move(*candidates[b]);
+                        bestSelection.choice = seeds[b].selection().choice;
                         sinceImprovement = 0;
                         obs::traceInstant("smoothe.incumbent");
                         obs::traceCounter("smoothe.best_cost", bestCost);

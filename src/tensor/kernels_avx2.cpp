@@ -602,6 +602,47 @@ taylorTermStep(const std::uint32_t* row_offsets,
     }
 }
 
+SMOOTHE_AVX2_FN void
+adamStep(const AdamCoeffs& k, const float* g, float* w, float* m, float* v,
+         std::size_t n)
+{
+    const float keep1 = 1.0f - k.beta1;
+    const float keep2 = 1.0f - k.beta2;
+    const __m256 beta1 = _mm256_set1_ps(k.beta1);
+    const __m256 beta2 = _mm256_set1_ps(k.beta2);
+    const __m256 vKeep1 = _mm256_set1_ps(keep1);
+    const __m256 vKeep2 = _mm256_set1_ps(keep2);
+    const __m256 lr = _mm256_set1_ps(k.lr);
+    const __m256 eps = _mm256_set1_ps(k.epsilon);
+    const __m256 c1 = _mm256_set1_ps(k.correction1);
+    const __m256 c2 = _mm256_set1_ps(k.correction2);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 gi = _mm256_loadu_ps(g + i);
+        const __m256 mi =
+            _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                          _mm256_mul_ps(vKeep1, gi));
+        const __m256 vi = _mm256_add_ps(
+            _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+            _mm256_mul_ps(_mm256_mul_ps(vKeep2, gi), gi));
+        _mm256_storeu_ps(m + i, mi);
+        _mm256_storeu_ps(v + i, vi);
+        const __m256 mHat = _mm256_div_ps(mi, c1);
+        const __m256 vHat = _mm256_div_ps(vi, c2);
+        const __m256 step =
+            _mm256_div_ps(_mm256_mul_ps(lr, mHat),
+                          _mm256_add_ps(_mm256_sqrt_ps(vHat), eps));
+        _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+    }
+    for (; i < n; ++i) {
+        m[i] = k.beta1 * m[i] + keep1 * g[i];
+        v[i] = k.beta2 * v[i] + keep2 * g[i] * g[i];
+        const float mHat = m[i] / k.correction1;
+        const float vHat = v[i] / k.correction2;
+        w[i] -= k.lr * mHat / (std::sqrt(vHat) + k.epsilon);
+    }
+}
+
 } // namespace smoothe::tensor::avx2
 
 #else // !x86: dispatch never selects these; keep the symbols linkable.
@@ -672,6 +713,13 @@ propagateBackward8(const PropagateLanes&, const float*, const float*,
 void
 taylorTermStep(const std::uint32_t*, const std::uint32_t*, const double*,
                const double*, double, double*, double*, std::size_t)
+{
+    unreachable();
+}
+
+void
+adamStep(const AdamCoeffs&, const float*, float*, float*, float*,
+         std::size_t)
 {
     unreachable();
 }

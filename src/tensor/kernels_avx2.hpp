@@ -166,6 +166,27 @@ void taylorTermStep(const std::uint32_t* row_offsets,
                     const double* b, double s, double* c, double* out,
                     std::size_t d);
 
+/** The scalars of one ad::Adam step. */
+struct AdamCoeffs
+{
+    float beta1;
+    float beta2;
+    float lr;
+    float epsilon;
+    float correction1; ///< 1 - beta1^t
+    float correction2; ///< 1 - beta2^t
+};
+
+/**
+ * One Adam step over n parameters w with gradients g and moments m, v:
+ * m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g, then
+ * w -= (lr (m / c1)) / (sqrt(v / c2) + eps). Every multiply, add,
+ * divide and square root is rounded apart, in the order of
+ * ad::Adam::step's scalar loop, so the two are bitwise identical.
+ */
+void adamStep(const AdamCoeffs& k, const float* g, float* w, float* m,
+              float* v, std::size_t n);
+
 } // namespace smoothe::tensor::avx2
 
 #endif // SMOOTHE_TENSOR_KERNELS_AVX2_HPP

@@ -12,7 +12,8 @@
  * and bench_fig7_seeds, which samples 1 to 64 seeds per iteration on a
  * cyclic graph, and bench_extra_ablations, whose NOTEARS lambda sweep
  * runs the matrix exponential's Taylor term steps on a cyclic
- * tensat-style graph)
+ * tensat-style graph, and bench_threads_scaling, which runs the sampling
+ * stage at pool sizes 1, 2 and 4 and fails when the selections differ)
  * with --trace-out, --metrics-out,
  * --report-out and --profile-out on tiny inputs and checks that every
  * file they write parses: the trace as Chrome trace-event JSON covering
@@ -256,9 +257,10 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     const std::string fig7 = binaryPath("bench_fig7_seeds", "bench");
     const std::string ablations =
         binaryPath("bench_extra_ablations", "bench");
+    const std::string scaling = binaryPath("bench_threads_scaling", "bench");
     if (gen.empty() || extract.empty() || anytime.empty() || fig9.empty() ||
         fig8.empty() || fig6.empty() || fig5.empty() || fig7.empty() ||
-        ablations.empty())
+        ablations.empty() || scaling.empty())
         GTEST_SKIP() << "tool binaries not found relative to cwd";
 
     const std::string dir = "/tmp/smoothe_obs_tools";
@@ -299,8 +301,14 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
     // cyclic tensat-style graph, so tr_expm runs inside SmoothE.
     ASSERT_EQ(runCommand(ablations + " --quick" + telemetry("ablations")),
               0);
-    for (const char* tag : {"gen", "smoothe", "heur", "anytime", "fig9",
-                            "fig8", "fig6", "fig5", "fig7", "ablations"}) {
+    // One extraction at pool sizes 1, 2 and 4, each seed's sampler on a
+    // pool thread; exit 1 when the selections differ across sizes.
+    ASSERT_EQ(runCommand(scaling + " --quick --max-threads 4" +
+                         telemetry("scaling")),
+              0);
+    for (const char* tag :
+         {"gen", "smoothe", "heur", "anytime", "fig9", "fig8", "fig6", "fig5",
+          "fig7", "ablations", "scaling"}) {
         SCOPED_TRACE(tag);
         const std::string prefix = dir + "/" + tag;
         checkTrace(prefix + "_trace.json");
@@ -325,6 +333,14 @@ TEST(SmokeObservability, EveryToolWritesParseableTelemetry)
         fig7Metrics.find("sampler.samples");
     ASSERT_NE(fig7Samples, nullptr);
     EXPECT_GT(fig7Samples->asNumber(), 0.0);
+
+    // The thread-scaling sweep drew samples at every pool size.
+    const smoothe::util::Json scalingMetrics =
+        readJson(dir + "/scaling_metrics.json");
+    const smoothe::util::Json* scalingSamples =
+        scalingMetrics.find("sampler.samples");
+    ASSERT_NE(scalingSamples, nullptr);
+    EXPECT_GT(scalingSamples->asNumber(), 0.0);
 
     // The lambda sweep summed Taylor terms of the penalty's exponential.
     const smoothe::util::Json ablationsMetrics =

@@ -43,11 +43,15 @@ struct EGraphTestPeer
     }
     static void poisonCost(EGraph& g, NodeId nid)
     {
-        g.nodes_[nid].cost = std::numeric_limits<double>::quiet_NaN();
+        g.costs_[nid] = std::numeric_limits<double>::quiet_NaN();
     }
     static void dropFromClassList(EGraph& g, ClassId cls)
     {
-        g.classNodes_[cls].pop_back();
+        // Drop the class's last member from the flat member index.
+        g.memberItems_.erase(g.memberItems_.begin() +
+                             g.memberOffsets_[cls + 1] - 1);
+        for (std::size_t j = cls + 1; j < g.memberOffsets_.size(); ++j)
+            --g.memberOffsets_[j];
     }
     static void corruptRoot(EGraph& g) { g.root_ = 0xdeadbeef; }
     static void tamperParents(EGraph& g, ClassId cls)

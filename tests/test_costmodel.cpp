@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/program.hpp"
@@ -34,6 +36,39 @@ TEST(LinearCost, MatchesDagCostOnValidSelections)
     }
 }
 
+TEST(LinearCost, DiscreteMatchesDenseLoopBitwise)
+{
+    // Weights spanning many magnitudes, so a different summation order
+    // would round differently; sizes around the 64-bit word boundaries.
+    smoothe::util::Rng rng(19);
+    for (const std::size_t n : {1UL, 63UL, 64UL, 65UL, 130UL, 1000UL}) {
+        std::vector<float> weights(n);
+        for (float& w : weights)
+            w = static_cast<float>(rng.uniform(0.1, 1.0) *
+                                   std::pow(10.0, rng.uniform(-6.0, 6.0)));
+        const cm::LinearCost cost(weights);
+        for (const double density : {0.0, 0.05, 0.5, 1.0}) {
+            ex::NodeIndicator s(n);
+            std::vector<bool> dense(n, false);
+            for (std::size_t i = 0; i < n; ++i) {
+                if (rng.bernoulli(density)) {
+                    s.set(i);
+                    dense[i] = true;
+                }
+            }
+            // The loop over every entry that the set-bit walk replaced.
+            double expected = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (dense[i])
+                    expected += weights[i];
+            }
+            const double got = cost.discrete(s);
+            EXPECT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
+                << "n " << n << " density " << density;
+        }
+    }
+}
+
 TEST(LinearCost, BuildComputesDotProduct)
 {
     const cm::LinearCost cost(std::vector<float>{1.0f, 2.0f, 3.0f});
@@ -54,12 +89,13 @@ TEST(MlpCost, ForwardIsDeterministic)
 {
     smoothe::util::Rng rng(10);
     cm::MlpCost mlp(12, rng);
-    std::vector<bool> s(12, false);
-    s[2] = s[5] = true;
+    ex::NodeIndicator s(12);
+    s.set(2);
+    s.set(5);
     const double a = mlp.discrete(s);
     const double b = mlp.discrete(s);
     EXPECT_DOUBLE_EQ(a, b);
-    s[7] = true;
+    s.set(7);
     EXPECT_NE(mlp.discrete(s), a); // input sensitivity (almost surely)
 }
 
@@ -100,10 +136,13 @@ TEST(MlpCost, ForwardBatchMatchesDiscrete)
     smoothe::util::Rng rng(41);
     cm::MlpCost mlp(10, rng);
     ad::Tensor batch(3, 10);
-    std::vector<std::vector<bool>> rows(3, std::vector<bool>(10, false));
-    rows[0][1] = rows[0][4] = true;
-    rows[1][0] = true;
-    rows[2][9] = rows[2][3] = rows[2][7] = true;
+    std::vector<ex::NodeIndicator> rows(3, ex::NodeIndicator(10));
+    rows[0].set(1);
+    rows[0].set(4);
+    rows[1].set(0);
+    rows[2].set(9);
+    rows[2].set(3);
+    rows[2].set(7);
     for (std::size_t r = 0; r < 3; ++r) {
         for (std::size_t i = 0; i < 10; ++i)
             batch.at(r, i) = rows[r][i] ? 1.0f : 0.0f;
@@ -169,8 +208,9 @@ TEST(MlpCost, DifferentSeedsDifferentModels)
     smoothe::util::Rng rngB(2);
     cm::MlpCost a(8, rngA);
     cm::MlpCost b(8, rngB);
-    std::vector<bool> s(8, false);
-    s[2] = s[6] = true;
+    ex::NodeIndicator s(8);
+    s.set(2);
+    s.set(6);
     EXPECT_NE(a.discrete(s), b.discrete(s));
 }
 
@@ -182,8 +222,9 @@ TEST(CompositeCost, AddsComponents)
     auto mlp = std::make_shared<cm::MlpCost>(g.numNodes(), rng);
     const cm::CompositeCost composite(linear, mlp, 0.5f);
 
-    std::vector<bool> s(g.numNodes(), false);
-    s[0] = s[3] = true;
+    ex::NodeIndicator s(g.numNodes());
+    s.set(0);
+    s.set(3);
     EXPECT_NEAR(composite.discrete(s),
                 linear->discrete(s) + 0.5 * mlp->discrete(s), 1e-9);
 }
@@ -202,7 +243,7 @@ TEST(CompositeCost, BuildMatchesDiscreteOnBinaryInput)
 
     ad::Tape tape;
     ad::Tensor p(1, g.numNodes());
-    for (std::size_t i = 0; i < indicator.size(); ++i)
+    for (std::size_t i = 0; i < indicator.size; ++i)
         p.at(0, i) = indicator[i] ? 1.0f : 0.0f;
     const auto out = composite.build(tape, tape.constant(p));
     EXPECT_NEAR(tape.value(out).at(0, 0), composite.discrete(indicator),

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "datasets/generators.hpp"
@@ -66,7 +67,8 @@ TEST(Generators, Deterministic)
     EXPECT_EQ(a.numClasses(), b.numClasses());
     for (eg::NodeId nid = 0; nid < a.numNodes(); ++nid) {
         EXPECT_EQ(a.node(nid).op, b.node(nid).op);
-        EXPECT_EQ(a.node(nid).children, b.node(nid).children);
+        EXPECT_TRUE(std::ranges::equal(a.node(nid).children,
+                                       b.node(nid).children));
         EXPECT_DOUBLE_EQ(a.node(nid).cost, b.node(nid).cost);
     }
 }

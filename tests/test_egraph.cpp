@@ -16,6 +16,8 @@
 #include "egraph/egraph.hpp"
 #include "egraph/serialize.hpp"
 #include "extraction/solution.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace eg = smoothe::eg;
 
@@ -139,6 +141,80 @@ TEST(EGraph, BuildAndQuery)
     EXPECT_EQ(g.node(0).op, "+");
     EXPECT_EQ(g.classOf(0), 0u);
     EXPECT_EQ(g.nodesInClass(3).size(), 1u);
+}
+
+TEST(EGraph, FlatIndicesMatchNodesAndClasses)
+{
+    // Nodes added to random classes in interleaved order, with forward
+    // references, repeated children and leaves.
+    smoothe::util::Rng rng(17);
+    const std::size_t m = 40;
+    eg::EGraph g;
+    for (std::size_t j = 0; j < m; ++j)
+        g.addClass();
+    struct Spec
+    {
+        eg::ClassId cls;
+        std::string op;
+        std::vector<eg::ClassId> children;
+        double cost;
+    };
+    std::vector<Spec> specs;
+    for (eg::ClassId cls = 0; cls < m; ++cls)
+        specs.push_back({cls, "leaf" + std::to_string(cls), {}, 1.0});
+    for (int i = 0; i < 160; ++i) {
+        Spec spec{static_cast<eg::ClassId>(rng.uniformIndex(m)),
+                  "op" + std::to_string(i), {}, rng.uniform(0.0, 9.0)};
+        const std::size_t arity = rng.uniformIndex(4);
+        for (std::size_t k = 0; k < arity; ++k)
+            spec.children.push_back(
+                static_cast<eg::ClassId>(rng.uniformIndex(m)));
+        if (arity > 0 && rng.bernoulli(0.2))
+            spec.children.push_back(spec.children.front());
+        specs.push_back(std::move(spec));
+    }
+    std::swap(specs[3], specs[100]);
+    for (const Spec& spec : specs)
+        g.addNode(spec.cls, spec.op, spec.children, spec.cost);
+    g.setRoot(0);
+    ASSERT_FALSE(g.finalize().has_value());
+
+    std::vector<std::vector<eg::NodeId>> members(m);
+    std::size_t edges = 0;
+    for (eg::NodeId nid = 0; nid < specs.size(); ++nid) {
+        const Spec& spec = specs[nid];
+        EXPECT_EQ(g.classOf(nid), spec.cls);
+        EXPECT_EQ(g.node(nid).op, spec.op);
+        EXPECT_EQ(g.node(nid).cost, spec.cost);
+        const auto children = g.children(nid);
+        EXPECT_TRUE(std::ranges::equal(children, spec.children)) << nid;
+        EXPECT_EQ(g.node(nid).children.data(), children.data());
+        EXPECT_EQ(g.node(nid).children.size(), children.size());
+        members[spec.cls].push_back(nid);
+        edges += spec.children.size();
+    }
+    std::size_t listed = 0;
+    for (eg::ClassId cls = 0; cls < m; ++cls) {
+        EXPECT_TRUE(std::ranges::equal(g.nodesInClass(cls), members[cls]))
+            << cls;
+        listed += g.nodesInClass(cls).size();
+    }
+    EXPECT_EQ(listed, g.numNodes());
+    EXPECT_EQ(g.stats().numEdges, edges);
+    EXPECT_EQ(g.checkInvariants(), std::nullopt);
+
+    // Every node's children span starts where the previous one ends: one
+    // flat array in node order.
+    for (eg::NodeId nid = 1; nid < g.numNodes(); ++nid)
+        EXPECT_EQ(g.children(nid - 1).data() + g.children(nid - 1).size(),
+                  g.children(nid).data());
+
+    // A copy owns its own arrays.
+    const eg::EGraph copy = g;
+    EXPECT_NE(copy.children(5).data(), g.children(5).data());
+    EXPECT_TRUE(std::ranges::equal(copy.children(5), g.children(5)));
+    EXPECT_TRUE(std::ranges::equal(copy.nodesInClass(7),
+                                   g.nodesInClass(7)));
 }
 
 TEST(EGraph, ParentIndex)
@@ -359,6 +435,55 @@ TEST(Serialize, RoundTrip)
     for (eg::NodeId nid = 0; nid < loaded->numNodes(); ++nid)
         total += loaded->node(nid).cost;
     EXPECT_DOUBLE_EQ(total, 6.5);
+}
+
+namespace {
+
+/** toJson as it was: every entry added through Json::set. */
+std::string
+keyedToJson(const eg::EGraph& graph, bool pretty)
+{
+    using smoothe::util::Json;
+    Json nodes = Json::makeObject();
+    std::vector<eg::NodeId> representative(graph.numClasses());
+    for (eg::ClassId cls = 0; cls < graph.numClasses(); ++cls)
+        representative[cls] = graph.nodesInClass(cls).front();
+    for (eg::NodeId nid = 0; nid < graph.numNodes(); ++nid) {
+        const eg::ENode node = graph.node(nid);
+        Json entry = Json::makeObject();
+        entry.set("op", node.op);
+        Json children = Json::makeArray();
+        for (eg::ClassId child : node.children)
+            children.push(std::to_string(representative[child]));
+        entry.set("children", std::move(children));
+        entry.set("eclass", std::to_string(graph.classOf(nid)));
+        entry.set("cost", node.cost);
+        nodes.set(std::to_string(nid), std::move(entry));
+    }
+    Json roots = Json::makeArray();
+    roots.push(std::to_string(graph.root()));
+    Json doc = Json::makeObject();
+    doc.set("nodes", std::move(nodes));
+    doc.set("root_eclasses", std::move(roots));
+    return pretty ? doc.dumpPretty() : doc.dump();
+}
+
+} // namespace
+
+TEST(Serialize, ToJsonMatchesKeyedBuild)
+{
+    std::size_t graphs = 0;
+    for (const std::string& family : smoothe::datasets::allFamilies()) {
+        for (const auto& named :
+             smoothe::datasets::loadFamily(family, 0.05, 13)) {
+            for (const bool pretty : {false, true})
+                EXPECT_EQ(eg::toJson(named.graph, pretty),
+                          keyedToJson(named.graph, pretty))
+                    << named.name << (pretty ? " pretty" : " compact");
+            ++graphs;
+        }
+    }
+    EXPECT_GT(graphs, 8u);
 }
 
 TEST(Serialize, FileRoundTrip)

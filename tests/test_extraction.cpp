@@ -279,6 +279,205 @@ TEST(Validate, SccLocalCheckMatchesWholeGraphReference)
         EXPECT_GT(verdicts[kind], 0) << static_cast<int>(kind);
 }
 
+namespace {
+
+/**
+ * validate() as it was before the flat e-graph indices: the same checks
+ * in the same order, with a bit vector of needed classes, a full scan
+ * for chosen classes that are not needed, and a colour array over every
+ * class. The reference for the verdict and the message.
+ */
+ex::ValidationResult
+referenceValidate(const eg::EGraph& graph, const ex::Selection& sel,
+                  const ex::CyclicSccs& sccs)
+{
+    ex::ValidationResult result;
+    auto fail = [&](ex::Violation v, const std::string& message) {
+        result.violation = v;
+        result.message = message;
+        return result;
+    };
+    if (sel.choice.size() != graph.numClasses())
+        return fail(ex::Violation::DanglingNode, "selection size mismatch");
+    for (eg::ClassId cls = 0; cls < graph.numClasses(); ++cls) {
+        const eg::NodeId nid = sel.choice[cls];
+        if (nid == eg::kNoNode)
+            continue;
+        if (nid >= graph.numNodes() || graph.classOf(nid) != cls)
+            return fail(ex::Violation::DanglingNode,
+                        "choice for class " + std::to_string(cls) +
+                            " is not a member of that class");
+    }
+    if (!sel.chosen(graph.root()))
+        return fail(ex::Violation::RootUnchosen,
+                    "root e-class has no choice");
+    std::vector<bool> needed(graph.numClasses(), false);
+    std::vector<eg::ClassId> worklist{graph.root()};
+    needed[graph.root()] = true;
+    while (!worklist.empty()) {
+        const eg::ClassId cls = worklist.back();
+        worklist.pop_back();
+        const eg::NodeId nid = sel.choice[cls];
+        if (nid == eg::kNoNode)
+            return fail(ex::Violation::MissingChild,
+                        "needed class " + std::to_string(cls) +
+                            " has no chosen e-node");
+        for (eg::ClassId child : graph.node(nid).children) {
+            if (!needed[child]) {
+                needed[child] = true;
+                worklist.push_back(child);
+            }
+        }
+    }
+    for (eg::ClassId cls = 0; cls < graph.numClasses(); ++cls) {
+        if (sel.chosen(cls) && !needed[cls])
+            return fail(ex::Violation::UnreachableChoice,
+                        "class " + std::to_string(cls) +
+                            " is chosen but not needed by the extraction");
+    }
+    enum class Color : unsigned char { White, Gray, Black };
+    std::vector<Color> color(graph.numClasses(), Color::White);
+    struct Frame
+    {
+        eg::ClassId cls;
+        std::size_t childIdx;
+    };
+    std::vector<Frame> stack;
+    for (const auto& scc : sccs.classes) {
+        const std::uint32_t id = sccs.id[scc.front()];
+        for (eg::ClassId start : scc) {
+            if (!sel.chosen(start) || color[start] != Color::White)
+                continue;
+            color[start] = Color::Gray;
+            stack.push_back({start, 0});
+            while (!stack.empty()) {
+                Frame& frame = stack.back();
+                const auto children =
+                    graph.node(sel.choice[frame.cls]).children;
+                if (frame.childIdx < children.size()) {
+                    const eg::ClassId child = children[frame.childIdx++];
+                    if (sccs.id[child] != id)
+                        continue;
+                    if (color[child] == Color::Gray)
+                        return fail(ex::Violation::Cyclic,
+                                    "cycle through class " +
+                                        std::to_string(child));
+                    if (color[child] == Color::White) {
+                        color[child] = Color::Gray;
+                        stack.push_back({child, 0});
+                    }
+                } else {
+                    color[frame.cls] = Color::Black;
+                    stack.pop_back();
+                }
+            }
+        }
+    }
+    return result;
+}
+
+} // namespace
+
+TEST(Validate, MatchesReferenceOnMutatedSelections)
+{
+    std::vector<ds::NamedEGraph> graphs;
+    for (const char* family : {"tensat", "rover", "flexc", "diospyros",
+                               "impress", "set", "caviar"}) {
+        for (auto& named : ds::loadFamily(family, 0.05, 57))
+            graphs.push_back(std::move(named));
+    }
+
+    smoothe::util::Rng rng(31);
+    std::map<ex::Violation, int> verdicts;
+    int cycleClosing = 0;
+    for (const auto& named : graphs) {
+        const eg::EGraph& g = named.graph;
+        const auto sccs = ex::CyclicSccs::of(g);
+        core::GreedySampler sampler(g, sccs);
+        const auto expectSame = [&](const ex::Selection& sel,
+                                    const char* what) {
+            const ex::ValidationResult expected =
+                referenceValidate(g, sel, sccs);
+            if (std::string(what) == "cyclic-SCC re-choice" &&
+                expected.violation == ex::Violation::Cyclic)
+                ++cycleClosing;
+            for (const ex::ValidationResult& got :
+                 {ex::validate(g, sel, sccs), ex::validate(g, sel)}) {
+                EXPECT_EQ(got.violation, expected.violation)
+                    << named.name << " " << what;
+                EXPECT_EQ(got.message, expected.message)
+                    << named.name << " " << what;
+            }
+            ++verdicts[expected.violation];
+        };
+        std::vector<float> cp(g.numNodes());
+        for (int row = 0; row < 12; ++row) {
+            for (auto& v : cp)
+                v = static_cast<float>(rng.uniform(0.0, 1.0));
+            const ex::Selection raw = sampler.sample(cp.data(), false);
+            expectSame(raw, "raw sample");
+            const ex::Selection sel = sampler.sample(cp.data(), true);
+            expectSame(sel, "repaired sample");
+            if (!sel.chosen(g.root()))
+                continue;
+            const auto needed = ex::neededClasses(g, sel);
+            ASSERT_TRUE(needed.has_value());
+
+            // A wrong-class node in a needed class.
+            const eg::ClassId victim =
+                (*needed)[rng.uniformIndex(needed->size())];
+            const eg::ClassId other = static_cast<eg::ClassId>(
+                (victim + 1 + rng.uniformIndex(g.numClasses() - 1)) %
+                g.numClasses());
+            ex::Selection wrongClass = sel;
+            wrongClass.choice[victim] = g.nodesInClass(other).front();
+            expectSame(wrongClass, "wrong-class node");
+
+            // A dropped child: a chosen node's child class unchosen.
+            for (eg::ClassId cls : *needed) {
+                const auto children = g.children(sel.choice[cls]);
+                if (children.empty() || children.front() == g.root())
+                    continue;
+                ex::Selection dropped = sel;
+                dropped.choice[children.front()] = eg::kNoNode;
+                expectSame(dropped, "dropped child");
+                break;
+            }
+
+            // An extra choice in a class the extraction does not need.
+            for (eg::ClassId cls = 0; cls < g.numClasses(); ++cls) {
+                if (!sel.chosen(cls)) {
+                    ex::Selection extra = sel;
+                    extra.choice[cls] = g.nodesInClass(cls).back();
+                    expectSame(extra, "unreachable extra choice");
+                    break;
+                }
+            }
+
+            // Re-choices inside cyclic SCCs, which can close a cycle.
+            int tried = 0;
+            for (eg::ClassId cls : *needed) {
+                if (sccs.id[cls] == ex::CyclicSccs::kNone || tried >= 8)
+                    continue;
+                for (eg::NodeId nid : g.nodesInClass(cls)) {
+                    if (nid == sel.choice[cls])
+                        continue;
+                    ex::Selection rechosen = sel;
+                    rechosen.choice[cls] = nid;
+                    expectSame(rechosen, "cyclic-SCC re-choice");
+                    ++tried;
+                }
+            }
+        }
+    }
+    for (ex::Violation kind :
+         {ex::Violation::None, ex::Violation::RootUnchosen,
+          ex::Violation::MissingChild, ex::Violation::UnreachableChoice,
+          ex::Violation::Cyclic, ex::Violation::DanglingNode})
+        EXPECT_GT(verdicts[kind], 0) << static_cast<int>(kind);
+    EXPECT_GT(cycleClosing, 0);
+}
+
 TEST(Costs, DagCostCountsSharedOnce)
 {
     eg::EGraph g;

@@ -8,18 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "costmodel/cost_model.hpp"
 #include "datasets/registry.hpp"
+#include "obs/metrics.hpp"
 #include "smoothe/sampler.hpp"
 #include "util/rng.hpp"
 
 namespace core = smoothe::core;
+namespace cost = smoothe::cost;
 namespace ds = smoothe::datasets;
 namespace eg = smoothe::eg;
 namespace ex = smoothe::extract;
+namespace obs = smoothe::obs;
 
 namespace {
 
@@ -303,8 +309,9 @@ TEST(Sampler, RepairIsArgMaxOnAcyclicFamilies)
         for (int row = 0; row < 50; ++row) {
             for (auto& v : cp)
                 v = static_cast<float>(rng.uniform(0.0, 1.0));
-            EXPECT_EQ(sampler.sample(cp.data(), true).choice,
-                      sampler.sample(cp.data(), false).choice)
+            // A copy: the next sample() overwrites the sampler's own.
+            const ex::Selection repaired = sampler.sample(cp.data(), true);
+            EXPECT_EQ(repaired.choice, sampler.sample(cp.data(), false).choice)
                 << family << " row " << row;
         }
     }
@@ -358,4 +365,74 @@ TEST(Sampler, TiesInLargeClassesGoToTheFirstMember)
     EXPECT_EQ(raw.choice[a], aNodes[3]);
     EXPECT_EQ(raw.choice[s], sNodes[1]);
     EXPECT_EQ(ex::validate(g, raw).violation, ex::Violation::Cyclic);
+}
+
+TEST(Sampler, SeedSamplerReusesRepeatedSamples)
+{
+    // A cp sequence with repeated samples: a row drawn twice in a row, a
+    // row scaled by one half (another cp, the same arg-max sample), and a
+    // row that comes back after others. Each draw must give the verdict
+    // and cost of validating and scoring that sample afresh, and the
+    // counters must count exactly as if every sample were validated.
+    obs::Counter& samples = obs::counter("sampler.samples");
+    obs::Counter& valid = obs::counter("sampler.valid_samples");
+    obs::Counter& reused = obs::counter("sampler.reused");
+    smoothe::util::Rng rng(37);
+    std::size_t totalRepeats = 0;
+    for (const char* family : {"tensat", "rover", "impress", "set"}) {
+        const auto graphs = ds::loadFamily(family, 0.05, 55);
+        const eg::EGraph& g = graphs.front().graph;
+        const auto sccs = ex::CyclicSccs::of(g);
+        const cost::LinearCost model(g);
+        std::vector<std::vector<float>> base(4,
+                                             std::vector<float>(g.numNodes()));
+        for (auto& row : base)
+            for (auto& v : row)
+                v = static_cast<float>(rng.uniform(0.0, 1.0));
+        std::vector<float> half = base[1];
+        for (auto& v : half)
+            v *= 0.5f;
+        const std::vector<const std::vector<float>*> sequence{
+            &base[0], &base[0], &base[1], &half,    &base[2],
+            &base[0], &base[3], &base[3], &base[3], &base[1]};
+
+        for (const bool repair : {true, false}) {
+            SCOPED_TRACE(std::string(family) +
+                         (repair ? " repair" : " no repair"));
+            core::SeedSampler seed(g, sccs, model);
+            core::GreedySampler reference(g, sccs);
+            const std::uint64_t samples0 = samples.get();
+            const std::uint64_t valid0 = valid.get();
+            const std::uint64_t reused0 = reused.get();
+            std::size_t expectValid = 0;
+            std::size_t repeats = 0;
+            std::optional<std::vector<eg::NodeId>> previous;
+            for (std::size_t k = 0; k < sequence.size(); ++k) {
+                const float* row = sequence[k]->data();
+                const bool drawn = seed.draw(row, repair);
+                const ex::Selection sample = reference.sample(row, repair);
+                const bool rooted = sample.chosen(g.root());
+                const bool ok = rooted && ex::validate(g, sample).ok();
+                EXPECT_EQ(drawn, ok) << "draw " << k;
+                if (rooted) {
+                    repeats += previous && *previous == sample.choice;
+                    previous = sample.choice;
+                    EXPECT_EQ(seed.selection().choice, sample.choice);
+                }
+                if (ok) {
+                    ++expectValid;
+                    const double fresh =
+                        model.discrete(sample.toNodeIndicator(g));
+                    const double got = seed.cost();
+                    EXPECT_EQ(std::memcmp(&fresh, &got, sizeof got), 0)
+                        << "draw " << k;
+                }
+            }
+            EXPECT_EQ(samples.get() - samples0, sequence.size());
+            EXPECT_EQ(valid.get() - valid0, expectValid);
+            EXPECT_EQ(reused.get() - reused0, repeats);
+            totalRepeats += repeats;
+        }
+    }
+    EXPECT_GT(totalRepeats, 0u);
 }

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "autodiff/adam.hpp"
 #include "autodiff/matexp.hpp"
 #include "autodiff/program.hpp"
 #include "tensor/kernels.hpp"
@@ -651,6 +652,70 @@ TEST(SimdParity, TaylorTermStepMatchesUnfusedReferenceBitwise)
                                out.data(), d);
             EXPECT_EQ(std::memcmp(c.data(), refC.data(), bytes), 0);
             EXPECT_EQ(std::memcmp(out.data(), refOut.data(), bytes), 0);
+        }
+    }
+}
+
+TEST(SimdParity, AdamStepMatchesScalarLoopBitwise)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    const ad::AdamConfig config{0.05f, 0.9f, 0.999f, 1e-8f};
+    constexpr int kSteps = 5;
+    // Below one register, the 8-wide tails, and two parameters.
+    for (const std::size_t n : {1UL, 7UL, 13UL, 30UL, 1003UL}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        util::Rng rng(0xada + n);
+        const st::Tensor start = randomTensor(1, n, rng);
+        std::vector<st::Tensor> grads;
+        for (int t = 0; t < kSteps; ++t)
+            grads.push_back(randomTensor(2, n, rng));
+
+        // The reference: Adam's per-element loop, written out here.
+        std::vector<float> refW(start.data(), start.data() + n);
+        std::vector<float> refW2 = refW;
+        std::vector<float> m(2 * n, 0.0f);
+        std::vector<float> v(2 * n, 0.0f);
+        for (int t = 0; t < kSteps; ++t) {
+            const float c1 = 1.0f - std::pow(config.beta1,
+                                             static_cast<float>(t + 1));
+            const float c2 = 1.0f - std::pow(config.beta2,
+                                             static_cast<float>(t + 1));
+            for (std::size_t i = 0; i < 2 * n; ++i) {
+                float& w = i < n ? refW[i] : refW2[i - n];
+                const float g = grads[t].data()[i];
+                m[i] = config.beta1 * m[i] + (1.0f - config.beta1) * g;
+                v[i] = config.beta2 * v[i] + (1.0f - config.beta2) * g * g;
+                const float mHat = m[i] / c1;
+                const float vHat = v[i] / c2;
+                w -= config.lr * mHat / (std::sqrt(vHat) + config.epsilon);
+            }
+        }
+
+        LevelGuard guard;
+        for (const simd::Level level :
+             {simd::Level::Scalar, simd::Level::Avx2}) {
+            SCOPED_TRACE(level == simd::Level::Avx2 ? "avx2" : "scalar");
+            simd::setLevel(level);
+            ad::Param a(start);
+            ad::Param b(start);
+            ad::Adam adam({&a, &b}, config);
+            for (int t = 0; t < kSteps; ++t) {
+                std::copy(grads[t].data(), grads[t].data() + n,
+                          a.grad.data());
+                std::copy(grads[t].data() + n, grads[t].data() + 2 * n,
+                          b.grad.data());
+                adam.step();
+            }
+            const std::size_t bytes = n * sizeof(float);
+            EXPECT_EQ(std::memcmp(a.value.data(), refW.data(), bytes), 0);
+            EXPECT_EQ(std::memcmp(b.value.data(), refW2.data(), bytes), 0);
+            EXPECT_EQ(std::memcmp(adam.moment1(1).data(), m.data() + n,
+                                  bytes),
+                      0);
+            EXPECT_EQ(std::memcmp(adam.moment2(1).data(), v.data() + n,
+                                  bytes),
+                      0);
         }
     }
 }
